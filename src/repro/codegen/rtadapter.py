@@ -29,13 +29,22 @@ import numpy as np
 from repro.codegen.plan import ParallelPlan
 from repro.errors import CheckpointError, RuntimeCommError
 from repro.interp.values import OffsetArray
-from repro.partition.halo import GhostSpec, ghost_bounds
+from repro.partition.grid import split_extent
+from repro.partition.halo import ghost_bounds
 from repro.runtime.cart import CartComm
 from repro.runtime.comm import Communicator
-from repro.runtime.halo import HaloExchanger, HaloSpec, shared_pool
+from repro.runtime.halo import HaloExchanger, HaloSpec, PipeExchanger
 from repro.runtime.trace import TraceEvent
 
-_PIPE_TAG_BASE = 1 << 17
+
+def _same_arrays(specs: list[HaloSpec], arrays) -> bool:
+    """Were *specs* built for exactly these array objects?"""
+    if len(specs) != len(arrays):
+        return False
+    for spec, arr in zip(specs, arrays):
+        if spec.array is not arr:
+            return False
+    return True
 
 
 class RankRuntime:
@@ -52,7 +61,15 @@ class RankRuntime:
                 f"{comm.size}")
         self.cart = CartComm(comm, self.partition.dims)
         self.subgrid = self.partition.subgrid(comm.rank)
-        self._exchangers: dict[int, HaloExchanger] = {}
+        #: kept for the life of the run: one exchanger per combined sync
+        #: id, one per pipe id (their face plans are frame-invariant)
+        self._syncs: dict[int, HaloExchanger] = {}
+        self._pipes: dict[int, PipeExchanger] = {}
+        #: local declaration bounds per array name, filled on first use
+        self._bounds: dict[str, list[tuple[int, int]]] = {}
+        #: per grid dim, the owned (lo, hi) range of every slice
+        self._slices = [split_extent(n, p) for n, p in
+                        zip(self.partition.grid.shape, self.partition.dims)]
         #: optional :class:`repro.faults.FaultInjector`
         self.faults = faults
         #: optional :class:`repro.faults.Checkpointer`
@@ -91,160 +108,117 @@ class RankRuntime:
         return self._local_bounds(name)[adim - 1][1]
 
     def _local_bounds(self, name: str) -> list[tuple[int, int]]:
-        ap = self.plan.arrays[name]
-        return ghost_bounds(self.partition, self.comm.rank, ap.dim_map,
-                            ap.original_bounds, ap.ghosts)
+        bounds = self._bounds.get(name)
+        if bounds is None:
+            ap = self.plan.arrays[name]
+            bounds = self._bounds[name] = ghost_bounds(
+                self.partition, self.comm.rank, ap.dim_map,
+                ap.original_bounds, ap.ghosts)
+        return bounds
 
     # -- communication -------------------------------------------------------------
 
-    def _halo_spec(self, name: str, array: OffsetArray,
-                   distances: dict[int, tuple[int, int]]) -> HaloSpec:
-        ap = self.plan.arrays[name]
-        ndims = self.plan.directives.ndims
-        dist = tuple(distances.get(g, (0, 0)) for g in range(ndims))
-        return HaloSpec(array=array, dim_map=ap.dim_map,
-                        owned=self.subgrid.owned, dist=dist)
-
-    def exchange(self, sync_id: int, *arrays: OffsetArray) -> None:
-        """Aggregated halo exchange for combined sync point *sync_id*."""
-        sync = self.plan.syncs[int(sync_id) - 1]
-        if len(arrays) != len(sync.arrays):
+    def _specs(self, what: str, named_dists, arrays) -> list[HaloSpec]:
+        """Halo specs pairing *arrays* with the (name, per-grid-dim
+        (minus, plus) distances) list the plan holds for sync or pipe
+        *what*."""
+        if len(arrays) != len(named_dists):
             raise RuntimeCommError(
-                f"sync {sync_id}: {len(arrays)} arrays passed, plan has "
-                f"{len(sync.arrays)}")
-        specs = [self._halo_spec(name, arr, dists)
-                 for (name, dists), arr in zip(sync.arrays, arrays)]
+                f"{what}: {len(arrays)} arrays passed, plan has "
+                f"{len(named_dists)}")
+        return [HaloSpec(array=arr, dim_map=self.plan.arrays[name].dim_map,
+                         owned=self.subgrid.owned, dist=dist)
+                for (name, dist), arr in zip(named_dists, arrays)]
+
+    def _sync_exchanger(self, sync_id: int, arrays) -> HaloExchanger:
+        """The exchanger kept for combined sync *sync_id*; built on first
+        use, and again whenever the call passes other array objects (a
+        subroutine-local array re-created per call), since its face plan
+        holds views of the arrays it was built for."""
+        ex = self._syncs.get(sync_id)
+        if ex is None or not _same_arrays(ex.specs, arrays):
+            if ex is not None and ex.in_flight:
+                raise RuntimeCommError(
+                    f"sync {sync_id}: arrays changed while a begun "
+                    f"exchange is unfinished")
+            dims = range(self.plan.directives.ndims)
+            named_dists = [
+                (name, tuple(dists.get(g, (0, 0)) for g in dims))
+                for name, dists in self.plan.syncs[sync_id - 1].arrays]
+            ex = self._syncs[sync_id] = HaloExchanger(
+                self.cart,
+                self._specs(f"sync {sync_id}", named_dists, arrays),
+                point_id=sync_id)
+        return ex
+
+    def _in_halo(self, step, sync_id: int, *, completes: bool) -> None:
+        """Run exchange step *step* with live telemetry (if any) showing
+        the rank in the halo state; *completes* pushes the exchange
+        event."""
         tele = self.comm.telemetry
         if tele is None:
-            HaloExchanger(self.cart, specs,
-                          point_id=int(sync_id)).exchange()
+            step()
             return
         prev = tele.enter(3)  # S_HALO
         try:
-            HaloExchanger(self.cart, specs,
-                          point_id=int(sync_id)).exchange()
+            step()
         finally:
             tele.enter(prev)
-            tele.push_event(self.comm.rank, "exchange", None, 0,
-                            int(sync_id))
+            if completes:
+                tele.push_event(self.comm.rank, "exchange", None, 0,
+                                sync_id)
+
+    def exchange(self, sync_id: int, *arrays: OffsetArray) -> None:
+        """Aggregated halo exchange for combined sync point *sync_id*."""
+        sync_id = int(sync_id)
+        self._in_halo(self._sync_exchanger(sync_id, arrays).exchange,
+                      sync_id, completes=True)
 
     def exchange_begin(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Post the aggregated exchange nonblocking (overlap path).
 
-        The exchanger is parked until the matching ``exchange_finish``;
-        in between the generated program runs the interior of the split
-        consumer nest while the halo messages are in flight.
+        Until the matching ``exchange_finish`` the generated program runs
+        the interior of the split consumer nest while the halo messages
+        are in flight.
         """
         sync_id = int(sync_id)
-        if sync_id in self._exchangers:
-            raise RuntimeCommError(
-                f"sync {sync_id}: exchange_begin called twice without "
-                f"finish")
-        sync = self.plan.syncs[sync_id - 1]
-        if len(arrays) != len(sync.arrays):
-            raise RuntimeCommError(
-                f"sync {sync_id}: {len(arrays)} arrays passed, plan has "
-                f"{len(sync.arrays)}")
-        specs = [self._halo_spec(name, arr, dists)
-                 for (name, dists), arr in zip(sync.arrays, arrays)]
-        ex = HaloExchanger(self.cart, specs, point_id=sync_id)
-        tele = self.comm.telemetry
-        if tele is None:
-            ex.begin()
-        else:
-            prev = tele.enter(3)  # S_HALO
-            try:
-                ex.begin()
-            finally:
-                tele.enter(prev)
-        self._exchangers[sync_id] = ex
+        self._in_halo(self._sync_exchanger(sync_id, arrays).begin,
+                      sync_id, completes=False)
 
     def exchange_finish(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Wait on a begun exchange and unpack every ghost face."""
         sync_id = int(sync_id)
-        ex = self._exchangers.pop(sync_id, None)
+        ex = self._syncs.get(sync_id)
         if ex is None:
             raise RuntimeCommError(
                 f"sync {sync_id}: exchange_finish without a begin")
-        tele = self.comm.telemetry
-        if tele is None:
-            ex.finish()
-            return
-        prev = tele.enter(3)  # S_HALO
-        try:
-            ex.finish()
-        finally:
-            tele.enter(prev)
-            tele.push_event(self.comm.rank, "exchange", None, 0, sync_id)
+        self._in_halo(ex.finish, sync_id, completes=True)
+
+    def _pipe_exchanger(self, pipe_id: int, arrays) -> PipeExchanger:
+        """The transfer plan kept for pipe *pipe_id* (see
+        :meth:`_sync_exchanger` for when it is rebuilt)."""
+        ex = self._pipes.get(pipe_id)
+        if ex is None or not _same_arrays(ex.specs, arrays):
+            pipe = self.plan.pipes[pipe_id - 1]
+            uses = pipe.field_loop.uses
+            dims = range(self.plan.directives.ndims)
+            named_dists = [
+                (name, tuple(uses[name].max_read_distance(g)
+                             if name in uses else (0, 0) for g in dims))
+                for name in pipe.arrays]
+            ex = self._pipes[pipe_id] = PipeExchanger(
+                self.cart,
+                self._specs(f"pipe {pipe_id}", named_dists, arrays),
+                pipe_id, pipe.pipeline_dims)
+        return ex
 
     def pipe_recv(self, pipe_id: int, *arrays: OffsetArray) -> None:
         """Blocking receive of pipelined new values from minus neighbors."""
-        pipe = self.plan.pipes[int(pipe_id) - 1]
-        specs = self._pipe_specs(pipe, arrays)
-        pool = shared_pool()
-        trace = self.comm.trace
-        timed = trace.enabled
-        t0 = trace.now() if timed else 0.0
-        for g in pipe.pipeline_dims:
-            tag = _PIPE_TAG_BASE + int(pipe_id) * 8 + g
-            payload = self.cart.recv_dir(g, -1, tag)
-            if payload is None:
-                continue
-            tu0 = trace.now() if timed else 0.0
-            nbytes = 0
-            for spec, section in zip(specs, payload):
-                ranges = spec.recv_ranges(g, -1)
-                if ranges is not None:
-                    spec.array.set_section(ranges, section)
-                    nbytes += int(section.nbytes)
-                pool.release(section)
-            if timed:
-                trace.record(TraceEvent(self.comm.rank, "halo_unpack",
-                                        None, nbytes, tag,
-                                        t0=tu0, t1=trace.now()))
-        if timed:
-            trace.record(TraceEvent(self.comm.rank, "pipeline_recv", None,
-                                    0, int(pipe_id), t0=t0, t1=trace.now()))
+        self._pipe_exchanger(int(pipe_id), arrays).recv()
 
     def pipe_send(self, pipe_id: int, *arrays: OffsetArray) -> None:
         """Ship freshly computed plus-edge layers down the pipeline."""
-        pipe = self.plan.pipes[int(pipe_id) - 1]
-        specs = self._pipe_specs(pipe, arrays)
-        pool = shared_pool()
-        trace = self.comm.trace
-        timed = trace.enabled
-        for g in pipe.pipeline_dims:
-            neighbor = self.cart.neighbor(g, +1)
-            if neighbor is None:
-                continue
-            tag = _PIPE_TAG_BASE + int(pipe_id) * 8 + g
-            tp0 = trace.now() if timed else 0.0
-            payload = [spec.send_section(g, +1, pool) for spec in specs]
-            if timed:
-                trace.record(TraceEvent(
-                    self.comm.rank, "halo_pack", None,
-                    sum(int(b.nbytes) for b in payload), tag,
-                    t0=tp0, t1=trace.now()))
-            # marker event only (comm.send records the payload bytes)
-            trace.record(TraceEvent(
-                self.comm.rank, "pipeline_send", neighbor, 0, tag))
-            self.cart.send_dir(g, +1, payload, tag, move=True)
-
-    def _pipe_specs(self, pipe, arrays) -> list[HaloSpec]:
-        if len(arrays) != len(pipe.arrays):
-            raise RuntimeCommError(
-                f"pipe {pipe.pipe_id}: {len(arrays)} arrays passed, plan "
-                f"has {len(pipe.arrays)}")
-        specs = []
-        for name, arr in zip(pipe.arrays, arrays):
-            use = pipe.field_loop.uses.get(name)
-            ndims = self.plan.directives.ndims
-            dist = tuple(use.max_read_distance(g) if use is not None
-                         else (0, 0) for g in range(ndims))
-            ap = self.plan.arrays[name]
-            specs.append(HaloSpec(array=arr, dim_map=ap.dim_map,
-                                  owned=self.subgrid.owned, dist=dist))
-        return specs
+        self._pipe_exchanger(int(pipe_id), arrays).send()
 
     # -- element probes -----------------------------------------------------------
 
@@ -274,9 +248,7 @@ class RankRuntime:
                 coords.append(0)
                 continue
             # locate the partition slice containing this grid point
-            from repro.partition.grid import split_extent
-            ranges = split_extent(self.partition.grid.shape[g],
-                                  self.partition.dims[g])
+            ranges = self._slices[g]
             for c, (lo, hi) in enumerate(ranges):
                 if lo <= point <= hi:
                     coords.append(c)
@@ -378,6 +350,9 @@ class RankRuntime:
                 raise CheckpointError(
                     f"rank {self.comm.rank}: checkpointed array {name!r} "
                     f"is not among the frame hook's arguments")
+            # write *into* the live buffers, never rebind .data: the kept
+            # exchangers' face plans hold views of them, and in-place
+            # restore is what lets those plans survive recovery
             np.copyto(target.data, saved)
             nbytes += saved.nbytes
         for (block, pos), saved in state.commons.items():

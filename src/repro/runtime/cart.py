@@ -84,44 +84,3 @@ class CartComm:
                 if rank is not None:
                     out.append((dim, direction, rank))
         return out
-
-    # -- directional point-to-point ------------------------------------------------
-
-    def send_dir(self, dim: int, direction: int, payload, tag: int, *,
-                 move: bool = False) -> bool:
-        """Send to the face neighbor in (dim, direction); False at a boundary.
-
-        ``move=True`` forwards the zero-copy fast path: ownership of the
-        payload transfers to the receiver (the halo exchanger passes
-        freshly packed pool buffers here).
-        """
-        neighbor = self.neighbor(dim, direction)
-        if neighbor is None:
-            return False
-        self.comm.send(neighbor, payload, tag, move=move)
-        return True
-
-    def recv_dir(self, dim: int, direction: int, tag: int):
-        """Receive from the face neighbor in (dim, direction); None at a
-        boundary."""
-        neighbor = self.neighbor(dim, direction)
-        if neighbor is None:
-            return None
-        return self.comm.recv(neighbor, tag)
-
-    def isend_dir(self, dim: int, direction: int, payload, tag: int, *,
-                  move: bool = False) -> bool:
-        """Nonblocking send to the face neighbor; False at a boundary."""
-        neighbor = self.neighbor(dim, direction)
-        if neighbor is None:
-            return False
-        self.comm.isend(neighbor, payload, tag, move=move)
-        return True
-
-    def irecv_dir(self, dim: int, direction: int, tag: int):
-        """Nonblocking receive from the face neighbor; a ``Request`` whose
-        ``wait()`` yields the payload, or None at a boundary."""
-        neighbor = self.neighbor(dim, direction)
-        if neighbor is None:
-            return None
-        return self.comm.irecv(neighbor, tag)

@@ -5,12 +5,22 @@ from the pre-compiler: all status arrays that the combined point covers are
 packed into **one message per neighbor** — the paper's "corresponding
 communications are aggregated" (§5.1.2).
 
-Copy discipline: face sections are packed once into contiguous buffers
-drawn from a shared :class:`BufferPool` and shipped with the runtime's
-zero-copy ``move`` path, so each halo payload is copied exactly once
-(pack) instead of three times (pack + send-copy + receive-side hold).
-The receiver unpacks into its ghost layers and returns the buffer to the
-pool for the next exchange.
+Copy discipline: everything about a face transfer except the values is
+fixed by the partition and the dependency distances, so it is resolved
+once.  On first use an exchanger builds its *face plan*: per grid
+dimension and direction the neighbor rank, the tag, the live numpy
+**views** of every array's send face and ghost face, and the byte counts
+the trace reports.  Every later call only executes the plan: each send
+view is copied once into a contiguous buffer drawn from a shared
+:class:`BufferPool` at the moment the face is due (so later dimensions
+still see the ghosts earlier ones delivered) and shipped with the
+runtime's zero-copy ``move`` path; the receiver assigns the buffer into
+its ghost view and returns it to the pool.  Identity rule: the views
+alias the ``.data`` buffers the arrays had when the plan was built, so a
+plan is reused only while every spec's array still holds that same
+buffer (checked on each call, against held references); an array whose
+``.data`` was rebound gets a fresh plan.  Writing *into* a buffer
+(``np.copyto(arr.data, ...)``, as checkpoint restore does) keeps the plan.
 
 Geometry convention: each rank owns an inclusive global index range per
 grid dimension; its local arrays are declared with ghost layers around the
@@ -35,10 +45,12 @@ from repro.runtime.trace import TraceEvent
 #: + (direction + 1).
 _HALO_TAG_BASE = 1 << 16
 
-#: The halo tag space ends where the pipeline tag space begins (1 << 17,
-#: see ``repro.codegen.rtadapter``), which caps the combined-point id:
-#: point_id * 64 must stay below 2**17 - 2**16.
-MAX_HALO_POINTS = ((1 << 17) - _HALO_TAG_BASE) // 64
+#: Tag space for pipelined-sweep transfers: tag = base + pipe_id * 8 + dim.
+_PIPE_TAG_BASE = 1 << 17
+
+#: The halo tag space ends where the pipeline tag space begins, which
+#: caps the combined-point id: point_id * 64 must stay below 2**17 - 2**16.
+MAX_HALO_POINTS = (_PIPE_TAG_BASE - _HALO_TAG_BASE) // 64
 
 
 def halo_tag(point_id: int, dim: int, direction: int) -> int:
@@ -180,13 +192,9 @@ class HaloSpec:
                 ranges.append(self.array.bounds[adim])
         return ranges
 
-    def send_section(self, grid_dim: int, direction: int,
-                     pool: BufferPool | None = None) -> np.ndarray:
-        """Owned face layers to ship to the neighbor in *direction*.
-
-        With *pool*, the section is packed into a reusable contiguous
-        buffer whose ownership passes to the receiver (zero-copy send).
-        """
+    def send_section(self, grid_dim: int, direction: int) -> np.ndarray:
+        """Live view of the owned face layers the neighbor in *direction*
+        needs (an empty array of the spec's dtype for a zero-width face)."""
         lo, hi = self.owned[grid_dim]
         d_minus, d_plus = self.dist[grid_dim]
         if direction > 0:
@@ -200,15 +208,12 @@ class HaloSpec:
             # float and integer status arrays, and a default-float64 empty
             # would ship a mismatched section for the integer ones
             return np.empty(0, self.array.data.dtype)
-        section = self.array.section(self._ranges(grid_dim, face))
-        if pool is None:
-            return section.copy()
-        buf = pool.acquire(section.shape, section.dtype)
-        np.copyto(buf, section)
-        return buf
+        return self.array.section(self._ranges(grid_dim, face))
 
-    def recv_ranges(self, grid_dim: int, direction: int) -> list[tuple[int, int]] | None:
-        """Ghost section ranges filled from the neighbor in *direction*."""
+    def ghost_section(self, grid_dim: int,
+                      direction: int) -> np.ndarray | None:
+        """Live view of the ghost layers filled from the neighbor in
+        *direction*, or None when the array keeps no ghosts there."""
         lo, hi = self.owned[grid_dim]
         d_minus, d_plus = self.dist[grid_dim]
         if direction > 0:
@@ -219,10 +224,114 @@ class HaloSpec:
             if d_minus == 0:
                 return None
             face = (lo - d_minus, lo - 1)
-        return self._ranges(grid_dim, face)
+        return self.array.section(self._ranges(grid_dim, face))
 
 
-class HaloExchanger:
+class _Face:
+    """One neighbor's share of a face plan: the peer, the tag, and per
+    spec the live view the transfer reads (a send face) or writes (a
+    ghost face; None where that array keeps no ghosts on this side)."""
+
+    __slots__ = ("peer", "tag", "views", "nbytes")
+
+    def __init__(self, peer: int, tag: int,
+                 views: list[np.ndarray | None]) -> None:
+        self.peer = peer
+        self.tag = tag
+        self.views = views
+        #: what the halo_pack / halo_unpack event of this face reports
+        self.nbytes = sum(int(v.nbytes) for v in views if v is not None)
+
+
+class _FaceTransfers:
+    """A set of arrays' face transfers over a Cartesian comm: the plan is
+    built on first use, every call executes it.
+
+    Subclasses say which faces exist and under which tags
+    (:meth:`_layout`) and in which order they run; packing, unpacking and
+    their trace events are shared.
+    """
+
+    def __init__(self, cart: CartComm, specs: list[HaloSpec],
+                 pool: BufferPool | None) -> None:
+        self.cart = cart
+        self.specs = specs
+        self.pool = _SHARED_POOL if pool is None else pool
+        #: (per grid dim a (send faces, ghost faces) pair, the ``.data``
+        #: buffer of every spec the views alias), or None before first use
+        self._plan: tuple[list, list] | None = None
+
+    def _layout(self):
+        """Yield ``(dim, direction, send_tag, recv_tag)`` per potential
+        face in execution order; a None tag means no transfer that way."""
+        raise NotImplementedError
+
+    def _faces(self) -> list[tuple[list[_Face], list[_Face]]]:
+        """The plan, rebuilt when any array's ``.data`` was rebound (the
+        held references keep an ``id`` from being recycled)."""
+        plan = self._plan
+        if plan is not None:
+            for spec, data in zip(self.specs, plan[1]):
+                if spec.array.data is not data:
+                    break
+            else:
+                return plan[0]
+        by_dim: dict[int, tuple[list[_Face], list[_Face]]] = {}
+        for dim, direction, send_tag, recv_tag in self._layout():
+            sends, ghosts = by_dim.setdefault(dim, ([], []))
+            peer = self.cart.neighbor(dim, direction)
+            if peer is None:
+                continue
+            if send_tag is not None:
+                sends.append(_Face(peer, send_tag, [
+                    s.send_section(dim, direction) for s in self.specs]))
+            if recv_tag is not None:
+                ghosts.append(_Face(peer, recv_tag, [
+                    s.ghost_section(dim, direction) for s in self.specs]))
+        faces = list(by_dim.values())
+        self._plan = (faces, [s.array.data for s in self.specs])
+        return faces
+
+    def _pack(self, face: _Face) -> list[np.ndarray]:
+        """Copy *face*'s send views into pool buffers — the one copy a
+        halo payload gets; ownership passes to the receiver (``move``)."""
+        comm = self.cart.comm
+        trace = comm.trace
+        timed = trace.enabled
+        t0 = trace.now() if timed else 0.0
+        acquire = self.pool.acquire
+        payload = []
+        for view in face.views:
+            buf = acquire(view.shape, view.dtype)
+            np.copyto(buf, view)
+            payload.append(buf)
+        if timed:
+            trace.record(TraceEvent(comm.rank, "halo_pack", None,
+                                    face.nbytes, face.tag,
+                                    t0=t0, t1=trace.now()))
+        return payload
+
+    def _unpack(self, face: _Face, payload: list[np.ndarray]) -> None:
+        if len(payload) != len(face.views):
+            raise RuntimeCommError(
+                f"halo message carries {len(payload)} sections for "
+                f"{len(face.views)} arrays")
+        comm = self.cart.comm
+        trace = comm.trace
+        timed = trace.enabled
+        t0 = trace.now() if timed else 0.0
+        release = self.pool.release
+        for ghost, section in zip(face.views, payload):
+            if ghost is not None:
+                ghost[...] = section
+            release(section)
+        if timed:
+            trace.record(TraceEvent(comm.rank, "halo_unpack", None,
+                                    face.nbytes, face.tag,
+                                    t0=t0, t1=trace.now()))
+
+
+class HaloExchanger(_FaceTransfers):
     """Exchanges ghost layers for a set of arrays over a Cartesian comm."""
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec],
@@ -232,15 +341,28 @@ class HaloExchanger:
                 f"combined sync point id {point_id} exceeds the halo tag "
                 f"space (max {MAX_HALO_POINTS - 1}); tags would collide "
                 f"with pipeline transfers")
-        self.cart = cart
-        self.specs = specs
+        super().__init__(cart, specs, pool)
         self.point_id = point_id
-        self.pool = _SHARED_POOL if pool is None else pool
-        #: in-flight receives posted by begin(), drained by finish():
-        #: (dim, direction, Request) triples, or None when idle
-        self._pending: list[tuple[int, int, object]] | None = None
+        #: in-flight receive Requests posted by begin(), in ghost-face
+        #: order, drained by finish(); None when idle
+        self._pending: list | None = None
         self._t_begin0 = 0.0
         self._t_begin1 = 0.0
+
+    @property
+    def in_flight(self) -> bool:
+        """Between :meth:`begin` and :meth:`finish`?"""
+        return self._pending is not None
+
+    def _layout(self):
+        for dim in range(self.cart.ndims):
+            for direction in (-1, 1):
+                # our ghosts on side `direction` come from that neighbor's
+                # send in direction `-direction`; it used its own direction
+                # value in the tag.
+                yield (dim, direction,
+                       halo_tag(self.point_id, dim, direction),
+                       halo_tag(self.point_id, dim, -direction))
 
     def exchange(self) -> None:
         """One aggregated exchange: one message per neighbor, all arrays.
@@ -255,36 +377,19 @@ class HaloExchanger:
         and the whole exchange as an enveloping ``exchange`` span, so the
         timeline can separate halo copying from blocked waiting.
         """
+        if self._pending is not None:
+            raise RuntimeCommError(
+                f"halo exchange {self.point_id} run blocking while a "
+                f"begun one is unfinished")
         comm = self.cart.comm
         trace = comm.trace
         timed = trace.enabled
         tx0 = trace.now() if timed else 0.0
-        for dim in range(self.cart.ndims):
-            recvs: list[int] = []
-            for direction in (-1, 1):
-                if self.cart.neighbor(dim, direction) is None:
-                    continue
-                tp0 = trace.now() if timed else 0.0
-                payload = [spec.send_section(dim, direction, self.pool)
-                           for spec in self.specs]
-                if timed:
-                    trace.record(TraceEvent(
-                        comm.rank, "halo_pack", None,
-                        sum(int(b.nbytes) for b in payload),
-                        halo_tag(self.point_id, dim, direction),
-                        t0=tp0, t1=trace.now()))
-                self.cart.send_dir(dim, direction, payload,
-                                   halo_tag(self.point_id, dim, direction),
-                                   move=True)
-                recvs.append(direction)
-            for direction in recvs:
-                # our ghosts on side `direction` come from that neighbor's
-                # send in direction `-direction`; it used its own direction
-                # value in the tag.
-                payload = self.cart.recv_dir(
-                    dim, direction,
-                    halo_tag(self.point_id, dim, -direction))
-                self._unpack(dim, direction, payload)
+        for sends, ghosts in self._faces():
+            for face in sends:
+                comm.send(face.peer, self._pack(face), face.tag, move=True)
+            for face in ghosts:
+                self._unpack(face, comm.recv(face.peer, face.tag))
         if timed:
             trace.record(TraceEvent(comm.rank, "exchange", None, 0,
                                     self.point_id, t0=tx0, t1=trace.now()))
@@ -318,29 +423,12 @@ class HaloExchanger:
         trace = comm.trace
         timed = trace.enabled
         self._t_begin0 = trace.now() if timed else 0.0
-        pending: list[tuple[int, int, object]] = []
-        for dim in range(self.cart.ndims):
-            for direction in (-1, 1):
-                req = self.cart.irecv_dir(
-                    dim, direction, halo_tag(self.point_id, dim, -direction))
-                if req is not None:
-                    pending.append((dim, direction, req))
-        for dim in range(self.cart.ndims):
-            for direction in (-1, 1):
-                if self.cart.neighbor(dim, direction) is None:
-                    continue
-                tp0 = trace.now() if timed else 0.0
-                payload = [spec.send_section(dim, direction, self.pool)
-                           for spec in self.specs]
-                if timed:
-                    trace.record(TraceEvent(
-                        comm.rank, "halo_pack", None,
-                        sum(int(b.nbytes) for b in payload),
-                        halo_tag(self.point_id, dim, direction),
-                        t0=tp0, t1=trace.now()))
-                self.cart.isend_dir(dim, direction, payload,
-                                    halo_tag(self.point_id, dim, direction),
-                                    move=True)
+        faces = self._faces()
+        pending = [comm.irecv(face.peer, face.tag)
+                   for _sends, ghosts in faces for face in ghosts]
+        for sends, _ghosts in faces:
+            for face in sends:
+                comm.isend(face.peer, self._pack(face), face.tag, move=True)
         self._pending = pending
         self._t_begin1 = trace.now() if timed else 0.0
 
@@ -365,30 +453,56 @@ class HaloExchanger:
             trace.record(TraceEvent(
                 comm.rank, "overlap", None, 0, self.point_id,
                 t0=self._t_begin1, t1=trace.now()))
-        for dim, direction, req in pending:
-            self._unpack(dim, direction, req.wait())
+        ghost_faces = [face for _sends, ghosts in self._faces()
+                       for face in ghosts]
+        for face, request in zip(ghost_faces, pending):
+            self._unpack(face, request.wait())
         if timed:
             trace.record(TraceEvent(
                 comm.rank, "exchange", None, 0, self.point_id,
                 t0=self._t_begin0, t1=trace.now()))
 
-    def _unpack(self, dim: int, direction: int,
-                payload: list[np.ndarray]) -> None:
-        if len(payload) != len(self.specs):
-            raise RuntimeCommError(
-                f"halo message carries {len(payload)} sections for "
-                f"{len(self.specs)} arrays")
-        trace = self.cart.comm.trace
-        tu0 = trace.now() if trace.enabled else 0.0
-        nbytes = 0
-        for spec, section in zip(self.specs, payload):
-            ranges = spec.recv_ranges(dim, direction)
-            if ranges is not None:
-                spec.array.set_section(ranges, section)
-                nbytes += int(section.nbytes)
-            self.pool.release(section)
-        if trace.enabled:
-            trace.record(TraceEvent(
-                self.cart.comm.rank, "halo_unpack", None, nbytes,
-                halo_tag(self.point_id, dim, -direction),
-                t0=tu0, t1=trace.now()))
+
+class PipeExchanger(_FaceTransfers):
+    """Pipelined (mirror-image) sweep transfers for one self-dependent
+    nest: along each pipeline dimension new values arrive from the minus
+    neighbor before the sweep and the freshly computed plus-edge layers
+    leave after it."""
+
+    def __init__(self, cart: CartComm, specs: list[HaloSpec], pipe_id: int,
+                 dims: tuple[int, ...]) -> None:
+        super().__init__(cart, specs, None)
+        self.pipe_id = pipe_id
+        self.dims = tuple(dims)
+
+    def _layout(self):
+        for dim in self.dims:
+            tag = _PIPE_TAG_BASE + self.pipe_id * 8 + dim
+            yield dim, -1, None, tag
+            yield dim, 1, tag, None
+
+    def recv(self) -> None:
+        """Blocking receive of pipelined new values from minus neighbors."""
+        comm = self.cart.comm
+        trace = comm.trace
+        timed = trace.enabled
+        t0 = trace.now() if timed else 0.0
+        for _sends, ghosts in self._faces():
+            for face in ghosts:
+                self._unpack(face, comm.recv(face.peer, face.tag))
+        if timed:
+            trace.record(TraceEvent(comm.rank, "pipeline_recv", None, 0,
+                                    self.pipe_id, t0=t0, t1=trace.now()))
+
+    def send(self) -> None:
+        """Ship freshly computed plus-edge layers down the pipeline."""
+        comm = self.cart.comm
+        trace = comm.trace
+        for sends, _ghosts in self._faces():
+            for face in sends:
+                payload = self._pack(face)
+                if trace.enabled:
+                    # marker event only (comm.send records the bytes)
+                    trace.record(TraceEvent(comm.rank, "pipeline_send",
+                                            face.peer, 0, face.tag))
+                comm.send(face.peer, payload, face.tag, move=True)

@@ -321,20 +321,27 @@ class _RemoteMailbox:
         run = self._run
         run.bump_sent()
         payload = message.payload
+        arrays, got = None, None
         if move:
             arrays, single = _as_array_list(payload)
             if arrays is not None:
                 got = self._rings.put(arrays)
-                if got is not None:
-                    name, slot, descs = got
-                    with self._lock:
-                        self._conn.send(("s", run.run_id, message.source,
-                                         message.tag, message.msg_id,
-                                         name, slot, single, descs))
-                    return
         with self._lock:
-            self._conn.send(("p", run.run_id, message.source, message.tag,
-                             message.msg_id, payload))
+            if got is not None:
+                name, slot, descs = got
+                self._conn.send(("s", run.run_id, message.source,
+                                 message.tag, message.msg_id,
+                                 name, slot, single, descs))
+            else:
+                self._conn.send(("p", run.run_id, message.source,
+                                 message.tag, message.msg_id, payload))
+        if arrays is not None:
+            # in-process the receiver releases a moved buffer after
+            # unpacking; here it gets its own copy (ring slot or pickle),
+            # so the packed buffers go back to this process's pool
+            pool = shared_pool()
+            for buf in ([payload] if single else payload):
+                pool.release(buf)
 
 
 def _as_array_list(payload):
@@ -960,10 +967,14 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
                 continue
             drain_ctrl(worker)
             rank = worker.rank
+            # the sentinel fires when the dying process closes its files,
+            # a moment before it can be reaped: wait it out, or the next
+            # run's ensure_alive() still sees it alive and writes its
+            # "run" command into a broken pipe
+            worker.process.join(timeout=0.5)
             dead.add(rank)
             mirror.finish(rank, None)
             if rank not in errors:
-                worker.process.join(timeout=0.5)
                 errors[rank] = (
                     "killed", "WorkerDied",
                     f"rank {rank} worker process died without reporting "

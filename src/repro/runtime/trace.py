@@ -14,15 +14,16 @@ accounting — to the cluster simulator, and
 :class:`repro.obs.timeline.Timeline` rolls the spans up into per-rank
 compute / blocked / halo / collective breakdowns.
 
-All query methods take the collector lock, so they are safe to call while
-ranks are still recording.  A trace constructed with ``enabled=False``
-drops all records — the baseline for the instrumentation-overhead guard
-in ``benchmarks/test_micro_runtime.py``.
+The collector takes no lock: every mutation of the log is a single list
+operation (``append``, ``extend``, ``clear``) and every query starts from
+one ``list(events)`` copy, each atomic under the GIL, so queries are safe
+to call while ranks are still recording.  A trace constructed with
+``enabled=False`` drops all records — the baseline for the
+instrumentation-overhead guard in ``benchmarks/test_micro_runtime.py``.
 
 Recording discipline: the latency-critical point-to-point path appends
-*raw 7-tuples* straight onto ``events`` — an append is atomic under the
-GIL, and a short tuple of ints costs a fraction of any class
-construction — while everything off the hot path records
+*raw 7-tuples* straight onto ``events`` — a short tuple of ints costs a
+fraction of any class construction — while everything else records
 :class:`TraceEvent` objects via :meth:`Trace.record`.  Raw entries carry
 one absolute ``time.perf_counter_ns()`` stamp (the cheapest clock read
 CPython offers) and are shaped ``(rank, kind, peer, nbytes, tag,
@@ -33,7 +34,6 @@ into epoch-relative ``TraceEvent``s, so queries never see a raw entry.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -114,7 +114,8 @@ def epoch_shift(probe: EpochProbe, received_at: float,
 
 @dataclass
 class Trace:
-    """Thread-safe event collector shared by all ranks of a world."""
+    """Event collector shared by all ranks of a world (safe to record
+    into and query from several threads, see the module docstring)."""
 
     #: the raw log: TraceEvent objects (epoch-relative timestamps) mixed
     #: with hot-path 7-tuples (absolute timestamps) — read via snapshot()
@@ -126,17 +127,13 @@ class Trace:
     epoch_ns: int = field(default_factory=time.perf_counter_ns)
     #: False drops all records (overhead-measurement baseline)
     enabled: bool = True
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
 
     def now(self) -> float:
         """Seconds since this trace's epoch."""
         return time.monotonic() - self.epoch
 
     def record(self, event: TraceEvent) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
+        if self.enabled:
             self.events.append(event)
 
     def absorb(self, events: list[TraceEvent], shift: float = 0.0) -> None:
@@ -152,8 +149,7 @@ class Trace:
         shifted = [e if (e.t0 == 0.0 and e.t1 == 0.0)
                    else replace(e, t0=e.t0 + shift, t1=e.t1 + shift)
                    for e in events]
-        with self._lock:
-            self.events.extend(shifted)
+        self.events.extend(shifted)
 
     # -- queries ---------------------------------------------------------------
 
@@ -161,8 +157,7 @@ class Trace:
         """Consistent, normalized copy of the event list (safe while
         recording): hot-path raw tuples materialize as TraceEvents with
         their absolute stamps rebased onto the epoch."""
-        with self._lock:
-            items = list(self.events)
+        items = list(self.events)
         epoch_ns = self.epoch_ns
         out = []
         for e in items:
@@ -242,5 +237,4 @@ class Trace:
         return Timeline.from_trace(self)
 
     def clear(self) -> None:
-        with self._lock:
-            self.events.clear()
+        self.events.clear()

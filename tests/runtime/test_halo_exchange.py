@@ -206,6 +206,151 @@ class TestMixedDtype:
         assert all(w.results)
 
 
+#: (rank, kind, peer, nbytes, tag) of every event of one exchange() followed
+#: by one begin()/finish() of combined point 3, rank by rank in program
+#: order: float64 "f" and int32 "s" on an 8x6 grid cut 2x2, ghost widths
+#: (1, 1) along dim 0 and (1, 0) along dim 1, so the dim-1 face shipped
+#: toward the minus side is zero-width.  Taken from the per-call
+#: implementation the face plan replaced.
+PLAN_TRACE = [
+    (0, 'halo_pack', None, 36, 65730),
+    (0, 'send', 2, 36, 65730),
+    (0, 'recv', 2, 36, 65728),
+    (0, 'halo_unpack', None, 36, 65728),
+    (0, 'halo_pack', None, 60, 65734),
+    (0, 'send', 1, 60, 65734),
+    (0, 'recv', 1, 0, 65732),
+    (0, 'halo_unpack', None, 0, 65732),
+    (0, 'exchange', None, 0, 3),
+    (0, 'halo_pack', None, 36, 65730),
+    (0, 'send', 2, 36, 65730),
+    (0, 'halo_pack', None, 60, 65734),
+    (0, 'send', 1, 60, 65734),
+    (0, 'overlap', None, 0, 3),
+    (0, 'recv', 2, 36, 65728),
+    (0, 'halo_unpack', None, 36, 65728),
+    (0, 'recv', 1, 0, 65732),
+    (0, 'halo_unpack', None, 0, 65732),
+    (0, 'exchange', None, 0, 3),
+    (1, 'halo_pack', None, 48, 65730),
+    (1, 'send', 3, 48, 65730),
+    (1, 'recv', 3, 48, 65728),
+    (1, 'halo_unpack', None, 48, 65728),
+    (1, 'halo_pack', None, 0, 65732),
+    (1, 'send', 0, 0, 65732),
+    (1, 'recv', 0, 60, 65734),
+    (1, 'halo_unpack', None, 60, 65734),
+    (1, 'exchange', None, 0, 3),
+    (1, 'halo_pack', None, 48, 65730),
+    (1, 'send', 3, 48, 65730),
+    (1, 'halo_pack', None, 0, 65732),
+    (1, 'send', 0, 0, 65732),
+    (1, 'overlap', None, 0, 3),
+    (1, 'recv', 3, 48, 65728),
+    (1, 'halo_unpack', None, 48, 65728),
+    (1, 'recv', 0, 60, 65734),
+    (1, 'halo_unpack', None, 60, 65734),
+    (1, 'exchange', None, 0, 3),
+    (2, 'halo_pack', None, 36, 65728),
+    (2, 'send', 0, 36, 65728),
+    (2, 'recv', 0, 36, 65730),
+    (2, 'halo_unpack', None, 36, 65730),
+    (2, 'halo_pack', None, 60, 65734),
+    (2, 'send', 3, 60, 65734),
+    (2, 'recv', 3, 0, 65732),
+    (2, 'halo_unpack', None, 0, 65732),
+    (2, 'exchange', None, 0, 3),
+    (2, 'halo_pack', None, 36, 65728),
+    (2, 'send', 0, 36, 65728),
+    (2, 'halo_pack', None, 60, 65734),
+    (2, 'send', 3, 60, 65734),
+    (2, 'overlap', None, 0, 3),
+    (2, 'recv', 0, 36, 65730),
+    (2, 'halo_unpack', None, 36, 65730),
+    (2, 'recv', 3, 0, 65732),
+    (2, 'halo_unpack', None, 0, 65732),
+    (2, 'exchange', None, 0, 3),
+    (3, 'halo_pack', None, 48, 65728),
+    (3, 'send', 1, 48, 65728),
+    (3, 'recv', 1, 48, 65730),
+    (3, 'halo_unpack', None, 48, 65730),
+    (3, 'halo_pack', None, 0, 65732),
+    (3, 'send', 2, 0, 65732),
+    (3, 'recv', 2, 60, 65734),
+    (3, 'halo_unpack', None, 60, 65734),
+    (3, 'exchange', None, 0, 3),
+    (3, 'halo_pack', None, 48, 65728),
+    (3, 'send', 1, 48, 65728),
+    (3, 'halo_pack', None, 0, 65732),
+    (3, 'send', 2, 0, 65732),
+    (3, 'overlap', None, 0, 3),
+    (3, 'recv', 1, 48, 65730),
+    (3, 'halo_unpack', None, 48, 65730),
+    (3, 'recv', 2, 60, 65734),
+    (3, 'halo_unpack', None, 60, 65734),
+    (3, 'exchange', None, 0, 3),
+]
+
+
+class TestFacePlan:
+    def test_trace_accounting_is_literal(self):
+        grid_shape, dims = (8, 6), (2, 2)
+        dist = ((1, 1), (1, 0))
+        part = Partition(GridGeometry(grid_shape), dims)
+
+        def body(comm):
+            sub = part.subgrid(comm.rank)
+            bounds = ghost_bounds(part, comm.rank, (0, 1),
+                                  [(1, n) for n in grid_shape],
+                                  GhostSpec(dist))
+            arrays = (OffsetArray.from_bounds(bounds, name="f"),
+                      OffsetArray.from_bounds(bounds, dtype=np.int32,
+                                              name="s"))
+            ex = HaloExchanger(CartComm(comm, dims),
+                               [HaloSpec(a, (0, 1), sub.owned, dist)
+                                for a in arrays], point_id=3)
+            ex.exchange()
+            comm.barrier()  # keep the split round's messages apart
+            ex.begin()
+            ex.finish()
+
+        events = spmd_run(4, body).trace.snapshot()
+        got = [(e.rank, e.kind, e.peer, e.nbytes, e.tag)
+               for rank in range(4) for e in events
+               if e.rank == rank and e.kind not in ("barrier", "rank")]
+        assert got == PLAN_TRACE
+
+    def test_reused_exchanger_delivers_corners_3x3(self):
+        # nine-point corners ride the two-phase order: dim 1's faces must
+        # be packed after dim 0's ghosts landed on *every* round, so a
+        # plan that snapshotted values (not views) fails from round 2 on
+        grid_shape, dims, dist = (9, 9), (3, 3), ((1, 1), (1, 1))
+        part = Partition(GridGeometry(grid_shape), dims)
+        reference = global_field(grid_shape)
+
+        def body(comm):
+            sub = part.subgrid(comm.rank)
+            bounds = ghost_bounds(part, comm.rank, (0, 1),
+                                  [(1, n) for n in grid_shape],
+                                  GhostSpec(dist))
+            local = OffsetArray.from_bounds(bounds, name="v")
+            ex = HaloExchanger(CartComm(comm, dims),
+                               [HaloSpec(local, (0, 1), sub.owned, dist)])
+            owned = list(sub.owned)
+            for round_ in range(1, 4):
+                local.fill(-1.0)
+                local.set_section(owned,
+                                  reference.section(owned) * round_)
+                ex.exchange()
+                assert np.array_equal(
+                    local.section(local.bounds),
+                    reference.section(local.bounds) * round_), \
+                    f"rank {comm.rank} round {round_}"
+            return True
+
+        assert all(spmd_run(9, body).results)
+
+
 class TestErrors:
     def test_payload_count_mismatch(self):
         def body(comm):

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
+from repro.interp.values import OffsetArray
+from repro.runtime import CartComm, HaloExchanger, HaloSpec, shared_pool
 from repro.runtime.procexec import get_pool, proc_run
 from repro.runtime.trace import Trace
 from repro.runtime.world import spmd_run
@@ -58,6 +60,24 @@ def _big_move(comm):
     block = np.arange(40_000, dtype=np.float64) + comm.rank
     comm.send(peer, block, tag=1, move=True)
     return float(comm.recv(peer, 1).sum())
+
+
+def _pool_after_exchanges(comm):
+    """500 blocking exchanges of one array; what they cost the pool."""
+    owned = ((1, 8),) if comm.rank == 0 else ((9, 16),)
+    local = OffsetArray.from_bounds([(1, 9)] if comm.rank == 0
+                                    else [(8, 16)], name="v")
+    ex = HaloExchanger(CartComm(comm, (2,)),
+                       [HaloSpec(local, (0,), owned, ((1, 1),))])
+    pool = shared_pool()
+    comm.barrier()
+    before = pool.stats()
+    for _ in range(500):
+        ex.exchange()
+    comm.barrier()
+    after = pool.stats()
+    return {key: after[key] - before[key]
+            for key in ("misses", "outstanding")}
 
 
 def _boom(comm):
@@ -112,6 +132,22 @@ class TestHappyPath:
         base = float(np.arange(40_000, dtype=np.float64).sum())
         w = proc_run(2, _big_move, timeout=15.0)
         assert w.results == [base + 40_000, base]
+
+    def test_sender_returns_moved_buffers_to_its_pool(self):
+        # the ring (or pickle) copy is the receiver's; the sender's packed
+        # buffers must go back to its own pool, or every pack allocates
+        # and drain() books one leak per exchange (seed: misses 503,
+        # outstanding 500 per worker)
+        on_threads = spmd_run(2, _pool_after_exchanges).results
+        on_processes = proc_run(2, _pool_after_exchanges,
+                                timeout=30.0).results
+        for threads, processes in zip(on_threads, on_processes):
+            # threads share one pool, each worker has its own (pack
+            # buffer plus ring copy-out buffer): equal to within the
+            # messages in flight at either reading
+            assert abs(processes["misses"] - threads["misses"]) <= 4
+            assert abs(processes["outstanding"]
+                       - threads["outstanding"]) <= 2
 
     def test_pool_is_reused_across_runs(self):
         proc_run(2, _pingpong, timeout=15.0)
