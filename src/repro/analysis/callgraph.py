@@ -72,12 +72,14 @@ def build_call_graph(cu: A.CompilationUnit) -> CallGraph:
 class CalleeSummary:
     """Per-subroutine summary for interprocedural halo overlap (§5.3).
 
-    Describes the shape the overlap splitter needs: the first top-level
-    consumer nest, the scalar assignments that precede it, and the tail
-    that must run after the exchange completes.  ``refusal`` carries the
-    structural reason the callee cannot be split, or ``None`` when the
-    shape is eligible (the caller still applies plan-specific safety
-    checks: vecsafety, ghost footprint, aliasing, scalar liveness).
+    Describes the shape the overlap splitter needs to sink an exchange
+    from before ``call foo()`` into ``foo``: the first top-level consumer
+    nest (split in place), the scalar assignments that precede it (they
+    will run before the exchange is posted), and the tail that follows.
+    ``refusal`` carries the structural reason the exchange cannot be
+    sunk, or ``None`` when the shape is eligible (the caller still
+    applies plan-specific safety checks: vecsafety, ghost footprint,
+    actual arguments, scalar liveness).
     """
 
     name: str
@@ -92,11 +94,12 @@ class CalleeSummary:
 
 
 def summarize_callee(graph: CallGraph, name: str) -> CalleeSummary:
-    """Structural eligibility of subroutine *name* for a call-site split.
+    """Structural eligibility of subroutine *name* to host the exchange
+    that precedes its call.
 
-    The splitter rewrites ``call foo()`` into two specialized
-    invocations (interior nest / boundary strips + tail), so the callee
-    must be a single-call-site, non-recursive subroutine whose body is
+    The splitter moves the exchange into the callee's body, so every
+    execution of the callee must come from that one call: a
+    single-call-site, non-recursive subroutine whose body is
     ``<scalar assignments>; <loop nest>; <tail>``.
     """
 

@@ -415,8 +415,8 @@ def pyback_sprayer_blocking():
 
 @scenario("pyback.sprayer_overlap", tags=("pyback",))
 def pyback_sprayer_overlap():
-    """The same sprayer with its stencil syncs split across ``call``
-    boundaries into interior/boundary specializations."""
+    """The same sprayer with its stencil syncs sunk across ``call``
+    boundaries and the callees' nests split in place."""
     result = _sprayer_parallel("on")
     assert any(d.enabled and d.callee
                for d in result.plan.overlap_decisions)

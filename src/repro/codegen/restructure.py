@@ -68,6 +68,8 @@ class Restructurer:
         self.cut = set(plan.partition.cut_dims)
         self.ops: list[_InsertOp] = []
         self._probe_counter = 0
+        #: unit name -> classification, taken once in _transform_unit_body
+        self._classifications: dict = {}
 
     # -- public -------------------------------------------------------------------
 
@@ -88,11 +90,12 @@ class Restructurer:
 
     # -- insertion collection -----------------------------------------------------
 
-    def _sync_call(self, sync_id: int) -> A.CallStmt:
+    def _sync_call(self, sync_id: int,
+                   routine: str = "acfd_exchange") -> A.CallStmt:
         sync = self.plan.syncs[sync_id - 1]
         args: list[A.Expr] = [_int(sync_id)]
         args.extend(A.Var(name) for name, _d in sync.arrays)
-        return _call("acfd_exchange", *args)
+        return _call(routine, *args)
 
     def _plan_frame_insertions(self) -> None:
         """Plant the frame-boundary hook at the top of the time loop.
@@ -263,7 +266,11 @@ class Restructurer:
     # -- loop bounds, ownership guards ----------------------------------------------
 
     def _transform_unit_body(self, unit: A.ProgramUnit) -> None:
+        # Taken before the bounds are clamped and kept for the overlap
+        # pass: clamping rewrites loop bounds in place, which no field of
+        # the classification (roles, sweeps, subscript uses) depends on.
         classification = classify_unit(unit, self.directives)
+        self._classifications[unit.name] = classification
         # loop-variable -> grid-dim map, per field loop nest
         clamp_map: dict[int, dict[str, int]] = {}
         for fl in classification.field_loops:
@@ -435,8 +442,20 @@ class Restructurer:
     # flight.  Safety follows the vectorizer's ``Fallback`` discipline:
     # any nest outside the provable subset refuses with a recorded reason
     # and keeps the blocking exchange.
+    #
+    # Both paper apps keep their stencils in subroutines, so a combined
+    # sync is usually followed by ``call momentum0()`` rather than a
+    # nest.  The paper (§5.3, Fig. 8) moves a synchronization point
+    # across the call boundary; so does this pass.  When the callee is
+    # ``<scalar assignments>; <consumer nest>; <tail>`` the exchange
+    # leaves the caller and the same four statements replace the
+    # callee's first nest, after its leading assignments.  The callee is
+    # still called once, so only what now runs *before* the exchange (the
+    # actual arguments, the leading assignments) and what the caller can
+    # observe (a dummy or COMMON nest scalar) is gated.
 
     def _apply_overlap(self) -> None:
+        from repro.analysis.callgraph import build_call_graph
         from repro.interp.vectorize import goto_targets
         self.plan.overlap_decisions = []
         if self.plan.overlap == "off":
@@ -447,36 +466,21 @@ class Restructurer:
             return
         if not self.plan.syncs:
             return
-        classifications = {u.name: classify_unit(u, self.directives)
-                           for u in self.cu.units}
-        self._diag_arrays = self._diagonal_readers(classifications)
-        self._unit_names = {u.name for u in self.cu.units}
+        self._diag_arrays = self._diagonal_readers()
+        self._targets = {u.name: frozenset(goto_targets(u))
+                         for u in self.cu.units}
+        self._graph = build_call_graph(self.cu)
         syncs_by_id = {s.sync_id: s for s in self.plan.syncs}
         decided: dict[int, OverlapDecision] = {}
-        # pass 1: intra-unit splits (exchange directly followed by a
-        # nest in the same unit); syncs followed by a call to a unit in
-        # this file are left undecided for the interprocedural pass, so
-        # a callee containing its own sync is rewritten before its body
-        # is summarized and copied into the boundary specialization.
-        for unit in list(self.cu.units):
-            targets = frozenset(goto_targets(unit))
-            self._overlap_walk(unit, unit.body, [],
-                               classifications[unit.name], targets,
-                               syncs_by_id, decided)
-        # pass 2: interprocedural splits around call boundaries
-        from repro.analysis.callgraph import build_call_graph
-        self._graph = build_call_graph(self.cu)
-        self._summaries = {}
-        for unit in list(self.cu.units):
-            self._interproc_walk(unit, unit.body, classifications,
-                                 syncs_by_id, decided)
+        for unit in self.cu.units:
+            self._overlap_walk(unit, unit.body, [], syncs_by_id, decided)
         for sync in self.plan.syncs:
             self.plan.overlap_decisions.append(decided.get(
                 sync.sync_id,
                 OverlapDecision(sync.sync_id, False,
                                 "no loop nest follows the exchange")))
 
-    def _diagonal_readers(self, classifications) -> set[str]:
+    def _diagonal_readers(self) -> set[str]:
         """Status arrays some nest reads diagonally across >= 2 cut dims.
 
         The blocking exchange propagates corner ghosts by ordering the
@@ -486,7 +490,7 @@ class Restructurer:
         must stay blocking.
         """
         out: set[str] = set()
-        for cls in classifications.values():
+        for cls in self._classifications.values():
             table: SymbolTable = cls.unit.symbols  # type: ignore[assignment]
             for fl in cls.field_loops:
                 for use in fl.uses.values():
@@ -521,8 +525,8 @@ class Restructurer:
         return out
 
     def _overlap_walk(self, unit: A.ProgramUnit, body: list[A.Stmt],
-                      tails: list[list[A.Stmt]], cls, targets: frozenset,
-                      syncs_by_id: dict, decided: dict) -> None:
+                      tails: list[list[A.Stmt]], syncs_by_id: dict,
+                      decided: dict) -> None:
         i = 0
         while i < len(body):
             stmt = body[i]
@@ -531,51 +535,149 @@ class Restructurer:
                     and isinstance(stmt.args[0], A.IntLit)):
                 sid = stmt.args[0].value
                 sync = syncs_by_id.get(sid)
-                nxt = body[i + 1] if i + 1 < len(body) else None
                 if sync is not None and sid not in decided:
-                    if isinstance(nxt, A.DoLoop):
-                        verdict, splits, facts = self._overlap_verdict(
-                            unit, cls, targets, sync, nxt,
-                            [body[i + 2:]] + tails)
-                        decided[sid] = verdict
-                        if verdict.enabled:
-                            repl = self._split_nest(sync, nxt, facts,
-                                                    splits)
-                            body[i:i + 2] = repl
-                            i += len(repl)
-                            continue
-                    elif (isinstance(nxt, A.CallStmt)
-                          and nxt.name == "acfd_pipe_recv"):
-                        decided[sid] = OverlapDecision(
-                            sid, False,
-                            "consumer loop is pipelined (self-dependent): "
-                            "its wavefront needs the ghosts immediately")
-                    elif (isinstance(nxt, A.CallStmt)
-                          and nxt.name in self._unit_names):
-                        pass  # decided by the interprocedural pass
-                    else:
-                        decided[sid] = OverlapDecision(
-                            sid, False, "no loop nest follows the exchange")
+                    nxt = body[i + 1] if i + 1 < len(body) else None
+                    decided[sid], repl = self._overlap_one(
+                        unit, sync, nxt, [body[i + 2:]] + tails)
+                    if repl is not None:
+                        body[i:i + 2] = repl
+                        i += len(repl)
+                        continue
             elif isinstance(stmt, (A.DoLoop, A.DoWhile)):
                 self._overlap_walk(unit, stmt.body,
                                    [body[i + 1:], stmt.body] + tails,
-                                   cls, targets, syncs_by_id, decided)
+                                   syncs_by_id, decided)
             elif isinstance(stmt, A.IfBlock):
                 for _cond, arm in stmt.arms:
                     self._overlap_walk(unit, arm, [body[i + 1:]] + tails,
-                                       cls, targets, syncs_by_id, decided)
+                                       syncs_by_id, decided)
             i += 1
 
-    def _overlap_verdict(self, unit: A.ProgramUnit, cls, targets: frozenset,
-                         sync: PlannedSync, loop: A.DoLoop,
-                         tails: list[list[A.Stmt]]):
-        from repro.analysis.vecsafety import analyze_nest
+    def _overlap_one(self, unit: A.ProgramUnit, sync: PlannedSync,
+                     nxt: A.Stmt | None, tails: list[list[A.Stmt]]):
+        """Decide one exchange and split its consumer nest when safe.
+
+        The consumer is *nxt* itself when that is a loop, or the first
+        nest of the subroutine *nxt* calls.  Returns the decision and,
+        when it is accepted, the statements that replace ``exchange;
+        nxt`` in the caller: the split nest, or the bare call once the
+        exchange has been sunk into the callee's body.
+        """
+        from repro.analysis.callgraph import summarize_callee
         sid = sync.sync_id
+        callee = ""
 
         def refuse(reason: str):
-            return OverlapDecision(sid, False, reason), None, None
+            return OverlapDecision(sid, False, reason, callee=callee), None
 
-        fl = cls.by_loop.get(id(loop))
+        host = unit
+        if isinstance(nxt, A.DoLoop):
+            loop = nxt
+        elif isinstance(nxt, A.CallStmt) and nxt.name == "acfd_pipe_recv":
+            return refuse("consumer loop is pipelined (self-dependent): "
+                          "its wavefront needs the ghosts immediately")
+        elif isinstance(nxt, A.CallStmt) and nxt.name in self._graph.units:
+            callee = nxt.name
+            summary = summarize_callee(self._graph, callee)
+            reason = self._sink_refusal(sync, nxt, summary)
+            if reason is not None:
+                return refuse(reason)
+            host, loop, tails = summary.unit, summary.first_nest, \
+                [summary.tail]
+        else:
+            return refuse("no loop nest follows the exchange")
+        reason, splits, facts = self._overlap_verdict(host, sync, loop,
+                                                      tails)
+        if reason is None and callee:
+            reason = self._escaping_scalar(host, facts)
+        if reason is not None:
+            return refuse(f"in callee {callee!r}: {reason}" if callee
+                          else reason)
+        repl = self._split_nest(sync, loop, facts, splits)
+        if callee:
+            at = len(summary.leading)
+            host.body[at:at + 1] = repl
+            repl = [nxt]
+        return OverlapDecision(sid, True, "", callee=callee), repl
+
+    def _sink_refusal(self, sync: PlannedSync, call: A.CallStmt,
+                      summary) -> str | None:
+        """Why the exchange cannot move from before *call* to after the
+        callee's leading assignments, else None.
+
+        Sinking makes the actual arguments and the leading assignments
+        run before the exchange instead of after it, so neither may look
+        at distributed data or call user code; and ``begin``/``finish``
+        name the sync's arrays, so the callee must declare them all.
+        """
+        from repro.fortran.intrinsics_table import is_intrinsic
+        inside = f"in callee {call.name!r}: "
+        if summary.refusal is not None:
+            return inside + summary.refusal
+        if call.label is not None:
+            # a goto to the label bypasses the caller's exchange; it
+            # could not bypass the sunk one
+            return "the consumer call carries a statement label"
+        at_call = f"call to {call.name!r}: "
+        for arg in call.args:
+            for node in A.walk(arg):
+                if isinstance(node, A.Var) and node.name in self.plan.arrays:
+                    # the callee sees it under a second name, which the
+                    # by-name footprint checks cannot follow
+                    return (f"{at_call}status array {node.name!r} is "
+                            f"passed as an actual argument")
+                if isinstance(node, A.ArrayRef) \
+                        and node.name in self.plan.arrays:
+                    return (f"{at_call}actual argument reads status array "
+                            f"{node.name!r} (evaluated before the "
+                            f"exchange)")
+                if isinstance(node, A.FuncCall) \
+                        and not is_intrinsic(node.name):
+                    return (f"{at_call}actual argument calls function "
+                            f"{node.name!r} (it would run before the "
+                            f"exchange)")
+        table: SymbolTable = summary.unit.symbols  # type: ignore[assignment]
+        for name, _d in sync.arrays:
+            sym = table.get(name)
+            if sym is None or not sym.is_array:
+                return (f"{inside}array {name!r} of the exchange is not "
+                        f"declared there")
+        for st in summary.leading:
+            for node in A.walk(st.value):
+                if isinstance(node, A.ArrayRef):
+                    return (f"{inside}assignment to {st.target.name!r} "
+                            f"before the nest reads an array element")
+                if isinstance(node, A.FuncCall) \
+                        and not is_intrinsic(node.name):
+                    return (f"{inside}assignment to {st.target.name!r} "
+                            f"before the nest calls a function")
+        return None
+
+    @staticmethod
+    def _escaping_scalar(callee: A.ProgramUnit, facts) -> str | None:
+        """Splitting changes the exit value of the nest's loop variables
+        and temporaries; one that is a dummy or COMMON member would carry
+        it out to the caller, whose reads are not scanned."""
+        table: SymbolTable = callee.symbols  # type: ignore[assignment]
+        for nm in sorted((set(facts.temps) | set(facts.nest_vars))
+                         - set(facts.reductions)):
+            sym = table.get(nm)
+            if sym is not None and (sym.is_dummy
+                                    or sym.common_block is not None):
+                return (f"nest scalar {nm!r} is a dummy or COMMON member, "
+                        f"so its exit value escapes the callee")
+        return None
+
+    def _overlap_verdict(self, unit: A.ProgramUnit, sync: PlannedSync,
+                         loop: A.DoLoop, tails: list[list[A.Stmt]]):
+        """(refusal reason or None, split levels, vecsafety facts)."""
+        from repro.analysis.vecsafety import analyze_nest
+        targets = self._targets[unit.name]
+
+        def refuse(reason: str):
+            return reason, None, None
+
+        fl = self._classifications[unit.name].by_loop.get(id(loop))
         if fl is None:
             return refuse("the loop after the exchange is not a "
                           "field-loop nest")
@@ -624,7 +726,7 @@ class Restructurer:
                 return refuse(f"scalar {hit!r} may be read after the "
                               f"nest (splitting changes its exit value)")
         splits.sort()
-        return OverlapDecision(sid, True, ""), splits, facts
+        return None, splits, facts
 
     # -- liveness scan: is a nest-local scalar read after the nest? ---------------
 
@@ -701,17 +803,12 @@ class Restructurer:
 
     def _split_nest(self, sync: PlannedSync, loop: A.DoLoop, facts,
                     splits: list[tuple[int, int, int, int]]) -> list[A.Stmt]:
-        def args() -> list[A.Expr]:
-            out: list[A.Expr] = [_int(sync.sync_id)]
-            out.extend(A.Var(name) for name, _d in sync.arrays)
-            return out
-
-        begin = _call("acfd_exchange_begin", *args())
-        finish = _call("acfd_exchange_finish", *args())
         interior = self._nest_copy(
             loop, facts,
             {lvl: ("interior", g, dm, dp) for lvl, g, dm, dp in splits})
-        return [begin, interior, finish] \
+        return [self._sync_call(sync.sync_id, "acfd_exchange_begin"),
+                interior,
+                self._sync_call(sync.sync_id, "acfd_exchange_finish")] \
             + self._boundary_strips(loop, facts, splits)
 
     def _boundary_strips(self, loop: A.DoLoop, facts,
@@ -787,220 +884,6 @@ class Restructurer:
                 assert isinstance(nxt, A.DoLoop)
                 cur = nxt
         return new
-
-    # -- interprocedural overlap: splitting around call boundaries ----------------
-    #
-    # Both paper apps keep their stencils in subroutines, so a combined
-    # sync is followed by ``call momentum0()`` rather than a nest.  When
-    # the callee summarizes to ``<scalar assignments>; <consumer nest>;
-    # <tail>`` and the nest passes the same safety gate as the intra-unit
-    # split, the call site is rewritten as::
-    #
-    #     call acfd_exchange_begin(k, ...)
-    #     call momentum0_acfd_int()          ! interior strip of nest 1
-    #     call acfd_exchange_finish(k, ...)
-    #     call momentum0_acfd_bnd()          ! boundary strips + tail
-    #
-    # The two specializations are new program units sharing the callee's
-    # declarations (COMMON blocks bind them to the same storage), so the
-    # pyback interpreter and the printed MPI Fortran both pick them up
-    # with no further plumbing.  Anything outside the provable subset —
-    # multi-site callees, recursion, aliased actuals, goto-entangled
-    # bodies, escaping scalars — refuses with a recorded reason and
-    # keeps the blocking exchange.
-
-    def _interproc_walk(self, unit: A.ProgramUnit, body: list[A.Stmt],
-                        classifications: dict, syncs_by_id: dict,
-                        decided: dict) -> None:
-        i = 0
-        while i < len(body):
-            stmt = body[i]
-            if (isinstance(stmt, A.CallStmt)
-                    and stmt.name == "acfd_exchange" and stmt.args
-                    and isinstance(stmt.args[0], A.IntLit)):
-                sid = stmt.args[0].value
-                sync = syncs_by_id.get(sid)
-                nxt = body[i + 1] if i + 1 < len(body) else None
-                if (sync is not None and sid not in decided
-                        and isinstance(nxt, A.CallStmt)
-                        and nxt.name in self._unit_names):
-                    verdict, repl, new_units = self._interproc_overlap(
-                        unit, sync, nxt, classifications)
-                    decided[sid] = verdict
-                    if verdict.enabled:
-                        body[i:i + 2] = repl
-                        self.cu.units.extend(new_units)
-                        i += len(repl)
-                        continue
-            elif isinstance(stmt, (A.DoLoop, A.DoWhile)):
-                self._interproc_walk(unit, stmt.body, classifications,
-                                     syncs_by_id, decided)
-            elif isinstance(stmt, A.IfBlock):
-                for _cond, arm in stmt.arms:
-                    self._interproc_walk(unit, arm, classifications,
-                                         syncs_by_id, decided)
-            i += 1
-
-    def _callee_summary(self, name: str):
-        from repro.analysis.callgraph import summarize_callee
-        summary = self._summaries.get(name)
-        if summary is None:
-            summary = summarize_callee(self._graph, name)
-            self._summaries[name] = summary
-        return summary
-
-    def _interproc_overlap(self, caller: A.ProgramUnit, sync: PlannedSync,
-                           call: A.CallStmt, classifications: dict):
-        from repro.fortran.intrinsics_table import is_intrinsic
-        from repro.interp.vectorize import goto_targets
-        sid = sync.sync_id
-        name = call.name
-
-        def refuse(reason: str):
-            return OverlapDecision(sid, False, reason, callee=name), \
-                None, None
-
-        summary = self._callee_summary(name)
-        if summary.refusal is not None:
-            return refuse(f"in callee {name!r}: {summary.refusal}")
-        if call.label is not None:
-            return refuse("the consumer call carries a statement label")
-        hit = self._aliased_actual(caller, call)
-        if hit is not None:
-            return refuse(f"call to {name!r}: {hit}")
-        callee = summary.unit
-        loop = summary.first_nest
-        cls = classifications.get(name)
-        targets = frozenset(goto_targets(callee))
-        verdict, splits, facts = self._overlap_verdict(
-            callee, cls, targets, sync, loop, [summary.tail])
-        if not verdict.enabled:
-            return refuse(f"in callee {name!r}: {verdict.reason}")
-        table: SymbolTable = callee.symbols  # type: ignore[assignment]
-        # nest-assigned scalars must die inside the callee: a dummy or
-        # COMMON member would carry a different exit value to the caller
-        # once the nest runs as two strip-bounded invocations
-        for nm in sorted((set(facts.temps) | set(facts.nest_vars))
-                         - set(facts.reductions)):
-            sym = table.get(nm)
-            if sym is not None and (sym.is_dummy
-                                    or sym.common_block is not None):
-                return refuse(
-                    f"in callee {name!r}: nest scalar {nm!r} is a dummy "
-                    f"or COMMON member, so its exit value escapes the "
-                    f"split call")
-        # a reduction accumulator must persist from the interior call to
-        # the boundary call: callee-local storage vanishes at return
-        for nm in sorted(facts.reductions):
-            sym = table.get(nm)
-            if sym is None or sym.common_block is None:
-                return refuse(
-                    f"in callee {name!r}: reduction accumulator {nm!r} "
-                    f"is callee-local and cannot carry from the interior "
-                    f"call to the boundary call")
-        # leading scalar assignments re-execute in the boundary
-        # specialization (reduction inits run in the interior one only),
-        # so their values must be reproducible at both call times
-        banned = set(facts.temps) | set(facts.nest_vars) \
-            | set(facts.reductions)
-        for st in summary.leading:
-            tgt = st.target.name
-            for node in A.walk(st.value):
-                if isinstance(node, A.ArrayRef):
-                    return refuse(
-                        f"in callee {name!r}: assignment to {tgt!r} "
-                        f"before the nest reads an array element")
-                if isinstance(node, A.FuncCall) \
-                        and not is_intrinsic(node.name):
-                    return refuse(
-                        f"in callee {name!r}: assignment to {tgt!r} "
-                        f"before the nest calls a function")
-                if isinstance(node, A.Var) and node.name in banned:
-                    return refuse(
-                        f"in callee {name!r}: assignment to {tgt!r} "
-                        f"before the nest reads nest-modified scalar "
-                        f"{node.name!r}")
-        int_name, bnd_name = f"{name}_acfd_int", f"{name}_acfd_bnd"
-        if int_name in self._unit_names or bnd_name in self._unit_names:
-            return refuse(f"specialization names {int_name!r}/"
-                          f"{bnd_name!r} are already taken")
-        repl, units = self._split_call(sync, call, callee, summary,
-                                       facts, splits, int_name, bnd_name)
-        self._unit_names.update((int_name, bnd_name))
-        return OverlapDecision(sid, True, "", callee=name), repl, units
-
-    def _aliased_actual(self, caller: A.ProgramUnit,
-                        call: A.CallStmt) -> str | None:
-        """Refusal reason when an actual argument may alias distributed
-        data (or other actuals), else None.
-
-        Scalar locals pass cleanly; whole status arrays, status-array
-        element reads (their value would be taken before ``finish``
-        refreshes the ghosts), COMMON scalars (two names for one cell)
-        and repeated names all refuse.
-        """
-        table: SymbolTable | None = caller.symbols
-        seen: set[str] = set()
-        for arg in call.args:
-            if isinstance(arg, A.Var):
-                nm = arg.name
-                if nm in seen:
-                    return f"actual argument {nm!r} is passed twice"
-                seen.add(nm)
-                if nm in self.plan.arrays:
-                    return (f"status array {nm!r} is passed as an "
-                            f"actual argument")
-                sym = table.get(nm) if table is not None else None
-                if sym is not None and sym.common_block is not None:
-                    return (f"actual argument {nm!r} lives in COMMON "
-                            f"/{sym.common_block}/ (aliases the "
-                            f"callee's view)")
-                continue
-            for node in A.walk(arg):
-                if isinstance(node, A.ArrayRef) \
-                        and node.name in self.plan.arrays:
-                    return (f"actual argument reads status array "
-                            f"{node.name!r} (evaluated before the "
-                            f"exchange finishes)")
-        return None
-
-    def _split_call(self, sync: PlannedSync, call: A.CallStmt,
-                    callee: A.ProgramUnit, summary, facts,
-                    splits: list[tuple[int, int, int, int]],
-                    int_name: str, bnd_name: str):
-        def args() -> list[A.Expr]:
-            out: list[A.Expr] = [_int(sync.sync_id)]
-            out.extend(A.Var(name) for name, _d in sync.arrays)
-            return out
-
-        loop = summary.first_nest
-        interior = self._nest_copy(
-            loop, facts,
-            {lvl: ("interior", g, dm, dp) for lvl, g, dm, dp in splits})
-        strips = self._boundary_strips(loop, facts, splits)
-        lead_all = [copy.deepcopy(s) for s in summary.leading]
-        lead_rerun = [copy.deepcopy(s) for s in summary.leading
-                      if s.target.name not in facts.reductions]
-        int_unit = self._specialized_unit(
-            callee, int_name, lead_all + [interior])
-        bnd_unit = self._specialized_unit(
-            callee, bnd_name,
-            lead_rerun + list(strips)
-            + [copy.deepcopy(s) for s in summary.tail])
-        repl: list[A.Stmt] = [
-            _call("acfd_exchange_begin", *args()),
-            A.CallStmt(name=int_name, args=copy.deepcopy(call.args)),
-            _call("acfd_exchange_finish", *args()),
-            A.CallStmt(name=bnd_name, args=copy.deepcopy(call.args)),
-        ]
-        return repl, [int_unit, bnd_unit]
-
-    @staticmethod
-    def _specialized_unit(callee: A.ProgramUnit, name: str,
-                          body: list[A.Stmt]) -> A.ProgramUnit:
-        return A.ProgramUnit(kind=callee.kind, name=name,
-                             args=list(callee.args),
-                             decls=copy.deepcopy(callee.decls), body=body)
 
     # -- I/O ------------------------------------------------------------------------
 

@@ -12,6 +12,8 @@ otherwise, keeping the blocking exchange (the vectorizer's ``Fallback``
 discipline).
 """
 
+import functools
+
 import pytest
 
 from repro.apps import kernels
@@ -187,54 +189,65 @@ class TestMpiFortranArtifact:
         assert "mpi_waitall" not in text
 
 
-class TestInterprocedural:
-    """Split around a call: begin / callee_int / finish / callee_bnd."""
+def sub_src():
+    return kernels.jacobi_5pt_sub(n=12, m=8, iters=6)
 
-    def test_call_site_splits_into_specialized_invocations(self):
-        plan, text = compiled(kernels.jacobi_5pt_sub(n=12, m=8, iters=6),
-                              (2, 2))
+
+def unit_text(text: str, name: str) -> str:
+    """Body of subroutine *name* in printed program *text*."""
+    return text.split(f"subroutine {name}(", 1)[1] \
+        .split("end subroutine", 1)[0]
+
+
+class TestInterprocedural:
+    """Exchange before a call: sunk into the callee, which is split in
+    place and still called once."""
+
+    def test_exchange_sinks_into_the_callee(self):
+        plan, text = compiled(sub_src(), (2, 2))
         d = decision(plan, 1)
         assert d.enabled and d.callee == "relaxx"
-        at = [text.index(s) for s in (
+        main = text.split("subroutine relaxx(", 1)[0]
+        assert "acfd_exchange(1," not in text
+        assert "acfd_exchange_begin(1," not in main
+        assert "acfd_exchange_finish(1," not in main
+        assert main.count("call relaxx()") == 1
+        relaxx = unit_text(text, "relaxx")
+        at = [relaxx.index(s) for s in (
             "call acfd_exchange_begin(1, v)",
-            "call relaxx_acfd_int()",
+            "acfd_lo(1) + 1",                  # interior margins
             "call acfd_exchange_finish(1, v)",
-            "call relaxx_acfd_bnd()")]
+            "min0(n - 1, acfd_hi(1)), acfd_lo(1))")]  # low strip, dim 1
         assert at == sorted(at)
-        assert "subroutine relaxx_acfd_int" in text
-        assert "subroutine relaxx_acfd_bnd" in text
+        assert "_acfd_" not in text
 
     def test_reduction_init_runs_once_and_allreduce_lands_in_boundary(self):
-        # err = 0.0 must execute only in the interior specialization
-        # (re-running it in _bnd would discard the interior's partial
-        # max); the allreduce finalization must wait for the strips
-        _plan, text = compiled(kernels.jacobi_5pt_sub(n=12, m=8, iters=6),
-                               (2, 2))
-        units = {name: text.split(f"subroutine {name}()", 1)[1]
-                 .split("end subroutine", 1)[0]
-                 for name in ("relaxx_acfd_int", "relaxx_acfd_bnd")}
-        assert "err = 0.0" in units["relaxx_acfd_int"]
-        assert "err = 0.0" not in units["relaxx_acfd_bnd"]
-        assert "acfd_allreduce_max" not in units["relaxx_acfd_int"]
-        assert units["relaxx_acfd_bnd"].rstrip() \
-            .endswith("err = acfd_allreduce_max(err)")
+        # err = 0.0 stays ahead of begin (one execution per call); the
+        # allreduce finalization must wait for the last boundary strip
+        _plan, text = compiled(sub_src(), (2, 2))
+        relaxx = unit_text(text, "relaxx")
+        assert text.count("err = 0.0") == 1
+        assert relaxx.index("err = 0.0") \
+            < relaxx.index("call acfd_exchange_begin(1, v)")
+        assert relaxx.count("acfd_allreduce_max") == 1
+        assert relaxx.rstrip().endswith("err = acfd_allreduce_max(err)")
+        assert relaxx.rindex("end do") < relaxx.index("acfd_allreduce_max")
 
     def test_multi_site_callee_refused(self):
-        src = kernels.jacobi_5pt_sub(n=12, m=8, iters=6).replace(
+        src = sub_src().replace(
             "    call relaxx()\n    call relaxy()",
             "    call relaxx()\n    call relaxx()\n    call relaxy()")
         plan, text = compiled(src, (2, 2))
         d = decision(plan, 1)
         assert not d.enabled and d.callee == "relaxx"
         assert "2 static call sites" in d.reason
-        assert "relaxx_acfd_int" not in text
+        assert "acfd_exchange_begin" not in text
 
     def test_status_array_actual_argument_refused(self):
         # passing a halo array by argument aliases it under a second
         # name inside the callee — the footprint summary can't see
         # through that, so the split must refuse
-        src = kernels.jacobi_5pt_sub(n=12, m=8, iters=6)
-        src = src.replace("    call relaxx()", "    call relaxx(v)")
+        src = sub_src().replace("    call relaxx()", "    call relaxx(v)")
         src = src.replace(
             "subroutine relaxx()\n  implicit none\n"
             "  integer n, m, i, j\n  parameter (n = 12, m = 8)",
@@ -248,18 +261,249 @@ class TestInterprocedural:
         assert "acfd_exchange_begin" not in text
 
     def test_report_carries_callee_in_decisions(self):
-        acfd = AutoCFD.from_source(kernels.jacobi_5pt_sub(n=12, m=8,
-                                                          iters=6))
-        report = acfd.compile(partition=(2, 2)).report
+        report = AutoCFD.from_source(sub_src()).compile(
+            partition=(2, 2)).report
         decisions = report.to_dict()["overlap_decisions"]
         hit = next(d for d in decisions if d["enabled"])
         assert hit["callee"] == "relaxx"
 
     def test_mpi_artifact_notes_the_interprocedural_split(self):
-        acfd = AutoCFD.from_source(kernels.jacobi_5pt_sub(n=12, m=8,
-                                                          iters=6))
-        text = acfd.compile(partition=(2, 2)).mpi_source()
-        assert ("c  interprocedural split: interior runs as "
-                "relaxx_acfd_int, boundary as relaxx_acfd_bnd") in text
-        assert "subroutine relaxx_acfd_int" in text
-        assert "subroutine relaxx_acfd_bnd" in text
+        text = AutoCFD.from_source(sub_src()).compile(
+            partition=(2, 2)).mpi_source()
+        assert ("c  interprocedural split: exchange posted inside "
+                "relaxx") in text
+        assert "_acfd_" not in text
+
+
+def same_grids(a, b, arrays):
+    return all(a.array(n).data.tobytes() == b.array(n).data.tobytes()
+               for n in arrays)
+
+
+def impure_actual_src():
+    """jacobi_5pt_sub with ``call relaxx(bump(iter))``: *bump* is a user
+    function counting its own calls in COMMON /cnt/."""
+    src = kernels.jacobi_5pt_sub(n=12, m=8, iters=6, eps=0.0)
+    src = src.replace("  real v, vnew, err, eps\n",
+                      "  real v, vnew, err, eps\n"
+                      "  integer bump, ncalls\n"
+                      "  common /cnt/ ncalls\n"
+                      "  ncalls = 0\n", 1)
+    src = src.replace("    call relaxx()", "    call relaxx(bump(iter))")
+    src = src.replace("  write (6, *) 'iters', iter, 'err', err\n",
+                      "  write (6, *) 'iters', iter, 'err', err\n"
+                      "  write (6, *) 'ncalls', ncalls\n")
+    src = src.replace("subroutine relaxx()\n  implicit none\n",
+                      "subroutine relaxx(k)\n  implicit none\n"
+                      "  integer k\n")
+    return src + ("\ninteger function bump(k)\n  implicit none\n"
+                  "  integer k, ncalls\n  common /cnt/ ncalls\n"
+                  "  ncalls = ncalls + 1\n  bump = k\nend\n")
+
+
+def local_accumulator_src():
+    """jacobi_5pt_sub whose x-pass reduces into a callee-local scalar
+    and only then publishes it to COMMON /cnv/."""
+    src = sub_src()
+    head, relaxx = src.split("subroutine relaxx()", 1)
+    relaxx, rest = relaxx.split("end\n", 1)
+    relaxx = relaxx.replace("real v, vnew, err\n",
+                            "real v, vnew, err, loc\n") \
+        .replace("  err = 0.0\n", "  loc = 0.0\n") \
+        .replace("err = amax1(err,", "loc = amax1(loc,")
+    return (head + "subroutine relaxx()" + relaxx + "  err = loc\nend\n"
+            + rest)
+
+
+#: sync 1 ships v and w together, but relaxv only declares v's COMMON
+HIDDEN_ARRAY_SRC = """\
+!$acfd status v, w, vnew
+!$acfd grid 12 8
+!$acfd frame iter
+program twoarr
+  implicit none
+  integer n, m, i, j, iter
+  parameter (n = 12, m = 8)
+  common /fa/ v(n, m)
+  common /fb/ w(n, m)
+  common /fo/ vnew(n, m)
+  real v, w, vnew
+  do i = 1, n
+    do j = 1, m
+      v(i, j) = 0.1 * i
+      w(i, j) = 0.2 * j
+      vnew(i, j) = 0.0
+    end do
+  end do
+  do iter = 1, 4
+    call relaxv()
+    call relaxw()
+    call copyback()
+  end do
+end program twoarr
+
+subroutine relaxv()
+  implicit none
+  integer n, m, i, j
+  parameter (n = 12, m = 8)
+  common /fa/ v(n, m)
+  common /fo/ vnew(n, m)
+  real v, vnew
+  do i = 2, n - 1
+    do j = 2, m - 1
+      vnew(i, j) = 0.25 * (v(i-1, j) + v(i+1, j))
+    end do
+  end do
+end
+
+subroutine relaxw()
+  implicit none
+  integer n, m, i, j
+  parameter (n = 12, m = 8)
+  common /fb/ w(n, m)
+  common /fo/ vnew(n, m)
+  real w, vnew
+  do i = 2, n - 1
+    do j = 2, m - 1
+      vnew(i, j) = vnew(i, j) + 0.25 * (w(i-1, j) + w(i+1, j))
+    end do
+  end do
+end
+
+subroutine copyback()
+  implicit none
+  integer n, m, i, j
+  parameter (n = 12, m = 8)
+  common /fa/ v(n, m)
+  common /fb/ w(n, m)
+  common /fo/ vnew(n, m)
+  real v, w, vnew
+  do i = 2, n - 1
+    do j = 2, m - 1
+      v(i, j) = vnew(i, j)
+      w(i, j) = 0.5 * vnew(i, j)
+    end do
+  end do
+end
+"""
+
+
+class TestSunkFormGate:
+    """What the single-call form newly accepts, and what it must refuse
+    because the actuals and the callee's leading statements now run
+    before the exchange."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_impure_actual_is_evaluated_once_per_call(self, executor):
+        # regression: the two-invocation rewrite copied call.args into
+        # both invocations and ran bump() twice a frame
+        acfd = AutoCFD.from_source(impure_actual_src())
+        want = acfd.run_sequential().io.output()
+        assert "ncalls 6" in want
+        result = acfd.compile(partition=(2, 2), overlap="auto")
+        assert result.run_parallel(executor=executor).output() == want
+        d = decision(result.plan, 1)
+        assert not d.enabled and d.callee == "relaxx"
+        assert "calls function 'bump'" in d.reason
+
+    def test_callee_local_reduction_accumulator_accepted(self):
+        acfd = AutoCFD.from_source(local_accumulator_src())
+        over = acfd.compile(partition=(2, 2), overlap="auto")
+        d = decision(over.plan, 1)
+        assert d.enabled and d.callee == "relaxx"
+        relaxx = unit_text(over.parallel_source(), "relaxx")
+        assert relaxx.rstrip().endswith(
+            "loc = acfd_allreduce_max(loc)\n  err = loc")
+        base = acfd.compile(partition=(2, 2), overlap="off").run_parallel()
+        for executor in ("thread", "process"):
+            got = over.run_parallel(executor=executor)
+            assert got.output() == base.output()
+            assert same_grids(base, got, over.plan.arrays), executor
+
+    def test_sync_array_not_declared_in_callee_refused(self):
+        acfd = AutoCFD.from_source(HIDDEN_ARRAY_SRC)
+        result = acfd.compile(partition=(2, 1), overlap="auto")
+        sync = result.plan.syncs[0]
+        assert [name for name, _d in sync.arrays] == ["v", "w"]
+        d = decision(result.plan, 1)
+        assert not d.enabled and d.callee == "relaxv"
+        assert "array 'w' of the exchange is not declared" in d.reason
+        text = result.parallel_source()
+        main = text.split("subroutine relaxv(", 1)[0]
+        assert "call acfd_exchange(1, v, w)\n    call relaxv()" in main
+        assert "acfd_exchange_begin" not in text
+        seq = acfd.run_sequential()
+        assert same_grids(seq, result.run_parallel(), result.plan.arrays)
+
+
+def _programs() -> dict:
+    """name -> source generator: the gallery, its subroutine-bodied
+    variants, and both paper apps at full grid size (few frames)."""
+    from repro.apps.aerofoil import aerofoil_source
+    from repro.apps.sprayer import sprayer_source
+    from tests.interp.test_executor_equivalence import CASES
+    return {**dict(CASES),
+            "jacobi_5pt_sub": kernels.jacobi_5pt_sub,
+            "jacobi_9pt_sub": kernels.jacobi_9pt_sub,
+            "heat_3d_sub": kernels.heat_3d_sub,
+            "sprayer": lambda: sprayer_source(iters=2),
+            "aerofoil": lambda: aerofoil_source(iters=1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _program(name: str) -> AutoCFD:
+    return AutoCFD.from_source(_programs()[name]())
+
+
+class TestRestructureKeepsTheUnitList:
+    """restructure() rewrites units in place and never adds one."""
+
+    @pytest.mark.parametrize("overlap", ["on", "off", "auto"])
+    @pytest.mark.parametrize("cuts", [(2, 1), (1, 2), (2, 2)],
+                             ids=["2x1", "1x2", "2x2"])
+    @pytest.mark.parametrize("name", sorted(_programs()))
+    def test_spmd_program_has_the_source_units(self, name, cuts, overlap):
+        acfd = _program(name)
+        dims = cuts + (1,) * (len(acfd.grid.shape) - 2)
+        result = acfd.compile(partition=dims, overlap=overlap)
+        assert [u.name for u in result.spmd_cu.units] \
+            == [u.name for u in acfd.cu.units]
+
+
+class TestAcceptedSetsPinned:
+    """The syncs the paper apps overlap today, so capability cannot
+    shrink silently."""
+
+    @pytest.mark.parametrize("app,dims,total,accepted", [
+        ("sprayer", (2, 1), 7,
+         {1: "momentum0", 2: "momentum1", 3: "momentum2", 4: "momentum3",
+          5: "momentum4", 6: "pressure"}),
+        ("aerofoil", (2, 1, 1), 8, {5: "presscor", 8: "convergence"}),
+    ])
+    def test_paper_app_accepted_syncs(self, app, dims, total, accepted):
+        plan = _program(app).compile(partition=dims, overlap="auto").plan
+        assert len(plan.overlap_decisions) == total
+        assert {d.sync_id: d.callee for d in plan.overlap_decisions
+                if d.enabled} == accepted
+
+
+class TestSharedClassification:
+    def test_pre_clamp_classification_matches_the_clamped_program(self):
+        # the overlap pass reuses the classification taken before loop
+        # bounds were clamped; re-classifying the clamped units must
+        # find the same nests with the same sweeps and subscript uses
+        from repro.analysis.field_loops import classify_unit
+        from repro.codegen.restructure import Restructurer
+        cu = normalize_compilation_unit(parse_source(sub_src()))
+        plan = build_plan(cu, Partition(GridGeometry(
+            cu.directives.grid_shape), (2, 2)), overlap="off")
+        rs = Restructurer(plan)
+        spmd = rs.run()
+        assert "max0(2, acfd_lo(1))" in print_compilation_unit(spmd)
+        for unit in spmd.units:
+            kept = rs._classifications[unit.name]
+            fresh = classify_unit(unit, cu.directives)
+            assert list(kept.by_loop) == list(fresh.by_loop)
+            for a, b in zip(kept.field_loops, fresh.field_loops):
+                assert a.sweeps == b.sweeps
+                assert a.uses == b.uses

@@ -5,8 +5,8 @@ frame restored from checkpoint re-posts its Isend/Irecv faces and the
 split interior/boundary nests must still reproduce the fault-free grids
 bitwise.  The inline Jacobi deck exercises the intra-unit split; the
 sprayer app — whose stencils live behind ``call`` boundaries — exercises
-the interprocedural split through the specialized ``*_acfd_int`` /
-``*_acfd_bnd`` invocations.
+the interprocedural split, where the exchange is posted and completed
+inside the callee.
 """
 
 import pytest
@@ -70,7 +70,7 @@ def test_overlap_and_blocking_chaos_agree(tmp_path):
 def test_sprayer_overlaps_across_calls_under_chaos(tmp_path):
     # the paper's app: every stencil sits in a subroutine, so overlap
     # only fires through the interprocedural split — faults must
-    # recover bitwise through the specialized invocations too
+    # recover bitwise with the exchange sunk into the callee too
     from repro.faults.chaos import _chaos_app
     src, _inp, _frames = _chaos_app("sprayer", full=False)
     plan = AutoCFD.from_source(src).compile(partition=(2, 2),

@@ -69,8 +69,8 @@ def test_gallery_has_at_least_one_overlapped_kernel():
 # The paper's own apps keep every stencil in a subroutine, so these
 # variants pin the call-site split: the combined sync stays in the main
 # program (its ghosts feed two callees) and only the interprocedural
-# rewrite — begin / call <callee>_acfd_int / finish / call
-# <callee>_acfd_bnd — can overlap it.
+# rewrite — the exchange sunk into the first callee, whose nest becomes
+# begin / interior / finish / strips — can overlap it.
 
 from repro.apps import kernels  # noqa: E402
 
