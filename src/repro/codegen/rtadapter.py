@@ -24,6 +24,8 @@ flows through one of these methods (the generated Python maps a call
 
 from __future__ import annotations
 
+from time import perf_counter_ns
+
 import numpy as np
 
 from repro.codegen.plan import ParallelPlan
@@ -34,7 +36,6 @@ from repro.partition.halo import ghost_bounds
 from repro.runtime.cart import CartComm
 from repro.runtime.comm import Communicator
 from repro.runtime.halo import HaloExchanger, HaloSpec, PipeExchanger
-from repro.runtime.trace import TraceEvent
 
 
 def _same_arrays(specs: list[HaloSpec], arrays) -> bool:
@@ -151,10 +152,9 @@ class RankRuntime:
                 point_id=sync_id)
         return ex
 
-    def _in_halo(self, step, sync_id: int, *, completes: bool) -> None:
+    def _in_halo(self, step) -> None:
         """Run exchange step *step* with live telemetry (if any) showing
-        the rank in the halo state; *completes* pushes the exchange
-        event."""
+        the rank in the halo state."""
         tele = self.comm.telemetry
         if tele is None:
             step()
@@ -164,15 +164,10 @@ class RankRuntime:
             step()
         finally:
             tele.enter(prev)
-            if completes:
-                tele.push_event(self.comm.rank, "exchange", None, 0,
-                                sync_id)
 
     def exchange(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Aggregated halo exchange for combined sync point *sync_id*."""
-        sync_id = int(sync_id)
-        self._in_halo(self._sync_exchanger(sync_id, arrays).exchange,
-                      sync_id, completes=True)
+        self._in_halo(self._sync_exchanger(int(sync_id), arrays).exchange)
 
     def exchange_begin(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Post the aggregated exchange nonblocking (overlap path).
@@ -181,9 +176,7 @@ class RankRuntime:
         the interior of the split consumer nest while the halo messages
         are in flight.
         """
-        sync_id = int(sync_id)
-        self._in_halo(self._sync_exchanger(sync_id, arrays).begin,
-                      sync_id, completes=False)
+        self._in_halo(self._sync_exchanger(int(sync_id), arrays).begin)
 
     def exchange_finish(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Wait on a begun exchange and unpack every ghost face."""
@@ -192,7 +185,7 @@ class RankRuntime:
         if ex is None:
             raise RuntimeCommError(
                 f"sync {sync_id}: exchange_finish without a begin")
-        self._in_halo(ex.finish, sync_id, completes=True)
+        self._in_halo(ex.finish)
 
     def _pipe_exchanger(self, pipe_id: int, arrays) -> PipeExchanger:
         """The transfer plan kept for pipe *pipe_id* (see
@@ -289,9 +282,10 @@ class RankRuntime:
         restore from.
         """
         it = int(it)
-        tele = self.comm.telemetry
-        if tele is not None:
-            tele.frame(it)
+        record = self.comm.record
+        if record is not None:
+            now = perf_counter_ns()
+            record("frame", None, 0, it, 0, now, now)
         ck = self.checkpoints
         if ck is not None:
             restore = ck.restore_frame
@@ -326,20 +320,16 @@ class RankRuntime:
         return named, commons
 
     def _save(self, frame: int, arrays) -> None:
-        trace = self.comm.trace
-        t0 = trace.now()
+        t0 = perf_counter_ns()
         named, commons = self._snapshot(arrays)
         nbytes = self.checkpoints.save(self.comm.rank, frame, named,
                                        commons)
-        tele = self.comm.telemetry
-        if tele is not None:
-            tele.checkpoint(frame)
-        trace.record(TraceEvent(self.comm.rank, "checkpoint", None,
-                                nbytes, frame, t0=t0, t1=trace.now()))
+        if self.comm.record is not None:
+            self.comm.record("checkpoint", None, nbytes, frame, 0,
+                             t0, perf_counter_ns())
 
     def _restore(self, frame: int, arrays) -> None:
-        trace = self.comm.trace
-        t0 = trace.now()
+        t0 = perf_counter_ns()
         state = self.checkpoints.load(self.comm.rank)
         by_name = {arr.name: arr for arr in arrays
                    if isinstance(arr, OffsetArray)}
@@ -370,9 +360,6 @@ class RankRuntime:
                 self._ctx.commons[block][pos] = saved.item()
             nbytes += saved.nbytes
         self._restored = True
-        tele = self.comm.telemetry
-        if tele is not None:
-            tele.push_event(self.comm.rank, "restore", None, nbytes,
-                            frame)
-        trace.record(TraceEvent(self.comm.rank, "restore", None, nbytes,
-                                frame, t0=t0, t1=trace.now()))
+        if self.comm.record is not None:
+            self.comm.record("restore", None, nbytes, frame, 0,
+                             t0, perf_counter_ns())

@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from time import perf_counter_ns
 
 from repro.errors import InjectedFaultError
 from repro.faults.plan import MESSAGE_FAULTS, FaultEvent, FaultPlan
-from repro.runtime.trace import Trace, TraceEvent
 
 
 def _payload_nbytes(payload) -> int:
@@ -70,8 +70,8 @@ class FaultInjector:
         # rank runs its own injector replica in its own process
         self._ids = itertools.count((salt << 40) + 1)
         self._fired: list[dict] = []
-        self._trace: Trace | None = None
-        self._telemetry = None
+        #: rank -> that rank's event writer (see :meth:`bind`)
+        self._writers: dict = {}
         self._msg_events: dict[int, list[FaultEvent]] = {}
         self._frame_events: dict[int, list[FaultEvent]] = {}
         self._armed: dict[int, bool] = {}  # id(event) -> not yet fired
@@ -86,13 +86,10 @@ class FaultInjector:
 
     # -- wiring ----------------------------------------------------------------
 
-    def attach(self, trace: Trace, telemetry=None) -> None:
-        """Point fault markers at the current attempt's trace (and,
-        optionally, at a live-telemetry sink whose flight recorder gets
-        the same fault marks)."""
-        with self._lock:
-            self._trace = trace
-            self._telemetry = telemetry
+    def bind(self, rank: int, write) -> None:
+        """Route *rank*'s fault marks through *write*, the event writer
+        of its communicator in the current attempt (None: keep none)."""
+        self._writers[rank] = write
 
     def in_flight(self) -> int:
         """Delayed messages held outside any mailbox (deadlock-detector
@@ -135,18 +132,12 @@ class FaultInjector:
 
     def _record(self, rank: int, kind: str, peer: int | None, nbytes: int,
                 tag: int | None = None, *, wait_s: float = 0.0,
-                t0: float | None = None) -> None:
-        telemetry = getattr(self, "_telemetry", None)
-        if telemetry is not None:
-            telemetry.push_event(rank, kind, peer, nbytes, tag,
-                                 extra=int(wait_s * 1e9))
-        trace = self._trace
-        if trace is None:
-            return
-        t1 = trace.now()
-        trace.record(TraceEvent(rank, kind, peer, nbytes, tag,
-                                wait_s=wait_s,
-                                t0=t1 if t0 is None else t0, t1=t1))
+                t0_ns: int | None = None) -> None:
+        write = self._writers.get(rank)
+        if write is not None:
+            t1_ns = perf_counter_ns()
+            write(kind, peer, nbytes, tag, int(wait_s * 1e9),
+                  t1_ns if t0_ns is None else t0_ns, t1_ns)
 
     # -- hooks -----------------------------------------------------------------
 
@@ -244,10 +235,9 @@ class FaultInjector:
                 self.on_crash(reason)  # flushes telemetry, then SIGKILL
             raise InjectedFaultError(reason)
         if straggle is not None and straggle.seconds > 0:
-            trace = self._trace
-            t0 = trace.now() if trace is not None else 0.0
+            t0_ns = perf_counter_ns()
             time.sleep(straggle.seconds)
             self._record(rank, "fault_straggler", None, 0, frame,
-                         wait_s=straggle.seconds, t0=t0)
+                         wait_s=straggle.seconds, t0_ns=t0_ns)
             return straggle.seconds
         return 0.0

@@ -29,7 +29,7 @@ from repro.obs.export import (
     runtime_spans,
     write_chrome_trace,
 )
-from repro.obs.flight import FlightEvent, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.health import (
     HealthBoard,
     HealthSample,
@@ -68,7 +68,7 @@ __all__ = [
     "span",
     "RankBreakdown", "RunRollup", "Timeline", "observe_trace_histograms",
     "build_export", "chrome_trace", "runtime_spans", "write_chrome_trace",
-    "FlightEvent", "FlightRecorder",
+    "FlightRecorder",
     "HealthBoard", "HealthSample", "RankTelemetry", "Telemetry",
     "health_alerts", "render_health_table", "serve_metrics",
     "build_postmortem", "load_postmortem", "render_postmortem",

@@ -7,14 +7,16 @@ the per-rank timelines stack under one process and the compiler phases
 sit above them.  Every duration event is a complete span (``ph: "X"``)
 with microsecond ``ts``/``dur``.
 
-The compiler profiler and the runtime trace both timestamp against
-``time.monotonic()`` epochs, so the exporter aligns tracks on a shared
-clock by their epoch difference; the earliest event lands at ``ts = 0``.
+The compiler profiler timestamps against a ``time.monotonic()`` epoch
+and the runtime trace against a ``time.perf_counter_ns()`` one, so the
+exporter reads both clocks once, aligns the tracks on a shared clock by
+their epoch difference, and the earliest event lands at ``ts = 0``.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 from repro.obs.spans import Profiler, Span
 
@@ -92,15 +94,18 @@ def build_export(*, compiler: Profiler | None = None, trace=None,
     """Assemble the standard export: compiler + runtime (+ simulated).
 
     The runtime track is aligned to the compiler's clock via the epoch
-    difference (both are ``time.monotonic()`` bases), so the exported
-    timeline shows compilation first and the ranks after it.
+    difference, so the exported timeline shows compilation first and
+    the ranks after it.
     """
     tracks: list[tuple[str, list[Span], float]] = []
     if compiler is not None:
         tracks.append(("compiler", compiler.spans(), 0.0))
     if trace is not None:
-        offset = (trace.epoch - compiler.epoch
-                  if compiler is not None else 0.0)
+        offset = 0.0
+        if compiler is not None:
+            # the trace epoch read on the compiler's clock
+            skew = time.monotonic() - time.perf_counter()
+            offset = trace.epoch_ns / 1e9 + skew - compiler.epoch
         tracks.append(("runtime", runtime_spans(trace), offset))
     if sim_spans:
         # simulated time has its own (virtual) clock; start it at zero

@@ -1,48 +1,46 @@
 """Crash-surviving flight recorder: a bounded per-rank event ring.
 
-The lockless trace (:mod:`repro.runtime.trace`) is complete but lives in
-the worker's heap — a rank that dies by real ``SIGKILL`` takes its
-events with it.  The flight recorder keeps only the *last N* hot-path
-events per rank, but keeps them in a flat ``int64`` block that can be
-backed by ``multiprocessing.shared_memory``: the launcher (or ``acfd
-postmortem``) reads a dead worker's final moments straight out of the
-segment, no cooperation from the corpse required.
+The trace log (:mod:`repro.runtime.trace`) is complete but lives in the
+worker's heap — a rank that dies by real ``SIGKILL`` takes its events
+with it.  The flight recorder keeps only the *last N* records per rank,
+but keeps them in a flat ``int64`` block that can be backed by
+``multiprocessing.shared_memory``: the launcher (or ``acfd postmortem``)
+reads a dead worker's final moments straight out of the segment, no
+cooperation from the corpse required.
 
 Layout (all ``int64``, single segment)::
 
     header[rank] = (cursor, epoch_ns)          # 2 words per rank
-    ring[rank][slot] = (kind, peer, nbytes, tag, extra, t_ns)
+    ring[rank][slot] = (kind, peer, nbytes, tag, extra, t0_ns, t1_ns)
 
-``cursor`` counts pushes forever; ``cursor % slots`` is the write
-position, so readers recover both order and drop count.  ``t_ns`` is the
-writer's ``perf_counter_ns`` — rebase against ``epoch_ns`` plus the
-launcher-recorded epoch shift to land every rank on one clock (the same
-handshake the trace merge uses).  Each ring row has exactly one writer
-(its rank), so no locks; torn reads of an in-flight slot are acceptable
-for a diagnostic artifact.
+A ring row holds the fields of a trace record (``kind`` as its
+:data:`~repro.runtime.trace.KIND_CODES` code, ``None`` as -1), and it is
+written by the same call that appends the record to the log — the
+rank's :meth:`repro.runtime.trace.Trace.writer`; this module only
+allocates the rings and reads them back.  ``cursor`` counts writes
+forever; ``cursor % slots`` is the write position, so readers recover
+both order and drop count.  The stamps are the writer's
+``perf_counter_ns`` — :meth:`FlightRecorder.tail` rebases them against
+``epoch_ns`` plus the launcher-recorded epoch shift to land every rank
+on one clock (the same handshake the trace merge uses) and returns the
+same :class:`~repro.runtime.trace.TraceEvent` objects
+``Trace.snapshot()`` does.  Each ring row has exactly one writer (its
+rank), so no locks; torn reads of an in-flight slot are acceptable for a
+diagnostic artifact.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FlightRecorder", "FlightEvent", "KIND_CODES", "KIND_NAMES"]
+from repro.runtime.trace import KIND_CODES, KIND_NAMES, TraceEvent, decode
 
-#: event-kind string <-> int coding for the ring (0 = empty slot)
-KIND_NAMES = (
-    "", "send", "recv", "barrier", "bcast", "reduce", "allreduce",
-    "gather", "allgather", "scatter", "exchange", "halo_pack",
-    "halo_unpack", "pipeline_send", "pipeline_recv", "frame",
-    "checkpoint", "restore", "fault_crash", "fault_straggler",
-    "fault_drop", "fault_delay", "fault_dup", "other",
-)
-KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
+__all__ = ["FlightRecorder", "KIND_CODES", "KIND_NAMES"]
 
 _HDRW = 2   # header words per rank: cursor, epoch_ns
-_EVW = 6    # event words: kind, peer, nbytes, tag, extra, t_ns
+_EVW = 7    # event words: kind, peer, nbytes, tag, extra, t0_ns, t1_ns
 
 
 def _untrack(shm) -> None:
@@ -81,29 +79,6 @@ def _unlink_shm(shm) -> None:
     except Exception:
         pass
     shm.unlink()
-
-
-@dataclass(frozen=True)
-class FlightEvent:
-    """One decoded ring entry."""
-
-    kind: str
-    peer: int | None
-    nbytes: int
-    tag: int | None
-    #: kind-dependent payload: saved zero-copy bytes for sends, wait
-    #: nanoseconds for recvs, frame number for frame/checkpoint marks
-    extra: int
-    #: raw writer-clock ``perf_counter_ns`` stamp
-    t_ns: int
-    #: seconds on the launcher's epoch (filled by ``Telemetry.tails``;
-    #: raw writer-epoch seconds when no shift is known)
-    t_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "peer": self.peer,
-                "nbytes": self.nbytes, "tag": self.tag,
-                "extra": self.extra, "t_s": round(self.t_s, 6)}
 
 
 class FlightRecorder:
@@ -148,40 +123,29 @@ class FlightRecorder:
         now = time.perf_counter_ns()
         self.hdr[:, 1] = now
 
-    def push(self, rank: int, kind: int, peer: int, nbytes: int,
-             tag: int, extra: int) -> None:
-        hdr = self.hdr[rank]
-        cur = int(hdr[0])
-        self.ring[rank, cur % self.slots] = (kind, peer, nbytes, tag,
-                                             extra, time.perf_counter_ns())
-        hdr[0] = cur + 1
-
     def pushed(self, rank: int) -> int:
-        """Total events ever pushed by *rank* (>= len(tail))."""
+        """Total events ever written by *rank* (>= len(tail))."""
         return int(self.hdr[rank, 0])
 
     def epoch_ns(self, rank: int) -> int:
         return int(self.hdr[rank, 1])
 
-    def tail(self, rank: int, shift_s: float = 0.0) -> list[FlightEvent]:
+    def tail(self, rank: int, shift_s: float = 0.0) -> list[TraceEvent]:
         """Decode *rank*'s ring oldest-first, rebasing timestamps to
-        ``(t_ns - epoch_ns) * 1e-9 + shift_s`` seconds."""
+        seconds since the ring's ``epoch_ns`` plus *shift_s*."""
         cur = int(self.hdr[rank, 0])
         epoch = int(self.hdr[rank, 1])
         n = min(cur, self.slots)
-        out: list[FlightEvent] = []
+        out: list[TraceEvent] = []
         for i in range(cur - n, cur):
-            kind, peer, nbytes, tag, extra, t_ns = \
+            kind, peer, nbytes, tag, extra, t0_ns, t1_ns = \
                 (int(v) for v in self.ring[rank, i % self.slots])
             if kind <= 0 or kind >= len(KIND_NAMES):
                 continue  # empty or torn slot
-            out.append(FlightEvent(
-                kind=KIND_NAMES[kind],
-                peer=None if peer < 0 else peer,
-                nbytes=nbytes,
-                tag=None if tag < 0 else tag,
-                extra=extra, t_ns=t_ns,
-                t_s=(t_ns - epoch) * 1e-9 + shift_s))
+            out.append(decode(
+                (rank, KIND_NAMES[kind], None if peer < 0 else peer,
+                 nbytes, None if tag < 0 else tag, extra, t0_ns, t1_ns),
+                epoch, shift_s))
         return out
 
     def close(self, unlink: bool = False) -> None:

@@ -12,9 +12,13 @@ a worker is wedged in a syscall or already dead.
 :class:`Telemetry` bundles a board with a :class:`~repro.obs.flight.
 FlightRecorder` and the per-rank epoch shifts the launcher learns from
 the procexec hello handshake, so samples and flight tails come out
-rebased onto one clock.  The per-rank writer handle
-(:class:`RankTelemetry`) is what the runtime holds on the hot path: a
-handful of cached numpy row views, no locks, no allocation.
+rebased onto one clock.  The per-rank handle (:class:`RankTelemetry`) is
+what the runtime holds on the hot path: a handful of cached numpy row
+views, no locks, no allocation.  It publishes run-state transitions
+itself; everything that is an *event* — the flight-ring row, the
+traffic counters, the frame and checkpoint cells — is written by the
+rank's :meth:`repro.runtime.trace.Trace.writer` through those views, in
+the same call that appends the record to the trace log.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.flight import (FlightEvent, FlightRecorder, KIND_CODES,
-                              _attach_shm, _create_shm, _unlink_shm)
+from repro.obs.flight import (FlightRecorder, _attach_shm, _create_shm,
+                              _unlink_shm)
+from repro.runtime.trace import TraceEvent
 
 __all__ = [
     "HealthBoard", "HealthSample", "RankTelemetry", "Telemetry",
@@ -47,11 +52,6 @@ S_INIT, S_COMPUTE, S_BLOCKED, S_HALO, S_COLLECTIVE, S_DONE, S_FAILED = \
 _BEAT, _STATE, _FRAME, _DEPTH, _POOL, _CKPT = range(6)
 _SENT_B, _RECV_B, _SENT_N, _RECV_N, _T_NS, _EPOCH = range(6, 12)
 _SLOTS = 12
-
-_K_SEND = KIND_CODES["send"]
-_K_RECV = KIND_CODES["recv"]
-_K_FRAME = KIND_CODES["frame"]
-_K_CKPT = KIND_CODES["checkpoint"]
 
 
 @dataclass(frozen=True)
@@ -158,33 +158,36 @@ class HealthBoard:
 
 
 class RankTelemetry:
-    """One rank's writer handle: board row + flight ring views.
+    """One rank's handle on its board row and flight ring.
 
     Held by the Communicator on the hot path — every method is a few
-    numpy element writes, no locks.  Exactly one writer per rank.
+    numpy element writes, no locks.  Exactly one writer per rank: the
+    state methods below and the rank's trace writer, which fills
+    ``ring`` / ``hdr`` and the event-derived cells of ``row``.
     """
 
-    __slots__ = ("rank", "_board", "_flight", "_row", "_hdr", "_ring",
-                 "_slots", "_mailbox", "_pool")
+    __slots__ = ("rank", "_board", "_flight", "row", "hdr", "ring",
+                 "_mailbox", "_pool")
 
     def __init__(self, rank: int, board: HealthBoard,
                  flight: FlightRecorder):
         self.rank = rank
         self._board = board
         self._flight = flight
-        self._row = board.cells[rank]
-        self._hdr = flight.hdr[rank]
-        self._ring = flight.ring[rank]
-        self._slots = flight.slots
+        #: this rank's board cells, ring header (cursor, epoch_ns) and
+        #: ``(slots, 7)`` ring rows
+        self.row = board.cells[rank]
+        self.hdr = flight.hdr[rank]
+        self.ring = flight.ring[rank]
         self._mailbox = None
         self._pool = None
 
     def start(self, epoch_ns: int) -> None:
         """Stamp the writer's clock epoch and enter the compute state
         (call once per attempt, after the launcher reset the board)."""
-        row = self._row
+        row = self.row
         row[_EPOCH] = epoch_ns
-        self._hdr[1] = epoch_ns
+        self.hdr[1] = epoch_ns
         row[_STATE] = S_COMPUTE
         row[_T_NS] = time.perf_counter_ns()
         row[_BEAT] += 1
@@ -196,7 +199,7 @@ class RankTelemetry:
 
     def enter(self, state: int) -> int:
         """Transition to *state*; returns the previous state code."""
-        row = self._row
+        row = self.row
         prev = int(row[_STATE])
         if self._mailbox is not None:
             row[_DEPTH] = self._mailbox.pending
@@ -207,59 +210,15 @@ class RankTelemetry:
         row[_BEAT] += 1
         return prev
 
-    def sent(self, dest: int, nbytes: int, tag: int,
-             saved: int = 0) -> None:
-        row = self._row
-        row[_SENT_B] += nbytes
-        row[_SENT_N] += 1
-        row[_T_NS] = time.perf_counter_ns()
-        self._push(_K_SEND, dest, nbytes, tag, saved)
-
-    def recvd(self, source: int, nbytes: int, tag: int,
-              waited: float) -> None:
-        row = self._row
-        row[_RECV_B] += nbytes
-        row[_RECV_N] += 1
-        row[_T_NS] = time.perf_counter_ns()
-        self._push(_K_RECV, source, nbytes, tag, int(waited * 1e9))
-
-    def frame(self, it: int) -> None:
-        row = self._row
-        row[_FRAME] = it
-        row[_T_NS] = time.perf_counter_ns()
-        row[_BEAT] += 1
-        self._push(_K_FRAME, -1, 0, -1, it)
-
-    def checkpoint(self, frame: int) -> None:
-        self._row[_CKPT] = frame
-        self._push(_K_CKPT, -1, 0, -1, frame)
-
     def finish(self, ok: bool) -> None:
-        row = self._row
+        row = self.row
         row[_STATE] = S_DONE if ok else S_FAILED
         row[_T_NS] = time.perf_counter_ns()
         row[_BEAT] += 1
 
-    def _push(self, kind: int, peer: int, nbytes: int, tag: int,
-              extra: int) -> None:
-        hdr = self._hdr
-        cur = int(hdr[0])
-        self._ring[cur % self._slots] = (kind, peer, nbytes, tag, extra,
-                                         time.perf_counter_ns())
-        hdr[0] = cur + 1
-
-    def push_event(self, rank: int, kind: str, peer=None, nbytes: int = 0,
-                   tag=None, extra: int = 0) -> None:
-        """Record an arbitrary named event (injector hook; *rank* is
-        accepted for interface parity with :class:`Telemetry` but this
-        handle always writes its own ring)."""
-        self._push(KIND_CODES.get(kind, KIND_CODES["other"]),
-                   -1 if peer is None else peer, nbytes,
-                   -1 if tag is None else tag, extra)
-
     def release(self) -> None:
         """Drop the numpy views so the backing segment can close."""
-        self._row = self._hdr = self._ring = None
+        self.row = self.hdr = self.ring = None
         self._board = self._flight = None
 
 
@@ -314,11 +273,6 @@ class Telemetry:
             self._views[rank] = view
         return view
 
-    def push_event(self, rank: int, kind: str, peer=None, nbytes: int = 0,
-                   tag=None, extra: int = 0) -> None:
-        self.rank_view(rank).push_event(rank, kind, peer, nbytes, tag,
-                                        extra)
-
     # -- process-worker attach -------------------------------------------------
 
     def spec(self) -> dict:
@@ -359,7 +313,7 @@ class Telemetry:
         return [self.board.sample(r, self.shifts.get(r, 0.0))
                 for r in range(self.size)]
 
-    def tails(self) -> dict[int, list[FlightEvent]]:
+    def tails(self) -> dict[int, list[TraceEvent]]:
         """Per-rank flight tails, timestamps rebased via the recorded
         epoch shifts onto the launcher's clock."""
         return {r: self.flight.tail(r, self.shifts.get(r, 0.0))

@@ -60,6 +60,15 @@ def _wait_cycle(text: str) -> list[int]:
     return [int(r) for r in re.findall(r"\d+", m.group(1))]
 
 
+def _flight_entry(ev) -> dict:
+    """One flight-tail event as the document stores it (``extra`` is the
+    record's kind-dependent slot: saved zero-copy bytes for sends, wait
+    nanoseconds otherwise; ``t_s`` is the completion stamp)."""
+    extra = ev.saved_bytes if ev.kind == "send" else round(ev.wait_s * 1e9)
+    return {"kind": ev.kind, "peer": ev.peer, "nbytes": ev.nbytes,
+            "tag": ev.tag, "extra": extra, "t_s": round(ev.t1, 6)}
+
+
 def build_postmortem(*, error: BaseException, size: int,
                      telemetry=None, store=None, injector=None,
                      attempts=None) -> dict:
@@ -103,7 +112,7 @@ def build_postmortem(*, error: BaseException, size: int,
             "rank": dead, "last_frame": row["frame"],
             "last_state": row["state"], "last_beat_s": row["t_s"],
             "ckpt_frame": row["ckpt_frame"], "neighbors": neighbors}
-    report["flight"] = {str(r): [ev.as_dict() for ev in evs]
+    report["flight"] = {str(r): [_flight_entry(ev) for ev in evs]
                         for r, evs in tails.items()}
 
     if store is not None:

@@ -50,7 +50,7 @@ from time import perf_counter_ns
 import numpy as np
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
-from repro.runtime.trace import Trace, TraceEvent
+from repro.runtime.trace import Trace
 
 #: Collective operations reserve tags at and above this value.
 _COLLECTIVE_TAG_BASE = 1 << 20
@@ -503,12 +503,15 @@ class Communicator:
         #: deliveries; None on the (hot) fault-free path
         self._injector = injector
         self._collective_seq = 0
-        # bound append for the hot-path raw-tuple records; safe to cache
-        # because Trace.clear() empties the list in place
-        self._tappend = trace.events.append
-        #: this rank's live-health writer (repro.obs.health
+        #: this rank's live-health handle (repro.obs.health
         #: RankTelemetry); None on the fault-free hot path
         self.telemetry = telemetry
+        #: this rank's event writer (see Trace.writer) — every runtime
+        #: layer above records through it; None when the trace is off
+        #: and no telemetry is attached
+        self.record = trace.writer(rank, telemetry)
+        if injector is not None:
+            injector.bind(rank, self.record)
 
     # -- point-to-point --------------------------------------------------------
 
@@ -520,21 +523,22 @@ class Communicator:
         """
         self._check_rank(dest)
         self._check_tag(tag)
-        payload = obj if move else _copy_payload(obj)
-        tele = self.telemetry
-        if self._trace.enabled or tele is not None:
-            # latency-critical path: raw-tuple append (atomic under the
-            # GIL) with an absolute ns stamp — snapshot() normalizes;
-            # scalar sizing stays inline to skip the _payload_bytes call
+        record = self.record
+        if record is not None:
+            # latency-critical path: scalar sizing stays inline to skip
+            # the _payload_bytes call
             cls = obj.__class__
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(obj)
-            if self._trace.enabled:
-                self._tappend((self.rank, "send", dest, nbytes, tag,
-                               nbytes if move else 0, perf_counter_ns()))
-            if tele is not None:
-                tele.sent(dest, nbytes, tag, nbytes if move else 0)
-        message = _Message(self.rank, tag, payload)
+            now = perf_counter_ns()
+            record("send", dest, nbytes, tag, nbytes if move else 0,
+                   now, now)
+        self._deliver(dest, obj, tag, move)
+
+    def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
+        """Put *obj* into *dest*'s mailbox (copied unless moved)."""
+        message = _Message(self.rank, tag,
+                           obj if move else _copy_payload(obj))
         if self._injector is not None and self._injector.on_send(
                 self.rank, dest, tag, message, self._mailboxes[dest]):
             return  # the injector took over delivery (drop/delay/dup)
@@ -547,17 +551,16 @@ class Communicator:
         if tag is not None:
             self._check_tag(tag)
         msg, waited = self._get(source, tag, "recv")
-        tele = self.telemetry
-        if self._trace.enabled or tele is not None:
+        record = self.record
+        if record is not None:
             payload = msg.payload
             cls = payload.__class__
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(payload)
-            if self._trace.enabled:
-                self._tappend((self.rank, "recv", msg.source, nbytes,
-                               msg.tag, waited, perf_counter_ns()))
-            if tele is not None:
-                tele.recvd(msg.source, nbytes, msg.tag, waited)
+            wait_ns = int(waited * 1e9)
+            now = perf_counter_ns()
+            record("recv", msg.source, nbytes, msg.tag, wait_ns,
+                   now - wait_ns, now)
         return msg.payload
 
     def isend(self, dest: int, obj, tag: int = 0, *,
@@ -612,7 +615,7 @@ class Communicator:
 
     def barrier(self) -> None:
         """Synchronize all ranks."""
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         tele = self.telemetry
         prev = tele.enter(4) if tele is not None else None  # S_COLLECTIVE
         token = (self._detector.block(self.rank, "barrier")
@@ -632,26 +635,21 @@ class Communicator:
                 self._detector.unblock(self.rank)
             if tele is not None:
                 tele.enter(prev)
-        self._record_op("barrier", None, 0, t0, time.monotonic() - t0)
+        if self.record is not None:
+            now = perf_counter_ns()
+            self.record("barrier", None, 0, None, now - t0, t0, now)
 
     def _record_op(self, kind: str, peer: int | None, nbytes: int,
-                   t0_mono: float, waited: float) -> None:
+                   t0_ns: int, waited: float) -> None:
         """Record a completed operation as a span ending now."""
-        if self.telemetry is not None:
-            self.telemetry.push_event(self.rank, kind, peer, nbytes,
-                                      extra=int(waited * 1e9))
-        if not self._trace.enabled:
-            return
-        epoch = self._trace.epoch
-        now = time.monotonic()
-        self._trace.record(TraceEvent(self.rank, kind, peer, nbytes,
-                                      wait_s=waited,
-                                      t0=t0_mono - epoch, t1=now - epoch))
+        if self.record is not None:
+            self.record(kind, peer, nbytes, None, int(waited * 1e9),
+                        t0_ns, perf_counter_ns())
 
     def bcast(self, obj=None, root: int = 0):
         """Broadcast from *root*; all ranks return the object."""
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         result, waited, nbytes = self._bcast_impl(obj, root, tag)
         self._record_op("bcast", root, nbytes, t0, waited)
         return result
@@ -690,7 +688,7 @@ class Communicator:
         """Reduce to *root*; other ranks return None."""
         reducer = self._op(op)
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         acc, waited, nbytes = self._reduce_impl(value, reducer, root, tag,
                                                 "reduce")
         self._record_op("reduce", root, nbytes, t0, waited)
@@ -730,7 +728,7 @@ class Communicator:
         """Reduce + broadcast; all ranks return the reduced value."""
         reducer = self._op(op)
         up_tag, down_tag = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         acc, waited_up, up_bytes = self._reduce_impl(value, reducer, 0,
                                                      up_tag, "allreduce")
         result, waited_down, down_bytes = self._bcast_impl(acc, 0, down_tag)
@@ -741,7 +739,7 @@ class Communicator:
     def gather(self, value, root: int = 0):
         """Gather to *root* (list indexed by rank); others return None."""
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         result, waited, nbytes = self._gather_impl(value, root, tag)
         self._record_op("gather", root, nbytes, t0, waited)
         return result
@@ -765,7 +763,7 @@ class Communicator:
     def allgather(self, value) -> list:
         """Gather + broadcast — one synchronization, one trace event."""
         up_tag, down_tag = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         gathered, waited_up, up_bytes = self._gather_impl(value, 0, up_tag)
         result, waited_down, down_bytes = self._bcast_impl(gathered, 0,
                                                            down_tag)
@@ -776,7 +774,7 @@ class Communicator:
     def scatter(self, values=None, root: int = 0):
         """Scatter a per-rank list from *root*."""
         tag, _ = self._next_collective_tags()
-        t0 = time.monotonic()
+        t0 = perf_counter_ns()
         if self.rank == root:
             if values is None or len(values) != self.size:
                 raise RuntimeCommError(

@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from time import perf_counter_ns
 
 import numpy as np
 
 from repro.errors import RuntimeCommError
 from repro.interp.values import OffsetArray
 from repro.runtime.cart import CartComm
-from repro.runtime.trace import TraceEvent
 
 #: Tag space for halo messages: tag = base + point_id * 64 + dim * 4
 #: + (direction + 1).
@@ -295,20 +295,17 @@ class _FaceTransfers:
     def _pack(self, face: _Face) -> list[np.ndarray]:
         """Copy *face*'s send views into pool buffers — the one copy a
         halo payload gets; ownership passes to the receiver (``move``)."""
-        comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        t0 = trace.now() if timed else 0.0
+        record = self.cart.comm.record
+        t0 = perf_counter_ns() if record is not None else 0
         acquire = self.pool.acquire
         payload = []
         for view in face.views:
             buf = acquire(view.shape, view.dtype)
             np.copyto(buf, view)
             payload.append(buf)
-        if timed:
-            trace.record(TraceEvent(comm.rank, "halo_pack", None,
-                                    face.nbytes, face.tag,
-                                    t0=t0, t1=trace.now()))
+        if record is not None:
+            record("halo_pack", None, face.nbytes, face.tag, 0,
+                   t0, perf_counter_ns())
         return payload
 
     def _unpack(self, face: _Face, payload: list[np.ndarray]) -> None:
@@ -316,19 +313,16 @@ class _FaceTransfers:
             raise RuntimeCommError(
                 f"halo message carries {len(payload)} sections for "
                 f"{len(face.views)} arrays")
-        comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        t0 = trace.now() if timed else 0.0
+        record = self.cart.comm.record
+        t0 = perf_counter_ns() if record is not None else 0
         release = self.pool.release
         for ghost, section in zip(face.views, payload):
             if ghost is not None:
                 ghost[...] = section
             release(section)
-        if timed:
-            trace.record(TraceEvent(comm.rank, "halo_unpack", None,
-                                    face.nbytes, face.tag,
-                                    t0=t0, t1=trace.now()))
+        if record is not None:
+            record("halo_unpack", None, face.nbytes, face.tag, 0,
+                   t0, perf_counter_ns())
 
 
 class HaloExchanger(_FaceTransfers):
@@ -346,8 +340,8 @@ class HaloExchanger(_FaceTransfers):
         #: in-flight receive Requests posted by begin(), in ghost-face
         #: order, drained by finish(); None when idle
         self._pending: list | None = None
-        self._t_begin0 = 0.0
-        self._t_begin1 = 0.0
+        self._t_begin0 = 0
+        self._t_begin1 = 0
 
     @property
     def in_flight(self) -> bool:
@@ -382,17 +376,16 @@ class HaloExchanger(_FaceTransfers):
                 f"halo exchange {self.point_id} run blocking while a "
                 f"begun one is unfinished")
         comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        tx0 = trace.now() if timed else 0.0
+        record = comm.record
+        tx0 = perf_counter_ns() if record is not None else 0
         for sends, ghosts in self._faces():
             for face in sends:
                 comm.send(face.peer, self._pack(face), face.tag, move=True)
             for face in ghosts:
                 self._unpack(face, comm.recv(face.peer, face.tag))
-        if timed:
-            trace.record(TraceEvent(comm.rank, "exchange", None, 0,
-                                    self.point_id, t0=tx0, t1=trace.now()))
+        if record is not None:
+            record("exchange", None, 0, self.point_id, 0,
+                   tx0, perf_counter_ns())
 
     def begin(self) -> None:
         """Post the whole aggregated exchange without completing it.
@@ -420,9 +413,8 @@ class HaloExchanger(_FaceTransfers):
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} begun twice without finish")
         comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        self._t_begin0 = trace.now() if timed else 0.0
+        timed = comm.record is not None
+        self._t_begin0 = perf_counter_ns() if timed else 0
         faces = self._faces()
         pending = [comm.irecv(face.peer, face.tag)
                    for _sends, ghosts in faces for face in ghosts]
@@ -430,7 +422,7 @@ class HaloExchanger(_FaceTransfers):
             for face in sends:
                 comm.isend(face.peer, self._pack(face), face.tag, move=True)
         self._pending = pending
-        self._t_begin1 = trace.now() if timed else 0.0
+        self._t_begin1 = perf_counter_ns() if timed else 0
 
     def finish(self) -> None:
         """Complete a begun exchange: wait on every receive and unpack.
@@ -446,21 +438,17 @@ class HaloExchanger(_FaceTransfers):
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} finished without begin")
         pending, self._pending = self._pending, None
-        comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        if timed:
-            trace.record(TraceEvent(
-                comm.rank, "overlap", None, 0, self.point_id,
-                t0=self._t_begin1, t1=trace.now()))
+        record = self.cart.comm.record
+        if record is not None:
+            record("overlap", None, 0, self.point_id, 0,
+                   self._t_begin1, perf_counter_ns())
         ghost_faces = [face for _sends, ghosts in self._faces()
                        for face in ghosts]
         for face, request in zip(ghost_faces, pending):
             self._unpack(face, request.wait())
-        if timed:
-            trace.record(TraceEvent(
-                comm.rank, "exchange", None, 0, self.point_id,
-                t0=self._t_begin0, t1=trace.now()))
+        if record is not None:
+            record("exchange", None, 0, self.point_id, 0,
+                   self._t_begin0, perf_counter_ns())
 
 
 class PipeExchanger(_FaceTransfers):
@@ -484,25 +472,25 @@ class PipeExchanger(_FaceTransfers):
     def recv(self) -> None:
         """Blocking receive of pipelined new values from minus neighbors."""
         comm = self.cart.comm
-        trace = comm.trace
-        timed = trace.enabled
-        t0 = trace.now() if timed else 0.0
+        record = comm.record
+        t0 = perf_counter_ns() if record is not None else 0
         for _sends, ghosts in self._faces():
             for face in ghosts:
                 self._unpack(face, comm.recv(face.peer, face.tag))
-        if timed:
-            trace.record(TraceEvent(comm.rank, "pipeline_recv", None, 0,
-                                    self.pipe_id, t0=t0, t1=trace.now()))
+        if record is not None:
+            record("pipeline_recv", None, 0, self.pipe_id, 0,
+                   t0, perf_counter_ns())
 
     def send(self) -> None:
         """Ship freshly computed plus-edge layers down the pipeline."""
         comm = self.cart.comm
-        trace = comm.trace
+        record = comm.record
         for sends, _ghosts in self._faces():
             for face in sends:
                 payload = self._pack(face)
-                if trace.enabled:
-                    # marker event only (comm.send records the bytes)
-                    trace.record(TraceEvent(comm.rank, "pipeline_send",
-                                            face.peer, 0, face.tag))
+                if record is not None:
+                    # marker only: comm.send records the message itself
+                    now = perf_counter_ns()
+                    record("pipeline_send", face.peer, 0, face.tag, 0,
+                           now, now)
                 comm.send(face.peer, payload, face.tag, move=True)

@@ -59,10 +59,10 @@ import numpy as np
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.runtime.comm import (Communicator, _Mailbox, _Message,
-                                _payload_bytes, _WaitState, find_wait_cycle,
-                                format_rank_states, perf_counter_ns)
+                                _WaitState, find_wait_cycle,
+                                format_rank_states)
 from repro.runtime.halo import shared_pool
-from repro.runtime.trace import EpochProbe, Trace, TraceEvent, epoch_shift
+from repro.runtime.trace import EpochProbe, Trace, epoch_shift
 from repro.runtime.world import World
 
 #: blocked workers re-publish their wait state this often; also the
@@ -361,28 +361,15 @@ class ProcCommunicator(Communicator):
 
     Everything above delivery — receive matching, collectives, barrier
     handling, deadlock bookkeeping, tracing — is inherited; only remote
-    ``send`` changes: pickling (or the shm ring) *is* the buffered-send
+    delivery changes: pickling (or the shm ring) *is* the buffered-send
     copy, so the payload deep-copy is skipped on the fault-free path.
     """
 
-    def send(self, dest: int, obj, tag: int = 0, *,
-             move: bool = False) -> None:
+    def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
         if dest == self.rank or self._injector is not None:
             # self-sends use the local mailbox; injected runs keep the
             # base path so drop/delay/duplicate see every delivery
-            return super().send(dest, obj, tag, move=move)
-        self._check_rank(dest)
-        self._check_tag(tag)
-        tele = self.telemetry
-        if self._trace.enabled or tele is not None:
-            cls = obj.__class__
-            nbytes = 8 if cls is int or cls is float \
-                else _payload_bytes(obj)
-            if self._trace.enabled:
-                self._tappend((self.rank, "send", dest, nbytes, tag,
-                               nbytes if move else 0, perf_counter_ns()))
-            if tele is not None:
-                tele.sent(dest, nbytes, tag, nbytes if move else 0)
+            return super()._deliver(dest, obj, tag, move)
         self._mailboxes[dest].put(_Message(self.rank, tag, obj), move=move)
 
 
@@ -521,8 +508,7 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
                                                   barrier)
         worker.install(run)
         worker.publish(("hello", rank, run_id,
-                        (run.trace.epoch, run.trace.epoch_ns,
-                         time.monotonic())))
+                        EpochProbe.sample(run.trace)))
         threading.Thread(
             target=_run_body, daemon=True, name=f"proc-body-{rank}",
             args=(worker, run, fn, timeout, barrier, data_out,
@@ -548,20 +534,16 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
     def on_crash(reason: str) -> None:
         worker.publish(("dying", run.rank, run.run_id,
                         "InjectedFaultError", reason,
-                        run.trace.snapshot()))
+                        run.trace.events))
         if run.tele is not None:
             run.tele.finish(False)  # last heartbeat: state=failed
         barrier.abort()  # wake peers stuck in a barrier right away
         os.kill(os.getpid(), 9)  # SIGKILL: a real, unhandled death
 
-    injector = FaultInjector(FaultPlan.from_dict(spec["plan"]),
-                             armed=spec["armed"], salt=run.rank + 1,
-                             crash_mode="kill", on_fire=on_fire,
-                             on_crash=on_crash)
-    # run.tele writes straight into launcher-owned shared memory, so
-    # fault marks (like the heartbeat rows) survive the SIGKILL below
-    injector.attach(run.trace, telemetry=run.tele)
-    return injector
+    return FaultInjector(FaultPlan.from_dict(spec["plan"]),
+                         armed=spec["armed"], salt=run.rank + 1,
+                         crash_mode="kill", on_fire=on_fire,
+                         on_crash=on_crash)
 
 
 def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
@@ -581,19 +563,20 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
     comm.compiled_cache = compiled_cache
     err: BaseException | None = None
     result = None
-    t0 = run.trace.now()
+    t0 = time.perf_counter_ns()
     try:
         result = fn(comm)
     except BaseException as exc:  # noqa: BLE001 - must report all
         err = exc
         barrier.abort()
     finally:
-        run.trace.record(TraceEvent(run.rank, "rank", None, 0,
-                                    t0=t0, t1=run.trace.now()))
+        if comm.record is not None:
+            comm.record("rank", None, 0, None, 0,
+                        t0, time.perf_counter_ns())
         shared_pool().drain()
         if run.tele is not None:
             run.tele.finish(err is None)
-    events = run.trace.snapshot()
+    events = run.trace.events
     counters = run.counters()
     if err is not None:
         worker.publish(("error", run.rank, run.run_id, _exc_kind(err),
@@ -875,7 +858,9 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         w.cmd.send(("run", run_id, blob))
 
     mirror = _MirrorDetector(size)
-    shifts: dict[int, float] = {}
+    #: rank -> (worker trace epoch_ns, seconds onto world.trace's epoch)
+    #: (set by its "hello", the first thing a worker reports in a run)
+    clocks: dict[int, tuple[int, float]] = {}
     #: rank -> (kind, type name, message); kind drives raise priority
     errors: dict[int, tuple[str, str, str]] = {}
     finished: set[int] = set()
@@ -903,12 +888,13 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         if kind != "shm+" and msg[2] != run_id:
             return  # stale report from a previous attempt
         if kind == "hello":
-            shifts[rank] = epoch_shift(EpochProbe(*msg[3]),
-                                       time.monotonic(), world.trace)
+            probe = msg[3]
+            shift = epoch_shift(probe, time.perf_counter(), world.trace)
+            clocks[rank] = (probe.epoch_ns, shift)
             if telemetry is not None:
                 # flight/heartbeat stamps rebase on the same shift as
                 # the trace merge, so postmortems share one clock
-                telemetry.shifts[rank] = shifts[rank]
+                telemetry.shifts[rank] = shift
         elif kind == "blocked":
             _, _, _, op, source, tag, token, sent, delivered, infl = msg
             mirror.note(rank, (op, source, tag, token),
@@ -919,12 +905,12 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         elif kind == "done":
             _, _, _, result, events, counters = msg
             world.results[rank] = result
-            world.trace.absorb(events, shifts.get(rank, 0.0))
+            world.trace.absorb(events, *clocks[rank])
             finished.add(rank)
             mirror.finish(rank, counters)
         elif kind == "error":
             _, _, _, ekind, tname, text, events, counters = msg
-            world.trace.absorb(events, shifts.get(rank, 0.0))
+            world.trace.absorb(events, *clocks[rank])
             errors.setdefault(rank, (ekind, tname, text))
             finished.add(rank)
             mirror.finish(rank, counters)
@@ -933,7 +919,7 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
             # a kill-mode fault flushed telemetry before SIGKILLing
             # itself; the sentinel below will confirm the death
             _, _, _, tname, text, events = msg
-            world.trace.absorb(events, shifts.get(rank, 0.0))
+            world.trace.absorb(events, *clocks[rank])
             errors.setdefault(rank, ("other", tname, text))
         elif kind == "fired":
             _, _, _, index, record = msg

@@ -1,11 +1,13 @@
 """Event tracing for the message-passing runtime.
 
-Every send, receive, barrier, collective, and halo exchange is recorded
-with its payload size, the wall-clock time the rank spent blocked waiting
-for it (``wait_s``), the bytes the zero-copy fast path avoided
-duplicating (``saved_bytes``), and — since the observability overhaul —
-begin/end timestamps (``t0``/``t1``, seconds since the trace ``epoch``),
-which turn the event log into per-rank *spans*.  The test suite uses
+Every send, receive, barrier, collective, halo copy, exchange, pipeline
+transfer, frame mark, checkpoint and injected fault is one *record*: the
+flat tuple ``(rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns)``.
+``extra`` is the payload bytes the zero-copy fast path avoided
+duplicating for a ``send`` and the nanoseconds the rank spent blocked
+for every other kind; both stamps are ``time.perf_counter_ns()``
+readings of the recording process (the cheapest clock CPython offers,
+and the only one an event is ever stamped with).  The test suite uses
 traces to assert that the number of synchronizations the *runtime
 actually performs* per frame equals the number the *pre-compiler
 predicted* after optimization (Table 1's "after" column); the benchmark
@@ -14,43 +16,55 @@ accounting — to the cluster simulator, and
 :class:`repro.obs.timeline.Timeline` rolls the spans up into per-rank
 compute / blocked / halo / collective breakdowns.
 
+Recording discipline: :meth:`Trace.writer` hands each rank one function
+``write(kind, peer, nbytes, tag, extra, t0_ns, t1_ns)`` and nothing else
+in the package records an event.  One call appends the record to the
+trace log and, when the world carries live telemetry
+(:class:`repro.obs.health.RankTelemetry`), stores the same fields in
+that rank's crash-surviving flight-ring row and keeps the health board's
+traffic counters, frame and checkpoint cells current — so the log and
+the ring hold the same events and differ only in how many they keep.
+A world that records nothing (``Trace(enabled=False)`` and no
+telemetry) gets no writer at all: call sites test ``comm.record`` for
+``None`` and skip their clock reads.
+
 The collector takes no lock: every mutation of the log is a single list
 operation (``append``, ``extend``, ``clear``) and every query starts from
 one ``list(events)`` copy, each atomic under the GIL, so queries are safe
-to call while ranks are still recording.  A trace constructed with
-``enabled=False`` drops all records — the baseline for the
-instrumentation-overhead guard in ``benchmarks/test_micro_runtime.py``.
-
-Recording discipline: the latency-critical point-to-point path appends
-*raw 7-tuples* straight onto ``events`` — a short tuple of ints costs a
-fraction of any class construction — while everything else records
-:class:`TraceEvent` objects via :meth:`Trace.record`.  Raw entries carry
-one absolute ``time.perf_counter_ns()`` stamp (the cheapest clock read
-CPython offers) and are shaped ``(rank, kind, peer, nbytes, tag,
-extra, t_ns)`` where ``extra`` is ``saved_bytes`` for sends and
-``wait_s`` for receives.  :meth:`Trace.snapshot` normalizes both forms
-into epoch-relative ``TraceEvent``s, so queries never see a raw entry.
+to call while ranks are still recording.  :class:`TraceEvent` is the
+reader-side view: :meth:`Trace.snapshot` (and the flight ring's
+``tail``) decode records into events whose ``t0``/``t1`` are seconds
+since the trace ``epoch_ns``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: every event kind that is a synchronization in the Table-1 sense:
 #: the rank cannot proceed until (some) other ranks participate.
 SYNC_KINDS = ("exchange", "barrier", "allreduce", "reduce", "bcast",
               "gather", "scatter", "allgather")
 
+#: every kind the runtime writes, indexed by its flight-ring code
+#: (0 marks an empty ring slot)
+KIND_NAMES = (
+    "", "send", "recv", "barrier", "bcast", "reduce", "allreduce",
+    "gather", "allgather", "scatter", "exchange", "halo_pack",
+    "halo_unpack", "pipeline_send", "pipeline_recv", "frame",
+    "checkpoint", "restore", "fault_crash", "fault_straggler",
+    "fault_drop", "fault_delay", "fault_dup", "overlap", "rank",
+)
+KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
+
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One runtime communication event."""
+    """One runtime event, decoded (see :func:`decode`)."""
 
     rank: int
-    kind: str  # send | recv | bcast | reduce | allreduce | barrier |
-    #            gather | scatter | allgather | exchange | halo_pack |
-    #            halo_unpack | pipeline_recv | pipeline_send | rank
+    kind: str  # one of KIND_NAMES
     peer: int | None
     nbytes: int
     tag: int | None = None
@@ -58,8 +72,7 @@ class TraceEvent:
     wait_s: float = 0.0
     #: payload bytes the zero-copy (move) path did not duplicate
     saved_bytes: int = 0
-    #: begin/end timestamps (seconds since the trace epoch); events
-    #: recorded without timing carry t0 == t1 == 0.0
+    #: begin/end timestamps (seconds since the trace epoch)
     t0: float = 0.0
     t1: float = 0.0
 
@@ -68,32 +81,40 @@ class TraceEvent:
         return self.t1 - self.t0
 
 
+def decode(record: tuple, epoch_ns: int, shift_s: float = 0.0) -> TraceEvent:
+    """The :class:`TraceEvent` for one record, its stamps as seconds
+    since *epoch_ns* plus *shift_s*."""
+    rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns = record
+    wait_s, saved = (0.0, extra) if kind == "send" else (extra / 1e9, 0)
+    return TraceEvent(rank, kind, peer, nbytes, tag, wait_s, saved,
+                      (t0_ns - epoch_ns) / 1e9 + shift_s,
+                      (t1_ns - epoch_ns) / 1e9 + shift_s)
+
+
 @dataclass(frozen=True)
 class EpochProbe:
     """One process's trace-clock sample, for the cross-process handshake.
 
-    ``time.monotonic()`` and ``time.perf_counter_ns()`` are only
-    guaranteed comparable *within* a process: a worker's trace epoch is
-    meaningless on the caller's clock.  At attach time the worker sends
-    an :meth:`EpochProbe.sample` of its trace; the receiver stamps its
-    own clock at receipt and :func:`epoch_shift` solves for the offset
-    that lands the worker's epoch-relative timestamps on the receiver's
+    ``time.perf_counter_ns()`` readings are only guaranteed comparable
+    *within* a process: a worker's trace epoch is meaningless on the
+    caller's clock.  At attach time the worker sends an
+    :meth:`EpochProbe.sample` of its trace; the receiver stamps its own
+    clock at receipt and :func:`epoch_shift` solves for the offset that
+    lands the worker's epoch-relative timestamps on the receiver's
     epoch.  The estimate is biased late by the one-way transit of the
     probe message (microseconds on a local pipe) — events merged from a
     worker can therefore never land *before* the moment the caller knew
     the worker existed, keeping merged spans non-negative.
     """
 
-    #: the sampled trace's ``epoch`` (its local ``time.monotonic()``)
-    epoch: float
     #: the sampled trace's ``epoch_ns`` (its local ``perf_counter_ns``)
     epoch_ns: int
-    #: local ``time.monotonic()`` at the instant the probe was taken
+    #: local ``time.perf_counter()`` at the instant the probe was taken
     sampled_at: float
 
     @classmethod
     def sample(cls, trace: "Trace") -> "EpochProbe":
-        return cls(trace.epoch, trace.epoch_ns, time.monotonic())
+        return cls(trace.epoch_ns, time.perf_counter())
 
 
 def epoch_shift(probe: EpochProbe, received_at: float,
@@ -103,13 +124,13 @@ def epoch_shift(probe: EpochProbe, received_at: float,
 
     Args:
         probe: the remote trace's clock sample.
-        received_at: ``time.monotonic()`` on the *target*'s clock when
+        received_at: ``time.perf_counter()`` on the *target*'s clock when
             the probe arrived (the two clock readings bracket the same
             instant, so their difference is the inter-process offset
             plus transit).
     """
     skew = received_at - probe.sampled_at
-    return (probe.epoch + skew) - target.epoch
+    return (probe.epoch_ns - target.epoch_ns) / 1e9 + skew
 
 
 @dataclass
@@ -117,64 +138,81 @@ class Trace:
     """Event collector shared by all ranks of a world (safe to record
     into and query from several threads, see the module docstring)."""
 
-    #: the raw log: TraceEvent objects (epoch-relative timestamps) mixed
-    #: with hot-path 7-tuples (absolute timestamps) — read via snapshot()
+    #: the log: one record tuple per event, stamps absolute on this
+    #: process's clock — read via snapshot()
     events: list = field(default_factory=list)
-    #: monotonic base all event timestamps are relative to
-    epoch: float = field(default_factory=time.monotonic)
-    #: perf_counter_ns() captured at the same instant as ``epoch``; the
-    #: base hot-path raw stamps are rebased against
+    #: ``perf_counter_ns()`` base all decoded timestamps are relative to
     epoch_ns: int = field(default_factory=time.perf_counter_ns)
     #: False drops all records (overhead-measurement baseline)
     enabled: bool = True
 
     def now(self) -> float:
         """Seconds since this trace's epoch."""
-        return time.monotonic() - self.epoch
+        return (time.perf_counter_ns() - self.epoch_ns) / 1e9
 
-    def record(self, event: TraceEvent) -> None:
-        if self.enabled:
-            self.events.append(event)
+    def writer(self, rank: int, telemetry=None):
+        """*rank*'s event writer ``write(kind, peer, nbytes, tag, extra,
+        t0_ns, t1_ns)``, or None when nothing would keep the record.
 
-    def absorb(self, events: list[TraceEvent], shift: float = 0.0) -> None:
-        """Bulk-append *normalized* events recorded on another trace,
-        rebasing their timestamps by *shift* seconds (see
-        :func:`epoch_shift`).  Events recorded without timing (the
-        ``t0 == t1 == 0.0`` sentinel) keep their zeros — shifting a
-        sentinel would fabricate a timestamp.  Raw hot-path tuples are
-        not accepted; callers normalize with :meth:`snapshot` first.
+        *telemetry* is the rank's :class:`repro.obs.health.RankTelemetry`
+        when the world publishes live health; the writer is then the
+        single writer of that rank's flight-ring row and of the board
+        cells that are derived from events.
         """
+        log = self.events.append if self.enabled else None
+        if telemetry is None:
+            if log is None:
+                return None
+
+            def write(kind, peer, nbytes, tag, extra, t0_ns, t1_ns):
+                log((rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns))
+            return write
+
+        from repro.obs.health import (_BEAT, _CKPT, _FRAME, _RECV_B,
+                                      _RECV_N, _SENT_B, _SENT_N, _T_NS)
+        ring, hdr, row = telemetry.ring, telemetry.hdr, telemetry.row
+        slots = len(ring)
+
+        def write(kind, peer, nbytes, tag, extra, t0_ns, t1_ns):
+            if log is not None:
+                log((rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns))
+            cursor = int(hdr[0])
+            ring[cursor % slots] = (
+                KIND_CODES[kind], -1 if peer is None else peer, nbytes,
+                -1 if tag is None else tag, extra, t0_ns, t1_ns)
+            hdr[0] = cursor + 1
+            row[_T_NS] = t1_ns
+            if kind == "send":
+                row[_SENT_B] += nbytes
+                row[_SENT_N] += 1
+            elif kind == "recv":
+                row[_RECV_B] += nbytes
+                row[_RECV_N] += 1
+            elif kind == "frame":
+                row[_FRAME] = tag
+                row[_BEAT] += 1
+            elif kind == "checkpoint":
+                row[_CKPT] = tag
+        return write
+
+    def absorb(self, events: list[tuple], epoch_ns: int,
+               shift: float = 0.0) -> None:
+        """Bulk-append the log of another trace whose epoch is
+        *epoch_ns*, rebasing its stamps so they decode *shift* seconds
+        (see :func:`epoch_shift`) later against this trace's epoch than
+        they did against their own."""
         if not self.enabled:
             return
-        shifted = [e if (e.t0 == 0.0 and e.t1 == 0.0)
-                   else replace(e, t0=e.t0 + shift, t1=e.t1 + shift)
-                   for e in events]
-        self.events.extend(shifted)
+        delta = self.epoch_ns - epoch_ns + round(shift * 1e9)
+        self.events.extend([e[:6] + (e[6] + delta, e[7] + delta)
+                            for e in events])
 
     # -- queries ---------------------------------------------------------------
 
     def snapshot(self) -> list[TraceEvent]:
-        """Consistent, normalized copy of the event list (safe while
-        recording): hot-path raw tuples materialize as TraceEvents with
-        their absolute stamps rebased onto the epoch."""
-        items = list(self.events)
+        """Consistent decoded copy of the log (safe while recording)."""
         epoch_ns = self.epoch_ns
-        out = []
-        for e in items:
-            if type(e) is TraceEvent:
-                out.append(e)
-            elif e[1] == "send":
-                t = (e[6] - epoch_ns) * 1e-9
-                out.append(TraceEvent(e[0], "send", e[2], e[3], e[4],
-                                      0.0, e[5], t, t))
-            else:  # recv: extra slot is wait_s, stamp is completion
-                t1 = (e[6] - epoch_ns) * 1e-9
-                out.append(TraceEvent(e[0], "recv", e[2], e[3], e[4],
-                                      e[5], 0, t1 - e[5], t1))
-        return out
-
-    # kept for in-tree callers predating the public name
-    _snapshot = snapshot
+        return [decode(e, epoch_ns) for e in list(self.events)]
 
     def count(self, kind: str, rank: int | None = None) -> int:
         """Number of events of *kind* (optionally for one rank)."""
@@ -184,7 +222,7 @@ class Trace:
     def bytes_sent(self, rank: int | None = None) -> int:
         """Total payload bytes sent (point-to-point sends only)."""
         return sum(e.nbytes for e in self.snapshot()
-                   if e.kind in ("send", "pipeline_send")
+                   if e.kind == "send"
                    and (rank is None or e.rank == rank))
 
     def sync_count(self, rank: int | None = None) -> int:
@@ -196,7 +234,7 @@ class Trace:
 
     def messages(self, rank: int | None = None) -> list[TraceEvent]:
         return [e for e in self.snapshot()
-                if e.kind in ("send", "pipeline_send")
+                if e.kind == "send"
                 and (rank is None or e.rank == rank)]
 
     def wait_time(self, rank: int | None = None) -> float:
@@ -213,7 +251,7 @@ class Trace:
     def comm_stats(self) -> dict:
         """Aggregate communication accounting for benchmarks/simulation."""
         events = self.snapshot()
-        sends = [e for e in events if e.kind in ("send", "pipeline_send")]
+        sends = [e for e in events if e.kind == "send"]
         syncs_by_kind: dict[str, int] = {}
         for e in events:
             if e.kind in SYNC_KINDS:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.runtime.comm import Communicator, DeadlockDetector, _Mailbox
 from repro.runtime.halo import shared_pool
-from repro.runtime.trace import Trace, TraceEvent
+from repro.runtime.trace import Trace
 
 
 @dataclass
@@ -84,7 +84,6 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
         telemetry.begin(world.trace.epoch_ns)
     if injector is not None:
         detector.in_flight = injector.in_flight
-        injector.attach(world.trace, telemetry=telemetry)
     errors: list[tuple[int, BaseException]] = []
     # also guards `remaining`; notifies the launcher on every rank exit
     state = threading.Condition()
@@ -98,7 +97,7 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
             tele.start(world.trace.epoch_ns)
         comm = Communicator(rank, size, mailboxes, barrier, world.trace,
                             failed, timeout, detector, injector, tele)
-        t0 = world.trace.now()
+        t0 = time.perf_counter_ns()
         try:
             world.results[rank] = fn(comm)
             detector.rank_done(rank)
@@ -117,8 +116,9 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
             # subtracts instrumented intervals from to get compute time.
             # Recorded for crashed ranks too (t1 = failure time) so a
             # chaos profile attributes the work done before the death.
-            world.trace.record(TraceEvent(rank, "rank", None, 0,
-                                          t0=t0, t1=world.trace.now()))
+            if comm.record is not None:
+                comm.record("rank", None, 0, None, 0,
+                            t0, time.perf_counter_ns())
             with state:
                 remaining[0] -= 1
                 state.notify_all()

@@ -14,7 +14,7 @@ from repro.obs.health import (
     serve_metrics,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import spmd_run
+from repro.runtime import Trace, spmd_run
 
 
 class TestHealthBoard:
@@ -30,10 +30,11 @@ class TestHealthBoard:
         tele = Telemetry(2)
         view = tele.rank_view(1)
         view.start(epoch_ns=0)
-        view.frame(4)
-        view.sent(0, 256, tag=9)
-        view.recvd(0, 128, tag=9, waited=0.01)
-        view.checkpoint(4)
+        write = Trace().writer(1, view)
+        write("frame", None, 0, 4, 0, 1, 1)
+        write("send", 0, 256, 9, 0, 2, 2)
+        write("recv", 0, 128, 9, 10_000_000, 3, 4)
+        write("checkpoint", None, 512, 4, 0, 5, 6)
         s = tele.samples()[1]
         assert s.state == "compute"
         assert s.frame == 4
@@ -66,8 +67,10 @@ class TestHealthBoard:
         tele = Telemetry(1)
         view = tele.rank_view(0)
         view.start(0)
-        view.frame(9)
-        view.sent(0, 100, 0)
+        write = Trace().writer(0, view)
+        write("frame", None, 0, 9, 0, 1, 1)
+        write("send", 0, 100, 0, 0, 2, 2)
+        assert tele.samples()[0].frame == 9
         tele.begin()
         s = tele.samples()[0]
         assert s.frame is None and s.sent_bytes == 0
@@ -82,7 +85,7 @@ class TestSharedTelemetry:
             spec = tele.spec()
             view = Telemetry.attach(spec, rank=1)
             view.start(epoch_ns=0)
-            view.frame(3)
+            Trace().writer(1, view)("frame", None, 0, 3, 0, 1, 1)
             view.release()
             assert tele.samples()[1].frame == 3
             world = Telemetry.attach_world(spec)

@@ -2,6 +2,7 @@
 profile --top."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.obs.health import Telemetry, publish_live, unpublish_live
 from repro.obs.postmortem import build_postmortem, write_postmortem
+from repro.runtime import Trace
 
 from tests.conftest import JACOBI_SRC
 
@@ -67,7 +69,7 @@ class TestTop:
         try:
             view = tele.rank_view(0)
             view.start(0)
-            view.frame(5)
+            Trace().writer(0, view)("frame", None, 0, 5, 0, 1, 1)
             path = publish_live(tele, path=str(tmp_path / "live.json"))
             assert main(["top", "--board", path, "--once"]) == 0
             out = capsys.readouterr().out
@@ -96,7 +98,7 @@ class TestPostmortemCommand:
         tele = Telemetry(2)
         view = tele.rank_view(1)
         view.start(0)
-        view.frame(3)
+        Trace().writer(1, view)("frame", None, 0, 3, 0, 1, 1)
         err = ReproError("rank 1 worker process died without reporting")
         rep = build_postmortem(error=err, size=2, telemetry=tele)
         tele.close()
@@ -114,6 +116,15 @@ class TestPostmortemCommand:
         assert main(["postmortem", path, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "acfd-postmortem-v1"
+
+    def test_document_from_before_the_single_event_record(self, capsys):
+        # written, and rendered into the .txt, by commit fa1dd3c (flight
+        # entries from FlightEvent.as_dict, frame numbers in `extra`):
+        # schema v1 documents stay readable
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        doc = fixtures / "postmortem_f68c8e4bb5a1.json"
+        assert main(["postmortem", str(doc)]) == 0
+        assert capsys.readouterr().out == doc.with_suffix(".txt").read_text()
 
 
 class TestProfileTop:

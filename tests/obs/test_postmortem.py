@@ -22,7 +22,7 @@ from repro.obs.postmortem import (
     render_postmortem,
     write_postmortem,
 )
-from repro.runtime import spmd_run
+from repro.runtime import Trace, spmd_run
 
 # -- rank bodies (module-level: the process executor pickles them) -----------------
 
@@ -99,9 +99,10 @@ class TestDocument:
         tele = Telemetry(2)
         view = tele.rank_view(1)
         view.start(0)
-        view.frame(4)
-        view.checkpoint(4)
-        view.sent(0, 64, tag=1)
+        write = Trace().writer(1, view)
+        write("frame", None, 0, 4, 0, 1, 1)
+        write("checkpoint", None, 0, 4, 0, 2, 3)
+        write("send", 0, 64, 1, 0, 4, 4)
         err = ReproError("rank 1 worker process died without reporting")
         rep = build_postmortem(error=err, size=2, telemetry=tele)
         tele.close()
@@ -118,7 +119,7 @@ class TestDocument:
         for rank, frame in ((0, 7), (1, 4), (2, 7)):
             view = tele.rank_view(rank)
             view.start(0)
-            view.frame(frame)
+            Trace().writer(rank, view)("frame", None, 0, frame, 0, 1, 1)
         rep = build_postmortem(error=ReproError("x"), size=3,
                                telemetry=tele)
         tele.close()

@@ -8,11 +8,9 @@ clipped windows instead of raising or inventing time.
 import pytest
 
 from repro.obs.timeline import Timeline
-from repro.runtime.trace import Trace, TraceEvent
-
-
-def _ev(rank, kind, t0, t1, tag=None, peer=None):
-    return TraceEvent(rank, kind, peer, 0, tag, t0=t0, t1=t1)
+from repro.runtime.trace import Trace
+from tests.obs.synth import put as _ev
+from tests.obs.synth import synthetic_trace
 
 
 def _crashed_trace() -> Trace:
@@ -21,14 +19,14 @@ def _crashed_trace() -> Trace:
     Rank 1 has no ``rank`` envelope (the crash skipped its epilogue)
     and fewer exchange marks than rank 0.
     """
-    tr = Trace()
-    tr.record(_ev(0, "rank", 0.0, 10.0))
+    tr = synthetic_trace()
+    _ev(tr, 0, "rank", 0.0, 10.0)
     for t in (1.0, 4.0, 7.0):  # frame-delimiting exchange, sync id 5
-        tr.record(_ev(0, "exchange", t, t + 0.5, tag=5))
-    tr.record(_ev(0, "recv", 8.0, 10.0, peer=1))  # waiting on the corpse
-    tr.record(_ev(1, "exchange", 1.0, 1.5, tag=5))
-    tr.record(_ev(1, "recv", 2.0, 3.0, peer=0))
-    tr.record(_ev(1, "halo_pack", 3.5, 4.0))
+        _ev(tr, 0, "exchange", t, t + 0.5, tag=5)
+    _ev(tr, 0, "recv", 8.0, 10.0, peer=1)  # waiting on the corpse
+    _ev(tr, 1, "exchange", 1.0, 1.5, tag=5)
+    _ev(tr, 1, "recv", 2.0, 3.0, peer=0)
+    _ev(tr, 1, "halo_pack", 3.5, 4.0)
     return tr
 
 
@@ -51,7 +49,7 @@ class TestCrashedRankWindows:
     def test_rank_with_no_events_contributes_zero(self):
         tr = _crashed_trace()
         # a rank id only mentioned as a peer -> empty window, zero rows
-        tr.record(_ev(2, "rank", 0.0, 0.0))
+        _ev(tr, 2, "rank", 0.0, 0.0)
         roll = Timeline.from_trace(tr).rollup()
         assert roll.ranks[2].total == 0.0
         assert roll.ranks[2].compute == 0.0
@@ -72,14 +70,14 @@ class TestCrashedRankFrames:
         assert frames == [tl.rank_window(1)]
 
     def test_no_frame_markers_means_whole_window(self):
-        tr = Trace()
-        tr.record(_ev(0, "rank", 0.0, 5.0))
-        tr.record(_ev(0, "recv", 1.0, 2.0, peer=1))
+        tr = synthetic_trace()
+        _ev(tr, 0, "rank", 0.0, 5.0)
+        _ev(tr, 0, "recv", 1.0, 2.0, peer=1)
         tl = Timeline.from_trace(tr)
         assert tl.frames() == [(0.0, 5.0)]
 
     def test_empty_trace_has_no_frames(self):
-        tl = Timeline.from_trace(Trace())
+        tl = Timeline.from_trace(synthetic_trace())
         assert tl.frames() == []
         assert tl.rollup().ranks == []
 
@@ -93,10 +91,10 @@ class TestCrashedRankFrames:
 
 class TestTopCapping:
     def test_table_top_keeps_worst_blocked_ranks(self):
-        tr = Trace()
+        tr = synthetic_trace()
         for rank, blocked in ((0, 1.0), (1, 3.0), (2, 2.0)):
-            tr.record(_ev(rank, "rank", 0.0, 10.0))
-            tr.record(_ev(rank, "recv", 0.0, blocked, peer=0))
+            _ev(tr, rank, "rank", 0.0, 10.0)
+            _ev(tr, rank, "recv", 0.0, blocked, peer=0)
         roll = Timeline.from_trace(tr).rollup()
         worst = roll.worst_ranks(2)
         assert [r.rank for r in worst] == [1, 2]
@@ -108,7 +106,7 @@ class TestTopCapping:
         assert f"critical-path rank {roll.critical_path_rank}" in text
 
     def test_top_larger_than_world_shows_everything(self):
-        tr = Trace()
-        tr.record(_ev(0, "rank", 0.0, 1.0))
+        tr = synthetic_trace()
+        _ev(tr, 0, "rank", 0.0, 1.0)
         roll = Timeline.from_trace(tr).rollup()
         assert roll.table(top=10) == roll.table()

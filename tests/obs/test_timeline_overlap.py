@@ -9,22 +9,20 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import Timeline, observe_trace_histograms
-from repro.runtime.trace import Trace, TraceEvent
-
-
-def _ev(rank, kind, t0, t1, tag=None, peer=None, nbytes=0):
-    return TraceEvent(rank, kind, peer, nbytes, tag, t0=t0, t1=t1)
+from repro.runtime.trace import Trace
+from tests.obs.synth import put as _ev
+from tests.obs.synth import synthetic_trace
 
 
 def _overlapped_trace() -> Trace:
     """One rank, 10 s window: 3 s in-flight overlap, 1 s residual wait."""
-    tr = Trace()
-    tr.record(_ev(0, "rank", 0.0, 10.0))
-    tr.record(_ev(0, "halo_pack", 0.5, 1.0))
-    tr.record(_ev(0, "overlap", 1.0, 4.0, tag=1))
-    tr.record(_ev(0, "recv", 4.0, 5.0, peer=1))
-    tr.record(_ev(0, "halo_unpack", 5.0, 5.5))
-    tr.record(_ev(0, "exchange", 0.5, 5.5, tag=1))
+    tr = synthetic_trace()
+    _ev(tr, 0, "rank", 0.0, 10.0)
+    _ev(tr, 0, "halo_pack", 0.5, 1.0)
+    _ev(tr, 0, "overlap", 1.0, 4.0, tag=1)
+    _ev(tr, 0, "recv", 4.0, 5.0, peer=1)
+    _ev(tr, 0, "halo_unpack", 5.0, 5.5)
+    _ev(tr, 0, "exchange", 0.5, 5.5, tag=1)
     return tr
 
 
@@ -49,17 +47,17 @@ class TestOverlapRollup:
         assert roll.as_dict()["ranks"][0]["overlap"] == pytest.approx(3.0)
 
     def test_fraction_zero_without_overlap_events(self):
-        tr = Trace()
-        tr.record(_ev(0, "rank", 0.0, 4.0))
-        tr.record(_ev(0, "recv", 1.0, 2.0, peer=1))
+        tr = synthetic_trace()
+        _ev(tr, 0, "rank", 0.0, 4.0)
+        _ev(tr, 0, "recv", 1.0, 2.0, peer=1)
         roll = Timeline.from_trace(tr).rollup()
         assert roll.hidden_halo_fraction == 0.0
         assert "hidden halo fraction" not in roll.table()
 
     def test_fully_hidden_fraction_is_one(self):
-        tr = Trace()
-        tr.record(_ev(0, "rank", 0.0, 4.0))
-        tr.record(_ev(0, "overlap", 1.0, 2.0, tag=1))
+        tr = synthetic_trace()
+        _ev(tr, 0, "rank", 0.0, 4.0)
+        _ev(tr, 0, "overlap", 1.0, 2.0, tag=1)
         roll = Timeline.from_trace(tr).rollup()
         assert roll.hidden_halo_fraction == pytest.approx(1.0)
 
@@ -79,11 +77,11 @@ class TestFrameInference:
     def test_overlapped_exchange_envelope_still_delimits_frames(self):
         # finish() records the same "exchange" envelope as the blocking
         # path, so frame inference keeps working on overlapped runs
-        tr = Trace()
-        tr.record(_ev(0, "rank", 0.0, 10.0))
+        tr = synthetic_trace()
+        _ev(tr, 0, "rank", 0.0, 10.0)
         for f in range(3):
             t = f * 3.0
-            tr.record(_ev(0, "overlap", t + 0.5, t + 1.5, tag=1))
-            tr.record(_ev(0, "exchange", t + 0.2, t + 2.0, tag=1))
+            _ev(tr, 0, "overlap", t + 0.5, t + 1.5, tag=1)
+            _ev(tr, 0, "exchange", t + 0.2, t + 2.0, tag=1)
         frames = Timeline.from_trace(tr).frames()
         assert len(frames) == 3
