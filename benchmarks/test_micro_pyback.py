@@ -8,8 +8,10 @@ whole-array slice translation, with three guards:
   headroom for loaded CI machines);
 * the final field arrays must be *bitwise identical* between the two
   backends — the vectorizer's whole contract;
-* the pipelined Gauss-Seidel sweep must demonstrably fall back to scalar
-  order (a vectorized sweep would be silently wrong, not slow).
+* the Gauss-Seidel and SOR sweeps, carried in both loop variables, must
+  take the hyperplane-front schedule, equal the scalar order bitwise
+  (grid, ``err``, ``old``, ``iter``, DO-variable exit values) and still
+  run at least 2x faster at 60x40, where a front has at most 38 lanes.
 
 Results land in ``benchmarks/results/micro_pyback.txt`` (uploaded as a
 CI artifact alongside the runtime micro-benchmark profile).
@@ -17,10 +19,11 @@ CI artifact alongside the runtime micro-benchmark profile).
 
 import time
 
+import numpy as np
 import pytest
 
 from machine import emit
-from repro.apps.kernels import gauss_seidel_2d, jacobi_5pt
+from repro.apps.kernels import gauss_seidel_2d, jacobi_5pt, sor_2d
 from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
 from repro.fortran.parser import parse_source
 from repro.interp.io_runtime import IoManager
@@ -62,10 +65,11 @@ def _compare_and_report(label: str, src: str, inputs: str | None = None):
     bitwise = all(v.data.tobytes()
                   == vector.values[k].data.tobytes() for k, v in arrays)
     assert bitwise, f"{label}: vectorized grids diverge from scalar"
-    vec, fb, _ = survey(parse_source(src))
+    nests = survey(parse_source(src))
+    loops = f"{nests['vectorized']}/{nests['fallback']}"
     speedup = t_scalar / t_vector
     line = (f"{label:<14s} {t_scalar:>10.3f} {t_vector:>10.3f} "
-            f"{speedup:>7.1f}x {f'{vec}/{fb}':>13s}  bitwise-equal")
+            f"{speedup:>7.1f}x {loops:>13s}  bitwise-equal")
     return speedup, line
 
 
@@ -87,21 +91,28 @@ def test_jacobi_kernel_10x():
 
 
 @pytest.mark.benchsmoke
-def test_gauss_seidel_sweep_stays_scalar():
-    """The safety guard: the pipelined sweep must NOT vectorize."""
-    src = gauss_seidel_2d(n=60, m=40, iters=20)
-    vec, fb, reasons = survey(parse_source(src))
-    assert fb >= 1
-    sweep = [r for _, _, r in reasons
-             if "loop-carried" in r or "overlap" in r]
-    assert sweep, f"sweep nest not refused for dependence: {reasons}"
-    # still bitwise-equal end to end (the sweep runs in scalar order)
-    _, scalar = _timed_run(src, False, None)
-    _, vector = _timed_run(src, True, None)
-    assert scalar.array("v").data.tobytes() \
-        == vector.array("v").data.tobytes()
+@pytest.mark.parametrize("label,kernel", [("seidel_2d", gauss_seidel_2d),
+                                          ("sor_2d", sor_2d)])
+def test_gauss_seidel_sweeps_take_fronts(label, kernel):
+    """The carried guard: fronts, bitwise-equal everywhere, and faster."""
+    src = kernel(n=60, m=40, iters=100, eps=0.0)
+    nests = survey(parse_source(src))
+    assert nests["modes"]["fronts"] == 1, nests
+    assert [r for _, _, r in nests["reasons"]] == ["DoLoop in nest body"]
+    t_scalar, scalar = _timed_run(src, False, None)
+    t_vector, vector = _timed_run(src, True, None)
+    assert scalar.io.output() == vector.io.output()
+    assert set(scalar.values) == set(vector.values)
+    for name, want in scalar.values.items():  # v, err, old, iter, i, j
+        got = vector.values[name]
+        if isinstance(want, OffsetArray):
+            assert want.data.tobytes() == got.data.tobytes(), name
+        else:
+            assert np.float64(want).tobytes() == np.float64(got).tobytes(), \
+                name
+    speedup = t_scalar / t_vector
+    loops = f"{nests['vectorized']}/{nests['fallback']}"
     _emit_accumulated([
-        "",
-        f"gauss_seidel_2d: sweep nest falls back ({sweep[0]!r}); "
-        f"{vec} surrounding nests vectorized, grids bitwise-equal",
-    ])
+        f"{label:<14s} {t_scalar:>10.3f} {t_vector:>10.3f} "
+        f"{speedup:>7.1f}x {loops:>13s}  bitwise-equal (sweep on fronts)"])
+    assert speedup >= 2.0, f"fronts sweep only {speedup:.1f}x"

@@ -1,16 +1,35 @@
-"""Per-nest vectorization safety facts: the provably-parallel subset.
+"""Per-nest vectorization facts: a schedule, or the reason there is none.
 
 The Python backend (:mod:`repro.interp.pyback`) can execute a DO nest as
-a handful of whole-array numpy slice statements *only* when that is
-bitwise-indistinguishable from the sequential scalar order.  This module
-decides, one nest at a time, whether that proof goes through, and returns
-the facts the emitter (:mod:`repro.interp.vectorize`) needs — the same
-affine-subscript machinery that drives the §4.2 dependency analysis
-(:mod:`repro.analysis.stencil`), repackaged per nest.
+numpy statements *only* when that is bitwise-indistinguishable from the
+sequential scalar order.  This module decides, one nest at a time, which
+order of the iterations keeps that promise, and returns the facts the
+emitter (:mod:`repro.interp.vectorize`) needs — the same affine-subscript
+machinery that drives the §4.2 dependency analysis
+(:mod:`repro.analysis.stencil`), repackaged per nest.  The nest, not the
+statement, gets the schedule (``NestFacts.mode``):
 
-The provable subset ("statement-at-a-time" execution: each body statement
-becomes one slice operation over the whole iteration box, in statement
-order):
+``slice``
+    no pair of accesses is a nonzero distance apart: each body statement
+    becomes one slice operation over the whole iteration box, in
+    statement order;
+``carried-outer``
+    every distance is zero outside a proper subset C of the nest
+    variables (``NestFacts.carried``): C's loops run scalar, in their
+    source order and direction, and the statements run as slices over
+    the box of the other variables.  Two dependent iterations differ in
+    C only, so the scalar loops order them as the source does (the
+    aerofoil's direction-split sweeps, whichever of i, j, k carries);
+``fronts``
+    every variable carries (Gauss-Seidel, SOR): the statements run over
+    the hyperplane fronts ``sum(trip indices) = c`` in increasing c.
+    Legal when each distance vector has one nonzero component, or,
+    under literal step signs, components of one sign in trip space:
+    then source and sink sit on different fronts, ordered as the
+    lexicographic sweep orders them.  A ``v(i-1, j+1)`` read has no such
+    front and falls back.
+
+The provable subset:
 
 * a perfect rectangular DO chain — each loop body is exactly the next
   loop, bounds invariant in the nest (no triangular nests; an inner loop
@@ -26,11 +45,16 @@ order):
   accesses are provably identical elements (all-zero offset delta —
   statement order preserves those elementwise), provably disjoint
   (distinct known-constant subscripts, e.g. ``vx(n, j)`` vs
-  ``vx(n-1, j)``), or separated by a two-color parity mask
-  (``mod(i + j, 2) .eq. c`` guarding a red-black sweep whose stencil
-  offsets have odd parity — the colliding elements are the other color);
-  anything else (pipelined Gauss–Seidel above all) keeps the sequential
-  order;
+  ``vx(n-1, j)``; the same invariant expression plus different integer
+  constants, e.g. ``u(i, ..)`` vs ``u(i-1, ..)`` under a scalar ``i``),
+  separated by a two-color parity mask (``mod(i + j, 2) .eq. c``
+  guarding a red-black sweep whose stencil offsets have odd parity — the
+  colliding elements are the other color), or a known nonzero distance
+  apart, which the schedule above has to respect; a pair none of this
+  covers refuses the nest;
+* a temporary assigned under an iteration-dependent mask needs the
+  ``slice`` schedule: its exit value is the lexicographically last
+  masked lane's, which the carried schedules do not visit last;
 * scalar assignments are either recognized reductions (``x = amax1(x, e)``
   and friends — max/min folds are associative and bitwise-exact; integer
   sums are exact with arbitrary-precision accumulation; *float* sums fall
@@ -85,6 +109,10 @@ PURE_RT_QUERIES = frozenset({
     "acfd_rank", "acfd_nprocs", "acfd_lo", "acfd_hi", "acfd_owns",
     "acfd_lb", "acfd_ub",
 })
+
+
+#: the schedules a proven nest can get (``NestFacts.mode``)
+MODES = ("slice", "carried-outer", "fronts")
 
 
 class Fallback(Exception):
@@ -151,6 +179,8 @@ class NestFacts:
     temps: dict = field(default_factory=dict)  # name -> (counter, ctx)
     reductions: dict = field(default_factory=dict)  # name -> op
     var_values: frozenset = frozenset()  # nest vars read as values
+    carried: tuple = ()  # nest vars carrying a dependence, nesting order
+    mode: str = "slice"  # one of MODES
 
 
 @dataclass(frozen=True)
@@ -271,6 +301,9 @@ class _NestAnalysis:
         self.invariant_vars: set[str] = set()  # must stay invariant
         self.var_values: set[str] = set()
         self.parity_of: dict[tuple, dict[str, int]] = {}
+        self.varying_ifs: set[int] = set()  # id() of mask-emitted IFs
+        #: (array, [(var, delta), ...]) per pair with a nonzero distance
+        self.vectors: list[tuple[str, list]] = []
 
     # -- typing (literals/vars/intrinsics only: calls are whitelisted) ---------
 
@@ -556,6 +589,7 @@ class _NestAnalysis:
                 classified.append((cond,
                                    self._classify(body, ctx + ((id(s), i),))))
         else:
+            self.varying_ifs.add(id(s))
             for i, (cond, body) in enumerate(arms):
                 if cond is not None:
                     self.counter += 1
@@ -584,7 +618,18 @@ class _NestAnalysis:
                     continue
                 if _same_expr(ea, eb):
                     continue
-                return None
+                # the same invariant expression plus different integer
+                # constants (u(i, ..) vs u(i-1, ..) under a scalar i)
+                names = {n.name for e in (ea, eb) for n in A.walk(e)
+                         if isinstance(n, A.Var)}
+                la, lb = _multilinear(ea, names), _multilinear(eb, names)
+                if la is None or lb is None:
+                    return None
+                if any(la[0].get(v, 0) != lb[0].get(v, 0) for v in names):
+                    return None
+                if la[1] != lb[1]:
+                    return "disjoint"
+                continue
             if ka is SubscriptKind.INDUCTION and kb is SubscriptKind.INDUCTION:
                 if ia.var != ib.var:
                     return None
@@ -602,6 +647,8 @@ class _NestAnalysis:
         return deltas
 
     def _check_dependences(self) -> None:
+        """Refuse unprovable pairs; collect every nonzero distance vector
+        a pair is not exempt from into ``self.vectors``."""
         writes: dict[str, list[_Ref]] = {}
         reads: dict[str, list[_Ref]] = {}
         for r in self.refs:
@@ -620,7 +667,7 @@ class _NestAnalysis:
                     continue  # identical elements: statement order holds
                 if a.ctx == b.ctx and self._parity_exempt(a.ctx, nz):
                     continue
-                raise Fallback(f"loop-carried dependence on {name}")
+                self.vectors.append((name, nz))
 
     def _parity_exempt(self, ctx: tuple, deltas: list) -> bool:
         """True when a guard along *ctx* two-colors the colliding lanes."""
@@ -632,6 +679,47 @@ class _NestAnalysis:
             if total % 2 != 0:
                 return True
         return False
+
+    def _schedule(self, temps: dict) -> tuple[tuple, str]:
+        """(carried variables in nesting order, mode) for the collected
+        distance vectors, or :class:`Fallback` when no schedule this
+        backend emits keeps every source before its sink."""
+        order = [lv.var for lv in self.levels]
+        hit = {v for _, nz in self.vectors for v, _ in nz}
+        carried = tuple(v for v in order if v in hit)
+        if not carried:
+            return (), "slice"
+        if len(order) == 1:
+            raise Fallback(f"loop-carried dependence on "
+                           f"{self.vectors[0][0]}")
+        for name, (_, ctx) in temps.items():
+            if any(key[0] in self.varying_ifs for key in ctx):
+                # its exit value is the lexicographically last masked
+                # lane, which neither carried schedule visits last
+                raise Fallback(f"temporary {name} assigned under a "
+                               f"varying mask in a carried nest")
+        if len(carried) < len(order):
+            # every distance is zero outside ``carried``: scalar loops
+            # over it in source order keep each source before its sink
+            return carried, "carried-outer"
+        signs = {}
+        for lv in self.levels:
+            step = 1 if lv.step is None else self._const_eval(lv.step)
+            signs[lv.var] = None if not step else (1 if step > 0 else -1)
+        for name, nz in self.vectors:
+            if len(nz) == 1:
+                continue
+            text = "(" + ", ".join(f"{v}{d:+d}" for v, d in nz) + ")"
+            if any(signs[v] is None for v, _ in nz):
+                raise Fallback(f"diagonal dependence {text} on {name} "
+                               f"under a non-literal step")
+            # one sign in trip space: the fronts sum(trips) = c, in
+            # increasing c, order the pair as the lexicographic sweep does
+            if len({(d > 0) == (signs[v] > 0) for v, d in nz}) > 1:
+                raise Fallback(f"mixed-sign dependence vector {text} on "
+                               f"{name} (no hyperplane front separates "
+                               f"it)")
+        return carried, "fronts"
 
     # -- finalization ----------------------------------------------------------
 
@@ -675,10 +763,12 @@ class _NestAnalysis:
             raise Fallback(f"per-point scalar {sorted(clash)[0]} in "
                            f"invariant position")
         self._check_dependences()
+        carried, mode = self._schedule(temps)
         return NestFacts(ok=True, levels=tuple(self.levels),
                          nest_vars=tuple(lv.var for lv in self.levels),
                          body=body, temps=temps, reductions=reductions,
-                         var_values=frozenset(self.var_values))
+                         var_values=frozenset(self.var_values),
+                         carried=carried, mode=mode)
 
 
 def analyze_nest(loop: A.DoLoop, table: SymbolTable,

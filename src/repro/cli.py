@@ -126,6 +126,9 @@ def cmd_report(args) -> int:
         for sid, reason in result.report.overlap_refusals:
             print(f"  {result.report.program} {part} sync {sid} "
                   f"stays blocking: {reason}")
+        for unit, line, reason in result.report.fallback_reasons:
+            print(f"  {result.report.program} {part} loop at {unit}:{line} "
+                  f"stays scalar: {reason}")
     return 0
 
 
@@ -169,8 +172,7 @@ def cmd_run(args) -> int:
     vec = _vectorize_flag(args)
     result = _compile_args(acfd, args)[0]
     print(f"backend: {'vectorized' if vec else 'scalar'} numpy "
-          f"({result.report.vector_loops} loops vectorized, "
-          f"{result.report.fallback_loops} scalar fallbacks)")
+          f"({result.report.vector_summary()})")
     seq = acfd.run_sequential(input_text=input_text, vectorize=vec)
 
     size = math.prod(result.plan.partition.dims)
@@ -281,8 +283,7 @@ def cmd_profile(args) -> int:
         print(f"counters: {counters}")
     vec = _vectorize_flag(args)
     print(f"backend: {'vectorized' if vec else 'scalar'} numpy "
-          f"({result.report.vector_loops} loops vectorized, "
-          f"{result.report.fallback_loops} scalar fallbacks)")
+          f"({result.report.vector_summary()})")
     interproc = sum(1 for d in result.report.overlap_decisions
                     if d["enabled"] and d["callee"])
     print(f"overlap: {result.report.overlap_syncs} of "

@@ -685,6 +685,10 @@ class Restructurer:
         if not facts.ok:
             return refuse(f"consumer nest is not provably "
                           f"order-independent: {facts.reason}")
+        if facts.carried:
+            return refuse(f"consumer nest is not provably "
+                          f"order-independent: loop-carried dependence "
+                          f"over {', '.join(facts.carried)}")
         labels = set()
         for s in A.walk_statements([loop]):
             if s.label is not None:

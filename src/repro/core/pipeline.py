@@ -183,9 +183,9 @@ class AutoCFD:
                 spmd = restructure(plan)
             with obs.span("vectorize-survey", cat="compile") as vsp:
                 from repro.interp.vectorize import survey
-                vec_loops, fb_loops, _ = survey(spmd)
-                vsp.args["vectorized"] = vec_loops
-                vsp.args["fallback"] = fb_loops
+                nests = survey(spmd)
+                vsp.args["vectorized"] = nests["vectorized"]
+                vsp.args["fallback"] = nests["fallback"]
         report = CompilationReport(
             program=self.cu.main.name,
             partition=part.dims,
@@ -196,8 +196,10 @@ class AutoCFD:
             combined_points=len(plan.syncs),
             pipes=len(plan.pipes),
             arrays=sorted(plan.arrays),
-            vector_loops=vec_loops,
-            fallback_loops=fb_loops,
+            vector_loops=nests["vectorized"],
+            fallback_loops=nests["fallback"],
+            vector_modes=nests["modes"],
+            fallback_reasons=nests["reasons"],
             overlap_syncs=sum(1 for d in plan.overlap_decisions
                               if d.enabled),
             overlap_refusals=[(d.sync_id, d.reason)

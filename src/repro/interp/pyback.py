@@ -94,8 +94,7 @@ class _UnitCompiler:
         self.all_units = all_units
         self.special = special_calls
         self.vectorize = vectorize
-        self.stats = stats if stats is not None else {
-            "vectorized": 0, "fallback": 0, "reasons": []}
+        self.stats = stats if stats is not None else _vec.new_stats()
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
@@ -669,7 +668,8 @@ class CompiledProgram:
     cu: A.CompilationUnit
     source: str
     namespace: dict
-    #: {"vectorized": n, "fallback": n, "reasons": [(unit, line, why)]}
+    #: {"vectorized": n, "fallback": n, "reasons": [(unit, line, why)],
+    #: "modes": {"slice": n, "carried-outer": n, "fronts": n}}
     vector_stats: dict = field(default_factory=dict)
 
     def function(self, name: str):
@@ -776,7 +776,7 @@ def compile_unit(cu: A.CompilationUnit,
             break
     special = dict(special_calls or {})
     vec = DEFAULT_VECTORIZE if vectorize is None else vectorize
-    stats: dict = {"vectorized": 0, "fallback": 0, "reasons": []}
+    stats = _vec.new_stats()
     units = {u.name: u for u in cu.units}
     with obs.span("pyback-compile", cat="compile") as sp:
         pieces = []
@@ -809,8 +809,9 @@ def compile_unit(cu: A.CompilationUnit,
     }
     for name, impl in INTRINSIC_IMPLS.items():
         namespace[f"_in_{name}"] = impl
-    namespace["_vsl"] = _vec._vsl
-    namespace["_vidiv"] = _vec._vidiv
+    for helper in (_vec._vsl, _vec._vidiv, _vec._vfront_sizes,
+                   _vec._vfront_trips, _vec._vfront_refs):
+        namespace[helper.__name__] = helper
     for name, impl in _vec.VECTOR_INTRINSIC_IMPLS.items():
         namespace[f"_vin_{name}"] = impl
     try:

@@ -1,23 +1,37 @@
 """Vectorizing translation mode for the Python backend.
 
 For each DO nest that :func:`repro.analysis.vecsafety.analyze_nest`
-proves dependence-free (Jacobi-type A-loops, red-black sweeps behind
-parity masks, max/min/integer-sum reductions), :func:`try_emit_nest`
-emits whole-array numpy slice statements over the ``OffsetArray``
-buffers instead of the scalar ``for`` nest — typically a 10-100x speedup
-on field loops — and returns ``False`` for anything outside the provable
-subset so :mod:`repro.interp.pyback` keeps its scalar translation
-(pipelined Gauss–Seidel sweeps, GOTO-carrying nests, subroutine calls).
+gives a schedule (Jacobi-type A-loops, red-black sweeps behind parity
+masks and max/min/integer-sum reductions as whole slices; direction-split
+sweeps as scalar loops over the carried variables only; Gauss–Seidel and
+SOR as hyperplane fronts), :func:`try_emit_nest` emits numpy statements
+over the ``OffsetArray`` buffers instead of the scalar ``for`` nest —
+typically a 10-100x speedup on field loops — and returns ``False`` for
+anything outside the provable subset so :mod:`repro.interp.pyback` keeps
+its scalar translation (mixed-sign diagonal sweeps, GOTO-carrying nests,
+subroutine calls, float sums).
 
-Emission contract (why this is bitwise-safe):
+Emission contract (why this is bitwise-safe).  All three schedules
+reorder iterations, never the operations inside one element's
+expression or a reduction's fold:
 
-* statements execute *one at a time* over the whole iteration box, in
-  statement order, so every intra-statement read sees exactly the values
-  the scalar order would have seen once the analysis has ruled out
-  loop-carried dependences;
+* statements execute *one at a time* over a set of iterations the
+  analysis proved mutually independent, in statement order, so every
+  intra-statement read sees exactly the values the scalar order would
+  have seen.  The set is the whole iteration box (``slice``), the box of
+  the uncarried variables inside ``for`` loops over the carried ones,
+  which run in source order and are read as plain scalars
+  (``carried-outer``), or one hyperplane front ``sum(trip indices) = c``
+  at a time in increasing c (``fronts``);
 * array reads/writes become slices over the canonical axis order
-  (outermost loop = axis 0); Fortran's column-major nests make the store
-  target a transposed view, which numpy assigns without a copy;
+  (outermost box variable = axis 0); Fortran's column-major nests make
+  the store target a transposed view, which numpy assigns without a
+  copy.  On a front they become gathers and scatters ``view[key]``:
+  :func:`_vfront_refs` hands out one key list per array layout (flat
+  indices when the buffer is C-contiguous, index tuples otherwise;
+  built once per trip-count tuple and layout, memoized, read-only) and
+  one view per reference, shifted by the reference's constant offset,
+  so the front loop does no index arithmetic;
 * IF arms guarded by iteration-dependent conditions become boolean
   masks; array stores select per lane with ``np.where``, reductions
   compress with boolean indexing, and each arm's condition is evaluated
@@ -25,27 +39,36 @@ Emission contract (why this is bitwise-safe):
   order, because arms are exclusive);
 * scalar temporaries become box-shaped arrays (copied, so later stores
   to a source array cannot retroactively change them) and their
-  last-executed-iteration value is restored after the nest;
+  last-executed-iteration value is restored after the nest: the last
+  pass of the carried loops, or the last front, which is the single
+  last iteration (masked temporaries take the ``slice`` schedule only);
+* max/min/integer-sum reductions fold once per box or front into the
+  scalar, which is exact in any order;
 * DO-variable exit values are reproduced exactly, including the
   zero-trip-count case where inner loop variables stay untouched;
 * SPMD programs work unchanged: halo regions are excluded by the loop
-  bounds the restructurer already emitted, and ``acfd_*`` queries in
-  bounds evaluate through ``ctx.rt`` exactly as in scalar mode.
+  bounds the restructurer already emitted, ``acfd_*`` queries in bounds
+  evaluate through ``ctx.rt`` exactly as in scalar mode, and the
+  ``acfd_pipe_recv``/``acfd_pipe_send`` of a pipelined sweep stay
+  outside the nest they bracket.
 
-The generated code calls the ``_vsl``/``_vidiv``/``_vin_*`` helpers
-below, which :func:`repro.interp.pyback.compile_unit` injects into the
-execution namespace.
+The generated code calls the ``_vsl``/``_vidiv``/``_vfront_*``/``_vin_*``
+helpers below, which :func:`repro.interp.pyback.compile_unit` injects
+into the execution namespace.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.errors import CodegenError
+from repro.errors import CodegenError, InterpError
 from repro.fortran import ast as A
 from repro.analysis.stencil import SubscriptKind, analyze_subscript
-from repro.analysis.vecsafety import (NestFacts, VArrayAssign, VIf, VReduce,
-                                      VSkip, VTempAssign, analyze_nest)
+from repro.analysis.vecsafety import (MODES, NestFacts, VArrayAssign, VIf,
+                                      VReduce, VSkip, VTempAssign,
+                                      analyze_nest)
 
 _I8 = np.int64
 _F8 = np.float64
@@ -58,6 +81,109 @@ def _vsl(start: int, n: int, step: int) -> slice:
     if step < 0 and stop < 0:
         stop = None
     return slice(start, stop, step)
+
+
+@lru_cache(maxsize=16)
+def _vfront_sizes(ns: tuple) -> tuple:
+    """Lanes on each hyperplane front ``sum(trip indices) = c`` of the
+    trip box *ns*, in increasing c."""
+    sizes = np.ones(1, dtype=np.int64)
+    for n in ns:
+        sizes = np.convolve(sizes, np.ones(n, dtype=np.int64))
+    return tuple(int(x) for x in sizes)
+
+
+@lru_cache(maxsize=16)
+def _front_keys(ns: tuple, coefs: tuple, strides: tuple | None):
+    """Per-front index keys of one array layout over the trip box *ns*.
+
+    ``coefs[d]`` is ``(level, mult)`` when array dim *d* moves *mult*
+    elements per trip of that nest level, ``None`` for an invariant dim.
+    *strides* are the element strides of a C-contiguous buffer (keys are
+    flat indices) or ``None`` (keys are index tuples).  Returns ``(keys,
+    lows, spans)``: along dim *d* the keys cover ``0..spans[d]`` and stand
+    for ``lows[d] + key`` elements from the trip-0 element.  Lanes on one
+    front are in sweep (lexicographic) order.  The result is shared
+    between callers, so its arrays are read-only.
+    """
+    total = np.zeros(ns, dtype=np.int32)
+    for level, n in enumerate(ns):
+        total += np.arange(n, dtype=np.int32).reshape(
+            [n if k == level else 1 for k in range(len(ns))])
+    order = np.argsort(total.ravel(), kind="stable")
+    del total
+    cuts = np.cumsum(_vfront_sizes(ns))[:-1]
+    lows, spans, cols = [], [], []
+    for coef in coefs:
+        if coef is None:
+            lows.append(0)
+            spans.append(0)
+            cols.append(None)
+            continue
+        level, mult = coef
+        reach = mult * (ns[level] - 1)
+        lows.append(min(0, reach))
+        spans.append(abs(reach))
+        # the level's trip index of each lane, front by front
+        col = order // int(np.prod(ns[level + 1:]))
+        col %= ns[level]
+        col *= mult
+        col -= lows[-1]
+        cols.append(col)
+    if strides is not None:
+        flat = np.zeros(order.size, dtype=np.intp)
+        for col, stride in zip(cols, strides):
+            if col is not None:
+                col *= stride
+                flat += col
+        flat.flags.writeable = False
+        keys = tuple(np.split(flat, cuts))
+    else:
+        for col in cols:
+            if col is not None:
+                col.flags.writeable = False
+        parts = [None if col is None else np.split(col, cuts)
+                 for col in cols]
+        keys = tuple(tuple(0 if p is None else p[c] for p in parts)
+                     for c in range(len(cuts) + 1))
+    return keys, tuple(lows), tuple(spans)
+
+
+def _vfront_trips(ns: tuple, level: int) -> tuple:
+    """Per-front trip indices of one nest level (a DO variable read as a
+    value inside a fronts nest)."""
+    return _front_keys(ns, ((level, 1),), (1,))[0]
+
+
+def _vfront_refs(buf: np.ndarray, ns: tuple, coefs: tuple, shifts: tuple):
+    """Per-front keys plus one shifted view of *buf* per reference, so
+    that ``views[r][keys[c]]`` gathers or scatters reference *r* on front
+    *c* with no index arithmetic inside the front loop.
+
+    ``shifts[r][d]`` is reference *r*'s zero-based index along dim *d* at
+    trip 0.  A C-contiguous buffer is addressed through its flat view
+    (reshaping one never copies); any other buffer through basic-slice
+    views and index tuples.
+    """
+    strides = flat = None
+    if buf.flags.c_contiguous:
+        strides = tuple(st // buf.itemsize for st in buf.strides)
+        flat = buf.reshape(-1)
+    keys, lows, spans = _front_keys(ns, coefs, strides)
+    views = []
+    for shift in shifts:
+        start = [x + lo for x, lo in zip(shift, lows)]
+        for x, span, extent in zip(start, spans, buf.shape):
+            # a shifted view would read a neighbouring element silently
+            if x < 0 or x + span >= extent:
+                raise InterpError(
+                    f"array subscript out of bounds in a wavefront nest "
+                    f"({x}..{x + span} of extent {extent})")
+        if flat is not None:
+            views.append(flat[sum(x * st for x, st in zip(start, strides)):])
+        else:
+            views.append(buf[tuple(slice(x, None) for x in start)])
+    return keys, views
 
 
 def _vidiv(a, b):
@@ -118,8 +244,25 @@ _TYPE_CODE = {"integer": "i", "real": "r", "doubleprecision": "r",
 _SCALAR_CAST = {"i": "int", "r": "float", "l": "bool"}
 
 
+def new_stats() -> dict:
+    """The tally ``compile_unit`` and :func:`survey` both fill: nests per
+    verdict, per schedule, and one ``(unit, line, reason)`` per refusal."""
+    return {"vectorized": 0, "fallback": 0, "reasons": [],
+            "modes": dict.fromkeys(MODES, 0)}
+
+
+def _tally(stats: dict, unit: A.ProgramUnit, loop: A.DoLoop,
+           facts: NestFacts) -> None:
+    if facts.ok:
+        stats["vectorized"] += 1
+        stats["modes"][facts.mode] += 1
+    else:
+        stats["fallback"] += 1
+        stats["reasons"].append((unit.name, loop.line, facts.reason))
+
+
 def try_emit_nest(comp, loop: A.DoLoop) -> bool:
-    """Emit *loop* as numpy slice statements into *comp* if provably safe.
+    """Emit *loop* as numpy statements into *comp* if a schedule is proven.
 
     Returns True on success; on False the caller must emit the scalar
     translation (its recursion retries inner nests on their own, which
@@ -128,26 +271,30 @@ def try_emit_nest(comp, loop: A.DoLoop) -> bool:
     """
     facts = analyze_nest(loop, comp.table,
                          frozenset(comp.targeted_labels))
-    if not facts.ok:
-        comp.stats["fallback"] += 1
-        comp.stats["reasons"].append(
-            (comp.unit.name, loop.line, facts.reason))
-        return False
-    _NestEmitter(comp, facts).emit()
-    comp.stats["vectorized"] += 1
-    return True
+    _tally(comp.stats, comp.unit, loop, facts)
+    if facts.ok:
+        _NestEmitter(comp, facts).emit()
+    return facts.ok
 
 
 class _NestEmitter:
-    """Writes the slice translation of one proven nest through the unit
+    """Writes the numpy translation of one proven nest through the unit
     compiler's line buffer (sharing its indentation and name supply)."""
 
     def __init__(self, comp, facts: NestFacts) -> None:
         self.c = comp
         self.f = facts
-        self.L = len(facts.levels)
         self.base = comp.fresh("vz")
+        self.fronts = facts.mode == "fronts"
         self.level_of = {v: k for k, v in enumerate(facts.nest_vars)}
+        #: box axis of each variable the statements run vectorized over
+        #: (fronts: none, every reference goes through a front key)
+        self.axis_of = {} if self.fronts else {
+            v: a for a, v in enumerate(
+                v for v in facts.nest_vars if v not in facts.carried)}
+        self.L = 1 if self.fronts else len(self.axis_of)
+        #: fronts only: layout -> (group index, {shift texts: ref index})
+        self.groups: dict[tuple, tuple[int, dict]] = {}
         self.invariants = {
             sym.name: int(sym.param_value)
             for sym in comp.table.symbols.values()
@@ -155,7 +302,8 @@ class _NestEmitter:
 
     def emit(self) -> None:
         c, b = self.c, self.base
-        for k, lv in enumerate(self.f.levels):
+        levels = self.f.levels
+        for k, lv in enumerate(levels):
             start = c.expr(lv.start)
             stop = c.expr(lv.stop)
             step = c.expr(lv.step) if lv.step is not None else "1"
@@ -167,22 +315,83 @@ class _NestEmitter:
             c.w(f"f_{lv.var} = {b}s{k} + {b}n{k} * {b}d{k}")
             c.w(f"if {b}n{k} > 0:")
             c.depth += 1
-        c.w(f"{b}bx = ({', '.join(f'{b}n{k}' for k in range(self.L))},)")
-        for v in sorted(self.f.var_values, key=self.level_of.get):
+        if self.fronts:
+            self._fronts_frame()
+        else:
+            self._box_frame()
+        self._extract_temps()
+        c.w("pass")
+        c.depth -= len(levels)
+
+    def _box_frame(self) -> None:
+        """Statements over the box of the uncarried variables, inside
+        scalar loops over the carried ones (none in ``slice`` mode)."""
+        c, b = self.c, self.base
+        box = sorted(self.axis_of, key=self.axis_of.get)
+        c.w(f"{b}bx = "
+            f"({', '.join(f'{b}n{self.level_of[v]}' for v in box)},)")
+        for v in box:
+            if v not in self.f.var_values:
+                continue
             k = self.level_of[v]
             grid = f"({b}s{k} + {b}d{k} * _np.arange({b}n{k}))"
             if self.L > 1:
-                shape = ", ".join(f"{b}n{k}" if j == k else "1"
-                                  for j in range(self.L))
+                shape = ", ".join(f"{b}n{k}" if u == v else "1"
+                                  for u in box)
                 grid += f".reshape({shape})"
             c.w(f"{b}g{k} = {grid}")
-        for name in self.f.temps:
-            c.w(f"{b}t_{name} = None")
-            c.w(f"{b}tm_{name} = None")
+        self._init_temps()
+        for v in self.f.carried:
+            k = self.level_of[v]
+            c.w(f"for {b}it{k} in range({b}n{k}):")
+            c.depth += 1
+            c.w(f"f_{v} = {b}s{k} + {b}it{k} * {b}d{k}")
         self._body(self.f.body, None)
-        self._extract_temps()
-        c.w("pass")
-        c.depth -= self.L
+        c.depth -= len(self.f.carried)
+        for v in self.f.carried:
+            k = self.level_of[v]
+            c.w(f"f_{v} = {b}s{k} + {b}n{k} * {b}d{k}")
+
+    def _fronts_frame(self) -> None:
+        """Statements over one hyperplane front at a time; the last
+        front is the single last iteration, so the slice rules for
+        temporaries' exit values carry over with a 1-D box."""
+        c, b = self.c, self.base
+        nlev = len(self.f.levels)
+        c.w(f"{b}ns = ({', '.join(f'{b}n{k}' for k in range(nlev))},)")
+        c.w(f"{b}fs = _vfront_sizes({b}ns)")
+        values = sorted(self.f.var_values, key=self.level_of.get)
+        for v in values:
+            k = self.level_of[v]
+            c.w(f"{b}q{k} = _vfront_trips({b}ns, {k})")
+        self._init_temps()
+        setup = len(c.lines)
+        c.w(f"for {b}c, {b}w in enumerate({b}fs):")
+        c.depth += 1
+        c.w(f"{b}bx = ({b}w,)")
+        head = len(c.lines)
+        for v in values:
+            k = self.level_of[v]
+            c.w(f"{b}g{k} = {b}s{k} + {b}d{k} * {b}q{k}[{b}c]")
+        self._body(self.f.body, None)
+        # the body named its references as it went; bind them up front
+        c.lines[head:head] = [
+            "    " * c.depth + f"{b}K{g} = {b}k{g}[{b}c]"
+            for g, _ in self.groups.values()]
+        c.depth -= 1
+        binds = []
+        for (name, coefs), (g, refs) in self.groups.items():
+            views = "".join(f"{b}r{g}_{j}, " for j in refs.values())
+            shifts = "".join(f"({', '.join(sh)},), " for sh in refs)
+            binds.append(
+                "    " * c.depth + f"{b}k{g}, ({views}) = _vfront_refs("
+                f"f_{name}_d, {b}ns, ({''.join(coefs)}), ({shifts}))")
+        c.lines[setup:setup] = binds
+
+    def _init_temps(self) -> None:
+        for name in self.f.temps:
+            self.c.w(f"{self.base}t_{name} = None")
+            self.c.w(f"{self.base}tm_{name} = None")
 
     # -- statement emission ----------------------------------------------------
 
@@ -207,12 +416,13 @@ class _NestEmitter:
     def _array_assign(self, s: A.Assign, mask: str | None) -> None:
         rhs = self._vexpr(s.value)
         tview = self._target_view(s.target)
+        store = tview if self.fronts else f"{tview}[...]"
         if mask is None:
-            self.c.w(f"{tview}[...] = {rhs}")
+            self.c.w(f"{store} = {rhs}")
         else:
             # np.where materializes the full RHS before the store, so a
             # delta-0 self-read (prn(i,j) = 0.5*prn(i,j) + ...) is safe
-            self.c.w(f"{tview}[...] = _np.where({mask}, {rhs}, {tview})")
+            self.c.w(f"{store} = _np.where({mask}, {rhs}, {tview})")
 
     def _temp_assign(self, it: VTempAssign, mask: str | None) -> None:
         c, b = self.c, self.base
@@ -221,8 +431,8 @@ class _NestEmitter:
         rhs = self._vexpr(it.stmt.value)
         # np.array (not asarray): the temp must be a *copy*, or a later
         # store to the source array would change it retroactively
-        c.w(f"{b}t_{it.name} = _np.broadcast_to("
-            f"_np.array({rhs}, _DT[{tn!r}]), {b}bx)")
+        c.w(f"{b}t_{it.name} = "
+            + self._boxed(f"_np.array({rhs}, _DT[{tn!r}])", it.stmt.value))
         c.w(f"{b}tm_{it.name} = {mask if mask is not None else 'None'}")
 
     def _reduce(self, it: VReduce, mask: str | None) -> None:
@@ -230,16 +440,28 @@ class _NestEmitter:
         cur = c.var_read(it.name)
         sv = c.fresh("vr")
         rhs = self._vexpr(it.operand)
+        lanes = self._boxed(f"_np.asarray({rhs})", it.operand)
         if mask is None:
-            c.w(f"{sv} = _np.broadcast_to(_np.asarray({rhs}), {b}bx)")
+            c.w(f"{sv} = {lanes}")
             self._commit_reduce(it, cur, sv)
         else:
-            c.w(f"{sv} = _np.broadcast_to(_np.asarray({rhs}), {b}bx)"
-                f"[_np.broadcast_to({mask}, {b}bx)]")
+            c.w(f"{sv} = {lanes}[_np.broadcast_to({mask}, {b}bx)]")
             c.w(f"if {sv}.size:")
             c.depth += 1
             self._commit_reduce(it, cur, sv)
             c.depth -= 1
+
+    def _boxed(self, value: str, e: A.Expr) -> str:
+        """*value* with one element per lane of the box.  On a front an
+        expression that reads a nest variable (directly or in a
+        subscript) or a temporary already is, and the no-op broadcast
+        would be paid once per front."""
+        if self.fronts and any(
+                isinstance(n, A.Var) and (n.name in self.level_of
+                                          or n.name in self.f.temps)
+                for n in A.walk(e)):
+            return value
+        return f"_np.broadcast_to({value}, {self.base}bx)"
 
     def _commit_reduce(self, it: VReduce, cur: str, sv: str) -> None:
         if it.op == "isum":
@@ -327,50 +549,81 @@ class _NestEmitter:
 
     def _target_view(self, ref: A.ArrayRef) -> str:
         """Assignable view of the write target with canonical axes."""
-        text, axes_levels = self._ref_slices(ref)
-        if axes_levels != sorted(axes_levels):
-            inv = tuple(axes_levels.index(i) for i in range(self.L))
+        if self.fronts:
+            return self._front_ref(ref)
+        text, axes = self._ref_slices(ref)
+        if axes != sorted(axes):
+            inv = tuple(axes.index(i) for i in range(self.L))
             text = f"{text}.transpose({inv})"
         return text
 
     def _vec_ref(self, ref: A.ArrayRef) -> str:
         """Read reference, transposed/broadcast to canonical axes."""
-        text, axes_levels = self._ref_slices(ref)
-        if not axes_levels:
-            return text  # all-constant subscripts: plain scalar element
-        if axes_levels != sorted(axes_levels):
-            order = tuple(sorted(range(len(axes_levels)),
-                                 key=axes_levels.__getitem__))
+        if self.fronts:
+            return self._front_ref(ref)
+        text, axes = self._ref_slices(ref)
+        if not axes:
+            return text  # no box variable subscripts: plain scalar element
+        if axes != sorted(axes):
+            order = tuple(sorted(range(len(axes)), key=axes.__getitem__))
             text = f"{text}.transpose({order})"
-        if len(axes_levels) < self.L:
-            present = set(axes_levels)
+        if len(axes) < self.L:
+            present = set(axes)
             parts = ", ".join(":" if k in present else "None"
                               for k in range(self.L))
             text = f"{text}[{parts}]"
         return text
 
-    def _ref_slices(self, ref: A.ArrayRef) -> tuple[str, list[int]]:
-        b = self.base
-        parts = []
-        axes_levels: list[int] = []
+    def _affine_subs(self, ref: A.ArrayRef):
+        """Per dim ``(level | None, multiplier text, rest)``: the
+        zero-based index is ``mult * <level's variable> + rest``, or
+        just ``rest`` for an invariant subscript."""
         for d, sub in enumerate(ref.subs):
             info = analyze_subscript(sub, set(self.f.nest_vars),
                                      self.invariants)
             lb = f"f_{ref.name}_l{d}"
             if info.kind is SubscriptKind.INDUCTION:
-                k = self.level_of[info.var]
-                parts.append(f"_vsl({b}s{k} + {info.offset} - {lb}, "
-                             f"{b}n{k}, {b}d{k})")
-                axes_levels.append(k)
+                yield self.level_of[info.var], "", f"{info.offset} - {lb}"
             elif info.kind is SubscriptKind.STRIDED:
-                k = self.level_of[info.var]
-                a = info.coeff
-                parts.append(f"_vsl({a} * {b}s{k} + {info.offset} - {lb}, "
-                             f"{b}n{k}, {a} * {b}d{k})")
-                axes_levels.append(k)
+                yield (self.level_of[info.var], f"{info.coeff} * ",
+                       f"{info.offset} - {lb}")
             else:
-                parts.append(f"{self.c.expr(sub)} - {lb}")
-        return f"f_{ref.name}_d[{', '.join(parts)}]", axes_levels
+                yield None, "", f"{self.c.expr(sub)} - {lb}"
+
+    def _ref_slices(self, ref: A.ArrayRef) -> tuple[str, list[int]]:
+        """Subscripted buffer text plus the box axis of each slice; a
+        carried variable indexes as the plain scalar its loop assigns."""
+        b = self.base
+        parts = []
+        axes: list[int] = []
+        for k, mult, rest in self._affine_subs(ref):
+            if k is None:
+                parts.append(rest)
+                continue
+            var = self.f.nest_vars[k]
+            if var in self.axis_of:
+                parts.append(f"_vsl({mult}{b}s{k} + {rest}, {b}n{k}, "
+                             f"{mult}{b}d{k})")
+                axes.append(self.axis_of[var])
+            else:
+                parts.append(f"{mult}f_{var} + {rest}")
+        return f"f_{ref.name}_d[{', '.join(parts)}]", axes
+
+    def _front_ref(self, ref: A.ArrayRef) -> str:
+        """``view[key]`` text for one reference of a fronts nest;
+        references that differ only in constant offsets share a key."""
+        b = self.base
+        subs = list(self._affine_subs(ref))
+        if all(k is None for k, _, _ in subs):
+            return f"f_{ref.name}_d[{', '.join(r for _, _, r in subs)}]"
+        coefs = tuple("None, " if k is None else f"({k}, {mult}{b}d{k}), "
+                      for k, mult, _ in subs)
+        shift = tuple(rest if k is None else f"{mult}{b}s{k} + {rest}"
+                      for k, mult, rest in subs)
+        g, refs = self.groups.setdefault((ref.name, coefs),
+                                         (len(self.groups), {}))
+        j = refs.setdefault(shift, len(refs))
+        return f"{b}r{g}_{j}[{b}K{g}]"
 
     # -- expressions -----------------------------------------------------------
 
@@ -383,7 +636,8 @@ class _NestEmitter:
         if isinstance(e, A.LogicalLit):
             return "True" if e.value else "False"
         if isinstance(e, A.Var):
-            if e.name in self.level_of and e.name in self.f.var_values:
+            if e.name in self.level_of and (
+                    self.fronts or e.name not in self.f.carried):
                 return f"{b}g{self.level_of[e.name]}"
             if e.name in self.f.temps:
                 return f"{b}t_{e.name}"
@@ -451,8 +705,9 @@ def goto_targets(unit: A.ProgramUnit) -> set[int]:
     return _goto_targets(unit)
 
 
-def survey(cu: A.CompilationUnit) -> tuple[int, int, list]:
-    """Count (vectorized, fallback) nests and collect fallback reasons.
+def survey(cu: A.CompilationUnit) -> dict:
+    """Count vectorized (per schedule) and fallback nests, with reasons,
+    in the shape of ``CompiledProgram.vector_stats``.
 
     Mirrors the backend's translation walk exactly: a proven chain is
     one vectorized nest (inner levels are consumed by it); a failed loop
@@ -464,21 +719,15 @@ def survey(cu: A.CompilationUnit) -> tuple[int, int, list]:
         if unit.symbols is None:
             resolve_compilation_unit(cu)
             break
-    vec = 0
-    fallback = 0
-    reasons: list[tuple[str, int, str]] = []
+    stats = new_stats()
 
     def visit(unit: A.ProgramUnit, targeted: frozenset,
               stmts: list[A.Stmt]) -> None:
-        nonlocal vec, fallback
         for s in stmts:
             if isinstance(s, A.DoLoop):
                 facts = analyze_nest(s, unit.symbols, targeted)
-                if facts.ok:
-                    vec += 1
-                else:
-                    fallback += 1
-                    reasons.append((unit.name, s.line, facts.reason))
+                _tally(stats, unit, s, facts)
+                if not facts.ok:
                     visit(unit, targeted, s.body)
             elif isinstance(s, A.DoWhile):
                 visit(unit, targeted, s.body)
@@ -490,4 +739,4 @@ def survey(cu: A.CompilationUnit) -> tuple[int, int, list]:
 
     for unit in cu.units:
         visit(unit, frozenset(_goto_targets(unit)), unit.body)
-    return vec, fallback, reasons
+    return stats

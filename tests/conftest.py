@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.fortran import parse_source
+
+#: ``pytest --hypothesis-profile=deep``: CI's second, longer pass over
+#: the generated-program tests (tier-1 keeps hypothesis' default count)
+settings.register_profile("deep", max_examples=1500)
 
 
 def parse(src: str, **kwargs):
