@@ -299,6 +299,9 @@ def cmd_profile(args) -> int:
     frames = par.timeline().frames()
     if len(frames) > 1:
         print(f"frames inferred: {len(frames)}")
+    if par.world.transport is not None:  # process executor only
+        print("transport: " + " ".join(
+            f"{k}={v}" for k, v in par.world.transport.items()))
     observe_trace_histograms(acfd.obs.metrics, par.trace)
     hist_table = _histogram_table(acfd.obs.metrics.snapshot())
     if hist_table:

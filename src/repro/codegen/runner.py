@@ -49,10 +49,14 @@ class ParallelResult:
     @property
     def comm_stats(self) -> dict:
         """Aggregate runtime communication accounting: message/sync counts,
-        payload bytes, wall-time ranks spent blocked (``wait_s``), and the
+        payload bytes, wall-time ranks spent blocked (``wait_s``), the
         bytes the zero-copy halo path avoided duplicating
-        (``saved_bytes``)."""
-        return self.world.trace.comm_stats()
+        (``saved_bytes``) and, on the process executor, ``transport``:
+        messages by route and receiver waits by kind."""
+        stats = self.world.trace.comm_stats()
+        if self.world.transport is not None:
+            stats["transport"] = self.world.transport
+        return stats
 
     def timeline(self):
         """Classified per-rank :class:`~repro.obs.Timeline` of this run."""

@@ -325,25 +325,39 @@ class _Mailbox:
         #: msg_ids already accepted (duplicate suppression); bounded by
         #: the number of fault-injected duplicates, not by traffic
         self._seen_ids: set[int] = set()
-        #: queued-message count, read lock-free by health heartbeats
-        #: (approximate by design: a torn read is a stale depth, not a
-        #: correctness problem)
-        self.pending = 0
+        self._queued = 0
+
+    @property
+    def pending(self) -> int:
+        """Queued-message count, read lock-free by health heartbeats
+        (approximate by design: a torn read is a stale depth, not a
+        correctness problem)."""
+        return self._queued
 
     def put(self, message: _Message) -> None:
         with self._cond:
-            if message.msg_id is not None:
-                if message.msg_id in self._seen_ids:
-                    return  # duplicate delivery: drop silently
-                self._seen_ids.add(message.msg_id)
-            self._seq += 1
-            self.pending += 1
-            key = (message.source, message.tag)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._buckets[key] = deque()
-            bucket.append((self._seq, message))
+            self._enqueue(message)
             self._cond.notify_all()
+
+    def _enqueue(self, message: _Message) -> None:
+        """File *message* under its (source, tag); caller holds the lock."""
+        if message.msg_id is not None:
+            if message.msg_id in self._seen_ids:
+                return  # duplicate delivery: drop silently
+            self._seen_ids.add(message.msg_id)
+        self._seq += 1
+        self._queued += 1
+        key = (message.source, message.tag)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = deque()
+        bucket.append((self._seq, message))
+
+    def _wait(self, timeout: float) -> None:
+        """Sleep (lock held, released while asleep) until a ``put`` or
+        ``wake``, at most *timeout* seconds.  The process executor's
+        mailbox waits on its doorbell and takes its own messages here."""
+        self._cond.wait(timeout)
 
     def wake(self) -> None:
         """Wake blocked receivers to re-check failure / deadlock state."""
@@ -372,7 +386,7 @@ class _Mailbox:
         _, msg = bucket.popleft()
         if not bucket:
             del buckets[key]
-        self.pending -= 1
+        self._queued -= 1
         return msg
 
     def get(self, source: int | None, tag: int | None, timeout: float | None,
@@ -398,7 +412,7 @@ class _Mailbox:
                 if now >= grace_end or \
                         (deadline is not None and now >= deadline):
                     break
-                self._cond.wait(min(grace_end, deadline or grace_end) - now)
+                self._wait(min(grace_end, deadline or grace_end) - now)
                 msg = self._take(source, tag)
                 if msg is not None:
                     return msg, time.monotonic() - t0
@@ -428,7 +442,7 @@ class _Mailbox:
                                      else deadline - now)
                         slice_ = (_DETECT_INTERVAL if remaining is None
                                   else min(_DETECT_INTERVAL, remaining))
-                        self._cond.wait(slice_)
+                        self._wait(slice_)
                 # outside the mailbox lock (lock order: detector first)
                 if timed_out:
                     snap = ("\n" + detector.snapshot()

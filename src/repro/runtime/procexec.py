@@ -10,19 +10,34 @@ deadlock-diagnosis / bounded-join guarantees — behind
   spawned once and reused across runs and recovery attempts — respawning
   processes per attempt would swamp small runs with fork cost.  Workers
   killed by a fault (or the stuck deadline) are respawned lazily;
-* point-to-point payloads travel over per-ordered-pair OS pipes; ``move``
-  payloads (packed halo faces) go through **shared-memory ring buffers**
-  (:class:`_ShmRing`), so the byte-heavy path never pickles — the
-  receiver copies each face straight into a pool buffer and frees the
-  slot;
-* a worker-side :class:`ProcCommunicator` subclasses ``Communicator``:
-  its own mailbox is a real in-process ``_Mailbox`` (a drainer thread
-  materializes incoming pipe traffic into it), peers are
-  :class:`_RemoteMailbox` proxies, and receive matching, collectives,
-  and duplicate suppression are inherited unchanged.  Every message is
-  stamped with its run id; drainers buffer traffic for runs they have
-  not installed yet and drop traffic from dead attempts, so recovery
-  never sees ghost messages;
+* **one shared-memory channel per ordered rank pair** carries the
+  messages: a single-producer single-consumer ring of ``_SLOTS`` slots
+  plus the writer's and the reader's counters (:class:`_Channel`), all
+  in one ``multiprocessing.shared_memory`` segment the pool creates next
+  to the barrier and every (re)spawned worker inherits.  A message is a
+  fixed header (run id, tag, msg id, per-channel sequence number,
+  payload kind) and, in the same slot, its payload: ndarrays and lists
+  of ndarrays as raw 8-byte-aligned bytes behind their dtype/shape
+  words, a float in the header itself, anything else pickled.  The
+  writer fills the slot, advances its counter (that store publishes the
+  message) and posts the destination rank's **doorbell** semaphore;
+* **the receiving rank takes its own messages**: its mailbox
+  (:class:`_ChannelMailbox`) is a real in-process ``_Mailbox`` whose
+  wait polls the incoming channels for ``_SPIN`` seconds, then sleeps on
+  the doorbell, and moves what was published into its ``(source, tag)``
+  buckets itself.  Receive matching, collectives and duplicate
+  suppression are inherited; between ``send`` and ``recv`` there is no
+  pipe, no pickle and no other thread;
+* **the data pipes are the overflow path**: a payload larger than a
+  slot, or a send into a full ring, is pickled onto the per-pair pipe
+  instead, so ``send`` stays buffered (it never waits for the
+  receiver).  Each worker's drainer thread exists only for this: it
+  parks what arrives in the worker's inbox and rings the doorbell.  The
+  sequence number makes the mailbox admit each source's messages in
+  send order whichever way they came.  Counters live in the segment and
+  every message carries its run id, so a respawned worker resumes where
+  the dead one stopped and messages of dead attempts are dropped, never
+  delivered: recovery sees no ghosts;
 * the world barrier is a ``multiprocessing.Barrier`` shared by all
   workers, abortable by any worker *and* by the launcher;
 * **deadlock detection is mirrored in the launcher**: every worker
@@ -42,16 +57,21 @@ deadlock-diagnosis / bounded-join guarantees — behind
 * **trace merging**: workers stamp events on their own clock; an epoch
   handshake at run start (:class:`repro.runtime.trace.EpochProbe`) lets
   the launcher rebase worker events onto the caller's trace, so
-  ``acfd profile`` output is executor-agnostic.
+  ``acfd profile`` output is executor-agnostic.  Each worker also counts
+  its messages by route and its waits by kind (``World.transport``).
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
+import gc
 import os
 import pickle
+import struct
 import threading
 import time
+from collections import deque
 from multiprocessing import connection as mpc
 from multiprocessing import get_context, shared_memory
 
@@ -59,8 +79,8 @@ import numpy as np
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.runtime.comm import (Communicator, _Mailbox, _Message,
-                                _WaitState, find_wait_cycle,
-                                format_rank_states)
+                                _payload_bytes, _WaitState,
+                                find_wait_cycle, format_rank_states)
 from repro.runtime.halo import shared_pool
 from repro.runtime.trace import EpochProbe, Trace, epoch_shift
 from repro.runtime.world import World
@@ -74,149 +94,157 @@ _HEARTBEAT = 0.2
 #: delivery, mailbox take, or heartbeat race to surface as a change
 _MIRROR_QUIET = 0.75
 
-#: shared-memory ring geometry: slots per ring, minimum slot payload
-_RING_SLOTS = 8
-_RING_MIN_SLOT = 1 << 16
+#: channel geometry: slots per ring, bytes a slot holds behind its header
+_SLOTS = 8
+_SLOT_BYTES = 1 << 16
+#: slot header: run id, tag, msg id (-1: none), channel sequence number,
+#: payload kind, a kind-specific integer, a float payload
+_HDR = struct.Struct("6qd")
+_HEAD = 64
+_STRIDE = _HEAD + _SLOT_BYTES
+#: a channel's two counters sit on cache lines of their own, so the
+#: polling reader and the publishing writer do not share one
+_LINE = 64
+_CHANNEL_BYTES = 2 * _LINE + _SLOTS * _STRIDE
 
+#: a receiver polls its channels this long before it sleeps on the
+#: doorbell.  A sleep costs the sleeper a wake-up (about 60 us on the
+#: 2-core VM the benchmark runs on) and the sender a system call, so a
+#: few wake-ups' worth: a peer one halo exchange behind answers inside it
+_SPIN = 200e-6
+#: ... giving the core away every so many polls, so that a peer scheduled
+#: on the same core (more ranks than cores, or two workers fresh from the
+#: fork) gets to answer inside the spin instead of after it
+_POLLS_PER_YIELD = 16
 
-def _untrack_shm(shm: shared_memory.SharedMemory) -> None:
-    """Drop *shm* from this process's resource tracker.
-
-    Ring segments are owned by the launcher's pool (workers register
-    every created ring over the control pipe; the pool unlinks them at
-    shutdown).  Without this, every create/attach would also register
-    with the per-process tracker, which then warns — and double-unlinks
-    — at interpreter exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+#: payload kinds; array kinds carry _MOVED when the sender gave the
+#: buffers away, and the receiver then copies into pool buffers it owns
+_PICKLE, _FLOAT, _ARRAY, _LIST = range(4)
+_MOVED = 8
 
 
 # ---------------------------------------------------------------------------
-# shared-memory rings for move payloads
+# the channel: slots, counters, and the payload encoding
 # ---------------------------------------------------------------------------
 
 
-class _ShmRing:
-    """Sender-owned SPSC ring of fixed-size payload slots.
+class _Channel:
+    """One end of one ordered rank pair's ring in the pool's segment.
 
-    Layout: ``_RING_SLOTS`` one-byte slot flags (0 free / 1 full)
-    followed by the slot payloads.  The sender scans for a free slot,
-    writes the payload, sets the flag, and ships ``(name, slot, descs)``
-    over the data pipe — the pipe message is the synchronization; the
-    flag only gates slot reuse.  The receiver copies the payload out and
-    clears the flag.  No free slot (or an oversize payload) returns None
-    and the sender falls back to pickling over the pipe, so a slow
-    receiver degrades throughput, never correctness.
+    Layout: the writer's counter (messages published), the reader's
+    (messages taken), then ``_SLOTS`` slots; message *n* lives in slot
+    ``n % _SLOTS``.  Each end owns one counter and only reads the
+    other's, and both live in the segment: a respawned worker picks up
+    where the dead one stopped, a writer killed before :meth:`advance`
+    published nothing, a reader killed before it took nothing.
     """
 
-    def __init__(self, slot_size: int) -> None:
-        self.slot_size = slot_size
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=_RING_SLOTS * (1 + slot_size))
-        _untrack_shm(self.shm)
-        self.name = self.shm.name
-        self.flags = np.ndarray((_RING_SLOTS,), np.uint8,
-                                buffer=self.shm.buf)
-        self.flags[:] = 0
+    __slots__ = ("buf", "pos", "peer", "_ctr", "_mine", "_theirs",
+                 "_slots", "_gap")
 
-    def try_put(self, arrays: list[np.ndarray], total: int
-                ) -> tuple[int, list] | None:
-        """Write *arrays* into a free slot; (slot, descs) or None."""
-        if total > self.slot_size:
-            return None
-        free = np.flatnonzero(self.flags == 0)
-        if free.size == 0:
-            return None
-        slot = int(free[0])
-        base = _RING_SLOTS + slot * self.slot_size
-        offset = 0
-        descs = []
+    def __init__(self, buf: memoryview, base: int, writer: bool) -> None:
+        self.buf = buf
+        #: the segment as 8-byte words: an item store is one aligned
+        #: copy, where struct.pack_into zeroes its target first and the
+        #: other end could read a counter of 0
+        self._ctr = buf.cast("q")
+        self._mine = (base if writer else base + _LINE) // 8
+        self._theirs = (base + _LINE if writer else base) // 8
+        self._slots = base + 2 * _LINE
+        #: own counter minus the peer's when this end has to stop: a
+        #: full ring for the writer, an empty one for the reader
+        self._gap = _SLOTS if writer else 0
+        self.pos = self._ctr[self._mine]
+        self.peer = self._ctr[self._theirs]
+
+    def slot(self) -> int | None:
+        """Offset of the slot this end may use next, or None."""
+        if self.pos - self.peer == self._gap:
+            self.peer = self._ctr[self._theirs]
+            if self.pos - self.peer == self._gap:
+                return None
+        return self._slots + self.pos % _SLOTS * _STRIDE
+
+    def advance(self) -> None:
+        """Publish (writer) or free (reader) the slot :meth:`slot` gave."""
+        self.pos += 1
+        self._ctr[self._mine] = self.pos
+
+    def backlog(self) -> int:
+        """Reader's end: messages published and not yet taken."""
+        return self._ctr[self._theirs] - self.pos
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype_word(dtype: np.dtype) -> int:
+    return int.from_bytes(dtype.str.encode(), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _word_dtype(word: int) -> np.dtype:
+    return np.dtype(word.to_bytes(8, "little").rstrip(b"\0").decode())
+
+
+def _encode(buf: memoryview, body: int, payload, move: bool
+            ) -> tuple[int, int, float] | None:
+    """Write *payload* at *body*, behind a slot's header; the header's
+    (kind, count, float) fields, or None if the slot cannot hold it."""
+    cls = payload.__class__
+    if cls is float:
+        return _FLOAT, 0, payload
+    arrays = ((payload,) if cls is np.ndarray
+              else payload if cls is list and payload else ())
+    if arrays and all(a.__class__ is np.ndarray and a.dtype.kind in "biufc"
+                      for a in arrays):
+        words: list[int] = []
+        size = 0
         for a in arrays:
-            dst = np.ndarray(a.shape, a.dtype, buffer=self.shm.buf,
-                             offset=base + offset)
-            dst[...] = a
-            descs.append((a.shape, a.dtype.str, offset))
-            offset += a.nbytes
-        self.flags[slot] = 1
-        return slot, descs
-
-
-class _RingSet:
-    """All rings one worker created for one destination (grow on demand)."""
-
-    def __init__(self, notify_created) -> None:
-        self._rings: list[_ShmRing] = []
-        self._notify = notify_created  # (name) -> None: register w/ pool
-
-    def put(self, arrays: list[np.ndarray]) -> tuple[str, int, list] | None:
-        total = sum(a.nbytes for a in arrays)
-        for ring in self._rings:
-            got = ring.try_put(arrays, total)
-            if got is not None:
-                return ring.name, got[0], got[1]
-        # no capacity: grow for oversize payloads; an adequately sized
-        # but full ring means the receiver is behind — pickle instead of
-        # allocating more shared memory
-        if self._rings and total <= self._rings[-1].slot_size:
+            words += (_dtype_word(a.dtype), a.ndim, *a.shape)
+            size += (a.nbytes + 7) & ~7
+        at = body + 8 * len(words)
+        if at + size > body + _SLOT_BYTES:
             return None
-        ring = _ShmRing(max(_RING_MIN_SLOT, total))
-        self._notify(ring.name)
-        self._rings.append(ring)
-        got = ring.try_put(arrays, total)
-        return ring.name, got[0], got[1]
+        struct.pack_into(f"{len(words)}q", buf, body, *words)
+        for a in arrays:
+            # strided or not, one copy: the buffered-send copy
+            np.ndarray(a.shape, a.dtype, buf, at)[...] = a
+            at += (a.nbytes + 7) & ~7
+        kind = _ARRAY if cls is np.ndarray else _LIST
+        return kind | _MOVED if move else kind, len(words), 0.0
+    if _payload_bytes(payload) <= _SLOT_BYTES:  # else: don't pickle twice
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        if len(data) <= _SLOT_BYTES:
+            buf[body:body + len(data)] = data
+            return _PICKLE, len(data), 0.0
+    return None
 
 
-class _ShmReader:
-    """Receiver-side ring attachments (cached per segment name).
+def _decode(buf: memoryview, body: int, kind: int, n: int, value: float):
+    """The payload :func:`_encode` wrote at *body*, copied out.
 
-    Thread-safe: the drainer and the worker command loop (flushing
-    buffered early-run messages) both route through it.
+    Views of the slot would let the receiver's unpack path ``release``
+    foreign memory into its :class:`BufferPool` (and the slot is reused
+    ``_SLOTS`` messages later), so each array is copied exactly once,
+    moved ones into pool buffers: the copy the thread executor's
+    receive side pays.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._segs: dict[str, shared_memory.SharedMemory] = {}
-
-    def _attach(self, name: str) -> shared_memory.SharedMemory:
-        with self._lock:
-            shm = self._segs.get(name)
-            if shm is None:
-                shm = self._segs[name] = shared_memory.SharedMemory(
-                    name=name)
-                _untrack_shm(shm)
-            return shm
-
-    def free(self, name: str, slot: int) -> None:
-        """Release a slot without materializing (stale-run message)."""
-        shm = self._attach(name)
-        np.ndarray((_RING_SLOTS,), np.uint8, buffer=shm.buf)[slot] = 0
-
-    def take(self, name: str, slot: int, single: bool, descs: list):
-        """Copy a slot's payload into pool-backed local buffers.
-
-        Delivering views of the ring would let the receiver's unpack
-        path ``release`` foreign memory into its :class:`BufferPool`
-        (and the slot could be recycled under a held view), so each face
-        is copied out exactly once — the same single copy the thread
-        executor's receive side pays, with zero pickling.
-        """
-        shm = self._attach(name)
-        slot_size = (shm.size - _RING_SLOTS) // _RING_SLOTS
-        base = _RING_SLOTS + slot * slot_size
-        pool = shared_pool()
-        out = []
-        for shape, dtype, offset in descs:
-            src = np.ndarray(shape, dtype, buffer=shm.buf,
-                             offset=base + offset)
-            local = pool.acquire(shape, dtype)
-            local[...] = src
-            out.append(local)
-        np.ndarray((_RING_SLOTS,), np.uint8, buffer=shm.buf)[slot] = 0
-        return out[0] if single else out
+    if kind == _FLOAT:
+        return value
+    if kind == _PICKLE:
+        return pickle.loads(buf[body:body + n])
+    words = struct.unpack_from(f"{n}q", buf, body)
+    at = body + 8 * n
+    acquire = shared_pool().acquire if kind & _MOVED else np.empty
+    out = []
+    i = 0
+    while i < n:
+        shape = words[i + 2:i + 2 + words[i + 1]]
+        local = acquire(shape, _word_dtype(words[i]))
+        local[...] = np.ndarray(shape, local.dtype, buf, at)
+        out.append(local)
+        at += (local.nbytes + 7) & ~7
+        i += 2 + len(shape)
+    return out if kind & ~_MOVED == _LIST else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,73 +252,255 @@ class _ShmReader:
 # ---------------------------------------------------------------------------
 
 
-class _Run:
-    """One attempt's worker-side state (fresh per "run" command)."""
+class _ChannelMailbox(_Mailbox):
+    """This rank's mailbox: the body thread fills it from its channels.
 
-    def __init__(self, run_id: int, rank: int, trace_enabled: bool) -> None:
+    ``get`` is inherited; only its wait differs.  Where the in-process
+    mailbox sleeps on its condition until a ``put``, this one polls the
+    incoming channels, then sleeps on the rank's doorbell, and on the way
+    out moves every published message (and every overflow message the
+    drainer parked in the inbox) into the buckets.  Only the body thread
+    takes from channels, so ``delivered`` — what the launcher's mirror
+    balances against the senders' counts — moves exactly when a message
+    becomes receivable.
+    """
+
+    def __init__(self, run_id: int, inbound: dict[int, _Channel],
+                 inbox: deque, doorbell) -> None:
+        super().__init__()
+        self._run_id = run_id
+        self._inbound = list(inbound.items())
+        self._inbox = inbox
+        self._doorbell = doorbell
+        #: source -> sequence number of the next message to admit
+        self._next = dict.fromkeys(inbound, 0)
+        #: (source, seq) -> message that overtook one still on the pipe
+        self._held: dict[tuple[int, int], _Message] = {}
+        self.doorbell_sleeps = 0
+        self.spin_hits = 0
+
+    @property
+    def delivered(self) -> int:
+        return sum(self._next.values())
+
+    @property
+    def pending(self) -> int:
+        """Messages waiting for this rank wherever they are: in a
+        bucket, held for order, parked by the drainer, or published in a
+        channel and not yet taken."""
+        return (self._queued + len(self._held) + len(self._inbox)
+                + sum(chan.backlog() for _, chan in self._inbound))
+
+    def put(self, message: _Message) -> None:
+        # a self-send, possibly from a fault-injection timer thread
+        super().put(message)
+        self.wake()
+
+    def wake(self) -> None:
+        self._doorbell.release()
+
+    def probe(self, source: int | None, tag: int | None) -> bool:
+        with self._cond:
+            self._drain()
+        return super().probe(source, tag)
+
+    def _ready(self) -> bool:
+        if self._inbox:
+            return True
+        for _, chan in self._inbound:
+            if chan.slot() is not None:
+                return True
+        return False
+
+    def _wait(self, timeout: float) -> None:
+        self._cond.release()
+        try:
+            now = time.perf_counter()
+            spin_end = now + min(_SPIN, timeout)
+            polls = 0
+            while now < spin_end:
+                if self._ready():
+                    self.spin_hits += 1
+                    break
+                polls += 1
+                if polls % _POLLS_PER_YIELD == 0:
+                    os.sched_yield()
+                now = time.perf_counter()
+            else:
+                self.doorbell_sleeps += 1
+                self._doorbell.acquire(True, timeout)
+        finally:
+            self._cond.acquire()
+        # Forget the posts so far: each was made after what it announces
+        # (a published message, the failure flag) became visible, and
+        # both are looked at after this, here and in get().  Posts are
+        # thus never owed for more than what one drain takes, however
+        # long a rank goes without sleeping.
+        while self._doorbell.acquire(False):
+            pass
+        self._drain()
+
+    def _drain(self) -> None:
+        """Move everything published for this run into the buckets
+        (body thread, lock held); free what dead runs left behind."""
+        run_id = self._run_id
+        for source, chan in self._inbound:
+            buf = chan.buf
+            while (off := chan.slot()) is not None:
+                rid, tag, msg_id, seq, kind, n, value = \
+                    _HDR.unpack_from(buf, off)
+                if rid == run_id:
+                    self._admit(source, seq, _Message(
+                        source, tag,
+                        _decode(buf, off + _HEAD, kind, n, value),
+                        None if msg_id < 0 else msg_id))
+                chan.advance()
+        inbox = self._inbox
+        while inbox:
+            rid, source, tag, msg_id, seq, payload = inbox.popleft()
+            if rid == run_id:
+                self._admit(source, seq,
+                            _Message(source, tag, payload, msg_id))
+
+    def _admit(self, source: int, seq: int, message: _Message) -> None:
+        if seq != self._next[source]:
+            self._held[source, seq] = message
+            return
+        self._enqueue(message)
+        seq += 1
+        held = self._held
+        while held and (source, seq) in held:
+            self._enqueue(held.pop((source, seq)))
+            seq += 1
+        self._next[source] = seq
+
+
+class _RemoteMailbox:
+    """Sender-side proxy for a peer's mailbox: ``put`` writes the message
+    into the pair's channel and rings the peer's doorbell, or, when the
+    slot or the ring cannot take it, pickles it onto the data pipe.
+
+    Bound to one run: a delayed delivery (fault-injection timer) firing
+    after its run died carries the dead run's id and is dropped by the
+    receiver instead of ghosting into the next attempt.
+    """
+
+    __slots__ = ("_run_id", "_source", "_chan", "_conn", "_lock",
+                 "_doorbell", "sent", "overflow")
+
+    def __init__(self, run_id: int, source: int, chan: _Channel, conn,
+                 lock, doorbell) -> None:
+        self._run_id = run_id
+        self._source = source
+        self._chan = chan
+        self._conn = conn
+        self._lock = lock  # per-pair: body + injector timers may race
+        self._doorbell = doorbell
+        #: messages sent this run; the next one's sequence number
+        self.sent = 0
+        self.overflow = 0
+
+    def put(self, message: _Message, move: bool = False) -> None:
+        payload = message.payload
+        chan = self._chan
+        with self._lock:
+            seq = self.sent
+            # counted before it is published: whatever the launcher's
+            # mirror reads, a message on its way keeps sent > delivered
+            self.sent = seq + 1
+            off = chan.slot()
+            head = off is not None and _encode(chan.buf, off + _HEAD,
+                                               payload, move)
+            if head:
+                msg_id = message.msg_id
+                _HDR.pack_into(chan.buf, off, self._run_id, message.tag,
+                               -1 if msg_id is None else msg_id, seq, *head)
+                chan.advance()
+            else:
+                self.overflow += 1
+                self._conn.send((self._run_id, self._source, message.tag,
+                                 message.msg_id, seq, payload))
+        if head:
+            self._doorbell.release()
+        if move:
+            # in-process the receiver releases a moved buffer after
+            # unpacking; here it gets its own copy (slot or pickle), so
+            # the packed buffers go back to this process's pool
+            pool = shared_pool()
+            for buf in (payload if isinstance(payload, list)
+                        else (payload,)):
+                if isinstance(buf, np.ndarray):
+                    pool.release(buf)
+
+
+class _Run:
+    """One attempt's worker-side state (fresh per "run" command).
+
+    Also the attempt's detector, with the ``DeadlockDetector`` surface
+    that ``_Mailbox.get`` and ``Communicator.barrier`` use: it does no
+    detection itself, it publishes this rank's wait state to the
+    launcher (which mirrors the whole world) and surfaces the launcher's
+    verdict through ``self.diagnosis``.
+    """
+
+    def __init__(self, worker: _WorkerState, run_id: int,
+                 trace_enabled: bool) -> None:
         self.run_id = run_id
-        self.rank = rank
+        self.rank = worker.rank
+        self._publish = worker.publish
         self.trace = Trace(enabled=trace_enabled)
-        self.mailbox = _Mailbox()
+        self.mailbox = _ChannelMailbox(run_id, worker.inbound,
+                                       worker.inbox, worker.doorbell)
+        #: rank -> where a message for it goes
+        self.mailboxes: list = [
+            self.mailbox if dest == worker.rank
+            else _RemoteMailbox(run_id, worker.rank, *worker.outbound[dest])
+            for dest in range(worker.size)]
+        self._remotes = [m for m in self.mailboxes if m is not self.mailbox]
         self.failed = threading.Event()
         self.injector = None
-        self.detector: _ClientDetector | None = None
         #: this rank's live-telemetry writer (attached shared memory)
         self.tele = None
+        self.diagnosis: str | None = None
         self.lock = threading.Lock()
-        self.sent = 0
-        self.delivered = 0
         #: (op, source, tag, token) while blocked, else None
         self.current_wait = None
         self._wait_token = 0
 
-    def bump_sent(self) -> None:
-        with self.lock:
-            self.sent += 1
-
-    def bump_delivered(self) -> None:
-        with self.lock:
-            self.delivered += 1
-
     def counters(self) -> tuple[int, int, int]:
+        """(sent, delivered, injected messages in flight) for the
+        launcher's mirror; read lock-free from any thread."""
         infl = self.injector.in_flight() if self.injector is not None else 0
-        with self.lock:
-            return self.sent, self.delivered, infl
+        return (sum(m.sent for m in self._remotes),
+                self.mailbox.delivered, infl)
 
-
-class _ClientDetector:
-    """Worker-side detector stub with the ``DeadlockDetector`` surface
-    that ``_Mailbox.get`` and ``Communicator.barrier`` use.
-
-    It does no detection itself: it publishes this rank's wait state to
-    the launcher (which mirrors the whole world) and surfaces the
-    launcher's verdict through ``self.diagnosis``.
-    """
-
-    def __init__(self, run: _Run, publish) -> None:
-        self._run = run
-        self._publish = publish  # (msg tuple) -> None over the ctrl pipe
-        self.diagnosis: str | None = None
+    def transport(self) -> dict[str, int]:
+        """How this rank's messages travelled and how it waited."""
+        overflow = sum(m.overflow for m in self._remotes)
+        return {"ring": sum(m.sent for m in self._remotes) - overflow,
+                "overflow": overflow,
+                "doorbell_sleeps": self.mailbox.doorbell_sleeps,
+                "spin_hits": self.mailbox.spin_hits}
 
     def block(self, rank: int, op: str, source: int | None = None,
               tag: int | None = None) -> _WaitState:
-        run = self._run
-        with run.lock:
-            run._wait_token += 1
-            token = run._wait_token
-            run.current_wait = (op, source, tag, token)
-        sent, delivered, infl = run.counters()
-        self._publish(("blocked", rank, run.run_id, op, source, tag,
-                       token, sent, delivered, infl))
+        with self.lock:
+            self._wait_token += 1
+            self.current_wait = (op, source, tag, self._wait_token)
+        self.heartbeat()
         return _WaitState(rank, op, source, tag)
 
+    def heartbeat(self) -> None:
+        """(Re-)publish what this rank is blocked on, if it is."""
+        wait = self.current_wait
+        if wait is not None:
+            self._publish(("blocked", self.rank, self.run_id, *wait,
+                           *self.counters()))
+
     def unblock(self, rank: int) -> None:
-        run = self._run
-        with run.lock:
-            run.current_wait = None
-        sent, delivered, infl = run.counters()
-        self._publish(("unblocked", rank, run.run_id, sent, delivered,
-                       infl))
+        with self.lock:
+            self.current_wait = None
+        self._publish(("unblocked", rank, self.run_id, *self.counters()))
 
     def check(self) -> None:
         """Detection lives in the launcher; heartbeats come from the
@@ -300,69 +510,14 @@ class _ClientDetector:
         return "  (world state is mirrored by the launcher)"
 
 
-class _RemoteMailbox:
-    """Sender-side proxy for a peer's mailbox: ``put`` ships the message
-    over the data pipe, or through the shm ring for move payloads.
-
-    Bound to one run: a delayed delivery (fault-injection timer) firing
-    after its run died carries the dead run's id and is dropped by the
-    receiver's drainer instead of ghosting into the next attempt.
-    """
-
-    __slots__ = ("_run", "_conn", "_lock", "_rings")
-
-    def __init__(self, run: _Run, conn, lock, rings: _RingSet) -> None:
-        self._run = run
-        self._conn = conn
-        self._lock = lock  # per-pipe: body + injector timers may race
-        self._rings = rings
-
-    def put(self, message: _Message, move: bool = False) -> None:
-        run = self._run
-        run.bump_sent()
-        payload = message.payload
-        arrays, got = None, None
-        if move:
-            arrays, single = _as_array_list(payload)
-            if arrays is not None:
-                got = self._rings.put(arrays)
-        with self._lock:
-            if got is not None:
-                name, slot, descs = got
-                self._conn.send(("s", run.run_id, message.source,
-                                 message.tag, message.msg_id,
-                                 name, slot, single, descs))
-            else:
-                self._conn.send(("p", run.run_id, message.source,
-                                 message.tag, message.msg_id, payload))
-        if arrays is not None:
-            # in-process the receiver releases a moved buffer after
-            # unpacking; here it gets its own copy (ring slot or pickle),
-            # so the packed buffers go back to this process's pool
-            pool = shared_pool()
-            for buf in ([payload] if single else payload):
-                pool.release(buf)
-
-
-def _as_array_list(payload):
-    """(list of contiguous ndarrays, was_single) or (None, False)."""
-    if isinstance(payload, np.ndarray):
-        return ([payload] if payload.flags.c_contiguous
-                else [np.ascontiguousarray(payload)]), True
-    if isinstance(payload, list) and payload and all(
-            isinstance(a, np.ndarray) for a in payload):
-        return [a if a.flags.c_contiguous else np.ascontiguousarray(a)
-                for a in payload], False
-    return None, False
-
-
 class ProcCommunicator(Communicator):
     """A rank endpoint whose peers live in other processes.
 
     Everything above delivery — receive matching, collectives, barrier
     handling, deadlock bookkeeping, tracing — is inherited; only remote
-    delivery changes: pickling (or the shm ring) *is* the buffered-send
-    copy, so the payload deep-copy is skipped on the fault-free path.
+    delivery changes: writing into the slot (or pickling, on overflow)
+    *is* the buffered-send copy, so the payload deep-copy is skipped on
+    the fault-free path.
     """
 
     def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
@@ -376,69 +531,40 @@ class ProcCommunicator(Communicator):
 class _WorkerState:
     """One worker process's long-lived state across runs."""
 
-    def __init__(self, rank: int, size: int, ctrl) -> None:
+    def __init__(self, rank: int, size: int, ctrl, data_out, buf,
+                 doorbells) -> None:
         self.rank = rank
         self.size = size
         self.ctrl = ctrl
         self.ctrl_lock = threading.Lock()
-        self.reader = _ShmReader()
-        #: guards run installation and the early-message buffer
-        self.route_lock = threading.Lock()
+        self.doorbell = doorbells[rank]
+        #: source -> reading end of that rank's channel to this one
+        self.inbound = {s: _Channel(buf, _channel_base(size, s, rank), False)
+                        for s in range(size) if s != rank}
+        #: dest -> what a _RemoteMailbox is made of, shared by all runs:
+        #: writing end, overflow pipe, their lock, the peer's doorbell
+        self.outbound = {
+            d: (_Channel(buf, _channel_base(size, rank, d), True), conn,
+                threading.Lock(), doorbells[d])
+            for d, conn in data_out}
+        #: overflow messages the drainer parked for the body to admit
+        self.inbox: deque = deque()
         self.run: _Run | None = None
-        #: run_id -> messages that arrived before that run was installed
-        #: (rank 0 can start sending before this worker saw its "run")
-        self.early: dict[int, list] = {}
 
     def publish(self, msg: tuple) -> None:
         with self.ctrl_lock:
             self.ctrl.send(msg)
 
-    # -- message routing (drainer thread + command loop) ----------------------
 
-    def route(self, msg: tuple) -> None:
-        """Deliver one data-pipe message to the right run (or buffer /
-        drop it by run id)."""
-        rid = msg[1]
-        with self.route_lock:
-            run = self.run
-            current = run.run_id if run is not None else 0
-            if rid > current:
-                self.early.setdefault(rid, []).append(msg)
-                return
-            if run is None or rid < current:
-                run = None
-        if run is None:
-            if msg[0] == "s":
-                self.reader.free(msg[5], msg[6])  # stale: recycle slot
-            return
-        self._deliver(run, msg)
-
-    def install(self, run: _Run) -> None:
-        """Make *run* current and flush its early-arrived messages."""
-        with self.route_lock:
-            self.run = run
-            flush = self.early.pop(run.run_id, [])
-            stale = [m for rid in [r for r in self.early if r < run.run_id]
-                     for m in self.early.pop(rid)]
-        for msg in stale:
-            if msg[0] == "s":
-                self.reader.free(msg[5], msg[6])
-        for msg in flush:
-            self._deliver(run, msg)
-
-    def _deliver(self, run: _Run, msg: tuple) -> None:
-        if msg[0] == "p":
-            _, _, source, tag, msg_id, payload = msg
-        else:
-            _, _, source, tag, msg_id, name, slot, single, descs = msg
-            payload = self.reader.take(name, slot, single, descs)
-        run.mailbox.put(_Message(source, tag, payload, msg_id))
-        run.bump_delivered()
+def _channel_base(size: int, source: int, dest: int) -> int:
+    """Offset of the (source -> dest) channel in a pool's segment."""
+    return (source * (size - 1) + dest - (dest > source)) * _CHANNEL_BYTES
 
 
-def _drain_loop(worker: _WorkerState, data_in) -> None:
-    """Materialize incoming data-pipe traffic into the current run."""
-    conns = [conn for _, conn in data_in]
+def _drain_loop(worker: _WorkerState, conns: list) -> None:
+    """The overflow path: park what arrives on the data pipes in the
+    inbox and ring the doorbell; the body admits it (or, by run id,
+    drops it) like any channel message."""
     while conns:
         for conn in mpc.wait(conns):
             try:
@@ -446,7 +572,8 @@ def _drain_loop(worker: _WorkerState, data_in) -> None:
             except (EOFError, OSError):
                 conns.remove(conn)
                 continue
-            worker.route(msg)
+            worker.inbox.append(msg)
+            worker.doorbell.release()
 
 
 def _exc_kind(exc: BaseException) -> str:
@@ -458,26 +585,17 @@ def _exc_kind(exc: BaseException) -> str:
 
 
 def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
-                 barrier) -> None:
+                 barrier, shm, doorbells) -> None:
     """Worker process entry: command loop + drainer + per-run body."""
-    worker = _WorkerState(rank, size, ctrl)
-    threading.Thread(target=_drain_loop, args=(worker, data_in),
+    worker = _WorkerState(rank, size, ctrl, data_out, shm.buf, doorbells)
+    threading.Thread(target=_drain_loop, args=(worker, list(data_in)),
                      daemon=True, name=f"proc-drain-{rank}").start()
-    pipe_locks = {dest: threading.Lock() for dest, _ in data_out}
-    rings = {dest: _RingSet(
-        lambda name: worker.publish(("shm+", rank, name)))
-        for dest, _ in data_out}
-    data_out = dict(data_out)
     compiled_cache: dict = {}
 
     while True:
         if not cmd.poll(_HEARTBEAT):
-            run = worker.run
-            if run is not None and run.current_wait is not None:
-                op, source, tag, token = run.current_wait
-                sent, delivered, infl = run.counters()
-                worker.publish(("blocked", rank, run.run_id, op, source,
-                                tag, token, sent, delivered, infl))
+            if worker.run is not None:
+                worker.run.heartbeat()
             continue
         try:
             msg = cmd.recv()
@@ -489,16 +607,15 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
             _, rid, diagnosis = msg
             run = worker.run
             if run is not None and run.run_id == rid:
-                if diagnosis is not None and run.detector is not None:
-                    run.detector.diagnosis = diagnosis
+                if diagnosis is not None:
+                    run.diagnosis = diagnosis
                 run.failed.set()
                 run.mailbox.wake()
             continue
         # ("run", run_id, blob)
         _, run_id, blob = msg
         fn, timeout, trace_enabled, spec, tele_spec = pickle.loads(blob)
-        run = _Run(run_id, rank, trace_enabled)
-        run.detector = _ClientDetector(run, worker.publish)
+        run = worker.run = _Run(worker, run_id, trace_enabled)
         if tele_spec is not None:
             from repro.obs.health import Telemetry
             run.tele = Telemetry.attach(tele_spec, rank)
@@ -506,13 +623,13 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
         if spec is not None:
             run.injector = _build_worker_injector(worker, run, spec,
                                                   barrier)
-        worker.install(run)
         worker.publish(("hello", rank, run_id,
                         EpochProbe.sample(run.trace)))
         threading.Thread(
-            target=_run_body, daemon=True, name=f"proc-body-{rank}",
-            args=(worker, run, fn, timeout, barrier, data_out,
-                  pipe_locks, rings, compiled_cache)).start()
+            target=_run_then_collect, daemon=True,
+            name=f"proc-body-{rank}",
+            args=(worker, run, fn, timeout, barrier,
+                  compiled_cache)).start()
 
 
 def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
@@ -547,17 +664,12 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
 
 
 def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
-              data_out, pipe_locks, rings, compiled_cache) -> None:
+              compiled_cache) -> None:
     """Execute the rank body for one run and report the outcome."""
-    mailboxes: list = [None] * worker.size
-    for dest, conn in data_out.items():
-        mailboxes[dest] = _RemoteMailbox(run, conn, pipe_locks[dest],
-                                         rings[dest])
-    mailboxes[run.rank] = run.mailbox
     if run.tele is not None:
         run.tele.bind(run.mailbox, shared_pool())
-    comm = ProcCommunicator(run.rank, worker.size, mailboxes, barrier,
-                            run.trace, run.failed, timeout, run.detector,
+    comm = ProcCommunicator(run.rank, worker.size, run.mailboxes, barrier,
+                            run.trace, run.failed, timeout, run,
                             run.injector, run.tele)
     #: worker-persistent compile cache (see repro.codegen.runner)
     comm.compiled_cache = compiled_cache
@@ -576,20 +688,27 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
         shared_pool().drain()
         if run.tele is not None:
             run.tele.finish(err is None)
-    events = run.trace.events
-    counters = run.counters()
+    tail = (run.trace.events, run.counters(), run.transport())
     if err is not None:
-        worker.publish(("error", run.rank, run.run_id, _exc_kind(err),
-                        type(err).__name__, str(err), events, counters))
-        return
+        report = ("error", run.rank, run.run_id, _exc_kind(err),
+                  type(err).__name__, str(err), *tail)
+    else:
+        report = ("done", run.rank, run.run_id, result, *tail)
     try:
-        worker.publish(("done", run.rank, run.run_id, result, events,
-                        counters))
+        worker.publish(report)
     except Exception as exc:  # unpicklable rank result
         worker.publish(("error", run.rank, run.run_id, "other",
                         type(exc).__name__,
-                        f"rank result not picklable: {exc}", events,
-                        counters))
+                        f"rank result not picklable: {exc}", *tail))
+
+
+def _run_then_collect(*args) -> None:
+    """Thread target of one attempt.  What a rank body leaves behind is
+    cyclic (the rank runtime and its context, holding the communicator
+    and its trace), and a worker's full collections are rare; collected
+    here, while the worker idles between runs, it does not pile up."""
+    _run_body(*args)
+    gc.collect()
 
 
 # ---------------------------------------------------------------------------
@@ -675,17 +794,11 @@ class _MirrorDetector:
         return f"{head}\n{self.snapshot()}"
 
     def snapshot(self) -> str:
-        now = time.monotonic()
         waiting = {}
         for rank, (op, source, tag, _token) in self.waiting.items():
-            if op == "barrier":
-                what = "barrier"
-            else:
-                src = "any" if source is None else source
-                tg = "any" if tag is None else tag
-                what = f"{op}(source={src}, tag={tg})"
-            held = now - self.since.get(rank, now)
-            waiting[rank] = f"{what} for {held:.2f}s"
+            state = _WaitState(rank, op, source, tag)
+            state.since = self.since.get(rank, state.since)
+            waiting[rank] = state.describe()
         return format_rank_states(self.size, self.done, waiting)
 
 
@@ -714,11 +827,16 @@ class WorkerPool:
         except ValueError:  # platform without fork
             self.ctx = get_context("spawn")
         self.barrier = self.ctx.Barrier(size)
-        self.shm_names: set[str] = set()
+        #: every ordered pair's channel, zero-filled (all counters 0);
+        #: pages are touched only as slots are used
+        self.shm = shared_memory.SharedMemory(
+            create=True, size=max(1, size * (size - 1) * _CHANNEL_BYTES))
+        #: rank -> semaphore its senders (and its drainer) post
+        self.doorbells = [self.ctx.Semaphore(0) for _ in range(size)]
         self._run_seq = 0
-        #: (source, dest) -> (read end, write end); both ends stay open
-        #: in the launcher so respawned workers inherit live pipes and
-        #: traffic buffered for a dead rank survives until drained
+        #: (source, dest) -> (read end, write end) of the overflow pipe;
+        #: both ends stay open in the launcher so respawned workers
+        #: inherit live pipes and a send to a dead rank does not raise
         self.data = {(s, d): self.ctx.Pipe(duplex=False)
                      for s in range(size) for d in range(size) if s != d}
         self.workers: list[_Worker] = [None] * size  # type: ignore[list-item]
@@ -728,14 +846,14 @@ class WorkerPool:
     def _spawn(self, rank: int) -> None:
         cmd_r, cmd_w = self.ctx.Pipe(duplex=False)
         ctrl_r, ctrl_w = self.ctx.Pipe(duplex=False)
-        data_in = [(s, self.data[(s, rank)][0])
+        data_in = [self.data[(s, rank)][0]
                    for s in range(self.size) if s != rank]
         data_out = [(d, self.data[(rank, d)][1])
                     for d in range(self.size) if d != rank]
         process = self.ctx.Process(
             target=_worker_main, daemon=True, name=f"acfd-rank-{rank}",
             args=(rank, self.size, cmd_r, ctrl_w, data_in, data_out,
-                  self.barrier))
+                  self.barrier, self.shm, self.doorbells))
         process.start()
         self.workers[rank] = _Worker(rank, process, cmd_w, ctrl_r)
 
@@ -773,16 +891,8 @@ class WorkerPool:
             _close_quiet(w.cmd, w.ctrl)
         for ends in self.data.values():
             _close_quiet(*ends)
-        for name in self.shm_names:
-            try:
-                # attach registers with the tracker and unlink
-                # unregisters — balanced, so no _untrack_shm here
-                seg = shared_memory.SharedMemory(name=name)
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-        self.shm_names.clear()
+        self.shm.close()
+        self.shm.unlink()
 
 
 def _close_quiet(*conns) -> None:
@@ -839,6 +949,7 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         raise RuntimeCommError(f"world size must be >= 1, got {size}")
     world = World(size=size, trace=trace if trace is not None else Trace())
     world.results = [None] * size
+    world.transport = {}
     tele_spec = None
     if telemetry is not None:
         tele_spec = telemetry.spec()  # raises unless shared-memory backed
@@ -882,10 +993,17 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
                 except OSError:
                     pass
 
+    def finish(rank: int, events, counters, transport: dict) -> None:
+        world.trace.absorb(events, *clocks[rank])
+        finished.add(rank)
+        mirror.finish(rank, counters)
+        for key, count in transport.items():
+            world.transport[key] = world.transport.get(key, 0) + count
+
     def handle(msg: tuple) -> None:
         kind = msg[0]
         rank = msg[1]
-        if kind != "shm+" and msg[2] != run_id:
+        if msg[2] != run_id:
             return  # stale report from a previous attempt
         if kind == "hello":
             probe = msg[3]
@@ -903,17 +1021,13 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
             _, _, _, sent, delivered, infl = msg
             mirror.note(rank, None, (sent, delivered, infl))
         elif kind == "done":
-            _, _, _, result, events, counters = msg
+            _, _, _, result, events, counters, transport = msg
             world.results[rank] = result
-            world.trace.absorb(events, *clocks[rank])
-            finished.add(rank)
-            mirror.finish(rank, counters)
+            finish(rank, events, counters, transport)
         elif kind == "error":
-            _, _, _, ekind, tname, text, events, counters = msg
-            world.trace.absorb(events, *clocks[rank])
+            _, _, _, ekind, tname, text, events, counters, transport = msg
             errors.setdefault(rank, (ekind, tname, text))
-            finished.add(rank)
-            mirror.finish(rank, counters)
+            finish(rank, events, counters, transport)
             fail_world(None)
         elif kind == "dying":
             # a kill-mode fault flushed telemetry before SIGKILLing
@@ -925,8 +1039,6 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
             _, _, _, index, record = msg
             if injector is not None:
                 injector.absorb_fired(index, record)
-        elif kind == "shm+":
-            pool.shm_names.add(msg[2])
 
     def drain_ctrl(worker: _Worker) -> None:
         while True:

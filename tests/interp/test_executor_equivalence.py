@@ -16,6 +16,7 @@ handing references across threads.
 import pytest
 
 from repro.apps import kernels
+from repro.apps.sprayer import sprayer_source
 from repro.core.pipeline import AutoCFD
 from repro.fortran.parser import parse_source
 from repro.interp.interpreter import Interpreter
@@ -81,3 +82,24 @@ def test_thread_and_process_executors_agree(name, gen):
         assert (thread.array(aname).data.tobytes()
                 == proc.array(aname).data.tobytes()), \
             f"{name}: thread vs process executor differ on {aname!r}"
+
+
+@pytest.mark.parametrize("name,gen", [
+    ("sprayer", lambda: sprayer_source(300, 100, iters=3, eps=0.0)),
+    ("jacobi_64x32", lambda: kernels.jacobi_5pt(64, 32, iters=20, eps=0.0)),
+], ids=["sprayer", "jacobi_64x32"])
+def test_benchmark_programs_stay_on_the_channel(name, gen):
+    # the process workloads of the benchmark at their real message sizes:
+    # the same grids as on threads, and nothing took the overflow pipe
+    compiled = AutoCFD.from_source(gen()).compile(partition=(2, 1))
+    deck = "2.5 30\n" if name == "sprayer" else None
+    thread = compiled.run_parallel(input_text=deck, timeout=60.0)
+    proc = compiled.run_parallel(input_text=deck, timeout=60.0,
+                                 executor="process")
+    for aname in compiled.plan.arrays:
+        assert (thread.array(aname).data.tobytes()
+                == proc.array(aname).data.tobytes()), aname
+    assert "transport" not in thread.comm_stats
+    transport = proc.comm_stats["transport"]
+    assert transport["overflow"] == 0
+    assert transport["ring"] >= proc.comm_stats["sends"] > 0

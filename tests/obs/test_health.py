@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs.health import (
+    _DEPTH,
     HealthBoard,
     Telemetry,
     health_alerts,
@@ -162,6 +163,36 @@ class TestRuntimeIntegration:
         assert "send" in kinds0 and "recv" in kinds0
         assert "barrier" in kinds0
         tele.close()
+
+
+def _five_then_barrier(comm):
+    """Rank 1 sends five messages; rank 0 reads its own heartbeat row
+    after the barrier, before it has received any of them."""
+    if comm.rank == 1:
+        for i in range(5):
+            comm.send(0, float(i), tag=6)
+        comm.barrier()
+        return None
+    comm.barrier()  # leaving it is a heartbeat, with all five sent
+    depth = int(comm.telemetry.row[_DEPTH])
+    assert [comm.recv(1, 6) for _ in range(5)] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    return depth
+
+
+@pytest.mark.livesmoke
+class TestQueueDepthOnProcesses:
+    def test_heartbeat_counts_messages_still_in_the_channel(self):
+        """On the process executor a message waits in its channel until
+        the receiving body takes it; the depth a heartbeat reports must
+        count it there, not only once it reached a bucket."""
+        for executor, shared in (("thread", False), ("process", True)):
+            tele = Telemetry(2, shared=shared)
+            try:
+                world = spmd_run(2, _five_then_barrier, telemetry=tele,
+                                 executor=executor, timeout=15.0)
+                assert world.results[0] == 5, executor
+            finally:
+                tele.close()
 
 
 class TestMetricsServer:

@@ -4,7 +4,8 @@ The thread executor's guarantees — failure propagation with rank
 attribution, deadlock diagnosis naming the wait-for cycle, bounded joins
 that name stuck ranks, executor-agnostic traces — must survive the jump
 to one-process-per-rank, where a "stuck rank" can be a SIGKILLed worker
-and every payload crosses a pickle or shared-memory boundary.
+and every payload crosses a shared-memory channel or, on overflow, a
+pickle and a pipe.
 
 Rank bodies here are module-level functions: the process executor pickles
 them to the workers (closures are rejected with a clear error, which is
@@ -12,6 +13,7 @@ itself under test).
 """
 
 import os
+import random
 import time
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.interp.values import OffsetArray
 from repro.runtime import CartComm, HaloExchanger, HaloSpec, shared_pool
-from repro.runtime.procexec import get_pool, proc_run
+from repro.runtime.procexec import _FLOAT, _HDR, get_pool, proc_run
 from repro.runtime.trace import Trace
 from repro.runtime.world import spmd_run
 
@@ -55,11 +57,107 @@ def _halo_move(comm):
 
 
 def _big_move(comm):
-    # larger than a ring slot's initial size: exercises ring growth
+    # larger than a channel slot: travels by the overflow pipe
     peer = 1 - comm.rank
     block = np.arange(40_000, dtype=np.float64) + comm.rank
     comm.send(peer, block, tag=1, move=True)
     return float(comm.recv(peer, 1).sum())
+
+
+def _as_plain(obj):
+    return ("array", obj.dtype.str, obj.tolist()) \
+        if isinstance(obj, np.ndarray) else obj
+
+
+def _flood(comm):
+    """Send everything before receiving anything: 100 small messages of
+    mixed kinds plus 3 that no slot can hold, over two tags; then 20
+    oversize/small pairs while the peer is already receiving, so a
+    channel message can overtake the pipe message sent before it."""
+    peer = 1 - comm.rank
+    counts = {1: 0, 2: 0}
+    for i in range(100):
+        tag = 1 + i % 2
+        small = (float(i), (comm.rank, i), np.full(3, i))[i % 3]
+        comm.send(peer, small, tag=tag)
+        counts[tag] += 1
+        if i % 40 == 7:
+            comm.send(peer, np.full(20_000, float(i)), tag=tag)
+            counts[tag] += 1
+    got = {tag: [_as_plain(comm.recv(peer, tag)) for _ in range(n)]
+           for tag, n in counts.items()}
+    for i in range(20):
+        comm.send(peer, np.full(20_000, float(i)), tag=3)
+        comm.send(peer, i, tag=3)
+    got[3] = [_as_plain(comm.recv(peer, 3)) for _ in range(40)]
+    return got
+
+
+def _odd_arrays(comm):
+    """Arrays a raw slot copy could get wrong: strided, and an int32 of
+    odd length followed by a float64 that must land 8-byte aligned."""
+    strided = np.arange(24.0).reshape(4, 6)[:, ::2]
+    odd = np.arange(7, dtype=np.int32)
+    if comm.rank == 0:
+        comm.send(1, strided, tag=1)
+        comm.send(1, odd, tag=1)
+        comm.send(1, [odd, np.arange(5.0), strided.T], tag=1, move=True)
+        return None
+    one, two, three = (comm.recv(0, 1) for _ in range(3))
+    return [_as_plain(a) for a in (one, two, *three)]
+
+
+def _send_then_mutate(comm):
+    """A plain send copies at send time and leaves the array alone."""
+    if comm.rank == 0:
+        a = np.arange(6.0)
+        comm.send(1, a, tag=1)
+        a += 1.0  # still ours: not handed to the pool, not aliased
+        comm.send(1, a, tag=1)
+        return a.tolist()
+    return [comm.recv(0, 1).tolist(), comm.recv(0, 1).tolist()]
+
+
+def _five_unreceived_then_sigkill(comm):
+    if comm.rank == 1:
+        for i in range(5):
+            comm.send(0, {"stale": i})
+        comm.barrier()
+        comm.recv(0)  # never comes: rank 0 dies
+    comm.barrier()  # all five are published in the 1 -> 0 channel
+    os.kill(os.getpid(), 9)
+
+
+def _die_between_write_and_publish(comm):
+    if comm.rank == 0:
+        remote = comm._mailboxes[1]
+        chan = remote._chan
+        # a header with this run's id in the next slot, counter untouched
+        _HDR.pack_into(chan.buf, chan.slot(), remote._run_id, 0, -1, 0,
+                       _FLOAT, 0, 6.25)
+        os.kill(os.getpid(), 9)
+    comm.recv(0)
+
+
+def _all_to_all(comm):
+    """Every rank sends to every other on 12 tags, 25 rounds, in one
+    shuffled order and receives in another; exact and wildcard receives
+    must pair everything up."""
+    tags = list(range(12))
+    peers = [p for p in range(comm.size) if p != comm.rank]
+    rng = random.Random(1234 + comm.rank)
+    for rnd in range(25):
+        for peer in peers:
+            rng.shuffle(tags)
+            for t in tags:
+                comm.send(peer, (comm.rank, t, rnd), tag=t)
+        pairs = [(p, t) for p in peers for t in tags]
+        rng.shuffle(pairs)
+        for p, t in pairs:
+            assert comm.recv(p, tag=t) == (p, t, rnd)
+        comm.send((comm.rank + 1) % comm.size, rnd, tag=99)
+        assert comm.recv(None, tag=99) == rnd
+    return True
 
 
 def _pool_after_exchanges(comm):
@@ -127,11 +225,50 @@ class TestHappyPath:
         # each rank receives its peer's faces, bit-for-bit
         assert w.results[0] == [[2.0] * 16, [2.0] * 16]
         assert w.results[1] == [[1.0] * 16, [1.0] * 16]
+        assert w.transport["ring"] == 2 and w.transport["overflow"] == 0
 
-    def test_oversize_move_grows_the_ring(self):
+    def test_oversize_move_takes_the_overflow_pipe(self):
         base = float(np.arange(40_000, dtype=np.float64).sum())
         w = proc_run(2, _big_move, timeout=15.0)
         assert w.results == [base + 40_000, base]
+        assert w.transport["ring"] == 0 and w.transport["overflow"] == 2
+
+    def test_sends_never_block_and_streams_keep_send_order(self):
+        on_threads = spmd_run(2, _flood, timeout=30.0)
+        on_processes = proc_run(2, _flood, timeout=30.0)
+        assert on_processes.results == on_threads.results
+        for rank, got in enumerate(on_threads.results):
+            # the thread executor is the oracle; spot-check it too
+            assert got[3] == [x for i in range(20) for x in (
+                ("array", "<f8", [float(i)] * 20_000), i)]
+            assert got[1][0] == 0.0 and got[2][0] == (1 - rank, 1)
+        assert on_threads.transport is None
+        # 3 + 20 oversize per rank, and whatever found the ring full
+        assert on_processes.transport["overflow"] >= 46
+        assert (on_processes.transport["ring"]
+                + on_processes.transport["overflow"]) == 2 * 143
+
+    def test_more_ranks_than_cores_all_to_all(self):
+        # 36 messages per pair and round against 8 slots: ring, overflow
+        # and the reorder buffer under scheduler pressure
+        w = proc_run(4, _all_to_all, timeout=60.0)
+        assert all(w.results)
+        assert w.transport["ring"] + w.transport["overflow"] \
+            == 4 * 25 * (3 * 12 + 1)
+
+    def test_strided_and_odd_length_arrays_round_trip_bitwise(self):
+        on_threads = spmd_run(2, _odd_arrays, timeout=15.0)
+        on_processes = proc_run(2, _odd_arrays, timeout=15.0)
+        assert on_processes.results == on_threads.results
+        assert on_processes.results[1][1] == ("array", "<i4",
+                                              list(range(7)))
+        assert on_processes.transport["overflow"] == 0
+
+    def test_plain_send_copies_and_leaves_the_senders_array_alone(self):
+        w = proc_run(2, _send_then_mutate, timeout=15.0)
+        assert w.results[1] == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
+        assert w.results[0] == w.results[1][1]
 
     def test_sender_returns_moved_buffers_to_its_pool(self):
         # the ring (or pickle) copy is the receiver's; the sender's packed
@@ -186,6 +323,23 @@ class TestFailures:
     def test_pool_recovers_after_a_worker_death(self):
         with pytest.raises(RuntimeCommError):
             proc_run(2, _suicide, timeout=5.0)
+        w = proc_run(2, _pingpong, timeout=15.0)
+        assert w.results == [42, "pong"]
+
+    def test_dead_runs_messages_are_dropped_not_delivered(self):
+        # five published, never received; the respawned rank 0 finds them
+        # in its channel, with the reader's counter where the corpse left
+        # it, and must drop them by run id
+        with pytest.raises(RuntimeCommError, match="rank 0"):
+            proc_run(2, _five_unreceived_then_sigkill, timeout=5.0)
+        w = proc_run(2, _pingpong, timeout=15.0)
+        assert w.results == [42, "pong"]
+        assert (w.transport["ring"], w.transport["overflow"]) == (2, 0)
+
+    def test_death_between_write_and_publish_leaves_the_channel_usable(
+            self):
+        with pytest.raises(RuntimeCommError, match="rank 0"):
+            proc_run(2, _die_between_write_and_publish, timeout=5.0)
         w = proc_run(2, _pingpong, timeout=15.0)
         assert w.results == [42, "pong"]
 
