@@ -39,8 +39,9 @@ The provable subset:
   EXIT/CYCLE, CALL (side effects), I/O, and nested DO-WHILE all fall
   back to the scalar translation;
 * array subscripts are affine in the nest variables (``i + c`` or
-  ``a*i + c``) or invariant; write targets reference every nest variable
-  exactly once with coefficient 1;
+  ``a*i + c``) or invariant, no variable in two dimensions of one
+  reference; write targets reference every nest variable exactly once
+  with coefficient 1;
 * for every (write, read) and (write, write) pair on the same array the
   accesses are provably identical elements (all-zero offset delta —
   statement order preserves those elementwise), provably disjoint
@@ -181,6 +182,8 @@ class NestFacts:
     var_values: frozenset = frozenset()  # nest vars read as values
     carried: tuple = ()  # nest vars carrying a dependence, nesting order
     mode: str = "slice"  # one of MODES
+    #: id(ArrayRef) -> its SubscriptInfo per dim (the nodes live in *body*)
+    subscripts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,7 @@ class _NestAnalysis:
             if sym.is_parameter and isinstance(sym.param_value, int)}
         self.counter = 0
         self.refs: list[_Ref] = []
+        self.subscripts: dict[int, tuple] = {}
         self.scalar_writes: dict[str, list] = {}  # name -> [(kind, c, ctx)]
         self.scalar_reads: list[tuple] = []  # (name, c, ctx)
         self.invariant_vars: set[str] = set()  # must stay invariant
@@ -495,6 +499,12 @@ class _NestAnalysis:
                         info = SubscriptInfo(SubscriptKind.CONSTANT,
                                              const=folded)
             infos.append(info)
+        moving = [info.var for info in infos
+                  if info.kind is not SubscriptKind.CONSTANT]
+        if len(moving) != len(set(moving)):
+            # a diagonal is no slice over the trip box
+            raise Fallback(f"nest variable subscripts two dimensions of "
+                           f"{ref.name}")
         if is_write:
             seen = []
             for info in infos:
@@ -505,6 +515,7 @@ class _NestAnalysis:
             if sorted(seen) != sorted(self.vset):
                 raise Fallback(f"write target {ref.name} does not index "
                                f"every nest variable exactly once")
+        self.subscripts[id(ref)] = tuple(infos)
         self.refs.append(_Ref(ref.name, tuple(infos), tuple(ref.subs),
                               ctx, is_write))
 
@@ -768,7 +779,8 @@ class _NestAnalysis:
                          nest_vars=tuple(lv.var for lv in self.levels),
                          body=body, temps=temps, reductions=reductions,
                          var_values=frozenset(self.var_values),
-                         carried=carried, mode=mode)
+                         carried=carried, mode=mode,
+                         subscripts=self.subscripts)
 
 
 def analyze_nest(loop: A.DoLoop, table: SymbolTable,

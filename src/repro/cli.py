@@ -137,6 +137,18 @@ def _vectorize_flag(args) -> bool:
     return getattr(args, "backend", "vector") != "scalar"
 
 
+def _backend_line(vec: bool, report, par) -> str:
+    """How the nests were scheduled and, after the run, how many of them
+    the ranks executed and how many nest plans that took: built well
+    above nests is a rebuild storm (a key that changes every frame)."""
+    line = (f"backend: {'vectorized' if vec else 'scalar'} numpy "
+            f"({report.vector_summary()}")
+    if vec:
+        line += (f"; on {len(par.plan_counts)} ranks {par.plan_nests} "
+                 f"nests, {par.plans_built} plans built")
+    return line + ")"
+
+
 def _histogram_table(snapshot: dict) -> str:
     """Quantile table over every histogram in a metrics snapshot."""
     lines = [f"{'histogram':<24s} {'count':>6s} {'p50':>10s} "
@@ -171,8 +183,6 @@ def cmd_run(args) -> int:
             input_text = fh.read()
     vec = _vectorize_flag(args)
     result = _compile_args(acfd, args)[0]
-    print(f"backend: {'vectorized' if vec else 'scalar'} numpy "
-          f"({result.report.vector_summary()})")
     seq = acfd.run_sequential(input_text=input_text, vectorize=vec)
 
     size = math.prod(result.plan.partition.dims)
@@ -222,6 +232,7 @@ def cmd_run(args) -> int:
             unpublish_live(live_path)
         if telemetry is not None:
             telemetry.close()
+    print(_backend_line(vec, result.report, par))
     print(f"sequential output: {seq.io.output()}")
     print(f"parallel output:   {par.output()}")
     ok = True
@@ -282,8 +293,9 @@ def cmd_profile(args) -> int:
                             for k, v in result.report.metrics.items())
         print(f"counters: {counters}")
     vec = _vectorize_flag(args)
-    print(f"backend: {'vectorized' if vec else 'scalar'} numpy "
-          f"({result.report.vector_summary()})")
+    par = result.run_parallel(input_text=input_text, vectorize=vec,
+                              executor=args.executor)
+    print(_backend_line(vec, result.report, par))
     interproc = sum(1 for d in result.report.overlap_decisions
                     if d["enabled"] and d["callee"])
     print(f"overlap: {result.report.overlap_syncs} of "
@@ -292,8 +304,6 @@ def cmd_profile(args) -> int:
           f"boundaries)")
 
     print("\n== parallel run (observed) ==")
-    par = result.run_parallel(input_text=input_text, vectorize=vec,
-                              executor=args.executor)
     rollup = par.rollup()
     print(rollup.table(top=args.top))
     frames = par.timeline().frames()

@@ -41,6 +41,18 @@ class ParallelResult:
     rank_values: list[dict] = field(default_factory=list)
     #: rank 0's I/O manager (holds program output)
     io: IoManager | None = None
+    #: per rank, ``(plan_nests, plans_built)``: the vectorized nests the
+    #: rank executed and the nest plans it built for them (hits do not
+    #: count, so built well above nests is a rebuild storm)
+    plan_counts: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def plan_nests(self) -> int:
+        return sum(nests for nests, _built in self.plan_counts)
+
+    @property
+    def plans_built(self) -> int:
+        return sum(built for _nests, built in self.plan_counts)
 
     @property
     def trace(self) -> Trace:
@@ -137,7 +149,9 @@ def _merge_commons(compiled: CompiledProgram, ctx, plan: ParallelPlan,
 def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
                input_text: str | None, input_unit: int, injector,
                checkpointer, comm):
-    """One rank's program execution (shared by both executors)."""
+    """One rank's program execution (shared by both executors): its
+    final values with the COMMON status arrays merged in, its I/O, and
+    its ``(plan_nests, plans_built)`` counts."""
     rt = RankRuntime(comm, plan, faults=injector,
                      checkpoints=checkpointer)
     io = IoManager()
@@ -150,10 +164,19 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
     fn = compiled.function(compiled.cu.main.name)
     from repro.interp.pyback import _Stop
     try:
-        result = fn(ctx)
-    except _Stop:
-        result = {}
-    return (result if isinstance(result, dict) else {}), io, ctx
+        try:
+            result = fn(ctx)
+        except _Stop:
+            result = {}
+        values = _merge_commons(compiled, ctx, plan,
+                                result if isinstance(result, dict) else {})
+        return values, io, (ctx.plans.nests, ctx.plans.built)
+    finally:
+        # runtime and context name each other, and the nest plans on the
+        # context pin views and scratch: apart, reference counts free
+        # them at once and no worker has to run the cycle collector
+        rt.bind_ctx(None)
+        ctx.rt = None
 
 
 def _proc_rank_body(blob: bytes, comm):
@@ -162,9 +185,7 @@ def _proc_rank_body(blob: bytes, comm):
     Compilation happens inside the worker, cached on the communicator's
     worker-persistent ``compiled_cache`` keyed by the program blob's
     digest — recovery attempts and repeat runs of the same deck skip
-    recompilation.  COMMON status arrays are merged into the value dict
-    *before* returning, because the worker's contexts are unreachable
-    once the process boundary is crossed.
+    recompilation.
     """
     cu_blob, plan, input_text, input_unit, ckpt = pickle.loads(blob)
     cache = getattr(comm, "compiled_cache", None)
@@ -184,9 +205,8 @@ def _proc_rank_body(blob: bytes, comm):
         checkpointer = Checkpointer(store, every=ckpt["every"],
                                     keep=ckpt["keep"],
                                     restore_frame=ckpt["restore_frame"])
-    values, io, ctx = _exec_rank(compiled, plan, input_text, input_unit,
-                                 comm._injector, checkpointer, comm)
-    return _merge_commons(compiled, ctx, plan, values), io
+    return _exec_rank(compiled, plan, input_text, input_unit,
+                      comm._injector, checkpointer, comm)
 
 
 def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
@@ -237,37 +257,19 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
         cu_blob = pickle.dumps((spmd_cu, vectorize))
         blob = pickle.dumps((cu_blob, plan, input_text, input_unit,
                              ckpt))
-        world = spmd_run(nprocs, functools.partial(_proc_rank_body, blob),
-                         timeout=timeout, trace=trace, injector=injector,
-                         executor="process", telemetry=telemetry)
-        rank_values = [values for values, _io in world.results]
-        rank_ios = [io for _values, io in world.results]
-        arrays = _stitch(plan, rank_values)
-        return ParallelResult(plan=plan, world=world, spmd_cu=spmd_cu,
-                              arrays=arrays, rank_values=rank_values,
-                              io=rank_ios[0])
-
-    compiled = compile_unit(spmd_cu, vectorize=vectorize)
-    ctxs: list = [None] * nprocs
-
-    def body(comm):
-        values, io, ctx = _exec_rank(compiled, plan, input_text,
-                                     input_unit, injector, checkpointer,
-                                     comm)
-        ctxs[comm.rank] = ctx
-        return values, io
+        body = functools.partial(_proc_rank_body, blob)
+    else:
+        compiled = compile_unit(spmd_cu, vectorize=vectorize)
+        body = functools.partial(_exec_rank, compiled, plan, input_text,
+                                 input_unit, injector, checkpointer)
 
     world = spmd_run(nprocs, body, timeout=timeout, trace=trace,
                      injector=injector, executor=executor,
                      telemetry=telemetry)
-    rank_values = []
-    rank_ios = []
-    for rank in range(nprocs):
-        values, io = world.results[rank]
-        values = _merge_commons(compiled, ctxs[rank], plan, values)
-        rank_values.append(values)
-        rank_ios.append(io)
-    arrays = _stitch(plan, rank_values)
+    rank_values = [values for values, _io, _counts in world.results]
     return ParallelResult(plan=plan, world=world, spmd_cu=spmd_cu,
-                          arrays=arrays, rank_values=rank_values,
-                          io=rank_ios[0])
+                          arrays=_stitch(plan, rank_values),
+                          rank_values=rank_values,
+                          io=world.results[0][1],
+                          plan_counts=[counts for _values, _io, counts
+                                       in world.results])

@@ -38,7 +38,7 @@ from repro.fortran.intrinsics_table import INTEGER_RESULT, is_intrinsic
 from repro.fortran.symbols import SymbolTable, resolve_compilation_unit
 from repro.interp.intrinsics import INTRINSIC_IMPLS
 from repro.interp.io_runtime import IoManager
-from repro.interp.values import DTYPES, OffsetArray, fortran_div
+from repro.interp.values import DTYPES, OffsetArray, do_trips, fortran_div
 from repro.interp import vectorize as _vec
 
 #: process-wide default for the vectorizing translation mode; compile
@@ -68,12 +68,6 @@ class _CycleLoop(Exception):
     pass
 
 
-def _do_trips(start: int, stop: int, step: int) -> int:
-    if step == 0:
-        raise InterpError("zero DO step")
-    return max(0, (stop - start + step) // step)
-
-
 @dataclass
 class Ctx:
     """Execution context shared by all generated unit functions."""
@@ -81,6 +75,8 @@ class Ctx:
     io: IoManager
     commons: dict[str, list] = field(default_factory=dict)
     rt: object = None  # SPMD runtime adapter (rank-local), if any
+    #: the vectorized nests this context has resolved, and their scratch
+    plans: _vec.NestPlans = field(default_factory=_vec.NestPlans)
 
 
 class _UnitCompiler:
@@ -88,13 +84,17 @@ class _UnitCompiler:
 
     def __init__(self, unit: A.ProgramUnit, all_units: dict[str, A.ProgramUnit],
                  special_calls: dict[str, str], vectorize: bool = False,
-                 stats: dict | None = None) -> None:
+                 stats: dict | None = None,
+                 specs: dict | None = None) -> None:
         self.unit = unit
         self.table: SymbolTable = unit.symbols  # type: ignore[assignment]
         self.all_units = all_units
         self.special = special_calls
         self.vectorize = vectorize
         self.stats = stats if stats is not None else _vec.new_stats()
+        #: nest number -> what its build call needs that is fixed at
+        #: compile time (the emitted code reads it as ``_vs[number]``)
+        self.specs = specs if specs is not None else {}
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
@@ -539,6 +539,8 @@ class _UnitCompiler:
         self.lines.append(f"def u_{unit.name}({', '.join(params)}):")
 
         dummies = set(unit.args)
+        if self.vectorize:
+            self.w("_pl = ctx.plans.table")
 
         # parameters
         for sym in table.symbols.values():
@@ -739,6 +741,17 @@ class RunResult:
     ctx: Ctx
     values: dict
 
+    @property
+    def plans_built(self) -> int:
+        """Nest plans this run built (hits do not count): one per
+        vectorized nest it executed, unless a key kept changing."""
+        return self.ctx.plans.built
+
+    @property
+    def plan_nests(self) -> int:
+        """Vectorized nests this run executed at least once."""
+        return self.ctx.plans.nests
+
     def array(self, name: str) -> OffsetArray:
         value = self.values.get(name)
         if isinstance(value, OffsetArray):
@@ -777,13 +790,14 @@ def compile_unit(cu: A.CompilationUnit,
     special = dict(special_calls or {})
     vec = DEFAULT_VECTORIZE if vectorize is None else vectorize
     stats = _vec.new_stats()
+    specs: dict = {}
     units = {u.name: u for u in cu.units}
     with obs.span("pyback-compile", cat="compile") as sp:
         pieces = []
         for unit in cu.units:
             pieces.append(_UnitCompiler(unit, units, special,
-                                        vectorize=vec,
-                                        stats=stats).compile())
+                                        vectorize=vec, stats=stats,
+                                        specs=specs).compile())
         source = "\n\n".join(pieces)
         sp.args["units"] = len(cu.units)
         sp.args["source_lines"] = source.count("\n") + 1
@@ -797,7 +811,8 @@ def compile_unit(cu: A.CompilationUnit,
         "OffsetArray": OffsetArray,
         "_np": np,
         "_DT": DTYPES,
-        "_do_trips": _do_trips,
+        "_vs": specs,
+        "_do_trips": do_trips,
         "_do_iter": lambda a, b, s: range(a, b + (1 if s > 0 else -1), s),
         "_idiv": lambda a, b: fortran_div(int(a), int(b)),
         "_fdiv": fortran_div,
@@ -809,8 +824,7 @@ def compile_unit(cu: A.CompilationUnit,
     }
     for name, impl in INTRINSIC_IMPLS.items():
         namespace[f"_in_{name}"] = impl
-    for helper in (_vec._vsl, _vec._vidiv, _vec._vfront_sizes,
-                   _vec._vfront_trips, _vec._vfront_refs):
+    for helper in (_vec._vidiv, _vec._vplan_box, _vec._vplan_fronts):
         namespace[helper.__name__] = helper
     for name, impl in _vec.VECTOR_INTRINSIC_IMPLS.items():
         namespace[f"_vin_{name}"] = impl

@@ -180,6 +180,13 @@ def coerce_assign(type_name: str, value):
     return value
 
 
+def do_trips(start: int, stop: int, step: int) -> int:
+    """Trip count of ``DO v = start, stop, step`` (zero when empty)."""
+    if step == 0:
+        raise InterpError("zero DO step")
+    return max(0, (stop - start + step) // step)
+
+
 def fortran_div(a, b):
     """Fortran division: integer/integer truncates toward zero."""
     if isinstance(a, int) and isinstance(b, int):

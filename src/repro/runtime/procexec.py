@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import gc
 import os
 import pickle
 import struct
@@ -626,7 +625,7 @@ def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
         worker.publish(("hello", rank, run_id,
                         EpochProbe.sample(run.trace)))
         threading.Thread(
-            target=_run_then_collect, daemon=True,
+            target=_run_body, daemon=True,
             name=f"proc-body-{rank}",
             args=(worker, run, fn, timeout, barrier,
                   compiled_cache)).start()
@@ -700,15 +699,6 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
         worker.publish(("error", run.rank, run.run_id, "other",
                         type(exc).__name__,
                         f"rank result not picklable: {exc}", *tail))
-
-
-def _run_then_collect(*args) -> None:
-    """Thread target of one attempt.  What a rank body leaves behind is
-    cyclic (the rank runtime and its context, holding the communicator
-    and its trace), and a worker's full collections are rare; collected
-    here, while the worker idles between runs, it does not pile up."""
-    _run_body(*args)
-    gc.collect()
 
 
 # ---------------------------------------------------------------------------

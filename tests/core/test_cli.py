@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+import re
 
 import pytest
 
@@ -79,6 +80,12 @@ class TestRun:
         assert main(["run", src_file, "-p", "2x1"]) == 0
         out = capsys.readouterr().out
         assert "identical" in out
+        # every nest each rank ran was resolved once: a rebuild storm
+        # would read "plans built" well above "nests"
+        nests, built = re.search(
+            r"backend: vectorized .*; on 2 ranks (\d+) nests, "
+            r"(\d+) plans built\)", out).groups()
+        assert int(built) == int(nests) > 0
 
     def test_run_with_input(self, tmp_path, capsys):
         src = tmp_path / "prog.f90"
@@ -172,6 +179,7 @@ class TestProfile:
         assert "compiler phases" in out
         assert "dependency-analysis" in out
         assert "codegen-restructure" in out
+        assert re.search(r"backend: .* nests, \d+ plans built\)", out)
         # (b) per-rank breakdown with derived health numbers
         assert "parallel run (observed)" in out
         assert "compute" in out and "blocked" in out

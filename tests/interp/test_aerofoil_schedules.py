@@ -57,13 +57,17 @@ def test_stitched_grids_equal_sequential_scalar(aerofoil, dims, executor,
 
 
 def test_pipeline_calls_stay_outside_the_carried_nests(aerofoil):
-    # acfd_pipe_recv/send bracket the nest; the frames go between them
+    # acfd_pipe_recv/send bracket the nest: the plan lookup (which
+    # builds on the first frame), the front loop and the DO variables'
+    # exit values all go between them
     acfd, _, _ = aerofoil
     src = compile_unit(acfd.compile(partition=(2, 1, 1)).spmd_cu).source
     blayer = src[src.index("def u_blayer("):src.index("def u_convergence(")]
-    recv, front, send = (blayer.index(s) for s in (
-        "ctx.rt.pipe_recv(5", "_vfront_refs(", "ctx.rt.pipe_send(5"))
-    assert recv < front < send
+    marks = [blayer.index(s) for s in (
+        "ctx.rt.pipe_recv(5", "_pl.get(", "_vplan_fronts(", " in _vz1fr:",
+        "f_k = _vz1e2", "ctx.rt.pipe_send(5")]
+    assert marks == sorted(marks)
+    assert blayer.count("_pl.get(") == blayer.count("for ") == 1
 
 
 @pytest.mark.parametrize("source,dims", [
@@ -78,4 +82,4 @@ def test_programs_without_carried_nests_get_no_carried_frame(source, dims):
     # their only fallback is the frame loop
     assert report.fallback_loops == 1, report.fallback_reasons
     emitted = compile_unit(compiled.spmd_cu).source
-    assert "for _vz" not in emitted and "_vfront" not in emitted
+    assert "for _vz" not in emitted and "_vplan_fronts" not in emitted

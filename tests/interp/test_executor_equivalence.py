@@ -103,3 +103,31 @@ def test_benchmark_programs_stay_on_the_channel(name, gen):
     transport = proc.comm_stats["transport"]
     assert transport["overflow"] == 0
     assert transport["ring"] >= proc.comm_stats["sends"] > 0
+
+
+def _worker_rss_kib() -> list[int]:
+    from repro.runtime.procexec import get_pool
+    out = []
+    for worker in get_pool(2).workers:
+        with open(f"/proc/{worker.process.pid}/status",
+                  encoding="ascii") as fh:
+            out += [int(line.split()[1]) for line in fh
+                    if line.startswith("VmRSS:")]
+    return out
+
+
+def test_workers_free_each_run_without_the_cycle_collector():
+    # a rank body used to leave RankRuntime <-> Ctx behind, and the nest
+    # plans on Ctx now pin views and scratch to it; the worker ran
+    # gc.collect() after every run.  With both ends unbound, reference
+    # counts do it: resident size stays where the third run left it
+    compiled = AutoCFD.from_source(
+        kernels.jacobi_5pt(64, 32, iters=20, eps=0.0)).compile(
+            partition=(2, 1))
+    for run in range(30):
+        compiled.run_parallel(timeout=60.0, executor="process")
+        if run == 2:
+            settled = _worker_rss_kib()
+    assert len(settled) == 2
+    for before, after in zip(settled, _worker_rss_kib()):
+        assert after - before <= 1024, (settled, _worker_rss_kib())

@@ -12,6 +12,7 @@ a GOTO target) falls back with a recorded reason — and every accepted
 nest still produces bitwise-identical results.
 """
 
+import re
 import time
 
 import numpy as np
@@ -149,9 +150,14 @@ class TestSchedules:
         compiled = compile_unit(cu, vectorize=True)
         assert compiled.vector_stats["modes"] == {
             "slice": 1, "carried-outer": 1, "fronts": 0}
-        # the carried variable is the only Python loop of the frame
-        assert compiled.source.count("for _vz") == 1
-        assert f"f_{carried} = _vz" in compiled.source
+        # one scalar loop, over the carried variable's DO values, and no
+        # other Python loop or slice construction in the frame: each
+        # pass indexes the plan's views by trip
+        frame = compiled.source[compiled.source.index("_vz2k ="):]
+        assert re.findall(r"for (\w+), f_(\w) in enumerate\(_vz2cv0\):",
+                          frame) == [("_vz2it0", carried)]
+        assert frame.count("for ") == 1 and "_vsl(" not in frame
+        assert "_vz2w0 = _vz2r0[_vz2it0]" in frame
         _assert_same_state(*_both(src))
 
     def test_negative_and_strided_steps_keep_the_sweep_order(self):
@@ -264,6 +270,16 @@ class TestRefuses:
             stats["reasons"]
         _assert_same_state(*_both(src))  # scalar order, still identical
 
+    def test_variable_in_two_dimensions_falls_back(self):
+        # w(i, i) is a diagonal, which no slice over the trip box is
+        # (cut as one, it read the block w(i, j))
+        src = _nest("      v(i, j) = w(i, i) + w(j, j)", n=7, m=7)
+        stats = survey(parse_source(src))
+        # the (i, j) nest, then its j loop retried under a scalar i
+        assert [why for _, _, why in stats["reasons"]] == [
+            "nest variable subscripts two dimensions of w"] * 2
+        _assert_same_state(*_both(src))
+
     def test_float_sum_reduction_falls_back(self):
         # np.sum is pairwise; the scalar left fold is not — must refuse.
         src = """\
@@ -362,3 +378,222 @@ end
         cu = parse_source(kernels.jacobi_5pt(n=10, m=8, iters=3))
         stats = compile_unit(cu, vectorize=True).vector_stats
         assert stats == survey(cu)
+
+    def test_integer_target_truncates_a_real_expression(self):
+        # the last operation cannot write an integer view: scratch, then
+        # the one casting store the scalar backend's int() amounts to
+        src = """\
+program trunc
+  implicit none
+  integer i, k(9)
+  real a(9)
+  do i = 1, 9
+    a(i) = 1.3 * (i - 5)
+  end do
+  do i = 1, 9
+    k(i) = a(i) * 1.5
+  end do
+  write (6, *) k(1), k(9)
+end
+"""
+        scalar, vector = _both(src)
+        _assert_same_state(scalar, vector)
+        assert [int(x) for x in vector.array("k").data] \
+            == [-7, -5, -3, -1, 0, 1, 3, 5, 7]
+
+    def test_division_is_typed_as_the_scalar_backend_types_it(self):
+        # pyback types mod() integer whatever its arguments, so the
+        # first quotient truncates in scalar mode: it must here too
+        src = """\
+program dv
+  implicit none
+  integer i
+  real a(9), b(9)
+  do i = 1, 9
+    a(i) = 1.7 * i
+  end do
+  do i = 1, 9
+    b(i) = mod(a(i), 2.0) / 2 + mod(i, 3) / 2 + a(i) / 2
+  end do
+  write (6, *) b(3), b(8)
+end
+"""
+        _assert_same_state(*_both(src))
+
+    def test_masked_store_may_read_its_own_target_shifted(self):
+        # red-black: a lane reads the other colour's lanes of the array
+        # it stores to.  The right-hand side is whole before the first
+        # lane lands, whether it is scratch (prn) or a bare view (v)
+        src = _nest("""\
+      if (mod(i + j, 2) .eq. 0) then
+        w(i, j) = 0.5 * w(i, j) + 0.125 * (w(i-1, j) + w(i+1, j) &
+                + w(i, j-1) + w(i, j+1))
+        v(i, j) = v(i-1, j)
+      end if""")
+        assert survey(parse_source(src))["modes"]["slice"] == 2
+        _assert_same_state(*_both(src))
+
+    def test_condition_without_lanes_is_evaluated_once(self):
+        # an array element in the condition makes the IF a mask, but one
+        # the same for every lane
+        src = _nest("""\
+      if (w(1, 1) .gt. 0.4) then
+        v(i, j) = 2.0 * v(i, j)
+      else if (w(2, 1) .gt. 0.3) then
+        v(i, j) = -v(i, j)
+      else
+        v(i, j) = 0.0
+      end if""")
+        assert survey(parse_source(src))["modes"]["slice"] == 2
+        _assert_same_state(*_both(src))
+
+
+def _framed(body: str, units: str = "", decls: str = "",
+            frames: int = 3) -> str:
+    """*body* inside a frame loop over ``a`` and ``b`` in COMMON."""
+    return f"""\
+program framed
+  implicit none
+  integer i, j, it, n
+  parameter (n = 12)
+  common /f/ a(n, n), b(n, n)
+  real a, b
+{decls}
+  do i = 1, n
+    do j = 1, n
+      a(i, j) = 0.01 * i * i + 0.1 * j
+      b(i, j) = 1.0 / (i + j)
+    end do
+  end do
+  do it = 1, {frames}
+{body}
+  end do
+  write (6, *) a(2, 2), b(n - 1, n - 1)
+end
+{units}
+"""
+
+
+class TestPlans:
+    """A nest is resolved when it first executes and looked up after
+    that; ``plans_built`` counts the builds, never the hits."""
+
+    def test_second_frame_executes_without_building(self):
+        cu = parse_source(kernels.jacobi_5pt(n=12, m=8, iters=4, eps=0.0))
+        compiled = compile_unit(cu, vectorize=True)
+        run = compiled.run()
+        # every nest ran, the two in the frame loop four times each
+        assert run.plan_nests == compiled.vector_stats["vectorized"] == 5
+        assert run.plans_built == 5
+        scalar = compile_unit(cu, vectorize=False).run()
+        assert (scalar.plan_nests, scalar.plans_built) == (0, 0)
+        _assert_same_state(scalar, run)
+        # a second run starts from a new context, and its own plans
+        assert compiled.run().plans_built == 5
+
+    def test_emitted_frame_only_looks_up_and_executes(self):
+        cu = parse_source(kernels.jacobi_5pt(n=12, m=8, iters=4, eps=0.0))
+        source = compile_unit(cu, vectorize=True).source
+        frame = source[source.index("for _k"):source.index("ctx.io.write")]
+        assert frame.count("_pl.get(") == 2
+        # bounds, slices and views sit inside the build call, which the
+        # ``or`` skips on a hit; nothing is wrapped to the box shape
+        for line in frame.splitlines():
+            if "_vplan_box(" not in line:
+                assert "int(" not in line, line
+        assert "_vsl(" not in source and "broadcast_to" not in source
+
+    def test_parity_mask_is_computed_once_per_plan(self):
+        # mod(i + j, 2) .eq. c reads index grids only: the plan owns the
+        # mask, and the statements that fill it sit behind its flag
+        cu = parse_source(kernels.redblack_2d(n=10, m=8, iters=4, eps=0.0))
+        lines = compile_unit(cu, vectorize=True).source.splitlines()
+        depth = {line.strip(): len(line) - len(line.lstrip())
+                 for line in lines}
+        fmods = [line for line in depth if line.startswith("_np.fmod(")]
+        assert len(fmods) == 2
+        for line in fmods:
+            assert depth[line] == depth["_vz7b[0] = False"] \
+                > depth["_np.copyto(_vz7r0, _vz7t2, 'unsafe', _vz7m0)"]
+        _assert_same_state(*_both(kernels.redblack_2d(n=10, m=8, iters=4,
+                                                      eps=0.0)))
+
+    def test_dummy_bound_rebuilds_only_when_its_value_changes(self):
+        # the sprayer's fans(fanspd, fanlo, fanhi)
+        src = _framed("""\
+    lo = 2
+    if (it .gt. 4) lo = 5
+    call fill(lo, n - 1, 0.5 * it)""", decls="  integer lo", units="""\
+subroutine fill(lo, hi, x)
+  implicit none
+  integer n, j, lo, hi
+  parameter (n = 12)
+  common /f/ a(n, n), b(n, n)
+  real a, b, x
+  do j = lo, hi
+    a(1, j) = a(1, j) + x
+    b(j, 1) = x
+  end do
+end
+""", frames=7)
+        scalar, vector = _both(src)
+        _assert_same_state(scalar, vector)
+        # the init nest once, fill's nest for lo = 2 and for lo = 5
+        assert (vector.plan_nests, vector.plans_built) == (2, 3)
+
+    def test_two_call_sites_keep_one_plan_each(self):
+        src = _framed("""\
+    call damp(a, 0.5)
+    call damp(b, 0.25)""", units="""\
+subroutine damp(u, x)
+  implicit none
+  integer n, i, j
+  parameter (n = 12)
+  real u(n, n), x
+  do i = 2, n - 1
+    do j = 2, n - 1
+      u(i, j) = x * u(i, j) + u(i, j)
+    end do
+  end do
+end
+""")
+        scalar, vector = _both(src)
+        _assert_same_state(scalar, vector)
+        # three frames, two actuals: two plans, not six
+        assert (vector.plan_nests, vector.plans_built) == (2, 3)
+
+    def test_zero_trip_plan_leaves_inner_variables_alone(self):
+        # the verdict is part of the plan: hit or build, j keeps the
+        # value the init nest left and i takes its start value
+        src = _framed("""\
+    do i = 5, 4
+      do j = 2, n
+        a(i, j) = 0.0
+      end do
+    end do""")
+        scalar, vector = _both(src)
+        _assert_same_state(scalar, vector)
+        assert (vector.scalar("i"), vector.scalar("j")) == (5, 13)
+        assert (vector.plan_nests, vector.plans_built) == (2, 2)
+
+    def test_a_rebound_buffer_gets_its_own_plan(self):
+        # the key holds the buffers the views were cut from
+        cu = parse_source(_framed("""\
+    call damp(a, 0.5)""", units="""\
+subroutine damp(u, x)
+  implicit none
+  integer n, i
+  parameter (n = 12)
+  real u(n, n), x, t(n)
+  do i = 1, n
+    t(i) = x * u(i, 1)
+  end do
+  do i = 1, n
+    u(i, 2) = t(i)
+  end do
+end
+"""))
+        vector = compile_unit(cu, vectorize=True).run()
+        _assert_same_state(compile_unit(cu, vectorize=False).run(), vector)
+        # t is allocated per call: both of damp's nests rebuild per frame
+        assert (vector.plan_nests, vector.plans_built) == (3, 7)

@@ -6,7 +6,10 @@ that update an array in place through random stencils, in a random loop
 order, with negative and non-unit steps, an optional temporary, max fold
 and IF.  Whatever the analysis decides for a nest (slice, carried-outer,
 fronts, or a fallback), ``vectorize=True`` must leave every array,
-scalar and DO variable bitwise equal to ``vectorize=False``.
+scalar and DO variable bitwise equal to ``vectorize=False``.  The nest
+runs once, or three times inside a frame loop, or as a subroutine the
+frame loop calls from two sites with different actuals, so the plan a
+nest builds on its first execution is also the plan later ones hit.
 
 The example count comes from the active hypothesis profile: 100 in
 tier-1 (about 3 s), more under ``--hypothesis-profile=deep`` (CI).
@@ -59,6 +62,7 @@ def nests(draw):
                             min_size=1, max_size=4)))
              for _ in range(draw(st.integers(1, 3)))]
     return {"ndim": ndim, "loops": loops, "stmts": stmts,
+            "shape": draw(st.sampled_from(["once", "framed", "called"])),
             "temp": draw(st.booleans()), "fold": draw(st.booleans()),
             "guard": draw(st.sampled_from(
                 [None, None, "uniform-on", "uniform-off", "varying"]))}
@@ -70,16 +74,27 @@ def _ref(array: str, off: tuple) -> str:
     return f"{array}({subs})"
 
 
+#: plans a run builds when the generated nest got a schedule: one for
+#: the init nest, one per actual set the generated nest is reached with
+PLANS = {"once": 2, "framed": 2, "called": 3}
+#: and the refusal its frame loop adds to the nest's own
+FRAME_REASON = {"once": [], "framed": ["DoLoop in nest body"],
+                "called": ["CallStmt in nest body"]}
+
+
 def render(spec: dict) -> str:
     ndim = spec["ndim"]
     names = VARS[:ndim]
     zero = (0,) * ndim
     ext = ", ".join(["n"] * ndim)
-    lines = [
-        "program gen", "  implicit none",
-        f"  integer n, {', '.join(names)}, {', '.join('s' + v for v in names)}",
+    steps = ", ".join("s" + v for v in names)
+    decls = [
+        "  implicit none",
+        f"  integer n, it, {', '.join(names)}, {steps}",
         "  parameter (n = 8)",
         f"  real a({ext}), b({ext}), c({ext}), tmp, big, flag",
+    ]
+    lines = ["program gen"] + decls + [
         f"  flag = {0.0 if spec['guard'] == 'uniform-off' else 1.0}",
         "  big = 0.0",
     ]
@@ -90,9 +105,10 @@ def render(spec: dict) -> str:
               f"    {_ref('c', zero)} = 0.5 - 0.02 * ({point})"]
     lines += ["  end do"] * ndim
     lines += [f"  s{v} = {step}" for v, step, _ in spec["loops"]]
+    nest = []
     for v, step, held in spec["loops"]:
         lo, hi = (3, 6) if step > 0 else (6, 3)  # offsets reach 1..n
-        lines.append(f"  do {v} = {lo}, {hi}, {f's{v}' if held else step}")
+        nest.append(f"  do {v} = {lo}, {hi}, {f's{v}' if held else step}")
     body = []
     if spec["temp"]:
         body.append(f"tmp = 0.5 * {_ref('a', zero)} + {_ref('b', zero)}")
@@ -110,9 +126,22 @@ def render(spec: dict) -> str:
         body[-1:] = ["if (flag .gt. 0.5) then", "  " + body[-1], "end if"]
     if spec["fold"]:
         body.append(f"big = amax1(big, abs({_ref('a', zero)}))")
-    lines += ["    " + s for s in body]
-    lines += ["  end do"] * ndim
-    lines += ["  write (6, *) big", "end"]
+    nest += ["    " + s for s in body]
+    nest += ["  end do"] * ndim
+    tail = ["  write (6, *) big", "end"]
+    if spec["shape"] == "once":
+        lines += nest + tail
+    elif spec["shape"] == "framed":
+        # (the CONTINUE keeps the frame loop out of the nest's DO chain)
+        lines += ["  do it = 1, 3", "  continue"] + nest + ["  end do"] + tail
+    else:
+        rest = f"tmp, big, flag, {', '.join(names)}, {steps}"
+        lines += ["  do it = 1, 3",
+                  f"    call sweep(a, b, c, {rest})",
+                  f"    call sweep(c, b, a, {rest})",
+                  "  end do"] + tail
+        lines += [f"subroutine sweep(a, b, c, {rest})"] + decls + nest
+        lines += ["end"]
     return "\n".join(lines) + "\n"
 
 
@@ -142,9 +171,15 @@ def test_generated_nests_match_the_scalar_order():
         # the init nest is always one slice
         seen.update(m for m, n in prog.vector_stats["modes"].items()
                     if n > (m == "slice"))
-        seen.update(r for _, _, why in prog.vector_stats["reasons"]
-                    for r in NEW_REASONS if r in why)
+        reasons = [why for _, _, why in prog.vector_stats["reasons"]]
+        seen.update(r for why in reasons for r in NEW_REASONS if r in why)
+        if reasons == FRAME_REASON[spec["shape"]]:
+            # the nest got a schedule: later executions hit its plan
+            assert (vector.plan_nests, vector.plans_built) \
+                == (2, PLANS[spec["shape"]]), src
+            seen[spec["shape"]] += 1
 
     check()
-    missing = [k for k in MODES + NEW_REASONS if not seen[k]]
+    missing = [k for k in MODES + NEW_REASONS + tuple(PLANS)
+               if not seen[k]]
     assert not missing, f"generator never reached {missing}: {seen}"
