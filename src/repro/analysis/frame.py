@@ -104,6 +104,18 @@ class FrameProgram:
                 return n
         return None
 
+    def frame_loop(self) -> InstanceNode | None:
+        """The frame (time) loop's first instance, if the directive names
+        its variable."""
+        var = self.directives.frame_var
+        if var is None:
+            return None
+        for node in self.nodes:
+            if node.kind == "loop" and isinstance(node.stmt, A.DoLoop) \
+                    and node.stmt.var == var:
+                return node
+        return None
+
     def common_enclosing_loop(self, a: InstanceNode,
                               b: InstanceNode) -> InstanceNode | None:
         """Innermost loop instance containing both nodes (or None)."""

@@ -104,6 +104,9 @@ def cmd_compile(args) -> int:
               f"{len(result.plan.pipes)} pipelined loops)")
     else:
         print(text)
+    # beside the program text, not in it
+    for line in result.report.freshness_lines():
+        print(line, file=sys.stdout if args.output else sys.stderr)
     return 0
 
 
@@ -126,6 +129,8 @@ def cmd_report(args) -> int:
         for sid, reason in result.report.overlap_refusals:
             print(f"  {result.report.program} {part} sync {sid} "
                   f"stays blocking: {reason}")
+        for line in result.report.freshness_lines():
+            print(f"  {result.report.program} {part} {line}")
         for unit, line, reason in result.report.fallback_reasons:
             print(f"  {result.report.program} {part} loop at {unit}:{line} "
                   f"stays scalar: {reason}")
@@ -302,6 +307,8 @@ def cmd_profile(args) -> int:
           f"{len(result.plan.syncs)} combined syncs nonblocking "
           f"(interior/boundary split, {interproc} across call "
           f"boundaries)")
+    for line in result.report.freshness_lines():
+        print(line)
 
     print("\n== parallel run (observed) ==")
     rollup = par.rollup()

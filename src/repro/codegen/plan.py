@@ -31,6 +31,7 @@ from repro.partition.halo import GhostSpec
 from repro.partition.partitioner import Partition
 from repro.sync.combine import (CombinedSync, combine_regions,
                                 merge_dim_distances)
+from repro.sync.freshness import analyze_freshness
 from repro.sync.regions import SyncRegion, upper_bound_region
 
 #: insertion modes for planned statements
@@ -65,6 +66,18 @@ class PlannedSync:
     #: whole aggregated message's ghost footprint (strip widths for the
     #: overlap split)
     dim_distances: dict[int, tuple[int, int]] = field(default_factory=dict)
+    #: the members of ``arrays`` that travel on every frame; the rest are
+    #: *entry-only* (``entry_only``: array -> the syncs it is still fresh
+    #: from) and travel on the first executed trip alone.  ``refusals``:
+    #: array -> why :mod:`repro.sync.freshness` would not look further.
+    #: ``steady is arrays`` when nothing was demoted.
+    steady: list[tuple[str, dict[int, tuple[int, int]]]] = None  # type: ignore[assignment]
+    entry_only: dict[str, list[int]] = field(default_factory=dict)
+    refusals: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.steady is None:
+            self.steady = self.arrays
 
 
 @dataclass
@@ -325,6 +338,10 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
             member_pairs=len(group.regions),
             placement_slot=group.placement,
             dim_distances=merge_dim_distances(merged)))
+    with obs.span("sync-freshness", cat="compile") as frspan:
+        analyze_freshness(frame, syncs, partition.cut_dims,
+                          frame.frame_loop(), cu)
+        frspan.args["entry_only"] = sum(len(s.entry_only) for s in syncs)
 
     # --- ghost geometry per array -------------------------------------------
     main_table: SymbolTable = cu.main.symbols  # type: ignore[assignment]

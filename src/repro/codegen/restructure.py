@@ -24,7 +24,6 @@ generated PVM/MPI Fortran.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.analysis.field_loops import classify_unit
@@ -61,7 +60,7 @@ class Restructurer:
 
     def __init__(self, plan: ParallelPlan) -> None:
         self.plan = plan
-        self.cu = copy.deepcopy(plan.cu)
+        self.cu = A.copy_node(plan.cu)
         resolve_compilation_unit(self.cu)
         self.directives = plan.directives
         self.partition = plan.partition
@@ -107,8 +106,7 @@ class Restructurer:
         Priority 10 "before" the first body statement keeps it above any
         exchange (priority 2) inserted at the same position.
         """
-        from repro.codegen.schedule import _frame_loop_node
-        node = _frame_loop_node(self.plan)
+        node = self.plan.frame.frame_loop()
         if node is None:
             return
         try:
@@ -571,6 +569,10 @@ class Restructurer:
             return OverlapDecision(sid, False, reason, callee=callee), None
 
         host = unit
+        if not sync.steady:
+            # the call stays for the first trip; later ones would split
+            # the consumer nest around an exchange that sends nothing
+            return refuse("nothing to send after the first frame")
         if isinstance(nxt, A.DoLoop):
             loop = nxt
         elif isinstance(nxt, A.CallStmt) and nxt.name == "acfd_pipe_recv":
@@ -850,7 +852,7 @@ class Restructurer:
         keeps the three ranges an exact disjoint cover of [cs, ce] even
         on owned blocks thinner than dm + dp.
         """
-        new = copy.deepcopy(loop)
+        new = A.copy_node(loop)
         for s in A.walk_statements([new]):
             s.label = None
             if isinstance(s, A.DoLoop):
@@ -877,11 +879,11 @@ class Restructurer:
                 elif mode == "low":
                     cur.stop = _fn("min0", cur.stop, plus(lo, dm - 1))
                 else:  # high
-                    i_start = _fn("max0", copy.deepcopy(cur.start),
+                    i_start = _fn("max0", A.copy_node(cur.start),
                                   plus(lo, dm)) if dm \
-                        else copy.deepcopy(cur.start)
-                    i_stop = _fn("min0", copy.deepcopy(cur.stop),
-                                 minus(copy.deepcopy(hi), dp))
+                        else A.copy_node(cur.start)
+                    i_stop = _fn("min0", A.copy_node(cur.stop),
+                                 minus(A.copy_node(hi), dp))
                     cur.start = _fn("max0", i_start, plus(i_stop, 1))
             if depth + 1 < len(facts.levels):
                 nxt = cur.body[0]

@@ -77,6 +77,9 @@ class RankRuntime:
         self.checkpoints = checkpoints
         self._ctx = None
         self._restored = False
+        #: frame-loop trips ``frame`` let through since the run started
+        #: or was restored; past the first, syncs send ``steady`` only
+        self._trips = 0
 
     def bind_ctx(self, ctx) -> None:
         """Attach the rank's execution context (COMMON-block storage) so
@@ -131,11 +134,24 @@ class RankRuntime:
                          owned=self.subgrid.owned, dist=dist)
                 for (name, dist), arr in zip(named_dists, arrays)]
 
-    def _sync_exchanger(self, sync_id: int, arrays) -> HaloExchanger:
+    def _sync_exchanger(self, sync_id: int, arrays) -> HaloExchanger | None:
         """The exchanger kept for combined sync *sync_id*; built on first
         use, and again whenever the call passes other array objects (a
         subroutine-local array re-created per call), since its face plan
-        holds views of the arrays it was built for."""
+        holds views of the arrays it was built for.
+
+        From the second trip on only the sync's ``steady`` members travel
+        (the entry-only ones are still fresh, see
+        :mod:`repro.sync.freshness`): the exchanger is rebuilt once for
+        the shorter list, and None stands for "nothing left to send"."""
+        sync = self.plan.syncs[sync_id - 1]
+        members = sync.arrays
+        if self._trips > 1 and len(sync.steady) < len(members):
+            arrays = [arr for arr, (name, _d) in zip(arrays, members)
+                      if name not in sync.entry_only]
+            members = sync.steady
+            if not members:
+                return None
         ex = self._syncs.get(sync_id)
         if ex is None or not _same_arrays(ex.specs, arrays):
             if ex is not None and ex.in_flight:
@@ -145,7 +161,7 @@ class RankRuntime:
             dims = range(self.plan.directives.ndims)
             named_dists = [
                 (name, tuple(dists.get(g, (0, 0)) for g in dims))
-                for name, dists in self.plan.syncs[sync_id - 1].arrays]
+                for name, dists in members]
             ex = self._syncs[sync_id] = HaloExchanger(
                 self.cart,
                 self._specs(f"sync {sync_id}", named_dists, arrays),
@@ -167,7 +183,9 @@ class RankRuntime:
 
     def exchange(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Aggregated halo exchange for combined sync point *sync_id*."""
-        self._in_halo(self._sync_exchanger(int(sync_id), arrays).exchange)
+        ex = self._sync_exchanger(int(sync_id), arrays)
+        if ex is not None:
+            self._in_halo(ex.exchange)
 
     def exchange_begin(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Post the aggregated exchange nonblocking (overlap path).
@@ -176,7 +194,9 @@ class RankRuntime:
         the interior of the split consumer nest while the halo messages
         are in flight.
         """
-        self._in_halo(self._sync_exchanger(int(sync_id), arrays).begin)
+        ex = self._sync_exchanger(int(sync_id), arrays)
+        if ex is not None:
+            self._in_halo(ex.begin)
 
     def exchange_finish(self, sync_id: int, *arrays: OffsetArray) -> None:
         """Wait on a begun exchange and unpack every ghost face."""
@@ -297,6 +317,7 @@ class RankRuntime:
                 self._save(it, arrays)
         if self.faults is not None:
             self.faults.on_frame(self.comm.rank, it)
+        self._trips += 1
         return 0
 
     def _snapshot(self, arrays) -> tuple[dict, dict]:
@@ -360,6 +381,9 @@ class RankRuntime:
                 self._ctx.commons[block][pos] = saved.item()
             nbytes += saved.nbytes
         self._restored = True
+        # restored ghosts are not vouched for: the trip that follows sends
+        # every member, as the first trip of a run does
+        self._trips = 0
         if self.comm.record is not None:
             self.comm.record("restore", None, nbytes, frame, 0,
                              t0, perf_counter_ns())

@@ -37,7 +37,8 @@ class CommPhase:
     """One combined synchronization's per-frame communication."""
 
     sync_id: int
-    #: per array: per grid dim (minus, plus) ghost widths
+    #: per array sent on every frame (``PlannedSync.steady``): per grid
+    #: dim (minus, plus) ghost widths
     arrays: list[tuple[str, dict[int, tuple[int, int]]]] = field(
         default_factory=list)
     #: the restructurer split the consumer nest: transfers fly during the
@@ -95,18 +96,6 @@ def _loop_ops_per_point(loop: A.DoLoop) -> int:
     return max(1, body_ops(loop.body))
 
 
-def _frame_loop_node(plan: ParallelPlan) -> InstanceNode | None:
-    """Locate the frame (time) loop instance, if the directive names it."""
-    var = plan.directives.frame_var
-    if var is None:
-        return None
-    for node in plan.frame.nodes:
-        if node.kind == "loop" and isinstance(node.stmt, A.DoLoop) \
-                and node.stmt.var == var:
-            return node
-    return None
-
-
 def _repeat_factor(node: InstanceNode, frame_node: InstanceNode | None) -> int:
     """Extra static loop nesting between the frame loop and the node.
 
@@ -128,7 +117,7 @@ def _repeat_factor(node: InstanceNode, frame_node: InstanceNode | None) -> int:
 
 def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
     """Derive the per-frame phase list from the compiled plan."""
-    frame_node = _frame_loop_node(plan)
+    frame_node = plan.frame.frame_loop()
     schedule = FrameSchedule(grid_shape=plan.directives.grid_shape)
 
     def inside_frame(node: InstanceNode) -> bool:
@@ -163,13 +152,18 @@ def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
         seen_compute.add(inst.open)
 
     for sync in plan.syncs:
+        # the schedule is frame-periodic: it carries what travels on
+        # every frame, so entry-only members are not in it and a sync
+        # with no other member is no phase at all
+        if not sync.steady:
+            continue
         slot = sync.placement_slot
         if frame_node is not None:
             # a placement at the frame loop's close slot sits just before
             # its END DO — inside the frame, once per iteration
             if not (frame_node.open < slot <= frame_node.close):
                 continue
-        events.append((slot, 0, CommPhase(sync.sync_id, list(sync.arrays),
+        events.append((slot, 0, CommPhase(sync.sync_id, list(sync.steady),
                                           overlap=plan.overlap_enabled(
                                               sync.sync_id))))
 

@@ -210,6 +210,10 @@ class AutoCFD:
                                 "reason": d.reason,
                                 "callee": d.callee}
                                for d in plan.overlap_decisions],
+            freshness=[{"sync_id": s.sync_id,
+                        "entry_only": dict(s.entry_only),
+                        "refusals": dict(s.refusals)}
+                       for s in plan.syncs],
             phases=[s for s in self.obs.spans() if s.cat == "compile"],
             metrics=self.obs.metrics.snapshot())
         return CompileResult(plan=plan, spmd_cu=spmd, report=report)

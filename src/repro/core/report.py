@@ -45,6 +45,11 @@ class CompilationReport:
     #: ``sync_id``/``enabled``/``reason``/``callee`` — ``callee`` names
     #: the subroutine when the verdict crossed a call boundary
     overlap_decisions: list[dict] = field(default_factory=list)
+    #: per combined sync, the ghost-freshness verdicts as dicts with
+    #: ``sync_id``, ``entry_only`` (array -> the syncs it is still fresh
+    #: from: sent on the first frame only) and ``refusals`` (array -> why
+    #: the pass would not look further: sent every frame)
+    freshness: list[dict] = field(default_factory=list)
     #: timed pre-compiler phases (``cat == "compile"`` spans, in order)
     phases: list[Span] = field(default_factory=list)
     #: phase-counter snapshot (loops scanned, syncs before/after, ...)
@@ -83,6 +88,18 @@ class CompilationReport:
         return (f"{self.vector_loops} vectorized ({modes}), "
                 f"{self.fallback_loops} scalar fallbacks")
 
+    def freshness_lines(self) -> list[str]:
+        """``sync 1: v entry-only (fresh from sync 2)`` per decided member."""
+        lines = []
+        for d in self.freshness:
+            for name, via in d["entry_only"].items():
+                lines.append(f"sync {d['sync_id']}: {name} entry-only (fresh "
+                             f"from sync {', '.join(str(s) for s in via)})")
+            for name, reason in d["refusals"].items():
+                lines.append(f"sync {d['sync_id']}: {name} sent every "
+                             f"frame: {reason}")
+        return lines
+
     def phase_table(self) -> str:
         """Per-phase compiler timing table (empty string if unprofiled)."""
         if not self.phases:
@@ -120,6 +137,7 @@ class CompilationReport:
                 {"sync_id": sid, "reason": reason}
                 for sid, reason in self.overlap_refusals],
             "overlap_decisions": [dict(d) for d in self.overlap_decisions],
+            "freshness": [dict(d) for d in self.freshness],
             "phases": [{"name": s.name, "dur_s": s.dur, "args": s.args}
                        for s in self.phases],
             "metrics": self.metrics,

@@ -476,8 +476,37 @@ def statement_lists(stmt: Stmt) -> Iterator[list[Stmt]]:
         yield [stmt.stmt]
 
 
-def copy_node(node: Node) -> Node:
-    """Deep-copy an AST node (used by the restructurer)."""
-    import copy
+_NODE_TYPES = (Expr, Stmt, ProgramUnit, CompilationUnit)
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
-    return copy.deepcopy(node)
+
+def copy_node(node: Node) -> Node:
+    """Structural clone of an AST (used by the restructurer).
+
+    Every node, list and tuple below *node* is new; strings and numbers
+    are shared.  A unit's ``symbols`` are left out (the clone is
+    unresolved until :func:`repro.fortran.symbols.resolve_compilation_unit`
+    runs on it) and a compilation unit's ``directives`` object is shared.
+    """
+    cls = type(node)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls))
+    new = object.__new__(cls)
+    values = new.__dict__
+    for name in names:
+        values[name] = _copy_value(getattr(node, name))
+    if cls is ProgramUnit:
+        new.symbols = None
+    return new
+
+
+def _copy_value(value):
+    if isinstance(value, _NODE_TYPES):
+        return copy_node(value)
+    if isinstance(value, list):
+        return [_copy_value(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(_copy_value(v) for v in value)
+    return value

@@ -16,9 +16,13 @@ busiest rank — the one everybody else ends up waiting for).  The cluster
 simulator emits the same :class:`RunRollup`, so observed and simulated
 breakdowns are directly comparable in one report.
 
-Frame boundaries are inferred, not annotated: the first combined
-synchronization of a frame recurs once per frame, so occurrences of the
-earliest-seen exchange id on the reference rank delimit frames.
+Frame boundaries are the ``frame`` events a generated program's
+``acfd_frame`` hook records at the top of every trip.  A trace without
+them (a hand-written SPMD body) falls back to inference: the first
+combined synchronization of a frame recurs once per frame, so
+occurrences of the earliest-seen exchange id on the reference rank
+delimit frames.  (That no longer holds for generated programs: an
+entry-only sync runs on the first trip alone.)
 """
 
 from __future__ import annotations
@@ -262,20 +266,21 @@ class Timeline:
     # -- frames ------------------------------------------------------------------
 
     def frames(self, ref_rank: int = 0) -> list[tuple[float, float]]:
-        """Frame windows, delimited by the recurring first exchange.
+        """Frame windows of *ref_rank*, cut at its ``frame`` events.
 
-        The combined synchronization with the earliest first occurrence
-        on *ref_rank* recurs once per frame; its occurrences split the
-        rank's window.  With fewer than two occurrences the whole run is
-        one frame.
+        Without frame events the combined synchronization with the
+        earliest first occurrence stands in for them: it recurs once
+        per frame.  With fewer than two cuts the whole run is one frame.
         """
-        marks = sorted((e.t0, e.tag) for e in self.events
-                       if e.kind == "exchange" and e.rank == ref_rank)
         w0, w1 = self.rank_window(ref_rank)
-        if not marks:
-            return [(w0, w1)] if w1 > w0 else []
-        first_id = marks[0][1]
-        cuts = [t for t, tag in marks if tag == first_id]
+        cuts = sorted(e.t0 for e in self.events
+                      if e.kind == "frame" and e.rank == ref_rank)
+        if not cuts:
+            marks = sorted((e.t0, e.tag) for e in self.events
+                           if e.kind == "exchange" and e.rank == ref_rank)
+            if not marks:
+                return [(w0, w1)] if w1 > w0 else []
+            cuts = [t for t, tag in marks if tag == marks[0][1]]
         if len(cuts) < 2:
             return [(w0, w1)]
         windows = [(w0, cuts[1])]

@@ -2,7 +2,8 @@
 
 Three rules shape a region around control flow:
 
-1. a ``goto`` inside the region ends it just before the ``goto``;
+1. a ``goto`` inside the region ends it just before the ``goto`` (before
+   the IF statement, when the ``goto`` is conditional);
 2. an IF/ELSE block inside the region ends it just before the block when
    the block contains an R-type loop of the dependent array; otherwise
    the block is merely excluded from placement (handled by the interior
@@ -45,6 +46,13 @@ def truncate_for_branches(frame: FrameProgram, start: int, end: int,
     """Apply rules 1-2: return the truncated region end."""
     new_end = end
     for node in _goto_nodes(frame, start, new_end):
+        # ``if (c) goto 10``: a sync just before the goto would sit in
+        # the IF's arm and run only when the jump is taken, so the
+        # region closes before the outermost IF that opens inside it
+        for anc in node.ancestors():
+            if anc.kind not in ("if", "arm") or anc.open < start:
+                break
+            node = anc
         if node.open < new_end:
             new_end = node.open
     for node in _if_nodes(frame, start, new_end):

@@ -9,7 +9,7 @@ from repro.codegen.schedule import (
 )
 from repro.core import AutoCFD
 
-from tests.conftest import JACOBI_SRC, SEIDEL_SRC
+from tests.conftest import JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC
 
 
 def compile_src(src, partition):
@@ -41,6 +41,42 @@ class TestMpiFortran:
         assert "acfd_pipe_recv_1" in text
         assert "acfd_pipe_send_1" in text
         assert "mirror-image decomposition" in text
+
+    def test_entry_only_sync_returns_after_the_first_frame(self):
+        res = compile_src(JACOBI_SRC, (2, 1))
+        text = res.mpi_source()
+        one = text.split("subroutine acfd_exchange_1(v)")[1] \
+            .split("end subroutine")[0]
+        assert ("c  entry-only: v (still fresh from sync 2), sent on the "
+                "first frame only") in one
+        # the guard sits ahead of every face transfer
+        assert one.index("if (acfd_trip .gt. 1) return") \
+            < one.index("mpi_sendrecv")
+        two = text.split("subroutine acfd_exchange_2(v)")[1] \
+            .split("end subroutine")[0]
+        assert "acfd_trip" not in two and "entry-only" not in two
+        # the frame hook counts the trips the guard reads
+        hook = text.split("integer function acfd_frame(")[1]
+        assert "acfd_trip = acfd_trip + 1" in hook
+
+    def test_partly_entry_only_sync_switches_member_set(self):
+        from repro.apps.sprayer import sprayer_source
+        res = compile_src(sprayer_source(n=48, m=20, iters=4), (2, 1))
+        sync = res.plan.syncs[0]
+        assert list(sync.entry_only) == ["pr"]
+        assert [name for name, _d in sync.steady] == ["sw", "vx"]
+        begin = res.mpi_source().split(
+            "subroutine acfd_exchange_begin_1(pr, sw, vx)")[1] \
+            .split("end subroutine")[0]
+        assert "c  entry-only: pr (still fresh from sync 7)" in begin
+        assert "c  acfd_members: 0 = every array, 1 = sw, vx" in begin
+        assert begin.index("if (acfd_trip .le. 1) acfd_members(1) = 0") \
+            < begin.index("mpi_irecv")
+
+    def test_nothing_demoted_prints_no_guard(self):
+        text = compile_src(JACOBI_BC_SRC, (2, 1)).mpi_source()
+        assert "entry-only" not in text
+        assert "acfd_members" not in text
 
     def test_header_mentions_partition(self):
         res = compile_src(JACOBI_SRC, (2, 2))
@@ -82,3 +118,13 @@ class TestScheduleExtraction:
         assert len(sched.comm_phases) <= len(res.plan.syncs)
         for phase in sched.comm_phases:
             assert phase.arrays
+
+    def test_schedule_carries_the_steady_members_only(self):
+        # frame-periodic: the entry-only sync 1 is no phase at all
+        res = compile_src(JACOBI_SRC, (2, 1))
+        assert [p.sync_id for p in extract_schedule(res.plan).comm_phases] \
+            == [2]
+        # at 2x2 the pass refuses (two cut dimensions): both stay
+        res = compile_src(JACOBI_SRC, (2, 2))
+        assert [p.sync_id for p in extract_schedule(res.plan).comm_phases] \
+            == [1, 2]

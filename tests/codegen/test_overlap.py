@@ -27,7 +27,8 @@ from repro.fortran.printer import print_compilation_unit
 from repro.partition.grid import GridGeometry
 from repro.partition.partitioner import Partition
 
-from tests.conftest import JACOBI_SRC, SEIDEL_SRC
+from tests.conftest import (JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC,
+                            with_boundary_refresh)
 
 
 def compiled(src: str, dims, overlap="auto"):
@@ -44,7 +45,7 @@ def decision(plan, sync_id):
 
 class TestSplitStructure:
     def test_jacobi_splits_into_begin_interior_finish_strips(self):
-        plan, text = compiled(JACOBI_SRC, (2, 1))
+        plan, text = compiled(JACOBI_BC_SRC, (2, 1))
         assert decision(plan, 1).enabled
         assert "call acfd_exchange_begin(1, v)" in text
         assert "call acfd_exchange_finish(1, v)" in text
@@ -84,15 +85,27 @@ class TestSplitStructure:
     def test_reduction_still_allreduced_after_strips(self):
         # err accumulates across interior + strips; the allreduce must
         # come after every partial nest
-        _plan, text = compiled(JACOBI_SRC, (2, 1))
+        _plan, text = compiled(JACOBI_BC_SRC, (2, 1))
         finish_at = text.index("acfd_exchange_finish(1")
         red_at = text.index("acfd_allreduce_max")
         assert red_at > finish_at
 
 
 class TestRefusals:
+    def test_entry_only_sync_is_not_split(self):
+        # plain Jacobi: v is still fresh from the bottom-of-frame sync,
+        # so sync 1 sends on the first trip only and its consumer nest
+        # runs whole behind the blocking call
+        plan, text = compiled(JACOBI_SRC, (2, 1))
+        assert plan.syncs[0].steady == []
+        d = decision(plan, 1)
+        assert not d.enabled
+        assert d.reason == "nothing to send after the first frame"
+        assert "call acfd_exchange(1, v)" in text
+        assert "acfd_exchange_begin" not in text
+
     def test_pipelined_consumer_refused(self):
-        plan, text = compiled(SEIDEL_SRC, (2, 1))
+        plan, text = compiled(with_boundary_refresh(SEIDEL_SRC), (2, 1))
         d = decision(plan, 1)
         assert not d.enabled
         assert "pipelined" in d.reason
@@ -108,14 +121,14 @@ class TestRefusals:
     def test_diagonal_reader_allowed_on_one_cut_dim(self):
         # with a single cut dimension there are no corner transfers, so
         # the nine-point stencil overlaps safely
-        acfd = AutoCFD.from_source(kernels.jacobi_9pt())
+        acfd = AutoCFD.from_source(with_boundary_refresh(kernels.jacobi_9pt()))
         plan = acfd.compile(partition=(2, 1)).plan
         assert decision(plan, 1).enabled
 
     def test_scalar_read_after_nest_refused(self):
         # i's exit value changes when the nest is split; reading it
         # right after the nest must refuse the overlap
-        src = JACOBI_SRC.replace(
+        src = JACOBI_BC_SRC.replace(
             "    end do\n"
             "    do i = 2, n - 1\n"
             "      do j = 2, m - 1\n"
@@ -135,7 +148,7 @@ class TestRefusals:
     def test_scalar_killed_by_later_loop_is_not_live(self):
         # the copy nest reassigns i/j before this read — the kill
         # semantics must not false-positive on it
-        src = JACOBI_SRC.replace("    if (err .lt. eps) exit",
+        src = JACOBI_BC_SRC.replace("    if (err .lt. eps) exit",
                                  "    err = err + i\n"
                                  "    if (err .lt. eps) exit")
         plan, _ = compiled(src, (2, 1))
@@ -151,7 +164,7 @@ class TestRefusals:
 
 class TestReportAndPlan:
     def test_report_counts_and_refusals(self):
-        acfd = AutoCFD.from_source(JACOBI_SRC)
+        acfd = AutoCFD.from_source(JACOBI_BC_SRC)
         report = acfd.compile(partition=(2, 1)).report
         assert report.overlap_syncs == 1
         assert all(reason for _sid, reason in report.overlap_refusals)
@@ -160,7 +173,7 @@ class TestReportAndPlan:
         assert d["overlap_refusals"][0]["reason"]
 
     def test_plan_overlap_enabled_query(self):
-        acfd = AutoCFD.from_source(JACOBI_SRC)
+        acfd = AutoCFD.from_source(JACOBI_BC_SRC)
         plan = acfd.compile(partition=(2, 1)).plan
         assert plan.overlap_enabled(1)
         assert not plan.overlap_enabled(2)
@@ -169,7 +182,7 @@ class TestReportAndPlan:
 
 class TestMpiFortranArtifact:
     def test_overlapped_sync_prints_nonblocking_wrappers(self):
-        acfd = AutoCFD.from_source(JACOBI_SRC)
+        acfd = AutoCFD.from_source(JACOBI_BC_SRC)
         result = acfd.compile(partition=(2, 1))
         text = result.mpi_source()
         assert "subroutine acfd_exchange_begin_1(v)" in text
@@ -316,6 +329,8 @@ def local_accumulator_src():
 
 
 #: sync 1 ships v and w together, but relaxv only declares v's COMMON
+#: (copyback runs first in the frame, so the exchange is needed on every
+#: trip and not entry-only)
 HIDDEN_ARRAY_SRC = """\
 !$acfd status v, w, vnew
 !$acfd grid 12 8
@@ -336,9 +351,9 @@ program twoarr
     end do
   end do
   do iter = 1, 4
+    call copyback()
     call relaxv()
     call relaxw()
-    call copyback()
   end do
 end program twoarr
 

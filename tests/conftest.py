@@ -61,6 +61,24 @@ program jacobi
 end program jacobi
 """
 
+def with_boundary_refresh(src: str) -> str:
+    """*src* re-imposing a boundary row of ``v`` at the top of every frame.
+
+    The write makes ``v``'s ghosts stale there, so the top-of-frame
+    exchange is needed on every trip; without it the freshness pass
+    demotes that exchange to entry-only and its consumer nest is no
+    longer split, which the overlap tests are about.
+    """
+    assert src.count("    err = 0.0\n") == 1
+    return src.replace("    err = 0.0\n",
+                       "    err = 0.0\n"
+                       "    do i = 1, n\n"
+                       "      v(i, 1) = 1.0\n"
+                       "    end do\n")
+
+
+JACOBI_BC_SRC = with_boundary_refresh(JACOBI_SRC)
+
 SEIDEL_SRC = """\
 !$acfd status v
 !$acfd grid 20 14

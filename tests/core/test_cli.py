@@ -49,6 +49,19 @@ class TestCompile:
         assert main(["compile", src_file, "-n", "4"]) == 0
         assert "acfd_lo" in capsys.readouterr().out
 
+    def test_freshness_verdicts_print_beside_the_program(self, src_file,
+                                                         tmp_path, capsys):
+        note = "sync 1: v entry-only (fresh from sync 2)"
+        assert main(["compile", src_file, "-p", "2x1"]) == 0
+        got = capsys.readouterr()
+        assert note in got.err and note not in got.out
+        assert main(["compile", src_file, "-p", "2x1",
+                     "-o", str(tmp_path / "par.f")]) == 0
+        assert note in capsys.readouterr().out
+        assert main(["compile", src_file, "-p", "2x2"]) == 0
+        assert ("sync 1: v sent every frame: ghost width on two or more "
+                "cut dimensions") in capsys.readouterr().err
+
 
 class TestReport:
     def test_multiple_partitions(self, src_file, capsys):
@@ -60,6 +73,17 @@ class TestReport:
     def test_missing_partition_is_error(self, src_file, capsys):
         assert main(["report", src_file]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_json_lists_freshness_per_sync(self, src_file, capsys):
+        assert main(["report", src_file, "-p", "2x1", "-p", "2x2",
+                     "--json"]) == 0
+        one, two = json.loads(capsys.readouterr().out)
+        assert one["freshness"] == [
+            {"sync_id": 1, "entry_only": {"v": [2]}, "refusals": {}},
+            {"sync_id": 2, "entry_only": {}, "refusals": {}}]
+        assert [sorted(d["refusals"]) for d in two["freshness"]] \
+            == [["v"], ["v"]]
+        assert all(not d["entry_only"] for d in two["freshness"])
 
     def test_json_output(self, src_file, capsys):
         assert main(["report", src_file, "-p", "2x1", "--json"]) == 0
@@ -178,7 +202,9 @@ class TestProfile:
         # (a) per-phase compiler timing table
         assert "compiler phases" in out
         assert "dependency-analysis" in out
+        assert "sync-freshness" in out
         assert "codegen-restructure" in out
+        assert "sync 1: v entry-only (fresh from sync 2)" in out
         assert re.search(r"backend: .* nests, \d+ plans built\)", out)
         # (b) per-rank breakdown with derived health numbers
         assert "parallel run (observed)" in out

@@ -7,8 +7,10 @@ number of exchanges the real runtime performs per frame, and the message
 sizes the simulator charges must match the bytes actually shipped.
 """
 
-import math
+import pytest
 
+from repro.apps.kernels import jacobi_5pt
+from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
 from repro.codegen.schedule import extract_schedule
 from repro.core import AutoCFD
 from repro.simulate import ClusterSim, MachineModel, NetworkModel
@@ -33,9 +35,12 @@ class TestExchangeCounts:
 
         traced = par.trace.count("exchange", rank=0)
         in_frame = len(schedule.comm_phases)
-        outside = len(compiled.plan.syncs) - in_frame
-        assert traced == frames * in_frame + outside, \
-            (traced, frames, in_frame, outside)
+        # the stencil sync is entry-only: off the periodic schedule, one
+        # exchange on the first trip
+        once = len(compiled.plan.syncs) - in_frame
+        assert (in_frame, once) == (1, 1)
+        assert traced == frames * in_frame + once, \
+            (traced, frames, in_frame, once)
 
     def test_reduce_count_matches(self):
         frames = 4
@@ -44,6 +49,38 @@ class TestExchangeCounts:
         par = compiled.run_parallel()
         # one allreduce per frame (err), all ranks participate
         assert par.trace.count("allreduce", rank=0) == frames
+
+
+def _schedule_msgs_per_frame(plan) -> int:
+    """Halo messages one frame of the schedule stands for: a comm phase
+    is one aggregated message per rank and neighbor."""
+    part = plan.partition
+    links = sum(1 for r in range(part.size) for g in part.cut_dims
+                for d in (-1, 1) if part.neighbor(r, g, d) is not None)
+    return links * len(extract_schedule(plan).comm_phases)
+
+
+class TestMessagesPerFrame:
+    """The model and the runtime agree on what is countable: every frame
+    after the first sends exactly the schedule's messages."""
+
+    @pytest.mark.parametrize("name,source,deck,per_frame,once", [
+        ("jacobi_5pt", lambda f: jacobi_5pt(n=24, m=16, iters=f, eps=0.0),
+         None, 2, 2),
+        ("sprayer", lambda f: sprayer_source(n=48, m=20, iters=f, eps=0.0),
+         SPRAYER_INPUT, 14, 0),
+    ])
+    def test_traced_sends_match_the_schedule(self, name, source, deck,
+                                             per_frame, once):
+        sends = {}
+        for frames in (3, 5):
+            compiled = AutoCFD.from_source(source(frames)).compile(
+                partition=(2, 1))
+            assert _schedule_msgs_per_frame(compiled.plan) == per_frame
+            par = compiled.run_parallel(input_text=deck)
+            sends[frames] = par.comm_stats["sends"]
+        # *once*: what the entry-only syncs send on the first trip
+        assert sends == {3: 3 * per_frame + once, 5: 5 * per_frame + once}
 
 
 class TestMessageBytes:
@@ -67,10 +104,10 @@ class TestMessageBytes:
                        and m.tag < (1 << 17)]
         traced_values = sum(m.nbytes for m in traced_halo) / 8
         sim_values = per_frame_sim / MachineModel().value_bytes
-        # schedule covers in-frame syncs; the trace also has the
-        # init-section exchange — allow that one extra message
-        assert traced_values >= frames * sim_values
-        assert traced_values <= (frames + 1.5) * sim_values
+        # the schedule covers what travels every frame; the trace also
+        # has the entry-only exchange of the first trip, one more
+        # message of the same size
+        assert traced_values == (frames + 1) * sim_values
 
 
 class TestOpsEstimate:

@@ -14,7 +14,9 @@ import pytest
 from repro.core.pipeline import AutoCFD
 from repro.faults import run_chaos
 
-from tests.conftest import JACOBI_SRC
+# the deck re-imposes a boundary each frame: plain JACOBI_SRC's stencil
+# sync is entry-only on a 2x1 cut and would never take the split path
+from tests.conftest import JACOBI_BC_SRC as JACOBI_SRC
 
 pytestmark = pytest.mark.chaossmoke
 

@@ -16,7 +16,10 @@ from tests.interp.test_executor_equivalence import CASES
 
 
 def _dims(acfd):
-    return (2,) + (1,) * (len(acfd.grid.shape) - 1)
+    # two cut dimensions: on a single cut every gallery kernel's stencil
+    # sync is entry-only (fresh from the bottom-of-frame sync), so
+    # nothing is split there and overlap "auto" is the blocking program
+    return (2, 2) + (1,) * (len(acfd.grid.shape) - 2)
 
 
 @pytest.mark.parametrize("name,gen", CASES, ids=[n for n, _ in CASES])
@@ -54,13 +57,18 @@ def test_overlap_matches_blocking_process_executor(name, gen):
 
 def test_gallery_has_at_least_one_overlapped_kernel():
     # the matrix is vacuous if the gate refuses everything: assert some
-    # kernels actually take the nonblocking path on a 2x1 cut
+    # kernels actually take the nonblocking path on the 2x2 cut, and
+    # that none does on 2x1, where sync 1 has nothing left to send
     enabled = []
     for name, gen in CASES:
         acfd = AutoCFD.from_source(gen())
         plan = acfd.compile(partition=_dims(acfd)).plan
         if any(d.enabled for d in plan.overlap_decisions):
             enabled.append(name)
+        single = (2,) + (1,) * (len(acfd.grid.shape) - 1)
+        first = acfd.compile(partition=single).plan.overlap_decisions[0]
+        assert (first.enabled, first.reason) == (
+            False, "nothing to send after the first frame"), name
     assert "jacobi_5pt" in enabled
     assert "heat_3d" in enabled
 

@@ -114,6 +114,18 @@ class TestFrames:
         assert frames[0] == (0.0, 3.5)
         assert frames[-1][1] == 9.0
 
+    def test_frame_events_delimit_frames_when_present(self):
+        # a generated program: the hook marks every trip, and the first
+        # exchange is entry-only (it does not recur)
+        tr = synthetic_trace()
+        _ev(tr, 0, "rank", 0.0, 9.0)
+        _ev(tr, 0, "exchange", 0.5, 1.0, tag=1)
+        for f in range(3):
+            _ev(tr, 0, "frame", f * 3.0 + 0.25, f * 3.0 + 0.25, tag=f + 1)
+            _ev(tr, 0, "exchange", f * 3.0 + 2.0, f * 3.0 + 2.5, tag=2)
+        assert Timeline.from_trace(tr).frames() == [
+            (0.0, 3.25), (3.25, 6.25), (6.25, 9.0)]
+
     def test_single_frame_without_recurrence(self):
         tr = synthetic_trace()
         _ev(tr, 0, "rank", 0.0, 5.0)

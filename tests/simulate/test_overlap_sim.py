@@ -14,7 +14,9 @@ from repro.codegen.schedule import CommPhase, extract_schedule
 from repro.core import AutoCFD
 from repro.simulate import ClusterSim, MachineModel, NodeModel, NetworkModel
 
-from tests.conftest import JACOBI_SRC
+# plain JACOBI_SRC's stencil sync is entry-only on a 2x1 cut (never
+# split, not on the periodic schedule); the boundary refresh keeps it
+from tests.conftest import JACOBI_BC_SRC as JACOBI_SRC
 
 #: latency-heavy network: plenty of flight time to hide
 LAGGY_NET = NetworkModel(latency=2e-3, bandwidth=1e8, shared_medium=False)

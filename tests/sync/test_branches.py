@@ -47,6 +47,10 @@ end
         assert gotos
         assert region.end <= min(g.open for g in gotos)
         assert region.end < pair.reader.open
+        # before the IF, not inside its arm: a sync there would run only
+        # when the jump is taken (found by the generated frame programs)
+        assert frame.node_at_open(region.end).kind == "if"
+        assert frame.node_at_open(region.allowed[-1]).kind == "if"
 
 
 class TestCase2IfWithReader:
