@@ -8,29 +8,20 @@ Usage (also via ``python -m repro``)::
     acfd run flow.f90 --partition 2x2 --input deck.txt
     acfd simulate flow.f90 --partition 2x2 --frames 1000
     acfd profile flow.f90 --partition 2x2 --trace-out flow.trace.json
-    acfd bench --quick --against benchmarks/baseline.json
 
-``compile`` writes the parallel program, ``report`` prints the Table-1
-style synchronization accounting (``--json`` for machine-readable
-output), ``run`` executes sequential and parallel versions and compares
-the status arrays, ``simulate`` replays the compiled program on the
-cluster performance model.  ``profile`` runs the whole pipeline under
-the observability layer: it prints the per-phase compiler timing table,
-the per-rank compute/blocked/halo breakdown of a real parallel run with
-its load-imbalance and comm/compute numbers, the simulator's prediction
-of the same breakdown, and writes a Chrome-trace JSON (open it in
-``ui.perfetto.dev``).  ``run`` and ``simulate`` accept ``--trace-out``
-to dump the same JSON without the report; ``run`` and ``profile``
-accept ``--metrics-out`` for a Prometheus text dump of every metric.
-``bench`` runs the registered benchmark scenarios, writes a
-``BENCH_<git-sha>.json`` record, and (with ``--against``) gates the run
-against an earlier record; ``--drift`` prints the model-vs-measured
-category drift instead.  ``run --live`` refreshes a per-rank health
-table during execution (``--live-metrics-port`` additionally serves
-Prometheus text over HTTP), ``top`` attaches the same table to a live
-process-executor run from another terminal, and ``postmortem``
-re-renders the ``postmortem_<sha>.json`` documents the runtime writes
-when a world deadlocks, crashes, or exhausts recovery.
+* ``compile`` writes the parallel program; ``report`` prints the
+  Table-1 style synchronization accounting.
+* ``run`` executes the sequential and the parallel version and compares
+  the status arrays bitwise.  ``--live`` shows a per-rank health table
+  meanwhile, ``top`` attaches to it from another terminal, ``postmortem``
+  re-renders the document a world writes when it dies.
+* ``simulate`` replays the compiled program on the cluster model.
+* ``profile`` reports on one plan: compiler phase timings, the per-rank
+  breakdown of a real run, the simulator's breakdown of the same schedule
+  on a host-like machine model, the drift between the two (shares of
+  rank time per category, bytes sent per rank), a Chrome-trace JSON.
+* ``chaos`` runs an app under seeded faults with checkpoint/restart
+  recovery and compares the final grids with the fault-free run's.
 """
 
 from __future__ import annotations
@@ -51,7 +42,8 @@ from repro.obs import (
     observe_trace_histograms,
     write_chrome_trace,
 )
-from repro.simulate import ClusterSim, MachineModel, NetworkModel
+from repro.simulate import ClusterSim
+from repro.simulate.drift import HOST_MACHINE, HOST_NETWORK, drift_report
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -71,9 +63,17 @@ def _load(path: str) -> AutoCFD:
     return AutoCFD.from_file(path)
 
 
+def _read_input(args) -> str | None:
+    """--input: the list-directed deck's text, None without the flag."""
+    if not args.input:
+        return None
+    with open(args.input, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _compile_args(acfd: AutoCFD, args) -> list:
     results = []
-    overlap = getattr(args, "overlap", "auto")
+    overlap = args.overlap
     partitions = args.partition or []
     if args.processors is not None:
         results.append(acfd.compile(processors=args.processors,
@@ -137,11 +137,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _vectorize_flag(args) -> bool:
-    """--backend vector/scalar -> compile_unit's vectorize switch."""
-    return getattr(args, "backend", "vector") != "scalar"
-
-
 def _backend_line(vec: bool, report, par) -> str:
     """How the nests were scheduled and, after the run, how many of them
     the ranks executed and how many nest plans that took: built well
@@ -170,7 +165,7 @@ def _histogram_table(snapshot: dict) -> str:
 
 def _write_metrics(args, acfd, trace=None) -> None:
     """--metrics-out: Prometheus text exposition of the run's registry."""
-    path = getattr(args, "metrics_out", None)
+    path = args.metrics_out
     if not path:
         return
     if trace is not None:
@@ -182,11 +177,8 @@ def _write_metrics(args, acfd, trace=None) -> None:
 
 def cmd_run(args) -> int:
     acfd = _load(args.source)
-    input_text = None
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            input_text = fh.read()
-    vec = _vectorize_flag(args)
+    input_text = _read_input(args)
+    vec = args.backend != "scalar"
     result = _compile_args(acfd, args)[0]
     seq = acfd.run_sequential(input_text=input_text, vectorize=vec)
 
@@ -254,11 +246,9 @@ def cmd_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     acfd = _load(args.source)
-    machine = MachineModel()
-    network = NetworkModel()
     seq_dims = tuple(1 for _ in acfd.grid.shape)
     seq_plan = acfd.compile(partition=seq_dims).plan
-    t_seq = ClusterSim(seq_plan, machine, network,
+    t_seq = ClusterSim(seq_plan,
                        chunks=args.chunks).run(args.frames).total_time
     print(f"{'partition':>10s} {'time(s)':>10s} {'speedup':>8s} "
           f"{'efficiency':>10s}")
@@ -266,7 +256,7 @@ def cmd_simulate(args) -> int:
           f"{'-':>8s} {'-':>10s}")
     sim_spans = None
     for result in _compile_args(acfd, args):
-        sim = ClusterSim(result.plan, machine, network, chunks=args.chunks,
+        sim = ClusterSim(result.plan, chunks=args.chunks,
                          record_timeline=bool(args.trace_out))
         out = sim.run(args.frames)
         if sim_spans is None:
@@ -285,10 +275,7 @@ def cmd_simulate(args) -> int:
 def cmd_profile(args) -> int:
     """The full observability report: compile, run, simulate, export."""
     acfd = _load(args.source)
-    input_text = None
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            input_text = fh.read()
+    input_text = _read_input(args)
     result = _compile_args(acfd, args)[0]
     part = "x".join(map(str, result.plan.partition.dims))
     print(f"== compiler phases ({result.report.program}, {part}) ==")
@@ -297,7 +284,7 @@ def cmd_profile(args) -> int:
         counters = " ".join(f"{k}={v}"
                             for k, v in result.report.metrics.items())
         print(f"counters: {counters}")
-    vec = _vectorize_flag(args)
+    vec = args.backend != "scalar"
     par = result.run_parallel(input_text=input_text, vectorize=vec,
                               executor=args.executor)
     print(_backend_line(vec, result.report, par))
@@ -311,9 +298,9 @@ def cmd_profile(args) -> int:
         print(line)
 
     print("\n== parallel run (observed) ==")
-    rollup = par.rollup()
-    print(rollup.table(top=args.top))
-    frames = par.timeline().frames()
+    timeline = par.timeline()
+    print(timeline.rollup().table(top=args.top))
+    frames = timeline.frames()
     if len(frames) > 1:
         print(f"frames inferred: {len(frames)}")
     if par.world.transport is not None:  # process executor only
@@ -325,11 +312,18 @@ def cmd_profile(args) -> int:
         print("\n== runtime event durations (quantiles) ==")
         print(hist_table)
 
-    print(f"\n== cluster model (simulated, {args.frames} frames) ==")
-    sim = ClusterSim(result.plan, record_timeline=True)
-    out = sim.run(args.frames)
-    sim_rollup = out.rollup()
-    print(sim_rollup.table(top=args.top))
+    # model the schedule the program ran: the emitted pipeline does no
+    # chunking, and the drift table's sent-bytes columns are whole-run
+    # totals, so simulate as many frames as were executed
+    sim_frames = (args.frames if args.frames is not None
+                  else max(1, len(frames)))
+    print(f"\n== cluster model (simulated, host-like calibration, "
+          f"chunks=1, {sim_frames} frames) ==")
+    out = ClusterSim(result.plan, HOST_MACHINE, HOST_NETWORK, chunks=1,
+                     record_timeline=True).run(sim_frames)
+    print(out.rollup().table(top=args.top))
+    print("\n== model-vs-measured drift (shares of rank time) ==")
+    print(drift_report(par, out).table())
 
     trace_out = args.trace_out
     if trace_out is None:
@@ -360,9 +354,7 @@ def cmd_chaos(args) -> int:
     if args.source:
         source = (sys.stdin.read() if args.source == "-" else
                   open(args.source, "r", encoding="utf-8").read())
-        if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                input_text = fh.read()
+        input_text = _read_input(args)
     partition = args.partition
     if partition is None:
         partition = ((2, 2, 1) if source is None
@@ -428,62 +420,37 @@ def cmd_postmortem(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the benchmark suite / comparator / drift checker."""
-    import pathlib
-
-    from repro import bench
-
-    if args.drift:
-        faults = None
-        if args.degraded:
-            from repro.faults import FaultPlan
-            size = 2  # default drift partition is 2x1
-            faults = FaultPlan.seeded(args.degraded, size,
-                                      kinds=("straggler", "crash"))
-        report = bench.run_drift(faults=faults)
-        mode = " (degraded)" if faults is not None else ""
-        print("== model-vs-measured drift "
-              f"(sprayer 60x24, {report.frames} frames, "
-              f"{'x'.join(map(str, report.partition))}){mode} ==")
-        print(report.table())
-        return 0
-
-    registry = bench.load_builtin()
-    tags = list(args.tag or [])
-    if args.quick:
-        tags.append("quick")
-    scenarios = registry.select(tags=tags or None,
-                                names=args.scenario or None)
-    if args.list:
-        for sc in scenarios:
-            print(f"{sc.name:<28s} tags={','.join(sorted(sc.tags))} "
-                  f"repeats={sc.repeats}")
-        return 0
-
-    record = bench.run_suite(scenarios, repeats=args.repeats,
-                             warmup=args.warmup, progress=print)
-    out_path = pathlib.Path(args.out) if args.out \
-        else bench.default_output_path(record)
-    if args.update_baseline:
-        baseline_path = bench.repo_root() / "benchmarks" / "baseline.json"
-        print(f"wrote {bench.write_record(record, baseline_path)}")
-    print(f"wrote {bench.write_record(record, out_path)}")
-
-    if not args.against:
-        return 0
-    baseline = bench.resolve_baseline(args.against, exclude=out_path)
-    mismatches = bench.env_mismatches(baseline, record)
-    if mismatches:
-        print(f"warning: baseline measured in a different environment "
-              f"({', '.join(mismatches)} differ) — deltas are advisory")
-    threshold = (args.threshold if args.threshold is not None
-                 else bench.DEFAULT_THRESHOLD)
-    mad_k = args.mad_k if args.mad_k is not None else bench.DEFAULT_MAD_K
-    deltas = bench.compare_records(baseline, record,
-                                   rel_threshold=threshold, mad_k=mad_k)
-    print(bench.delta_table(deltas))
-    return 1 if bench.regressions(deltas) else 0
+#: the options more than one subcommand takes, each declared once:
+#: name -> (flags, ``add_argument`` keywords)
+_SHARED_OPTIONS = {
+    "overlap": (("--overlap",), dict(
+        choices=("on", "off", "auto"), default="auto",
+        help="communication/computation overlap: split safe consumer "
+             "loops into interior+boundary around a nonblocking exchange "
+             "(auto: where provably safe; on: auto + warn on refusals; "
+             "off: always blocking)")),
+    "input": (("--input", "-i"), dict(
+        help="list-directed input deck file")),
+    "backend": (("--backend",), dict(
+        choices=("vector", "scalar"), default="vector",
+        help="numpy executor: whole-array slices for provably-parallel "
+             "loops (vector, default) or the scalar reference "
+             "translation")),
+    "trace-out": (("--trace-out",), dict(
+        metavar="FILE",
+        help="write a Chrome-trace/Perfetto JSON of the run (simulate: "
+             "of the first partition's simulated timeline; profile "
+             "writes one regardless, to <source>.trace.json by default)")),
+    "executor": (("--executor",), dict(
+        choices=("thread", "process"), default="thread",
+        help="rank executor: in-process threads (default) or one OS "
+             "process per rank (true parallelism; under chaos an "
+             "injected crash is then a real worker death, SIGKILL)")),
+    "metrics-out": (("--metrics-out",), dict(
+        metavar="FILE",
+        help="write the run's metrics registry as Prometheus text "
+             "exposition")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,6 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="acfd",
         description="Auto-CFD: parallelize sequential Fortran CFD programs")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def shared(p, *names):
+        for name in names:
+            flags, kwargs = _SHARED_OPTIONS[name]
+            p.add_argument(*flags, **kwargs)
 
     def common(p):
         p.add_argument("source", help="Fortran source file ('-' for stdin)")
@@ -500,13 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--processors", "-n", type=int,
                        help="processor count (the partitioner picks the "
                             "shape)")
-        p.add_argument("--overlap", choices=("on", "off", "auto"),
-                       default="auto",
-                       help="communication/computation overlap: split "
-                            "safe consumer loops into interior+boundary "
-                            "around a nonblocking exchange (auto: "
-                            "where provably safe; on: auto + warn on "
-                            "refusals; off: always blocking)")
+        shared(p, "overlap")
 
     p = sub.add_parser("compile", help="emit the generated SPMD program")
     common(p)
@@ -523,21 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run sequential vs parallel and compare")
     common(p)
-    p.add_argument("--input", "-i", help="list-directed input deck file")
-    p.add_argument("--backend", choices=("vector", "scalar"),
-                   default="vector",
-                   help="numpy executor: whole-array slices for provably-"
-                        "parallel loops (vector, default) or the scalar "
-                        "reference translation")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome-trace/Perfetto JSON of the run")
-    p.add_argument("--executor", choices=("thread", "process"),
-                   default="thread",
-                   help="rank executor: in-process threads (default) or "
-                        "one OS process per rank (true parallelism)")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the run's metrics registry as Prometheus "
-                        "text exposition")
+    shared(p, "input", "backend", "trace-out", "executor", "metrics-out")
     p.add_argument("--live", action="store_true",
                    help="refresh a per-rank health table (state, frame, "
                         "mailbox depth, traffic) during the run, with "
@@ -557,32 +509,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame iterations to simulate")
     p.add_argument("--chunks", type=int, default=1,
                    help="pipeline chunking for self-dependent loops")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="write a Chrome-trace JSON of the simulated "
-                        "timeline (first partition)")
+    shared(p, "trace-out")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser(
         "profile",
         help="profile the whole pipeline: compiler phases, per-rank "
-             "runtime breakdown, simulated comparison, Perfetto export")
+             "runtime breakdown, simulated comparison and its drift, "
+             "Perfetto export")
     common(p)
-    p.add_argument("--input", "-i", help="list-directed input deck file")
-    p.add_argument("--backend", choices=("vector", "scalar"),
-                   default="vector",
-                   help="numpy executor for the parallel run (see 'run')")
-    p.add_argument("--frames", type=int, default=200,
-                   help="frame iterations for the simulated comparison")
-    p.add_argument("--trace-out", metavar="FILE",
-                   help="Chrome-trace JSON path (default: "
-                        "<source>.trace.json)")
-    p.add_argument("--executor", choices=("thread", "process"),
-                   default="thread",
-                   help="rank executor: in-process threads (default) or "
-                        "one OS process per rank (true parallelism)")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the run's metrics registry as Prometheus "
-                        "text exposition")
+    shared(p, "input", "backend", "trace-out", "executor", "metrics-out")
+    p.add_argument("--frames", type=int,
+                   help="frame iterations for the simulated comparison "
+                        "(default: as many as the parallel run executed)")
     p.add_argument("--top", type=int, metavar="N",
                    help="cap the per-rank tables at the N worst ranks "
                         "by blocked time (default: all ranks)")
@@ -614,50 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_postmortem)
 
     p = sub.add_parser(
-        "bench",
-        help="continuous benchmarking: run the scenario suite, write "
-             "BENCH_<sha>.json, gate against a baseline, check "
-             "model-vs-measured drift")
-    p.add_argument("--list", action="store_true",
-                   help="list the selected scenarios and exit")
-    p.add_argument("--quick", action="store_true",
-                   help="only scenarios tagged 'quick' (the CI subset)")
-    p.add_argument("--tag", action="append", metavar="TAG",
-                   help="only scenarios with this tag (repeatable; "
-                        "groups: compiler, runtime, pyback, sim)")
-    p.add_argument("--scenario", action="append", metavar="NAME",
-                   help="only this scenario (repeatable)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timed repeats per scenario (default: "
-                        "per-scenario, typically 5)")
-    p.add_argument("--warmup", type=int, default=None,
-                   help="warmup iterations per scenario (default: 1)")
-    p.add_argument("--out", metavar="FILE",
-                   help="record path (default: BENCH_<sha>.json at the "
-                        "repo root)")
-    p.add_argument("--against", metavar="FILE|latest",
-                   help="compare against a baseline record; exits "
-                        "nonzero on regression")
-    p.add_argument("--threshold", type=float,
-                   default=None,
-                   help="relative slowdown floor for the gate "
-                        "(default: 0.25 = 25%%)")
-    p.add_argument("--mad-k", type=float, default=None,
-                   help="MAD multiplier in the noise tolerance "
-                        "(default: 3.0)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="also refresh benchmarks/baseline.json")
-    p.add_argument("--drift", action="store_true",
-                   help="report per-category predicted-vs-observed "
-                        "drift (ClusterSim vs the real runtime) instead "
-                        "of running the suite")
-    p.add_argument("--degraded", type=int, metavar="SEED",
-                   help="with --drift: inject a seeded straggler+crash "
-                        "plan into both the real run and the model, so "
-                        "the comparison covers a degraded run")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
         "chaos",
         help="fault-injection matrix: run an app under seeded faults "
              "(message drop/delay/duplication, stragglers, rank "
@@ -669,11 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", choices=("sprayer", "aerofoil"),
                    default="sprayer",
                    help="built-in workload when no source is given")
-    p.add_argument("--input", "-i",
-                   help="list-directed input deck file (with source)")
     p.add_argument("--partition", "-p", type=_parse_partition,
                    help="processors per grid dimension (default 2x2, "
                         "2x2x1 for the aerofoil)")
+    shared(p, "input", "overlap", "executor")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-plan seed; the whole matrix is "
                         "reproducible from it")
@@ -695,15 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "quick deck")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="per-attempt receive watchdog (seconds)")
-    p.add_argument("--overlap", choices=("on", "off", "auto"),
-                   default="auto",
-                   help="communication/computation overlap mode for the "
-                        "compiled runs (see 'acfd run --help')")
-    p.add_argument("--executor", choices=("thread", "process"),
-                   default="thread",
-                   help="rank executor: in-process threads (default) or "
-                        "one OS process per rank — injected crashes "
-                        "become real worker deaths (SIGKILL)")
     p.add_argument("--report", metavar="FILE",
                    help="write the chaos report as JSON")
     p.add_argument("--postmortem-dir", metavar="DIR",

@@ -299,9 +299,9 @@ def observe_trace_histograms(registry, trace,
     """Feed a runtime trace's leaf-event durations into histograms.
 
     One histogram per category (``<prefix>.blocked_s``, ``.halo_s``,
-    ``.collective_s``, ``.send_s``) so ``acfd profile``, ``acfd bench``
-    records, and the Prometheus exposition all see quantiles of the
-    individual event durations, not just the roll-up totals.  Receive
+    ``.collective_s``, ``.send_s``) so ``acfd profile`` and the
+    Prometheus exposition see quantiles of the individual event
+    durations, not just the roll-up totals.  Receive
     events additionally feed ``<prefix>.recv_wait_s`` with the blocked
     wall-time the runtime accounted per receive.
     """

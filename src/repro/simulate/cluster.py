@@ -101,8 +101,8 @@ class SimResult:
         """The simulated run as final :class:`HealthSample` heartbeats.
 
         The same record a live board would show after the run finished,
-        so ``--drift`` (and tests) can diff modeled traffic against the
-        observed telemetry row by row.
+        so modeled traffic can be diffed against the observed telemetry
+        row by row.
         """
         from repro.obs.health import HealthSample
         size = len(self.per_rank)

@@ -229,6 +229,48 @@ class TestProfile:
         assert pathlib.Path(expected).exists()
 
 
+    def test_profile_prints_the_drift_table(self, tmp_path, capsys):
+        from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
+        src = tmp_path / "sprayer.f"
+        src.write_text(sprayer_source(n=40, m=16, iters=4, eps=0.0))
+        deck = tmp_path / "deck.txt"
+        deck.write_text(SPRAYER_INPUT)
+        assert main(["profile", str(src), "-p", "2x1",
+                     "-i", str(deck)]) == 0
+        out = capsys.readouterr().out
+        # the model covers the frames the run executed, unchunked
+        assert "chunks=1, 4 frames" in out
+        assert "max drift" in out
+        for cat in ("compute", "halo", "collective", "blocked", "fault"):
+            assert re.search(rf"^{cat} .*pp$", out, re.M)
+        rows = re.findall(r"^ +(\d+) +(\d+)B +(\d+)B +[\d.]+$",
+                          out[out.index("sent(model)"):], re.M)
+        assert [int(rank) for rank, _, _ in rows] == [0, 1]
+        assert all(int(model) > 0 and int(real) > 0
+                   for _, model, real in rows)
+
+    def test_profile_models_the_unchunked_pipeline(self, tmp_path, capsys):
+        """The emitted mirror-image sweep is one block per rank, so the
+        simulated side is ClusterSim at chunks=1, not its default 8."""
+        from repro.apps.kernels import gauss_seidel_2d
+        from repro.core import AutoCFD
+        from repro.simulate import ClusterSim
+        from repro.simulate.drift import HOST_MACHINE, HOST_NETWORK
+        text = gauss_seidel_2d(n=24, m=16, iters=6, eps=0.0)
+        src = tmp_path / "seidel.f"
+        src.write_text(text)
+        assert main(["profile", str(src), "-p", "2x1"]) == 0
+        out = capsys.readouterr().out
+        plan = AutoCFD.from_source(text).compile(partition=(2, 1)).plan
+        assert plan.pipes
+
+        def table(chunks):
+            return ClusterSim(plan, HOST_MACHINE, HOST_NETWORK,
+                              chunks=chunks).run(6).rollup().table()
+        assert table(1) != table(8)
+        assert table(1) in out
+
+
 class TestChaos:
     @pytest.mark.chaossmoke
     def test_quick_crash_scenario_with_report(self, tmp_path, capsys):
@@ -261,14 +303,6 @@ class TestChaos:
         assert main(["chaos", src_file, "-p", "2x1", "--seed", "1",
                      "--scenarios", "straggler", "--frames", "6"]) == 0
         assert "identical" in capsys.readouterr().out
-
-
-class TestBenchDegraded:
-    def test_degraded_drift_smoke(self, capsys):
-        assert main(["bench", "--drift", "--degraded", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "(degraded)" in out
-        assert "fault" in out
 
 
 class TestErrors:

@@ -1,13 +1,33 @@
-"""Drift checker: predicted-vs-observed category shares."""
+"""Drift report: predicted-vs-observed category shares of one plan."""
 
 import pytest
 
-from repro.bench import CATEGORIES, run_drift
+from repro.apps.sprayer import sprayer_source
+from repro.core import AutoCFD
+from repro.simulate import ClusterSim
+from repro.simulate.drift import (CATEGORIES, HOST_MACHINE, HOST_NETWORK,
+                                  drift_report)
+
+FRAMES = 4
+DECK = "2.5 30"
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_drift(n=40, m=16, iters=4)
+def compiled():
+    # eps=0: every frame executes, so both sides cover FRAMES frames
+    src = sprayer_source(n=40, m=16, iters=FRAMES, eps=0.0)
+    return AutoCFD.from_source(src).compile(partition=(2, 1))
+
+
+def simulate(plan, **kwargs):
+    return ClusterSim(plan, HOST_MACHINE, HOST_NETWORK, chunks=1,
+                      record_timeline=True, **kwargs).run(FRAMES)
+
+
+@pytest.fixture(scope="module")
+def report(compiled):
+    par = compiled.run_parallel(input_text=DECK)
+    return drift_report(par, simulate(compiled.plan))
 
 
 class TestDriftReport:
@@ -31,12 +51,10 @@ class TestDriftReport:
     def test_totals_positive(self, report):
         assert report.observed_s > 0.0
         assert report.predicted_s > 0.0
-        assert report.frames == 4
-        assert report.partition == (2, 1)
 
     def test_max_drift_and_dict(self, report):
         d = report.as_dict()
-        assert d["partition"] == "2x1"
+        assert d["categories"] == report.categories
         assert d["max_drift_pp"] == report.max_drift_pp
         assert report.max_drift_pp >= 0.0
 
@@ -48,12 +66,20 @@ class TestDriftReport:
 
 
 class TestDegradedDrift:
-    def test_faulted_run_has_a_fault_share_on_both_sides(self):
-        from repro.faults import FaultEvent, FaultPlan
+    def test_faulted_run_has_a_fault_share_on_both_sides(self, compiled,
+                                                         tmp_path):
+        from repro.faults import FaultEvent, FaultPlan, run_recovered
         plan = FaultPlan(events=[
             FaultEvent("straggler", 0, frame=2, frames=2, seconds=0.02),
             FaultEvent("crash", 1, frame=3)], seed=0)
-        report = run_drift(n=40, m=16, iters=4, faults=plan)
+        par, attempts, _injector = run_recovered(
+            compiled.plan, compiled.spmd_cu, fault_plan=plan,
+            ckpt_dir=str(tmp_path), input_text=DECK)
+        assert len(attempts) == 2
+        # respawning rank threads costs milliseconds, not the cluster
+        # model's half second
+        report = drift_report(par, simulate(compiled.plan, faults=plan,
+                                            restart_cost=0.02))
         assert report.categories["fault"]["observed_pct"] > 0.0
         assert report.categories["fault"]["predicted_pct"] > 0.0
 
@@ -64,9 +90,10 @@ class TestTrafficComparison:
         for row in report.traffic:
             assert row["predicted_sent"] > 0
             assert row["observed_sent"] > 0
-            # both sides model the same face messages; agreement within
-            # an order of magnitude is the sanity floor (the runtime
-            # ships real array payloads, the model counts face bytes)
+            # both sides model the same face messages over the same
+            # frames; agreement within an order of magnitude is the
+            # sanity floor (the runtime ships real array payloads, the
+            # model counts face bytes)
             assert row["ratio"] is not None
             assert 0.1 < row["ratio"] < 10.0
 

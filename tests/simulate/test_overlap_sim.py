@@ -1,11 +1,11 @@
 """Cluster model of overlapped exchanges: hidden latency, never slower.
 
 The simulator must predict the same *direction* the runtime shows
-(``acfd bench --drift`` gates on it): an overlapped exchange fused with
-its split consumer loop pays the same injection cost, hides flight time
-under interior work, and only stalls for the residual — so total time
-is never worse than blocking, and the hidden time lands in the roll-up's
-``overlap`` column.
+(``acfd profile``'s drift table sets the two side by side): an
+overlapped exchange fused with its split consumer loop pays the same
+injection cost, hides flight time under interior work, and only stalls
+for the residual — so total time is never worse than blocking, and the
+hidden time lands in the roll-up's ``overlap`` column.
 """
 
 import pytest
