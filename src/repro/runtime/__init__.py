@@ -14,8 +14,8 @@ from-scratch MPI-like runtime executing SPMD rank functions on threads:
 * :class:`repro.runtime.cart.CartComm` — Cartesian topology with shifts;
 * :class:`repro.runtime.halo.HaloExchanger` — aggregated ghost-cell
   exchange for a set of status arrays (the runtime realisation of the
-  paper's combined synchronizations), packed through a shared
-  :class:`repro.runtime.halo.BufferPool`;
+  paper's combined synchronizations); in-process its faces are packed
+  through a shared :class:`repro.runtime.halo.BufferPool`;
 * :class:`repro.runtime.trace.Trace` — per-rank message/sync counters
   plus wait-time and copy-savings accounting used to cross-check the
   compiler's predicted synchronization counts and feed the simulator.

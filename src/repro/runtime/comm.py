@@ -144,6 +144,27 @@ def _copy_payload(obj):
     return obj
 
 
+def fill_ghosts(views: list, sections: list[np.ndarray]) -> None:
+    """Assign a halo message's *sections* to a ghost face's *views*
+    (None: that array keeps no ghosts on this side), once their count,
+    shapes and dtypes are known to fit: a message that does not match
+    the face plan leaves every ghost as it was."""
+    if len(sections) != len(views):
+        raise RuntimeCommError(
+            f"halo message carries {len(sections)} sections for "
+            f"{len(views)} arrays")
+    for ghost, section in zip(views, sections):
+        if ghost is not None and (ghost.shape != section.shape
+                                  or ghost.dtype != section.dtype):
+            raise RuntimeCommError(
+                f"halo message section is {section.dtype} "
+                f"{section.shape}, its ghost face {ghost.dtype} "
+                f"{ghost.shape}")
+    for ghost, section in zip(views, sections):
+        if ghost is not None:
+            ghost[...] = section
+
+
 @dataclass
 class _Message:
     source: int
@@ -564,7 +585,11 @@ class Communicator:
             self._check_rank(source)
         if tag is not None:
             self._check_tag(tag)
-        msg, waited = self._get(source, tag, "recv")
+        return self._received(*self._get(source, tag, "recv"))
+
+    def _received(self, msg: _Message, waited: float):
+        """Record the receive of *msg* after *waited* seconds; its
+        payload."""
         record = self.record
         if record is not None:
             payload = msg.payload
@@ -603,6 +628,42 @@ class Communicator:
 
     def probe(self, source: int | None = None, tag: int | None = None) -> bool:
         return self._mailboxes[self.rank].probe(source, tag)
+
+    # -- halo faces ---------------------------------------------------------------
+
+    def send_face(self, face, pool) -> None:
+        """Ship the live send views of *face* (one neighbor's share of a
+        :mod:`repro.runtime.halo` face plan) to its peer: each view is
+        copied once into a contiguous *pool* buffer — the one copy a halo
+        payload gets — and ownership passes to the receiver (``move``)."""
+        record = self.record
+        t0 = perf_counter_ns() if record is not None else 0
+        acquire = pool.acquire
+        payload = []
+        for view in face.views:
+            buf = acquire(view.shape, view.dtype)
+            np.copyto(buf, view)
+            payload.append(buf)
+        if record is not None:
+            record("halo_pack", None, face.nbytes, face.tag, 0,
+                   t0, perf_counter_ns())
+        self.send(face.peer, payload, face.tag, move=True)
+
+    def recv_face(self, face, pool) -> None:
+        """Receive *face*'s message from its peer into the ghost views."""
+        self._unpack_face(face, self.recv(face.peer, face.tag), pool)
+
+    def _unpack_face(self, face, payload: list[np.ndarray], pool) -> None:
+        """Fill *face*'s ghost views from the received sections, which
+        then go to *pool*."""
+        record = self.record
+        t0 = perf_counter_ns() if record is not None else 0
+        fill_ghosts(face.views, payload)
+        for section in payload:
+            pool.release(section)
+        if record is not None:
+            record("halo_unpack", None, face.nbytes, face.tag, 0,
+                   t0, perf_counter_ns())
 
     def _get(self, source: int | None, tag: int | None,
              op: str) -> tuple[_Message, float]:

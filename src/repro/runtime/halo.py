@@ -10,12 +10,16 @@ fixed by the partition and the dependency distances, so it is resolved
 once.  On first use an exchanger builds its *face plan*: per grid
 dimension and direction the neighbor rank, the tag, the live numpy
 **views** of every array's send face and ghost face, and the byte counts
-the trace reports.  Every later call only executes the plan: each send
-view is copied once into a contiguous buffer drawn from a shared
-:class:`BufferPool` at the moment the face is due (so later dimensions
-still see the ghosts earlier ones delivered) and shipped with the
-runtime's zero-copy ``move`` path; the receiver assigns the buffer into
-its ghost view and returns it to the pool.  Identity rule: the views
+the trace reports.  Every later call only executes the plan: it asks
+the communicator to send each face at the moment it is due (so later
+dimensions still see the ghosts earlier ones delivered) and to receive
+each ghost face.  How a face travels is the communicator's business.
+In-process each send view is copied once into a contiguous buffer drawn
+from a shared :class:`BufferPool` and shipped with the zero-copy
+``move`` path, and the receiver assigns the buffer into its ghost view
+and returns it to the pool; across processes the views are written
+straight into the channel slot and read straight out into the ghost
+views (:mod:`repro.runtime.procexec`).  Identity rule: the views
 alias the ``.data`` buffers the arrays had when the plan was built, so a
 plan is reused only while every spec's array still holds that same
 buffer (checked on each call, against held references); an array whose
@@ -243,13 +247,29 @@ class _Face:
         self.nbytes = sum(int(v.nbytes) for v in views if v is not None)
 
 
+class _FacePlan:
+    """Every face of one set of specs: per grid dimension a (send faces,
+    ghost faces) pair in execution order, the same faces flat, and the
+    ``.data`` buffer of every spec the views alias."""
+
+    __slots__ = ("by_dim", "sends", "ghosts", "data")
+
+    def __init__(self, by_dim: list[tuple[list[_Face], list[_Face]]],
+                 data: list[np.ndarray]) -> None:
+        self.by_dim = by_dim
+        self.sends = [face for sends, _ghosts in by_dim for face in sends]
+        self.ghosts = [face for _sends, ghosts in by_dim for face in ghosts]
+        self.data = data
+
+
 class _FaceTransfers:
     """A set of arrays' face transfers over a Cartesian comm: the plan is
     built on first use, every call executes it.
 
     Subclasses say which faces exist and under which tags
-    (:meth:`_layout`) and in which order they run; packing, unpacking and
-    their trace events are shared.
+    (:meth:`_layout`) and in which order they run; the transfer of one
+    face, with its copies and trace events, is the communicator's
+    (:meth:`Communicator.send_face` / :meth:`Communicator.recv_face`).
     """
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec],
@@ -257,25 +277,23 @@ class _FaceTransfers:
         self.cart = cart
         self.specs = specs
         self.pool = _SHARED_POOL if pool is None else pool
-        #: (per grid dim a (send faces, ghost faces) pair, the ``.data``
-        #: buffer of every spec the views alias), or None before first use
-        self._plan: tuple[list, list] | None = None
+        self._plan: _FacePlan | None = None
 
     def _layout(self):
         """Yield ``(dim, direction, send_tag, recv_tag)`` per potential
         face in execution order; a None tag means no transfer that way."""
         raise NotImplementedError
 
-    def _faces(self) -> list[tuple[list[_Face], list[_Face]]]:
+    def _faces(self) -> _FacePlan:
         """The plan, rebuilt when any array's ``.data`` was rebound (the
         held references keep an ``id`` from being recycled)."""
         plan = self._plan
         if plan is not None:
-            for spec, data in zip(self.specs, plan[1]):
+            for spec, data in zip(self.specs, plan.data):
                 if spec.array.data is not data:
                     break
             else:
-                return plan[0]
+                return plan
         by_dim: dict[int, tuple[list[_Face], list[_Face]]] = {}
         for dim, direction, send_tag, recv_tag in self._layout():
             sends, ghosts = by_dim.setdefault(dim, ([], []))
@@ -288,41 +306,9 @@ class _FaceTransfers:
             if recv_tag is not None:
                 ghosts.append(_Face(peer, recv_tag, [
                     s.ghost_section(dim, direction) for s in self.specs]))
-        faces = list(by_dim.values())
-        self._plan = (faces, [s.array.data for s in self.specs])
-        return faces
-
-    def _pack(self, face: _Face) -> list[np.ndarray]:
-        """Copy *face*'s send views into pool buffers — the one copy a
-        halo payload gets; ownership passes to the receiver (``move``)."""
-        record = self.cart.comm.record
-        t0 = perf_counter_ns() if record is not None else 0
-        acquire = self.pool.acquire
-        payload = []
-        for view in face.views:
-            buf = acquire(view.shape, view.dtype)
-            np.copyto(buf, view)
-            payload.append(buf)
-        if record is not None:
-            record("halo_pack", None, face.nbytes, face.tag, 0,
-                   t0, perf_counter_ns())
-        return payload
-
-    def _unpack(self, face: _Face, payload: list[np.ndarray]) -> None:
-        if len(payload) != len(face.views):
-            raise RuntimeCommError(
-                f"halo message carries {len(payload)} sections for "
-                f"{len(face.views)} arrays")
-        record = self.cart.comm.record
-        t0 = perf_counter_ns() if record is not None else 0
-        release = self.pool.release
-        for ghost, section in zip(face.views, payload):
-            if ghost is not None:
-                ghost[...] = section
-            release(section)
-        if record is not None:
-            record("halo_unpack", None, face.nbytes, face.tag, 0,
-                   t0, perf_counter_ns())
+        plan = self._plan = _FacePlan(list(by_dim.values()),
+                                      [s.array.data for s in self.specs])
+        return plan
 
 
 class HaloExchanger(_FaceTransfers):
@@ -337,16 +323,10 @@ class HaloExchanger(_FaceTransfers):
                 f"with pipeline transfers")
         super().__init__(cart, specs, pool)
         self.point_id = point_id
-        #: in-flight receive Requests posted by begin(), in ghost-face
-        #: order, drained by finish(); None when idle
-        self._pending: list | None = None
+        #: between begin() and finish()?
+        self.in_flight = False
         self._t_begin0 = 0
         self._t_begin1 = 0
-
-    @property
-    def in_flight(self) -> bool:
-        """Between :meth:`begin` and :meth:`finish`?"""
-        return self._pending is not None
 
     def _layout(self):
         for dim in range(self.cart.ndims):
@@ -371,37 +351,37 @@ class HaloExchanger(_FaceTransfers):
         and the whole exchange as an enveloping ``exchange`` span, so the
         timeline can separate halo copying from blocked waiting.
         """
-        if self._pending is not None:
+        if self.in_flight:
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} run blocking while a "
                 f"begun one is unfinished")
         comm = self.cart.comm
+        pool = self.pool
         record = comm.record
         tx0 = perf_counter_ns() if record is not None else 0
-        for sends, ghosts in self._faces():
+        for sends, ghosts in self._faces().by_dim:
             for face in sends:
-                comm.send(face.peer, self._pack(face), face.tag, move=True)
+                comm.send_face(face, pool)
             for face in ghosts:
-                self._unpack(face, comm.recv(face.peer, face.tag))
+                comm.recv_face(face, pool)
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    tx0, perf_counter_ns())
 
     def begin(self) -> None:
-        """Post the whole aggregated exchange without completing it.
+        """Start the whole aggregated exchange without completing it.
 
-        All receives are posted first (as nonblocking requests), then
-        every face of every dimension is packed and shipped at once.
-        Unlike :meth:`exchange`, *no* ghost layer is touched here: the
-        received payloads stay queued in the transport until
-        :meth:`finish` unpacks them, so the caller can keep computing on
-        interior cells — and even keep *reading* the current ghost values
-        — while the messages are in flight.  That queueing is the double
-        buffer: frame N+1's receives cannot clobber the faces frame N's
-        boundary strip still reads, because unpacking only happens in
-        the matching ``finish()``.
+        Every face of every dimension is shipped at once.  Unlike
+        :meth:`exchange`, *no* ghost layer is touched here: the incoming
+        payloads stay queued in the transport until :meth:`finish`
+        receives them, so the caller can keep computing on interior
+        cells — and even keep *reading* the current ghost values — while
+        the messages are in flight.  That queueing is the double buffer:
+        frame N+1's receives cannot clobber the faces frame N's boundary
+        strip still reads, because ghosts are only written in the
+        matching ``finish()``.
 
-        Corner caveat: because every dimension's faces are packed before
+        Corner caveat: because every dimension's faces are shipped before
         any ghost arrives, the sections shipped for later dimensions
         carry *stale* ghost values in the regions the blocking path
         would have refreshed first (the two-phase corner propagation in
@@ -409,23 +389,20 @@ class HaloExchanger(_FaceTransfers):
         values must use the blocking path — the restructurer's overlap
         gate enforces this.
         """
-        if self._pending is not None:
+        if self.in_flight:
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} begun twice without finish")
         comm = self.cart.comm
+        pool = self.pool
         timed = comm.record is not None
         self._t_begin0 = perf_counter_ns() if timed else 0
-        faces = self._faces()
-        pending = [comm.irecv(face.peer, face.tag)
-                   for _sends, ghosts in faces for face in ghosts]
-        for sends, _ghosts in faces:
-            for face in sends:
-                comm.isend(face.peer, self._pack(face), face.tag, move=True)
-        self._pending = pending
+        for face in self._faces().sends:
+            comm.send_face(face, pool)
+        self.in_flight = True
         self._t_begin1 = perf_counter_ns() if timed else 0
 
     def finish(self) -> None:
-        """Complete a begun exchange: wait on every receive and unpack.
+        """Complete a begun exchange: receive every ghost face.
 
         The window between ``begin()`` returning and ``finish()`` being
         entered is recorded as an ``overlap`` span — halo latency hidden
@@ -434,18 +411,18 @@ class HaloExchanger(_FaceTransfers):
         frame inference and roll-ups see the same shape as the blocking
         path.
         """
-        if self._pending is None:
+        if not self.in_flight:
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} finished without begin")
-        pending, self._pending = self._pending, None
-        record = self.cart.comm.record
+        self.in_flight = False
+        comm = self.cart.comm
+        pool = self.pool
+        record = comm.record
         if record is not None:
             record("overlap", None, 0, self.point_id, 0,
                    self._t_begin1, perf_counter_ns())
-        ghost_faces = [face for _sends, ghosts in self._faces()
-                       for face in ghosts]
-        for face, request in zip(ghost_faces, pending):
-            self._unpack(face, request.wait())
+        for face in self._faces().ghosts:
+            comm.recv_face(face, pool)
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    self._t_begin0, perf_counter_ns())
@@ -474,9 +451,8 @@ class PipeExchanger(_FaceTransfers):
         comm = self.cart.comm
         record = comm.record
         t0 = perf_counter_ns() if record is not None else 0
-        for _sends, ghosts in self._faces():
-            for face in ghosts:
-                self._unpack(face, comm.recv(face.peer, face.tag))
+        for face in self._faces().ghosts:
+            comm.recv_face(face, self.pool)
         if record is not None:
             record("pipeline_recv", None, 0, self.pipe_id, 0,
                    t0, perf_counter_ns())
@@ -485,12 +461,10 @@ class PipeExchanger(_FaceTransfers):
         """Ship freshly computed plus-edge layers down the pipeline."""
         comm = self.cart.comm
         record = comm.record
-        for sends, _ghosts in self._faces():
-            for face in sends:
-                payload = self._pack(face)
-                if record is not None:
-                    # marker only: comm.send records the message itself
-                    now = perf_counter_ns()
-                    record("pipeline_send", face.peer, 0, face.tag, 0,
-                           now, now)
-                comm.send(face.peer, payload, face.tag, move=True)
+        for face in self._faces().sends:
+            if record is not None:
+                # marker only: send_face records the message itself
+                now = perf_counter_ns()
+                record("pipeline_send", face.peer, 0, face.tag, 0,
+                       now, now)
+            comm.send_face(face, self.pool)

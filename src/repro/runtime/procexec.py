@@ -21,13 +21,16 @@ deadlock-diagnosis / bounded-join guarantees — behind
   words, a float in the header itself, anything else pickled.  The
   writer fills the slot, advances its counter (that store publishes the
   message) and posts the destination rank's **doorbell** semaphore;
-* **the receiving rank takes its own messages**: its mailbox
-  (:class:`_ChannelMailbox`) is a real in-process ``_Mailbox`` whose
-  wait polls the incoming channels for ``_SPIN`` seconds, then sleeps on
-  the doorbell, and moves what was published into its ``(source, tag)``
-  buckets itself.  Receive matching, collectives and duplicate
-  suppression are inherited; between ``send`` and ``recv`` there is no
-  pipe, no pickle and no other thread;
+* **the receiving rank takes its own messages**.  A receive that names
+  source and tag polls that source's channel for ``_SPIN`` seconds and,
+  if the head message is the one due, takes it where it lies
+  (:meth:`_ChannelMailbox.take_head`): a halo face crosses in two
+  copies, live view to slot to ghost view, with no pack buffer, bucket
+  or ``_Message`` on the way.  Any other receive is the inherited
+  ``_Mailbox.get`` on a mailbox whose wait sleeps on the doorbell and
+  moves what was published into the ``(source, tag)`` buckets itself.
+  Matching, collectives and duplicate suppression are inherited; between
+  ``send`` and ``recv`` there is no pipe, no pickle and no other thread;
 * **the data pipes are the overflow path**: a payload larger than a
   slot, or a send into a full ring, is pickled onto the per-pair pipe
   instead, so ``send`` stays buffered (it never waits for the
@@ -73,12 +76,13 @@ import time
 from collections import deque
 from multiprocessing import connection as mpc
 from multiprocessing import get_context, shared_memory
+from time import perf_counter, perf_counter_ns
 
 import numpy as np
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.runtime.comm import (Communicator, _Mailbox, _Message,
-                                _payload_bytes, _WaitState,
+                                _payload_bytes, _WaitState, fill_ghosts,
                                 find_wait_cycle, format_rank_states)
 from repro.runtime.halo import shared_pool
 from repro.runtime.trace import EpochProbe, Trace, epoch_shift
@@ -106,8 +110,8 @@ _STRIDE = _HEAD + _SLOT_BYTES
 _LINE = 64
 _CHANNEL_BYTES = 2 * _LINE + _SLOTS * _STRIDE
 
-#: a receiver polls its channels this long before it sleeps on the
-#: doorbell.  A sleep costs the sleeper a wake-up (about 60 us on the
+#: a receiver polls the channel it awaits this long before it sleeps on
+#: the doorbell.  A sleep costs the sleeper a wake-up (about 60 us on the
 #: 2-core VM the benchmark runs on) and the sender a system call, so a
 #: few wake-ups' worth: a peer one halo exchange behind answers inside it
 _SPIN = 200e-6
@@ -116,10 +120,12 @@ _SPIN = 200e-6
 #: fork) gets to answer inside the spin instead of after it
 _POLLS_PER_YIELD = 16
 
-#: payload kinds; array kinds carry _MOVED when the sender gave the
-#: buffers away, and the receiver then copies into pool buffers it owns
+#: payload kinds
 _PICKLE, _FLOAT, _ARRAY, _LIST = range(4)
-_MOVED = 8
+
+#: what :meth:`_ChannelMailbox.take_head` answers instead of a payload
+#: when the receive has to go the inherited way
+_MISS = object()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,7 @@ def _word_dtype(word: int) -> np.dtype:
     return np.dtype(word.to_bytes(8, "little").rstrip(b"\0").decode())
 
 
-def _encode(buf: memoryview, body: int, payload, move: bool
+def _encode(buf: memoryview, body: int, payload
             ) -> tuple[int, int, float] | None:
     """Write *payload* at *body*, behind a slot's header; the header's
     (kind, count, float) fields, or None if the slot cannot hold it."""
@@ -208,8 +214,7 @@ def _encode(buf: memoryview, body: int, payload, move: bool
             # strided or not, one copy: the buffered-send copy
             np.ndarray(a.shape, a.dtype, buf, at)[...] = a
             at += (a.nbytes + 7) & ~7
-        kind = _ARRAY if cls is np.ndarray else _LIST
-        return kind | _MOVED if move else kind, len(words), 0.0
+        return _ARRAY if cls is np.ndarray else _LIST, len(words), 0.0
     if _payload_bytes(payload) <= _SLOT_BYTES:  # else: don't pickle twice
         data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         if len(data) <= _SLOT_BYTES:
@@ -218,32 +223,30 @@ def _encode(buf: memoryview, body: int, payload, move: bool
     return None
 
 
-def _decode(buf: memoryview, body: int, kind: int, n: int, value: float):
-    """The payload :func:`_encode` wrote at *body*, copied out.
-
-    Views of the slot would let the receiver's unpack path ``release``
-    foreign memory into its :class:`BufferPool` (and the slot is reused
-    ``_SLOTS`` messages later), so each array is copied exactly once,
-    moved ones into pool buffers: the copy the thread executor's
-    receive side pays.
-    """
-    if kind == _FLOAT:
-        return value
-    if kind == _PICKLE:
-        return pickle.loads(buf[body:body + n])
+def _sections(buf: memoryview, body: int, n: int) -> list[np.ndarray]:
+    """The arrays :func:`_encode` wrote at *body*, as views of the slot."""
     words = struct.unpack_from(f"{n}q", buf, body)
     at = body + 8 * n
-    acquire = shared_pool().acquire if kind & _MOVED else np.empty
     out = []
     i = 0
     while i < n:
         shape = words[i + 2:i + 2 + words[i + 1]]
-        local = acquire(shape, _word_dtype(words[i]))
-        local[...] = np.ndarray(shape, local.dtype, buf, at)
-        out.append(local)
-        at += (local.nbytes + 7) & ~7
+        out.append(np.ndarray(shape, _word_dtype(words[i]), buf, at))
+        at += (out[-1].nbytes + 7) & ~7
         i += 2 + len(shape)
-    return out if kind & ~_MOVED == _LIST else out[0]
+    return out
+
+
+def _decode(buf: memoryview, body: int, kind: int, n: int, value: float):
+    """The payload :func:`_encode` wrote at *body*, copied out."""
+    if kind == _FLOAT:
+        return value
+    if kind == _PICKLE:
+        return pickle.loads(buf[body:body + n])
+    # the slot is reused _SLOTS messages later: each array is copied
+    # exactly once, into memory the receiver owns
+    out = [section.copy() for section in _sections(buf, body, n)]
+    return out if kind == _LIST else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +258,20 @@ class _ChannelMailbox(_Mailbox):
     """This rank's mailbox: the body thread fills it from its channels.
 
     ``get`` is inherited; only its wait differs.  Where the in-process
-    mailbox sleeps on its condition until a ``put``, this one polls the
-    incoming channels, then sleeps on the rank's doorbell, and on the way
-    out moves every published message (and every overflow message the
-    drainer parked in the inbox) into the buckets.  Only the body thread
-    takes from channels, so ``delivered`` — what the launcher's mirror
-    balances against the senders' counts — moves exactly when a message
-    becomes receivable.
+    mailbox sleeps on its condition until a ``put``, this one sleeps on
+    the rank's doorbell, and on the way out moves every published
+    message (and every overflow message the drainer parked in the inbox)
+    into the buckets.  :meth:`take_head` is the way round the buckets.
+    Only the body thread takes from channels, so ``delivered`` — what
+    the launcher's mirror balances against the senders' counts — moves
+    exactly when a message becomes receivable.
     """
 
     def __init__(self, run_id: int, inbound: dict[int, _Channel],
                  inbox: deque, doorbell) -> None:
         super().__init__()
         self._run_id = run_id
-        self._inbound = list(inbound.items())
+        self._channels = inbound
         self._inbox = inbox
         self._doorbell = doorbell
         #: source -> sequence number of the next message to admit
@@ -277,6 +280,8 @@ class _ChannelMailbox(_Mailbox):
         self._held: dict[tuple[int, int], _Message] = {}
         self.doorbell_sleeps = 0
         self.spin_hits = 0
+        #: messages :meth:`take_head` took in place
+        self.head_takes = 0
 
     @property
     def delivered(self) -> int:
@@ -288,7 +293,7 @@ class _ChannelMailbox(_Mailbox):
         bucket, held for order, parked by the drainer, or published in a
         channel and not yet taken."""
         return (self._queued + len(self._held) + len(self._inbox)
-                + sum(chan.backlog() for _, chan in self._inbound))
+                + sum(chan.backlog() for chan in self._channels.values()))
 
     def put(self, message: _Message) -> None:
         # a self-send, possibly from a fault-injection timer thread
@@ -303,38 +308,72 @@ class _ChannelMailbox(_Mailbox):
             self._drain()
         return super().probe(source, tag)
 
-    def _ready(self) -> bool:
-        if self._inbox:
-            return True
-        for _, chan in self._inbound:
-            if chan.slot() is not None:
-                return True
-        return False
-
-    def _wait(self, timeout: float) -> None:
-        self._cond.release()
-        try:
-            now = time.perf_counter()
-            spin_end = now + min(_SPIN, timeout)
+    def take_head(self, source: int | None, tag: int | None,
+                  failed: threading.Event, face=None
+                  ) -> tuple[object, float]:
+        """The short cut of a receive that names its source and its tag:
+        ``(payload, seconds waited)``, taken where it lies in *source*'s
+        channel, when nothing of that source and tag is queued, nothing
+        is held for order or parked by the drainer, and the head, awaited
+        for ``_SPIN`` at most, carries this run's id, *tag*, the sequence
+        number due and no msg id.  With a *face* (a halo ghost face) the
+        sections go straight into its ghost views and the payload is
+        their byte count.  Otherwise nothing is touched and the answer is
+        ``(_MISS, seconds spent)``: the caller goes through :meth:`get`,
+        whose drain, ordering, duplicate suppression, detector and
+        timeout apply.  Body thread only, like every taker of channels.
+        """
+        chan = self._channels.get(source)
+        if (chan is None or tag is None or self._held or self._inbox
+                or (source, tag) in self._buckets or failed.is_set()):
+            return _MISS, 0.0
+        waited = 0.0
+        off = chan.slot()
+        if off is None:
+            t0 = perf_counter()
             polls = 0
-            while now < spin_end:
-                if self._ready():
-                    self.spin_hits += 1
-                    break
+            while off is None:
+                if waited >= _SPIN:
+                    return _MISS, waited
                 polls += 1
                 if polls % _POLLS_PER_YIELD == 0:
                     os.sched_yield()
-                now = time.perf_counter()
-            else:
+                off = chan.slot()
+                waited = perf_counter() - t0
+            self.spin_hits += 1
+        buf = chan.buf
+        rid, mtag, msg_id, seq, kind, n, value = _HDR.unpack_from(buf, off)
+        if (rid != self._run_id or mtag != tag or msg_id >= 0
+                or seq != self._next[source]
+                or (face is not None and kind != _LIST)):
+            return _MISS, waited
+        if face is None:
+            payload = _decode(buf, off + _HEAD, kind, n, value)
+        else:
+            sections = _sections(buf, off + _HEAD, n)
+            fill_ghosts(face.views, sections)
+            payload = sum(section.nbytes for section in sections)
+        chan.advance()
+        self._next[source] = seq + 1
+        self.head_takes += 1
+        # the post that announced this message, so that posts do not pile
+        # up between waits (one not in yet is forgotten by the next)
+        self._doorbell.acquire(False)
+        return payload, waited
+
+    def _wait(self, timeout: float) -> None:
+        # no polling here: a receive that knows its channel has polled
+        # it in take_head, any other sleeps at once
+        if not self._doorbell.acquire(False):
+            self._cond.release()
+            try:
                 self.doorbell_sleeps += 1
                 self._doorbell.acquire(True, timeout)
-        finally:
-            self._cond.acquire()
+            finally:
+                self._cond.acquire()
         # Forget the posts so far: each was made after what it announces
         # (a published message, the failure flag) became visible, and
-        # both are looked at after this, here and in get().  Posts are
-        # thus never owed for more than what one drain takes, however
-        # long a rank goes without sleeping.
+        # both are looked at after this, here and in get().
         while self._doorbell.acquire(False):
             pass
         self._drain()
@@ -343,7 +382,7 @@ class _ChannelMailbox(_Mailbox):
         """Move everything published for this run into the buckets
         (body thread, lock held); free what dead runs left behind."""
         run_id = self._run_id
-        for source, chan in self._inbound:
+        for source, chan in self._channels.items():
             buf = chan.buf
             while (off := chan.slot()) is not None:
                 rid, tag, msg_id, seq, kind, n, value = \
@@ -375,7 +414,7 @@ class _ChannelMailbox(_Mailbox):
 
 
 class _RemoteMailbox:
-    """Sender-side proxy for a peer's mailbox: ``put`` writes the message
+    """Sender-side proxy for a peer's mailbox: ``write`` copies a payload
     into the pair's channel and rings the peer's doorbell, or, when the
     slot or the ring cannot take it, pickles it onto the data pipe.
 
@@ -399,8 +438,10 @@ class _RemoteMailbox:
         self.sent = 0
         self.overflow = 0
 
-    def put(self, message: _Message, move: bool = False) -> None:
-        payload = message.payload
+    def put(self, message: _Message) -> None:
+        self.write(message.tag, message.payload, message.msg_id)
+
+    def write(self, tag: int, payload, msg_id: int | None = None) -> None:
         chan = self._chan
         with self._lock:
             seq = self.sent
@@ -409,27 +450,17 @@ class _RemoteMailbox:
             self.sent = seq + 1
             off = chan.slot()
             head = off is not None and _encode(chan.buf, off + _HEAD,
-                                               payload, move)
+                                               payload)
             if head:
-                msg_id = message.msg_id
-                _HDR.pack_into(chan.buf, off, self._run_id, message.tag,
+                _HDR.pack_into(chan.buf, off, self._run_id, tag,
                                -1 if msg_id is None else msg_id, seq, *head)
                 chan.advance()
             else:
                 self.overflow += 1
-                self._conn.send((self._run_id, self._source, message.tag,
-                                 message.msg_id, seq, payload))
+                self._conn.send((self._run_id, self._source, tag, msg_id,
+                                 seq, payload))
         if head:
             self._doorbell.release()
-        if move:
-            # in-process the receiver releases a moved buffer after
-            # unpacking; here it gets its own copy (slot or pickle), so
-            # the packed buffers go back to this process's pool
-            pool = shared_pool()
-            for buf in (payload if isinstance(payload, list)
-                        else (payload,)):
-                if isinstance(buf, np.ndarray):
-                    pool.release(buf)
 
 
 class _Run:
@@ -479,7 +510,8 @@ class _Run:
         return {"ring": sum(m.sent for m in self._remotes) - overflow,
                 "overflow": overflow,
                 "doorbell_sleeps": self.mailbox.doorbell_sleeps,
-                "spin_hits": self.mailbox.spin_hits}
+                "spin_hits": self.mailbox.spin_hits,
+                "head_takes": self.mailbox.head_takes}
 
     def block(self, rank: int, op: str, source: int | None = None,
               tag: int | None = None) -> _WaitState:
@@ -512,19 +544,56 @@ class _Run:
 class ProcCommunicator(Communicator):
     """A rank endpoint whose peers live in other processes.
 
-    Everything above delivery — receive matching, collectives, barrier
-    handling, deadlock bookkeeping, tracing — is inherited; only remote
-    delivery changes: writing into the slot (or pickling, on overflow)
-    *is* the buffered-send copy, so the payload deep-copy is skipped on
-    the fault-free path.
+    Collectives, barrier handling, deadlock bookkeeping and tracing are
+    inherited; what changes is the way across the process boundary.
+    Writing into the slot (or pickling, on overflow) *is* the
+    buffered-send copy, so the payload deep-copy is skipped, and a
+    receive that names source and tag tries the head of that source's
+    channel (:meth:`_ChannelMailbox.take_head`) before the inherited
+    matching.  Fault-free runs only: see :func:`_run_body`.
     """
 
     def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
-        if dest == self.rank or self._injector is not None:
-            # self-sends use the local mailbox; injected runs keep the
-            # base path so drop/delay/duplicate see every delivery
+        if dest == self.rank:  # self-sends use the local mailbox
             return super()._deliver(dest, obj, tag, move)
-        self._mailboxes[dest].put(_Message(self.rank, tag, obj), move=move)
+        self._mailboxes[dest].write(tag, obj)
+
+    def _get(self, source: int | None, tag: int | None,
+             op: str) -> tuple[_Message, float]:
+        payload, waited = self._mailboxes[self.rank].take_head(
+            source, tag, self._failed)
+        if payload is _MISS:
+            msg, more = super()._get(source, tag, op)
+            return msg, waited + more
+        return _Message(source, tag, payload), waited
+
+    def send_face(self, face, pool) -> None:
+        record = self.record
+        t0 = perf_counter_ns() if record is not None else 0
+        self._mailboxes[face.peer].write(face.tag, face.views)
+        if record is not None:
+            # the write was the pack and the send, and no defensive copy
+            # was made of what it packed
+            now = perf_counter_ns()
+            record("halo_pack", None, face.nbytes, face.tag, 0, t0, now)
+            record("send", face.peer, face.nbytes, face.tag, face.nbytes,
+                   now, now)
+
+    def recv_face(self, face, pool) -> None:
+        record = self.record
+        t0 = perf_counter_ns() if record is not None else 0
+        nbytes, waited = self._mailboxes[self.rank].take_head(
+            face.peer, face.tag, self._failed, face)
+        if nbytes is _MISS:
+            msg, more = super()._get(face.peer, face.tag, "recv")
+            self._unpack_face(face, self._received(msg, waited + more),
+                              pool)
+        elif record is not None:
+            # the wait for the message, then the copy out of its slot
+            t1 = t0 + int(waited * 1e9)
+            record("recv", face.peer, nbytes, face.tag, t1 - t0, t0, t1)
+            record("halo_unpack", None, face.nbytes, face.tag, 0,
+                   t1, perf_counter_ns())
 
 
 class _WorkerState:
@@ -667,9 +736,12 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
     """Execute the rank body for one run and report the outcome."""
     if run.tele is not None:
         run.tele.bind(run.mailbox, shared_pool())
-    comm = ProcCommunicator(run.rank, worker.size, run.mailboxes, barrier,
-                            run.trace, run.failed, timeout, run,
-                            run.injector, run.tele)
+    # with faults to inject, the base class: every delivery goes through
+    # the injector and every receive through the buckets, where drop,
+    # delay and duplicate (and its suppression) are looked after
+    cls = ProcCommunicator if run.injector is None else Communicator
+    comm = cls(run.rank, worker.size, run.mailboxes, barrier, run.trace,
+               run.failed, timeout, run, run.injector, run.tele)
     #: worker-persistent compile cache (see repro.codegen.runner)
     comm.compiled_cache = compiled_cache
     err: BaseException | None = None

@@ -28,9 +28,10 @@ class World:
     size: int
     results: list = field(default_factory=list)
     trace: Trace = field(default_factory=Trace)
-    #: process executor only: messages by route (``ring``, ``overflow``)
-    #: and receiver waits by kind (``doorbell_sleeps``, ``spin_hits``),
-    #: summed over the ranks that reported
+    #: process executor only: messages by route (``ring``, ``overflow``;
+    #: ``head_takes``: received in place) and receiver waits by kind
+    #: (``doorbell_sleeps``, ``spin_hits``), summed over the ranks that
+    #: reported
     transport: dict | None = None
 
 

@@ -249,6 +249,19 @@ class TestProfile:
         assert all(int(model) > 0 and int(real) > 0
                    for _, model, real in rows)
 
+    def test_profile_transport_line_on_processes(self, src_file, capsys):
+        assert main(["profile", src_file, "-p", "2x1", "--frames", "10",
+                     "--executor", "process"]) == 0
+        out = capsys.readouterr().out
+        line = re.search(r"^transport: (.*)$", out, re.M)
+        assert line, out
+        counts = {key: int(value) for key, value in
+                  (item.split("=") for item in line.group(1).split())}
+        assert set(counts) == {"ring", "overflow", "doorbell_sleeps",
+                               "spin_hits", "head_takes"}
+        assert counts["overflow"] == 0
+        assert 0 < counts["head_takes"] <= counts["ring"]
+
     def test_profile_models_the_unchunked_pipeline(self, tmp_path, capsys):
         """The emitted mirror-image sweep is one block per rank, so the
         simulated side is ClusterSim at chunks=1, not its default 8."""

@@ -83,6 +83,42 @@ class TestMessagesPerFrame:
         assert sends == {3: 3 * per_frame + once, 5: 5 * per_frame + once}
 
 
+class TestCountablesAcrossExecutors:
+    """What is countable does not depend on how a message travels: on
+    the process executor a face is written straight into the channel
+    slot and read straight into the ghost cells, and it is still one
+    ``send`` that skipped the defensive copy (``saved_bytes``), one
+    ``recv``, one ``halo_pack`` and one ``halo_unpack``."""
+
+    KINDS = ("send", "recv", "halo_pack", "halo_unpack", "exchange",
+             "overlap")
+
+    @pytest.mark.parametrize("name,source,deck", [
+        ("jacobi_5pt", jacobi_5pt(n=64, m=32, iters=12, eps=0.0), None),
+        ("sprayer", sprayer_source(n=48, m=20, iters=4, eps=0.0),
+         SPRAYER_INPUT),
+    ])
+    def test_process_counts_equal_thread_counts(self, name, source, deck):
+        compiled = AutoCFD.from_source(source).compile(partition=(2, 1))
+        runs = {executor: compiled.run_parallel(
+                    input_text=deck, timeout=60.0, executor=executor)
+                for executor in ("thread", "process")}
+        thread, proc = runs["thread"], runs["process"]
+        for kind in self.KINDS:
+            assert proc.trace.count(kind) == thread.trace.count(kind), kind
+        assert thread.trace.count("halo_unpack") > 0
+        for key in ("sends", "bytes_sent", "saved_bytes",
+                    "collective_bytes", "syncs_by_kind"):
+            assert proc.comm_stats[key] == thread.comm_stats[key], key
+        assert proc.comm_stats["saved_bytes"] > 0
+        # a recv keeps its blocked time: stamps in order, none negative
+        for e in proc.trace.snapshot():
+            if e.kind == "recv":
+                assert e.wait_s >= 0.0 and e.t1 >= e.t0
+        assert sum(e.nbytes for e in proc.trace.snapshot()
+                   if e.kind == "recv") == proc.comm_stats["bytes_sent"]
+
+
 class TestMessageBytes:
     def test_simulated_face_bytes_match_traced(self):
         frames = 3

@@ -175,7 +175,7 @@ def _pool_after_exchanges(comm):
     comm.barrier()
     after = pool.stats()
     return {key: after[key] - before[key]
-            for key in ("misses", "outstanding")}
+            for key in ("hits", "misses", "outstanding")}
 
 
 def _boom(comm):
@@ -270,21 +270,18 @@ class TestHappyPath:
                                 [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
         assert w.results[0] == w.results[1][1]
 
-    def test_sender_returns_moved_buffers_to_its_pool(self):
-        # the ring (or pickle) copy is the receiver's; the sender's packed
-        # buffers must go back to its own pool, or every pack allocates
-        # and drain() books one leak per exchange (seed: misses 503,
-        # outstanding 500 per worker)
+    def test_exchanges_leave_the_worker_pools_alone(self):
+        # a face goes from the array into the slot and from the slot into
+        # the ghost cells: where the thread executor cycles pack buffers
+        # through the shared pool, a worker's pool sees no traffic at all
+        # (seed: misses 503, outstanding 500 per worker, one leak booked
+        # per exchange)
         on_threads = spmd_run(2, _pool_after_exchanges).results
         on_processes = proc_run(2, _pool_after_exchanges,
                                 timeout=30.0).results
-        for threads, processes in zip(on_threads, on_processes):
-            # threads share one pool, each worker has its own (pack
-            # buffer plus ring copy-out buffer): equal to within the
-            # messages in flight at either reading
-            assert abs(processes["misses"] - threads["misses"]) <= 4
-            assert abs(processes["outstanding"]
-                       - threads["outstanding"]) <= 2
+        assert all(r["outstanding"] <= 2 for r in on_threads)
+        assert on_processes == [{"hits": 0, "misses": 0,
+                                 "outstanding": 0}] * 2
 
     def test_pool_is_reused_across_runs(self):
         proc_run(2, _pingpong, timeout=15.0)
