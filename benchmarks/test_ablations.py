@@ -17,7 +17,7 @@ quantity it exists to improve:
 
 import math
 
-from machine import MACHINE, NETWORK, emit, simulate
+from machine import MACHINE, NETWORK, OVERLAP, emit, simulate
 from repro.apps.kernels import jacobi_5pt
 from repro.core import AutoCFD
 from repro.partition.partitioner import (
@@ -30,9 +30,11 @@ from repro.simulate import ClusterSim
 
 def test_ablation_combining(benchmark, sprayer):
     res_on = benchmark.pedantic(
-        lambda: sprayer.compile(partition=(4, 1), combine=True),
+        lambda: sprayer.compile(partition=(4, 1), combine=True,
+                                overlap=OVERLAP),
         rounds=3, iterations=1)
-    res_off = sprayer.compile(partition=(4, 1), combine=False)
+    res_off = sprayer.compile(partition=(4, 1), combine=False,
+                              overlap=OVERLAP)
     t_on = simulate(res_on.plan, 200).total_time
     t_off = simulate(res_off.plan, 200).total_time
     emit("ablation_combining", [
@@ -52,10 +54,12 @@ def test_ablation_combining(benchmark, sprayer):
 def test_ablation_redundant_elimination(benchmark, aerofoil):
     plan_on = benchmark.pedantic(
         lambda: aerofoil.compile(partition=(4, 1, 1),
-                                 eliminate_redundant=True).plan,
+                                 eliminate_redundant=True,
+                                 overlap=OVERLAP).plan,
         rounds=2, iterations=1)
     plan_off = aerofoil.compile(partition=(4, 1, 1),
-                                eliminate_redundant=False).plan
+                                eliminate_redundant=False,
+                                overlap=OVERLAP).plan
     emit("ablation_redundant", [
         "Ablation: redundant-pair elimination (aerofoil, 4x1x1)",
         f"active pairs with kill rule:    {len(plan_on.active_pairs)}",
@@ -98,7 +102,7 @@ def test_ablation_pipeline_granularity(benchmark, aerofoil):
     network the pipeline is the bottleneck and chunking pays."""
     from repro.simulate import NetworkModel
 
-    plan = aerofoil.compile(partition=(4, 1, 1)).plan
+    plan = aerofoil.compile(partition=(4, 1, 1), overlap=OVERLAP).plan
     switched = NetworkModel(latency=2e-4, bandwidth=10e6,
                             shared_medium=False)
 
@@ -136,7 +140,8 @@ def test_ablation_halo_aggregation(benchmark):
     acfd = AutoCFD.from_source(src)
 
     def run(combine):
-        res = acfd.compile(partition=(2, 1), combine=combine)
+        res = acfd.compile(partition=(2, 1), combine=combine,
+                           overlap=OVERLAP)
         out = res.run_parallel()
         return len(out.trace.messages(rank=0)), out
 

@@ -17,7 +17,7 @@ Ethernet carries twice the traffic), and better behavior for the balanced
 
 import math
 
-from machine import emit, frames_for_seq_seconds, simulate
+from machine import emit, frames_for_seq_seconds, plan_for, simulate
 
 PAPER = {(2, 1, 1): 1.12, (4, 1, 1): 0.84, (3, 2, 1): 1.80}
 PARTS = [(2, 1, 1), (4, 1, 1), (2, 2, 1), (3, 2, 1)]
@@ -25,11 +25,10 @@ PARTS = [(2, 1, 1), (4, 1, 1), (2, 2, 1), (3, 2, 1)]
 
 def test_table2(benchmark, aerofoil):
     frames = frames_for_seq_seconds(aerofoil, 1970.0, (1, 1, 1))
-    seq_plan = aerofoil.compile(partition=(1, 1, 1)).plan
-    seq = simulate(seq_plan, frames)
+    seq = simulate(plan_for(aerofoil, (1, 1, 1)), frames)
 
     benchmark.pedantic(
-        lambda: simulate(aerofoil.compile(partition=(4, 1, 1)).plan, frames),
+        lambda: simulate(plan_for(aerofoil, (4, 1, 1)), frames),
         rounds=3, iterations=1)
 
     lines = [
@@ -42,7 +41,7 @@ def test_table2(benchmark, aerofoil):
     ]
     measured = {}
     for part in PARTS:
-        res = simulate(aerofoil.compile(partition=part).plan, frames)
+        res = simulate(plan_for(aerofoil, part), frames)
         p = math.prod(part)
         s = seq.total_time / res.total_time
         measured[part] = s

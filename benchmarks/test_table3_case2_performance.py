@@ -16,17 +16,17 @@ doubles.
 
 import math
 
-from machine import emit, frames_for_seq_seconds, simulate
+from machine import emit, frames_for_seq_seconds, plan_for, simulate
 
 PAPER = {(2, 1): 1.43, (3, 1): 1.97, (2, 2): 2.78}
 
 
 def test_table3(benchmark, sprayer):
     frames = frames_for_seq_seconds(sprayer, 362.0, (1, 1))
-    seq = simulate(sprayer.compile(partition=(1, 1)).plan, frames)
+    seq = simulate(plan_for(sprayer, (1, 1)), frames)
 
     benchmark.pedantic(
-        lambda: simulate(sprayer.compile(partition=(2, 2)).plan, frames),
+        lambda: simulate(plan_for(sprayer, (2, 2)), frames),
         rounds=3, iterations=1)
 
     lines = [
@@ -40,7 +40,7 @@ def test_table3(benchmark, sprayer):
     measured = {}
     eff = {}
     for part in [(2, 1), (3, 1), (2, 2)]:
-        res = simulate(sprayer.compile(partition=part).plan, frames)
+        res = simulate(plan_for(sprayer, part), frames)
         p = math.prod(part)
         s = seq.total_time / res.total_time
         measured[part] = s

@@ -18,7 +18,7 @@ measured series is noisy (82% at 60x23, then 71%); we assert the trend,
 not the noise.  Frame counts per size are calibrated to the paper's T1.
 """
 
-from machine import emit, frames_for_seq_seconds, simulate
+from machine import emit, frames_for_seq_seconds, plan_for, simulate
 from repro.apps.sprayer import sprayer_source
 from repro.core import AutoCFD
 
@@ -37,8 +37,8 @@ def test_table4(benchmark):
     def one_size(n, m, t1_target):
         acfd = AutoCFD.from_source(sprayer_source(n=n, m=m))
         frames = frames_for_seq_seconds(acfd, float(t1_target), (1, 1))
-        t1 = simulate(acfd.compile(partition=(1, 1)).plan, frames)
-        t2 = simulate(acfd.compile(partition=(2, 1)).plan, frames)
+        t1 = simulate(plan_for(acfd, (1, 1)), frames)
+        t2 = simulate(plan_for(acfd, (2, 1)), frames)
         return t1.total_time, t2.total_time
 
     benchmark.pedantic(lambda: one_size(40, 15, 45), rounds=2, iterations=1)

@@ -18,7 +18,7 @@ the benchmark verifies that too.
 
 import math
 
-from machine import MACHINE, emit, frames_for_seq_seconds, simulate
+from machine import MACHINE, emit, plan_for, simulate
 from repro.apps.sprayer import sprayer_source
 from repro.core import AutoCFD
 
@@ -29,13 +29,13 @@ def test_table5(benchmark):
     acfd = AutoCFD.from_source(sprayer_source(n=800, m=300))
 
     # calibrate frames so the 2x1 run lasts ~2095 s
-    base_plan = acfd.compile(partition=(2, 1)).plan
+    base_plan = plan_for(acfd, (2, 1))
     probe = simulate(base_plan, 50)
     frames = max(1, round(2095.0 / (probe.total_time / 50)))
     base = simulate(base_plan, frames)
 
     benchmark.pedantic(
-        lambda: simulate(acfd.compile(partition=(2, 2)).plan, frames),
+        lambda: simulate(plan_for(acfd, (2, 2)), frames),
         rounds=3, iterations=1)
 
     lines = [
@@ -48,7 +48,7 @@ def test_table5(benchmark):
     ]
     eff = {}
     for part in [(3, 1), (2, 2)]:
-        res = simulate(acfd.compile(partition=part).plan, frames)
+        res = simulate(plan_for(acfd, part), frames)
         p = math.prod(part)
         e = base.total_time * 2 / (res.total_time * p)
         eff[part] = e
@@ -59,7 +59,7 @@ def test_table5(benchmark):
 
     # the missing 1-processor row: a single node's working set exceeds
     # the knee by far (the paper: "a workstation runs out of memory")
-    seq = simulate(acfd.compile(partition=(1, 1)).plan, 10)
+    seq = simulate(plan_for(acfd, (1, 1)), 10)
     node = MACHINE.node
     lines.append(f"(1-processor working set: "
                  f"{seq.working_set[0] / 1e6:.1f} MB — past the "

@@ -427,8 +427,10 @@ _SHARED_OPTIONS = {
         choices=("on", "off", "auto"), default="auto",
         help="communication/computation overlap: split safe consumer "
              "loops into interior+boundary around a nonblocking exchange "
-             "(auto: where provably safe; on: auto + warn on refusals; "
-             "off: always blocking)")),
+             "(on: wherever provably safe, warn on refusals; auto: only "
+             "where the host's in-flight time pays for the strips, which "
+             "on the thread and process executors is nowhere; off: "
+             "always blocking)")),
     "input": (("--input", "-i"), dict(
         help="list-directed input deck file")),
     "backend": (("--backend",), dict(

@@ -86,7 +86,8 @@ class OverlapDecision:
 
     Recorded by the restructurer when it considers splitting the loop
     nest that consumes the exchange; ``reason`` explains a refusal in
-    the same spirit as the vectorizer's ``Fallback`` discipline.
+    the same spirit as the vectorizer's ``Fallback`` discipline, or a
+    safe split mode ``auto`` priced and declined ("safe, declined: ...").
     ``callee`` names the subroutine when the verdict crossed a ``call``
     boundary (interprocedural split or in-callee refusal), else "".
     """
@@ -138,9 +139,10 @@ class ParallelPlan:
     #: pairs that actually need synchronization under the partition
     active_pairs: list[DependencePair]
     regions: list[SyncRegion]
-    #: requested overlap mode: "auto" | "on" | "off" — "on" and "auto"
-    #: both apply the safety gate (correctness is never traded away);
-    #: "on" merely surfaces refusals loudly
+    #: requested overlap mode: "auto" | "on" | "off" — "on" keeps every
+    #: split the safety gate allows; "auto" also prices each one against
+    #: the host's in-flight time and declines it ("safe, declined: ...")
+    #: when the strips cost more than the split can hide
     overlap: str = "auto"
     #: per combined sync, the restructurer's verdict (filled in by
     #: ``restructure``; deterministic, so a re-restructure of a pickled

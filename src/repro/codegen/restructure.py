@@ -439,7 +439,9 @@ class Restructurer:
     # so interior iterations can never read a ghost cell that is still in
     # flight.  Safety follows the vectorizer's ``Fallback`` discipline:
     # any nest outside the provable subset refuses with a recorded reason
-    # and keeps the blocking exchange.
+    # and keeps the blocking exchange.  Mode ``on`` keeps every safe
+    # split; ``auto`` prices it first (``_price``) and keeps the blocking
+    # exchange when nothing in flight pays for the strips.
     #
     # Both paper apps keep their stencils in subroutines, so a combined
     # sync is usually followed by ``call momentum0()`` rather than a
@@ -595,6 +597,10 @@ class Restructurer:
         if reason is not None:
             return refuse(f"in callee {callee!r}: {reason}" if callee
                           else reason)
+        if self.plan.overlap == "auto":
+            reason = self._price(sync, loop, splits)
+            if reason is not None:
+                return refuse(reason)
         repl = self._split_nest(sync, loop, facts, splits)
         if callee:
             at = len(summary.leading)
@@ -669,6 +675,48 @@ class Restructurer:
                 return (f"nest scalar {nm!r} is a dummy or COMMON member, "
                         f"so its exit value escapes the callee")
         return None
+
+    def _price(self, sync: PlannedSync, loop: A.DoLoop,
+               splits: list[tuple[int, int, int, int]]) -> str | None:
+        """Why mode ``auto`` declines a safe split, else None.
+
+        Two times per frame, on the rank with the most faces: what the
+        split can hide (wire time of the steady faces still in flight
+        once ``begin()`` returns) and what it adds (one nest per boundary
+        strip, each running every statement of the consumer nest, and
+        ``begin`` + ``finish`` in place of one exchange).  The split is
+        kept only when the first is larger.
+        """
+        from repro.simulate.drift import (
+            HOST_FLIGHT_S, HOST_FLIGHT_S_PER_BYTE, HOST_SPLIT_S,
+            HOST_STRIP_NEST_S, HOST_STRIP_STMT_S)
+        part = self.partition
+
+        # (grid dim, neighbor direction, ghost width summed over members)
+        widths = [(g, direction, sum(d.get(g, (0, 0))[side]
+                                     for _n, d in sync.steady))
+                  for g in part.cut_dims
+                  for side, direction in ((0, -1), (1, 1))]
+
+        def faces(rank: int) -> tuple[int, int]:
+            hit = [(g, w) for g, direction, w in widths if w
+                   and part.neighbor(rank, g, direction) is not None]
+            sub = part.subgrid(rank)
+            return len(hit), sum(8 * w * sub.face_size(g) for g, w in hit)
+
+        count, nbytes = max(faces(r) for r in range(part.size))
+        strips = sum((dm > 0) + (dp > 0) for _lvl, _g, dm, dp in splits)
+        stmts = sum(isinstance(s, A.Assign)
+                    for s in A.walk_statements([loop]))
+        hide = count * HOST_FLIGHT_S + nbytes * HOST_FLIGHT_S_PER_BYTE
+        cost = strips * (HOST_STRIP_NEST_S + stmts * HOST_STRIP_STMT_S) \
+            + HOST_SPLIT_S
+        if hide > cost:
+            return None
+        return (f"safe, declined: hides {hide * 1e6:.1f} us a frame in "
+                f"flight ({count} faces, {nbytes} B), adds "
+                f"{cost * 1e6:.1f} us ({strips} strip nests x {stmts} "
+                f"statements, begin/finish)")
 
     def _overlap_verdict(self, unit: A.ProgramUnit, sync: PlannedSync,
                          loop: A.DoLoop, tails: list[list[A.Stmt]]):

@@ -154,11 +154,13 @@ class AutoCFD:
                 partitioner picks the shape.
             combine: apply the combining optimization (ablation hook).
             eliminate_redundant: apply redundant-pair elimination.
-            overlap: communication/computation overlap mode — ``"auto"``
+            overlap: communication/computation overlap mode — ``"on"``
                 splits every provably safe consumer nest into interior +
-                boundary strips around a nonblocking exchange, ``"off"``
-                keeps every exchange blocking, ``"on"`` is auto plus
-                refusal reasons surfaced as warnings by the CLI.
+                boundary strips around a nonblocking exchange (the CLI
+                surfaces the refusals as warnings), ``"auto"`` keeps a
+                safe split only where the host's in-flight time pays for
+                its strips (on this repo's executors: none), ``"off"``
+                keeps every exchange blocking.
         """
         with activate(self.obs):
             with obs.span("partitioning", cat="compile") as psp:

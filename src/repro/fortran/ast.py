@@ -418,10 +418,8 @@ Node = Union[Expr, Stmt, ProgramUnit, CompilationUnit]
 
 def children(node: Node) -> Iterator[Node]:
     """Yield direct child nodes (expressions and statements) of *node*."""
-    for f in dataclasses.fields(node):
-        if f.name in ("symbols", "directives"):
-            continue
-        value = getattr(node, f.name)
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
         if isinstance(value, (Expr, Stmt, ProgramUnit)):
             yield value
         elif isinstance(value, list):
@@ -477,7 +475,18 @@ def statement_lists(stmt: Stmt) -> Iterator[list[Stmt]]:
 
 
 _NODE_TYPES = (Expr, Stmt, ProgramUnit, CompilationUnit)
+#: per node class, its dataclass field names less ``symbols`` and
+#: ``directives`` (analysis results hung on units, not syntax)
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+            if f.name not in ("symbols", "directives"))
+    return names
 
 
 def copy_node(node: Node) -> Node:
@@ -489,16 +498,14 @@ def copy_node(node: Node) -> Node:
     runs on it) and a compilation unit's ``directives`` object is shared.
     """
     cls = type(node)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(
-            f.name for f in dataclasses.fields(cls))
     new = object.__new__(cls)
     values = new.__dict__
-    for name in names:
+    for name in _field_names(cls):
         values[name] = _copy_value(getattr(node, name))
     if cls is ProgramUnit:
         new.symbols = None
+    elif cls is CompilationUnit:
+        new.directives = node.directives
     return new
 
 

@@ -8,16 +8,16 @@ dimension, one side or both), each nest plain, under an IF arm that
 runs every other frame, or inside an inner loop, optionally a subroutine
 called from two sites, a jump (``GOTO``, computed ``GOTO``, ``CYCLE``)
 and a reader after the loop.  Every program is compiled at 2x1, 1x2 and
-2x2 with overlap ``auto`` and ``off`` (and now and then with combining
+2x2 with overlap ``on`` and ``off`` (and now and then with combining
 off, which is what leaves a narrow delivery ahead of a wide member), run
 on the thread executor, and every status array must come out bitwise
 equal to ``run_sequential``: a member demoted to entry-only that was in
 fact stale shows up as a wrong grid.
 
 The generator must reach entry-only members, members needed on every
-frame, and each reason the pass refuses with.  The example count comes
-from the active hypothesis profile: 100 in tier-1, more under
-``--hypothesis-profile=deep`` (CI).
+frame, each reason the pass refuses with, and at least one split nest.
+The example count comes from the active hypothesis profile: 100 in
+tier-1, more under ``--hypothesis-profile=deep`` (CI).
 """
 
 from collections import Counter
@@ -30,12 +30,14 @@ from repro.core import AutoCFD
 ARRAYS = "abc"
 PARTITIONS = ((2, 1), (1, 2), (2, 2))
 #: what the generator has to reach: verdicts, refusal reasons (as the
-#: pass words them), and the placements a demoted member sat under
+#: pass words them), the placements a demoted member sat under, and an
+#: interior/boundary split under overlap ``on``
 VERDICTS = ("entry-only", "needed")
 REASONS = ("two or more cut dimensions", "leaves only widths",
            "holds a GOTO", "holds a computed GOTO", "holds a CYCLE",
            "outside the frame loop")
 PLACEMENTS = ("arm", "inner", "call")
+SPLIT = ("split",)
 
 
 @st.composite
@@ -142,6 +144,7 @@ def render(spec: dict) -> str:
 
 def _note(seen: Counter, spec: dict, plan) -> None:
     """Count the verdicts, reasons and placements this plan reached."""
+    seen["split"] += sum(d.enabled for d in plan.overlap_decisions)
     for sync in plan.syncs:
         for name, _dists in sync.arrays:
             if name in sync.entry_only:
@@ -167,7 +170,7 @@ def test_generated_frame_programs_match_the_sequential_run():
         seq = acfd.run_sequential()
         want = {name: seq.array(name).data.tobytes() for name in ARRAYS}
         for dims in PARTITIONS:
-            for overlap in ("auto", "off"):
+            for overlap in ("on", "off"):
                 result = acfd.compile(partition=dims, overlap=overlap,
                                       combine=spec["combine"])
                 plan = result.plan
@@ -175,7 +178,7 @@ def test_generated_frame_programs_match_the_sequential_run():
                     assert [m for m in sync.arrays
                             if m[0] not in sync.entry_only] == sync.steady
                     assert not set(sync.entry_only) & set(sync.refusals)
-                if overlap == "auto":
+                if overlap == "on":
                     _note(seen, spec, plan)
                 par = result.run_parallel(timeout=60.0)
                 for name in ARRAYS:
@@ -185,5 +188,6 @@ def test_generated_frame_programs_match_the_sequential_run():
                          f"{result.report.freshness_lines()}:\n{src}")
 
     check()
-    missing = [k for k in VERDICTS + REASONS + PLACEMENTS if not seen[k]]
+    missing = [k for k in VERDICTS + REASONS + PLACEMENTS + SPLIT
+               if not seen[k]]
     assert not missing, f"generator never reached {missing}: {seen}"

@@ -12,8 +12,9 @@ from repro.core import AutoCFD
 from tests.conftest import JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC
 
 
-def compile_src(src, partition):
-    return AutoCFD.from_source(src).compile(partition=partition)
+def compile_src(src, partition, overlap="auto"):
+    return AutoCFD.from_source(src).compile(partition=partition,
+                                            overlap=overlap)
 
 
 class TestMpiFortran:
@@ -61,7 +62,8 @@ class TestMpiFortran:
 
     def test_partly_entry_only_sync_switches_member_set(self):
         from repro.apps.sprayer import sprayer_source
-        res = compile_src(sprayer_source(n=48, m=20, iters=4), (2, 1))
+        res = compile_src(sprayer_source(n=48, m=20, iters=4), (2, 1),
+                          overlap="on")
         sync = res.plan.syncs[0]
         assert list(sync.entry_only) == ["pr"]
         assert [name for name, _d in sync.steady] == ["sw", "vx"]

@@ -9,10 +9,15 @@ The tentpole contract: a halo-synchronized consumer nest is rewritten to
 
 exactly when safety is provable, and refuses — with a recorded reason —
 otherwise, keeping the blocking exchange (the vectorizer's ``Fallback``
-discipline).
+discipline).  That is mode ``on``, which most tests here compile with;
+mode ``auto`` also prices every safe split (``TestPrice``).
 """
 
 import functools
+import hashlib
+import json
+import pathlib
+import re
 
 import pytest
 
@@ -31,7 +36,7 @@ from tests.conftest import (JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC,
                             with_boundary_refresh)
 
 
-def compiled(src: str, dims, overlap="auto"):
+def compiled(src: str, dims, overlap="on"):
     cu = normalize_compilation_unit(parse_source(src))
     plan = build_plan(cu, Partition(GridGeometry(cu.directives.grid_shape),
                                     dims), overlap=overlap)
@@ -113,7 +118,7 @@ class TestRefusals:
 
     def test_diagonal_reader_refused_on_two_cut_dims(self):
         acfd = AutoCFD.from_source(kernels.jacobi_9pt())
-        plan = acfd.compile(partition=(2, 2)).plan
+        plan = acfd.compile(partition=(2, 2), overlap="on").plan
         d = decision(plan, 1)
         assert not d.enabled
         assert "corner" in d.reason or "diagonal" in d.reason
@@ -122,7 +127,7 @@ class TestRefusals:
         # with a single cut dimension there are no corner transfers, so
         # the nine-point stencil overlaps safely
         acfd = AutoCFD.from_source(with_boundary_refresh(kernels.jacobi_9pt()))
-        plan = acfd.compile(partition=(2, 1)).plan
+        plan = acfd.compile(partition=(2, 1), overlap="on").plan
         assert decision(plan, 1).enabled
 
     def test_scalar_read_after_nest_refused(self):
@@ -165,7 +170,7 @@ class TestRefusals:
 class TestReportAndPlan:
     def test_report_counts_and_refusals(self):
         acfd = AutoCFD.from_source(JACOBI_BC_SRC)
-        report = acfd.compile(partition=(2, 1)).report
+        report = acfd.compile(partition=(2, 1), overlap="on").report
         assert report.overlap_syncs == 1
         assert all(reason for _sid, reason in report.overlap_refusals)
         d = report.to_dict()
@@ -174,7 +179,7 @@ class TestReportAndPlan:
 
     def test_plan_overlap_enabled_query(self):
         acfd = AutoCFD.from_source(JACOBI_BC_SRC)
-        plan = acfd.compile(partition=(2, 1)).plan
+        plan = acfd.compile(partition=(2, 1), overlap="on").plan
         assert plan.overlap_enabled(1)
         assert not plan.overlap_enabled(2)
         assert not plan.overlap_enabled(999)
@@ -183,7 +188,7 @@ class TestReportAndPlan:
 class TestMpiFortranArtifact:
     def test_overlapped_sync_prints_nonblocking_wrappers(self):
         acfd = AutoCFD.from_source(JACOBI_BC_SRC)
-        result = acfd.compile(partition=(2, 1))
+        result = acfd.compile(partition=(2, 1), overlap="on")
         text = result.mpi_source()
         assert "subroutine acfd_exchange_begin_1(v)" in text
         assert "subroutine acfd_exchange_finish_1(v)" in text
@@ -275,14 +280,14 @@ class TestInterprocedural:
 
     def test_report_carries_callee_in_decisions(self):
         report = AutoCFD.from_source(sub_src()).compile(
-            partition=(2, 2)).report
+            partition=(2, 2), overlap="on").report
         decisions = report.to_dict()["overlap_decisions"]
         hit = next(d for d in decisions if d["enabled"])
         assert hit["callee"] == "relaxx"
 
     def test_mpi_artifact_notes_the_interprocedural_split(self):
         text = AutoCFD.from_source(sub_src()).compile(
-            partition=(2, 2)).mpi_source()
+            partition=(2, 2), overlap="on").mpi_source()
         assert ("c  interprocedural split: exchange posted inside "
                 "relaxx") in text
         assert "_acfd_" not in text
@@ -415,7 +420,7 @@ class TestSunkFormGate:
         acfd = AutoCFD.from_source(impure_actual_src())
         want = acfd.run_sequential().io.output()
         assert "ncalls 6" in want
-        result = acfd.compile(partition=(2, 2), overlap="auto")
+        result = acfd.compile(partition=(2, 2), overlap="on")
         assert result.run_parallel(executor=executor).output() == want
         d = decision(result.plan, 1)
         assert not d.enabled and d.callee == "relaxx"
@@ -423,7 +428,7 @@ class TestSunkFormGate:
 
     def test_callee_local_reduction_accumulator_accepted(self):
         acfd = AutoCFD.from_source(local_accumulator_src())
-        over = acfd.compile(partition=(2, 2), overlap="auto")
+        over = acfd.compile(partition=(2, 2), overlap="on")
         d = decision(over.plan, 1)
         assert d.enabled and d.callee == "relaxx"
         relaxx = unit_text(over.parallel_source(), "relaxx")
@@ -437,7 +442,7 @@ class TestSunkFormGate:
 
     def test_sync_array_not_declared_in_callee_refused(self):
         acfd = AutoCFD.from_source(HIDDEN_ARRAY_SRC)
-        result = acfd.compile(partition=(2, 1), overlap="auto")
+        result = acfd.compile(partition=(2, 1), overlap="on")
         sync = result.plan.syncs[0]
         assert [name for name, _d in sync.arrays] == ["v", "w"]
         d = decision(result.plan, 1)
@@ -485,9 +490,86 @@ class TestRestructureKeepsTheUnitList:
             == [u.name for u in acfd.cu.units]
 
 
+#: per program and cut: the SPMD source digest and overlap decisions that
+#: mode ``auto`` emitted before it priced splits, i.e. every safe split
+PINS = json.loads((pathlib.Path(__file__).parent / "fixtures"
+                   / "overlap_on_pins.json").read_text())
+
+
+class TestOnKeepsEverySafeSplit:
+    @pytest.mark.parametrize("cuts", [(2, 1), (1, 2), (2, 2)],
+                             ids=["2x1", "1x2", "2x2"])
+    @pytest.mark.parametrize("name", sorted(_programs()))
+    def test_source_and_decisions_match_the_pins(self, name, cuts):
+        acfd = _program(name)
+        dims = cuts + (1,) * (len(acfd.grid.shape) - 2)
+        result = acfd.compile(partition=dims, overlap="on")
+        pin = PINS[f"{name} {'x'.join(map(str, cuts))}"]
+        decisions = result.plan.overlap_decisions
+        assert {str(d.sync_id): d.callee
+                for d in decisions if d.enabled} == pin["accepted"]
+        assert {str(d.sync_id): d.reason
+                for d in decisions if not d.enabled} == pin["refused"]
+        assert hashlib.sha256(result.parallel_source().encode()) \
+            .hexdigest() == pin["source_sha256"]
+
+
+#: a declined split's reason, with the two times it compares
+DECLINED = re.compile(
+    r"safe, declined: hides (\d+\.\d) us a frame in flight \((\d+) faces, "
+    r"(\d+) B\), adds (\d+\.\d) us \((\d+) strip nests x (\d+) "
+    r"statements, begin/finish\)")
+
+
+class TestPrice:
+    """Mode ``auto`` keeps a safe split only when the wire time still in
+    flight after ``begin()`` outweighs the strips and begin/finish."""
+
+    def test_declined_reason_carries_both_numbers(self):
+        from repro.simulate import drift
+        plan, text = compiled(JACOBI_BC_SRC, (2, 1), overlap="auto")
+        d = decision(plan, 1)
+        assert not d.enabled
+        m = DECLINED.fullmatch(d.reason)
+        assert m, d.reason
+        hide, faces, nbytes, adds, strips, stmts = m.groups()
+        # one neighbor and a one-wide face 16 points long (8 B a value);
+        # a low and a high strip; the nest's update and its max fold
+        assert (faces, nbytes, strips, stmts) == ("1", "128", "2", "2")
+        assert float(hide) == 0.0
+        assert float(adds) == round(1e6 * (
+            2 * (drift.HOST_STRIP_NEST_S + 2 * drift.HOST_STRIP_STMT_S)
+            + drift.HOST_SPLIT_S), 1)
+        assert text == compiled(JACOBI_BC_SRC, (2, 1), overlap="off")[1]
+
+    def test_sprayer_auto_emits_the_off_program(self):
+        from repro.apps.sprayer import sprayer_source
+        acfd = AutoCFD.from_source(sprayer_source(300, 100, iters=4,
+                                                  eps=0.0))
+        auto, off, on = (acfd.compile(partition=(2, 1), overlap=mode)
+                         for mode in ("auto", "off", "on"))
+        assert auto.parallel_source() == off.parallel_source()
+        split = {d.sync_id: d.callee for d in on.plan.overlap_decisions
+                 if d.enabled}
+        assert len(split) == 6
+        for d in auto.plan.overlap_decisions:
+            assert not d.enabled
+            if d.sync_id in split:
+                assert d.callee == split[d.sync_id]
+                assert DECLINED.fullmatch(d.reason), d.reason
+
+    def test_split_kept_when_flight_outweighs_the_strips(self, monkeypatch):
+        from repro.simulate import drift
+        monkeypatch.setattr(drift, "HOST_FLIGHT_S", 1e-3)
+        auto = compiled(sub_src(), (2, 2), overlap="auto")
+        on = compiled(sub_src(), (2, 2), overlap="on")
+        assert decision(auto[0], 1).enabled
+        assert auto[1] == on[1]
+
+
 class TestAcceptedSetsPinned:
-    """The syncs the paper apps overlap today, so capability cannot
-    shrink silently."""
+    """The syncs the paper apps overlap under mode ``on``, so capability
+    cannot shrink silently."""
 
     @pytest.mark.parametrize("app,dims,total,accepted", [
         ("sprayer", (2, 1), 7,
@@ -496,7 +578,7 @@ class TestAcceptedSetsPinned:
         ("aerofoil", (2, 1, 1), 8, {5: "presscor", 8: "convergence"}),
     ])
     def test_paper_app_accepted_syncs(self, app, dims, total, accepted):
-        plan = _program(app).compile(partition=dims, overlap="auto").plan
+        plan = _program(app).compile(partition=dims, overlap="on").plan
         assert len(plan.overlap_decisions) == total
         assert {d.sync_id: d.callee for d in plan.overlap_decisions
                 if d.enabled} == accepted

@@ -4,7 +4,7 @@ The aerofoil is the program the carried schedules exist for: sixteen
 direction-split sweeps (carried in i, j or k: ``carried-outer``) and the
 boundary-layer Gauss-Seidel pass (carried in all three: ``fronts``).
 The scalar sequential run is the reference; the vectorized sequential
-run and the stitched grids of every cut direction, both overlap modes
+run and the stitched grids of every cut direction, every overlap mode
 and both executors must equal it bitwise.  The programs whose nests
 carry nothing must not get a carried frame at all.
 """
@@ -36,7 +36,7 @@ def test_sequential_vectorized_equals_scalar(aerofoil):
     assert vector.io.output() == scalar.io.output()
 
 
-@pytest.mark.parametrize("overlap", ["auto", "off"])
+@pytest.mark.parametrize("overlap", ["on", "auto", "off"])
 @pytest.mark.parametrize("dims,executor", [
     ((2, 1, 1), "thread"), ((1, 2, 1), "thread"), ((1, 1, 2), "thread"),
     ((2, 2, 1), "thread"), ((2, 1, 1), "process")],
@@ -50,6 +50,8 @@ def test_stitched_grids_equal_sequential_scalar(aerofoil, dims, executor,
     assert modes["carried-outer"] == 16 and modes["fronts"] == 1, modes
     assert [unit for unit, _, _ in compiled.report.fallback_reasons] \
         == ["aerofoil"]
+    # "on" splits at least the sync before presscor on every cut
+    assert (compiled.report.overlap_syncs > 0) == (overlap == "on")
     par = compiled.run_parallel(input_text=AEROFOIL_INPUT, timeout=60.0,
                                 executor=executor)
     for a in ARRAYS:

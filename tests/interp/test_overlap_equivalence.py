@@ -18,7 +18,7 @@ from tests.interp.test_executor_equivalence import CASES
 def _dims(acfd):
     # two cut dimensions: on a single cut every gallery kernel's stencil
     # sync is entry-only (fresh from the bottom-of-frame sync), so
-    # nothing is split there and overlap "auto" is the blocking program
+    # nothing is split there and overlap "on" is the blocking program
     return (2, 2) + (1,) * (len(acfd.grid.shape) - 2)
 
 
@@ -27,7 +27,7 @@ def test_overlap_matches_blocking_thread_executor(name, gen):
     acfd = AutoCFD.from_source(gen())
     dims = _dims(acfd)
     blocking = acfd.compile(partition=dims, overlap="off")
-    overlapped = acfd.compile(partition=dims, overlap="auto")
+    overlapped = acfd.compile(partition=dims, overlap="on")
     base = blocking.run_parallel(timeout=60.0)
     over = over_vec = overlapped.run_parallel(timeout=60.0)
     over_sca = overlapped.run_parallel(timeout=60.0, vectorize=False)
@@ -45,7 +45,7 @@ def test_overlap_matches_blocking_process_executor(name, gen):
     acfd = AutoCFD.from_source(gen())
     dims = _dims(acfd)
     blocking = acfd.compile(partition=dims, overlap="off")
-    overlapped = acfd.compile(partition=dims, overlap="auto")
+    overlapped = acfd.compile(partition=dims, overlap="on")
     base = blocking.run_parallel(timeout=60.0)
     proc = overlapped.run_parallel(timeout=60.0, executor="process")
     assert base.output() == proc.output()
@@ -62,11 +62,12 @@ def test_gallery_has_at_least_one_overlapped_kernel():
     enabled = []
     for name, gen in CASES:
         acfd = AutoCFD.from_source(gen())
-        plan = acfd.compile(partition=_dims(acfd)).plan
+        plan = acfd.compile(partition=_dims(acfd), overlap="on").plan
         if any(d.enabled for d in plan.overlap_decisions):
             enabled.append(name)
         single = (2,) + (1,) * (len(acfd.grid.shape) - 1)
-        first = acfd.compile(partition=single).plan.overlap_decisions[0]
+        first = acfd.compile(partition=single,
+                             overlap="on").plan.overlap_decisions[0]
         assert (first.enabled, first.reason) == (
             False, "nothing to send after the first frame"), name
     assert "jacobi_5pt" in enabled
@@ -97,7 +98,7 @@ _SUB_IDS = [n for n, _g, _d in SUB_CASES]
 def test_subroutine_stencils_match_blocking_thread_executor(name, gen, dims):
     acfd = AutoCFD.from_source(gen())
     blocking = acfd.compile(partition=dims, overlap="off")
-    overlapped = acfd.compile(partition=dims, overlap="auto")
+    overlapped = acfd.compile(partition=dims, overlap="on")
     base = blocking.run_parallel(timeout=60.0)
     over_vec = overlapped.run_parallel(timeout=60.0)
     over_sca = overlapped.run_parallel(timeout=60.0, vectorize=False)
@@ -114,7 +115,7 @@ def test_subroutine_stencils_match_blocking_thread_executor(name, gen, dims):
 def test_subroutine_stencils_match_blocking_process_executor(name, gen, dims):
     acfd = AutoCFD.from_source(gen())
     blocking = acfd.compile(partition=dims, overlap="off")
-    overlapped = acfd.compile(partition=dims, overlap="auto")
+    overlapped = acfd.compile(partition=dims, overlap="on")
     base = blocking.run_parallel(timeout=60.0)
     proc = overlapped.run_parallel(timeout=60.0, executor="process")
     assert base.output() == proc.output()
@@ -136,7 +137,7 @@ def test_subroutine_stencils_take_interprocedural_path():
          "diffx"),
     ]:
         plan = AutoCFD.from_source(gen()).compile(
-            partition=dims, overlap="auto").plan
+            partition=dims, overlap="on").plan
         hits = [d for d in plan.overlap_decisions
                 if d.enabled and d.callee == callee]
         assert hits, f"{name}: no interprocedural split through {callee!r}"
@@ -144,7 +145,7 @@ def test_subroutine_stencils_take_interprocedural_path():
     # x-pass reads corners, unsafe on a two-cut partition
     plan = AutoCFD.from_source(
         kernels.jacobi_9pt_sub(n=12, m=8, iters=6)).compile(
-        partition=(2, 2), overlap="auto").plan
+        partition=(2, 2), overlap="on").plan
     dec = next(d for d in plan.overlap_decisions if d.callee == "smooth9x")
     assert not dec.enabled
     assert "diagonal" in dec.reason
@@ -164,7 +165,7 @@ def test_paper_apps_overlap_interprocedurally_and_match_blocking():
          (2, 2, 1), AEROFOIL_INPUT),
     ]:
         acfd = AutoCFD.from_source(src)
-        overlapped = acfd.compile(partition=dims, overlap="auto")
+        overlapped = acfd.compile(partition=dims, overlap="on")
         accepted = [d for d in overlapped.plan.overlap_decisions
                     if d.enabled]
         assert accepted, f"{label}: every sync refused"

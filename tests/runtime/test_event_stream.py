@@ -82,7 +82,8 @@ def _same_events(tail, log, tol: float) -> None:
 def _assert_two_readers_agree(source: str, executor: str, tmp_path,
                               expect_kinds: set) -> None:
     shared = executor == "process"
-    compiled = AutoCFD.from_source(source).compile(partition=(2, 2))
+    compiled = AutoCFD.from_source(source).compile(partition=(2, 2),
+                                                   overlap="on")
     tele = Telemetry(4, shared=shared, slots=SLOTS)
     try:
         result = compiled.run_parallel(

@@ -25,8 +25,12 @@ def simulate(plan, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def report(compiled):
-    par = compiled.run_parallel(input_text=DECK)
+def par(compiled):
+    return compiled.run_parallel(input_text=DECK)
+
+
+@pytest.fixture(scope="module")
+def report(compiled, par):
     return drift_report(par, simulate(compiled.plan))
 
 
@@ -63,6 +67,20 @@ class TestDriftReport:
         for cat in CATEGORIES:
             assert cat in text
         assert "max drift" in text
+
+
+class TestOverlapAgreement:
+    def test_hidden_halo_fraction_is_zero_on_both_sides(self, compiled,
+                                                        par):
+        # overlap "auto" declines every split on the thread executor
+        # (nothing is in flight once begin() returns) and the model
+        # simulates the plan's own decisions, so neither side hides any
+        # exchange
+        assert compiled.plan.overlap == "auto"
+        assert not any(d.enabled for d in compiled.plan.overlap_decisions)
+        observed = par.timeline().rollup().hidden_halo_fraction
+        predicted = simulate(compiled.plan).rollup().hidden_halo_fraction
+        assert observed == predicted == 0.0
 
 
 class TestDegradedDrift:

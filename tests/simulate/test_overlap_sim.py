@@ -26,7 +26,7 @@ CPU = MachineModel(NodeModel(flop_time=1e-7, cache_bytes=1 << 30))
 def plans(dims):
     acfd = AutoCFD.from_source(JACOBI_SRC)
     return (acfd.compile(partition=dims, overlap="off").plan,
-            acfd.compile(partition=dims, overlap="auto").plan)
+            acfd.compile(partition=dims, overlap="on").plan)
 
 
 class TestSchedule:
