@@ -20,9 +20,12 @@ on the discrete-event simulator with this calibration:
 * ``barrier_syncs = True`` — PVM blocking exchanges: pipeline skew
   cannot flow across synchronization points;
 * ``overlap = "on"`` — every provably safe interior/boundary split is
-  compiled: on this Ethernet a message is in flight for milliseconds, so
-  each split has something to hide (``"auto"`` prices splits against
-  the host the compiler runs on, where nothing is in flight).
+  modelled: the plan marks the sync and the simulator overlaps its
+  exchange with the consumer nest's interior.  On this Ethernet a
+  message is in flight for milliseconds, so each split has something to
+  hide (``"auto"`` prices splits against the host the compiler runs on,
+  where nothing is in flight).  The compiled program is the same in
+  every mode: the split is modelled, not emitted.
 
 Frame counts per experiment are chosen so the *sequential* simulated time
 matches the paper's reported sequential seconds; speedups and efficiencies

@@ -72,10 +72,11 @@ def build_call_graph(cu: A.CompilationUnit) -> CallGraph:
 class CalleeSummary:
     """Per-subroutine summary for interprocedural halo overlap (§5.3).
 
-    Describes the shape the overlap splitter needs to sink an exchange
+    Describes the shape the overlap verdict needs to sink an exchange
     from before ``call foo()`` into ``foo``: the first top-level consumer
-    nest (split in place), the scalar assignments that precede it (they
-    will run before the exchange is posted), and the tail that follows.
+    nest (the one a split would peel), the scalar assignments that
+    precede it (they would run before the exchange is posted), and the
+    tail that follows.
     ``refusal`` carries the structural reason the exchange cannot be
     sunk, or ``None`` when the shape is eligible (the caller still
     applies plan-specific safety checks: vecsafety, ghost footprint,

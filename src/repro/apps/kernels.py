@@ -426,7 +426,8 @@ def jacobi_5pt_sub(n: int = 40, m: int = 24, iters: int = 200,
     (x-pass with the convergence reduction, then y-pass), plus a
     copy-back subroutine.  Because ``v``'s ghosts are consumed by *two*
     callees, the combined sync stays in the main program before
-    ``call relaxx()`` — only the interprocedural split can overlap it.
+    ``call relaxx()`` — only the interprocedural verdict can mark it
+    split.
     """
     return f"""\
 !$acfd status v, vnew

@@ -71,9 +71,8 @@ def _read_input(args) -> str | None:
         return fh.read()
 
 
-def _compile_args(acfd: AutoCFD, args) -> list:
+def _compile_args(acfd: AutoCFD, args, overlap: str = "auto") -> list:
     results = []
-    overlap = args.overlap
     partitions = args.partition or []
     if args.processors is not None:
         results.append(acfd.compile(processors=args.processors,
@@ -82,13 +81,6 @@ def _compile_args(acfd: AutoCFD, args) -> list:
         results.append(acfd.compile(partition=dims, overlap=overlap))
     if not results:
         results.append(acfd.compile(overlap=overlap))
-    if overlap == "on":
-        # the user asked for overlap explicitly: surface every sync the
-        # safety analysis kept blocking, with its reason
-        for result in results:
-            for sid, reason in result.report.overlap_refusals:
-                print(f"acfd: overlap refused for sync {sid}: {reason}",
-                      file=sys.stderr)
     return results
 
 
@@ -112,7 +104,7 @@ def cmd_compile(args) -> int:
 
 def cmd_report(args) -> int:
     acfd = _load(args.source)
-    results = _compile_args(acfd, args)
+    results = _compile_args(acfd, args, args.overlap)
     if args.json:
         print(json.dumps([r.report.to_dict() for r in results], indent=1))
         return 0
@@ -124,7 +116,7 @@ def cmd_report(args) -> int:
         for dec in result.report.overlap_decisions:
             if dec["enabled"] and dec["callee"]:
                 print(f"  {result.report.program} {part} "
-                      f"sync {dec['sync_id']} overlapped across "
+                      f"sync {dec['sync_id']} split across "
                       f"call to {dec['callee']!r}")
         for sid, reason in result.report.overlap_refusals:
             print(f"  {result.report.program} {part} sync {sid} "
@@ -255,7 +247,7 @@ def cmd_simulate(args) -> int:
     print(f"{'x'.join(map(str, seq_dims)):>10s} {t_seq:>10.2f} "
           f"{'-':>8s} {'-':>10s}")
     sim_spans = None
-    for result in _compile_args(acfd, args):
+    for result in _compile_args(acfd, args, args.overlap):
         sim = ClusterSim(result.plan, chunks=args.chunks,
                          record_timeline=bool(args.trace_out))
         out = sim.run(args.frames)
@@ -288,12 +280,6 @@ def cmd_profile(args) -> int:
     par = result.run_parallel(input_text=input_text, vectorize=vec,
                               executor=args.executor)
     print(_backend_line(vec, result.report, par))
-    interproc = sum(1 for d in result.report.overlap_decisions
-                    if d["enabled"] and d["callee"])
-    print(f"overlap: {result.report.overlap_syncs} of "
-          f"{len(result.plan.syncs)} combined syncs nonblocking "
-          f"(interior/boundary split, {interproc} across call "
-          f"boundaries)")
     for line in result.report.freshness_lines():
         print(line)
 
@@ -365,7 +351,7 @@ def cmd_chaos(args) -> int:
                        recover=not args.no_recover,
                        max_restarts=args.max_restarts, every=args.every,
                        full=args.full, timeout=args.timeout,
-                       executor=args.executor, overlap=args.overlap,
+                       executor=args.executor,
                        postmortem_dir=args.postmortem_dir)
     print(report.table())
     if args.report:
@@ -425,12 +411,13 @@ def cmd_postmortem(args) -> int:
 _SHARED_OPTIONS = {
     "overlap": (("--overlap",), dict(
         choices=("on", "off", "auto"), default="auto",
-        help="communication/computation overlap: split safe consumer "
-             "loops into interior+boundary around a nonblocking exchange "
-             "(on: wherever provably safe, warn on refusals; auto: only "
-             "where the host's in-flight time pays for the strips, which "
-             "on the thread and process executors is nowhere; off: "
-             "always blocking)")),
+        help="communication/computation overlap, modelled: which syncs "
+             "the plan marks as split into interior+boundary around a "
+             "nonblocking exchange (on: wherever provably safe; auto: "
+             "only where the host's in-flight time pays for the strips, "
+             "which on the thread and process executors is nowhere; "
+             "off: none).  report lists the verdicts, simulate models "
+             "them; the generated program is the same in every mode")),
     "input": (("--input", "-i"), dict(
         help="list-directed input deck file")),
     "backend": (("--backend",), dict(
@@ -474,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--processors", "-n", type=int,
                        help="processor count (the partitioner picks the "
                             "shape)")
-        shared(p, "overlap")
 
     p = sub.add_parser("compile", help="emit the generated SPMD program")
     common(p)
@@ -485,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="synchronization accounting")
     common(p)
+    shared(p, "overlap")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (includes phase timings)")
     p.set_defaults(fn=cmd_report)
@@ -511,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame iterations to simulate")
     p.add_argument("--chunks", type=int, default=1,
                    help="pipeline chunking for self-dependent loops")
-    shared(p, "trace-out")
+    shared(p, "overlap", "trace-out")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser(
@@ -569,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", "-p", type=_parse_partition,
                    help="processors per grid dimension (default 2x2, "
                         "2x2x1 for the aerofoil)")
-    shared(p, "input", "overlap", "executor")
+    shared(p, "input", "executor")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-plan seed; the whole matrix is "
                         "reproducible from it")

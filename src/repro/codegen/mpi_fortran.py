@@ -90,77 +90,6 @@ def _array_decls(plan: ParallelPlan, sync: PlannedSync) -> list[str]:
     return lines
 
 
-def _exchange_overlap_subroutines(plan: ParallelPlan,
-                                  sync: PlannedSync) -> str:
-    """Nonblocking begin/finish pair for an overlap-enabled sync.
-
-    ``begin`` posts every receive, packs, and posts every send with
-    ``mpi_irecv``/``mpi_isend``; the caller runs its interior loop while
-    the messages fly.  ``finish`` waits on all requests and unpacks the
-    ghost faces, after which the boundary strips execute.
-    """
-    args = ", ".join(name for name, _d in sync.arrays)
-    decls = _array_decls(plan, sync)
-    sid = sync.sync_id
-    callee = next((d.callee for d in plan.overlap_decisions
-                   if d.sync_id == sid and d.enabled and d.callee), "")
-    begin = [f"subroutine acfd_exchange_begin_{sid}({args})"]
-    if callee:
-        begin.append(f"c  interprocedural split: exchange posted inside "
-                     f"{callee}")
-    begin += ["  include 'mpif.h'", "  include 'acfd_geom.h'"]
-    begin += decls
-    begin.append("  integer ierr")
-    begin += _first_frame_guard(sync)
-    begin.append(f"  acfd_nreq({sid}) = 0")
-    for g in plan.partition.cut_dims:
-        for direction, side in ((-1, "minus"), (1, "plus")):
-            begin.append(f"c  post receive from {side} neighbor, grid "
-                         f"dim {g + 1} (double-buffered face slot)")
-            begin.append(f"  if (acfd_nbr({g + 1}, {direction}) .ge. 0) "
-                         f"then")
-            begin.append(f"    acfd_nreq({sid}) = acfd_nreq({sid}) + 1")
-            begin.append(f"    call mpi_irecv(acfd_facebuf({sid}, "
-                         f"{g + 1}, {direction}), "
-                         f"acfd_facelen({sid}, {g + 1}), mpi_real, "
-                         f"acfd_nbr({g + 1}, {direction}), {sid}, "
-                         f"mpi_comm_world, "
-                         f"acfd_reqs(acfd_nreq({sid}), {sid}), ierr)")
-            begin.append("  end if")
-    for g in plan.partition.cut_dims:
-        for direction, side in ((-1, "minus"), (1, "plus")):
-            begin.append(f"  if (acfd_nbr({g + 1}, {direction}) .ge. 0) "
-                         f"then")
-            begin.append(f"    call acfd_pack_faces({sid}, {g + 1}, "
-                         f"{direction}, acfd_sendbuf)")
-            begin.append(f"    acfd_nreq({sid}) = acfd_nreq({sid}) + 1")
-            begin.append(f"    call mpi_isend(acfd_sendbuf, "
-                         f"acfd_facelen({sid}, {g + 1}), mpi_real, "
-                         f"acfd_nbr({g + 1}, {direction}), {sid}, "
-                         f"mpi_comm_world, "
-                         f"acfd_reqs(acfd_nreq({sid}), {sid}), ierr)")
-            begin.append("  end if")
-    begin.append(f"end subroutine acfd_exchange_begin_{sid}")
-
-    finish = [f"subroutine acfd_exchange_finish_{sid}({args})",
-              "  include 'mpif.h'", "  include 'acfd_geom.h'"]
-    finish += decls
-    finish.append("  integer ierr, statuses(mpi_status_size, "
-                  "acfd_maxreq)")
-    finish.append(f"  call mpi_waitall(acfd_nreq({sid}), "
-                  f"acfd_reqs(1, {sid}), statuses, ierr)")
-    for g in plan.partition.cut_dims:
-        for direction in (-1, 1):
-            finish.append(f"  if (acfd_nbr({g + 1}, {direction}) .ge. 0) "
-                          f"then")
-            finish.append(f"    call acfd_unpack_faces({sid}, {g + 1}, "
-                          f"{direction}, acfd_facebuf({sid}, {g + 1}, "
-                          f"{direction}))")
-            finish.append("  end if")
-    finish.append(f"end subroutine acfd_exchange_finish_{sid}")
-    return "\n".join(begin) + "\n\n" + "\n".join(finish)
-
-
 def _runtime_library(plan: ParallelPlan) -> str:
     parts = []
     parts.append("""\
@@ -174,10 +103,7 @@ subroutine acfd_init()
   call acfd_setup_geometry()
 end subroutine acfd_init""")
     for sync in plan.syncs:
-        if plan.overlap_enabled(sync.sync_id):
-            parts.append(_exchange_overlap_subroutines(plan, sync))
-        else:
-            parts.append(_exchange_subroutine(plan, sync))
+        parts.append(_exchange_subroutine(plan, sync))
     for pipe in plan.pipes:
         args = ", ".join(pipe.arrays)
         dims = ", ".join(str(g + 1) for g in pipe.pipeline_dims)

@@ -64,7 +64,7 @@ class PlannedSync:
     placement_slot: int
     #: per grid dim, (minus, plus) widths merged over all arrays — the
     #: whole aggregated message's ghost footprint (strip widths for the
-    #: overlap split)
+    #: overlap verdict)
     dim_distances: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: the members of ``arrays`` that travel on every frame; the rest are
     #: *entry-only* (``entry_only``: array -> the syncs it is still fresh
@@ -82,14 +82,16 @@ class PlannedSync:
 
 @dataclass
 class OverlapDecision:
-    """Whether one combined sync runs nonblocking (begin/finish) or not.
+    """Whether one combined sync is marked split (nonblocking) or not.
 
-    Recorded by the restructurer when it considers splitting the loop
-    nest that consumes the exchange; ``reason`` explains a refusal in
-    the same spirit as the vectorizer's ``Fallback`` discipline, or a
-    safe split mode ``auto`` priced and declined ("safe, declined: ...").
-    ``callee`` names the subroutine when the verdict crossed a ``call``
-    boundary (interprocedural split or in-callee refusal), else "".
+    Recorded by the restructurer's overlap verdict on the loop nest that
+    consumes the exchange.  ``ClusterSim`` models a marked sync as
+    overlapped with that nest's interior; the emitted program keeps every
+    exchange blocking.  ``reason`` explains a refusal in the same spirit
+    as the vectorizer's ``Fallback`` discipline, or a safe split mode
+    ``auto`` priced and declined ("safe, declined: ...").  ``callee``
+    names the subroutine when the verdict crossed a ``call`` boundary
+    (interprocedural split or in-callee refusal), else "".
     """
 
     sync_id: int
@@ -139,10 +141,12 @@ class ParallelPlan:
     #: pairs that actually need synchronization under the partition
     active_pairs: list[DependencePair]
     regions: list[SyncRegion]
-    #: requested overlap mode: "auto" | "on" | "off" — "on" keeps every
-    #: split the safety gate allows; "auto" also prices each one against
-    #: the host's in-flight time and declines it ("safe, declined: ...")
-    #: when the strips cost more than the split can hide
+    #: requested overlap mode: "auto" | "on" | "off" — which syncs the
+    #: plan marks as split for the cluster model.  "on" marks every split
+    #: the safety gate allows; "auto" also prices each one against the
+    #: host's in-flight time and declines it ("safe, declined: ...") when
+    #: the strips cost more than the split can hide.  The emitted program
+    #: is the same in every mode.
     overlap: str = "auto"
     #: per combined sync, the restructurer's verdict (filled in by
     #: ``restructure``; deterministic, so a re-restructure of a pickled

@@ -82,19 +82,12 @@ class Restructurer:
             self._rewrite_declarations(unit)
             self._transform_unit_body(unit)
             self._transform_io(unit)
-        self._apply_overlap()
+        self._decide_overlap()
         # re-resolve: new statements reference acfd_* externals
         resolve_compilation_unit(self.cu)
         return self.cu
 
     # -- insertion collection -----------------------------------------------------
-
-    def _sync_call(self, sync_id: int,
-                   routine: str = "acfd_exchange") -> A.CallStmt:
-        sync = self.plan.syncs[sync_id - 1]
-        args: list[A.Expr] = [_int(sync_id)]
-        args.extend(A.Var(name) for name, _d in sync.arrays)
-        return _call(routine, *args)
 
     def _plan_frame_insertions(self) -> None:
         """Plant the frame-boundary hook at the top of the time loop.
@@ -128,8 +121,10 @@ class Restructurer:
     def _plan_sync_insertions(self) -> None:
         for sync in self.plan.syncs:
             unit, path, mode = sync.insertion
+            args: list[A.Expr] = [_int(sync.sync_id)]
+            args.extend(A.Var(name) for name, _d in sync.arrays)
             self.ops.append(_InsertOp(unit, path, mode,
-                                      [self._sync_call(sync.sync_id)],
+                                      [_call("acfd_exchange", *args)],
                                       priority=2))
 
     def _plan_pipe_insertions(self) -> None:
@@ -424,37 +419,35 @@ class Restructurer:
             return True
         return False
 
-    # -- halo overlap: interior/boundary loop splitting ---------------------------
+    # -- halo overlap: the interior/boundary split verdict -------------------------
     #
-    # Each blocking ``call acfd_exchange(k, ...)`` directly followed by a
-    # provably order-independent field-loop nest is rewritten as::
-    #
-    #     call acfd_exchange_begin(k, ...)   ! post isend/irecv, pack faces
-    #     do <interior nest>                 ! no ghost reads: runs in flight
-    #     call acfd_exchange_finish(k, ...)  ! wait + unpack all faces
-    #     do <boundary strips>               ! the peeled ghost-reading rim
-    #
-    # The boundary strip along each cut dimension is as wide as the
-    # combined point's merged ghost footprint (``PlannedSync.dim_distances``),
-    # so interior iterations can never read a ghost cell that is still in
-    # flight.  Safety follows the vectorizer's ``Fallback`` discipline:
-    # any nest outside the provable subset refuses with a recorded reason
-    # and keeps the blocking exchange.  Mode ``on`` keeps every safe
-    # split; ``auto`` prices it first (``_price``) and keeps the blocking
-    # exchange when nothing in flight pays for the strips.
+    # A blocking ``call acfd_exchange(k, ...)`` directly followed by a
+    # provably order-independent field-loop nest could run as a
+    # nonblocking begin, the nest's interior (no ghost reads), a finish,
+    # and the boundary strips: along each cut dimension as wide as the
+    # combined point's merged ghost footprint
+    # (``PlannedSync.dim_distances``), so no interior iteration reads a
+    # ghost still in flight.  This pass only decides whether a sync could
+    # be split; the emitted program always keeps the blocking exchange,
+    # and ``plan.overlap_decisions`` marks the syncs ``ClusterSim``
+    # models as overlapped.  Safety follows the vectorizer's ``Fallback``
+    # discipline: any nest outside the provable subset is refused with a
+    # recorded reason.  Mode ``on`` marks every safe split; ``auto``
+    # prices it first (``_price``) and marks it only when the wire time
+    # in flight pays for the strips.
     #
     # Both paper apps keep their stencils in subroutines, so a combined
     # sync is usually followed by ``call momentum0()`` rather than a
     # nest.  The paper (§5.3, Fig. 8) moves a synchronization point
-    # across the call boundary; so does this pass.  When the callee is
-    # ``<scalar assignments>; <consumer nest>; <tail>`` the exchange
-    # leaves the caller and the same four statements replace the
-    # callee's first nest, after its leading assignments.  The callee is
-    # still called once, so only what now runs *before* the exchange (the
-    # actual arguments, the leading assignments) and what the caller can
-    # observe (a dummy or COMMON nest scalar) is gated.
+    # across the call boundary; so does this verdict.  When the callee
+    # is ``<scalar assignments>; <consumer nest>; <tail>`` the split
+    # would post the exchange after the leading assignments, in the
+    # callee, which is still called once.  So only what would then run
+    # *before* the exchange (the actual arguments, the leading
+    # assignments) and what the caller can observe (a dummy or COMMON
+    # nest scalar) is gated.
 
-    def _apply_overlap(self) -> None:
+    def _decide_overlap(self) -> None:
         from repro.analysis.callgraph import build_call_graph
         from repro.interp.vectorize import goto_targets
         self.plan.overlap_decisions = []
@@ -527,9 +520,7 @@ class Restructurer:
     def _overlap_walk(self, unit: A.ProgramUnit, body: list[A.Stmt],
                       tails: list[list[A.Stmt]], syncs_by_id: dict,
                       decided: dict) -> None:
-        i = 0
-        while i < len(body):
-            stmt = body[i]
+        for i, stmt in enumerate(body):
             if (isinstance(stmt, A.CallStmt)
                     and stmt.name == "acfd_exchange" and stmt.args
                     and isinstance(stmt.args[0], A.IntLit)):
@@ -537,12 +528,8 @@ class Restructurer:
                 sync = syncs_by_id.get(sid)
                 if sync is not None and sid not in decided:
                     nxt = body[i + 1] if i + 1 < len(body) else None
-                    decided[sid], repl = self._overlap_one(
+                    decided[sid] = self._overlap_one(
                         unit, sync, nxt, [body[i + 2:]] + tails)
-                    if repl is not None:
-                        body[i:i + 2] = repl
-                        i += len(repl)
-                        continue
             elif isinstance(stmt, (A.DoLoop, A.DoWhile)):
                 self._overlap_walk(unit, stmt.body,
                                    [body[i + 1:], stmt.body] + tails,
@@ -551,29 +538,26 @@ class Restructurer:
                 for _cond, arm in stmt.arms:
                     self._overlap_walk(unit, arm, [body[i + 1:]] + tails,
                                        syncs_by_id, decided)
-            i += 1
 
     def _overlap_one(self, unit: A.ProgramUnit, sync: PlannedSync,
-                     nxt: A.Stmt | None, tails: list[list[A.Stmt]]):
-        """Decide one exchange and split its consumer nest when safe.
+                     nxt: A.Stmt | None,
+                     tails: list[list[A.Stmt]]) -> OverlapDecision:
+        """Decide whether one exchange's consumer nest could be split.
 
         The consumer is *nxt* itself when that is a loop, or the first
-        nest of the subroutine *nxt* calls.  Returns the decision and,
-        when it is accepted, the statements that replace ``exchange;
-        nxt`` in the caller: the split nest, or the bare call once the
-        exchange has been sunk into the callee's body.
+        nest of the subroutine *nxt* calls.
         """
         from repro.analysis.callgraph import summarize_callee
         sid = sync.sync_id
         callee = ""
 
-        def refuse(reason: str):
-            return OverlapDecision(sid, False, reason, callee=callee), None
+        def refuse(reason: str) -> OverlapDecision:
+            return OverlapDecision(sid, False, reason, callee=callee)
 
         host = unit
         if not sync.steady:
-            # the call stays for the first trip; later ones would split
-            # the consumer nest around an exchange that sends nothing
+            # past the first trip the exchange sends nothing: there is
+            # nothing in flight to hide
             return refuse("nothing to send after the first frame")
         if isinstance(nxt, A.DoLoop):
             loop = nxt
@@ -601,22 +585,18 @@ class Restructurer:
             reason = self._price(sync, loop, splits)
             if reason is not None:
                 return refuse(reason)
-        repl = self._split_nest(sync, loop, facts, splits)
-        if callee:
-            at = len(summary.leading)
-            host.body[at:at + 1] = repl
-            repl = [nxt]
-        return OverlapDecision(sid, True, "", callee=callee), repl
+        return OverlapDecision(sid, True, "", callee=callee)
 
     def _sink_refusal(self, sync: PlannedSync, call: A.CallStmt,
                       summary) -> str | None:
         """Why the exchange cannot move from before *call* to after the
         callee's leading assignments, else None.
 
-        Sinking makes the actual arguments and the leading assignments
-        run before the exchange instead of after it, so neither may look
-        at distributed data or call user code; and ``begin``/``finish``
-        name the sync's arrays, so the callee must declare them all.
+        Sinking would make the actual arguments and the leading
+        assignments run before the exchange instead of after it, so
+        neither may look at distributed data or call user code; and the
+        sunk exchange names the sync's arrays, so the callee must declare
+        them all.
         """
         from repro.fortran.intrinsics_table import is_intrinsic
         inside = f"in callee {call.name!r}: "
@@ -852,92 +832,6 @@ class Restructurer:
             if isinstance(node, A.Var) and node.name in live:
                 return node.name
         return None
-
-    # -- split emission ------------------------------------------------------------
-
-    def _split_nest(self, sync: PlannedSync, loop: A.DoLoop, facts,
-                    splits: list[tuple[int, int, int, int]]) -> list[A.Stmt]:
-        interior = self._nest_copy(
-            loop, facts,
-            {lvl: ("interior", g, dm, dp) for lvl, g, dm, dp in splits})
-        return [self._sync_call(sync.sync_id, "acfd_exchange_begin"),
-                interior,
-                self._sync_call(sync.sync_id, "acfd_exchange_finish")] \
-            + self._boundary_strips(loop, facts, splits)
-
-    def _boundary_strips(self, loop: A.DoLoop, facts,
-                         splits: list[tuple[int, int, int, int]]
-                         ) -> list[A.DoLoop]:
-        # Boundary strips peel outermost-first: strip k covers the rim
-        # along its own dimension restricted to the interior of every
-        # dimension peeled before it, so the strips and the interior
-        # tile the clamped iteration box exactly once (no iteration runs
-        # twice — reductions stay exact).
-        out: list[A.DoLoop] = []
-        for k, (lvl, g, dm, dp) in enumerate(splits):
-            base = {lv: ("interior", gg, dmm, dpp)
-                    for lv, gg, dmm, dpp in splits[:k]}
-            if dm > 0:
-                out.append(self._nest_copy(
-                    loop, facts, {**base, lvl: ("low", g, dm, dp)}))
-            if dp > 0:
-                out.append(self._nest_copy(
-                    loop, facts, {**base, lvl: ("high", g, dm, dp)}))
-        return out
-
-    def _nest_copy(self, loop: A.DoLoop, facts,
-                   overrides: dict[int, tuple]) -> A.DoLoop:
-        """Deep copy of the nest with strip/interior bounds at levels.
-
-        For a level with clamped bounds [cs, ce], owned range
-        [lo, hi] = [acfd_lo(g), acfd_hi(g)] and footprint (dm, dp):
-
-        * interior: [max0(cs, lo + dm), min0(ce, hi - dp)]
-        * low strip: [cs, min0(ce, lo + dm - 1)]
-        * high strip: [max0(interior start, interior stop + 1), ce]
-
-        The high strip starting after the (possibly empty) interior
-        keeps the three ranges an exact disjoint cover of [cs, ce] even
-        on owned blocks thinner than dm + dp.
-        """
-        new = A.copy_node(loop)
-        for s in A.walk_statements([new]):
-            s.label = None
-            if isinstance(s, A.DoLoop):
-                s.end_label = None
-        cur: A.DoLoop = new
-        for depth in range(len(facts.levels)):
-            ov = overrides.get(depth)
-            if ov is not None:
-                mode, g, dm, dp = ov
-                lo = _fn("acfd_lo", _int(g + 1))
-                hi = _fn("acfd_hi", _int(g + 1))
-
-                def plus(e: A.Expr, k: int) -> A.Expr:
-                    return e if k == 0 else A.BinOp("+", e, _int(k))
-
-                def minus(e: A.Expr, k: int) -> A.Expr:
-                    return e if k == 0 else A.BinOp("-", e, _int(k))
-
-                if mode == "interior":
-                    if dm:
-                        cur.start = _fn("max0", cur.start, plus(lo, dm))
-                    if dp:
-                        cur.stop = _fn("min0", cur.stop, minus(hi, dp))
-                elif mode == "low":
-                    cur.stop = _fn("min0", cur.stop, plus(lo, dm - 1))
-                else:  # high
-                    i_start = _fn("max0", A.copy_node(cur.start),
-                                  plus(lo, dm)) if dm \
-                        else A.copy_node(cur.start)
-                    i_stop = _fn("min0", A.copy_node(cur.stop),
-                                 minus(A.copy_node(hi), dp))
-                    cur.start = _fn("max0", i_start, plus(i_stop, 1))
-            if depth + 1 < len(facts.levels):
-                nxt = cur.body[0]
-                assert isinstance(nxt, A.DoLoop)
-                cur = nxt
-        return new
 
     # -- I/O ------------------------------------------------------------------------
 

@@ -154,10 +154,6 @@ class RankRuntime:
                 return None
         ex = self._syncs.get(sync_id)
         if ex is None or not _same_arrays(ex.specs, arrays):
-            if ex is not None and ex.in_flight:
-                raise RuntimeCommError(
-                    f"sync {sync_id}: arrays changed while a begun "
-                    f"exchange is unfinished")
             dims = range(self.plan.directives.ndims)
             named_dists = [
                 (name, tuple(dists.get(g, (0, 0)) for g in dims))
@@ -186,26 +182,6 @@ class RankRuntime:
         ex = self._sync_exchanger(int(sync_id), arrays)
         if ex is not None:
             self._in_halo(ex.exchange)
-
-    def exchange_begin(self, sync_id: int, *arrays: OffsetArray) -> None:
-        """Post the aggregated exchange nonblocking (overlap path).
-
-        Until the matching ``exchange_finish`` the generated program runs
-        the interior of the split consumer nest while the halo messages
-        are in flight.
-        """
-        ex = self._sync_exchanger(int(sync_id), arrays)
-        if ex is not None:
-            self._in_halo(ex.begin)
-
-    def exchange_finish(self, sync_id: int, *arrays: OffsetArray) -> None:
-        """Wait on a begun exchange and unpack every ghost face."""
-        sync_id = int(sync_id)
-        ex = self._syncs.get(sync_id)
-        if ex is None:
-            raise RuntimeCommError(
-                f"sync {sync_id}: exchange_finish without a begin")
-        self._in_halo(ex.finish)
 
     def _pipe_exchanger(self, pipe_id: int, arrays) -> PipeExchanger:
         """The transfer plan kept for pipe *pipe_id* (see

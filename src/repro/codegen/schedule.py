@@ -41,8 +41,10 @@ class CommPhase:
     #: dim (minus, plus) ghost widths
     arrays: list[tuple[str, dict[int, tuple[int, int]]]] = field(
         default_factory=list)
-    #: the restructurer split the consumer nest: transfers fly during the
-    #: interior compute and only the residual wait serializes
+    #: the plan marks this sync split (``plan.overlap_enabled``): the model
+    #: lets transfers fly during the consumer nest's interior compute and
+    #: serializes only the residual wait.  The emitted program itself
+    #: always exchanges blocking.
     overlap: bool = False
 
 

@@ -154,13 +154,14 @@ class AutoCFD:
                 partitioner picks the shape.
             combine: apply the combining optimization (ablation hook).
             eliminate_redundant: apply redundant-pair elimination.
-            overlap: communication/computation overlap mode — ``"on"``
-                splits every provably safe consumer nest into interior +
-                boundary strips around a nonblocking exchange (the CLI
-                surfaces the refusals as warnings), ``"auto"`` keeps a
-                safe split only where the host's in-flight time pays for
-                its strips (on this repo's executors: none), ``"off"``
-                keeps every exchange blocking.
+            overlap: which syncs the plan marks as split into a
+                nonblocking exchange around the consumer nest's interior,
+                for the cluster model (``ClusterSim``) and the report.
+                ``"on"`` marks every provably safe split, ``"auto"`` only
+                those where the host's in-flight time pays for the
+                boundary strips (on this repo's executors: none),
+                ``"off"`` none.  The emitted program does not depend on
+                it: every exchange is blocking.
         """
         with activate(self.obs):
             with obs.span("partitioning", cat="compile") as psp:

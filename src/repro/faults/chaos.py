@@ -231,7 +231,6 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
               timeout: float = 60.0, vectorize: bool | None = None,
               workdir: str | None = None,
               executor: str = "thread",
-              overlap: str = "auto",
               postmortem_dir: str | None = None) -> ChaosReport:
     """Run the fault matrix and compare every scenario to fault-free.
 
@@ -252,9 +251,6 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
             executor an injected crash is a real worker death
             (``SIGKILL``), so recovery is exercised against the genuine
             failure mode, not a simulated exception.
-        overlap: communication/computation overlap mode passed to the
-            compiler — the fault matrix then exercises recovery against
-            the nonblocking split-loop exchanges.
         postmortem_dir: directory collecting ``postmortem_<sha>.json``
             files for scenarios that die unrecovered (see
             ``acfd postmortem``); None skips writing them.
@@ -265,7 +261,7 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
     else:
         app = "<source>"
     acfd = AutoCFD.from_source(source)
-    compiled = acfd.compile(partition=partition, overlap=overlap)
+    compiled = acfd.compile(partition=partition)
     size = compiled.plan.partition.size
 
     t0 = time.perf_counter()

@@ -1220,13 +1220,10 @@ def _goto_targets(unit: A.ProgramUnit) -> set[int]:
 def goto_targets(unit: A.ProgramUnit) -> set[int]:
     """Labels any GOTO in *unit* may jump to.
 
-    Shared with the overlap restructurer: both the vectorizer and the
-    interior/boundary splitter must refuse nests whose labels are jump
-    targets, since re-emitting (or duplicating) such a nest breaks the
-    unit's control flow.  The split nests this produces stay inside the
-    vectorizer's provable subset — their adjusted bounds only add
-    ``max0``/``min0`` over ``acfd_lo``/``acfd_hi``, which are invariant
-    rank-local queries — so split programs keep their slice frames.
+    Shared with the restructurer's overlap verdict: both the vectorizer
+    and the interior/boundary split refuse nests whose labels are jump
+    targets, since re-emitting (or duplicating) such a nest would break
+    the unit's control flow.
     """
     return _goto_targets(unit)
 

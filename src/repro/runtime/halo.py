@@ -386,8 +386,10 @@ class HaloExchanger(_FaceTransfers):
         carry *stale* ghost values in the regions the blocking path
         would have refreshed first (the two-phase corner propagation in
         :meth:`exchange`).  Callers that need diagonal/corner ghost
-        values must use the blocking path — the restructurer's overlap
-        gate enforces this.
+        values must use the blocking path.  No generated program calls
+        this pair (it always runs :meth:`exchange`); the restructurer's
+        overlap verdict refuses such syncs for the cluster model, and the
+        benchmark's exchange probes time the pair directly.
         """
         if self.in_flight:
             raise RuntimeCommError(

@@ -50,9 +50,9 @@ class CombinedSync:
 
         This is the footprint of the whole aggregated message — the
         widest ghost reach any member array has along each dimension.
-        The overlap restructurer peels boundary strips exactly this
+        The overlap verdict sizes its boundary strips exactly this
         wide: interior iterations closer than these widths to an owned
-        edge may read ghosts still in flight.
+        edge could read ghosts still in flight.
         """
         return merge_dim_distances(self.distances().items())
 

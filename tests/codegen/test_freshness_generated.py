@@ -8,16 +8,17 @@ dimension, one side or both), each nest plain, under an IF arm that
 runs every other frame, or inside an inner loop, optionally a subroutine
 called from two sites, a jump (``GOTO``, computed ``GOTO``, ``CYCLE``)
 and a reader after the loop.  Every program is compiled at 2x1, 1x2 and
-2x2 with overlap ``on`` and ``off`` (and now and then with combining
-off, which is what leaves a narrow delivery ahead of a wide member), run
-on the thread executor, and every status array must come out bitwise
-equal to ``run_sequential``: a member demoted to entry-only that was in
-fact stale shows up as a wrong grid.
+2x2 (now and then with combining off, which is what leaves a narrow
+delivery ahead of a wide member), run on the thread executor, and every
+status array must come out bitwise equal to ``run_sequential``: a member
+demoted to entry-only that was in fact stale shows up as a wrong grid.
+Overlap mode ``on`` records the split verdicts; the emitted program is
+the same in every mode.
 
 The generator must reach entry-only members, members needed on every
-frame, each reason the pass refuses with, and at least one split nest.
-The example count comes from the active hypothesis profile: 100 in
-tier-1, more under ``--hypothesis-profile=deep`` (CI).
+frame, each reason the pass refuses with, and at least one sync marked
+split.  The example count is twice the active hypothesis profile's: 200
+in tier-1, more under ``--hypothesis-profile=deep`` (CI).
 """
 
 from collections import Counter
@@ -30,8 +31,8 @@ from repro.core import AutoCFD
 ARRAYS = "abc"
 PARTITIONS = ((2, 1), (1, 2), (2, 2))
 #: what the generator has to reach: verdicts, refusal reasons (as the
-#: pass words them), the placements a demoted member sat under, and an
-#: interior/boundary split under overlap ``on``
+#: pass words them), the placements a demoted member sat under, and a
+#: sync the overlap verdict marks split
 VERDICTS = ("entry-only", "needed")
 REASONS = ("two or more cut dimensions", "leaves only widths",
            "holds a GOTO", "holds a computed GOTO", "holds a CYCLE",
@@ -162,7 +163,9 @@ def _note(seen: Counter, spec: dict, plan) -> None:
 def test_generated_frame_programs_match_the_sequential_run():
     seen: Counter = Counter()
 
-    @settings(derandomize=True, deadline=None, database=None)
+    # twice the profile's count: each program runs once per partition
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=2 * settings.default.max_examples)
     @given(programs())
     def check(spec):
         src = render(spec)
@@ -170,22 +173,20 @@ def test_generated_frame_programs_match_the_sequential_run():
         seq = acfd.run_sequential()
         want = {name: seq.array(name).data.tobytes() for name in ARRAYS}
         for dims in PARTITIONS:
-            for overlap in ("on", "off"):
-                result = acfd.compile(partition=dims, overlap=overlap,
-                                      combine=spec["combine"])
-                plan = result.plan
-                for sync in plan.syncs:
-                    assert [m for m in sync.arrays
-                            if m[0] not in sync.entry_only] == sync.steady
-                    assert not set(sync.entry_only) & set(sync.refusals)
-                if overlap == "on":
-                    _note(seen, spec, plan)
-                par = result.run_parallel(timeout=60.0)
-                for name in ARRAYS:
-                    assert par.array(name).data.tobytes() == want[name], \
-                        (f"{name} differs at {dims}, overlap {overlap}, "
-                         f"combine {spec['combine']}; "
-                         f"{result.report.freshness_lines()}:\n{src}")
+            result = acfd.compile(partition=dims, overlap="on",
+                                  combine=spec["combine"])
+            plan = result.plan
+            for sync in plan.syncs:
+                assert [m for m in sync.arrays
+                        if m[0] not in sync.entry_only] == sync.steady
+                assert not set(sync.entry_only) & set(sync.refusals)
+            _note(seen, spec, plan)
+            par = result.run_parallel(timeout=60.0)
+            for name in ARRAYS:
+                assert par.array(name).data.tobytes() == want[name], \
+                    (f"{name} differs at {dims}, "
+                     f"combine {spec['combine']}; "
+                     f"{result.report.freshness_lines()}:\n{src}")
 
     check()
     missing = [k for k in VERDICTS + REASONS + PLACEMENTS + SPLIT

@@ -30,11 +30,7 @@ class TestMpiFortran:
         res = compile_src(JACOBI_SRC, (2, 1))
         text = res.mpi_source()
         for sync in res.plan.syncs:
-            if res.plan.overlap_enabled(sync.sync_id):
-                assert f"acfd_exchange_begin_{sync.sync_id}" in text
-                assert f"acfd_exchange_finish_{sync.sync_id}" in text
-            else:
-                assert f"acfd_exchange_{sync.sync_id}" in text
+            assert f"subroutine acfd_exchange_{sync.sync_id}(" in text
 
     def test_pipeline_wrappers_for_seidel(self):
         res = compile_src(SEIDEL_SRC, (2, 1))
@@ -62,18 +58,17 @@ class TestMpiFortran:
 
     def test_partly_entry_only_sync_switches_member_set(self):
         from repro.apps.sprayer import sprayer_source
-        res = compile_src(sprayer_source(n=48, m=20, iters=4), (2, 1),
-                          overlap="on")
+        res = compile_src(sprayer_source(n=48, m=20, iters=4), (2, 1))
         sync = res.plan.syncs[0]
         assert list(sync.entry_only) == ["pr"]
         assert [name for name, _d in sync.steady] == ["sw", "vx"]
-        begin = res.mpi_source().split(
-            "subroutine acfd_exchange_begin_1(pr, sw, vx)")[1] \
+        one = res.mpi_source().split(
+            "subroutine acfd_exchange_1(pr, sw, vx)")[1] \
             .split("end subroutine")[0]
-        assert "c  entry-only: pr (still fresh from sync 7)" in begin
-        assert "c  acfd_members: 0 = every array, 1 = sw, vx" in begin
-        assert begin.index("if (acfd_trip .le. 1) acfd_members(1) = 0") \
-            < begin.index("mpi_irecv")
+        assert "c  entry-only: pr (still fresh from sync 7)" in one
+        assert "c  acfd_members: 0 = every array, 1 = sw, vx" in one
+        assert one.index("if (acfd_trip .le. 1) acfd_members(1) = 0") \
+            < one.index("mpi_sendrecv")
 
     def test_nothing_demoted_prints_no_guard(self):
         text = compile_src(JACOBI_BC_SRC, (2, 1)).mpi_source()

@@ -1,16 +1,21 @@
-"""Interior/boundary loop splitting around nonblocking exchanges.
+"""The overlap verdict: which halo syncs could run nonblocking.
 
-The tentpole contract: a halo-synchronized consumer nest is rewritten to
+For each exchange the restructurer judges the nest that consumes it:
+could it run as a nonblocking begin, the nest's interior (no ghost
+reads), a finish, and the boundary strips?  A safe split is marked on the
+plan (``OverlapDecision``), where ``ClusterSim`` models it; anything
+outside the provable subset is refused with a recorded reason (the
+vectorizer's ``Fallback`` discipline).  The emitted program never depends
+on the verdict: every mode prints the same blocking program
+(``TestOnKeepsEverySafeSplit``).  Mode ``on`` marks every safe split and
+is what most tests here compile with; mode ``auto`` also prices each one
+(``TestPrice``).
 
-    call acfd_exchange_begin(k, ...)
-    do <interior>            ! no ghost reads, runs while messages fly
-    call acfd_exchange_finish(k, ...)
-    do <boundary strips>     ! the peeled rim that reads ghosts
-
-exactly when safety is provable, and refuses — with a recorded reason —
-otherwise, keeping the blocking exchange (the vectorizer's ``Fallback``
-discipline).  That is mode ``on``, which most tests here compile with;
-mode ``auto`` also prices every safe split (``TestPrice``).
+Every refusal the verdict can return is asserted here: those of
+``_decide_overlap`` and ``_overlap_one``, ``_overlap_verdict``,
+``_sink_refusal``, ``_escaping_scalar`` and ``_price``.  ``_sink_refusal``
+also passes on ``CalleeSummary``'s structural refusals, each of which
+``tests/analysis/test_callgraph.py`` asserts; the pins below hit two.
 """
 
 import functools
@@ -36,10 +41,14 @@ from tests.conftest import (JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC,
                             with_boundary_refresh)
 
 
-def compiled(src: str, dims, overlap="on"):
+def planned(src: str, dims, overlap="on"):
     cu = normalize_compilation_unit(parse_source(src))
-    plan = build_plan(cu, Partition(GridGeometry(cu.directives.grid_shape),
+    return build_plan(cu, Partition(GridGeometry(cu.directives.grid_shape),
                                     dims), overlap=overlap)
+
+
+def compiled(src: str, dims, overlap="on"):
+    plan = planned(src, dims, overlap)
     text = print_compilation_unit(restructure(plan))
     return plan, text
 
@@ -48,38 +57,141 @@ def decision(plan, sync_id):
     return next(d for d in plan.overlap_decisions if d.sync_id == sync_id)
 
 
-class TestSplitStructure:
-    def test_jacobi_splits_into_begin_interior_finish_strips(self):
-        plan, text = compiled(JACOBI_BC_SRC, (2, 1))
-        assert decision(plan, 1).enabled
-        assert "call acfd_exchange_begin(1, v)" in text
-        assert "call acfd_exchange_finish(1, v)" in text
-        assert "acfd_exchange(1," not in text
-        # interior is clamped one layer inside the owned block; the two
-        # strips cover the peeled rim
-        begin_at = text.index("acfd_exchange_begin(1")
-        finish_at = text.index("acfd_exchange_finish(1")
-        interior = text[begin_at:finish_at]
-        assert "acfd_lo(1) + 1" in interior
-        assert "acfd_hi(1) - 1" in interior
+#: the five-point stencil nest of ``JACOBI_BC_SRC`` (the consumer of
+#: sync 1, which is accepted at 2x1 and 2x2) up to its update
+STENCIL = ("    do i = 2, n - 1\n"
+           "      do j = 2, m - 1\n"
+           "        vnew(i, j) = 0.25 * (v(i-1, j) + v(i+1, j) + v(i, j-1) "
+           "+ v(i, j+1))\n")
 
-    def test_2x2_splits_both_dimensions(self):
-        plan, text = compiled(JACOBI_SRC, (2, 2))
-        assert decision(plan, 1).enabled
-        # dim 1 and dim 2 both get interior margins
-        begin_at = text.index("acfd_exchange_begin(1")
-        finish_at = text.index("acfd_exchange_finish(1")
-        interior = text[begin_at:finish_at]
-        assert "acfd_lo(1) + 1" in interior
-        assert "acfd_lo(2) + 1" in interior
-        # four boundary strips after finish (low/high per split dim)
-        tail = text[finish_at:]
-        assert tail.count("do ") >= 8  # 4 strips x 2-level nests
 
-    def test_mode_off_keeps_blocking_exchange(self):
-        plan, text = compiled(JACOBI_SRC, (2, 1), overlap="off")
-        assert "acfd_exchange_begin" not in text
-        assert "call acfd_exchange(1, v)" in text
+def jacobi_with(old: str, new: str) -> str:
+    assert JACOBI_BC_SRC.count(old) == 1, old
+    return JACOBI_BC_SRC.replace(old, new)
+
+
+def sub_src():
+    return kernels.jacobi_5pt_sub(n=12, m=8, iters=6)
+
+
+def relaxx_with(old: str, new: str) -> str:
+    """``sub_src()`` with *old* replaced by *new* in subroutine relaxx
+    (the callee sync 1 is accepted into at 2x2)."""
+    head, relaxx = sub_src().split("subroutine relaxx()", 1)
+    assert relaxx.count(old) >= 1, old
+    return head + "subroutine relaxx()" + relaxx.replace(old, new, 1)
+
+
+#: refusal case name -> () -> (source, partition, sync id, its reason)
+REFUSAL_CASES: dict = {}
+
+
+def _refusal(fn):
+    REFUSAL_CASES[fn.__name__] = fn
+    return fn
+
+
+@_refusal
+def not_a_field_loop():
+    # a reader after the k loop keeps the exchange ahead of that loop,
+    # which sweeps no grid dimension itself
+    src = jacobi_with(STENCIL, "    do k = 1, 2\n" + STENCIL).replace(
+        "        err = amax1(err, abs(vnew(i, j) - v(i, j)))\n"
+        "      end do\n    end do\n",
+        "        err = amax1(err, abs(vnew(i, j) - v(i, j)))\n"
+        "      end do\n    end do\n    end do\n"
+        "    do i = 2, n - 1\n      do j = 2, m - 1\n"
+        "        vnew(i, j) = vnew(i, j) + 0.0 * v(i+1, j)\n"
+        "      end do\n    end do\n", 1)
+    src = src.replace("integer n, m, i, j, iter",
+                      "integer n, m, i, j, k, iter")
+    return src, (2, 1), 1, ("the loop after the exchange is not a "
+                            "field-loop nest")
+
+
+@_refusal
+def not_order_independent():
+    src = jacobi_with("        err = amax1(err, abs(vnew(i, j) - v(i, j)))\n",
+                      "        err = amax1(err, abs(vnew(i, j) - v(i, j)))\n"
+                      "        if (err .gt. 1.0e9) exit\n")
+    return src, (2, 1), 1, ("consumer nest is not provably order-independent: "
+                         "ExitStmt in nest body")
+
+
+@_refusal
+def goto_target_label():
+    src = jacobi_with(STENCIL, "30  do i = 2, n - 1\n"
+                      + STENCIL.split("\n", 1)[1])
+    src = src.replace("    err = 0.0\n",
+                      "    err = 0.0\n    if (iter .lt. 0) goto 30\n", 1)
+    return src, (2, 1), 2, "a label inside the nest is a goto target"
+
+
+@_refusal
+def dimension_not_swept():
+    # the j-only nest is the consumer of a sync that also ships the
+    # i-ghosts the full stencil after it reads
+    src = jacobi_with(STENCIL, "    do j = 2, m - 1\n"
+                      "      vnew(3, j) = 0.5 * (v(3, j-1) + v(3, j+1))\n"
+                      "    end do\n" + STENCIL)
+    return src, (2, 2), 1, ("nest does not sweep grid dimension 1 that the "
+                         "exchange ships ghosts for")
+
+
+@_refusal
+def non_unit_stride():
+    src = jacobi_with("      do j = 2, m - 1\n        vnew",
+                      "      do j = 2, m - 1, inc\n        vnew")
+    src = src.replace("integer n, m, i, j, iter",
+                      "integer n, m, i, j, iter, inc")
+    src = src.replace("  eps = 1.0e-4\n", "  eps = 1.0e-4\n  inc = 1\n")
+    return src, (1, 2), 1, "non-unit stride on the loop over grid dimension 2"
+
+
+@_refusal
+def labelled_call():
+    src = sub_src().replace("    call relaxx()", "15  call relaxx()")
+    return src, (2, 2), 1, "the consumer call carries a statement label"
+
+
+@_refusal
+def actual_reads_status_array():
+    src = sub_src().replace("    call relaxx()", "    call relaxx(v(2, 2))")
+    src = src.replace("subroutine relaxx()\n  implicit none\n",
+                      "subroutine relaxx(x)\n  implicit none\n  real x\n")
+    return src, (2, 2), 1, ("call to 'relaxx': actual argument reads status "
+                         "array 'v' (evaluated before the exchange)")
+
+
+@_refusal
+def leading_assignment_reads_array():
+    src = relaxx_with("  real v, vnew, err\n  err = 0.0\n",
+                      "  real v, vnew, err, c(2)\n  err = 0.0 * c(1)\n")
+    return src, (2, 2), 1, ("in callee 'relaxx': assignment to 'err' before "
+                         "the nest reads an array element")
+
+
+@_refusal
+def leading_assignment_calls_function():
+    src = relaxx_with("  real v, vnew, err\n  err = 0.0\n",
+                      "  real v, vnew, err, zero\n  err = zero()\n")
+    src += "\nreal function zero()\n  zero = 0.0\nend\n"
+    return src, (2, 2), 1, ("in callee 'relaxx': assignment to 'err' before "
+                         "the nest calls a function")
+
+
+@_refusal
+def nest_scalar_escapes():
+    src = relaxx_with("  integer n, m, i, j\n",
+                      "  integer n, m, i, j\n  common /ix/ i\n")
+    return src, (2, 2), 1, ("in callee 'relaxx': nest scalar 'i' is a dummy "
+                         "or COMMON member, so its exit value escapes the "
+                         "callee")
+
+
+class TestModes:
+    def test_mode_off_marks_nothing(self):
+        plan, _ = compiled(JACOBI_SRC, (2, 1), overlap="off")
         assert all(not d.enabled for d in plan.overlap_decisions)
         assert decision(plan, 1).reason == "overlap disabled (mode off)"
 
@@ -87,34 +199,30 @@ class TestSplitStructure:
         with pytest.raises(CodegenError, match="overlap mode"):
             compiled(JACOBI_SRC, (2, 1), overlap="maybe")
 
-    def test_reduction_still_allreduced_after_strips(self):
-        # err accumulates across interior + strips; the allreduce must
-        # come after every partial nest
-        _plan, text = compiled(JACOBI_BC_SRC, (2, 1))
-        finish_at = text.index("acfd_exchange_finish(1")
-        red_at = text.index("acfd_allreduce_max")
-        assert red_at > finish_at
-
 
 class TestRefusals:
     def test_entry_only_sync_is_not_split(self):
         # plain Jacobi: v is still fresh from the bottom-of-frame sync,
-        # so sync 1 sends on the first trip only and its consumer nest
-        # runs whole behind the blocking call
+        # so sync 1 sends on the first trip only and there is nothing in
+        # flight to hide behind its consumer nest
         plan, text = compiled(JACOBI_SRC, (2, 1))
         assert plan.syncs[0].steady == []
         d = decision(plan, 1)
         assert not d.enabled
         assert d.reason == "nothing to send after the first frame"
         assert "call acfd_exchange(1, v)" in text
-        assert "acfd_exchange_begin" not in text
+
+    def test_stencil_on_two_cut_dims_accepted(self):
+        # at 2x2 the same sync is sent every frame (ghost width on two
+        # cut dimensions) and the five-point nest reads no corners
+        plan, _ = compiled(JACOBI_SRC, (2, 2))
+        assert decision(plan, 1).enabled
 
     def test_pipelined_consumer_refused(self):
-        plan, text = compiled(with_boundary_refresh(SEIDEL_SRC), (2, 1))
+        plan, _ = compiled(with_boundary_refresh(SEIDEL_SRC), (2, 1))
         d = decision(plan, 1)
         assert not d.enabled
         assert "pipelined" in d.reason
-        assert "acfd_exchange_begin" not in text
 
     def test_diagonal_reader_refused_on_two_cut_dims(self):
         acfd = AutoCFD.from_source(kernels.jacobi_9pt())
@@ -144,11 +252,10 @@ class TestRefusals:
             "      do j = 2, m - 1\n"
             "        v(i, j) = vnew(i, j)")
         assert "err = err + i" in src
-        plan, text = compiled(src, (2, 1))
+        plan, _ = compiled(src, (2, 1))
         d = decision(plan, 1)
         assert not d.enabled
         assert "'i'" in d.reason
-        assert "acfd_exchange_begin" not in text
 
     def test_scalar_killed_by_later_loop_is_not_live(self):
         # the copy nest reassigns i/j before this read — the kill
@@ -165,6 +272,23 @@ class TestRefusals:
             == {s.sync_id for s in plan.syncs}
         for d in plan.overlap_decisions:
             assert d.enabled or d.reason
+
+    def test_sync_without_cut_footprint_refused(self):
+        # every planned sync has a footprint on a cut dimension; one
+        # whose widths sit on the uncut dimension alone is refused
+        plan = planned(JACOBI_BC_SRC, (2, 1))
+        plan.syncs[0].dim_distances = {1: (1, 1)}
+        restructure(plan)
+        assert decision(plan, 1).reason == \
+            "exchange has no ghost footprint on a cut dimension"
+
+    @pytest.mark.parametrize("case", sorted(REFUSAL_CASES))
+    def test_refusal_reached(self, case):
+        src, dims, sync_id, want = REFUSAL_CASES[case]()
+        plan, _ = compiled(src, dims)
+        d = decision(plan, sync_id)
+        assert not d.enabled
+        assert d.reason == want
 
 
 class TestReportAndPlan:
@@ -186,29 +310,14 @@ class TestReportAndPlan:
 
 
 class TestMpiFortranArtifact:
-    def test_overlapped_sync_prints_nonblocking_wrappers(self):
+    def test_every_mode_prints_only_sendrecv(self):
         acfd = AutoCFD.from_source(JACOBI_BC_SRC)
-        result = acfd.compile(partition=(2, 1), overlap="on")
-        text = result.mpi_source()
-        assert "subroutine acfd_exchange_begin_1(v)" in text
-        assert "subroutine acfd_exchange_finish_1(v)" in text
-        assert "mpi_irecv" in text
-        assert "mpi_isend" in text
-        assert "mpi_waitall" in text
-        # the non-overlapped sync keeps the blocking sendrecv wrapper
-        assert "subroutine acfd_exchange_2(" in text
-        assert "mpi_sendrecv" in text
-
-    def test_blocking_mode_prints_only_sendrecv(self):
-        acfd = AutoCFD.from_source(JACOBI_SRC)
-        result = acfd.compile(partition=(2, 1), overlap="off")
-        text = result.mpi_source()
-        assert "mpi_isend" not in text
-        assert "mpi_waitall" not in text
-
-
-def sub_src():
-    return kernels.jacobi_5pt_sub(n=12, m=8, iters=6)
+        for mode in ("on", "auto", "off"):
+            text = acfd.compile(partition=(2, 1), overlap=mode).mpi_source()
+            assert "subroutine acfd_exchange_1(v)" in text
+            assert "mpi_sendrecv" in text
+            assert "mpi_isend" not in text
+            assert "mpi_waitall" not in text
 
 
 def unit_text(text: str, name: str) -> str:
@@ -218,48 +327,26 @@ def unit_text(text: str, name: str) -> str:
 
 
 class TestInterprocedural:
-    """Exchange before a call: sunk into the callee, which is split in
-    place and still called once."""
+    """Exchange before a call: judged on the callee's first nest, as if
+    the exchange were sunk into the callee after its leading
+    assignments."""
 
-    def test_exchange_sinks_into_the_callee(self):
+    def test_exchange_before_a_call_is_judged_in_the_callee(self):
         plan, text = compiled(sub_src(), (2, 2))
         d = decision(plan, 1)
         assert d.enabled and d.callee == "relaxx"
-        main = text.split("subroutine relaxx(", 1)[0]
-        assert "acfd_exchange(1," not in text
-        assert "acfd_exchange_begin(1," not in main
-        assert "acfd_exchange_finish(1," not in main
-        assert main.count("call relaxx()") == 1
-        relaxx = unit_text(text, "relaxx")
-        at = [relaxx.index(s) for s in (
-            "call acfd_exchange_begin(1, v)",
-            "acfd_lo(1) + 1",                  # interior margins
-            "call acfd_exchange_finish(1, v)",
-            "min0(n - 1, acfd_hi(1)), acfd_lo(1))")]  # low strip, dim 1
-        assert at == sorted(at)
-        assert "_acfd_" not in text
-
-    def test_reduction_init_runs_once_and_allreduce_lands_in_boundary(self):
-        # err = 0.0 stays ahead of begin (one execution per call); the
-        # allreduce finalization must wait for the last boundary strip
-        _plan, text = compiled(sub_src(), (2, 2))
-        relaxx = unit_text(text, "relaxx")
-        assert text.count("err = 0.0") == 1
-        assert relaxx.index("err = 0.0") \
-            < relaxx.index("call acfd_exchange_begin(1, v)")
-        assert relaxx.count("acfd_allreduce_max") == 1
-        assert relaxx.rstrip().endswith("err = acfd_allreduce_max(err)")
-        assert relaxx.rindex("end do") < relaxx.index("acfd_allreduce_max")
+        # the verdict is a mark on the plan: the exchange stays put
+        assert "call acfd_exchange(1, v)\n    call relaxx()" in text
+        assert "acfd_exchange" not in unit_text(text, "relaxx")
 
     def test_multi_site_callee_refused(self):
         src = sub_src().replace(
             "    call relaxx()\n    call relaxy()",
             "    call relaxx()\n    call relaxx()\n    call relaxy()")
-        plan, text = compiled(src, (2, 2))
+        plan, _ = compiled(src, (2, 2))
         d = decision(plan, 1)
         assert not d.enabled and d.callee == "relaxx"
         assert "2 static call sites" in d.reason
-        assert "acfd_exchange_begin" not in text
 
     def test_status_array_actual_argument_refused(self):
         # passing a halo array by argument aliases it under a second
@@ -272,11 +359,10 @@ class TestInterprocedural:
             "subroutine relaxx(w)\n  implicit none\n"
             "  integer n, m, i, j\n  parameter (n = 12, m = 8)\n"
             "  real w(n, m)")
-        plan, text = compiled(src, (2, 2))
+        plan, _ = compiled(src, (2, 2))
         d = decision(plan, 1)
         assert not d.enabled
         assert "status array 'v' is passed" in d.reason
-        assert "acfd_exchange_begin" not in text
 
     def test_report_carries_callee_in_decisions(self):
         report = AutoCFD.from_source(sub_src()).compile(
@@ -284,18 +370,6 @@ class TestInterprocedural:
         decisions = report.to_dict()["overlap_decisions"]
         hit = next(d for d in decisions if d["enabled"])
         assert hit["callee"] == "relaxx"
-
-    def test_mpi_artifact_notes_the_interprocedural_split(self):
-        text = AutoCFD.from_source(sub_src()).compile(
-            partition=(2, 2), overlap="on").mpi_source()
-        assert ("c  interprocedural split: exchange posted inside "
-                "relaxx") in text
-        assert "_acfd_" not in text
-
-
-def same_grids(a, b, arrays):
-    return all(a.array(n).data.tobytes() == b.array(n).data.tobytes()
-               for n in arrays)
 
 
 def impure_actual_src():
@@ -409,14 +483,12 @@ end
 
 
 class TestSunkFormGate:
-    """What the single-call form newly accepts, and what it must refuse
-    because the actuals and the callee's leading statements now run
-    before the exchange."""
+    """What judging the exchange as sunk into the callee accepts, and
+    what it must refuse because the actuals and the callee's leading
+    statements would then run before the exchange."""
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_impure_actual_is_evaluated_once_per_call(self, executor):
-        # regression: the two-invocation rewrite copied call.args into
-        # both invocations and ran bump() twice a frame
         acfd = AutoCFD.from_source(impure_actual_src())
         want = acfd.run_sequential().io.output()
         assert "ncalls 6" in want
@@ -427,33 +499,19 @@ class TestSunkFormGate:
         assert "calls function 'bump'" in d.reason
 
     def test_callee_local_reduction_accumulator_accepted(self):
-        acfd = AutoCFD.from_source(local_accumulator_src())
-        over = acfd.compile(partition=(2, 2), overlap="on")
-        d = decision(over.plan, 1)
+        plan, _ = compiled(local_accumulator_src(), (2, 2))
+        d = decision(plan, 1)
         assert d.enabled and d.callee == "relaxx"
-        relaxx = unit_text(over.parallel_source(), "relaxx")
-        assert relaxx.rstrip().endswith(
-            "loc = acfd_allreduce_max(loc)\n  err = loc")
-        base = acfd.compile(partition=(2, 2), overlap="off").run_parallel()
-        for executor in ("thread", "process"):
-            got = over.run_parallel(executor=executor)
-            assert got.output() == base.output()
-            assert same_grids(base, got, over.plan.arrays), executor
 
     def test_sync_array_not_declared_in_callee_refused(self):
-        acfd = AutoCFD.from_source(HIDDEN_ARRAY_SRC)
-        result = acfd.compile(partition=(2, 1), overlap="on")
-        sync = result.plan.syncs[0]
+        plan, text = compiled(HIDDEN_ARRAY_SRC, (2, 1))
+        sync = plan.syncs[0]
         assert [name for name, _d in sync.arrays] == ["v", "w"]
-        d = decision(result.plan, 1)
+        d = decision(plan, 1)
         assert not d.enabled and d.callee == "relaxv"
         assert "array 'w' of the exchange is not declared" in d.reason
-        text = result.parallel_source()
         main = text.split("subroutine relaxv(", 1)[0]
         assert "call acfd_exchange(1, v, w)\n    call relaxv()" in main
-        assert "acfd_exchange_begin" not in text
-        seq = acfd.run_sequential()
-        assert same_grids(seq, result.run_parallel(), result.plan.arrays)
 
 
 def _programs() -> dict:
@@ -475,43 +533,54 @@ def _program(name: str) -> AutoCFD:
     return AutoCFD.from_source(_programs()[name]())
 
 
+CUTS = pytest.mark.parametrize("cuts", [(2, 1), (1, 2), (2, 2)],
+                               ids=["2x1", "1x2", "2x2"])
+
+
 class TestRestructureKeepsTheUnitList:
     """restructure() rewrites units in place and never adds one."""
 
-    @pytest.mark.parametrize("overlap", ["on", "off", "auto"])
-    @pytest.mark.parametrize("cuts", [(2, 1), (1, 2), (2, 2)],
-                             ids=["2x1", "1x2", "2x2"])
+    @CUTS
     @pytest.mark.parametrize("name", sorted(_programs()))
-    def test_spmd_program_has_the_source_units(self, name, cuts, overlap):
+    def test_spmd_program_has_the_source_units(self, name, cuts):
         acfd = _program(name)
         dims = cuts + (1,) * (len(acfd.grid.shape) - 2)
-        result = acfd.compile(partition=dims, overlap=overlap)
+        result = acfd.compile(partition=dims)
         assert [u.name for u in result.spmd_cu.units] \
             == [u.name for u in acfd.cu.units]
 
 
-#: per program and cut: the SPMD source digest and overlap decisions that
-#: mode ``auto`` emitted before it priced splits, i.e. every safe split
+#: per program and cut: the mode ``on`` decisions, and one digest over
+#: ``parallel_source()``, a NUL byte and ``mpi_source()`` of the one
+#: program every mode emits (taken from mode ``off`` while the split was
+#: still emitted, so the program is the blocking one it always was)
 PINS = json.loads((pathlib.Path(__file__).parent / "fixtures"
                    / "overlap_on_pins.json").read_text())
 
 
 class TestOnKeepsEverySafeSplit:
-    @pytest.mark.parametrize("cuts", [(2, 1), (1, 2), (2, 2)],
-                             ids=["2x1", "1x2", "2x2"])
+    """One emitted program per partition: ``on``, ``auto`` and ``off``
+    print it byte for byte, and only the decisions differ."""
+
+    @CUTS
     @pytest.mark.parametrize("name", sorted(_programs()))
     def test_source_and_decisions_match_the_pins(self, name, cuts):
         acfd = _program(name)
         dims = cuts + (1,) * (len(acfd.grid.shape) - 2)
-        result = acfd.compile(partition=dims, overlap="on")
         pin = PINS[f"{name} {'x'.join(map(str, cuts))}"]
-        decisions = result.plan.overlap_decisions
-        assert {str(d.sync_id): d.callee
-                for d in decisions if d.enabled} == pin["accepted"]
-        assert {str(d.sync_id): d.reason
-                for d in decisions if not d.enabled} == pin["refused"]
-        assert hashlib.sha256(result.parallel_source().encode()) \
-            .hexdigest() == pin["source_sha256"]
+        for mode in ("on", "auto", "off"):
+            result = acfd.compile(partition=dims, overlap=mode)
+            digest = hashlib.sha256(result.parallel_source().encode())
+            digest.update(b"\0")
+            digest.update(result.mpi_source().encode())
+            assert digest.hexdigest() == pin["program_sha256"], mode
+            if mode == "on":
+                decisions = result.plan.overlap_decisions
+                assert {str(d.sync_id): d.callee
+                        for d in decisions if d.enabled} == pin["accepted"]
+                assert {str(d.sync_id): d.reason
+                        for d in decisions if not d.enabled} \
+                    == pin["refused"]
 
 
 #: a declined split's reason, with the two times it compares
@@ -522,8 +591,9 @@ DECLINED = re.compile(
 
 
 class TestPrice:
-    """Mode ``auto`` keeps a safe split only when the wire time still in
-    flight after ``begin()`` outweighs the strips and begin/finish."""
+    """Mode ``auto`` marks a safe split only when the wire time still in
+    flight after ``begin()`` would outweigh the strips and
+    begin/finish."""
 
     def test_declined_reason_carries_both_numbers(self):
         from repro.simulate import drift
@@ -586,20 +656,18 @@ class TestAcceptedSetsPinned:
 
 class TestSharedClassification:
     def test_pre_clamp_classification_matches_the_clamped_program(self):
-        # the overlap pass reuses the classification taken before loop
-        # bounds were clamped; re-classifying the clamped units must
+        # the overlap verdict reuses the classification taken before
+        # loop bounds were clamped; re-classifying the clamped units must
         # find the same nests with the same sweeps and subscript uses
         from repro.analysis.field_loops import classify_unit
         from repro.codegen.restructure import Restructurer
-        cu = normalize_compilation_unit(parse_source(sub_src()))
-        plan = build_plan(cu, Partition(GridGeometry(
-            cu.directives.grid_shape), (2, 2)), overlap="off")
+        plan = planned(sub_src(), (2, 2), overlap="off")
         rs = Restructurer(plan)
         spmd = rs.run()
         assert "max0(2, acfd_lo(1))" in print_compilation_unit(spmd)
         for unit in spmd.units:
             kept = rs._classifications[unit.name]
-            fresh = classify_unit(unit, cu.directives)
+            fresh = classify_unit(unit, plan.cu.directives)
             assert list(kept.by_loop) == list(fresh.by_loop)
             for a, b in zip(kept.field_loops, fresh.field_loops):
                 assert a.sweeps == b.sweeps

@@ -61,12 +61,7 @@ class TestCommunicationInsertion:
     def test_exchange_calls_present(self):
         plan, _, text = spmd_for(JACOBI_SRC, (2, 1))
         for sync in plan.syncs:
-            if plan.overlap_enabled(sync.sync_id):
-                # overlapped: split into a nonblocking begin/finish pair
-                assert f"acfd_exchange_begin({sync.sync_id}" in text
-                assert f"acfd_exchange_finish({sync.sync_id}" in text
-            else:
-                assert f"acfd_exchange({sync.sync_id}" in text
+            assert f"acfd_exchange({sync.sync_id}" in text
 
     def test_exchange_passes_arrays(self):
         plan, _, text = spmd_for(JACOBI_SRC, (2, 1))

@@ -69,8 +69,6 @@ class TestKeptSyncExchanger:
             kept, plan = rt._syncs[1], rt._syncs[1]._plan
             v.data[...] = _local(rt, 3.0).data  # new values, same buffer
             rt.exchange(1, v)
-            rt.exchange_begin(1, v)
-            rt.exchange_finish(1, v)
             return (rt._syncs[1] is kept and kept._plan is plan
                     and _ghosts_hold(rt, v, 3.0))
 
@@ -98,8 +96,7 @@ class TestKeptSyncExchanger:
             old = v.data
             v.data = _local(rt, 5.0).data
             old_before = old.copy()
-            rt.exchange_begin(1, v)
-            rt.exchange_finish(1, v)
+            rt.exchange(1, v)
             return (_ghosts_hold(rt, v, 5.0)
                     and np.array_equal(old, old_before))
 

@@ -90,8 +90,7 @@ class TestCountablesAcrossExecutors:
     ``send`` that skipped the defensive copy (``saved_bytes``), one
     ``recv``, one ``halo_pack`` and one ``halo_unpack``."""
 
-    KINDS = ("send", "recv", "halo_pack", "halo_unpack", "exchange",
-             "overlap")
+    KINDS = ("send", "recv", "halo_pack", "halo_unpack", "exchange")
 
     @pytest.mark.parametrize("name,source,deck", [
         ("jacobi_5pt", jacobi_5pt(n=64, m=32, iters=12, eps=0.0), None),

@@ -126,13 +126,7 @@ class TestFacePlansSurviveRestore:
 
     @pytest.fixture(scope="class")
     def presmooth(self):
-        compiled = AutoCFD.from_source(PRESMOOTH_SRC).compile(
-            partition=(2, 1), overlap="on")
-        # one split (begin/finish) and one blocking sync sit in `relax`
-        assert {d.sync_id: d.enabled
-                for d in compiled.plan.overlap_decisions} \
-            == {1: True, 2: False, 3: False}
-        return compiled
+        return AutoCFD.from_source(PRESMOOTH_SRC).compile(partition=(2, 1))
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_crash_restore_bitwise(self, presmooth, tmp_path, executor):

@@ -82,8 +82,7 @@ def _same_events(tail, log, tol: float) -> None:
 def _assert_two_readers_agree(source: str, executor: str, tmp_path,
                               expect_kinds: set) -> None:
     shared = executor == "process"
-    compiled = AutoCFD.from_source(source).compile(partition=(2, 2),
-                                                   overlap="on")
+    compiled = AutoCFD.from_source(source).compile(partition=(2, 2))
     tele = Telemetry(4, shared=shared, slots=SLOTS)
     try:
         result = compiled.run_parallel(
@@ -104,13 +103,13 @@ def _assert_two_readers_agree(source: str, executor: str, tmp_path,
         tele.close()
 
 
-JACOBI_KINDS = {"send", "recv", "halo_pack", "halo_unpack", "overlap",
-                "exchange", "allreduce", "frame", "checkpoint", "rank"}
+JACOBI_KINDS = {"send", "recv", "halo_pack", "halo_unpack", "exchange",
+                "allreduce", "frame", "checkpoint", "rank"}
 PIPE_KINDS = {"pipeline_send", "pipeline_recv", "frame", "checkpoint"}
 
 
 class TestTwoReadersThread:
-    def test_overlapped_jacobi(self, tmp_path):
+    def test_halo_jacobi(self, tmp_path):
         _assert_two_readers_agree(jacobi_5pt(24, 16, iters=8, eps=0.0),
                                   "thread", tmp_path, JACOBI_KINDS)
 
@@ -121,7 +120,7 @@ class TestTwoReadersThread:
 
 @pytest.mark.livesmoke
 class TestTwoReadersProcess:
-    def test_overlapped_jacobi(self, tmp_path):
+    def test_halo_jacobi(self, tmp_path):
         _assert_two_readers_agree(jacobi_5pt(24, 16, iters=8, eps=0.0),
                                   "process", tmp_path, JACOBI_KINDS)
 
