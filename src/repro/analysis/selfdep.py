@@ -64,9 +64,9 @@ class MirrorDecomposition:
 
     array: str
     #: reads of already-updated elements (lexicographically earlier):
-    #: satisfied by pipelined new values
+    #: served by pipelined new values
     backward: list[tuple[int, ...]] = field(default_factory=list)
-    #: reads of not-yet-updated elements: satisfied by pre-exchanged old
+    #: reads of not-yet-updated elements: served by pre-exchanged old
     #: values
     forward: list[tuple[int, ...]] = field(default_factory=list)
     #: grid dims that need a pipeline (some backward offset is non-zero)

@@ -15,8 +15,9 @@ fires exactly once (``fired``), so a crash does not re-fire after the
 restart that recovers from it.  Stragglers are window-based (they repeat
 within their frame window, including during replay — slow hardware stays
 slow).  The injector keeps a count of delayed messages still on the
-simulated wire; :class:`repro.runtime.comm.DeadlockDetector` consults it
-so a held message is not mistaken for a deadlock.
+simulated wire; it is the in-flight term of every rank's counters, which
+:class:`repro.runtime.comm.DeadlockDetector` reads on both executors, so
+a held message is not mistaken for a deadlock.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ from-scratch MPI-like runtime executing SPMD rank functions on threads:
 * :class:`repro.runtime.comm.Communicator` — point-to-point
   (send/recv/isend/irecv/sendrecv) and collectives (barrier, bcast,
   reduce, allreduce, gather, allgather, scatter);
-* :class:`repro.runtime.comm.DeadlockDetector` — snapshots what every
-  rank is blocked on and fails the world with the wait-for cycle when no
-  progress is possible;
+* :class:`repro.runtime.comm.DeadlockDetector` — the one deadlock rule
+  of both executors: ranks note what they are blocked on, and once the
+  world is all blocked, balanced and quiet the launcher fails it with
+  the wait-for cycle;
 * :class:`repro.runtime.cart.CartComm` — Cartesian topology with shifts;
 * :class:`repro.runtime.halo.HaloExchanger` — aggregated ghost-cell
   exchange for a set of status arrays (the runtime realisation of the

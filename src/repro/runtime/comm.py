@@ -14,10 +14,14 @@ Semantics follow MPI closely enough for generated SPMD programs:
   condition variable until a matching ``put`` wakes them (no polling
   tick).  Delivery is FIFO per (source, tag) pair and globally ordered
   for wildcard receives (lowest arrival sequence wins);
-* a :class:`DeadlockDetector` shared by the world snapshots what every
-  rank is blocked on; when every live rank is blocked with no deliverable
-  message in flight it fails the world immediately with the wait-for
-  cycle in the error, instead of letting the wall-clock watchdog expire;
+* a receive that waits past a short grace, or a barrier, notes its rank
+  as blocked with the world's :class:`DeadlockDetector` (directly on
+  threads, over the control pipe from a worker process).  The detector
+  is the one deadlock rule of both executors: once every live rank is
+  blocked, sent equals delivered, nothing injected is in flight and the
+  world has been quiet for ``_QUIET``, the launcher fails the world with
+  the wait-for cycle in the error instead of letting the wall-clock
+  watchdog expire;
 * collectives are built from point-to-point messages on a reserved tag
   space (user tags must stay below ``2**20``); every rank must call them
   in the same order (as in MPI).  ``bcast``, ``reduce``, and both phases
@@ -55,15 +59,20 @@ from repro.runtime.trace import Trace
 #: Collective operations reserve tags at and above this value.
 _COLLECTIVE_TAG_BASE = 1 << 20
 
-#: Blocked ranks re-run the deadlock check at most this often (fallback
-#: for detection races; the common path is woken by ``put`` immediately).
-_DETECT_INTERVAL = 0.25
-
-#: A receiver stays unregistered with the deadlock detector for this long
-#: before declaring itself blocked: microsecond-scale waits (the hot path)
-#: never touch the shared detector lock, and a genuine deadlock is still
-#: reported within milliseconds.
+#: A receiver waits this long before it notes itself blocked with the
+#: deadlock detector: microsecond-scale waits (the hot path) never touch
+#: it.
 _DETECT_GRACE = 0.005
+
+#: Launchers run the deadlock check at least this often, and a blocked
+#: rank is re-noted with live counters as often: by the thread launcher,
+#: or by its worker process, which also polls for commands at this rate.
+_HEARTBEAT = 0.2
+
+#: A deadlock is declared only after no note changed anything for this
+#: long: long enough for any delivery, take or report under way to
+#: surface as a change.
+_QUIET = 0.75
 
 #: Reduction operators.
 REDUCE_OPS = {
@@ -78,43 +87,6 @@ def _collective_tags(seq: int) -> tuple[int, int]:
     """(up, down) tags for collective *seq* — disjoint for every seq."""
     up = _COLLECTIVE_TAG_BASE + 2 * seq
     return up, up + 1
-
-
-def find_wait_cycle(succ: dict[int, int]) -> list[int] | None:
-    """Smallest-starting-rank cycle in a rank -> awaited-rank graph.
-
-    *succ* holds one concrete wait-for edge per blocked rank (receivers
-    with a wildcard source contribute no edge).  Shared by the in-process
-    :class:`DeadlockDetector` and the process executor's parent-side
-    mirror, so both name cycles identically.
-    """
-    for start in sorted(succ):
-        seen: list[int] = []
-        rank: int | None = start
-        while rank is not None and rank in succ and rank not in seen:
-            seen.append(rank)
-            rank = succ[rank]
-        if rank in seen:
-            return seen[seen.index(rank):]
-    return None
-
-
-def format_rank_states(size: int, done: set, waiting: dict) -> str:
-    """The per-rank status block deadlock/stuck reports end with.
-
-    *waiting* maps blocked ranks to human-readable wait descriptions;
-    ranks in neither set are reported as running.
-    """
-    lines = []
-    for rank in range(size):
-        if rank in done:
-            status = "finished"
-        elif rank in waiting:
-            status = f"blocked in {waiting[rank]}"
-        else:
-            status = "running"
-        lines.append(f"  rank {rank}: {status}")
-    return "\n".join(lines)
 
 
 def _payload_bytes(obj) -> int:
@@ -175,163 +147,155 @@ class _Message:
     msg_id: int | None = None
 
 
-class _WaitState:
-    """What one blocked rank is waiting on (deadlock-detector record)."""
-
-    __slots__ = ("rank", "op", "source", "tag", "since", "satisfied")
-
-    def __init__(self, rank: int, op: str, source: int | None,
-                 tag: int | None) -> None:
-        self.rank = rank
-        self.op = op  # "recv" | "barrier" | collective name
-        self.source = source
-        self.tag = tag
-        self.since = time.monotonic()
-        #: set (without the detector lock) the moment the wait is over;
-        #: the detector reads it after probing the rank's mailbox, so the
-        #: mailbox lock orders the two and a satisfied rank is never
-        #: counted as blocked.
-        self.satisfied = False
-
-    def describe(self) -> str:
-        if self.op == "barrier":
-            what = "barrier"
-        else:
-            src = "any" if self.source is None else self.source
-            tag = "any" if self.tag is None else self.tag
-            what = f"{self.op}(source={src}, tag={tag})"
-        return f"{what} for {time.monotonic() - self.since:.2f}s"
-
-
 class DeadlockDetector:
-    """Tracks what every rank is blocked on; trips the world on a cycle.
+    """The deadlock rule of both executors, fed what every rank waits on.
 
-    Lock ordering: the detector lock may be taken first and mailbox /
-    barrier locks acquired under it — never the reverse.  Blocked ranks
-    therefore register *outside* their mailbox condition and only read
-    the lock-free ``diagnosis`` field while holding it.
+    Each rank is noted as blocked in ``(op, source, tag)`` or not, with its
+    ``(sent, delivered, in flight)`` counters, and in the end as
+    ``finished``, ``failed`` or ``died``.  :meth:`check` declares a
+    deadlock only when every live rank is blocked, sent equals delivered,
+    no injected message is in flight, no note has changed anything for
+    ``_QUIET``, and not every rank is waiting at one full barrier (which
+    releases itself).  Sound because a message anywhere between a sender
+    and a mailbox keeps sent above delivered (senders count before
+    shipping, receivers once a message is receivable), and one sitting
+    *in* a mailbox wakes its receiver, whose next note is a change.
+
+    On threads the ranks note themselves (:meth:`block`, :meth:`unblock`)
+    and the launcher's tick re-notes the blocked ones with live
+    *counters* (:meth:`heartbeat`).  A worker process publishes the same
+    notes over its control pipe (``procexec._Run``) and the launcher
+    feeds them to :meth:`note`.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, counters=None) -> None:
         self.size = size
+        #: rank -> its live (sent, delivered, in flight); threads only
+        self._live = counters
         self._lock = threading.Lock()
-        self._waiting: dict[int, _WaitState] = {}
-        self._done: set[int] = set()
-        self._mailboxes: list[_Mailbox] = []
-        self._barrier: threading.Barrier | None = None
-        self._failed: threading.Event | None = None
-        #: full human-readable deadlock report, set exactly once
+        #: rank -> "finished" | "failed" | "died"
+        self._ended: dict[int, str] = {}
+        #: rank -> (op, source, tag) while it is blocked
+        self._waiting: dict[int, tuple] = {}
+        self._counters: dict[int, tuple[int, int, int]] = {}
+        self._since: dict[int, float] = {}
+        self._last_change = time.monotonic()
+        #: full human-readable deadlock report, set once
         self.diagnosis: str | None = None
-        #: optional () -> int of messages in flight *outside* any mailbox
-        #: (fault-injected delays); while positive, an all-blocked world
-        #: is not a deadlock — a delivery is still coming
-        self.in_flight = None
 
-    def attach(self, mailboxes: list[_Mailbox], barrier: threading.Barrier,
-               failed: threading.Event) -> None:
-        self._mailboxes = mailboxes
-        self._barrier = barrier
-        self._failed = failed
+    def note(self, rank: int, waiting: tuple | None,
+             counters: tuple[int, int, int]) -> None:
+        """*rank* is blocked in *waiting* (None: it is not)."""
+        with self._lock:
+            self._note(rank, waiting, counters)
 
-    # -- rank lifecycle ---------------------------------------------------------
+    def _note(self, rank, waiting, counters) -> None:
+        now = time.monotonic()
+        if (self._waiting.get(rank) != waiting
+                or self._counters.get(rank) != counters):
+            self._last_change = now
+        if waiting is None:
+            self._waiting.pop(rank, None)
+        else:
+            if rank not in self._waiting:
+                self._since[rank] = now
+            self._waiting[rank] = waiting
+        self._counters[rank] = counters
+
+    def finish(self, rank: int, status: str,
+               counters: tuple[int, int, int] | None = None) -> None:
+        """*rank*'s body is over: *status* is how it ended."""
+        with self._lock:
+            self._ended[rank] = status
+            self._waiting.pop(rank, None)
+            if counters is not None:
+                self._counters[rank] = counters
+            self._last_change = time.monotonic()
+
+    # -- threads: the ranks' and the launcher's side ----------------------------
 
     def block(self, rank: int, op: str, source: int | None = None,
-              tag: int | None = None) -> _WaitState:
-        """Register *rank* as blocked; returns its mutable wait state."""
-        state = _WaitState(rank, op, source, tag)
-        with self._lock:
-            self._waiting[rank] = state
-            self._check_locked()
-        return state
+              tag: int | None = None) -> None:
+        self.note(rank, (op, source, tag), self._live(rank))
 
     def unblock(self, rank: int) -> None:
+        self.note(rank, None, self._live(rank))
+
+    def heartbeat(self) -> None:
+        """Re-note every blocked rank with its live counters."""
         with self._lock:
-            self._waiting.pop(rank, None)
+            for rank, waiting in list(self._waiting.items()):
+                self._note(rank, waiting, self._live(rank))
 
-    def rank_done(self, rank: int) -> None:
-        """A rank's body returned normally; remaining ranks may now stall."""
+    # -- the rule -----------------------------------------------------------------
+
+    def check(self) -> str | None:
+        """The deadlock diagnosis once the rule holds, else None."""
         with self._lock:
-            self._done.add(rank)
-            self._waiting.pop(rank, None)
-            self._check_locked()
+            if self.diagnosis is None:
+                self.diagnosis = self._verdict()
+            return self.diagnosis
 
-    def rank_failed(self, rank: int) -> None:
-        """A rank died: mark it finished and wake every blocked receiver."""
-        with self._lock:
-            self._done.add(rank)
-            self._waiting.pop(rank, None)
-            for box in self._mailboxes:
-                box.wake()
-
-    def check(self) -> None:
-        """Re-run detection (periodic fallback from blocked receivers)."""
-        with self._lock:
-            self._check_locked()
-
-    # -- detection --------------------------------------------------------------
-
-    def _check_locked(self) -> None:
-        if self.diagnosis is not None or not self._mailboxes:
-            return
-        live = [r for r in range(self.size) if r not in self._done]
+    def _verdict(self) -> str | None:
+        live = [r for r in range(self.size) if r not in self._ended]
         if not live or any(r not in self._waiting for r in live):
-            return  # someone is still computing — progress is possible
-        if self.in_flight is not None and self.in_flight() > 0:
-            return  # a delayed message is still on the (simulated) wire
-        states = [self._waiting[r] for r in live]
-        barrier_waits = [ws for ws in states if ws.op == "barrier"]
-        if barrier_waits:
-            if len(barrier_waits) == len(states) and len(live) == self.size:
-                return  # a full barrier releases itself
-            if (self._barrier is not None
-                    and self._barrier.n_waiting < len(barrier_waits)):
-                return  # a barrier wait is mid-registration or released
-        for ws in states:
-            # probe first, then re-read the flag: the mailbox lock makes a
-            # take that beat our probe publish ``satisfied`` before we read
-            if ws.op != "barrier" and \
-                    self._mailboxes[ws.rank].probe(ws.source, ws.tag):
-                return  # a deliverable message is in flight
-            if ws.satisfied:
-                return  # that rank is already running again
-        self.diagnosis = self._diagnose(live, states)
-        self._trip()
-
-    def _diagnose(self, live: list[int], states: list[_WaitState]) -> str:
-        cycle = self._find_cycle(states)
+            return None  # someone is still computing
+        if time.monotonic() - self._last_change < _QUIET:
+            return None  # wait for the world to go quiet
+        sent, delivered, in_flight = (
+            sum(c[i] for c in self._counters.values()) for i in range(3))
+        if sent != delivered or in_flight > 0:
+            return None  # a delivery is still on its way
+        if len(live) == self.size and all(
+                self._waiting[r][0] == "barrier" for r in live):
+            return None  # a full barrier releases itself
+        cycle = self._cycle()
         if cycle:
             arrow = " -> ".join(f"rank {r}" for r in cycle + cycle[:1])
             head = f"deadlock detected: wait-for cycle {arrow}"
         else:
             head = (f"deadlock detected: all {len(live)} live ranks blocked "
                     "with no message in flight")
-        return f"{head}\n{self._snapshot_locked()}"
+        return f"{head}\n{self._status()}"
 
-    def _find_cycle(self, states: list[_WaitState]) -> list[int] | None:
-        """Smallest-starting-rank cycle over concrete wait-for edges."""
-        return find_wait_cycle({ws.rank: ws.source for ws in states
-                                if ws.op != "barrier"
-                                and ws.source is not None})
+    def _cycle(self) -> list[int] | None:
+        """Smallest-starting-rank cycle over the concrete wait-for edges
+        (a wildcard receive or a barrier names no rank)."""
+        succ = {r: w[1] for r, w in self._waiting.items()
+                if w[0] != "barrier" and w[1] is not None}
+        for start in sorted(succ):
+            seen: list[int] = []
+            rank = start
+            while rank in succ and rank not in seen:
+                seen.append(rank)
+                rank = succ[rank]
+            if rank in seen:
+                return seen[seen.index(rank):]
+        return None
 
-    # -- reporting --------------------------------------------------------------
+    # -- reporting ------------------------------------------------------------------
 
     def snapshot(self) -> str:
+        """The per-rank status block deadlock and stuck reports end with."""
         with self._lock:
-            return self._snapshot_locked()
+            return self._status()
 
-    def _snapshot_locked(self) -> str:
-        return format_rank_states(
-            self.size, self._done,
-            {r: ws.describe() for r, ws in self._waiting.items()})
-
-    def _trip(self) -> None:
-        """Wake the whole world so every blocked rank sees the diagnosis."""
-        if self._failed is not None:
-            self._failed.set()
-        if self._barrier is not None:
-            self._barrier.abort()
-        for box in self._mailboxes:
-            box.wake()
+    def _status(self) -> str:
+        now = time.monotonic()
+        lines = []
+        for rank in range(self.size):
+            if rank in self._ended:
+                status = self._ended[rank]
+            elif rank in self._waiting:
+                op, source, tag = self._waiting[rank]
+                if op != "barrier":
+                    op = (f"{op}(source={'any' if source is None else source}"
+                          f", tag={'any' if tag is None else tag})")
+                status = f"blocked in {op} for {now - self._since[rank]:.2f}s"
+            else:
+                status = "running"
+            lines.append(f"  rank {rank}: {status}")
+        return "\n".join(lines)
 
 
 class _Mailbox:
@@ -355,6 +319,11 @@ class _Mailbox:
         correctness problem)."""
         return self._queued
 
+    @property
+    def delivered(self) -> int:
+        """Messages admitted so far (a deadlock-detector counter)."""
+        return self._seq
+
     def put(self, message: _Message) -> None:
         with self._cond:
             self._enqueue(message)
@@ -374,9 +343,9 @@ class _Mailbox:
             bucket = self._buckets[key] = deque()
         bucket.append((self._seq, message))
 
-    def _wait(self, timeout: float) -> None:
+    def _wait(self, timeout: float | None) -> None:
         """Sleep (lock held, released while asleep) until a ``put`` or
-        ``wake``, at most *timeout* seconds.  The process executor's
+        ``wake``, at most *timeout* seconds (None: no limit).  The process executor's
         mailbox waits on its doorbell and takes its own messages here."""
         self._cond.wait(timeout)
 
@@ -414,13 +383,15 @@ class _Mailbox:
             failed: threading.Event,
             waiter: tuple[DeadlockDetector, int, str] | None = None,
             ) -> tuple[_Message, float]:
-        """Blocking matched receive; returns (message, seconds-in-wait)."""
+        """Blocking matched receive; returns (message, seconds-in-wait).
+
+        A wait that outlasts ``_DETECT_GRACE`` is noted with *waiter*'s
+        detector; the receiver then sleeps until it is woken (a ``put``,
+        a failure, a deadlock verdict) or its deadline passes."""
         t0 = time.monotonic()
         deadline = None if timeout is None else t0 + timeout
-        detector = token = None
-        rank = -1
         # fast path + grace period: if the message is already queued or
-        # arrives within the grace window, never touch the detector lock
+        # arrives within the grace window, never touch the detector
         with self._cond:
             msg = self._take(source, tag)
             if msg is not None:
@@ -437,17 +408,15 @@ class _Mailbox:
                 msg = self._take(source, tag)
                 if msg is not None:
                     return msg, time.monotonic() - t0
+        detector = None
         if waiter is not None:
             detector, rank, op = waiter
-            token = detector.block(rank, op, source, tag)
+            detector.block(rank, op, source, tag)
         try:
-            while True:
-                timed_out = False
-                with self._cond:
+            with self._cond:
+                while True:
                     msg = self._take(source, tag)
                     if msg is not None:
-                        if token is not None:
-                            token.satisfied = True
                         return msg, time.monotonic() - t0
                     if detector is not None and detector.diagnosis is not None:
                         raise RuntimeDeadlockError(detector.diagnosis)
@@ -455,27 +424,17 @@ class _Mailbox:
                         raise RuntimeCommError(
                             "another rank failed while this rank was "
                             "receiving")
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        timed_out = True
-                    else:
-                        remaining = (None if deadline is None
-                                     else deadline - now)
-                        slice_ = (_DETECT_INTERVAL if remaining is None
-                                  else min(_DETECT_INTERVAL, remaining))
-                        self._wait(slice_)
-                # outside the mailbox lock (lock order: detector first)
-                if timed_out:
-                    snap = ("\n" + detector.snapshot()
-                            if detector is not None else "")
-                    raise RuntimeCommError(
-                        f"recv timeout after {timeout}s waiting for "
-                        f"source={source} tag={tag} — likely deadlock"
-                        f"{snap}")
-                if detector is not None:
-                    detector.check()
+                    left = None if deadline is None \
+                        else deadline - time.monotonic()
+                    if left is not None and left <= 0:
+                        break
+                    self._wait(left)
+            snap = "" if detector is None else "\n" + detector.snapshot()
+            raise RuntimeCommError(
+                f"recv timeout after {timeout}s waiting for "
+                f"source={source} tag={tag} — likely deadlock{snap}")
         finally:
-            if token is not None:
+            if detector is not None:
                 detector.unblock(rank)
 
     def probe(self, source: int | None, tag: int | None) -> bool:
@@ -693,21 +652,19 @@ class Communicator:
         t0 = perf_counter_ns()
         tele = self.telemetry
         prev = tele.enter(4) if tele is not None else None  # S_COLLECTIVE
-        token = (self._detector.block(self.rank, "barrier")
-                 if self._detector is not None else None)
+        detector = self._detector
+        if detector is not None:
+            detector.block(self.rank, "barrier")
         try:
             self._barrier.wait(timeout=self._timeout)
-            if token is not None:
-                token.satisfied = True
         except threading.BrokenBarrierError as exc:
-            if (self._detector is not None
-                    and self._detector.diagnosis is not None):
-                raise RuntimeDeadlockError(self._detector.diagnosis) from exc
+            if detector is not None and detector.diagnosis is not None:
+                raise RuntimeDeadlockError(detector.diagnosis) from exc
             raise RuntimeCommError("barrier broken (a rank died or timed "
                                    "out)") from exc
         finally:
-            if token is not None:
-                self._detector.unblock(self.rank)
+            if detector is not None:
+                detector.unblock(self.rank)
             if tele is not None:
                 tele.enter(prev)
         if self.record is not None:

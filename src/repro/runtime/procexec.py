@@ -43,20 +43,19 @@ deadlock-diagnosis / bounded-join guarantees — behind
   delivered: recovery sees no ghosts;
 * the world barrier is a ``multiprocessing.Barrier`` shared by all
   workers, abortable by any worker *and* by the launcher;
-* **deadlock detection is mirrored in the launcher**: every worker
-  publishes what it is blocked on (re-published as a heartbeat, with its
-  send/deliver counters), and the launcher declares a deadlock only when
-  every live rank is blocked, the global sent/delivered counters
-  balance, no injected message is in flight, and nothing has changed for
-  a quiescence window.  The diagnosis names the wait-for cycle with the
-  same formatting as the thread executor;
+* **deadlock detection runs in the launcher**: every worker publishes
+  what it is blocked on over its control pipe (re-published as a
+  heartbeat, with its send/deliver counters), and the launcher feeds the
+  reports to the one :class:`~repro.runtime.comm.DeadlockDetector` the
+  thread executor uses, so both declare a deadlock by the same rule and
+  word the diagnosis the same way;
 * **failure propagation**: a failing worker reports the error (with its
   trace) over its control pipe; the launcher broadcasts the failure,
   aborts the barrier, and gives the rest the watchdog deadline to
   unwind.  A worker that dies without reporting — a real ``SIGKILL`` —
   is detected through its process sentinel; non-reporters past the
-  deadline are killed and named, exactly like the thread executor's
-  stuck ranks;
+  deadline are killed and named.  Both executors fail and report
+  through one :class:`repro.runtime.world._Launch`;
 * **trace merging**: workers stamp events on their own clock; an epoch
   handshake at run start (:class:`repro.runtime.trace.EpochProbe`) lets
   the launcher rebase worker events onto the caller's trace, so
@@ -80,22 +79,13 @@ from time import perf_counter, perf_counter_ns
 
 import numpy as np
 
-from repro.errors import RuntimeCommError, RuntimeDeadlockError
-from repro.runtime.comm import (Communicator, _Mailbox, _Message,
-                                _payload_bytes, _WaitState, fill_ghosts,
-                                find_wait_cycle, format_rank_states)
+from repro.errors import RuntimeCommError
+from repro.runtime.comm import (_HEARTBEAT, Communicator, DeadlockDetector,
+                                _Mailbox, _Message, _payload_bytes,
+                                fill_ghosts)
 from repro.runtime.halo import shared_pool
 from repro.runtime.trace import EpochProbe, Trace, epoch_shift
-from repro.runtime.world import World
-
-#: blocked workers re-publish their wait state this often; also the
-#: worker command-poll interval and the launcher monitor tick
-_HEARTBEAT = 0.2
-
-#: the launcher declares a deadlock only after the mirrored world state
-#: has been quiescent this long — long enough for any in-flight
-#: delivery, mailbox take, or heartbeat race to surface as a change
-_MIRROR_QUIET = 0.75
+from repro.runtime.world import World, _exc_kind, _Launch
 
 #: channel geometry: slots per ring, bytes a slot holds behind its header
 _SLOTS = 8
@@ -263,7 +253,7 @@ class _ChannelMailbox(_Mailbox):
     message (and every overflow message the drainer parked in the inbox)
     into the buckets.  :meth:`take_head` is the way round the buckets.
     Only the body thread takes from channels, so ``delivered`` — what
-    the launcher's mirror balances against the senders' counts — moves
+    the launcher's detector balances against the senders' counts — moves
     exactly when a message becomes receivable.
     """
 
@@ -446,7 +436,7 @@ class _RemoteMailbox:
         with self._lock:
             seq = self.sent
             # counted before it is published: whatever the launcher's
-            # mirror reads, a message on its way keeps sent > delivered
+            # detector reads, a message on its way keeps sent > delivered
             self.sent = seq + 1
             off = chan.slot()
             head = off is not None and _encode(chan.buf, off + _HEAD,
@@ -466,11 +456,13 @@ class _RemoteMailbox:
 class _Run:
     """One attempt's worker-side state (fresh per "run" command).
 
-    Also the attempt's detector, with the ``DeadlockDetector`` surface
-    that ``_Mailbox.get`` and ``Communicator.barrier`` use: it does no
-    detection itself, it publishes this rank's wait state to the
-    launcher (which mirrors the whole world) and surfaces the launcher's
-    verdict through ``self.diagnosis``.
+    Also what this rank notes its waits with, through the surface
+    ``_Mailbox.get`` and ``Communicator.barrier`` use (``block``,
+    ``unblock``, ``diagnosis``, ``snapshot``): each note is published to
+    the launcher, whose :class:`DeadlockDetector` rules on the whole
+    world, and re-published with live counters while the wait lasts
+    (:meth:`heartbeat`).  The launcher's verdict comes back as
+    ``self.diagnosis``.
     """
 
     def __init__(self, worker: _WorkerState, run_id: int,
@@ -492,14 +484,16 @@ class _Run:
         #: this rank's live-telemetry writer (attached shared memory)
         self.tele = None
         self.diagnosis: str | None = None
+        #: orders the notes on the control pipe as the waits happened
         self.lock = threading.Lock()
-        #: (op, source, tag, token) while blocked, else None
+        #: (op, source, tag) while blocked, else None
         self.current_wait = None
-        self._wait_token = 0
+        #: notes published: blocked, unblocked and heartbeats
+        self.wait_reports = 0
 
     def counters(self) -> tuple[int, int, int]:
         """(sent, delivered, injected messages in flight) for the
-        launcher's mirror; read lock-free from any thread."""
+        launcher's detector; read lock-free from any thread."""
         infl = self.injector.in_flight() if self.injector is not None else 0
         return (sum(m.sent for m in self._remotes),
                 self.mailbox.delivered, infl)
@@ -511,34 +505,33 @@ class _Run:
                 "overflow": overflow,
                 "doorbell_sleeps": self.mailbox.doorbell_sleeps,
                 "spin_hits": self.mailbox.spin_hits,
-                "head_takes": self.mailbox.head_takes}
+                "head_takes": self.mailbox.head_takes,
+                "wait_reports": self.wait_reports}
 
     def block(self, rank: int, op: str, source: int | None = None,
-              tag: int | None = None) -> _WaitState:
+              tag: int | None = None) -> None:
         with self.lock:
-            self._wait_token += 1
-            self.current_wait = (op, source, tag, self._wait_token)
-        self.heartbeat()
-        return _WaitState(rank, op, source, tag)
-
-    def heartbeat(self) -> None:
-        """(Re-)publish what this rank is blocked on, if it is."""
-        wait = self.current_wait
-        if wait is not None:
-            self._publish(("blocked", self.rank, self.run_id, *wait,
-                           *self.counters()))
+            self.current_wait = (op, source, tag)
+            self._report()
 
     def unblock(self, rank: int) -> None:
         with self.lock:
             self.current_wait = None
-        self._publish(("unblocked", rank, self.run_id, *self.counters()))
+            self._report()
 
-    def check(self) -> None:
-        """Detection lives in the launcher; heartbeats come from the
-        worker's command loop, so the periodic fallback is a no-op."""
+    def heartbeat(self) -> None:
+        """Re-publish what this rank is blocked on, if it is."""
+        with self.lock:
+            if self.current_wait is not None:
+                self._report()
+
+    def _report(self) -> None:
+        self.wait_reports += 1
+        self._publish(("wait", self.rank, self.run_id, self.current_wait,
+                       self.counters()))
 
     def snapshot(self) -> str:
-        return "  (world state is mirrored by the launcher)"
+        return "  (the launcher's detector holds the world's state)"
 
 
 class ProcCommunicator(Communicator):
@@ -642,14 +635,6 @@ def _drain_loop(worker: _WorkerState, conns: list) -> None:
                 continue
             worker.inbox.append(msg)
             worker.doorbell.release()
-
-
-def _exc_kind(exc: BaseException) -> str:
-    if isinstance(exc, RuntimeDeadlockError):
-        return "deadlock"
-    if isinstance(exc, RuntimeCommError):
-        return "comm"
-    return "other"
 
 
 def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
@@ -776,92 +761,6 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
 # ---------------------------------------------------------------------------
 # launcher side
 # ---------------------------------------------------------------------------
-
-
-class _MirrorDetector:
-    """Launcher-side mirror of the world's blocked/counter state.
-
-    Declares a deadlock only from a *quiescent* snapshot: every report
-    that changes anything resets the window, so any in-flight delivery,
-    pending mailbox take, or heartbeat race surfaces first.  Sound
-    because a message anywhere between a sender and a mailbox keeps the
-    global sent/delivered counters unbalanced (senders count before
-    shipping, receivers count after materializing), and a message
-    sitting *in* a mailbox wakes its receiver, whose next report is a
-    change.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.done: set[int] = set()
-        self.waiting: dict[int, tuple] = {}
-        self.counters: dict[int, tuple[int, int, int]] = {}
-        self.since: dict[int, float] = {}
-        self.last_change = time.monotonic()
-        self.diagnosis: str | None = None
-
-    def note(self, rank: int, waiting: tuple | None,
-             counters: tuple[int, int, int]) -> None:
-        if (self.waiting.get(rank) != waiting
-                or self.counters.get(rank) != counters):
-            self.last_change = time.monotonic()
-            if waiting is not None and (
-                    rank not in self.waiting
-                    or self.waiting[rank][3] != waiting[3]):
-                self.since[rank] = time.monotonic()
-        if waiting is None:
-            self.waiting.pop(rank, None)
-        else:
-            self.waiting[rank] = waiting
-        self.counters[rank] = counters
-
-    def finish(self, rank: int,
-               counters: tuple[int, int, int] | None) -> None:
-        self.done.add(rank)
-        self.waiting.pop(rank, None)
-        if counters is not None:
-            self.counters[rank] = counters
-        self.last_change = time.monotonic()
-
-    def check(self) -> str | None:
-        if self.diagnosis is not None:
-            return self.diagnosis
-        live = [r for r in range(self.size) if r not in self.done]
-        if not live or any(r not in self.waiting for r in live):
-            return None  # someone is still computing
-        if time.monotonic() - self.last_change < _MIRROR_QUIET:
-            return None  # wait for the world to go quiet
-        sent = sum(c[0] for c in self.counters.values())
-        delivered = sum(c[1] for c in self.counters.values())
-        in_flight = sum(c[2] for c in self.counters.values())
-        if sent != delivered or in_flight > 0:
-            return None  # a delivery is still in the pipes / on a timer
-        states = [self.waiting[r] for r in live]
-        if all(s[0] == "barrier" for s in states) \
-                and len(live) == self.size:
-            return None  # a full barrier releases itself
-        self.diagnosis = self._diagnose(live)
-        return self.diagnosis
-
-    def _diagnose(self, live: list[int]) -> str:
-        cycle = find_wait_cycle(
-            {r: w[1] for r, w in self.waiting.items()
-             if w[0] != "barrier" and w[1] is not None})
-        if cycle:
-            arrow = " -> ".join(f"rank {r}" for r in cycle + cycle[:1])
-            head = f"deadlock detected: wait-for cycle {arrow}"
-        else:
-            head = (f"deadlock detected: all {len(live)} live ranks "
-                    "blocked with no message in flight")
-        return f"{head}\n{self.snapshot()}"
-
-    def snapshot(self) -> str:
-        waiting = {}
-        for rank, (op, source, tag, _token) in self.waiting.items():
-            state = _WaitState(rank, op, source, tag)
-            state.since = self.since.get(rank, state.since)
-            waiting[rank] = state.describe()
-        return format_rank_states(self.size, self.done, waiting)
 
 
 class _Worker:
@@ -1030,23 +929,13 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
     for w in pool.workers:
         w.cmd.send(("run", run_id, blob))
 
-    mirror = _MirrorDetector(size)
     #: rank -> (worker trace epoch_ns, seconds onto world.trace's epoch)
     #: (set by its "hello", the first thing a worker reports in a run)
     clocks: dict[int, tuple[int, float]] = {}
-    #: rank -> (kind, type name, message); kind drives raise priority
-    errors: dict[int, tuple[str, str, str]] = {}
     finished: set[int] = set()
     dead: set[int] = set()
-    deadline: list[float | None] = [None]  # armed on first failure
-    tripped = [False]  # the failure broadcast went out
 
-    def fail_world(diagnosis: str | None) -> None:
-        if deadline[0] is None:
-            deadline[0] = time.monotonic() + timeout
-        if tripped[0]:
-            return
-        tripped[0] = True
+    def broadcast(diagnosis: str | None) -> None:
         pool.barrier.abort()
         for w in pool.workers:
             if w.rank not in finished and w.rank not in dead:
@@ -1055,10 +944,14 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
                 except OSError:
                     pass
 
-    def finish(rank: int, events, counters, transport: dict) -> None:
+    launch = _Launch(timeout, DeadlockDetector(size), broadcast)
+    detector = launch.detector
+
+    def finish(rank: int, status: str, events, counters,
+               transport: dict) -> None:
         world.trace.absorb(events, *clocks[rank])
         finished.add(rank)
-        mirror.finish(rank, counters)
+        detector.finish(rank, status, counters)
         for key, count in transport.items():
             world.transport[key] = world.transport.get(key, 0) + count
 
@@ -1075,28 +968,22 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
                 # flight/heartbeat stamps rebase on the same shift as
                 # the trace merge, so postmortems share one clock
                 telemetry.shifts[rank] = shift
-        elif kind == "blocked":
-            _, _, _, op, source, tag, token, sent, delivered, infl = msg
-            mirror.note(rank, (op, source, tag, token),
-                        (sent, delivered, infl))
-        elif kind == "unblocked":
-            _, _, _, sent, delivered, infl = msg
-            mirror.note(rank, None, (sent, delivered, infl))
+        elif kind == "wait":
+            detector.note(rank, msg[3], msg[4])
         elif kind == "done":
             _, _, _, result, events, counters, transport = msg
             world.results[rank] = result
-            finish(rank, events, counters, transport)
+            finish(rank, "finished", events, counters, transport)
         elif kind == "error":
             _, _, _, ekind, tname, text, events, counters, transport = msg
-            errors.setdefault(rank, (ekind, tname, text))
-            finish(rank, events, counters, transport)
-            fail_world(None)
+            launch.error(rank, ekind, tname, text)
+            finish(rank, "failed", events, counters, transport)
         elif kind == "dying":
             # a kill-mode fault flushed telemetry before SIGKILLing
             # itself; the sentinel below will confirm the death
             _, _, _, tname, text, events = msg
             world.trace.absorb(events, *clocks[rank])
-            errors.setdefault(rank, ("other", tname, text))
+            launch.error(rank, "other", tname, text)
         elif kind == "fired":
             _, _, _, index, record = msg
             if injector is not None:
@@ -1113,7 +1000,7 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
 
     by_ctrl = {id(w.ctrl): w for w in pool.workers}
     sentinels = {w.process.sentinel: w for w in pool.workers}
-    while len(finished | dead) < size:
+    while len(finished | dead) < size and not launch.expired():
         ready = mpc.wait(list(by_ctrl) and [w.ctrl for w in pool.workers]
                          + list(sentinels), timeout=_HEARTBEAT)
         for item in ready:
@@ -1133,49 +1020,21 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
             # "run" command into a broken pipe
             worker.process.join(timeout=0.5)
             dead.add(rank)
-            mirror.finish(rank, None)
-            if rank not in errors:
-                errors[rank] = (
-                    "killed", "WorkerDied",
-                    f"rank {rank} worker process died without reporting "
-                    f"(exit code {worker.process.exitcode}; killed?)")
-            fail_world(None)
-        if not errors:
-            diagnosis = mirror.check()
-            if diagnosis is not None:
-                fail_world(diagnosis)
-        if deadline[0] is not None and time.monotonic() > deadline[0] \
-                and len(finished | dead) < size:
-            break
+            detector.finish(rank,
+                            "failed" if rank in launch.errors else "died")
+            launch.error(
+                rank, "killed", "WorkerDied",
+                f"rank {rank} worker process died without reporting "
+                f"(exit code {worker.process.exitcode}; killed?)")
+        launch.tick()
 
     stuck = sorted(set(range(size)) - finished - dead)
-    if stuck:
-        # past the post-failure deadline: kill and name the non-reporters
-        for rank in stuck:
-            w = pool.workers[rank]
-            if w.process.is_alive():
-                w.process.kill()
-            w.process.join(timeout=1.0)
-            drain_ctrl(w)
-        first = ""
-        if errors:
-            rank = min(errors)
-            ekind, tname, text = errors[rank]
-            first = f"; first failure: rank {rank}: {tname}: {text}"
-        raise RuntimeCommError(
-            f"world failed but rank(s) {', '.join(map(str, stuck))} did "
-            f"not stop within the {timeout}s watchdog — likely spinning "
-            f"in compute-only code that never observes the failure"
-            f"{first}\n{mirror.snapshot()}")
-
-    if errors:
-        # same root-cause priority as the thread executor: a real error
-        # beats an unexplained worker death beats the deadlock diagnosis
-        # beats the comm-cascade failures any of them triggered
-        priority = {"other": 0, "killed": 1, "deadlock": 2, "comm": 3}
-        rank = min(errors, key=lambda r: (priority[errors[r][0]], r))
-        ekind, tname, text = errors[rank]
-        wrapper = (RuntimeDeadlockError if ekind == "deadlock"
-                   else RuntimeCommError)
-        raise wrapper(f"rank {rank} failed: {tname}: {text}")
+    # past the post-failure deadline: kill the non-reporters
+    for rank in stuck:
+        w = pool.workers[rank]
+        if w.process.is_alive():
+            w.process.kill()
+        w.process.join(timeout=1.0)
+        drain_ctrl(w)
+    launch.raise_failure(stuck)
     return world

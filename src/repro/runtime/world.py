@@ -1,12 +1,15 @@
 """SPMD world launcher: run one function per rank on threads.
 
-The launcher creates the shared mailboxes, a world barrier, a trace, and a
-deadlock detector, then runs ``fn(comm)`` for every rank.  If any rank
-raises, the failure is propagated immediately: all other ranks are woken
-(their receives raise), and the first exception is re-raised in the caller
-with rank attribution.  If every live rank ends up blocked with no message
-in flight, the detector fails the world with the wait-for cycle instead of
-waiting for the wall-clock watchdog.
+The launcher creates the shared mailboxes, a world barrier, a trace, and
+the world's :class:`DeadlockDetector`, then runs ``fn(comm)`` for every
+rank.  It wakes the moment a rank exits and at least every
+``_HEARTBEAT``: it re-notes the blocked ranks with live counters, fails
+the world on a rank's error, and runs the deadlock check.  A failure
+wakes every other rank (their receives raise) and gives them the
+watchdog deadline to unwind; the root cause is re-raised in the caller
+with rank attribution.  The process executor
+(:mod:`repro.runtime.procexec`) launches through the same :class:`_Launch`:
+one detector rule, one ``fail_world``, one failure report.
 """
 
 from __future__ import annotations
@@ -16,9 +19,24 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
-from repro.runtime.comm import Communicator, DeadlockDetector, _Mailbox
+from repro.runtime.comm import (_HEARTBEAT, Communicator, DeadlockDetector,
+                                _Mailbox)
 from repro.runtime.halo import shared_pool
 from repro.runtime.trace import Trace
+
+#: failure kinds, root cause first: a real error beats an unexplained
+#: worker death beats the deadlock diagnosis beats the comm-cascade
+#: failures (broken barriers, watchdog trips, failure wakeups) any of them
+#: triggered
+_CAUSES = ("other", "killed", "deadlock", "comm")
+
+
+def _exc_kind(exc: BaseException) -> str:
+    if isinstance(exc, RuntimeDeadlockError):
+        return "deadlock"
+    if isinstance(exc, RuntimeCommError):
+        return "comm"
+    return "other"
 
 
 @dataclass
@@ -29,10 +47,72 @@ class World:
     results: list = field(default_factory=list)
     trace: Trace = field(default_factory=Trace)
     #: process executor only: messages by route (``ring``, ``overflow``;
-    #: ``head_takes``: received in place) and receiver waits by kind
-    #: (``doorbell_sleeps``, ``spin_hits``), summed over the ranks that
-    #: reported
+    #: ``head_takes``: received in place), receiver waits by kind
+    #: (``doorbell_sleeps``, ``spin_hits``) and ``wait_reports`` (what
+    #: the ranks told the launcher's deadlock detector), summed over the
+    #: ranks that reported
     transport: dict | None = None
+
+
+class _Launch:
+    """What both launchers share: the deadlock detector, the ranks'
+    errors, the post-failure deadline and the failure report.
+
+    *broadcast* is the executor's way to wake every rank to a failure
+    (with the deadlock diagnosis, if that is the failure).
+    """
+
+    def __init__(self, timeout: float, detector: DeadlockDetector,
+                 broadcast) -> None:
+        self.timeout = timeout
+        self.detector = detector
+        self._broadcast = broadcast
+        #: rank -> (kind, type name, message, exception or None)
+        self.errors: dict[int, tuple] = {}
+        #: armed by the first failure: the rest must stop by then
+        self.deadline: float | None = None
+
+    def error(self, rank: int, kind: str, tname: str, text: str,
+              exc: BaseException | None = None) -> None:
+        self.errors.setdefault(rank, (kind, tname, text, exc))
+
+    def fail_world(self, diagnosis: str | None = None) -> None:
+        if self.deadline is None:
+            self.deadline = time.monotonic() + self.timeout
+            self._broadcast(diagnosis)
+
+    def tick(self) -> None:
+        """Fail the world on a rank's error, else run the deadlock check."""
+        if self.errors:
+            self.fail_world()
+            return
+        diagnosis = self.detector.check()
+        if diagnosis is not None:
+            self.fail_world(diagnosis)
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def raise_failure(self, stuck: list[int]) -> None:
+        """Name the ranks that did not stop, or raise the root cause."""
+        errors = dict(self.errors)  # a stuck thread may still add one
+        if stuck:
+            first = ""
+            if errors:
+                rank = min(errors)
+                _, tname, text, _ = errors[rank]
+                first = f"; first failure: rank {rank}: {tname}: {text}"
+            raise RuntimeCommError(
+                f"world failed but rank(s) {', '.join(map(str, stuck))} did "
+                f"not stop within the {self.timeout}s watchdog — likely "
+                f"spinning in compute-only code that never observes the "
+                f"failure{first}\n{self.detector.snapshot()}")
+        if errors:
+            rank = min(errors, key=lambda r: (_CAUSES.index(errors[r][0]), r))
+            kind, tname, text, exc = errors[rank]
+            wrapper = (RuntimeDeadlockError if kind == "deadlock"
+                       else RuntimeCommError)
+            raise wrapper(f"rank {rank} failed: {tname}: {text}") from exc
 
 
 def spmd_run(size: int, fn, *, timeout: float = 60.0,
@@ -83,16 +163,27 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
     mailboxes = [_Mailbox() for _ in range(size)]
     barrier = threading.Barrier(size)
     failed = threading.Event()
-    detector = DeadlockDetector(size)
-    detector.attach(mailboxes, barrier, failed)
+
+    def counters(rank: int) -> tuple[int, int, int]:
+        # in-process a put delivers what it sends
+        delivered = mailboxes[rank].delivered
+        return (delivered, delivered,
+                0 if injector is None else injector.in_flight())
+
+    def broadcast(diagnosis: str | None) -> None:
+        # blocked ranks read a diagnosis off the detector itself
+        failed.set()
+        barrier.abort()
+        for box in mailboxes:
+            box.wake()
+
+    launch = _Launch(timeout, DeadlockDetector(size, counters), broadcast)
+    detector = launch.detector
     if telemetry is not None:
         telemetry.begin(world.trace.epoch_ns)
-    if injector is not None:
-        detector.in_flight = injector.in_flight
-    errors: list[tuple[int, BaseException]] = []
-    # also guards `remaining`; notifies the launcher on every rank exit
+    # also guards `running`; notifies the launcher on every rank exit
     state = threading.Condition()
-    remaining = [size]
+    running = set(range(size))
 
     def body(rank: int) -> None:
         tele = None
@@ -105,15 +196,13 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
         t0 = time.perf_counter_ns()
         try:
             world.results[rank] = fn(comm)
-            detector.rank_done(rank)
+            detector.finish(rank, "finished")
             if tele is not None:
                 tele.finish(True)
         except BaseException as exc:  # noqa: BLE001 - must propagate all
-            with state:
-                errors.append((rank, exc))
-            failed.set()
-            barrier.abort()
-            detector.rank_failed(rank)
+            launch.error(rank, _exc_kind(exc), type(exc).__name__,
+                         str(exc), exc)
+            detector.finish(rank, "failed")
             if tele is not None:
                 tele.finish(False)
         finally:
@@ -125,7 +214,7 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
                 comm.record("rank", None, 0, None, 0,
                             t0, time.perf_counter_ns())
             with state:
-                remaining[0] -= 1
+                running.discard(rank)
                 state.notify_all()
 
     threads = [threading.Thread(target=body, args=(rank,),
@@ -133,27 +222,20 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
                for rank in range(size)]
     for t in threads:
         t.start()
-    # Join discipline: while no rank has failed, wait indefinitely (the
-    # per-receive watchdog and the deadlock detector bound any stall that
-    # involves communication).  Once a rank fails, the rest get the
+    # Join discipline: while no rank has failed, wait as long as it takes,
+    # waking on every rank exit and every tick (the per-receive watchdog
+    # and the deadlock detector bound any stall that involves
+    # communication).  Once a rank fails, the rest get the
     # watchdog deadline to unwind — a rank spinning in compute-only code
     # never observes `failed`, and an unbounded join would hang the
     # launcher forever on it.
-    stuck: list[int] = []
     try:
         with state:
-            while remaining[0] > 0 and not failed.is_set():
-                state.wait()
-            if remaining[0] > 0:
-                deadline = time.monotonic() + timeout
-                while remaining[0] > 0:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        break
-                    state.wait(left)
-                if remaining[0] > 0:
-                    stuck = [rank for rank, t in enumerate(threads)
-                             if t.is_alive()]
+            while running and not launch.expired():
+                state.wait(_HEARTBEAT)
+                detector.heartbeat()
+                launch.tick()
+            stuck = sorted(running)
         for t in threads:
             if not t.is_alive():
                 t.join()
@@ -161,36 +243,5 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
         # buffers stranded by dead receivers or dropped messages must not
         # outlive the world (and pooled arrays must not leak across runs)
         shared_pool().drain()
-
-    if stuck:
-        first = ""
-        with state:
-            if errors:
-                rank, exc = min(errors, key=lambda e: e[0])
-                first = (f"; first failure: rank {rank}: "
-                         f"{type(exc).__name__}: {exc}")
-        raise RuntimeCommError(
-            f"world failed but rank(s) {', '.join(map(str, stuck))} did "
-            f"not stop within the {timeout}s watchdog — likely spinning "
-            f"in compute-only code that never observes the failure"
-            f"{first}\n{detector.snapshot()}")
-
-    if errors:
-        # report the root cause: a non-communication error beats a deadlock
-        # diagnosis, which beats the cascade failures (broken barriers,
-        # watchdog trips, failure wakeups) either of them triggered
-        def priority(exc: BaseException) -> int:
-            if not isinstance(exc, RuntimeCommError):
-                return 0
-            if isinstance(exc, RuntimeDeadlockError):
-                return 1
-            return 2
-
-        errors.sort(key=lambda e: (priority(e[1]), e[0]))
-        rank, exc = errors[0]
-        wrapper = (RuntimeDeadlockError
-                   if isinstance(exc, RuntimeDeadlockError)
-                   else RuntimeCommError)
-        raise wrapper(
-            f"rank {rank} failed: {type(exc).__name__}: {exc}") from exc
+    launch.raise_failure(stuck)
     return world

@@ -282,7 +282,7 @@ class TestProfile:
         counts = {key: int(value) for key, value in
                   (item.split("=") for item in line.group(1).split())}
         assert set(counts) == {"ring", "overflow", "doorbell_sleeps",
-                               "spin_hits", "head_takes"}
+                               "spin_hits", "head_takes", "wait_reports"}
         assert counts["overflow"] == 0
         assert 0 < counts["head_takes"] <= counts["ring"]
 

@@ -281,7 +281,7 @@ class TestDeadlockDetection:
         # deadlock while the others block on its output
         def body(comm):
             if comm.rank == 0:
-                time.sleep(0.6)  # > detector check interval
+                time.sleep(1.0)  # > the detector's quiet window
                 for peer in range(1, 4):
                     comm.send(peer, "late", tag=4)
                 return "sender"
