@@ -26,6 +26,7 @@ from repro.analysis.stencil import (
     AccessPattern,
     SubscriptKind,
     array_access_patterns,
+    enclosed_accesses,
 )
 from repro.fortran import ast as A
 from repro.fortran.directives import AcfdDirectives
@@ -137,7 +138,18 @@ def _status_dim_vars(access: AccessPattern,
 
 def classify_unit(unit: A.ProgramUnit,
                   directives: AcfdDirectives) -> UnitClassification:
-    """Find and classify all field loops of one program unit."""
+    """Find and classify all field loops of one program unit.
+
+    One walk per loop-forest root finds every loop's swept dimensions: an
+    access sweeps grid dim g for each enclosing loop whose variable is its
+    INDUCTION variable on g.  The root's nest variables serve every loop
+    below it, because whether a subscript is INDUCTION on a variable does
+    not depend on the other loop variables (``_linear_form`` gives up on
+    any subscript naming a second one).  Other subscript kinds do depend
+    on that set, so a field loop below a non-sweeping ancestor (the frame
+    loop) is scanned once more, with its own nest variables, for its
+    uses; a field loop that is its own root reuses the walk.
+    """
     forest = build_loop_forest(unit)
     table: SymbolTable = unit.symbols  # type: ignore[assignment]
     status = [a for a in directives.status_arrays
@@ -148,26 +160,21 @@ def classify_unit(unit: A.ProgramUnit,
                   if s.is_parameter and isinstance(s.param_value, (int,))}
 
     # Which loops sweep a status dimension with their own variable?
-    def loop_sweeps(loop: LoopInfo) -> dict[int, str]:
-        nest_vars = {loop.var}
-        sweeps: dict[int, str] = {}
-        accesses = array_access_patterns(loop.stmt.body, status_set,
-                                         set(loop.nest_vars) | nest_vars,
-                                         invariants)
-        for access in accesses:
-            sym = table.get(access.array)
-            dim_map = directives.status_dims(access.array,
-                                             sym.array.rank)
-            for g, var in _status_dim_vars(access, dim_map).items():
-                if var == loop.var:
-                    sweeps.setdefault(g, var)
-        return sweeps
-
     sweeping: dict[int, dict[int, str]] = {}
-    for loop in forest.all_loops:
-        sw = loop_sweeps(loop)
-        if sw:
-            sweeping[id(loop.stmt)] = sw
+    root_accesses: dict[int, list[AccessPattern]] = {}
+    for root in forest.roots:
+        found = enclosed_accesses([root.stmt], status_set,
+                                  set(root.nest_vars), invariants)
+        root_accesses[id(root.stmt)] = [access for access, _ in found]
+        for access, loops in found:
+            if not loops:
+                continue  # in the root's own bounds
+            dim_map = directives.status_dims(
+                access.array, table.get(access.array).array.rank)
+            for g, var in _status_dim_vars(access, dim_map).items():
+                for stmt in loops:
+                    if stmt.var == var:
+                        sweeping.setdefault(id(stmt), {}).setdefault(g, var)
 
     # Field loops: sweeping loops with no sweeping ancestor.
     field_loops: list[FieldLoop] = []
@@ -176,31 +183,28 @@ def classify_unit(unit: A.ProgramUnit,
         if id(loop.stmt) not in sweeping:
             continue
         node = loop.parent
-        has_sweeping_ancestor = False
-        while node is not None:
-            if id(node.stmt) in sweeping:
-                has_sweeping_ancestor = True
-                break
+        while node is not None and id(node.stmt) not in sweeping:
             node = node.parent
-        if has_sweeping_ancestor:
+        if node is not None:
             continue
         fl = FieldLoop(loop, unit, index=len(field_loops))
         # aggregate sweeps over the nest
         fl.sweeps.update(sweeping[id(loop.stmt)])
         for desc in loop.descendants:
             fl.sweeps.update(sweeping.get(id(desc.stmt), {}))
-        _collect_uses(fl, status_set, table, directives, invariants)
+        if loop.parent is None:
+            accesses = root_accesses[id(loop.stmt)]
+        else:
+            accesses = array_access_patterns([loop.stmt], status_set,
+                                             set(loop.nest_vars), invariants)
+        _collect_uses(fl, accesses, table, directives)
         field_loops.append(fl)
         by_loop[id(loop.stmt)] = fl
     return UnitClassification(unit, forest, field_loops, by_loop)
 
 
-def _collect_uses(fl: FieldLoop, status_set: set[str], table: SymbolTable,
-                  directives: AcfdDirectives,
-                  invariants: dict[str, int]) -> None:
-    nest_vars = set(fl.loop.nest_vars)
-    accesses = array_access_patterns([fl.loop.stmt], status_set, nest_vars,
-                                     invariants)
+def _collect_uses(fl: FieldLoop, accesses: list[AccessPattern],
+                  table: SymbolTable, directives: AcfdDirectives) -> None:
     for access in accesses:
         use = fl.uses.setdefault(access.array, ArrayUse(access.array))
         sym = table.get(access.array)

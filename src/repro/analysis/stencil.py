@@ -179,14 +179,26 @@ def array_access_patterns(stmts: list[A.Stmt], arrays: set[str],
 
     Write accesses are assignment targets; everything else is a read.
     """
-    out: list[AccessPattern] = []
+    return [access for access, _loops in
+            enclosed_accesses(stmts, arrays, loop_vars, invariants)]
+
+
+def enclosed_accesses(stmts: list[A.Stmt], arrays: set[str],
+                      loop_vars: set[str],
+                      invariants: dict[str, int] | None = None
+                      ) -> list[tuple[AccessPattern, tuple[A.DoLoop, ...]]]:
+    """Each access of :func:`array_access_patterns`, in the same order,
+    with the DO loops of *stmts* whose body holds it, outermost first."""
+    out: list[tuple[AccessPattern, tuple[A.DoLoop, ...]]] = []
+    loops: list[A.DoLoop] = []
 
     def scan_expr(expr: A.Expr, is_write: bool) -> None:
         if isinstance(expr, A.ArrayRef):
             if expr.name in arrays:
                 subs = tuple(analyze_subscript(s, loop_vars, invariants)
                              for s in expr.subs)
-                out.append(AccessPattern(expr.name, subs, is_write))
+                out.append((AccessPattern(expr.name, subs, is_write),
+                            tuple(loops)))
             for s in expr.subs:
                 scan_expr(s, False)
         elif isinstance(expr, A.BinOp):
@@ -210,8 +222,10 @@ def array_access_patterns(stmts: list[A.Stmt], arrays: set[str],
             scan_expr(stmt.stop, False)
             if stmt.step is not None:
                 scan_expr(stmt.step, False)
+            loops.append(stmt)
             for s in stmt.body:
                 scan_stmt(s)
+            loops.pop()
         elif isinstance(stmt, A.DoWhile):
             scan_expr(stmt.cond, False)
             for s in stmt.body:

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.field_loops import classify_unit
+from repro.analysis.field_loops import FieldLoop
+from repro.analysis.loops import build_loop_forest
 from repro.analysis.stencil import SubscriptKind, analyze_subscript
 from repro.codegen.plan import OverlapDecision, ParallelPlan, PlannedSync
 from repro.errors import CodegenError
@@ -67,8 +68,38 @@ class Restructurer:
         self.cut = set(plan.partition.cut_dims)
         self.ops: list[_InsertOp] = []
         self._probe_counter = 0
-        #: unit name -> classification, taken once in _transform_unit_body
-        self._classifications: dict = {}
+        self._pair_loops()
+
+    def _pair_loops(self) -> None:
+        """Read the plan's field-loop classification through the copy.
+
+        Right after the copy, before any insertion shifts a path, both
+        loop forests list the same loops in the same order; each pair
+        must agree on path and variable.  The classification then holds
+        for the copy: inserted statements touch no status array element
+        and clamping rewrites bounds in place.  Keyed by id of a copied
+        DO loop: ``_field_loops`` (the plan's field loop it heads) and
+        ``_clamp`` (loop variable -> cut grid dim, for every loop of a
+        field nest).
+        """
+        self._field_loops: dict[int, FieldLoop] = {}
+        self._clamp: dict[int, dict[str, int]] = {}
+        for unit in self.cu.units:
+            cls = self.plan.frame.classifications.get(unit.name)
+            copies = build_loop_forest(unit).all_loops
+            if cls is None or [(lp.path, lp.var) for lp in copies] != [
+                    (lp.path, lp.var) for lp in cls.forest.all_loops]:
+                raise CodegenError(
+                    f"the loops of unit {unit.name!r} do not match the "
+                    f"plan's field-loop classification")
+            twin = {id(orig.stmt): copy.stmt
+                    for orig, copy in zip(cls.forest.all_loops, copies)}
+            for fl in cls.field_loops:
+                self._field_loops[id(twin[id(fl.loop.stmt)])] = fl
+                var_to_dim = {var: g for g, var in fl.sweeps.items()
+                              if g in self.cut}
+                for loop in [fl.loop, *fl.loop.descendants]:
+                    self._clamp[id(twin[id(loop.stmt)])] = var_to_dim
 
     # -- public -------------------------------------------------------------------
 
@@ -259,29 +290,14 @@ class Restructurer:
     # -- loop bounds, ownership guards ----------------------------------------------
 
     def _transform_unit_body(self, unit: A.ProgramUnit) -> None:
-        # Taken before the bounds are clamped and kept for the overlap
-        # pass: clamping rewrites loop bounds in place, which no field of
-        # the classification (roles, sweeps, subscript uses) depends on.
-        classification = classify_unit(unit, self.directives)
-        self._classifications[unit.name] = classification
-        # loop-variable -> grid-dim map, per field loop nest
-        clamp_map: dict[int, dict[str, int]] = {}
-        for fl in classification.field_loops:
-            var_to_dim = {var: g for g, var in fl.sweeps.items()
-                          if g in self.cut}
-            loop_ids = {id(fl.loop.stmt)}
-            loop_ids.update(id(d.stmt) for d in fl.loop.descendants)
-            for lid in loop_ids:
-                clamp_map[lid] = var_to_dim
         table: SymbolTable = unit.symbols  # type: ignore[assignment]
-        self._walk_body(unit.body, clamp_map, {}, table, unit.name)
+        self._walk_body(unit.body, {}, table, unit.name)
 
-    def _walk_body(self, body: list[A.Stmt], clamp_map: dict,
-                   env: dict[str, int], table: SymbolTable,
-                   unit_name: str) -> None:
+    def _walk_body(self, body: list[A.Stmt], env: dict[str, int],
+                   table: SymbolTable, unit_name: str) -> None:
         for i, stmt in enumerate(body):
             if isinstance(stmt, A.DoLoop):
-                var_to_dim = clamp_map.get(id(stmt), {})
+                var_to_dim = self._clamp.get(id(stmt), {})
                 g = var_to_dim.get(stmt.var)
                 new_env = dict(env)
                 if g is not None:
@@ -292,14 +308,12 @@ class Restructurer:
                     new_env[stmt.var] = g
                 else:
                     new_env.pop(stmt.var, None)
-                self._walk_body(stmt.body, clamp_map, new_env, table,
-                                unit_name)
+                self._walk_body(stmt.body, new_env, table, unit_name)
             elif isinstance(stmt, A.DoWhile):
-                self._walk_body(stmt.body, clamp_map, env, table, unit_name)
+                self._walk_body(stmt.body, env, table, unit_name)
             elif isinstance(stmt, A.IfBlock):
                 for _cond, arm_body in stmt.arms:
-                    self._walk_body(arm_body, clamp_map, env, table,
-                                    unit_name)
+                    self._walk_body(arm_body, env, table, unit_name)
             elif isinstance(stmt, A.Assign):
                 guard, guarded_dims = self._ownership_guard(
                     stmt, env, table, unit_name)
@@ -477,13 +491,13 @@ class Restructurer:
         """Status arrays some nest reads diagonally across >= 2 cut dims.
 
         The blocking exchange propagates corner ghosts by ordering the
-        dimensions (later faces carry earlier dims' fresh ghosts);
-        ``begin()`` packs every face at once and ships stale corners, so
-        a combined point covering such an array on >= 2 cut dimensions
-        must stay blocking.
+        dimensions (later faces carry earlier dims' fresh ghosts).  The
+        split ``ClusterSim`` models posts every face at once, which would
+        ship stale corners, so a combined point covering such an array on
+        >= 2 cut dimensions is never marked split.
         """
         out: set[str] = set()
-        for cls in self._classifications.values():
+        for cls in self.plan.frame.classifications.values():
             table: SymbolTable = cls.unit.symbols  # type: ignore[assignment]
             for fl in cls.field_loops:
                 for use in fl.uses.values():
@@ -707,7 +721,7 @@ class Restructurer:
         def refuse(reason: str):
             return reason, None, None
 
-        fl = self._classifications[unit.name].by_loop.get(id(loop))
+        fl = self._field_loops.get(id(loop))
         if fl is None:
             return refuse("the loop after the exchange is not a "
                           "field-loop nest")

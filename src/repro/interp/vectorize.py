@@ -1220,10 +1220,12 @@ def _goto_targets(unit: A.ProgramUnit) -> set[int]:
 def goto_targets(unit: A.ProgramUnit) -> set[int]:
     """Labels any GOTO in *unit* may jump to.
 
-    Shared with the restructurer's overlap verdict: both the vectorizer
-    and the interior/boundary split refuse nests whose labels are jump
-    targets, since re-emitting (or duplicating) such a nest would break
-    the unit's control flow.
+    The vectorizer refuses nests whose labels are jump targets, since
+    re-emitting such a nest as slice statements would break the unit's
+    control flow.  The restructurer's overlap verdict refuses the same
+    nests: the interior/boundary split it judges (modelled by
+    ``ClusterSim``, never emitted) would cut them into strips a jump
+    could enter.
     """
     return _goto_targets(unit)
 

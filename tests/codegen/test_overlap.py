@@ -656,19 +656,19 @@ class TestAcceptedSetsPinned:
 
 class TestSharedClassification:
     def test_pre_clamp_classification_matches_the_clamped_program(self):
-        # the overlap verdict reuses the classification taken before
-        # loop bounds were clamped; re-classifying the clamped units must
-        # find the same nests with the same sweeps and subscript uses
+        # the restructurer reuses the plan's classification of the source
+        # program, read through the copy's loops; re-classifying the
+        # clamped units must find the same nests with the same sweeps
+        # and subscript uses
         from repro.analysis.field_loops import classify_unit
         from repro.codegen.restructure import Restructurer
         plan = planned(sub_src(), (2, 2), overlap="off")
         rs = Restructurer(plan)
         spmd = rs.run()
         assert "max0(2, acfd_lo(1))" in print_compilation_unit(spmd)
-        for unit in spmd.units:
-            kept = rs._classifications[unit.name]
-            fresh = classify_unit(unit, plan.cu.directives)
-            assert list(kept.by_loop) == list(fresh.by_loop)
-            for a, b in zip(kept.field_loops, fresh.field_loops):
-                assert a.sweeps == b.sweeps
-                assert a.uses == b.uses
+        fresh = [fl for unit in spmd.units
+                 for fl in classify_unit(unit, plan.cu.directives).field_loops]
+        assert list(rs._field_loops) == [id(fl.loop.stmt) for fl in fresh]
+        for kept, again in zip(rs._field_loops.values(), fresh):
+            assert kept.sweeps == again.sweeps
+            assert kept.uses == again.uses

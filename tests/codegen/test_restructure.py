@@ -1,5 +1,8 @@
 """SPMD restructuring: the transformed AST and its printed form."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.codegen.normalize import normalize_compilation_unit
@@ -176,3 +179,50 @@ class TestGeneratedSourceValidity:
     def test_seidel_reparses(self):
         _, _, text = spmd_for(SEIDEL_SRC, (2, 2))
         parse_source(text)
+
+
+class TestClassifiesOnce:
+    """Field loops are classified once per compile, by the frame
+    program; the restructurer reads that classification through the
+    copy's loops."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.analysis.field_loops import classify_unit
+        seen = Counter()
+
+        def counted(unit, directives):
+            seen[unit.name] += 1
+            return classify_unit(unit, directives)
+
+        # every module that imported the function by name
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") \
+                    and getattr(module, "classify_unit", None) \
+                    is classify_unit:
+                monkeypatch.setattr(module, "classify_unit", counted)
+        return seen
+
+    @pytest.mark.parametrize("app,dims", [("sprayer", (2, 1)),
+                                          ("aerofoil", (2, 1, 1))])
+    def test_once_per_unit_per_compile(self, calls, app, dims):
+        from repro.apps.aerofoil import aerofoil_source
+        from repro.apps.sprayer import sprayer_source
+        from repro.core import AutoCFD
+        src = {"sprayer": lambda: sprayer_source(300, 100, iters=2),
+               "aerofoil": lambda: aerofoil_source(99, 41, 13,
+                                                   iters=1)}[app]()
+        acfd = AutoCFD.from_source(src)
+        result = acfd.compile(partition=dims)
+        assert calls == {u.name: 1 for u in acfd.cu.units}
+        calls.clear()
+        restructure(result.plan)
+        assert not calls
+
+    def test_plan_not_matching_the_copy_is_refused(self):
+        plan, _, _ = spmd_for(JACOBI_SRC, (2, 1))
+        # one statement ahead of every loop: the copy's paths no longer
+        # match the forest the plan's classification was taken from
+        plan.cu.main.body.insert(0, A.Continue())
+        with pytest.raises(CodegenError, match="do not match"):
+            restructure(plan)
