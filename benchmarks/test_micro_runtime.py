@@ -8,13 +8,13 @@ Measures the three things the comm-core rewrite bought:
   scan on every wakeup);
 * time-to-diagnosis for a deadlocked program — the wait-for-graph
   detector against the 30 s wall-clock watchdog it replaced;
-* copy traffic saved by the zero-copy halo path on a real generated
+* copy traffic the one-copy halo send saves on a real generated
   program;
 * the cost of recording, measured as enabled-vs-disabled trace on the
   backlogged ping-pong (guarded at a per-event budget).
 
 Results accumulate into ``benchmarks/results/micro_runtime.txt``; the
-zero-copy benchmark also writes its full Chrome-trace profile to
+one-copy halo benchmark also writes its full Chrome-trace profile to
 ``benchmarks/results/micro_runtime_profile.json`` (the CI workflow
 uploads it as an artifact).
 """
@@ -33,7 +33,6 @@ from repro.core import AutoCFD
 from repro.errors import RuntimeDeadlockError
 from repro.obs import build_export
 from repro.runtime import Trace, spmd_run
-from repro.runtime.halo import shared_pool
 
 #: the pre-overhaul polling tick (50 ms)
 _TICK = 0.05
@@ -184,25 +183,22 @@ def test_bench_deadlock_diagnosis_time():
 
 @pytest.mark.benchsmoke
 def test_bench_halo_zero_copy():
-    """Copy bytes avoided by the move-path halo exchange on a generated
-    jacobi program; also writes the run's full observability profile
+    """Copy bytes the one-copy halo send avoids on a generated jacobi
+    program; also writes the run's full observability profile
     (compiler phases + per-rank timeline) as a Chrome-trace artifact."""
     acfd = AutoCFD.from_source(jacobi_5pt(n=48, m=32, iters=20, eps=0.0))
     compiled = acfd.compile(partition=(2, 1))
     result = compiled.run_parallel()
     stats = result.comm_stats
-    pool = shared_pool().stats()
     assert stats["saved_bytes"] > 0
     frac = stats["saved_bytes"] / max(1, stats["bytes_sent"])
     roll = result.rollup()
     _emit_accumulated([
         "",
-        "zero-copy halo path (jacobi 48x32, 20 frames, 2 ranks):",
+        "one-copy halo sends (jacobi 48x32, 20 frames, 2 ranks):",
         f"  bytes sent:  {stats['bytes_sent']:>10d}",
         f"  bytes saved: {stats['saved_bytes']:>10d} "
         f"({100 * frac:.0f}% of send traffic not duplicated)",
-        f"  buffer pool: {pool['hits']} reuses / {pool['misses']} allocs, "
-        f"{pool['reused_bytes']} bytes recycled",
         f"  blocked wall-time accounted: {stats['wait_s'] * 1e3:.1f} ms "
         f"across {stats['sends']} sends / {stats['syncs']} syncs",
         f"  load imbalance {roll.load_imbalance:.2f}, critical-path rank "

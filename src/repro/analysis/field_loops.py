@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.analysis.loops import LoopForest, LoopInfo, build_loop_forest
+from repro.analysis.loops import LoopForest, LoopInfo, Path, build_loop_forest
 from repro.analysis.stencil import (
     AccessPattern,
     SubscriptKind,
@@ -119,10 +119,11 @@ class UnitClassification:
     unit: A.ProgramUnit
     forest: LoopForest
     field_loops: list[FieldLoop]
-    by_loop: dict[int, FieldLoop]
+    #: field loop by its loop's structural path in the unit
+    by_path: dict[Path, FieldLoop]
 
-    def field_loop_of(self, stmt: A.DoLoop) -> FieldLoop | None:
-        return self.by_loop.get(id(stmt))
+    def field_loop_at(self, path: Path) -> FieldLoop | None:
+        return self.by_path.get(path)
 
 
 def _status_dim_vars(access: AccessPattern,
@@ -178,7 +179,7 @@ def classify_unit(unit: A.ProgramUnit,
 
     # Field loops: sweeping loops with no sweeping ancestor.
     field_loops: list[FieldLoop] = []
-    by_loop: dict[int, FieldLoop] = {}
+    by_path: dict[Path, FieldLoop] = {}
     for loop in forest.all_loops:
         if id(loop.stmt) not in sweeping:
             continue
@@ -199,8 +200,8 @@ def classify_unit(unit: A.ProgramUnit,
                                              set(loop.nest_vars), invariants)
         _collect_uses(fl, accesses, table, directives)
         field_loops.append(fl)
-        by_loop[id(loop.stmt)] = fl
-    return UnitClassification(unit, forest, field_loops, by_loop)
+        by_path[loop.path] = fl
+    return UnitClassification(unit, forest, field_loops, by_path)
 
 
 def _collect_uses(fl: FieldLoop, accesses: list[AccessPattern],

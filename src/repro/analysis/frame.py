@@ -201,7 +201,7 @@ def build_frame_program(cu: A.CompilationUnit,
             path = prefix + (("body", i),)
             if isinstance(stmt, A.DoLoop):
                 node = make("loop", stmt, unit.name, path, call_path, parent)
-                node.field_loop = classification.field_loop_of(stmt)
+                node.field_loop = classification.field_loop_at(path)
                 if node.field_loop is not None:
                     field_instances.append(node)
                 visit_body(stmt.body, unit, path, call_path, node, depth)

@@ -97,10 +97,6 @@ class LoopForest:
     unit: A.ProgramUnit
     roots: list[LoopInfo] = field(default_factory=list)
     all_loops: list[LoopInfo] = field(default_factory=list)
-    by_stmt: dict[int, LoopInfo] = field(default_factory=dict)
-
-    def lookup(self, stmt: A.DoLoop) -> LoopInfo:
-        return self.by_stmt[id(stmt)]
 
     def adjacent_pairs(self) -> list[tuple[LoopInfo, LoopInfo]]:
         """All ordered adjacent pairs (Definition 6.3)."""
@@ -126,7 +122,6 @@ def build_loop_forest(unit: A.ProgramUnit) -> LoopForest:
             if isinstance(stmt, A.DoLoop):
                 info = LoopInfo(stmt, unit, path, parent)
                 forest.all_loops.append(info)
-                forest.by_stmt[id(stmt)] = info
                 if parent is None:
                     forest.roots.append(info)
                 else:

@@ -254,7 +254,6 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
 
     # --- self-dependent loops: pipelines, handled outside regions ----------
     pipe_plans: list[PipeLoopPlan] = []
-    pipes_by_loop: dict[int, PipeLoopPlan] = {}
     seen_static: set[tuple[str, tuple]] = set()
     pipe_counter = 0
     with obs.span("self-dependence", cat="compile") as sdspan:
@@ -294,7 +293,6 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
                 plan = PipeLoopPlan(pipe_counter, inst.unit_name, fl.loop.path,
                                     arrays, sorted(pipeline_dims), klass, fl)
                 pipe_plans.append(plan)
-                pipes_by_loop[id(fl.loop.stmt)] = plan
         sdspan.args["pipelined_loops"] = len(pipe_plans)
 
     # --- upper-bound regions + visibility filtering ------------------------

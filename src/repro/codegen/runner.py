@@ -62,7 +62,7 @@ class ParallelResult:
     def comm_stats(self) -> dict:
         """Aggregate runtime communication accounting: message/sync counts,
         payload bytes, wall-time ranks spent blocked (``wait_s``), the
-        bytes the zero-copy halo path avoided duplicating
+        bytes halo face sends did not copy a second time
         (``saved_bytes``) and, on the process executor, ``transport``:
         messages by route and receiver waits by kind."""
         stats = self.world.trace.comm_stats()

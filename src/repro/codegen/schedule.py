@@ -28,8 +28,6 @@ class ComputePhase:
     ops_per_point: int
     #: pipelined (mirror-image / wavefront) along these cut dims
     pipeline_dims: tuple[int, ...] = ()
-    #: executes once per frame unless nested in extra loops
-    repeat: int = 1
 
 
 @dataclass
@@ -98,25 +96,6 @@ def _loop_ops_per_point(loop: A.DoLoop) -> int:
     return max(1, body_ops(loop.body))
 
 
-def _repeat_factor(node: InstanceNode, frame_node: InstanceNode | None) -> int:
-    """Extra static loop nesting between the frame loop and the node.
-
-    Inner solver loops multiply a field loop's per-frame executions; we
-    count a nominal factor per extra enclosing loop (trip counts are
-    runtime values, so the simulator treats them via this multiplier).
-    """
-    factor = 1
-    for anc in node.enclosing_loops():
-        if frame_node is not None and anc is frame_node:
-            break
-        if anc.field_loop is None and anc is not frame_node:
-            # an enclosing non-field loop repeats the work; without its
-            # trip count we keep factor 1 (workloads put field loops
-            # directly in the frame loop)
-            continue
-    return factor
-
-
 def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
     """Derive the per-frame phase list from the compiled plan."""
     frame_node = plan.frame.frame_loop()
@@ -148,8 +127,7 @@ def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
             name=f"{inst.unit_name}:{fl.loop.var}@{fl.loop.stmt.line}",
             swept_dims=tuple(sorted(fl.sweeps)),
             ops_per_point=_loop_ops_per_point(fl.loop.stmt),
-            pipeline_dims=tuple(pipe.pipeline_dims) if pipe else (),
-            repeat=_repeat_factor(inst, frame_node))
+            pipeline_dims=tuple(pipe.pipeline_dims) if pipe else ())
         events.append((inst.open, 1, phase))
         seen_compute.add(inst.open)
 

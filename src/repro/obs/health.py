@@ -3,11 +3,11 @@
 The :class:`HealthBoard` is a lock-light ``int64`` grid — one row per
 rank, one writer per row — publishing what each rank is doing *right
 now*: run state (compute/blocked/halo/collective), frame number,
-mailbox depth, BufferPool occupancy, last checkpoint frame, and
-cumulative sent/recv traffic.  Thread worlds keep it in a plain numpy
-array; process worlds back it with ``multiprocessing.shared_memory`` so
-the launcher (and ``acfd top`` in another terminal) reads it even when
-a worker is wedged in a syscall or already dead.
+mailbox depth, last checkpoint frame, and cumulative sent/recv
+traffic.  Thread worlds keep it in a plain numpy array; process worlds
+back it with ``multiprocessing.shared_memory`` so the launcher (and
+``acfd top`` in another terminal) reads it even when a worker is wedged
+in a syscall or already dead.
 
 :class:`Telemetry` bundles a board with a :class:`~repro.obs.flight.
 FlightRecorder` and the per-rank epoch shifts the launcher learns from
@@ -49,9 +49,9 @@ S_INIT, S_COMPUTE, S_BLOCKED, S_HALO, S_COLLECTIVE, S_DONE, S_FAILED = \
     range(7)
 
 # row slot layout
-_BEAT, _STATE, _FRAME, _DEPTH, _POOL, _CKPT = range(6)
-_SENT_B, _RECV_B, _SENT_N, _RECV_N, _T_NS, _EPOCH = range(6, 12)
-_SLOTS = 12
+_BEAT, _STATE, _FRAME, _DEPTH, _CKPT = range(5)
+_SENT_B, _RECV_B, _SENT_N, _RECV_N, _T_NS, _EPOCH = range(5, 11)
+_SLOTS = 11
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class HealthSample:
     state: str
     frame: int | None
     mailbox_depth: int
-    pool_outstanding: int
     ckpt_frame: int | None
     sent_bytes: int
     recv_bytes: int
@@ -80,7 +79,6 @@ class HealthSample:
         return {"rank": self.rank, "beat": self.beat,
                 "state": self.state, "frame": self.frame,
                 "mailbox_depth": self.mailbox_depth,
-                "pool_outstanding": self.pool_outstanding,
                 "ckpt_frame": self.ckpt_frame,
                 "sent_bytes": self.sent_bytes,
                 "recv_bytes": self.recv_bytes,
@@ -91,7 +89,7 @@ class HealthSample:
 
 
 class HealthBoard:
-    """``(size, 12)`` int64 heartbeat grid, local or shared-memory."""
+    """``(size, 11)`` int64 heartbeat grid, local or shared-memory."""
 
     SLOTS = _SLOTS
 
@@ -137,7 +135,7 @@ class HealthBoard:
             state=STATE_NAMES[state] if 0 <= state < len(STATE_NAMES)
             else f"?{state}",
             frame=None if row[_FRAME] < 0 else row[_FRAME],
-            mailbox_depth=row[_DEPTH], pool_outstanding=row[_POOL],
+            mailbox_depth=row[_DEPTH],
             ckpt_frame=None if row[_CKPT] < 0 else row[_CKPT],
             sent_bytes=row[_SENT_B], recv_bytes=row[_RECV_B],
             sent_msgs=row[_SENT_N], recv_msgs=row[_RECV_N],
@@ -167,7 +165,7 @@ class RankTelemetry:
     """
 
     __slots__ = ("rank", "_board", "_flight", "row", "hdr", "ring",
-                 "_mailbox", "_pool")
+                 "_mailbox")
 
     def __init__(self, rank: int, board: HealthBoard,
                  flight: FlightRecorder):
@@ -180,7 +178,6 @@ class RankTelemetry:
         self.hdr = flight.hdr[rank]
         self.ring = flight.ring[rank]
         self._mailbox = None
-        self._pool = None
 
     def start(self, epoch_ns: int) -> None:
         """Stamp the writer's clock epoch and enter the compute state
@@ -192,10 +189,9 @@ class RankTelemetry:
         row[_T_NS] = time.perf_counter_ns()
         row[_BEAT] += 1
 
-    def bind(self, mailbox=None, pool=None) -> None:
-        """Attach the objects whose occupancy each beat samples."""
+    def bind(self, mailbox) -> None:
+        """Attach the mailbox whose depth each beat samples."""
         self._mailbox = mailbox
-        self._pool = pool
 
     def enter(self, state: int) -> int:
         """Transition to *state*; returns the previous state code."""
@@ -203,8 +199,6 @@ class RankTelemetry:
         prev = int(row[_STATE])
         if self._mailbox is not None:
             row[_DEPTH] = self._mailbox.pending
-        if self._pool is not None:
-            row[_POOL] = self._pool.outstanding
         row[_STATE] = state
         row[_T_NS] = time.perf_counter_ns()
         row[_BEAT] += 1
@@ -361,14 +355,14 @@ def render_health_table(samples: list[HealthSample],
                         alerts: list[str] | None = None) -> str:
     """The ``acfd top`` / ``--live`` per-rank table."""
     lines = [f"{'rank':>4} {'state':<10} {'frame':>6} {'ckpt':>5} "
-             f"{'mbox':>5} {'pool':>5} {'sent':>9} {'recv':>9} "
+             f"{'mbox':>5} {'sent':>9} {'recv':>9} "
              f"{'beat':>7} {'age':>7}"]
     for s in samples:
         lines.append(
             f"{s.rank:>4} {s.state:<10} "
             f"{'-' if s.frame is None else s.frame:>6} "
             f"{'-' if s.ckpt_frame is None else s.ckpt_frame:>5} "
-            f"{s.mailbox_depth:>5} {s.pool_outstanding:>5} "
+            f"{s.mailbox_depth:>5} "
             f"{_fmt_bytes(s.sent_bytes):>9} "
             f"{_fmt_bytes(s.recv_bytes):>9} "
             f"{s.beat:>7} {s.age_s:>6.1f}s")
@@ -462,7 +456,6 @@ def health_exposition(telemetry: Telemetry, prefix: str = "acfd") -> str:
                "2=blocked 3=halo 4=collective 5=done 6=failed)"),
               ("health_frame", "last frame mark"),
               ("health_mailbox_depth", "queued messages at last beat"),
-              ("health_pool_outstanding", "BufferPool buffers in flight"),
               ("health_ckpt_frame", "last checkpointed frame"),
               ("health_sent_bytes", "cumulative bytes sent"),
               ("health_recv_bytes", "cumulative bytes received"),
@@ -473,7 +466,6 @@ def health_exposition(telemetry: Telemetry, prefix: str = "acfd") -> str:
         if s.state in STATE_NAMES else -1,
         "health_frame": lambda s: -1 if s.frame is None else s.frame,
         "health_mailbox_depth": lambda s: s.mailbox_depth,
-        "health_pool_outstanding": lambda s: s.pool_outstanding,
         "health_ckpt_frame": lambda s: -1 if s.ckpt_frame is None
         else s.ckpt_frame,
         "health_sent_bytes": lambda s: s.sent_bytes,

@@ -62,7 +62,7 @@ def _wait_cycle(text: str) -> list[int]:
 
 def _flight_entry(ev) -> dict:
     """One flight-tail event as the document stores it (``extra`` is the
-    record's kind-dependent slot: saved zero-copy bytes for sends, wait
+    record's kind-dependent slot: ``saved_bytes`` for sends, wait
     nanoseconds otherwise; ``t_s`` is the completion stamp)."""
     extra = ev.saved_bytes if ev.kind == "send" else round(ev.wait_s * 1e9)
     return {"kind": ev.kind, "peer": ev.peer, "nbytes": ev.nbytes,

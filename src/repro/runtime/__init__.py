@@ -15,24 +15,23 @@ from-scratch MPI-like runtime executing SPMD rank functions on threads:
 * :class:`repro.runtime.cart.CartComm` — Cartesian topology with shifts;
 * :class:`repro.runtime.halo.HaloExchanger` — aggregated ghost-cell
   exchange for a set of status arrays (the runtime realisation of the
-  paper's combined synchronizations); in-process its faces are packed
-  through a shared :class:`repro.runtime.halo.BufferPool`;
+  paper's combined synchronizations);
 * :class:`repro.runtime.trace.Trace` — per-rank message/sync counters
   plus wait-time and copy-savings accounting used to cross-check the
   compiler's predicted synchronization counts and feed the simulator.
 
 Delivery semantics: receives match per (source, tag) with FIFO order per
 pair; blocked receivers sleep on condition variables and are woken by the
-matching ``put`` — there is no polling tick.  Payloads are copied once on
-send (MPI buffered mode), except on the ``move=True`` fast path where the
-sender hands over a freshly packed buffer — halo and pipeline exchanges
-use it so each face section is copied exactly once.
+matching ``put`` — there is no polling tick.  Every payload is copied
+once at the send (MPI buffered mode) and then belongs to the receiver;
+a halo or pipeline face's copy out of its live views is that copy, so
+each face section is copied exactly once on the way out.
 """
 
 from repro.runtime.comm import Communicator, DeadlockDetector, Request
 from repro.runtime.world import spmd_run, World
 from repro.runtime.cart import CartComm
-from repro.runtime.halo import BufferPool, HaloExchanger, HaloSpec, shared_pool
+from repro.runtime.halo import HaloExchanger, HaloSpec
 from repro.runtime.trace import Trace, TraceEvent
 
 __all__ = [
@@ -42,10 +41,8 @@ __all__ = [
     "World",
     "spmd_run",
     "CartComm",
-    "BufferPool",
     "HaloExchanger",
     "HaloSpec",
-    "shared_pool",
     "Trace",
     "TraceEvent",
 ]

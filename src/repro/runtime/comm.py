@@ -4,10 +4,11 @@ Semantics follow MPI closely enough for generated SPMD programs:
 
 * ``send`` is buffered (returns immediately; payload deep-copied so the
   sender can reuse its buffer — exactly the guarantee MPI's buffered mode
-  gives and what halo-exchange codes assume).  ``send(..., move=True)``
-  is the zero-copy fast path: the caller *transfers ownership* of the
-  payload (it must not touch the buffer afterwards), which the halo
-  exchanger uses for freshly packed contiguous sections;
+  gives and what halo-exchange codes assume).  One rule owns every
+  message buffer: a payload is copied once at the send and from then on
+  belongs to the receiver.  A halo face (``send_face``) is that copy
+  too: its sections are copied out of the live views and handed to the
+  mailbox as they are, with no second defensive copy;
 * ``recv`` blocks until a matching ``(source, tag)`` message arrives.
   Matching is indexed per ``(source, tag)`` — O(1) for exact receives,
   O(#distinct pending keys) for wildcards — and receivers sleep on a
@@ -509,12 +510,8 @@ class Communicator:
 
     # -- point-to-point --------------------------------------------------------
 
-    def send(self, dest: int, obj, tag: int = 0, *, move: bool = False) -> None:
-        """Buffered send: copies *obj* and returns immediately.
-
-        With ``move=True`` the payload is handed over uncopied (zero-copy
-        fast path); the caller must not reuse the buffer afterwards.
-        """
+    def send(self, dest: int, obj, tag: int = 0) -> None:
+        """Buffered send: copies *obj* and returns immediately."""
         self._check_rank(dest)
         self._check_tag(tag)
         record = self.record
@@ -525,9 +522,8 @@ class Communicator:
             nbytes = 8 if cls is int or cls is float \
                 else _payload_bytes(obj)
             now = perf_counter_ns()
-            record("send", dest, nbytes, tag, nbytes if move else 0,
-                   now, now)
-        self._deliver(dest, obj, tag, move)
+            record("send", dest, nbytes, tag, 0, now, now)
+        self._deliver(dest, obj, tag, move=False)
 
     def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
         """Put *obj* into *dest*'s mailbox (copied unless moved)."""
@@ -561,9 +557,8 @@ class Communicator:
                    now - wait_ns, now)
         return msg.payload
 
-    def isend(self, dest: int, obj, tag: int = 0, *,
-              move: bool = False) -> Request:
-        self.send(dest, obj, tag, move=move)
+    def isend(self, dest: int, obj, tag: int = 0) -> Request:
+        self.send(dest, obj, tag)
         return Request(lambda: None)
 
     def irecv(self, source: int | None = None, tag: int | None = None) -> Request:
@@ -590,36 +585,32 @@ class Communicator:
 
     # -- halo faces ---------------------------------------------------------------
 
-    def send_face(self, face, pool) -> None:
+    def send_face(self, face) -> None:
         """Ship the live send views of *face* (one neighbor's share of a
         :mod:`repro.runtime.halo` face plan) to its peer: each view is
-        copied once into a contiguous *pool* buffer — the one copy a halo
-        payload gets — and ownership passes to the receiver (``move``)."""
+        copied once, in C order — the one copy a halo payload gets — and
+        the copies go to the peer's mailbox as they are, so the receiver
+        owns them."""
         record = self.record
         t0 = perf_counter_ns() if record is not None else 0
-        acquire = pool.acquire
-        payload = []
-        for view in face.views:
-            buf = acquire(view.shape, view.dtype)
-            np.copyto(buf, view)
-            payload.append(buf)
+        payload = [view.copy() for view in face.views]
         if record is not None:
-            record("halo_pack", None, face.nbytes, face.tag, 0,
-                   t0, perf_counter_ns())
-        self.send(face.peer, payload, face.tag, move=True)
+            now = perf_counter_ns()
+            record("halo_pack", None, face.nbytes, face.tag, 0, t0, now)
+            # the pack was the buffered-send copy: none other is made
+            record("send", face.peer, face.nbytes, face.tag, face.nbytes,
+                   now, now)
+        self._deliver(face.peer, payload, face.tag, move=True)
 
-    def recv_face(self, face, pool) -> None:
+    def recv_face(self, face) -> None:
         """Receive *face*'s message from its peer into the ghost views."""
-        self._unpack_face(face, self.recv(face.peer, face.tag), pool)
+        self._unpack_face(face, self.recv(face.peer, face.tag))
 
-    def _unpack_face(self, face, payload: list[np.ndarray], pool) -> None:
-        """Fill *face*'s ghost views from the received sections, which
-        then go to *pool*."""
+    def _unpack_face(self, face, payload: list[np.ndarray]) -> None:
+        """Fill *face*'s ghost views from the received sections."""
         record = self.record
         t0 = perf_counter_ns() if record is not None else 0
         fill_ghosts(face.views, payload)
-        for section in payload:
-            pool.release(section)
         if record is not None:
             record("halo_unpack", None, face.nbytes, face.tag, 0,
                    t0, perf_counter_ns())

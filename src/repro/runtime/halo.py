@@ -13,13 +13,13 @@ dimension and direction the neighbor rank, the tag, the live numpy
 the trace reports.  Every later call only executes the plan: it asks
 the communicator to send each face at the moment it is due (so later
 dimensions still see the ghosts earlier ones delivered) and to receive
-each ghost face.  How a face travels is the communicator's business.
-In-process each send view is copied once into a contiguous buffer drawn
-from a shared :class:`BufferPool` and shipped with the zero-copy
-``move`` path, and the receiver assigns the buffer into its ghost view
-and returns it to the pool; across processes the views are written
-straight into the channel slot and read straight out into the ghost
-views (:mod:`repro.runtime.procexec`).  Identity rule: the views
+each ghost face.  How a face travels is the communicator's business,
+under one ownership rule: a payload is copied once at the send and then
+belongs to the receiver.  In-process each send view is copied into a
+fresh contiguous array that the receiver assigns into its ghost view
+and drops; across processes the views are written straight into the
+channel slot and read straight out into the ghost views
+(:mod:`repro.runtime.procexec`).  Identity rule: the views
 alias the ``.data`` buffers the arrays had when the plan was built, so a
 plan is reused only while every spec's array still holds that same
 buffer (checked on each call, against held references); an array whose
@@ -34,8 +34,6 @@ owned block (the restructurer sizes them), so sections can be addressed in
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 from time import perf_counter_ns
 
@@ -64,92 +62,6 @@ def halo_tag(point_id: int, dim: int, direction: int) -> int:
             f"halo point_id {point_id} outside [0, {MAX_HALO_POINTS}): "
             f"its tags would stride into the pipeline tag space")
     return _HALO_TAG_BASE + point_id * 64 + dim * 4 + (direction + 1)
-
-
-class BufferPool:
-    """Reusable contiguous numpy buffers, shared by all ranks in-process.
-
-    Senders ``acquire`` a packing buffer, receivers ``release`` it after
-    unpacking; because the transport is in-process shared memory, the
-    same physical buffer cycles between ranks without reallocation.
-    """
-
-    def __init__(self, max_per_key: int = 64) -> None:
-        self._lock = threading.Lock()
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._max_per_key = max_per_key
-        self.hits = 0
-        self.misses = 0
-        self.reused_bytes = 0
-        #: buffers handed out but not yet released (within this world)
-        self.outstanding = 0
-        #: buffers whose receiver never released them, summed over drains
-        self.leaked = 0
-        self.drains = 0
-
-    def acquire(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        # zero-size buffers are never pooled (release skips them), so
-        # they must not count as outstanding either: an acquire/release
-        # cycle of an empty face would otherwise leak in drain()'s books
-        if math.prod(shape) == 0:
-            return np.empty(shape, dtype)
-        key = (tuple(shape), np.dtype(dtype).str)
-        with self._lock:
-            self.outstanding += 1
-            stack = self._free.get(key)
-            if stack:
-                buf = stack.pop()
-                self.hits += 1
-                self.reused_bytes += buf.nbytes
-                return buf
-            self.misses += 1
-        return np.empty(shape, dtype)
-
-    def release(self, buf: np.ndarray) -> None:
-        if buf.size == 0:
-            return
-        key = (buf.shape, buf.dtype.str)
-        with self._lock:
-            # a buffer turned away because the free list is full still
-            # decrements outstanding — it was returned, just not pooled
-            self.outstanding = max(0, self.outstanding - 1)
-            stack = self._free.setdefault(key, [])
-            if len(stack) < self._max_per_key:
-                stack.append(buf)
-
-    def drain(self) -> dict:
-        """Empty the pool at world teardown; account unreturned buffers.
-
-        A buffer acquired by a sender whose receiver died (or whose
-        message was dropped) is never released — without draining it is
-        leaked forever and the free lists keep every world's buffers
-        alive.  Returns ``{"pooled_freed": n, "leaked": n}`` and folds
-        the leak count into :meth:`stats`.
-        """
-        with self._lock:
-            pooled = sum(len(s) for s in self._free.values())
-            self._free.clear()
-            leaked = self.outstanding
-            self.leaked += leaked
-            self.outstanding = 0
-            self.drains += 1
-        return {"pooled_freed": pooled, "leaked": leaked}
-
-    def stats(self) -> dict:
-        with self._lock:
-            pooled = sum(len(s) for s in self._free.values())
-            return {"hits": self.hits, "misses": self.misses,
-                    "reused_bytes": self.reused_bytes, "pooled": pooled,
-                    "outstanding": self.outstanding, "leaks": self.leaked,
-                    "drains": self.drains}
-
-
-#: Default pool shared by every halo exchanger and pipeline transfer.
-_SHARED_POOL = BufferPool()
-
-
-def shared_pool() -> BufferPool:
-    return _SHARED_POOL
 
 
 @dataclass
@@ -272,11 +184,9 @@ class _FaceTransfers:
     (:meth:`Communicator.send_face` / :meth:`Communicator.recv_face`).
     """
 
-    def __init__(self, cart: CartComm, specs: list[HaloSpec],
-                 pool: BufferPool | None) -> None:
+    def __init__(self, cart: CartComm, specs: list[HaloSpec]) -> None:
         self.cart = cart
         self.specs = specs
-        self.pool = _SHARED_POOL if pool is None else pool
         self._plan: _FacePlan | None = None
 
     def _layout(self):
@@ -315,13 +225,13 @@ class HaloExchanger(_FaceTransfers):
     """Exchanges ghost layers for a set of arrays over a Cartesian comm."""
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec],
-                 point_id: int = 0, pool: BufferPool | None = None) -> None:
+                 point_id: int = 0) -> None:
         if not 0 <= point_id < MAX_HALO_POINTS:
             raise RuntimeCommError(
                 f"combined sync point id {point_id} exceeds the halo tag "
                 f"space (max {MAX_HALO_POINTS - 1}); tags would collide "
                 f"with pipeline transfers")
-        super().__init__(cart, specs, pool)
+        super().__init__(cart, specs)
         self.point_id = point_id
         #: between begin() and finish()?
         self.in_flight = False
@@ -356,14 +266,13 @@ class HaloExchanger(_FaceTransfers):
                 f"halo exchange {self.point_id} run blocking while a "
                 f"begun one is unfinished")
         comm = self.cart.comm
-        pool = self.pool
         record = comm.record
         tx0 = perf_counter_ns() if record is not None else 0
         for sends, ghosts in self._faces().by_dim:
             for face in sends:
-                comm.send_face(face, pool)
+                comm.send_face(face)
             for face in ghosts:
-                comm.recv_face(face, pool)
+                comm.recv_face(face)
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    tx0, perf_counter_ns())
@@ -395,11 +304,10 @@ class HaloExchanger(_FaceTransfers):
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} begun twice without finish")
         comm = self.cart.comm
-        pool = self.pool
         timed = comm.record is not None
         self._t_begin0 = perf_counter_ns() if timed else 0
         for face in self._faces().sends:
-            comm.send_face(face, pool)
+            comm.send_face(face)
         self.in_flight = True
         self._t_begin1 = perf_counter_ns() if timed else 0
 
@@ -418,13 +326,12 @@ class HaloExchanger(_FaceTransfers):
                 f"halo exchange {self.point_id} finished without begin")
         self.in_flight = False
         comm = self.cart.comm
-        pool = self.pool
         record = comm.record
         if record is not None:
             record("overlap", None, 0, self.point_id, 0,
                    self._t_begin1, perf_counter_ns())
         for face in self._faces().ghosts:
-            comm.recv_face(face, pool)
+            comm.recv_face(face)
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    self._t_begin0, perf_counter_ns())
@@ -438,7 +345,7 @@ class PipeExchanger(_FaceTransfers):
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec], pipe_id: int,
                  dims: tuple[int, ...]) -> None:
-        super().__init__(cart, specs, None)
+        super().__init__(cart, specs)
         self.pipe_id = pipe_id
         self.dims = tuple(dims)
 
@@ -454,7 +361,7 @@ class PipeExchanger(_FaceTransfers):
         record = comm.record
         t0 = perf_counter_ns() if record is not None else 0
         for face in self._faces().ghosts:
-            comm.recv_face(face, self.pool)
+            comm.recv_face(face)
         if record is not None:
             record("pipeline_recv", None, 0, self.pipe_id, 0,
                    t0, perf_counter_ns())
@@ -469,4 +376,4 @@ class PipeExchanger(_FaceTransfers):
                 now = perf_counter_ns()
                 record("pipeline_send", face.peer, 0, face.tag, 0,
                        now, now)
-            comm.send_face(face, self.pool)
+            comm.send_face(face)

@@ -83,7 +83,6 @@ from repro.errors import RuntimeCommError
 from repro.runtime.comm import (_HEARTBEAT, Communicator, DeadlockDetector,
                                 _Mailbox, _Message, _payload_bytes,
                                 fill_ghosts)
-from repro.runtime.halo import shared_pool
 from repro.runtime.trace import EpochProbe, Trace, epoch_shift
 from repro.runtime.world import World, _exc_kind, _Launch
 
@@ -560,7 +559,7 @@ class ProcCommunicator(Communicator):
             return msg, waited + more
         return _Message(source, tag, payload), waited
 
-    def send_face(self, face, pool) -> None:
+    def send_face(self, face) -> None:
         record = self.record
         t0 = perf_counter_ns() if record is not None else 0
         self._mailboxes[face.peer].write(face.tag, face.views)
@@ -572,15 +571,14 @@ class ProcCommunicator(Communicator):
             record("send", face.peer, face.nbytes, face.tag, face.nbytes,
                    now, now)
 
-    def recv_face(self, face, pool) -> None:
+    def recv_face(self, face) -> None:
         record = self.record
         t0 = perf_counter_ns() if record is not None else 0
         nbytes, waited = self._mailboxes[self.rank].take_head(
             face.peer, face.tag, self._failed, face)
         if nbytes is _MISS:
             msg, more = super()._get(face.peer, face.tag, "recv")
-            self._unpack_face(face, self._received(msg, waited + more),
-                              pool)
+            self._unpack_face(face, self._received(msg, waited + more))
         elif record is not None:
             # the wait for the message, then the copy out of its slot
             t1 = t0 + int(waited * 1e9)
@@ -720,7 +718,7 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
               compiled_cache) -> None:
     """Execute the rank body for one run and report the outcome."""
     if run.tele is not None:
-        run.tele.bind(run.mailbox, shared_pool())
+        run.tele.bind(run.mailbox)
     # with faults to inject, the base class: every delivery goes through
     # the injector and every receive through the buckets, where drop,
     # delay and duplicate (and its suppression) are looked after
@@ -741,7 +739,6 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
         if comm.record is not None:
             comm.record("rank", None, 0, None, 0,
                         t0, time.perf_counter_ns())
-        shared_pool().drain()
         if run.tele is not None:
             run.tele.finish(err is None)
     tail = (run.trace.events, run.counters(), run.transport())

@@ -3,8 +3,8 @@
 Every send, receive, barrier, collective, halo copy, exchange, pipeline
 transfer, frame mark, checkpoint and injected fault is one *record*: the
 flat tuple ``(rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns)``.
-``extra`` is the payload bytes the zero-copy fast path avoided
-duplicating for a ``send`` and the nanoseconds the rank spent blocked
+``extra`` is the payload bytes a halo face's send did not copy a
+second time for a ``send`` and the nanoseconds the rank spent blocked
 for every other kind; both stamps are ``time.perf_counter_ns()``
 readings of the recording process (the cheapest clock CPython offers,
 and the only one an event is ever stamped with).  The test suite uses
@@ -70,7 +70,7 @@ class TraceEvent:
     tag: int | None = None
     #: seconds this rank spent blocked before the event completed
     wait_s: float = 0.0
-    #: payload bytes the zero-copy (move) path did not duplicate
+    #: payload bytes a halo face's send did not copy a second time
     saved_bytes: int = 0
     #: begin/end timestamps (seconds since the trace epoch)
     t0: float = 0.0
@@ -244,7 +244,7 @@ class Trace:
                    if rank is None or e.rank == rank)
 
     def saved_bytes(self, rank: int | None = None) -> int:
-        """Payload bytes the zero-copy send path avoided duplicating."""
+        """Payload bytes halo face sends did not copy a second time."""
         return sum(e.saved_bytes for e in self.snapshot()
                    if rank is None or e.rank == rank)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.runtime.comm import (_HEARTBEAT, Communicator, DeadlockDetector,
                                 _Mailbox)
-from repro.runtime.halo import shared_pool
 from repro.runtime.trace import Trace
 
 #: failure kinds, root cause first: a real error beats an unexplained
@@ -189,7 +188,7 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
         tele = None
         if telemetry is not None:
             tele = telemetry.rank_view(rank)
-            tele.bind(mailboxes[rank], shared_pool())
+            tele.bind(mailboxes[rank])
             tele.start(world.trace.epoch_ns)
         comm = Communicator(rank, size, mailboxes, barrier, world.trace,
                             failed, timeout, detector, injector, tele)
@@ -229,19 +228,14 @@ def spmd_run(size: int, fn, *, timeout: float = 60.0,
     # watchdog deadline to unwind — a rank spinning in compute-only code
     # never observes `failed`, and an unbounded join would hang the
     # launcher forever on it.
-    try:
-        with state:
-            while running and not launch.expired():
-                state.wait(_HEARTBEAT)
-                detector.heartbeat()
-                launch.tick()
-            stuck = sorted(running)
-        for t in threads:
-            if not t.is_alive():
-                t.join()
-    finally:
-        # buffers stranded by dead receivers or dropped messages must not
-        # outlive the world (and pooled arrays must not leak across runs)
-        shared_pool().drain()
+    with state:
+        while running and not launch.expired():
+            state.wait(_HEARTBEAT)
+            detector.heartbeat()
+            launch.tick()
+        stuck = sorted(running)
+    for t in threads:
+        if not t.is_alive():
+            t.join()
     launch.raise_failure(stuck)
     return world

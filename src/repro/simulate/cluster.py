@@ -113,7 +113,7 @@ class SimResult:
         recv_n = self.recv_msgs or empty
         return [HealthSample(
             rank=r, beat=self.frames, state="done",
-            frame=self.frames - 1, mailbox_depth=0, pool_outstanding=0,
+            frame=self.frames - 1, mailbox_depth=0,
             ckpt_frame=None, sent_bytes=sent_b[r], recv_bytes=recv_b[r],
             sent_msgs=sent_n[r], recv_msgs=recv_n[r],
             t_ns=0, t_s=self.per_rank[r]) for r in range(size)]
@@ -213,7 +213,7 @@ class ClusterSim:
             return
         for r in range(self.size):
             work = self._phase_points(r, phase) * phase.ops_per_point \
-                * phase.repeat * self.op_time[r]
+                * self.op_time[r]
             self._mark(r, phase.name, "compute", t[r], t[r] + work)
             t[r] += work
             compute[r] += work
@@ -225,7 +225,7 @@ class ClusterSim:
         net = self.network
         # per-rank compute and per-chunk boundary message size
         work = [self._phase_points(r, phase) * phase.ops_per_point
-                * phase.repeat * self.op_time[r] for r in range(self.size)]
+                * self.op_time[r] for r in range(self.size)]
         finish = [[0.0] * K for _ in range(self.size)]
         order = sorted(range(self.size),
                        key=lambda r: self.partition.coords_of(r))
@@ -353,7 +353,7 @@ class ClusterSim:
         send_done, arrival = self._comm_times(t, phase)
         for r in range(self.size):
             work = self._phase_points(r, cphase) * cphase.ops_per_point \
-                * cphase.repeat * self.op_time[r]
+                * self.op_time[r]
             wait_blocking = max(0.0, arrival[r] - send_done[r])
             wait_actual = max(0.0, arrival[r] - send_done[r] - work)
             hidden = wait_blocking - wait_actual

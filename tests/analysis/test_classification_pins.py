@@ -166,7 +166,7 @@ def assert_same_classification(unit, directives) -> None:
         assert list(a.uses) == list(b.uses)
         assert a.uses == b.uses
         assert a.index == b.index
-        assert got.field_loop_of(a.loop.stmt) is a
+        assert got.field_loop_at(a.loop.path) is a
 
 
 @pytest.fixture(scope="module")

@@ -50,11 +50,6 @@ class TestDiscovery:
         f = forest_of("do i = 1, 2\n if (a) x = 1\nend do\n")
         assert len(f.all_loops) == 1
 
-    def test_lookup_by_stmt(self):
-        f = forest_of(NESTED)
-        outer = f.roots[0]
-        assert f.lookup(outer.stmt) is outer
-
 
 class TestDefinition61InnerOuter:
     def test_contains_transitive(self):

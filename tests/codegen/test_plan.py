@@ -125,3 +125,20 @@ end
     def test_uncut_fine(self):
         plan = plan_for(self.SRC, (1, 1))
         assert plan.pipes == []
+
+
+@pytest.mark.parametrize("app,dims", [("sprayer", (2, 2)),
+                                      ("aerofoil", (2, 1, 1))])
+def test_two_compiles_pickle_the_same_plan(app, dims):
+    # every analysis index is keyed by structural path, never by id():
+    # the same source and partition give the same bytes
+    import pickle
+
+    from repro.apps.aerofoil import aerofoil_source
+    from repro.apps.sprayer import sprayer_source
+    from repro.core import AutoCFD
+    src = {"sprayer": sprayer_source, "aerofoil": aerofoil_source}[app]()
+    first, second = (pickle.dumps(AutoCFD.from_source(src)
+                                  .compile(partition=dims).plan)
+                     for _ in range(2))
+    assert first == second

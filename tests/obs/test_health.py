@@ -107,7 +107,7 @@ class TestAlerts:
                 depth=0):
         from repro.obs.health import HealthSample
         return HealthSample(rank=rank, beat=1, state=state, frame=frame,
-                            mailbox_depth=depth, pool_outstanding=0,
+                            mailbox_depth=depth,
                             ckpt_frame=None, sent_bytes=0, recv_bytes=0,
                             sent_msgs=0, recv_msgs=0, t_ns=0,
                             age_s=age_s)

@@ -15,7 +15,7 @@ from repro.interp.values import OffsetArray
 from repro.partition.grid import GridGeometry
 from repro.partition.halo import GhostSpec, ghost_bounds
 from repro.partition.partitioner import Partition
-from repro.runtime import BufferPool, CartComm, HaloExchanger, HaloSpec, spmd_run
+from repro.runtime import CartComm, HaloExchanger, HaloSpec, spmd_run
 from repro.runtime.halo import MAX_HALO_POINTS, halo_tag
 
 
@@ -149,39 +149,3 @@ class TestTagSpaceGuard:
     def test_exchanger_accepts_max_valid_point_id(self):
         ex = HaloExchanger(None, [], point_id=MAX_HALO_POINTS - 1)
         assert ex.point_id == MAX_HALO_POINTS - 1
-
-
-class TestBufferPoolAccounting:
-    def test_cycling_past_max_per_key_balances(self):
-        # the free list caps at max_per_key; turned-away buffers must
-        # still decrement outstanding, so a long acquire/release cycle
-        # ends balanced instead of accumulating phantom leaks
-        pool = BufferPool(max_per_key=2)
-        for _round in range(5):
-            bufs = [pool.acquire((8,), np.float64) for _ in range(4)]
-            for b in bufs:
-                pool.release(b)
-        stats = pool.stats()
-        assert stats["outstanding"] == 0
-        assert stats["pooled"] == 2  # capped, not 4
-        assert pool.drain() == {"pooled_freed": 2, "leaked": 0}
-        assert pool.stats()["leaks"] == 0
-
-    def test_zero_size_buffers_never_counted_outstanding(self):
-        # zero-width faces bypass pooling on release; acquire must skip
-        # the counters symmetrically or drain() books a leak per frame
-        pool = BufferPool()
-        buf = pool.acquire((0,), np.float64)
-        assert buf.size == 0
-        pool.release(buf)
-        assert pool.stats()["outstanding"] == 0
-        assert pool.drain()["leaked"] == 0
-
-    def test_mixed_zero_and_nonzero_balance(self):
-        pool = BufferPool()
-        a = pool.acquire((4,), np.float64)
-        z = pool.acquire((0, 3), np.float64)
-        assert pool.stats()["outstanding"] == 1
-        pool.release(z)
-        pool.release(a)
-        assert pool.stats()["outstanding"] == 0

@@ -21,7 +21,7 @@ import pytest
 
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.interp.values import OffsetArray
-from repro.runtime import CartComm, HaloExchanger, HaloSpec, shared_pool
+from repro.runtime import CartComm, HaloExchanger, HaloSpec
 from repro.runtime.procexec import _FLOAT, _HDR, get_pool, proc_run
 from repro.runtime.trace import Trace
 from repro.runtime.world import spmd_run
@@ -51,7 +51,7 @@ def _halo_move(comm):
     peer = 1 - comm.rank
     faces = [np.ascontiguousarray(field[0]),
              np.ascontiguousarray(field[-1])]
-    comm.send(peer, faces, tag=3, move=True)
+    comm.send(peer, faces, tag=3)
     got = comm.recv(peer, 3)
     return [f.tolist() for f in got]
 
@@ -60,7 +60,7 @@ def _big_move(comm):
     # larger than a channel slot: travels by the overflow pipe
     peer = 1 - comm.rank
     block = np.arange(40_000, dtype=np.float64) + comm.rank
-    comm.send(peer, block, tag=1, move=True)
+    comm.send(peer, block, tag=1)
     return float(comm.recv(peer, 1).sum())
 
 
@@ -101,7 +101,7 @@ def _odd_arrays(comm):
     if comm.rank == 0:
         comm.send(1, strided, tag=1)
         comm.send(1, odd, tag=1)
-        comm.send(1, [odd, np.arange(5.0), strided.T], tag=1, move=True)
+        comm.send(1, [odd, np.arange(5.0), strided.T], tag=1)
         return None
     one, two, three = (comm.recv(0, 1) for _ in range(3))
     return [_as_plain(a) for a in (one, two, *three)]
@@ -112,10 +112,31 @@ def _send_then_mutate(comm):
     if comm.rank == 0:
         a = np.arange(6.0)
         comm.send(1, a, tag=1)
-        a += 1.0  # still ours: not handed to the pool, not aliased
+        a += 1.0  # still ours: the receiver got a copy, not an alias
         comm.send(1, a, tag=1)
         return a.tolist()
     return [comm.recv(0, 1).tolist(), comm.recv(0, 1).tolist()]
+
+
+def _face_then_overwrite(comm):
+    """Rank 0 ships a halo face and at once overwrites the cells it
+    sent; rank 1 receives it only after both met at a barrier."""
+    owned = ((1, 8),) if comm.rank == 0 else ((9, 16),)
+    local = OffsetArray.from_bounds([(1, 9)] if comm.rank == 0
+                                    else [(8, 16)], name="v")
+    local.data[...] = comm.rank + 1.0
+    plan = HaloExchanger(CartComm(comm, (2,)),
+                         [HaloSpec(local, (0,), owned, ((1, 1),))])._faces()
+    if comm.rank == 0:
+        (face,) = plan.sends
+        comm.send_face(face)
+        face.views[0][...] = -1.0  # the send view, live in the array
+    comm.barrier()
+    if comm.rank == 0:
+        return local.data.tolist()
+    (ghost,) = plan.ghosts
+    comm.recv_face(ghost)
+    return ghost.views[0].tolist()
 
 
 def _five_unreceived_then_sigkill(comm):
@@ -158,24 +179,6 @@ def _all_to_all(comm):
         comm.send((comm.rank + 1) % comm.size, rnd, tag=99)
         assert comm.recv(None, tag=99) == rnd
     return True
-
-
-def _pool_after_exchanges(comm):
-    """500 blocking exchanges of one array; what they cost the pool."""
-    owned = ((1, 8),) if comm.rank == 0 else ((9, 16),)
-    local = OffsetArray.from_bounds([(1, 9)] if comm.rank == 0
-                                    else [(8, 16)], name="v")
-    ex = HaloExchanger(CartComm(comm, (2,)),
-                       [HaloSpec(local, (0,), owned, ((1, 1),))])
-    pool = shared_pool()
-    comm.barrier()
-    before = pool.stats()
-    for _ in range(500):
-        ex.exchange()
-    comm.barrier()
-    after = pool.stats()
-    return {key: after[key] - before[key]
-            for key in ("hits", "misses", "outstanding")}
 
 
 def _boom(comm):
@@ -270,18 +273,12 @@ class TestHappyPath:
                                 [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
         assert w.results[0] == w.results[1][1]
 
-    def test_exchanges_leave_the_worker_pools_alone(self):
-        # a face goes from the array into the slot and from the slot into
-        # the ghost cells: where the thread executor cycles pack buffers
-        # through the shared pool, a worker's pool sees no traffic at all
-        # (seed: misses 503, outstanding 500 per worker, one leak booked
-        # per exchange)
-        on_threads = spmd_run(2, _pool_after_exchanges).results
-        on_processes = proc_run(2, _pool_after_exchanges,
-                                timeout=30.0).results
-        assert all(r["outstanding"] <= 2 for r in on_threads)
-        assert on_processes == [{"hits": 0, "misses": 0,
-                                 "outstanding": 0}] * 2
+    @pytest.mark.parametrize("run", [spmd_run, proc_run],
+                             ids=["threads", "processes"])
+    def test_face_send_copies_once_and_the_receiver_owns_it(self, run):
+        w = run(2, _face_then_overwrite, timeout=15.0)
+        assert w.results[0] == [1.0] * 7 + [-1.0, 1.0]
+        assert w.results[1] == [1.0]  # what cell 8 held at the send
 
     def test_pool_is_reused_across_runs(self):
         proc_run(2, _pingpong, timeout=15.0)

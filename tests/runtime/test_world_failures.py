@@ -1,15 +1,13 @@
 """World teardown discipline: the launcher must never hang on a stuck
-rank, and pooled halo buffers must not leak across worlds."""
+rank."""
 
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.errors import RuntimeCommError
-from repro.runtime import BufferPool, spmd_run
-from repro.runtime.halo import shared_pool
+from repro.runtime import spmd_run
 
 
 class TestWatchdog:
@@ -81,49 +79,3 @@ class TestRankEnvelope:
         # before the death (here, at least the 20 ms sleep)
         assert crashed.t1 >= crashed.t0
         assert crashed.dur >= 0.02
-
-
-class TestPoolDrain:
-    def test_drain_frees_pooled_and_counts_leaks(self):
-        pool = BufferPool()
-        a = pool.acquire((8,), np.float64)
-        b = pool.acquire((8,), np.float64)
-        pool.release(a)
-        assert pool.drain() == {"pooled_freed": 1, "leaked": 1}
-        stats = pool.stats()
-        assert stats["pooled"] == 0
-        assert stats["outstanding"] == 0
-        assert stats["leaks"] == 1
-        assert stats["drains"] == 1
-        # drained buffers are really gone: next acquire is a fresh miss
-        c = pool.acquire((8,), np.float64)
-        assert c is not a and c is not b
-
-    def test_world_teardown_drains_the_shared_pool(self):
-        pool = shared_pool()
-        before = pool.stats()
-
-        def body(comm):
-            pool.acquire((16,), np.float64)  # receiver never releases
-            return True
-
-        w = spmd_run(2, body)
-        assert all(w.results)
-        after = pool.stats()
-        assert after["drains"] >= before["drains"] + 1
-        assert after["outstanding"] == 0
-        assert after["pooled"] == 0
-        assert after["leaks"] >= before["leaks"] + 2
-
-    def test_failed_world_still_drains(self):
-        pool = shared_pool()
-        before = pool.stats()["drains"]
-
-        def body(comm):
-            pool.acquire((4,), np.float64)
-            raise RuntimeError("die")
-
-        with pytest.raises(RuntimeCommError):
-            spmd_run(2, body, timeout=5.0)
-        assert pool.stats()["drains"] >= before + 1
-        assert pool.stats()["outstanding"] == 0
