@@ -23,8 +23,8 @@ on the discrete-event simulator with this calibration:
   modelled: the plan marks the sync and the simulator overlaps its
   exchange with the consumer nest's interior.  On this Ethernet a
   message is in flight for milliseconds, so each split has something to
-  hide (``"auto"`` prices splits against the host the compiler runs on,
-  where nothing is in flight).  The compiled program is the same in
+  hide (``"auto"`` marks none: on the host's executors nothing is in
+  flight).  The compiled program is the same in
   every mode: the split is modelled, not emitted.
 
 Frame counts per experiment are chosen so the *sequential* simulated time

@@ -18,7 +18,9 @@ This package implements §2 and §4 of the paper:
   mirror-image decomposition (Figures 3-4);
 * :mod:`repro.analysis.reductions` — convergence-reduction recognition;
 * :mod:`repro.analysis.callgraph` — call graph, R-type-loop presence per
-  subroutine (§5.3).
+  subroutine (§5.3);
+* :mod:`repro.analysis.overlap` — the per-sync halo-overlap verdict
+  ``build_plan`` records on the plan.
 """
 
 from repro.analysis.loops import LoopInfo, LoopForest, build_loop_forest

@@ -94,14 +94,16 @@ class CalleeSummary:
     refusal: str | None = None
 
 
-def summarize_callee(graph: CallGraph, name: str) -> CalleeSummary:
+def summarize_callee(graph: CallGraph, name: str,
+                     body: list[A.Stmt] | None = None) -> CalleeSummary:
     """Structural eligibility of subroutine *name* to host the exchange
     that precedes its call.
 
     The splitter moves the exchange into the callee's body, so every
     execution of the callee must come from that one call: a
     single-call-site, non-recursive subroutine whose body is
-    ``<scalar assignments>; <loop nest>; <tail>``.
+    ``<scalar assignments>; <loop nest>; <tail>``.  *body* is the
+    callee's statement list as it will be emitted (default: as written).
     """
 
     def refuse(reason: str) -> CalleeSummary:
@@ -122,7 +124,9 @@ def summarize_callee(graph: CallGraph, name: str) -> CalleeSummary:
     leading: list[A.Assign] = []
     first_nest: A.DoLoop | None = None
     split_at = 0
-    for i, stmt in enumerate(unit.body):
+    if body is None:
+        body = unit.body
+    for i, stmt in enumerate(body):
         if isinstance(stmt, A.DoLoop):
             first_nest, split_at = stmt, i
             break
@@ -143,7 +147,7 @@ def summarize_callee(graph: CallGraph, name: str) -> CalleeSummary:
         return refuse("callee body contains no top-level loop nest")
     return CalleeSummary(name, unit=unit, leading=leading,
                          first_nest=first_nest,
-                         tail=unit.body[split_at + 1:], call_sites=sites)
+                         tail=body[split_at + 1:], call_sites=sites)
 
 
 def unit_has_rtype_loop(classification: UnitClassification,

@@ -11,7 +11,8 @@ Implements the loop relations of paper §5.1 (Definitions 6.1-6.4):
 Loops are addressed by *paths*: a path is a tuple of ``(attr, index)``
 steps from the unit body down to the statement, which survives AST
 transformation bookkeeping and lets the restructurer find insertion
-points.
+points: :func:`spliced` lays planned statements into a statement list by
+the paths of the statements they sit next to.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from repro.fortran import ast as A
 #: A path step: (kind, index).  Kinds: "body" (plain statement list index),
 #: ("arm", arm_index, stmt_index) is flattened to two steps.
 Path = tuple[tuple[str, int], ...]
+
+#: statements planned next to source statements, keyed by ``(unit, path,
+#: side)``: "before" / "after" the statement at *path*, or at the "start" /
+#: "end" of the statement list *path* owns (a DO body, an IF arm, or the
+#: unit body for ``()``); each list is in emitted order
+Placed = dict[tuple[str, Path, str], list[A.Stmt]]
 
 
 @dataclass
@@ -141,3 +148,22 @@ def build_loop_forest(unit: A.ProgramUnit) -> LoopForest:
 
     visit(unit.body, None, ())
     return forest
+
+
+def spliced(stmts: list[A.Stmt], unit: str, prefix: Path,
+            placed: Placed) -> list[tuple[Path | None, A.Stmt]]:
+    """*stmts*, the list at *prefix* of *unit*, as emitted with *placed*.
+
+    Each statement comes with its source path, or ``None`` when it is a
+    planned one.  Nested lists are left as they are.
+    """
+    def planned(path: Path, side: str) -> list[tuple[None, A.Stmt]]:
+        return [(None, s) for s in placed.get((unit, path, side), ())]
+
+    out: list[tuple[Path | None, A.Stmt]] = planned(prefix, "start")
+    for i, stmt in enumerate(stmts):
+        path = prefix + (("body", i),)
+        out += planned(path, "before")
+        out.append((path, stmt))
+        out += planned(path, "after")
+    return out + planned(prefix, "end")

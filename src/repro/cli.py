@@ -414,10 +414,11 @@ _SHARED_OPTIONS = {
         help="communication/computation overlap, modelled: which syncs "
              "the plan marks as split into interior+boundary around a "
              "nonblocking exchange (on: wherever provably safe; auto: "
-             "only where the host's in-flight time pays for the strips, "
-             "which on the thread and process executors is nowhere; "
-             "off: none).  report lists the verdicts, simulate models "
-             "them; the generated program is the same in every mode")),
+             "none, each safe one reported as not marked because the "
+             "thread and process executors leave no wire time in "
+             "flight; off: none).  report lists the verdicts, simulate "
+             "models them; the generated program is the same in every "
+             "mode")),
     "input": (("--input", "-i"), dict(
         help="list-directed input deck file")),
     "backend": (("--backend",), dict(

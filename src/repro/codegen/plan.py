@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from repro.analysis.dependency import DependencePair, build_sldp
 from repro.analysis.field_loops import FieldLoop
 from repro.analysis.frame import FrameProgram, InstanceNode, build_frame_program
+from repro.analysis.loops import Placed
+from repro.analysis.overlap import OverlapDecision, decide_overlap
 from repro.analysis.reductions import Reduction, find_reductions
 from repro.analysis.selfdep import SelfDepClass, SelfDepPlan, analyze_self_dependence
 from repro.errors import CodegenError
@@ -34,11 +36,15 @@ from repro.sync.combine import (CombinedSync, combine_regions,
 from repro.sync.freshness import analyze_freshness
 from repro.sync.regions import SyncRegion, upper_bound_region
 
-#: insertion modes for planned statements
-#: "before": insert before the statement at the location path
-#: "after": insert right after the statement at the location path
-#: "append": append at the end of the unit body
-Insertion = tuple[str, tuple, str]  # (unit, path, mode)
+#: where a planned statement goes: (unit, path, mode), mode one of
+#: "before" / "after" the statement at the path, "append_body" /
+#: "append_arm" at the end of the DO body / IF arm the path names, and
+#: "prepend" / "append" at the start / end of the unit body (path ``()``)
+Insertion = tuple[str, tuple, str]
+
+#: mode -> side of its anchor (``repro.analysis.loops.Placed``)
+_SIDE = {"before": "before", "after": "after", "prepend": "start",
+         "append": "end", "append_body": "end", "append_arm": "end"}
 
 
 @dataclass
@@ -78,26 +84,6 @@ class PlannedSync:
     def __post_init__(self) -> None:
         if self.steady is None:
             self.steady = self.arrays
-
-
-@dataclass
-class OverlapDecision:
-    """Whether one combined sync is marked split (nonblocking) or not.
-
-    Recorded by the restructurer's overlap verdict on the loop nest that
-    consumes the exchange.  ``ClusterSim`` models a marked sync as
-    overlapped with that nest's interior; the emitted program keeps every
-    exchange blocking.  ``reason`` explains a refusal in the same spirit
-    as the vectorizer's ``Fallback`` discipline, or a safe split mode
-    ``auto`` priced and declined ("safe, declined: ...").  ``callee``
-    names the subroutine when the verdict crossed a ``call`` boundary
-    (interprocedural split or in-callee refusal), else "".
-    """
-
-    sync_id: int
-    enabled: bool
-    reason: str = ""
-    callee: str = ""
 
 
 @dataclass
@@ -143,14 +129,12 @@ class ParallelPlan:
     regions: list[SyncRegion]
     #: requested overlap mode: "auto" | "on" | "off" — which syncs the
     #: plan marks as split for the cluster model.  "on" marks every split
-    #: the safety gate allows; "auto" also prices each one against the
-    #: host's in-flight time and declines it ("safe, declined: ...") when
-    #: the strips cost more than the split can hide.  The emitted program
-    #: is the same in every mode.
+    #: the safety gate allows; "auto" marks none, recording each safe one
+    #: as not marked (``repro.analysis.overlap.NOT_MARKED``: the host's
+    #: executors leave no wire time in flight to hide); "off" marks none.
+    #: The emitted program is the same in every mode.
     overlap: str = "auto"
-    #: per combined sync, the restructurer's verdict (filled in by
-    #: ``restructure``; deterministic, so a re-restructure of a pickled
-    #: plan reproduces the same decisions)
+    #: per combined sync, the overlap verdict, filled in by ``build_plan``
     overlap_decisions: list[OverlapDecision] = field(default_factory=list)
 
     def overlap_enabled(self, sync_id: int) -> bool:
@@ -233,7 +217,7 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
         eliminate_redundant: apply redundant-pair elimination (ablation
             hook).
         overlap: halo-overlap mode ("auto" | "on" | "off"); the
-            restructurer records its per-sync decisions on the plan.
+            per-sync verdict is recorded on the plan.
     """
     if overlap not in ("auto", "on", "off"):
         raise CodegenError(f"overlap mode {overlap!r} not in "
@@ -440,9 +424,78 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
     syncs_before = len(active) + pipe_syncs
     syncs_after = len(syncs) + pipe_syncs
 
-    return ParallelPlan(
+    plan = ParallelPlan(
         cu=cu, directives=directives, partition=partition,
         arrays=arrays, syncs=syncs, pipes=pipe_plans,
         reductions=reductions, frame=frame,
         syncs_before=syncs_before, syncs_after=syncs_after,
         active_pairs=active, regions=regions, overlap=overlap)
+    with obs.span("overlap-verdict", cat="compile") as ovspan:
+        plan.overlap_decisions = decide_overlap(plan,
+                                                planned_statements(plan))
+        ovspan.args["marked"] = sum(d.enabled
+                                    for d in plan.overlap_decisions)
+    return plan
+
+
+def planned_statements(plan: ParallelPlan) -> Placed:
+    """Every statement restructuring inserts into the source program.
+
+    The frame hook, the halo exchanges, the pipeline receives and sends
+    and the reduction allreduces, laid out by anchor.  At one anchor a
+    lower priority sits nearer the anchor (the statement, or the start or
+    end of the list): pipe calls hug their loop, exchanges and allreduces
+    sit outside them, and the frame hook above every exchange.  Of equal
+    priorities, a later one goes above the earlier ones, except at the
+    end of a list, where it goes below them.  The overlap verdict reads
+    the emitted program through this layout, and the restructurer writes
+    it.
+    """
+    ops: list[tuple[Insertion, int, list[A.Stmt]]] = []
+
+    def call(name: str, number: int, arrays: list[str]) -> A.CallStmt:
+        return A.CallStmt(name=name, args=[A.IntLit(number)]
+                          + [A.Var(array) for array in arrays])
+
+    node = plan.frame.frame_loop()
+    if node is not None:
+        # ``if (acfd_frame(it, arrays...) .ne. 0) cycle`` gives the runtime
+        # one call per frame to checkpoint, restore, or inject faults; a
+        # nonzero return fast-forwards the frame during recovery.  On a
+        # real cluster the Fortran stub returns 0 and the statement is
+        # inert.
+        table: SymbolTable = plan.cu.unit(node.unit_name).symbols  # type: ignore[assignment]
+        args: list[A.Expr] = [A.Var(plan.directives.frame_var)]
+        args += [A.Var(name) for name in plan.arrays
+                 if (sym := table.get(name)) is not None and sym.is_array]
+        frame = A.FuncCall("acfd_frame", args)
+        hook = A.LogicalIf(cond=A.BinOp(".ne.", frame, A.IntLit(0)),
+                           stmt=A.CycleStmt())
+        ops.append(((node.unit_name, node.path + (("body", 0),), "before"),
+                    10, [hook]))
+    for sync in plan.syncs:
+        ops.append((sync.insertion, 2, [call(
+            "acfd_exchange", sync.sync_id, [n for n, _d in sync.arrays])]))
+    for pipe in plan.pipes:
+        for mode, name in (("before", "acfd_pipe_recv"),
+                           ("after", "acfd_pipe_send")):
+            ops.append(((pipe.unit, pipe.path, mode), 0,
+                        [call(name, pipe.pipe_id, pipe.arrays)]))
+    for red in plan.reductions:
+        ops.append(((red.unit, red.path, "after"), 1, [
+            A.Assign(target=A.Var(r.var),
+                     value=A.FuncCall(f"acfd_allreduce_{r.op}",
+                                      [A.Var(r.var)]))
+            for r in red.reductions]))
+
+    def document_order(item) -> tuple[int, int]:
+        index, ((_unit, _path, mode), priority, _stmts) = item
+        side = _SIDE[mode]
+        return (priority if side in ("after", "start") else -priority,
+                index if side == "end" else -index)
+
+    placed: Placed = {}
+    for _index, ((unit, path, mode), _priority, stmts) in sorted(
+            enumerate(ops), key=document_order):
+        placed.setdefault((unit, path, _SIDE[mode]), []).extend(stmts)
+    return placed

@@ -157,11 +157,11 @@ class AutoCFD:
             overlap: which syncs the plan marks as split into a
                 nonblocking exchange around the consumer nest's interior,
                 for the cluster model (``ClusterSim``) and the report.
-                ``"on"`` marks every provably safe split, ``"auto"`` only
-                those where the host's in-flight time pays for the
-                boundary strips (on this repo's executors: none),
-                ``"off"`` none.  The emitted program does not depend on
-                it: every exchange is blocking.
+                ``"on"`` marks every provably safe split; ``"auto"``
+                marks none and reports each safe one as not marked
+                (this repo's executors leave no wire time in flight to
+                hide); ``"off"`` marks none.  The emitted program does
+                not depend on it: every exchange is blocking.
         """
         with activate(self.obs):
             with obs.span("partitioning", cat="compile") as psp:

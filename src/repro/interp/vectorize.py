@@ -1222,7 +1222,7 @@ def goto_targets(unit: A.ProgramUnit) -> set[int]:
 
     The vectorizer refuses nests whose labels are jump targets, since
     re-emitting such a nest as slice statements would break the unit's
-    control flow.  The restructurer's overlap verdict refuses the same
+    control flow.  The plan's overlap verdict refuses the same
     nests: the interior/boundary split it judges (modelled by
     ``ClusterSim``, never emitted) would cut them into strips a jump
     could enter.

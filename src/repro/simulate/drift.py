@@ -28,25 +28,6 @@ HOST_MACHINE = MachineModel(NodeModel(flop_time=2.0e-9))
 HOST_NETWORK = NetworkModel(latency=2.0e-5, bandwidth=2.0e9,
                             shared_medium=False)
 
-# Host transport constants for the overlap price of
-# ``repro.codegen.restructure`` (mode ``auto``), per rank and frame.
-# Measured 2026-10-15 on a 2-core VM: sprayer geometry (300x100, 2x1,
-# one array, ghost width 1), pinned threads and two worker processes.
-#: wire time still in flight when ``begin()`` returns, per face and per
-#: byte: none.  Both executors deliver a face with the sender's own copy
-#: before ``begin()`` returns (into the peer's mailbox on threads, into
-#: the shared-memory slot on processes), so a split hides only peer skew
-HOST_FLIGHT_S = 0.0
-HOST_FLIGHT_S_PER_BYTE = 0.0
-#: ``begin`` + ``finish`` less one blocking ``exchange`` (27-35 us): +1.2
-#: to +2.2 us on threads, -0.5 to +3.6 us on processes
-HOST_SPLIT_S = 2.0e-6
-#: one boundary-strip nest of the vectorized backend over a 1x100 rim:
-#: 2.8 / 5.2 / 9.6 us with 1 / 2 / 4 statements (sequential pyback,
-#: 8 strips x 2000 frames against none), so 0.5 us a nest + 2.3 a statement
-HOST_STRIP_NEST_S = 0.5e-6
-HOST_STRIP_STMT_S = 2.3e-6
-
 
 @dataclass
 class DriftReport:

@@ -1,20 +1,20 @@
 """The overlap verdict: which halo syncs could run nonblocking.
 
-For each exchange the restructurer judges the nest that consumes it:
-could it run as a nonblocking begin, the nest's interior (no ghost
-reads), a finish, and the boundary strips?  A safe split is marked on the
-plan (``OverlapDecision``), where ``ClusterSim`` models it; anything
-outside the provable subset is refused with a recorded reason (the
-vectorizer's ``Fallback`` discipline).  The emitted program never depends
-on the verdict: every mode prints the same blocking program
-(``TestOnKeepsEverySafeSplit``).  Mode ``on`` marks every safe split and
-is what most tests here compile with; mode ``auto`` also prices each one
-(``TestPrice``).
+For each exchange, ``build_plan`` judges the nest that consumes it
+(``repro.analysis.overlap``): could it run as a nonblocking begin, the
+nest's interior (no ghost reads), a finish, and the boundary strips?  A
+safe split is marked on the plan (``OverlapDecision``), where
+``ClusterSim`` models it; anything outside the provable subset is refused
+with a recorded reason (the vectorizer's ``Fallback`` discipline).  The
+emitted program never depends on the verdict: every mode prints the same
+blocking program (``TestOnKeepsEverySafeSplit``).  Mode ``on`` marks every
+safe split and is what most tests here compile with; mode ``auto`` marks
+none (``TestAuto``).
 
 Every refusal the verdict can return is asserted here: those of
-``_decide_overlap`` and ``_overlap_one``, ``_overlap_verdict``,
-``_sink_refusal``, ``_escaping_scalar`` and ``_price``.  ``_sink_refusal``
-also passes on ``CalleeSummary``'s structural refusals, each of which
+``decide_overlap`` and ``_Verdict._one``, ``_verdict``, ``_sink_refusal``
+and ``_escaping_scalar``.  ``_sink_refusal`` also passes on
+``CalleeSummary``'s structural refusals, each of which
 ``tests/analysis/test_callgraph.py`` asserts; the pins below hit two.
 """
 
@@ -22,13 +22,13 @@ import functools
 import hashlib
 import json
 import pathlib
-import re
 
 import pytest
 
+from repro.analysis.overlap import NOT_MARKED, decide_overlap
 from repro.apps import kernels
 from repro.codegen.normalize import normalize_compilation_unit
-from repro.codegen.plan import build_plan
+from repro.codegen.plan import build_plan, planned_statements
 from repro.codegen.restructure import restructure
 from repro.core.pipeline import AutoCFD
 from repro.errors import CodegenError
@@ -278,7 +278,8 @@ class TestRefusals:
         # whose widths sit on the uncut dimension alone is refused
         plan = planned(JACOBI_BC_SRC, (2, 1))
         plan.syncs[0].dim_distances = {1: (1, 1)}
-        restructure(plan)
+        plan.overlap_decisions = decide_overlap(plan,
+                                                planned_statements(plan))
         assert decision(plan, 1).reason == \
             "exchange has no ghost footprint on a cut dimension"
 
@@ -583,58 +584,22 @@ class TestOnKeepsEverySafeSplit:
                     == pin["refused"]
 
 
-#: a declined split's reason, with the two times it compares
-DECLINED = re.compile(
-    r"safe, declined: hides (\d+\.\d) us a frame in flight \((\d+) faces, "
-    r"(\d+) B\), adds (\d+\.\d) us \((\d+) strip nests x (\d+) "
-    r"statements, begin/finish\)")
-
-
-class TestPrice:
-    """Mode ``auto`` marks a safe split only when the wire time still in
-    flight after ``begin()`` would outweigh the strips and
-    begin/finish."""
-
-    def test_declined_reason_carries_both_numbers(self):
-        from repro.simulate import drift
-        plan, text = compiled(JACOBI_BC_SRC, (2, 1), overlap="auto")
-        d = decision(plan, 1)
-        assert not d.enabled
-        m = DECLINED.fullmatch(d.reason)
-        assert m, d.reason
-        hide, faces, nbytes, adds, strips, stmts = m.groups()
-        # one neighbor and a one-wide face 16 points long (8 B a value);
-        # a low and a high strip; the nest's update and its max fold
-        assert (faces, nbytes, strips, stmts) == ("1", "128", "2", "2")
-        assert float(hide) == 0.0
-        assert float(adds) == round(1e6 * (
-            2 * (drift.HOST_STRIP_NEST_S + 2 * drift.HOST_STRIP_STMT_S)
-            + drift.HOST_SPLIT_S), 1)
-        assert text == compiled(JACOBI_BC_SRC, (2, 1), overlap="off")[1]
-
-    def test_sprayer_auto_emits_the_off_program(self):
-        from repro.apps.sprayer import sprayer_source
-        acfd = AutoCFD.from_source(sprayer_source(300, 100, iters=4,
-                                                  eps=0.0))
-        auto, off, on = (acfd.compile(partition=(2, 1), overlap=mode)
-                         for mode in ("auto", "off", "on"))
-        assert auto.parallel_source() == off.parallel_source()
-        split = {d.sync_id: d.callee for d in on.plan.overlap_decisions
-                 if d.enabled}
-        assert len(split) == 6
-        for d in auto.plan.overlap_decisions:
-            assert not d.enabled
-            if d.sync_id in split:
-                assert d.callee == split[d.sync_id]
-                assert DECLINED.fullmatch(d.reason), d.reason
-
-    def test_split_kept_when_flight_outweighs_the_strips(self, monkeypatch):
-        from repro.simulate import drift
-        monkeypatch.setattr(drift, "HOST_FLIGHT_S", 1e-3)
-        auto = compiled(sub_src(), (2, 2), overlap="auto")
-        on = compiled(sub_src(), (2, 2), overlap="on")
-        assert decision(auto[0], 1).enabled
-        assert auto[1] == on[1]
+class TestAuto:
+    def test_auto_marks_nothing_and_names_every_safe_split(self):
+        # the host's executors leave no wire time in flight, so ``auto``
+        # marks no sync; the syncs it calls safe are those ``on`` marks
+        for name in sorted(_programs()):
+            acfd = _program(name)
+            for cuts in ((2, 1), (1, 2), (2, 2)):
+                dims = cuts + (1,) * (len(acfd.grid.shape) - 2)
+                auto, on = (acfd.compile(partition=dims, overlap=mode)
+                            .plan.overlap_decisions
+                            for mode in ("auto", "on"))
+                assert not any(d.enabled for d in auto)
+                assert {d.sync_id: d.callee for d in auto
+                        if d.reason == NOT_MARKED} \
+                    == {d.sync_id: d.callee for d in on if d.enabled}, \
+                    (name, cuts)
 
 
 class TestAcceptedSetsPinned:
@@ -656,19 +621,28 @@ class TestAcceptedSetsPinned:
 
 class TestSharedClassification:
     def test_pre_clamp_classification_matches_the_clamped_program(self):
-        # the restructurer reuses the plan's classification of the source
-        # program, read through the copy's loops; re-classifying the
-        # clamped units must find the same nests with the same sweeps
-        # and subscript uses
+        # the restructurer clamps through the plan's classification of
+        # the source program, keyed by path; re-classifying the emitted
+        # units must find the same nests, in the same order, with the
+        # same sweeps and subscript uses
         from repro.analysis.field_loops import classify_unit
         from repro.codegen.restructure import Restructurer
         plan = planned(sub_src(), (2, 2), overlap="off")
         rs = Restructurer(plan)
+        clamp = [(unit, var_to_dim)
+                 for (unit, _path), (_var, var_to_dim) in rs._clamp.items()]
         spmd = rs.run()
         assert "max0(2, acfd_lo(1))" in print_compilation_unit(spmd)
-        fresh = [fl for unit in spmd.units
+        cut = plan.partition.cut_dims
+        fresh = [(unit.name, fl) for unit in spmd.units
                  for fl in classify_unit(unit, plan.cu.directives).field_loops]
-        assert list(rs._field_loops) == [id(fl.loop.stmt) for fl in fresh]
-        for kept, again in zip(rs._field_loops.values(), fresh):
-            assert kept.sweeps == again.sweeps
-            assert kept.uses == again.uses
+        assert clamp == [
+            (name, {var: g for g, var in fl.sweeps.items() if g in cut})
+            for name, fl in fresh
+            for _loop in [fl.loop, *fl.loop.descendants]]
+        kept = [(name, fl) for name, cls in
+                plan.frame.classifications.items() for fl in cls.field_loops]
+        assert [name for name, _fl in kept] == [name for name, _fl in fresh]
+        for (_n, mine), (_m, again) in zip(kept, fresh):
+            assert mine.sweeps == again.sweeps
+            assert mine.uses == again.uses

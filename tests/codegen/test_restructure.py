@@ -170,6 +170,36 @@ end
             spmd_for(src, (2, 1))
 
 
+    #: a boundary copy through a non-PARAMETER row index ``k``
+    SHIFT_SRC = """\
+!$acfd status v
+!$acfd grid 8 8
+program p
+  integer i, j, k
+  real v(8, 8)
+  k = 8
+  do i = 1, 8
+    do j = 1, 8
+      v(i, j) = i + 0.125 * j
+    end do
+  end do
+  do j = 1, 8
+    {copy}
+  end do
+end
+"""
+
+    @pytest.mark.parametrize("copy", ["v(k - 1, j) = v(k, j)",
+                                      "v(k, j) = v(k - 1, j)"])
+    def test_guarded_read_beside_a_symbolic_row(self, copy):
+        # the read is one row from the guarded write, whichever side
+        # carries the literal
+        from repro.core import AutoCFD, verify_equivalence
+        acfd = AutoCFD.from_source(self.SHIFT_SRC.format(copy=copy))
+        report = verify_equivalence(acfd, [(2, 1)])
+        assert report.all_identical, report.summary()
+
+
 class TestGeneratedSourceValidity:
     def test_reparses(self):
         _, _, text = spmd_for(JACOBI_SRC, (2, 2))
@@ -183,8 +213,7 @@ class TestGeneratedSourceValidity:
 
 class TestClassifiesOnce:
     """Field loops are classified once per compile, by the frame
-    program; the restructurer reads that classification through the
-    copy's loops."""
+    program; the restructurer reads that classification by path."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -221,8 +250,33 @@ class TestClassifiesOnce:
 
     def test_plan_not_matching_the_copy_is_refused(self):
         plan, _, _ = spmd_for(JACOBI_SRC, (2, 1))
-        # one statement ahead of every loop: the copy's paths no longer
-        # match the forest the plan's classification was taken from
+        # one statement ahead of every loop: the program's paths no
+        # longer match the forest the plan's classification was taken from
         plan.cu.main.body.insert(0, A.Continue())
         with pytest.raises(CodegenError, match="do not match"):
             restructure(plan)
+
+
+class TestPure:
+    """``build_plan`` decides and ``restructure`` only writes."""
+
+    @pytest.mark.parametrize("app,dims", [("jacobi_5pt_sub", (2, 2)),
+                                          ("sprayer", (2, 1))])
+    def test_restructure_is_a_pure_function_of_the_plan(self, app, dims):
+        import pickle
+
+        from repro.apps import kernels
+        from repro.apps.sprayer import sprayer_source
+        from repro.core import AutoCFD
+        src = {"jacobi_5pt_sub": kernels.jacobi_5pt_sub,
+               "sprayer": lambda: sprayer_source(iters=2)}[app]()
+        acfd = AutoCFD.from_source(src)
+        plan = build_plan(acfd.cu, Partition(acfd.grid, dims),
+                          acfd.directives, overlap="on")
+        assert [d.sync_id for d in plan.overlap_decisions] \
+            == [s.sync_id for s in plan.syncs]
+        assert any(d.enabled for d in plan.overlap_decisions)
+        before = pickle.dumps(plan)
+        first = print_compilation_unit(restructure(plan))
+        assert pickle.dumps(plan) == before
+        assert print_compilation_unit(restructure(plan)) == first
