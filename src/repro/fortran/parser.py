@@ -4,7 +4,8 @@ The parser consumes :class:`repro.fortran.source.LogicalLine` objects and
 produces the AST of :mod:`repro.fortran.ast`.  Block structure (DO / END DO,
 labeled DO ... CONTINUE, IF / ELSE IF / ELSE / END IF) is rebuilt by reading
 statements sequentially; shared labeled-DO terminators (two nested ``do 10``
-loops ending on one ``10 continue``) are handled.
+loops ending on one ``10 continue``) are handled.  Expressions are parsed
+by one precedence-climbing loop over the binary-operator table ``_BINARY``.
 
 Keyword-ness is decided contextually: a line is an *assignment* whenever it
 matches ``name = ...`` or ``name(...) = ...`` with the ``=`` at paren depth
@@ -16,11 +17,13 @@ from __future__ import annotations
 from repro.errors import ParseError
 from repro.fortran import ast as A
 from repro.fortran.source import LogicalLine, split_source
-from repro.fortran.tokens import OPERATOR_TEXT, T, Token, tokenize
+from repro.fortran.tokens import T, Token, tokenize
 
 _DECL_TYPES = {
     "integer", "real", "doubleprecision", "logical", "character",
 }
+
+_UNIT_KINDS = ("program", "subroutine", "function")
 
 _SPEC_STMTS = (
     A.Declaration, A.DimensionStmt, A.ParameterStmt, A.CommonStmt,
@@ -38,8 +41,11 @@ class _TokenStream:
         self.line = line
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        # next() never moves past the trailing END, so only a lookahead
+        # needs clamping
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -74,122 +80,83 @@ class _TokenStream:
 # Expression parsing (precedence climbing)
 # --------------------------------------------------------------------------
 
-_REL_OPS = {T.LT: ".lt.", T.LE: ".le.", T.GT: ".gt.", T.GE: ".ge.",
-            T.EQ: ".eq.", T.NE: ".ne."}
+# Precedence levels, loosest first.  ``.not.`` is a prefix operator whose
+# operand may hold every operator from the relational level up; a prefix
+# sign takes a multiplicative operand, and so may the right operand of
+# ``**``.
+_EQV, _OR, _AND, _NOT, _REL, _CONCAT, _ADD, _MUL, _POW = range(1, 10)
+
+#: token kind -> (precedence, spelling) of each binary operator
+_BINARY = {
+    T.EQV: (_EQV, ".eqv."), T.NEQV: (_EQV, ".neqv."),
+    T.OR: (_OR, ".or."), T.AND: (_AND, ".and."),
+    T.LT: (_REL, ".lt."), T.LE: (_REL, ".le."), T.GT: (_REL, ".gt."),
+    T.GE: (_REL, ".ge."), T.EQ: (_REL, ".eq."), T.NE: (_REL, ".ne."),
+    T.CONCAT: (_CONCAT, "//"),
+    T.PLUS: (_ADD, "+"), T.MINUS: (_ADD, "-"),
+    T.STAR: (_MUL, "*"), T.SLASH: (_MUL, "/"),
+    T.POWER: (_POW, "**"),
+}
+
+_SIGN = {T.PLUS: "+", T.MINUS: "-"}
+
+#: token kinds that start a literal constant (a DATA value)
+_CONSTANTS = (T.INT, T.REAL, T.STRING, T.TRUE, T.FALSE)
 
 
 def parse_expression(ts: _TokenStream) -> A.Expr:
     """Parse a full expression at the lowest precedence level."""
-    return _parse_eqv(ts)
+    return _climb(ts, _EQV)
 
 
-def _parse_eqv(ts: _TokenStream) -> A.Expr:
-    left = _parse_or(ts)
-    while ts.peek().kind in (T.EQV, T.NEQV):
-        op = ".eqv." if ts.next().kind is T.EQV else ".neqv."
-        left = A.BinOp(op, left, _parse_or(ts))
-    return left
+def _climb(ts: _TokenStream, min_prec: int) -> A.Expr:
+    """Parse an operand and every binary operator of precedence at least
+    *min_prec* that follows it.
 
-
-def _parse_or(ts: _TokenStream) -> A.Expr:
-    left = _parse_and(ts)
-    while ts.peek().kind is T.OR:
+    ``ceiling`` is the tightest precedence the loop may still take.  An
+    operand parsed at level ``q`` has already taken every operator from
+    ``q`` up that it could; the only one that can still stand at the
+    cursor is a second relational operator (they do not associate), and
+    it ends the whole expression.
+    """
+    kind = ts.peek().kind
+    if kind is T.NOT and min_prec <= _NOT:
         ts.next()
-        left = A.BinOp(".or.", left, _parse_and(ts))
-    return left
-
-
-def _parse_and(ts: _TokenStream) -> A.Expr:
-    left = _parse_not(ts)
-    while ts.peek().kind is T.AND:
+        left: A.Expr = A.UnOp(".not.", _climb(ts, _NOT))
+        ceiling = _AND
+    elif (kind is T.PLUS or kind is T.MINUS) and min_prec <= _ADD:
         ts.next()
-        left = A.BinOp(".and.", left, _parse_not(ts))
-    return left
-
-
-def _parse_not(ts: _TokenStream) -> A.Expr:
-    if ts.peek().kind is T.NOT:
+        left = A.UnOp(_SIGN[kind], _climb(ts, _MUL))
+        ceiling = _ADD
+    else:
+        left = _parse_primary(ts)
+        ceiling = _POW
+    while True:
+        entry = _BINARY.get(ts.peek().kind)
+        if entry is None:
+            return left
+        prec, op = entry
+        if not min_prec <= prec <= ceiling:
+            return left
         ts.next()
-        return A.UnOp(".not.", _parse_not(ts))
-    return _parse_relational(ts)
-
-
-def _parse_relational(ts: _TokenStream) -> A.Expr:
-    left = _parse_concat(ts)
-    if ts.peek().kind in _REL_OPS:
-        op = _REL_OPS[ts.next().kind]
-        return A.BinOp(op, left, _parse_concat(ts))
-    return left
-
-
-def _parse_concat(ts: _TokenStream) -> A.Expr:
-    left = _parse_additive(ts)
-    while ts.peek().kind is T.CONCAT:
-        ts.next()
-        left = A.BinOp("//", left, _parse_additive(ts))
-    return left
-
-
-def _parse_additive(ts: _TokenStream) -> A.Expr:
-    if ts.peek().kind in (T.PLUS, T.MINUS):
-        op = "+" if ts.next().kind is T.PLUS else "-"
-        operand = _parse_additive_rest(A.UnOp(op, _parse_multiplicative(ts)), ts)
-        return operand
-    return _parse_additive_rest(_parse_multiplicative(ts), ts)
-
-
-def _parse_additive_rest(left: A.Expr, ts: _TokenStream) -> A.Expr:
-    while ts.peek().kind in (T.PLUS, T.MINUS):
-        op = "+" if ts.next().kind is T.PLUS else "-"
-        left = A.BinOp(op, left, _parse_multiplicative(ts))
-    return left
-
-
-def _parse_multiplicative(ts: _TokenStream) -> A.Expr:
-    left = _parse_power(ts)
-    while ts.peek().kind in (T.STAR, T.SLASH):
-        op = "*" if ts.next().kind is T.STAR else "/"
-        left = A.BinOp(op, left, _parse_power(ts))
-    return left
-
-
-def _parse_power(ts: _TokenStream) -> A.Expr:
-    base = _parse_primary(ts)
-    if ts.peek().kind is T.POWER:
-        ts.next()
-        # ** is right-associative; unary minus binds tighter on the right.
-        if ts.peek().kind in (T.PLUS, T.MINUS):
-            op = "+" if ts.next().kind is T.PLUS else "-"
-            return A.BinOp("**", base, A.UnOp(op, _parse_power(ts)))
-        return A.BinOp("**", base, _parse_power(ts))
-    return base
+        if prec == _POW:
+            # right-associative, and the exponent may carry a sign
+            sign = _SIGN.get(ts.peek().kind)
+            if sign is None:
+                right = _climb(ts, _POW)
+            else:
+                ts.next()
+                right = A.UnOp(sign, _climb(ts, _POW))
+        else:
+            right = _climb(ts, prec + 1)
+            ceiling = prec - 1 if prec == _REL else prec
+        left = A.BinOp(op, left, right)
 
 
 def _parse_primary(ts: _TokenStream) -> A.Expr:
     tok = ts.peek()
-    if tok.kind is T.INT:
-        ts.next()
-        return A.IntLit(int(tok.text))
-    if tok.kind is T.REAL:
-        ts.next()
-        return A.RealLit(float(tok.text.lower().replace("d", "e")), tok.text)
-    if tok.kind is T.STRING:
-        ts.next()
-        quote = tok.text[0]
-        inner = tok.text[1:-1].replace(quote + quote, quote)
-        return A.StringLit(inner)
-    if tok.kind is T.TRUE:
-        ts.next()
-        return A.LogicalLit(True)
-    if tok.kind is T.FALSE:
-        ts.next()
-        return A.LogicalLit(False)
-    if tok.kind is T.LPAREN:
-        ts.next()
-        expr = parse_expression(ts)
-        ts.expect(T.RPAREN, "')'")
-        return expr
-    if tok.kind is T.NAME:
+    kind = tok.kind
+    if kind is T.NAME:
         ts.next()
         name = tok.text.lower()
         if ts.peek().kind is T.LPAREN:
@@ -198,6 +165,25 @@ def _parse_primary(ts: _TokenStream) -> A.Expr:
             ts.expect(T.RPAREN, "')'")
             return A.Apply(name, args)
         return A.Var(name)
+    if kind is T.INT:
+        ts.next()
+        return A.IntLit(int(tok.text))
+    if kind is T.LPAREN:
+        ts.next()
+        expr = parse_expression(ts)
+        ts.expect(T.RPAREN, "')'")
+        return expr
+    if kind is T.REAL:
+        ts.next()
+        return A.RealLit(float(tok.text.lower().replace("d", "e")), tok.text)
+    if kind is T.STRING:
+        ts.next()
+        quote = tok.text[0]
+        inner = tok.text[1:-1].replace(quote + quote, quote)
+        return A.StringLit(inner)
+    if kind is T.TRUE or kind is T.FALSE:
+        ts.next()
+        return A.LogicalLit(kind is T.TRUE)
     raise ts.error(f"expected expression, found {tok.text!r}")
 
 
@@ -213,20 +199,17 @@ def _parse_argument_list(ts: _TokenStream) -> list[A.Expr]:
 
 
 def _parse_subscript(ts: _TokenStream) -> A.Expr:
-    if ts.peek().kind is T.COLON:
-        ts.next()
-        hi = None
-        if ts.peek().kind not in (T.COMMA, T.RPAREN):
-            hi = parse_expression(ts)
-        return A.RangeExpr(None, hi)
-    expr = parse_expression(ts)
-    if ts.peek().kind is T.COLON:
-        ts.next()
-        hi = None
-        if ts.peek().kind not in (T.COMMA, T.RPAREN):
-            hi = parse_expression(ts)
-        return A.RangeExpr(expr, hi)
-    return expr
+    """An expression, or a ``lo:hi`` range with either bound left out."""
+    lo = None
+    if ts.peek().kind is not T.COLON:
+        lo = parse_expression(ts)
+        if ts.peek().kind is not T.COLON:
+            return lo
+    ts.next()
+    hi = None
+    if ts.peek().kind not in (T.COMMA, T.RPAREN):
+        hi = parse_expression(ts)
+    return A.RangeExpr(lo, hi)
 
 
 # --------------------------------------------------------------------------
@@ -388,15 +371,14 @@ class Parser:
                 unit.body.append(stmt)
 
     def _is_end_unit(self, line: LogicalLine) -> bool:
+        """``end``, ``end <unit kind> [name]`` or ``end<unit kind> [name]``."""
         if line.is_directive:
             return False
-        text = line.text.strip().lower()
-        if text == "end":
-            return True
-        parts = text.split()
-        return (len(parts) >= 1 and parts[0] == "end"
-                and len(parts) >= 2
-                and parts[1] in ("program", "subroutine", "function"))
+        parts = line.text.lower().split()
+        if parts[0] == "end":
+            return len(parts) == 1 or parts[1] in _UNIT_KINDS
+        return (len(parts) <= 2 and parts[0].startswith("end")
+                and parts[0][3:] in _UNIT_KINDS)
 
     # -- statements ---------------------------------------------------------
 
@@ -675,25 +657,9 @@ class Parser:
         if ts.peek().kind in (T.PLUS, T.MINUS):
             sign = "-" if ts.next().kind is T.MINUS else "+"
         tok = ts.peek()
-        if tok.kind is T.INT:
-            ts.next()
-            value: A.Expr = A.IntLit(int(tok.text))
-        elif tok.kind is T.REAL:
-            ts.next()
-            value = A.RealLit(float(tok.text.lower().replace("d", "e")),
-                              tok.text)
-        elif tok.kind is T.TRUE:
-            ts.next()
-            value = A.LogicalLit(True)
-        elif tok.kind is T.FALSE:
-            ts.next()
-            value = A.LogicalLit(False)
-        elif tok.kind is T.STRING:
-            ts.next()
-            quote = tok.text[0]
-            value = A.StringLit(tok.text[1:-1].replace(quote + quote, quote))
-        else:
+        if tok.kind not in _CONSTANTS:
             raise ts.error(f"expected DATA constant, found {tok.text!r}")
+        value = _parse_primary(ts)
         if sign is not None:
             return A.UnOp(sign, value)
         return value

@@ -56,6 +56,8 @@ class SourceFile:
 
 def _strip_quoted_comment(text: str) -> str:
     """Remove a trailing ``!`` comment, respecting quoted strings."""
+    if "!" not in text:
+        return text
     out = []
     in_quote: str | None = None
     i = 0

@@ -64,14 +64,6 @@ DOT_OPERATORS = {
     "true": T.TRUE, "false": T.FALSE,
 }
 
-#: Canonical source spelling for each operator kind (used by the printer).
-OPERATOR_TEXT = {
-    T.PLUS: "+", T.MINUS: "-", T.STAR: "*", T.SLASH: "/", T.POWER: "**",
-    T.CONCAT: "//", T.LT: ".lt.", T.LE: ".le.", T.GT: ".gt.", T.GE: ".ge.",
-    T.EQ: ".eq.", T.NE: ".ne.", T.AND: ".and.", T.OR: ".or.",
-    T.NOT: ".not.", T.EQV: ".eqv.", T.NEQV: ".neqv.",
-}
-
 
 @dataclass
 class Token:
@@ -85,15 +77,23 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
+#: A digit string followed by a dot-operator (``3.eq.n``) is an integer:
+#: the ``real`` pattern may not take its dot
+_NOT_DOT_OPERATOR = "(?!(?i:" + "|".join(DOT_OPERATORS) + r")\.)"
+
+#: Each match skips leading blanks and takes one token; ``bad`` catches a
+#: character no token can start with, so matches never skip text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<real>(\d+\.\d*|\.\d+)([edED][+-]?\d+)?|\d+[edED][+-]?\d+)
+    \s*(?:
+    (?P<real>(\d+\.""" + _NOT_DOT_OPERATOR + r"""\d*|\.\d+)([edED][+-]?\d+)?
+           |\d+[edED][+-]?\d+)
   | (?P<int>\d+)
   | (?P<dotop>\.[A-Za-z]+\.)
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
   | (?P<op>\*\*|//|::|<=|>=|==|/=|<|>|[-+*/(),=:%])
+  | (?P<bad>\S))
     """,
     re.VERBOSE,
 )
@@ -106,43 +106,36 @@ _SYMBOL_OPS = {
     ":": T.COLON, "%": T.PERCENT,
 }
 
+#: kind of the token each literal group of ``_TOKEN_RE`` matches
+_GROUP_KINDS = {"name": T.NAME, "int": T.INT, "real": T.REAL,
+                "string": T.STRING}
+
 
 def tokenize(text: str, *, filename: str = "<input>",
              line: int = 0) -> list[Token]:
     """Tokenize one logical line into a token list ending with an END token.
 
-    A ``.`` between digits was already consumed by the ``real`` pattern, so
-    dot-operators are unambiguous at this point.
+    A ``.`` after digits belongs to a ``REAL`` unless it starts a
+    dot-operator, so dot-operators are unambiguous at this point.
     """
     tokens: list[Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LexError(f"unexpected character {text[pos]!r}",
-                           filename=filename, line=line, column=pos + 1)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        value = m.group()
-        if m.lastgroup == "real":
-            tokens.append(Token(T.REAL, value, m.start()))
-        elif m.lastgroup == "int":
-            tokens.append(Token(T.INT, value, m.start()))
-        elif m.lastgroup == "dotop":
-            op = value[1:-1].lower()
-            kind = DOT_OPERATORS.get(op)
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        value = m.group(group)
+        column = m.start(group)
+        if group == "op":
+            kind = _SYMBOL_OPS[value]
+        elif group == "dotop":
+            kind = DOT_OPERATORS.get(value[1:-1].lower())
             if kind is None:
                 raise LexError(f"unknown operator {value!r}",
                                filename=filename, line=line,
-                               column=m.start() + 1)
-            tokens.append(Token(kind, value, m.start()))
-        elif m.lastgroup == "name":
-            tokens.append(Token(T.NAME, value, m.start()))
-        elif m.lastgroup == "string":
-            tokens.append(Token(T.STRING, value, m.start()))
+                               column=column + 1)
+        elif group == "bad":
+            raise LexError(f"unexpected character {value!r}",
+                           filename=filename, line=line, column=column + 1)
         else:
-            tokens.append(Token(_SYMBOL_OPS[value], value, m.start()))
-    tokens.append(Token(T.END, "", n))
+            kind = _GROUP_KINDS[group]
+        tokens.append(Token(kind, value, column))
+    tokens.append(Token(T.END, "", len(text)))
     return tokens

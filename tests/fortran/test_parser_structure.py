@@ -62,6 +62,29 @@ class TestUnits:
         with pytest.raises(ParseError):
             parse_source("program p\nx = 1\n", resolve=False)
 
+    @pytest.mark.parametrize("source,kind", [
+        ("program p\nx = 1\nendprogram p\n", "program"),
+        ("program p\nx = 1\nendprogram\n", "program"),
+        ("subroutine s(a)\na = 1\nendsubroutine s\n", "subroutine"),
+        ("function f(x)\nf = x\nEndFunction\n", "function"),
+    ])
+    def test_blankless_unit_end(self, source, kind):
+        cu = parse_source(source, resolve=False)
+        assert [u.kind for u in cu.units] == [kind]
+        assert len(cu.units[0].body) == 1
+
+    def test_blankless_ends_between_units(self):
+        cu = parse_source(
+            "program p\ncall s(1)\nendprogram p\n"
+            "subroutine s(a)\nendsubroutine s\n"
+            "function f(x)\nf = x\nendfunction f\n", resolve=False)
+        assert [u.name for u in cu.units] == ["p", "s", "f"]
+
+    def test_variable_named_like_a_unit_end(self):
+        cu = parse_source("program p\nendprogram = 3\nend\n",
+                          resolve=False)
+        assert cu.main.body == [A.Assign(A.Var("endprogram"), A.IntLit(3))]
+
     def test_decl_body_split(self):
         cu = parse_source(
             "program p\ninteger i\nreal x\ni = 1\nreal y\nend\n",

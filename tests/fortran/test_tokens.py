@@ -77,6 +77,27 @@ class TestDotOperators:
         assert toks[0].kind is T.REAL
         assert toks[1].kind is T.LT
 
+    @pytest.mark.parametrize("text,expected", [
+        ("3.eq.n", [T.INT, T.EQ, T.NAME]),
+        ("5.lt.n", [T.INT, T.LT, T.NAME]),
+        ("3.EQ.n", [T.INT, T.EQ, T.NAME]),
+        ("1.and.x", [T.INT, T.AND, T.NAME]),
+        ("1.neqv.x", [T.INT, T.NEQV, T.NAME]),
+        ("2.e5", [T.REAL]),
+        ("1.d0", [T.REAL]),
+        ("1.5.eq.n", [T.REAL, T.EQ, T.NAME]),
+    ])
+    def test_integer_before_dot_operator(self, text, expected):
+        assert kinds(text) == expected
+
+    def test_integer_before_dot_operator_parses(self):
+        from repro.fortran import ast as A
+        from repro.fortran.parser import parse_source
+        body = parse_source("program p\nif (3.eq.n) x = 1\nx = 5.lt.n\n"
+                            "end\n", resolve=False).main.body
+        assert body[0].cond == A.BinOp(".eq.", A.IntLit(3), A.Var("n"))
+        assert body[1].value == A.BinOp(".lt.", A.IntLit(5), A.Var("n"))
+
 
 class TestStrings:
     def test_single_quotes(self):
