@@ -68,9 +68,6 @@ class InstanceNode:
         """Loop-kind ancestors, innermost first."""
         return [n for n in self.ancestors() if n.kind == "loop"]
 
-    def contains_slot(self, slot: int) -> bool:
-        return self.open < slot <= self.close
-
     def __repr__(self) -> str:  # pragma: no cover
         tag = ""
         if self.field_loop is not None:

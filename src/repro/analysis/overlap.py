@@ -95,12 +95,11 @@ def decide_overlap(plan: ParallelPlan,
 
 class _Verdict:
     def __init__(self, plan: ParallelPlan, placed: Placed) -> None:
-        from repro.interp.vectorize import goto_targets
         self.plan = plan
         self.placed = placed
         self.cut = set(plan.partition.cut_dims)
         self.diag_arrays = _diagonal_readers(plan, self.cut)
-        self.targets = {u.name: frozenset(goto_targets(u))
+        self.targets = {u.name: frozenset(A.goto_targets(u))
                         for u in plan.cu.units}
         self.graph = build_call_graph(plan.cu)
         self.syncs_by_id = {s.sync_id: s for s in plan.syncs}

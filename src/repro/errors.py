@@ -87,7 +87,3 @@ class InterpError(ReproError):
 
 class SimulationError(ReproError):
     """Raised by the discrete-event cluster simulator."""
-
-
-class BenchError(ReproError):
-    """Raised by the benchmark registry/runner/comparator."""

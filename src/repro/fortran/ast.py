@@ -456,22 +456,24 @@ def walk_statements(stmts: list[Stmt]) -> Iterator[Stmt]:
             yield from walk_statements([stmt.stmt])
 
 
-def walk_expressions(node: Node) -> Iterator[Expr]:
-    """Yield every expression node reachable from *node*."""
-    for n in walk(node):
-        if isinstance(n, Expr):
-            yield n
+def goto_targets(unit: ProgramUnit) -> set[int]:
+    """Labels any GOTO in *unit* may jump to.
 
-
-def statement_lists(stmt: Stmt) -> Iterator[list[Stmt]]:
-    """Yield each nested statement list directly owned by *stmt*."""
-    if isinstance(stmt, (DoLoop, DoWhile)):
-        yield stmt.body
-    elif isinstance(stmt, IfBlock):
-        for _cond, body in stmt.arms:
-            yield body
-    elif isinstance(stmt, LogicalIf):
-        yield [stmt.stmt]
+    The vectorizer refuses nests whose labels are jump targets, since
+    re-emitting such a nest as slice statements would break the unit's
+    control flow; the scalar backend emits GOTO dispatch only around a
+    statement list that holds a target.  The plan's overlap verdict
+    refuses the same nests: the interior/boundary split it judges
+    (modelled by ``ClusterSim``, never emitted) would cut them into
+    strips a jump could enter.
+    """
+    targets: set[int] = set()
+    for stmt in walk_statements(unit.body):
+        if isinstance(stmt, Goto):
+            targets.add(stmt.target)
+        elif isinstance(stmt, ComputedGoto):
+            targets.update(stmt.targets)
+    return targets
 
 
 _NODE_TYPES = (Expr, Stmt, ProgramUnit, CompilationUnit)

@@ -98,7 +98,7 @@ class _UnitCompiler:
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
-        self.targeted_labels = self._collect_goto_targets()
+        self.targeted_labels = A.goto_targets(self.unit)
         self.common_pos: dict[str, tuple[str, int]] = {}
         for block, members in self.table.common_blocks.items():
             for pos, member in enumerate(members):
@@ -112,15 +112,6 @@ class _UnitCompiler:
     def fresh(self, stem: str) -> str:
         self.tmp += 1
         return f"_{stem}{self.tmp}"
-
-    def _collect_goto_targets(self) -> set[int]:
-        targets: set[int] = set()
-        for stmt in A.walk_statements(self.unit.body):
-            if isinstance(stmt, A.Goto):
-                targets.add(stmt.target)
-            elif isinstance(stmt, A.ComputedGoto):
-                targets.update(stmt.targets)
-        return targets
 
     # -- typing ----------------------------------------------------------------
 

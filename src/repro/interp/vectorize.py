@@ -1207,29 +1207,6 @@ class _NestEmitter:
         return self._call(helper, args, dt)
 
 
-def _goto_targets(unit: A.ProgramUnit) -> set[int]:
-    targets: set[int] = set()
-    for stmt in A.walk_statements(unit.body):
-        if isinstance(stmt, A.Goto):
-            targets.add(stmt.target)
-        elif isinstance(stmt, A.ComputedGoto):
-            targets.update(stmt.targets)
-    return targets
-
-
-def goto_targets(unit: A.ProgramUnit) -> set[int]:
-    """Labels any GOTO in *unit* may jump to.
-
-    The vectorizer refuses nests whose labels are jump targets, since
-    re-emitting such a nest as slice statements would break the unit's
-    control flow.  The plan's overlap verdict refuses the same
-    nests: the interior/boundary split it judges (modelled by
-    ``ClusterSim``, never emitted) would cut them into strips a jump
-    could enter.
-    """
-    return _goto_targets(unit)
-
-
 def survey(cu: A.CompilationUnit) -> dict:
     """Count vectorized (per schedule) and fallback nests, with reasons,
     in the shape of ``CompiledProgram.vector_stats``.
@@ -1263,5 +1240,5 @@ def survey(cu: A.CompilationUnit) -> dict:
                 visit(unit, targeted, [s.stmt])
 
     for unit in cu.units:
-        visit(unit, frozenset(_goto_targets(unit)), unit.body)
+        visit(unit, frozenset(A.goto_targets(unit)), unit.body)
     return stats

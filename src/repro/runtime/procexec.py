@@ -10,37 +10,30 @@ deadlock-diagnosis / bounded-join guarantees — behind
   spawned once and reused across runs and recovery attempts — respawning
   processes per attempt would swamp small runs with fork cost.  Workers
   killed by a fault (or the stuck deadline) are respawned lazily;
-* **one shared-memory channel per ordered rank pair** carries the
-  messages: a single-producer single-consumer ring of ``_SLOTS`` slots
-  plus the writer's and the reader's counters (:class:`_Channel`), all
-  in one ``multiprocessing.shared_memory`` segment the pool creates next
-  to the barrier and every (re)spawned worker inherits.  A message is a
-  fixed header (run id, tag, msg id, per-channel sequence number,
-  payload kind) and, in the same slot, its payload: ndarrays and lists
-  of ndarrays as raw 8-byte-aligned bytes behind their dtype/shape
-  words, a float in the header itself, anything else pickled.  The
-  writer fills the slot, advances its counter (that store publishes the
-  message) and posts the destination rank's **doorbell** semaphore;
+* **one shared-memory channel per ordered rank pair is the only way
+  between workers**: a single-producer single-consumer ring of
+  ``_SLOTS`` slots plus the writer's and the reader's counters
+  (:class:`_Channel`) in one ``multiprocessing.shared_memory`` segment
+  every (re)spawned worker inherits.  A slot holds a header (run id,
+  tag, msg id, per-channel sequence number, payload kind) and the
+  payload: ndarrays as raw 8-byte-aligned bytes behind their dtype/shape
+  words, a float in the header, anything else pickled, over consecutive
+  slots if one cannot hold it.  The writer fills the slot, advances its
+  counter (publishing it) and posts the receiver's **doorbell**
+  semaphore.  ``send`` stays buffered: what a full ring has no room for
+  waits in the sender's per-peer backlog, which every later message to
+  that peer joins, until the worker's one helper thread (the flusher)
+  writes it.  Counters live in the segment and every message carries
+  its run id, so a respawned worker resumes where the dead one stopped
+  and messages of dead attempts are dropped, never delivered;
 * **the receiving rank takes its own messages**.  A receive that names
-  source and tag polls that source's channel for ``_SPIN`` seconds and,
-  if the head message is the one due, takes it where it lies
-  (:meth:`_ChannelMailbox.take_head`): a halo face crosses in two
-  copies, live view to slot to ghost view, with no pack buffer, bucket
-  or ``_Message`` on the way.  Any other receive is the inherited
-  ``_Mailbox.get`` on a mailbox whose wait sleeps on the doorbell and
-  moves what was published into the ``(source, tag)`` buckets itself.
-  Matching, collectives and duplicate suppression are inherited; between
-  ``send`` and ``recv`` there is no pipe, no pickle and no other thread;
-* **the data pipes are the overflow path**: a payload larger than a
-  slot, or a send into a full ring, is pickled onto the per-pair pipe
-  instead, so ``send`` stays buffered (it never waits for the
-  receiver).  Each worker's drainer thread exists only for this: it
-  parks what arrives in the worker's inbox and rings the doorbell.  The
-  sequence number makes the mailbox admit each source's messages in
-  send order whichever way they came.  Counters live in the segment and
-  every message carries its run id, so a respawned worker resumes where
-  the dead one stopped and messages of dead attempts are dropped, never
-  delivered: recovery sees no ghosts;
+  source and tag takes the head of that source's channel where it lies
+  when it is the message due (:meth:`_ChannelMailbox.take_head`): a halo
+  face crosses in two copies, live view to slot to ghost view.  Any
+  other receive is the inherited ``_Mailbox.get`` on a mailbox whose
+  wait sleeps on the doorbell and moves what was published into the
+  ``(source, tag)`` buckets itself; matching, collectives and duplicate
+  suppression are inherited;
 * the world barrier is a ``multiprocessing.Barrier`` shared by all
   workers, abortable by any worker *and* by the launcher;
 * **deadlock detection runs in the launcher**: every worker publishes
@@ -72,7 +65,7 @@ import pickle
 import struct
 import threading
 import time
-from collections import deque
+from collections import deque, namedtuple
 from multiprocessing import connection as mpc
 from multiprocessing import get_context, shared_memory
 from time import perf_counter, perf_counter_ns
@@ -81,8 +74,7 @@ import numpy as np
 
 from repro.errors import RuntimeCommError
 from repro.runtime.comm import (_HEARTBEAT, Communicator, DeadlockDetector,
-                                _Mailbox, _Message, _payload_bytes,
-                                fill_ghosts)
+                                _Mailbox, _Message, fill_ghosts)
 from repro.runtime.trace import EpochProbe, Trace, epoch_shift
 from repro.runtime.world import World, _exc_kind, _Launch
 
@@ -90,7 +82,7 @@ from repro.runtime.world import World, _exc_kind, _Launch
 _SLOTS = 8
 _SLOT_BYTES = 1 << 16
 #: slot header: run id, tag, msg id (-1: none), channel sequence number,
-#: payload kind, a kind-specific integer, a float payload
+#: payload kind, a kind-specific integer, a kind-specific float
 _HDR = struct.Struct("6qd")
 _HEAD = 64
 _STRIDE = _HEAD + _SLOT_BYTES
@@ -108,12 +100,16 @@ _SPIN = 200e-6
 #: on the same core (more ranks than cores, or two workers fresh from the
 #: fork) gets to answer inside the spin instead of after it
 _POLLS_PER_YIELD = 16
+#: the flusher's pause between polls of a ring it has backlog for, so
+#: that a reader that stays busy costs it no core
+_FLUSH_PAUSE = 100e-6
 
-#: payload kinds
-_PICKLE, _FLOAT, _ARRAY, _LIST = range(4)
+#: payload kinds; a _CHUNK slot holds one piece of a pickle too big for
+#: a slot, its float the bytes still to come (0.0 in the last piece)
+_PICKLE, _FLOAT, _ARRAY, _LIST, _CHUNK = range(5)
 
-#: what :meth:`_ChannelMailbox.take_head` answers instead of a payload
-#: when the receive has to go the inherited way
+#: in place of a payload: ``take_head``'s answer when the receive goes the
+#: inherited way, ``_drain``'s for a chunk that leaves its message short
 _MISS = object()
 
 
@@ -125,8 +121,8 @@ _MISS = object()
 class _Channel:
     """One end of one ordered rank pair's ring in the pool's segment.
 
-    Layout: the writer's counter (messages published), the reader's
-    (messages taken), then ``_SLOTS`` slots; message *n* lives in slot
+    Layout: the writer's counter (slots published), the reader's (slots
+    taken), then ``_SLOTS`` slots; the *n*-th published lives in slot
     ``n % _SLOTS``.  Each end owns one counter and only reads the
     other's, and both live in the segment: a respawned worker picks up
     where the dead one stopped, a writer killed before :meth:`advance`
@@ -164,8 +160,8 @@ class _Channel:
         self.pos += 1
         self._ctr[self._mine] = self.pos
 
-    def backlog(self) -> int:
-        """Reader's end: messages published and not yet taken."""
+    def unread(self) -> int:
+        """Reader's end: slots published and not yet taken."""
         return self._ctr[self._theirs] - self.pos
 
 
@@ -181,8 +177,9 @@ def _word_dtype(word: int) -> np.dtype:
 
 def _encode(buf: memoryview, body: int, payload
             ) -> tuple[int, int, float] | None:
-    """Write *payload* at *body*, behind a slot's header; the header's
-    (kind, count, float) fields, or None if the slot cannot hold it."""
+    """Write a float or ndarray(s) *payload* at *body*, behind a slot's
+    header; the header's (kind, count, float) fields, or None if the
+    payload is of another kind or the slot cannot hold it."""
     cls = payload.__class__
     if cls is float:
         return _FLOAT, 0, payload
@@ -204,11 +201,6 @@ def _encode(buf: memoryview, body: int, payload
             np.ndarray(a.shape, a.dtype, buf, at)[...] = a
             at += (a.nbytes + 7) & ~7
         return _ARRAY if cls is np.ndarray else _LIST, len(words), 0.0
-    if _payload_bytes(payload) <= _SLOT_BYTES:  # else: don't pickle twice
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        if len(data) <= _SLOT_BYTES:
-            buf[body:body + len(data)] = data
-            return _PICKLE, len(data), 0.0
     return None
 
 
@@ -249,24 +241,23 @@ class _ChannelMailbox(_Mailbox):
     ``get`` is inherited; only its wait differs.  Where the in-process
     mailbox sleeps on its condition until a ``put``, this one sleeps on
     the rank's doorbell, and on the way out moves every published
-    message (and every overflow message the drainer parked in the inbox)
-    into the buckets.  :meth:`take_head` is the way round the buckets.
-    Only the body thread takes from channels, so ``delivered`` — what
-    the launcher's detector balances against the senders' counts — moves
-    exactly when a message becomes receivable.
+    message into the buckets (:meth:`_drain`).  :meth:`take_head` is the
+    way round the buckets.  Only the body thread takes from channels, so
+    ``delivered`` — what the launcher's detector balances against the
+    senders' counts — moves exactly when a message becomes receivable.
     """
 
     def __init__(self, run_id: int, inbound: dict[int, _Channel],
-                 inbox: deque, doorbell) -> None:
+                 doorbell) -> None:
         super().__init__()
         self._run_id = run_id
         self._channels = inbound
-        self._inbox = inbox
         self._doorbell = doorbell
         #: source -> sequence number of the next message to admit
         self._next = dict.fromkeys(inbound, 0)
-        #: (source, seq) -> message that overtook one still on the pipe
-        self._held: dict[tuple[int, int], _Message] = {}
+        #: source -> (sequence number, pieces) of the chunked message
+        #: being put back together
+        self._parts: dict[int, tuple[int, list[bytes]]] = {}
         self.doorbell_sleeps = 0
         self.spin_hits = 0
         #: messages :meth:`take_head` took in place
@@ -278,11 +269,10 @@ class _ChannelMailbox(_Mailbox):
 
     @property
     def pending(self) -> int:
-        """Messages waiting for this rank wherever they are: in a
-        bucket, held for order, parked by the drainer, or published in a
-        channel and not yet taken."""
-        return (self._queued + len(self._held) + len(self._inbox)
-                + sum(chan.backlog() for chan in self._channels.values()))
+        """Messages waiting for this rank: in a bucket, or published in
+        a channel and not yet taken (a chunked one counts its slots)."""
+        return self._queued + sum(chan.unread()
+                                  for chan in self._channels.values())
 
     def put(self, message: _Message) -> None:
         # a self-send, possibly from a fault-injection timer thread
@@ -302,18 +292,18 @@ class _ChannelMailbox(_Mailbox):
                   ) -> tuple[object, float]:
         """The short cut of a receive that names its source and its tag:
         ``(payload, seconds waited)``, taken where it lies in *source*'s
-        channel, when nothing of that source and tag is queued, nothing
-        is held for order or parked by the drainer, and the head, awaited
-        for ``_SPIN`` at most, carries this run's id, *tag*, the sequence
-        number due and no msg id.  With a *face* (a halo ghost face) the
-        sections go straight into its ghost views and the payload is
-        their byte count.  Otherwise nothing is touched and the answer is
-        ``(_MISS, seconds spent)``: the caller goes through :meth:`get`,
-        whose drain, ordering, duplicate suppression, detector and
-        timeout apply.  Body thread only, like every taker of channels.
+        channel, when nothing of that source and tag is queued and the
+        head, awaited for ``_SPIN`` at most, is a whole message carrying
+        this run's id, *tag*, the sequence number due and no msg id.
+        With a *face* (a halo ghost face) the sections go straight into
+        its ghost views and the payload is their byte count.  Otherwise
+        nothing is touched and the answer is ``(_MISS, seconds spent)``:
+        the caller goes through :meth:`get`, whose drain, reassembly,
+        duplicate suppression, detector and timeout apply.  Body thread
+        only, like every taker of channels.
         """
         chan = self._channels.get(source)
-        if (chan is None or tag is None or self._held or self._inbox
+        if (chan is None or tag is None
                 or (source, tag) in self._buckets or failed.is_set()):
             return _MISS, 0.0
         waited = 0.0
@@ -333,7 +323,7 @@ class _ChannelMailbox(_Mailbox):
         buf = chan.buf
         rid, mtag, msg_id, seq, kind, n, value = _HDR.unpack_from(buf, off)
         if (rid != self._run_id or mtag != tag or msg_id >= 0
-                or seq != self._next[source]
+                or seq != self._next[source] or kind == _CHUNK
                 or (face is not None and kind != _LIST)):
             return _MISS, waited
         if face is None:
@@ -368,63 +358,65 @@ class _ChannelMailbox(_Mailbox):
         self._drain()
 
     def _drain(self) -> None:
-        """Move everything published for this run into the buckets
-        (body thread, lock held); free what dead runs left behind."""
+        """Move everything published for this run into the buckets,
+        chunked messages once whole (body thread, lock held); free what
+        dead runs left behind."""
         run_id = self._run_id
+        parts = self._parts
         for source, chan in self._channels.items():
             buf = chan.buf
             while (off := chan.slot()) is not None:
                 rid, tag, msg_id, seq, kind, n, value = \
                     _HDR.unpack_from(buf, off)
                 if rid == run_id:
-                    self._admit(source, seq, _Message(
-                        source, tag,
-                        _decode(buf, off + _HEAD, kind, n, value),
-                        None if msg_id < 0 else msg_id))
+                    body = off + _HEAD
+                    if kind == _CHUNK:
+                        # a new seq starts a message (and drops one its
+                        # failed run cut short); the last piece completes it
+                        part = parts.get(source)
+                        if part is None or part[0] != seq:
+                            part = parts[source] = (seq, [])
+                        part[1].append(bytes(buf[body:body + n]))
+                        payload = _MISS if value else pickle.loads(
+                            b"".join(parts.pop(source)[1]))
+                    else:
+                        payload = _decode(buf, body, kind, n, value)
+                    if payload is not _MISS:
+                        self._enqueue(_Message(
+                            source, tag, payload,
+                            None if msg_id < 0 else msg_id))
+                        self._next[source] = seq + 1
                 chan.advance()
-        inbox = self._inbox
-        while inbox:
-            rid, source, tag, msg_id, seq, payload = inbox.popleft()
-            if rid == run_id:
-                self._admit(source, seq,
-                            _Message(source, tag, payload, msg_id))
-
-    def _admit(self, source: int, seq: int, message: _Message) -> None:
-        if seq != self._next[source]:
-            self._held[source, seq] = message
-            return
-        self._enqueue(message)
-        seq += 1
-        held = self._held
-        while held and (source, seq) in held:
-            self._enqueue(held.pop((source, seq)))
-            seq += 1
-        self._next[source] = seq
 
 
 class _RemoteMailbox:
     """Sender-side proxy for a peer's mailbox: ``write`` copies a payload
-    into the pair's channel and rings the peer's doorbell, or, when the
-    slot or the ring cannot take it, pickles it onto the data pipe.
+    into the pair's channel and rings the peer's doorbell.
 
-    Bound to one run: a delayed delivery (fault-injection timer) firing
-    after its run died carries the dead run's id and is dropped by the
-    receiver instead of ghosting into the next attempt.
+    What the ring has no room for waits in the backlog, which every
+    later message joins while it is not empty: send order holds and
+    ``write`` never waits for the reader.  Bound to one run: a delayed
+    delivery (fault-injection timer) firing after its run died carries
+    the dead run's id and is dropped by the receiver, and the flusher
+    serves only the current run's backlog.
     """
 
-    __slots__ = ("_run_id", "_source", "_chan", "_conn", "_lock",
-                 "_doorbell", "sent", "overflow")
+    __slots__ = ("_run_id", "_chan", "_lock", "_doorbell", "_backlogged",
+                 "_backlog", "sent", "overflow")
 
-    def __init__(self, run_id: int, source: int, chan: _Channel, conn,
-                 lock, doorbell) -> None:
+    def __init__(self, run_id: int, chan: _Channel, lock, doorbell,
+                 backlogged: threading.Event) -> None:
         self._run_id = run_id
-        self._source = source
         self._chan = chan
-        self._conn = conn
-        self._lock = lock  # per-pair: body + injector timers may race
+        self._lock = lock  # per-pair: body, flusher, injector timers
         self._doorbell = doorbell
+        self._backlogged = backlogged  # what the flusher sleeps on
+        #: what waits for a slot, one slot's worth each: (tag, msg id,
+        #: seq, kind, piece of a pickle, bytes of it still to come)
+        self._backlog: deque[tuple] = deque()
         #: messages sent this run; the next one's sequence number
         self.sent = 0
+        #: messages not written whole into one slot at send time
         self.overflow = 0
 
     def put(self, message: _Message) -> None:
@@ -432,24 +424,55 @@ class _RemoteMailbox:
 
     def write(self, tag: int, payload, msg_id: int | None = None) -> None:
         chan = self._chan
+        msg_id = -1 if msg_id is None else msg_id
         with self._lock:
             seq = self.sent
             # counted before it is published: whatever the launcher's
             # detector reads, a message on its way keeps sent > delivered
             self.sent = seq + 1
-            off = chan.slot()
+            off = None if self._backlog else chan.slot()
             head = off is not None and _encode(chan.buf, off + _HEAD,
                                                payload)
             if head:
-                _HDR.pack_into(chan.buf, off, self._run_id, tag,
-                               -1 if msg_id is None else msg_id, seq, *head)
+                _HDR.pack_into(chan.buf, off, self._run_id, tag, msg_id,
+                               seq, *head)
                 chan.advance()
             else:
-                self.overflow += 1
-                self._conn.send((self._run_id, self._source, tag, msg_id,
-                                 seq, payload))
+                data = memoryview(pickle.dumps(payload,
+                                               pickle.HIGHEST_PROTOCOL))
+                kind = _PICKLE if len(data) <= _SLOT_BYTES else _CHUNK
+                for pos in range(0, len(data), _SLOT_BYTES):
+                    piece = data[pos:pos + _SLOT_BYTES]
+                    self._backlog.append((tag, msg_id, seq, kind, piece,
+                                          len(data) - pos - len(piece)))
+                if off is None or kind == _CHUNK:
+                    self.overflow += 1
         if head:
             self._doorbell.release()
+        elif self.flush():
+            self._backlogged.set()
+
+    def flush(self, drop: bool = False) -> bool:
+        """Write the backlog into free slots, oldest first (or *drop*
+        it); whether any is left."""
+        chan = self._chan
+        buf = chan.buf
+        wrote = False
+        with self._lock:
+            backlog = self._backlog
+            if drop:
+                backlog.clear()
+            while backlog and (off := chan.slot()) is not None:
+                tag, msg_id, seq, kind, piece, rest = backlog.popleft()
+                buf[off + _HEAD:off + _HEAD + len(piece)] = piece
+                _HDR.pack_into(buf, off, self._run_id, tag, msg_id, seq,
+                               kind, len(piece), rest)
+                chan.advance()
+                wrote = True
+            left = bool(backlog)
+        if wrote:
+            self._doorbell.release()
+        return left
 
 
 class _Run:
@@ -471,11 +494,11 @@ class _Run:
         self._publish = worker.publish
         self.trace = Trace(enabled=trace_enabled)
         self.mailbox = _ChannelMailbox(run_id, worker.inbound,
-                                       worker.inbox, worker.doorbell)
+                                       worker.doorbell)
         #: rank -> where a message for it goes
         self.mailboxes: list = [
             self.mailbox if dest == worker.rank
-            else _RemoteMailbox(run_id, worker.rank, *worker.outbound[dest])
+            else _RemoteMailbox(run_id, *worker.outbound[dest])
             for dest in range(worker.size)]
         self._remotes = [m for m in self.mailboxes if m is not self.mailbox]
         self.failed = threading.Event()
@@ -496,6 +519,12 @@ class _Run:
         infl = self.injector.in_flight() if self.injector is not None else 0
         return (sum(m.sent for m in self._remotes),
                 self.mailbox.delivered, infl)
+
+    def flush(self) -> bool:
+        """Flush (a failed run: drop) this run's backlogs; whether any
+        is left."""
+        drop = self.failed.is_set()
+        return any([m.flush(drop) for m in self._remotes])
 
     def transport(self) -> dict[str, int]:
         """How this rank's messages travelled and how it waited."""
@@ -538,8 +567,8 @@ class ProcCommunicator(Communicator):
 
     Collectives, barrier handling, deadlock bookkeeping and tracing are
     inherited; what changes is the way across the process boundary.
-    Writing into the slot (or pickling, on overflow) *is* the
-    buffered-send copy, so the payload deep-copy is skipped, and a
+    Writing into the slot (or pickling, for what a slot cannot hold raw)
+    *is* the buffered-send copy, so the payload deep-copy is skipped, and a
     receive that names source and tag tries the head of that source's
     channel (:meth:`_ChannelMailbox.take_head`) before the inherited
     matching.  Fault-free runs only: see :func:`_run_body`.
@@ -590,8 +619,7 @@ class ProcCommunicator(Communicator):
 class _WorkerState:
     """One worker process's long-lived state across runs."""
 
-    def __init__(self, rank: int, size: int, ctrl, data_out, buf,
-                 doorbells) -> None:
+    def __init__(self, rank: int, size: int, ctrl, buf, doorbells) -> None:
         self.rank = rank
         self.size = size
         self.ctrl = ctrl
@@ -600,14 +628,14 @@ class _WorkerState:
         #: source -> reading end of that rank's channel to this one
         self.inbound = {s: _Channel(buf, _channel_base(size, s, rank), False)
                         for s in range(size) if s != rank}
+        #: set when a backlog forms: wakes the flusher
+        self.backlogged = threading.Event()
         #: dest -> what a _RemoteMailbox is made of, shared by all runs:
-        #: writing end, overflow pipe, their lock, the peer's doorbell
+        #: writing end, its lock, the peer's doorbell, the flusher's event
         self.outbound = {
-            d: (_Channel(buf, _channel_base(size, rank, d), True), conn,
-                threading.Lock(), doorbells[d])
-            for d, conn in data_out}
-        #: overflow messages the drainer parked for the body to admit
-        self.inbox: deque = deque()
+            d: (_Channel(buf, _channel_base(size, rank, d), True),
+                threading.Lock(), doorbells[d], self.backlogged)
+            for d in range(size) if d != rank}
         self.run: _Run | None = None
 
     def publish(self, msg: tuple) -> None:
@@ -620,27 +648,23 @@ def _channel_base(size: int, source: int, dest: int) -> int:
     return (source * (size - 1) + dest - (dest > source)) * _CHANNEL_BYTES
 
 
-def _drain_loop(worker: _WorkerState, conns: list) -> None:
-    """The overflow path: park what arrives on the data pipes in the
-    inbox and ring the doorbell; the body admits it (or, by run id,
-    drops it) like any channel message."""
-    while conns:
-        for conn in mpc.wait(conns):
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                conns.remove(conn)
-                continue
-            worker.inbox.append(msg)
-            worker.doorbell.release()
+def _flush_loop(worker: _WorkerState) -> None:
+    """The flusher: write the current run's backlogs into their rings as
+    the readers free slots.  It sleeps while no backlog exists and
+    pauses ``_FLUSH_PAUSE`` between polls while one does."""
+    while True:
+        worker.backlogged.wait()
+        worker.backlogged.clear()
+        while worker.run.flush():
+            time.sleep(_FLUSH_PAUSE)
 
 
-def _worker_main(rank: int, size: int, cmd, ctrl, data_in, data_out,
-                 barrier, shm, doorbells) -> None:
-    """Worker process entry: command loop + drainer + per-run body."""
-    worker = _WorkerState(rank, size, ctrl, data_out, shm.buf, doorbells)
-    threading.Thread(target=_drain_loop, args=(worker, list(data_in)),
-                     daemon=True, name=f"proc-drain-{rank}").start()
+def _worker_main(rank: int, size: int, cmd, ctrl, barrier, shm,
+                 doorbells) -> None:
+    """Worker process entry: command loop + flusher + per-run body."""
+    worker = _WorkerState(rank, size, ctrl, shm.buf, doorbells)
+    threading.Thread(target=_flush_loop, args=(worker,),
+                     daemon=True, name=f"proc-flush-{rank}").start()
     compiled_cache: dict = {}
 
     while True:
@@ -760,14 +784,7 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
 # ---------------------------------------------------------------------------
 
 
-class _Worker:
-    __slots__ = ("rank", "process", "cmd", "ctrl")
-
-    def __init__(self, rank, process, cmd, ctrl) -> None:
-        self.rank = rank
-        self.process = process
-        self.cmd = cmd
-        self.ctrl = ctrl
+_Worker = namedtuple("_Worker", "rank process cmd ctrl")
 
 
 class WorkerPool:
@@ -789,31 +806,20 @@ class WorkerPool:
         #: pages are touched only as slots are used
         self.shm = shared_memory.SharedMemory(
             create=True, size=max(1, size * (size - 1) * _CHANNEL_BYTES))
-        #: rank -> semaphore its senders (and its drainer) post
+        #: rank -> semaphore its senders post
         self.doorbells = [self.ctx.Semaphore(0) for _ in range(size)]
         self._run_seq = 0
-        #: (source, dest) -> (read end, write end) of the overflow pipe;
-        #: both ends stay open in the launcher so respawned workers
-        #: inherit live pipes and a send to a dead rank does not raise
-        self.data = {(s, d): self.ctx.Pipe(duplex=False)
-                     for s in range(size) for d in range(size) if s != d}
-        self.workers: list[_Worker] = [None] * size  # type: ignore[list-item]
-        for rank in range(size):
-            self._spawn(rank)
+        self.workers = [self._spawn(rank) for rank in range(size)]
 
-    def _spawn(self, rank: int) -> None:
+    def _spawn(self, rank: int) -> _Worker:
         cmd_r, cmd_w = self.ctx.Pipe(duplex=False)
         ctrl_r, ctrl_w = self.ctx.Pipe(duplex=False)
-        data_in = [self.data[(s, rank)][0]
-                   for s in range(self.size) if s != rank]
-        data_out = [(d, self.data[(rank, d)][1])
-                    for d in range(self.size) if d != rank]
         process = self.ctx.Process(
             target=_worker_main, daemon=True, name=f"acfd-rank-{rank}",
-            args=(rank, self.size, cmd_r, ctrl_w, data_in, data_out,
-                  self.barrier, self.shm, self.doorbells))
+            args=(rank, self.size, cmd_r, ctrl_w, self.barrier, self.shm,
+                  self.doorbells))
         process.start()
-        self.workers[rank] = _Worker(rank, process, cmd_w, ctrl_r)
+        return _Worker(rank, process, cmd_w, ctrl_r)
 
     def next_run_id(self) -> int:
         self._run_seq += 1
@@ -821,34 +827,26 @@ class WorkerPool:
 
     def ensure_alive(self) -> None:
         """Respawn dead workers and un-break the barrier before a run."""
-        for rank in range(self.size):
-            w = self.workers[rank]
-            if w is None or not w.process.is_alive():
-                if w is not None:
-                    w.process.join(timeout=0.5)
-                    _close_quiet(w.cmd, w.ctrl)
-                self._spawn(rank)
+        for rank, w in enumerate(self.workers):
+            if not w.process.is_alive():
+                w.process.join(timeout=0.5)
+                _close_quiet(w.cmd, w.ctrl)
+                self.workers[rank] = self._spawn(rank)
         if self.barrier.broken:
             self.barrier.reset()
 
     def shutdown(self) -> None:
         for w in self.workers:
-            if w is None:
-                continue
             try:
                 w.cmd.send(("shutdown",))
             except OSError:
                 pass
         for w in self.workers:
-            if w is None:
-                continue
             w.process.join(timeout=1.0)
             if w.process.is_alive():
                 w.process.kill()
                 w.process.join(timeout=0.5)
             _close_quiet(w.cmd, w.ctrl)
-        for ends in self.data.values():
-            _close_quiet(*ends)
         self.shm.close()
         self.shm.unlink()
 

@@ -45,8 +45,10 @@ class World:
     size: int
     results: list = field(default_factory=list)
     trace: Trace = field(default_factory=Trace)
-    #: process executor only: messages by route (``ring``, ``overflow``;
-    #: ``head_takes``: received in place), receiver waits by kind
+    #: process executor only: messages by route (``ring``: written as
+    #: one slot at send time, ``overflow``: chunked over several slots
+    #: or deferred to the sender's backlog; ``head_takes``: received in
+    #: place), receiver waits by kind
     #: (``doorbell_sleeps``, ``spin_hits``) and ``wait_reports`` (what
     #: the ranks told the launcher's deadlock detector), summed over the
     #: ranks that reported

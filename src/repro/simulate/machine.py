@@ -72,9 +72,3 @@ class MachineModel:
     node: NodeModel = NodeModel()
     #: bytes per status-array value (the paper-era codes use REAL*4)
     value_bytes: int = 4
-
-    @classmethod
-    def pentium_cluster(cls) -> "MachineModel":
-        """Calibration used by the Table 2-5 benchmarks: a late-90s
-        Pentium workstation cluster (documented in benchmarks/machine.py)."""
-        return cls(node=NodeModel())

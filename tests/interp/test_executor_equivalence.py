@@ -90,7 +90,7 @@ def test_thread_and_process_executors_agree(name, gen):
 ], ids=["sprayer", "jacobi_64x32"])
 def test_benchmark_programs_stay_on_the_channel(name, gen):
     # the process workloads of the benchmark at their real message sizes:
-    # the same grids as on threads, and nothing took the overflow pipe
+    # the same grids as on threads, and nothing was chunked or deferred
     compiled = AutoCFD.from_source(gen()).compile(partition=(2, 1))
     deck = "2.5 30\n" if name == "sprayer" else None
     thread = compiled.run_parallel(input_text=deck, timeout=60.0)

@@ -4,8 +4,9 @@ The thread executor's guarantees — failure propagation with rank
 attribution, deadlock diagnosis naming the wait-for cycle, bounded joins
 that name stuck ranks, executor-agnostic traces — must survive the jump
 to one-process-per-rank, where a "stuck rank" can be a SIGKILLed worker
-and every payload crosses a shared-memory channel or, on overflow, a
-pickle and a pipe.
+and every payload crosses a shared-memory channel: in one slot, pickled
+over several, or later, from the sender's backlog, when the ring is
+full.
 
 Rank bodies here are module-level functions: the process executor pickles
 them to the workers (closures are rejected with a clear error, which is
@@ -22,7 +23,8 @@ import pytest
 from repro.errors import RuntimeCommError, RuntimeDeadlockError
 from repro.interp.values import OffsetArray
 from repro.runtime import CartComm, HaloExchanger, HaloSpec
-from repro.runtime.procexec import _FLOAT, _HDR, get_pool, proc_run
+from repro.runtime.procexec import (_FLOAT, _HDR, _SLOT_BYTES, _SLOTS,
+                                    get_pool, proc_run)
 from repro.runtime.trace import Trace
 from repro.runtime.world import spmd_run
 
@@ -57,11 +59,66 @@ def _halo_move(comm):
 
 
 def _big_move(comm):
-    # larger than a channel slot: travels by the overflow pipe
+    # larger than a channel slot: pickled and chunked over five slots
     peer = 1 - comm.rank
     block = np.arange(40_000, dtype=np.float64) + comm.rank
     comm.send(peer, block, tag=1)
     return float(comm.recv(peer, 1).sum())
+
+
+#: more float64 than the whole ring holds (600 KiB against 512 KiB)
+_RING_PLUS = 600 * 1024 // 8
+
+
+def _bigger_than_the_ring(comm):
+    """Both ranks send a payload the ring cannot hold at once, then a
+    small one under the same tag, before either receives."""
+    peer = 1 - comm.rank
+    comm.send(peer, np.arange(_RING_PLUS, dtype=np.float64) / (comm.rank + 3),
+              tag=5)
+    comm.send(peer, float(comm.rank), tag=5)
+    big, small = comm.recv(peer, 5), comm.recv(peer, 5)
+    return big.tobytes(), small
+
+
+def _backlog_across_a_barrier(comm):
+    """Rank 0 fills the ring and 12 more, then meets rank 1 at a barrier;
+    only then does rank 1 receive."""
+    if comm.rank == 0:
+        for i in range(_SLOTS + 12):
+            comm.send(1, float(i), tag=2)
+        comm.barrier()
+        return None
+    comm.barrier()
+    return [comm.recv(0, 2) for _ in range(_SLOTS + 12)]
+
+
+def _sends_nobody_receives(comm):
+    """Leaves a full ring and a backlog that ends in a chunked message."""
+    if comm.rank == 0:
+        for i in range(_SLOTS + 12):
+            comm.send(1, ("stale", i), tag=2)
+        comm.send(1, np.zeros(_RING_PLUS), tag=2)
+    comm.barrier()
+
+
+def _fresh_after_stale(comm):
+    if comm.rank == 0:
+        for i in range(_SLOTS + 12):
+            comm.send(1, ("fresh", i), tag=2)
+        comm.barrier()
+        return None
+    comm.barrier()
+    return [comm.recv(0, 2) for _ in range(_SLOTS + 12)]
+
+
+def _drain_then_pause(comm):
+    """Both ranks take (and drop) what the last run left in their
+    channels, then report what was published there since."""
+    comm.barrier()
+    found = comm.probe()
+    time.sleep(0.05)
+    return found, comm._mailboxes[comm.rank].pending
 
 
 def _as_plain(obj):
@@ -72,8 +129,8 @@ def _as_plain(obj):
 def _flood(comm):
     """Send everything before receiving anything: 100 small messages of
     mixed kinds plus 3 that no slot can hold, over two tags; then 20
-    oversize/small pairs while the peer is already receiving, so a
-    channel message can overtake the pipe message sent before it."""
+    oversize/small pairs while the peer is already receiving, so the
+    sender's backlog is written out while the reader frees slots."""
     peer = 1 - comm.rank
     counts = {1: 0, 2: 0}
     for i in range(100):
@@ -252,12 +309,43 @@ class TestHappyPath:
                 + on_processes.transport["overflow"]) == 2 * 143
 
     def test_more_ranks_than_cores_all_to_all(self):
-        # 36 messages per pair and round against 8 slots: ring, overflow
-        # and the reorder buffer under scheduler pressure
+        # 36 messages per pair and round against 8 slots: ring, backlog
+        # and flusher under scheduler pressure
         w = proc_run(4, _all_to_all, timeout=60.0)
         assert all(w.results)
         assert w.transport["ring"] + w.transport["overflow"] \
             == 4 * 25 * (3 * 12 + 1)
+
+    def test_payload_bigger_than_the_ring_streams_in_send_order(self):
+        on_threads = spmd_run(2, _bigger_than_the_ring, timeout=30.0)
+        on_processes = proc_run(2, _bigger_than_the_ring, timeout=30.0)
+        assert _RING_PLUS * 8 > _SLOTS * _SLOT_BYTES
+        assert on_processes.results == on_threads.results
+        assert [small for _, small in on_processes.results] == [1.0, 0.0]
+        # each rank's big one is chunked; its small one is deferred
+        # behind it unless the reader had already freed the ring
+        transport = on_processes.transport
+        assert transport["overflow"] >= 2
+        assert transport["ring"] + transport["overflow"] == 4
+
+    def test_backlog_waits_out_a_barrier_and_keeps_send_order(self):
+        w = proc_run(2, _backlog_across_a_barrier, timeout=15.0)
+        assert w.results[1] == [float(i) for i in range(_SLOTS + 12)]
+        # rank 1 frees no slot before the barrier: what did not fit the
+        # ring was deferred
+        assert w.transport["ring"] <= _SLOTS
+        assert w.transport["ring"] + w.transport["overflow"] == _SLOTS + 12
+
+    def test_backlog_of_a_finished_run_is_dropped(self):
+        proc_run(2, _sends_nobody_receives, timeout=15.0)
+        # rank 1 frees the slots the last run filled: nothing of that
+        # run's backlog is written into them
+        w = proc_run(2, _drain_then_pause, timeout=15.0)
+        assert w.results == [(False, 0), (False, 0)]
+        # and a run after one like it receives nothing stale
+        proc_run(2, _sends_nobody_receives, timeout=15.0)
+        w = proc_run(2, _fresh_after_stale, timeout=15.0)
+        assert w.results[1] == [("fresh", i) for i in range(_SLOTS + 12)]
 
     def test_strided_and_odd_length_arrays_round_trip_bitwise(self):
         on_threads = spmd_run(2, _odd_arrays, timeout=15.0)

@@ -5,7 +5,7 @@ channel first and takes the message where it lies
 (``_ChannelMailbox.take_head``); a halo face goes from the sender's
 array into the slot and from the slot into the ghost cells.  Everything
 else — a wildcard, a self-send, another tag at the head, a message
-already in its bucket, a sequence gap left by the overflow pipe, a dead
+already in its bucket, a chunked message at the head, a dead
 run's leftover, an attached injector — has to come out of the inherited
 ``get`` exactly as before.  ``transport["head_takes"]`` says which way
 the messages of a run went.
@@ -117,9 +117,9 @@ def _probed_then_received(comm):
 
 
 def _oversize_then_small(comm):
-    """The big one goes over the pipe, the small one through the ring
-    and gets there first: a sequence gap at the head.  Same tag, then
-    the small one asked for first under another tag."""
+    """The big one is chunked over two slots, the small one follows in
+    one: a chunk at the head.  Same tag, then the small one asked for
+    first under another tag."""
     big = np.arange(_SLOT_BYTES // 8 + 1, dtype=np.float64)
     if comm.rank == 0:
         comm.send(1, big, tag=3)
