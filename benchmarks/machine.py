@@ -2,7 +2,7 @@
 
 The paper measured on "a dedicated network of 6 Pentium workstations
 connected by Ethernet" (§6).  The benchmarks replay the compiled programs
-on the discrete-event simulator with this calibration:
+on the cluster model (``ClusterSim``) with this calibration:
 
 * ``flop_time = 50 ns`` — a Pentium-class scalar FPU running compiled
   Fortran at ~20 Mflop/s sustained;
@@ -17,8 +17,8 @@ on the discrete-event simulator with this calibration:
   loops, matching this repo's actual runtime implementation (and the
   paper's observation that "computation and communication could not be
   fully overlapped");
-* ``barrier_syncs = True`` — PVM blocking exchanges: pipeline skew
-  cannot flow across synchronization points;
+* PVM blocking exchanges (the model's only kind): pipeline skew cannot
+  flow across synchronization points;
 * ``overlap = "on"`` — every provably safe interior/boundary split is
   modelled: the plan marks the sync and the simulator overlaps its
   exchange with the consumer nest's interior.  On this Ethernet a
@@ -49,10 +49,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def simulate(plan, frames: int, machine=MACHINE, network=NETWORK,
-             chunks=CHUNKS, barrier_syncs=True):
+             chunks=CHUNKS):
     """Run the calibrated simulator on a compiled plan."""
-    sim = ClusterSim(plan, machine=machine, network=network, chunks=chunks,
-                     barrier_syncs=barrier_syncs)
+    sim = ClusterSim(plan, machine=machine, network=network, chunks=chunks)
     return sim.run(frames)
 
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SemanticError
 from repro.fortran import ast as A
+from repro.fortran.symbols import SymbolTable
 
 #: A path step: (kind, index).  Kinds: "body" (plain statement list index),
 #: ("arm", arm_index, stmt_index) is flattened to two steps.
@@ -116,6 +118,18 @@ class LoopForest:
                 for b in siblings[i + 1:]:
                     out.append((a, b))
         return out
+
+
+def steps_down(loop: A.DoLoop, table: SymbolTable) -> bool:
+    """Whether *loop*'s step is a known negative constant (a literal or a
+    PARAMETER expression of *table*'s unit); a step of unknown sign
+    counts as upward."""
+    if loop.step is None:
+        return False
+    try:
+        return table.eval_const(loop.step) < 0
+    except (SemanticError, ArithmeticError):
+        return False
 
 
 def build_loop_forest(unit: A.ProgramUnit) -> LoopForest:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.analysis.dependency import DependencePair, build_sldp
 from repro.analysis.field_loops import FieldLoop
 from repro.analysis.frame import FrameProgram, InstanceNode, build_frame_program
-from repro.analysis.loops import Placed
+from repro.analysis.loops import Placed, steps_down
 from repro.analysis.overlap import OverlapDecision, decide_overlap
 from repro.analysis.reductions import Reduction, find_reductions
 from repro.analysis.selfdep import SelfDepClass, SelfDepPlan, analyze_self_dependence
@@ -201,6 +201,24 @@ def _slot_unit(frame: FrameProgram, slot: int) -> str:
     return node.unit_name
 
 
+def _refuse_downward_sweep(fl: FieldLoop, sp: SelfDepPlan, unit_name: str,
+                           cut_dims: tuple[int, ...]) -> None:
+    """A pipeline flows from the minus neighbor to the plus one, and the
+    self-dependence classes assume the sweep runs upward: a self-dependent
+    loop swept downward along a cut dimension it depends along cannot be
+    split across that dimension."""
+    dec = sp.decomposition
+    for g in sorted({*dec.pipeline_dims, *dec.halo_dims} & set(cut_dims)):
+        var = fl.sweeps.get(g)
+        if var is not None and any(
+                loop.var == var and steps_down(loop.stmt, loop.unit.symbols)
+                for loop in [fl.loop, *fl.loop.descendants]):
+            raise CodegenError(
+                f"self-dependent loop on {sp.array!r} in {unit_name!r} "
+                f"sweeps cut dimension {g} downward, against the "
+                f"pipeline's upward flow")
+
+
 def build_plan(cu: A.CompilationUnit, partition: Partition,
                directives: AcfdDirectives | None = None, *,
                combine: bool = True,
@@ -265,6 +283,8 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
                     continue
                 if sp.decomposition is None:
                     continue
+                _refuse_downward_sweep(fl, sp, inst.unit_name,
+                                       partition.cut_dims)
                 dims = {g for g in sp.decomposition.pipeline_dims
                         if g in partition.cut_dims}
                 if sp.array not in arrays:

@@ -32,7 +32,7 @@ result is resolved once.
 
 from __future__ import annotations
 
-from repro.analysis.loops import Path, spliced
+from repro.analysis.loops import Path, spliced, steps_down
 from repro.analysis.stencil import SubscriptKind, analyze_subscript
 from repro.codegen.plan import ParallelPlan, planned_statements
 from repro.errors import CodegenError
@@ -140,10 +140,15 @@ class Restructurer:
                 new_env.pop(stmt.var, None)
                 g = var_to_dim.get(stmt.var)
                 if g is not None:
-                    stmt.start = _fn("max0", stmt.start,
-                                     _fn("acfd_lo", _int(g + 1)))
-                    stmt.stop = _fn("min0", stmt.stop,
-                                    _fn("acfd_hi", _int(g + 1)))
+                    lo = _fn("acfd_lo", _int(g + 1))
+                    hi = _fn("acfd_hi", _int(g + 1))
+                    # a downward sweep starts at the top of the block
+                    if steps_down(stmt, self.plan.cu.unit(unit_name).symbols):
+                        stmt.start = _fn("min0", stmt.start, hi)
+                        stmt.stop = _fn("max0", stmt.stop, lo)
+                    else:
+                        stmt.start = _fn("max0", stmt.start, lo)
+                        stmt.stop = _fn("min0", stmt.stop, hi)
                     new_env[stmt.var] = g
                 self._walk_body(stmt.body, unit_name, path, new_env,
                                 invariants)

@@ -147,8 +147,7 @@ def _merge_commons(compiled: CompiledProgram, ctx, plan: ParallelPlan,
 
 
 def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
-               input_text: str | None, input_unit: int, injector,
-               checkpointer, comm):
+               input_text: str | None, injector, checkpointer, comm):
     """One rank's program execution (shared by both executors): its
     final values with the COMMON status arrays merged in, its I/O, and
     its ``(plan_nests, plans_built)`` counts."""
@@ -156,9 +155,7 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
                      checkpoints=checkpointer)
     io = IoManager()
     if input_text is not None:
-        io.provide_input(input_unit, input_text)
-        if input_unit != 5:
-            io.provide_input(5, input_text)
+        io.provide_input(5, input_text)
     ctx = compiled.make_ctx(io, rt)
     rt.bind_ctx(ctx)
     fn = compiled.function(compiled.cu.main.name)
@@ -187,7 +184,7 @@ def _proc_rank_body(blob: bytes, comm):
     digest — recovery attempts and repeat runs of the same deck skip
     recompilation.
     """
-    cu_blob, plan, input_text, input_unit, ckpt = pickle.loads(blob)
+    cu_blob, plan, input_text, ckpt = pickle.loads(blob)
     cache = getattr(comm, "compiled_cache", None)
     if cache is None:
         cache = comm.compiled_cache = {}
@@ -205,14 +202,14 @@ def _proc_rank_body(blob: bytes, comm):
         checkpointer = Checkpointer(store, every=ckpt["every"],
                                     keep=ckpt["keep"],
                                     restore_frame=ckpt["restore_frame"])
-    return _exec_rank(compiled, plan, input_text, input_unit,
-                      comm._injector, checkpointer, comm)
+    return _exec_rank(compiled, plan, input_text, comm._injector,
+                      checkpointer, comm)
 
 
 def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
-                 input_unit: int = 5, timeout: float = 120.0,
+                 timeout: float = 120.0,
                  spmd_cu: A.CompilationUnit | None = None,
-                 vectorize: bool | None = None,
+                 vectorize: bool = True,
                  injector=None, checkpointer=None,
                  trace: Trace | None = None,
                  executor: str = "thread",
@@ -221,14 +218,14 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
 
     Args:
         plan: the parallelization plan.
-        input_text: list-directed input preloaded on every rank (only rank
-            0 consumes it — the generated program guards READs).
-        input_unit: Fortran unit for the input data.
+        input_text: list-directed input preloaded on unit 5 of every
+            rank (only rank 0 consumes it — the generated program guards
+            READs).
         timeout: per-receive watchdog (seconds).
         spmd_cu: a pre-restructured program (to avoid re-generating).
         vectorize: numpy slice translation for provably-parallel nests
-            (``None`` follows ``pyback.DEFAULT_VECTORIZE``); halo regions
-            stay outside the slices because the restructured loop bounds
+            (``False``: scalar order everywhere); halo regions stay
+            outside the slices because the restructured loop bounds
             already exclude them.
         injector: optional :class:`repro.faults.FaultInjector` wired into
             every rank's sends and frame boundaries.
@@ -255,13 +252,12 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
                     "keep": checkpointer.keep,
                     "restore_frame": checkpointer.restore_frame}
         cu_blob = pickle.dumps((spmd_cu, vectorize))
-        blob = pickle.dumps((cu_blob, plan, input_text, input_unit,
-                             ckpt))
+        blob = pickle.dumps((cu_blob, plan, input_text, ckpt))
         body = functools.partial(_proc_rank_body, blob)
     else:
         compiled = compile_unit(spmd_cu, vectorize=vectorize)
         body = functools.partial(_exec_rank, compiled, plan, input_text,
-                                 input_unit, injector, checkpointer)
+                                 injector, checkpointer)
 
     world = spmd_run(nprocs, body, timeout=timeout, trace=trace,
                      injector=injector, executor=executor,

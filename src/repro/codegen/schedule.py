@@ -1,6 +1,6 @@
 """Extract the per-frame execution schedule for the cluster simulator.
 
-The discrete-event simulator (:mod:`repro.simulate`) replays the generated
+The cluster simulator (:mod:`repro.simulate`) replays the generated
 program's structure without executing arithmetic: per frame iteration it
 needs, in program order, which field loops compute (over how many owned
 points, at what per-point cost, pipelined or not) and which combined

@@ -43,7 +43,7 @@ class CompileResult:
 
     def run_parallel(self, *, input_text: str | None = None,
                      timeout: float = 120.0,
-                     vectorize: bool | None = None,
+                     vectorize: bool = True,
                      injector=None, checkpointer=None,
                      trace=None,
                      executor: str = "thread",
@@ -75,7 +75,6 @@ class AutoCFD:
     """The pre-compiler: sequential Fortran CFD in, SPMD program out."""
 
     def __init__(self, cu: A.CompilationUnit, *,
-                 auto_status: bool = True,
                  profiler: Profiler | None = None) -> None:
         self.obs = profiler if profiler is not None else Profiler()
         with activate(self.obs), obs.span("normalize", cat="compile"):
@@ -88,8 +87,7 @@ class AutoCFD:
                 "program carries no (complete) $acfd directives; at least "
                 "'status' and 'grid' are required")
         self.directives = directives
-        if auto_status:
-            self._auto_extend_status()
+        self._auto_extend_status()
         self.grid = GridGeometry(self.directives.grid_shape)
 
     @classmethod
@@ -194,7 +192,6 @@ class AutoCFD:
             partition=part.dims,
             syncs_before=plan.syncs_before,
             syncs_after=plan.syncs_after,
-            pairs_total=len(plan.active_pairs),
             pairs_active=len(plan.active_pairs),
             combined_points=len(plan.syncs),
             pipes=len(plan.pipes),
@@ -224,11 +221,11 @@ class AutoCFD:
     # -- execution -------------------------------------------------------------------
 
     def run_sequential(self, *, input_text: str | None = None,
-                       input_unit: int = 5,
-                       vectorize: bool | None = None) -> RunResult:
-        """Run the original sequential program (fast Python backend)."""
+                       vectorize: bool = True) -> RunResult:
+        """Run the original sequential program (fast Python backend),
+        with *input_text* on unit 5."""
         io = IoManager()
         if input_text is not None:
-            io.provide_input(input_unit, input_text)
+            io.provide_input(5, input_text)
         with activate(self.obs):
             return run_compiled(self.cu, io=io, vectorize=vectorize)

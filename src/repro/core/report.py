@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.vecsafety import MODES
 from repro.obs import Span
+from repro.obs.spans import phase_table
 
 
 @dataclass
@@ -23,7 +24,6 @@ class CompilationReport:
     partition: tuple[int, ...]
     syncs_before: int
     syncs_after: int
-    pairs_total: int
     pairs_active: int
     pipes: int
     combined_points: int
@@ -102,16 +102,7 @@ class CompilationReport:
 
     def phase_table(self) -> str:
         """Per-phase compiler timing table (empty string if unprofiled)."""
-        if not self.phases:
-            return ""
-        total = sum(s.dur for s in self.phases) or 1.0
-        lines = [f"{'phase':<24s} {'time':>10s} {'share':>6s}  detail"]
-        for s in self.phases:
-            detail = " ".join(f"{k}={v}" for k, v in s.args.items())
-            lines.append(f"{s.name:<24s} {s.dur * 1e3:>7.2f} ms "
-                         f"{100 * s.dur / total:>5.1f}%  {detail}")
-        lines.append(f"{'total':<24s} {total * 1e3:>7.2f} ms")
-        return "\n".join(lines)
+        return phase_table(self.phases) if self.phases else ""
 
     def to_dict(self) -> dict:
         """JSON-serializable form (``acfd report --json``)."""
@@ -121,7 +112,6 @@ class CompilationReport:
             "syncs_before": self.syncs_before,
             "syncs_after": self.syncs_after,
             "reduction_percent": self.reduction_percent,
-            "pairs_total": self.pairs_total,
             "pairs_active": self.pairs_active,
             "pipes": self.pipes,
             "combined_points": self.combined_points,

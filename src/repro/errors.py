@@ -86,4 +86,4 @@ class InterpError(ReproError):
 
 
 class SimulationError(ReproError):
-    """Raised by the discrete-event cluster simulator."""
+    """Raised by the cluster simulator."""

@@ -121,7 +121,7 @@ def run_recovered(plan: ParallelPlan, spmd_cu: A.CompilationUnit | None,
                   *, fault_plan: FaultPlan, ckpt_dir: str,
                   input_text: str | None = None, recover: bool = True,
                   max_restarts: int = 3, every: int = 1, keep: int = 4,
-                  timeout: float = 60.0, vectorize: bool | None = None,
+                  timeout: float = 60.0, vectorize: bool = True,
                   executor: str = "thread", telemetry=None,
                   postmortem_dir: str | None = None,
                   ) -> tuple[ParallelResult, list[AttemptLog],
@@ -228,7 +228,7 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
               scenarios: tuple[str, ...] = FAULT_KINDS,
               recover: bool = True, max_restarts: int = 3,
               every: int = 1, full: bool = False,
-              timeout: float = 60.0, vectorize: bool | None = None,
+              timeout: float = 60.0, vectorize: bool = True,
               workdir: str | None = None,
               executor: str = "thread",
               postmortem_dir: str | None = None) -> ChaosReport:

@@ -21,7 +21,7 @@ from repro.fortran.ast import (
     walk,
     walk_statements,
 )
-from repro.fortran.parser import parse_source, parse_file
+from repro.fortran.parser import parse_source
 from repro.fortran.printer import print_unit, print_compilation_unit
 from repro.fortran.directives import AcfdDirectives
 
@@ -30,7 +30,6 @@ __all__ = [
     "ProgramUnit",
     "AcfdDirectives",
     "parse_source",
-    "parse_file",
     "print_unit",
     "print_compilation_unit",
     "walk",

@@ -880,8 +880,3 @@ def parse_source(text: str, filename: str = "<input>",
             cu.directives = extract_directives(cu)
     return cu
 
-
-def parse_file(path: str, form: str | None = None) -> A.CompilationUnit:
-    """Parse a Fortran source file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_source(fh.read(), filename=path, form=form)

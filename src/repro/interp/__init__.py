@@ -14,13 +14,12 @@ test suite.
 """
 
 from repro.interp.values import OffsetArray
-from repro.interp.interpreter import Interpreter, run_program
+from repro.interp.interpreter import Interpreter
 from repro.interp.pyback import compile_unit, run_compiled
 
 __all__ = [
     "OffsetArray",
     "Interpreter",
-    "run_program",
     "compile_unit",
     "run_compiled",
 ]

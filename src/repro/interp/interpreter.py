@@ -548,15 +548,3 @@ Interpreter._DISPATCH = {
     A.CloseStmt: Interpreter._exec_close,
 }
 
-
-def run_program(cu: A.CompilationUnit, *, io: IoManager | None = None,
-                max_steps: int = 200_000_000) -> Interpreter:
-    """Parse-and-run convenience: execute *cu*'s main program.
-
-    Returns the interpreter so callers can inspect arrays and I/O output.
-    """
-    from repro.obs import spans as obs
-    interp = Interpreter(cu, io=io, max_steps=max_steps)
-    with obs.span("execute-interpreted", cat="execute"):
-        interp.run()
-    return interp

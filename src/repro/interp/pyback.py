@@ -21,8 +21,9 @@ Translation notes:
   shared by all units (scalars accessed through the slot list to preserve
   aliasing; arrays bound to locals at entry).
 * The SPMD code generator injects calls to runtime primitives
-  (``acfd_*``); the ``special_calls`` hook maps those names onto methods of
-  ``ctx.rt`` so the same backend executes generated parallel programs.
+  (``acfd_*``); every such call binds by its prefix to the same-named
+  method of ``ctx.rt``, so the same backend executes generated parallel
+  programs.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from repro.interp.intrinsics import INTRINSIC_IMPLS
 from repro.interp.io_runtime import IoManager
 from repro.interp.values import DTYPES, OffsetArray, do_trips, fortran_div
 from repro.interp import vectorize as _vec
-
-#: process-wide default for the vectorizing translation mode; compile
-#: calls may override it per program via ``compile_unit(vectorize=...)``
-DEFAULT_VECTORIZE = True
 
 
 class _Goto(Exception):
@@ -83,13 +80,12 @@ class _UnitCompiler:
     """Compiles one program unit into Python source."""
 
     def __init__(self, unit: A.ProgramUnit, all_units: dict[str, A.ProgramUnit],
-                 special_calls: dict[str, str], vectorize: bool = False,
+                 vectorize: bool = False,
                  stats: dict | None = None,
                  specs: dict | None = None) -> None:
         self.unit = unit
         self.table: SymbolTable = unit.symbols  # type: ignore[assignment]
         self.all_units = all_units
-        self.special = special_calls
         self.vectorize = vectorize
         self.stats = stats if stats is not None else _vec.new_stats()
         #: nest number -> what its build call needs that is fixed at
@@ -431,10 +427,6 @@ class _UnitCompiler:
         self.depth -= 1
 
     def call(self, s: A.CallStmt) -> None:
-        if s.name in self.special:
-            args = ", ".join(self.expr_for_call(a) for a in s.args)
-            self.w(f"{self.special[s.name]}({args})")
-            return
         if s.name.startswith("acfd_"):
             args = ", ".join(self.expr_for_call(a) for a in s.args)
             self.w(f"ctx.rt.{s.name[5:]}({args})")
@@ -760,42 +752,37 @@ class RunResult:
         return self.ctx.io
 
 
-def compile_unit(cu: A.CompilationUnit,
-                 special_calls: dict[str, str] | None = None, *,
-                 vectorize: bool | None = None) -> CompiledProgram:
+def compile_unit(cu: A.CompilationUnit, *,
+                 vectorize: bool = True) -> CompiledProgram:
     """Translate a compilation unit to Python and return the compiled form.
 
     Args:
         cu: resolved compilation unit.
-        special_calls: extra callee-name -> Python-callable-text mappings
-            (used by the SPMD backend to bind ``acfd_*`` runtime calls).
         vectorize: emit numpy slice statements for provably-parallel DO
-            nests (:mod:`repro.interp.vectorize`); ``None`` follows the
-            module default ``DEFAULT_VECTORIZE``.
+            nests (:mod:`repro.interp.vectorize`); ``False`` keeps every
+            nest in scalar order (the reference the vector form is
+            checked against).
     """
     from repro.obs import spans as obs
     for unit in cu.units:
         if unit.symbols is None:
             resolve_compilation_unit(cu)
             break
-    special = dict(special_calls or {})
-    vec = DEFAULT_VECTORIZE if vectorize is None else vectorize
     stats = _vec.new_stats()
     specs: dict = {}
     units = {u.name: u for u in cu.units}
     with obs.span("pyback-compile", cat="compile") as sp:
         pieces = []
         for unit in cu.units:
-            pieces.append(_UnitCompiler(unit, units, special,
-                                        vectorize=vec, stats=stats,
-                                        specs=specs).compile())
+            pieces.append(_UnitCompiler(unit, units, vectorize=vectorize,
+                                        stats=stats, specs=specs).compile())
         source = "\n\n".join(pieces)
         sp.args["units"] = len(cu.units)
         sp.args["source_lines"] = source.count("\n") + 1
-        if vec:
+        if vectorize:
             sp.args["vectorized_loops"] = stats["vectorized"]
             sp.args["fallback_loops"] = stats["fallback"]
-    if vec:
+    if vectorize:
         obs.counter("pyback.loops.vectorized").inc(stats["vectorized"])
         obs.counter("pyback.loops.fallback").inc(stats["fallback"])
     namespace: dict = {
@@ -830,7 +817,7 @@ def compile_unit(cu: A.CompilationUnit,
 
 
 def run_compiled(cu: A.CompilationUnit, io: IoManager | None = None, *,
-                 vectorize: bool | None = None) -> RunResult:
+                 vectorize: bool = True) -> RunResult:
     """Compile and run a program in one call."""
     from repro.obs import spans as obs
     prog = compile_unit(cu, vectorize=vectorize)

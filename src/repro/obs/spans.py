@@ -84,17 +84,18 @@ class Profiler:
         return sum(s.dur for s in self.spans()
                    if cat is None or s.cat == cat)
 
-    def phase_table(self, cat: str | None = None) -> str:
-        """Human-readable per-phase timing table (one row per span)."""
-        spans = [s for s in self.spans() if cat is None or s.cat == cat]
-        total = sum(s.dur for s in spans) or 1.0
-        lines = [f"{'phase':<24s} {'time':>10s} {'share':>6s}  detail"]
-        for s in spans:
-            detail = " ".join(f"{k}={v}" for k, v in s.args.items())
-            lines.append(f"{s.name:<24s} {s.dur * 1e3:>7.2f} ms "
-                         f"{100 * s.dur / total:>5.1f}%  {detail}")
-        lines.append(f"{'total':<24s} {total * 1e3:>7.2f} ms")
-        return "\n".join(lines)
+
+def phase_table(spans: list[Span]) -> str:
+    """Per-phase timing table: one row per span with its share of the
+    total and its args, then the total."""
+    total = sum(s.dur for s in spans) or 1.0
+    lines = [f"{'phase':<24s} {'time':>10s} {'share':>6s}  detail"]
+    for s in spans:
+        detail = " ".join(f"{k}={v}" for k, v in s.args.items())
+        lines.append(f"{s.name:<24s} {s.dur * 1e3:>7.2f} ms "
+                     f"{100 * s.dur / total:>5.1f}%  {detail}")
+    lines.append(f"{'total':<24s} {total * 1e3:>7.2f} ms")
+    return "\n".join(lines)
 
 
 _ACTIVE: contextvars.ContextVar[Profiler | None] = \

@@ -30,6 +30,25 @@ def split_extent(n: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
+def rank_coords(rank: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of *rank* on a ``dims`` processor mesh, row-major
+    (last dim fastest, as ``MPI_Cart_create`` numbers them); the caller
+    checks that *rank* is on the mesh."""
+    coords = []
+    for extent in reversed(dims):
+        coords.append(rank % extent)
+        rank //= extent
+    return tuple(reversed(coords))
+
+
+def coords_rank(coords: tuple[int, ...], dims: tuple[int, ...]) -> int:
+    """Inverse of :func:`rank_coords`; the caller checks the range."""
+    rank = 0
+    for c, extent in zip(coords, dims):
+        rank = rank * extent + c
+    return rank
+
+
 @dataclass(frozen=True)
 class Subgrid:
     """One rank's owned block: inclusive global ranges per grid dim."""

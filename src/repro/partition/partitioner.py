@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.errors import PartitionError
-from repro.partition.grid import GridGeometry, Subgrid, split_extent
+from repro.partition.grid import (GridGeometry, Subgrid, coords_rank,
+                                  rank_coords, split_extent)
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,12 @@ class Partition:
         """Row-major (last dim fastest) coordinates — matches CartComm."""
         if not 0 <= rank < self.size:
             raise PartitionError(f"rank {rank} out of range")
-        coords = []
-        for extent in reversed(self.dims):
-            coords.append(rank % extent)
-            rank //= extent
-        return tuple(reversed(coords))
+        return rank_coords(rank, self.dims)
 
     def rank_of(self, coords: tuple[int, ...]) -> int:
-        rank = 0
-        for c, extent in zip(coords, self.dims):
-            if not 0 <= c < extent:
-                raise PartitionError(f"coords {coords} out of {self.dims}")
-            rank = rank * extent + c
-        return rank
+        if not all(0 <= c < extent for c, extent in zip(coords, self.dims)):
+            raise PartitionError(f"coords {coords} out of {self.dims}")
+        return coords_rank(coords, self.dims)
 
     def subgrid(self, rank: int) -> Subgrid:
         """The block owned by *rank*."""

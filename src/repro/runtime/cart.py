@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import RuntimeCommError
+from repro.partition.grid import coords_rank, rank_coords
 from repro.runtime.comm import Communicator
 
 
@@ -44,23 +45,16 @@ class CartComm:
         """Coordinates of *rank* (row-major, last dim fastest)."""
         if not 0 <= rank < self.comm.size:
             raise RuntimeCommError(f"rank {rank} out of range")
-        coords = []
-        for extent in reversed(self.dims):
-            coords.append(rank % extent)
-            rank //= extent
-        return tuple(reversed(coords))
+        return rank_coords(rank, self.dims)
 
     def rank_of(self, coords: tuple[int, ...]) -> int:
         """Rank at *coords*."""
         if len(coords) != len(self.dims):
             raise RuntimeCommError(
                 f"coords {coords} have wrong rank for dims {self.dims}")
-        rank = 0
-        for c, extent in zip(coords, self.dims):
-            if not 0 <= c < extent:
-                raise RuntimeCommError(f"coords {coords} out of {self.dims}")
-            rank = rank * extent + c
-        return rank
+        if not all(0 <= c < extent for c, extent in zip(coords, self.dims)):
+            raise RuntimeCommError(f"coords {coords} out of {self.dims}")
+        return coords_rank(coords, self.dims)
 
     def neighbor(self, dim: int, disp: int) -> int | None:
         """Rank displaced by *disp* along *dim*, or None at the boundary."""

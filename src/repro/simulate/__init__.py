@@ -1,4 +1,4 @@
-"""Discrete-event cluster simulator (the paper's testbed substitute).
+"""Cluster performance model (the paper's testbed substitute).
 
 The paper measured wall-clock times on a dedicated cluster of 6 Pentium
 workstations on Ethernet.  That hardware is not available, so Tables 2-5
@@ -15,7 +15,14 @@ are regenerated on a performance model with the same first-order effects:
 * **pipelined sweeps** for mirror-image-decomposed loops: ranks along the
   cut dimension proceed in wavefront order with configurable chunking,
   so computation and communication overlap only partially (the paper's
-  explanation for case study 1's modest efficiency).
+  explanation for case study 1's modest efficiency);
+* **blocking exchanges**: every synchronization on a cut partition ends
+  when its last participant finishes it, as PVM's did, so pipeline skew
+  cannot flow across synchronization points.
+
+The model replays fault-free runs, as the paper's tables report them.
+Injected faults live on the runtime side only (:mod:`repro.faults`), so
+a drift report's simulated ``fault`` share is always zero.
 
 The simulator consumes the :class:`repro.codegen.schedule.FrameSchedule`
 extracted from a compiled program, so simulated times respond to the same
@@ -23,17 +30,14 @@ compilation decisions (combining, partition shape, pipelining) the real
 system made.
 """
 
-from repro.simulate.events import EventQueue
 from repro.simulate.machine import MachineModel, NodeModel
 from repro.simulate.network import NetworkModel
-from repro.simulate.cluster import ClusterSim, SimResult, simulate_run
+from repro.simulate.cluster import ClusterSim, SimResult
 
 __all__ = [
-    "EventQueue",
     "MachineModel",
     "NodeModel",
     "NetworkModel",
     "ClusterSim",
     "SimResult",
-    "simulate_run",
 ]

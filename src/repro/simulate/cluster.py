@@ -1,6 +1,6 @@
 """Cluster simulation of a compiled SPMD program.
 
-``simulate_run`` replays the :class:`repro.codegen.schedule.FrameSchedule`
+:class:`ClusterSim` replays the :class:`repro.codegen.schedule.FrameSchedule`
 of a compiled plan over the machine/network models and returns per-rank
 times with a compute/communication/pipeline-wait breakdown.  Frames beyond
 a warm-up window are extrapolated from the steady-state per-frame delta
@@ -28,7 +28,6 @@ from repro.codegen.plan import ParallelPlan
 from repro.codegen.schedule import (
     CommPhase,
     ComputePhase,
-    FrameSchedule,
     ReducePhase,
     extract_schedule,
 )
@@ -59,9 +58,6 @@ class SimResult:
     working_set: list[int] = field(default_factory=list)
     #: per-phase simulated spans (populated with ``record_timeline=True``)
     spans: list[Span] = field(default_factory=list)
-    #: per-rank time lost to injected faults (straggler slowdowns and
-    #: crash-recovery downtime), when the sim ran with a fault plan
-    fault_time: list[float] = field(default_factory=list)
     #: modeled per-rank traffic over the whole run (extrapolated frames
     #: included — comm phases are frame-periodic, so counts scale exactly)
     sent_bytes: list[int] = field(default_factory=list)
@@ -86,37 +82,14 @@ class SimResult:
         exchanges land in ``halo``, pipeline stalls in ``blocked``;
         the simulator does not split out pack/send/collective time.
         """
-        fault = self.fault_time or [0.0] * len(self.per_rank)
         hidden = self.overlap_time or [0.0] * len(self.per_rank)
         ranks = [RankBreakdown(rank=r, total=self.per_rank[r],
                                compute=self.compute_time[r],
                                blocked=self.pipe_wait[r],
                                halo=self.comm_time[r],
-                               fault=fault[r],
                                overlap=hidden[r])
                  for r in range(len(self.per_rank))]
         return RunRollup(source="simulated", ranks=ranks)
-
-    def health_samples(self) -> list:
-        """The simulated run as final :class:`HealthSample` heartbeats.
-
-        The same record a live board would show after the run finished,
-        so modeled traffic can be diffed against the observed telemetry
-        row by row.
-        """
-        from repro.obs.health import HealthSample
-        size = len(self.per_rank)
-        empty = [0] * size
-        sent_b = self.sent_bytes or empty
-        recv_b = self.recv_bytes or empty
-        sent_n = self.sent_msgs or empty
-        recv_n = self.recv_msgs or empty
-        return [HealthSample(
-            rank=r, beat=self.frames, state="done",
-            frame=self.frames - 1, mailbox_depth=0,
-            ckpt_frame=None, sent_bytes=sent_b[r], recv_bytes=recv_b[r],
-            sent_msgs=sent_n[r], recv_msgs=recv_n[r],
-            t_ns=0, t_s=self.per_rank[r]) for r in range(size)]
 
 
 class ClusterSim:
@@ -126,22 +99,8 @@ class ClusterSim:
                  machine: MachineModel | None = None,
                  network: NetworkModel | None = None,
                  chunks: int = 8,
-                 schedule: FrameSchedule | None = None,
-                 barrier_syncs: bool = True,
-                 record_timeline: bool = False,
-                 faults=None, checkpoint_every: int = 1,
-                 restart_cost: float = 0.5) -> None:
+                 record_timeline: bool = False) -> None:
         self.plan = plan
-        #: optional :class:`repro.faults.FaultPlan` — straggler events add
-        #: their per-frame slowdown, crash events stall the whole world
-        #: for restart + replay-from-checkpoint.  Message faults (drop /
-        #: delay / duplicate) are runtime-level and not modeled here.
-        self.faults = faults
-        self.checkpoint_every = max(1, checkpoint_every)
-        self.restart_cost = restart_cost
-        self._frame_faults = [e for e in faults.events
-                              if e.kind in ("straggler", "crash")] \
-            if faults is not None else []
         #: collect per-phase Spans during the simulated (non-extrapolated)
         #: frames so the predicted timeline can sit next to the observed
         #: one in a Chrome-trace export
@@ -151,14 +110,7 @@ class ClusterSim:
         self.machine = machine if machine is not None else MachineModel()
         self.network = network if network is not None else NetworkModel()
         self.chunks = max(1, chunks)
-        #: PVM-era implementations block in every exchange until all
-        #: participants have gone through it; that prevents pipeline skew
-        #: from flowing across synchronization points (and is why the
-        #: paper's mirror-image loops could "not be fully overlapped").
-        #: False models fully asynchronous neighbor exchanges.
-        self.barrier_syncs = barrier_syncs
-        self.schedule = schedule if schedule is not None \
-            else extract_schedule(plan)
+        self.schedule = extract_schedule(plan)
         self.size = self.partition.size
         self.subgrids = self.partition.subgrids()
         self.working_set = [self._working_set(r) for r in range(self.size)]
@@ -227,10 +179,9 @@ class ClusterSim:
         work = [self._phase_points(r, phase) * phase.ops_per_point
                 * self.op_time[r] for r in range(self.size)]
         finish = [[0.0] * K for _ in range(self.size)]
-        order = sorted(range(self.size),
-                       key=lambda r: self.partition.coords_of(r))
-        for r in order:
-            coords = self.partition.coords_of(r)
+        # ranks are numbered row-major, so every minus neighbor of a rank
+        # has a lower number and finishes its chunks first
+        for r in range(self.size):
             preds = []
             for g in phase.pipeline_dims:
                 n = self.partition.neighbor(r, g, -1)
@@ -327,7 +278,11 @@ class ClusterSim:
         for r in range(self.size):
             comm[r] += arrival[r] - t[r]
             t[r] = arrival[r]
-        if self.barrier_syncs and self.partition.cut_dims:
+        # PVM-era implementations block in every exchange until all
+        # participants have gone through it; that prevents pipeline skew
+        # from flowing across synchronization points (and is why the
+        # paper's mirror-image loops could "not be fully overlapped")
+        if self.partition.cut_dims:
             done = max(t)
             for r in range(self.size):
                 comm[r] += done - t[r]
@@ -391,37 +346,10 @@ class ClusterSim:
             comm[r] += done - t[r]
             t[r] = done
 
-    def _do_faults(self, frame: int, t: list[float], fault: list[float],
-                   deltas: list[float]) -> None:
-        """Apply frame-boundary fault effects (mirrors the runtime hook)."""
-        steady = deltas[-1] if deltas else 0.0
-        for ev in self._frame_faults:
-            if ev.kind == "straggler" \
-                    and ev.frame <= frame < ev.frame + ev.frames:
-                self._mark(ev.rank, "fault:straggler", "fault",
-                           t[ev.rank], t[ev.rank] + ev.seconds)
-                t[ev.rank] += ev.seconds
-                fault[ev.rank] += ev.seconds
-            elif ev.kind == "crash" and ev.frame == frame:
-                # the world dies and restarts from the last checkpoint:
-                # everyone pays the respawn plus the replayed frames
-                replayed = (frame - 1) % self.checkpoint_every
-                pause = self.restart_cost + replayed * steady
-                done = max(t) + pause
-                for r in range(self.size):
-                    self._mark(r, "fault:crash-recovery", "fault",
-                               t[r], done, frame=frame)
-                    fault[r] += done - t[r]
-                    t[r] = done
-
     # -- main loop --------------------------------------------------------------------
 
     def run(self, frames: int, warmup: int = 24) -> SimResult:
-        """Simulate *frames* frame iterations (steady-state extrapolated).
-
-        With a fault plan attached every frame is simulated explicitly —
-        fault effects are not frame-periodic, so extrapolation would
-        misattribute them."""
+        """Simulate *frames* frame iterations (steady-state extrapolated)."""
         if frames < 1:
             raise SimulationError(f"frames must be >= 1, got {frames}")
         self._spans = []
@@ -433,16 +361,12 @@ class ClusterSim:
         compute = [0.0] * self.size
         comm = [0.0] * self.size
         pipe_wait = [0.0] * self.size
-        fault = [0.0] * self.size
         overlap = [0.0] * self.size
 
-        simulated = frames if self._frame_faults \
-            else min(frames, max(warmup, 2))
+        simulated = min(frames, max(warmup, 2))
         deltas: list[float] = []
         prev_max = 0.0
         for _f in range(simulated):
-            if self._frame_faults:
-                self._do_faults(_f + 1, t, fault, deltas)
             phases = self.schedule.phases
             i = 0
             while i < len(phases):
@@ -502,14 +426,6 @@ class ClusterSim:
                          pipe_wait=pipe_wait, frames=frames,
                          overlap_time=overlap,
                          oom_ranks=oom, working_set=list(self.working_set),
-                         spans=list(self._spans), fault_time=fault,
+                         spans=list(self._spans),
                          **traffic)
 
-
-def simulate_run(plan: ParallelPlan, frames: int,
-                 machine: MachineModel | None = None,
-                 network: NetworkModel | None = None,
-                 chunks: int = 8) -> SimResult:
-    """Convenience wrapper: schedule extraction + simulation."""
-    sim = ClusterSim(plan, machine=machine, network=network, chunks=chunks)
-    return sim.run(frames)

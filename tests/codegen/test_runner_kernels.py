@@ -13,6 +13,7 @@ import pytest
 
 import repro.apps.kernels as K
 from repro.core import AutoCFD
+from repro.errors import CodegenError
 
 KERNELS_2D = [
     ("jacobi_5pt", dict(n=18, m=12, iters=30)),
@@ -94,3 +95,61 @@ class TestCombiningDoesNotChangeResults:
         a = with_c.run_parallel()
         b = without_c.run_parallel()
         assert np.array_equal(a.array("v").data, b.array("v").data)
+
+
+def _descending_i(src: str) -> str:
+    """*src* with every interior i-sweep running from n - 1 down to 2."""
+    return src.replace("do i = 2, n - 1", "do i = n - 1, 2, -1")
+
+
+class TestDescendingSweeps:
+    """A loop with a negative step over a cut dimension: its bounds are
+    clamped from the top of the rank's block down, and a self-dependent
+    one is refused where its pipeline would have to flow downward."""
+
+    @pytest.mark.parametrize("vectorize", [False, True],
+                             ids=["scalar", "vector"])
+    @pytest.mark.parametrize("partition", [(2, 1), (1, 2)],
+                             ids=["2x1", "1x2"])
+    def test_jacobi_is_bitwise(self, partition, vectorize):
+        acfd = AutoCFD.from_source(_descending_i(K.jacobi_5pt(30, 20, 20)))
+        compiled = acfd.compile(partition=partition)
+        if partition == (2, 1):
+            assert "do i = min0(n - 1, acfd_hi(1)), max0(2, acfd_lo(1)), -1" \
+                in compiled.parallel_source()
+        seq = acfd.run_sequential(vectorize=vectorize)
+        par = compiled.run_parallel(vectorize=vectorize)
+        for name in ("v", "vnew"):
+            assert np.array_equal(par.array(name).data, seq.array(name).data)
+
+    @pytest.mark.parametrize("vectorize", [False, True],
+                             ids=["scalar", "vector"])
+    def test_gauss_seidel_across_the_ascending_dim_is_bitwise(self,
+                                                               vectorize):
+        acfd = AutoCFD.from_source(
+            _descending_i(K.gauss_seidel_2d(30, 20, 20)))
+        seq = acfd.run_sequential(vectorize=vectorize)
+        par = acfd.compile(partition=(1, 2)).run_parallel(
+            vectorize=vectorize)
+        assert np.array_equal(par.array("v").data, seq.array("v").data)
+
+    def test_gauss_seidel_across_the_descending_dim_is_refused(self):
+        acfd = AutoCFD.from_source(
+            _descending_i(K.gauss_seidel_2d(30, 20, 20)))
+        with pytest.raises(CodegenError,
+                           match="self-dependent loop on 'v' in 'seidel' "
+                                 "sweeps cut dimension 0 downward"):
+            acfd.compile(partition=(2, 1))
+
+    def test_forward_reads_of_a_descending_sweep_are_refused(self):
+        # v(i+1, j) is already updated when a downward sweep reads it: a
+        # flow dependence no upward halo or pipe can carry
+        src = _descending_i(K.gauss_seidel_2d(30, 20, 20)).replace(
+            "v(i, j) = 0.25 * (v(i-1, j) + v(i+1, j) + v(i, j-1) "
+            "+ v(i, j+1))", "v(i, j) = 0.5 * (v(i+1, j) + v(i, j))")
+        acfd = AutoCFD.from_source(src)
+        with pytest.raises(CodegenError, match="cut dimension 0 downward"):
+            acfd.compile(partition=(2, 1))
+        seq = acfd.run_sequential()
+        par = acfd.compile(partition=(1, 2)).run_parallel()
+        assert np.array_equal(par.array("v").data, seq.array("v").data)

@@ -24,10 +24,6 @@ class TestConstruction:
         # vnew is grid-shaped: auto-added even though only v was declared
         assert "vnew" in acfd.directives.status_arrays
 
-    def test_auto_status_off(self):
-        acfd = AutoCFD.from_source(JACOBI_SRC, auto_status=False)
-        assert acfd.directives.status_arrays == ["v", "vnew"]  # in source
-
     def test_auto_status_skips_wrong_shape(self):
         src = JACOBI_SRC.replace("real v(n, m), vnew(n, m)",
                                  "real v(n, m), vnew(n, m), tiny(3)")

@@ -15,6 +15,7 @@ from repro.obs import (
     current,
     span,
 )
+from repro.obs.spans import phase_table
 
 
 class TestProfiler:
@@ -50,7 +51,7 @@ class TestProfiler:
         prof = Profiler()
         with prof.span("lex", cat="compile") as sp:
             sp.args["lines"] = 7
-        table = prof.phase_table("compile")
+        table = phase_table(prof.spans())
         assert "lex" in table
         assert "lines=7" in table
         assert "total" in table

@@ -1,60 +1,11 @@
-"""Discrete-event engine, node model, and network model."""
+"""Node model and network model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
-from repro.simulate.events import EventQueue
 from repro.simulate.machine import MachineModel, NodeModel
 from repro.simulate.network import NetworkModel
-
-
-class TestEventQueue:
-    def test_time_ordering(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(3.0, lambda: seen.append("c"))
-        q.schedule(1.0, lambda: seen.append("a"))
-        q.schedule(2.0, lambda: seen.append("b"))
-        assert q.run() == 3.0
-        assert seen == ["a", "b", "c"]
-
-    def test_stable_ties(self):
-        q = EventQueue()
-        seen = []
-        for k in range(5):
-            q.schedule(1.0, lambda k=k: seen.append(k))
-        q.run()
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_after_relative(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(1.0, lambda: q.after(0.5, lambda: seen.append(q.now)))
-        q.run()
-        assert seen == [1.5]
-
-    def test_past_scheduling_rejected(self):
-        q = EventQueue()
-        q.schedule(5.0, lambda: q.schedule(1.0, lambda: None))
-        with pytest.raises(SimulationError):
-            q.run()
-
-    def test_event_budget(self):
-        q = EventQueue()
-
-        def reschedule():
-            q.after(1.0, reschedule)
-
-        q.schedule(0.0, reschedule)
-        with pytest.raises(SimulationError):
-            q.run(max_events=100)
-
-    def test_len(self):
-        q = EventQueue()
-        q.schedule(1.0, lambda: None)
-        assert len(q) == 1
 
 
 class TestNodeModel:
