@@ -14,7 +14,10 @@ whole-array slice translation, with four guards:
   run at least 2x faster at 60x40, where a front has at most 38 lanes;
 * a sequential 64x32 Jacobi frame, its nests resolved once into plans,
   must cost at most 1.5x a hand-written persistent-view, ``out=`` numpy
-  frame timed in the same process.
+  frame timed in the same process;
+* the sprayer's y-sweep at 2x1 (five ufuncs over a 150x98 box of a
+  152x100 buffer) must run at least 1.2x faster on the flat plan than on
+  the box plan, and store the same grid bitwise.
 
 Results land in ``benchmarks/results/micro_pyback.txt`` (uploaded as a
 CI artifact alongside the runtime micro-benchmark profile).
@@ -168,3 +171,61 @@ def test_planned_jacobi_frame_near_the_hand_written_one():
         f"emitted, {min(hand) / frames * 1e6:6.1f} us hand-written "
         f"(persistent views, out=): {ratio:.2f}x"])
     assert ratio <= 1.5, f"planned frame is {ratio:.2f}x the hand-written one"
+
+
+def _y_sweep(frames: int) -> str:
+    """The sprayer's y-sweep on one rank of its 2x1 run: a 150x98 box of
+    152x100 buffers, skipping the first and last column of every row."""
+    return f"""\
+program ysweep
+  implicit none
+  integer n, m, i, j, it
+  parameter (n = 152, m = 100)
+  real vy(n, m), vyn(n, m), pr(n, m)
+  do i = 1, n
+    do j = 1, m
+      vy(i, j) = 0.01 * i + 0.02 * j
+      pr(i, j) = 0.5 - 0.001 * i * j
+    end do
+  end do
+  do it = 1, {frames}
+    do i = 2, n - 1
+      do j = 2, m - 1
+        vyn(i, j) = 0.465 * (vy(i, j-1) + vy(i, j+1)) &
+          + 0.02 * (pr(i, j-1) - pr(i, j+1))
+      end do
+    end do
+  end do
+end
+"""
+
+
+@pytest.mark.benchsmoke
+def test_gapped_box_computes_faster_flat():
+    """The flat-plan guard: one span per buffer instead of 150 rows of
+    98 lanes, the store staged and committed into the box, bitwise."""
+    from repro.interp.pyback import compile_unit
+    frames = 400
+    prog = compile_unit(parse_source(_y_sweep(frames)))
+    specs = prog.namespace["_vs"]
+    flat_spec = specs[2]
+    assert flat_spec[-1] is True, flat_spec
+    times, grids = {}, {}
+    box_spec = flat_spec[:-1] + (False,)
+    for shape, spec in (("flat", flat_spec), ("box", box_spec)):
+        specs[2] = spec
+        best = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            run = prog.run()
+            best = min(best, time.perf_counter() - t0)
+        assert run.plans_flat == (shape == "flat")
+        times[shape] = best
+        grids[shape] = run.array("vyn").data.tobytes()
+    assert grids["flat"] == grids["box"]
+    ratio = times["box"] / times["flat"]
+    _emit_accumulated([
+        f"{'y-sweep 2x1':<14s} frame {times['box'] / frames * 1e6:6.1f} us "
+        f"box plan, {times['flat'] / frames * 1e6:6.1f} us flat plan: "
+        f"{ratio:.2f}x"])
+    assert ratio >= 1.2, f"flat plan only {ratio:.2f}x the box plan"

@@ -120,16 +120,16 @@ class LoopForest:
         return out
 
 
-def steps_down(loop: A.DoLoop, table: SymbolTable) -> bool:
-    """Whether *loop*'s step is a known negative constant (a literal or a
-    PARAMETER expression of *table*'s unit); a step of unknown sign
-    counts as upward."""
+def known_step(loop: A.DoLoop, table: SymbolTable) -> int | None:
+    """*loop*'s step when it is a known constant (1 when absent, else a
+    literal or a PARAMETER expression of *table*'s unit); ``None`` when
+    only the run can tell, and such a step counts as upward."""
     if loop.step is None:
-        return False
+        return 1
     try:
-        return table.eval_const(loop.step) < 0
+        return int(table.eval_const(loop.step))
     except (SemanticError, ArithmeticError):
-        return False
+        return None
 
 
 def build_loop_forest(unit: A.ProgramUnit) -> LoopForest:

@@ -131,13 +131,14 @@ def cmd_report(args) -> int:
 
 def _backend_line(vec: bool, report, par) -> str:
     """How the nests were scheduled and, after the run, how many of them
-    the ranks executed and how many nest plans that took: built well
-    above nests is a rebuild storm (a key that changes every frame)."""
+    the ranks executed and how many nest plans (flat ones among them)
+    that took: built well above nests is a rebuild storm."""
     line = (f"backend: {'vectorized' if vec else 'scalar'} numpy "
             f"({report.vector_summary()}")
     if vec:
         line += (f"; on {len(par.plan_counts)} ranks {par.plan_nests} "
-                 f"nests, {par.plans_built} plans built")
+                 f"nests, {par.plans_built} plans built, "
+                 f"{par.plans_flat} flat")
     return line + ")"
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.analysis.dependency import DependencePair, build_sldp
 from repro.analysis.field_loops import FieldLoop
 from repro.analysis.frame import FrameProgram, InstanceNode, build_frame_program
-from repro.analysis.loops import Placed, steps_down
+from repro.analysis.loops import Placed, known_step
 from repro.analysis.overlap import OverlapDecision, decide_overlap
 from repro.analysis.reductions import Reduction, find_reductions
 from repro.analysis.selfdep import SelfDepClass, SelfDepPlan, analyze_self_dependence
@@ -211,7 +211,8 @@ def _refuse_downward_sweep(fl: FieldLoop, sp: SelfDepPlan, unit_name: str,
     for g in sorted({*dec.pipeline_dims, *dec.halo_dims} & set(cut_dims)):
         var = fl.sweeps.get(g)
         if var is not None and any(
-                loop.var == var and steps_down(loop.stmt, loop.unit.symbols)
+                loop.var == var
+                and (known_step(loop.stmt, loop.unit.symbols) or 0) < 0
                 for loop in [fl.loop, *fl.loop.descendants]):
             raise CodegenError(
                 f"self-dependent loop on {sp.array!r} in {unit_name!r} "

@@ -32,7 +32,9 @@ result is resolved once.
 
 from __future__ import annotations
 
-from repro.analysis.loops import Path, spliced, steps_down
+from copy import deepcopy
+
+from repro.analysis.loops import Path, known_step, spliced
 from repro.analysis.stencil import SubscriptKind, analyze_subscript
 from repro.codegen.plan import ParallelPlan, planned_statements
 from repro.errors import CodegenError
@@ -47,6 +49,18 @@ def _fn(name: str, *args: A.Expr) -> A.FuncCall:
 
 def _int(v: int) -> A.IntLit:
     return A.IntLit(v)
+
+
+def _lattice_start(start: A.Expr, edge: A.Expr, step: int) -> A.Expr:
+    """The first of ``start, start + step, ...`` inside the block whose
+    near *edge* is given: the distance to *edge* rounded up to a multiple
+    of the step (truncating division, exact when it is not negative; the
+    ``max0``/``min0`` keeps *start* when it is already inside)."""
+    k, s = abs(step), deepcopy(start)
+    dist = A.BinOp("-", edge, s) if step > 0 else A.BinOp("-", s, edge)
+    moved = A.BinOp("+" if step > 0 else "-", deepcopy(start), A.BinOp(
+        "*", _int(k), A.BinOp("/", A.BinOp("+", dist, _int(k - 1)), _int(k))))
+    return _fn("max0" if step > 0 else "min0", start, moved)
 
 
 def _mismatch(unit_name: str) -> CodegenError:
@@ -142,13 +156,19 @@ class Restructurer:
                 if g is not None:
                     lo = _fn("acfd_lo", _int(g + 1))
                     hi = _fn("acfd_hi", _int(g + 1))
-                    # a downward sweep starts at the top of the block
-                    if steps_down(stmt, self.plan.cu.unit(unit_name).symbols):
-                        stmt.start = _fn("min0", stmt.start, hi)
-                        stmt.stop = _fn("max0", stmt.stop, lo)
+                    # a downward sweep starts at the top of the block; a
+                    # known step longer than one starts on its lattice,
+                    # a step only the run knows at the block edge
+                    step = known_step(stmt,
+                                      self.plan.cu.unit(unit_name).symbols)
+                    near, far = (hi, lo) if (step or 0) < 0 else (lo, hi)
+                    up = near is lo
+                    if abs(step or 1) > 1:
+                        stmt.start = _lattice_start(stmt.start, near, step)
                     else:
-                        stmt.start = _fn("max0", stmt.start, lo)
-                        stmt.stop = _fn("min0", stmt.stop, hi)
+                        stmt.start = _fn("max0" if up else "min0",
+                                         stmt.start, near)
+                    stmt.stop = _fn("min0" if up else "max0", stmt.stop, far)
                     new_env[stmt.var] = g
                 self._walk_body(stmt.body, unit_name, path, new_env,
                                 invariants)

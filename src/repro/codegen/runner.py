@@ -41,18 +41,22 @@ class ParallelResult:
     rank_values: list[dict] = field(default_factory=list)
     #: rank 0's I/O manager (holds program output)
     io: IoManager | None = None
-    #: per rank, ``(plan_nests, plans_built)``: the vectorized nests the
-    #: rank executed and the nest plans it built for them (hits do not
-    #: count, so built well above nests is a rebuild storm)
-    plan_counts: list[tuple[int, int]] = field(default_factory=list)
+    #: per rank, ``(plan_nests, plans_built, plans_flat)``: the nests it
+    #: vectorized, the plans it built (hits do not count: built well
+    #: above nests is a rebuild storm), and how many of those are flat
+    plan_counts: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def plan_nests(self) -> int:
-        return sum(nests for nests, _built in self.plan_counts)
+        return sum(counts[0] for counts in self.plan_counts)
 
     @property
     def plans_built(self) -> int:
-        return sum(built for _nests, built in self.plan_counts)
+        return sum(counts[1] for counts in self.plan_counts)
+
+    @property
+    def plans_flat(self) -> int:
+        return sum(counts[2] for counts in self.plan_counts)
 
     @property
     def trace(self) -> Trace:
@@ -150,7 +154,7 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
                input_text: str | None, injector, checkpointer, comm):
     """One rank's program execution (shared by both executors): its
     final values with the COMMON status arrays merged in, its I/O, and
-    its ``(plan_nests, plans_built)`` counts."""
+    its ``(plan_nests, plans_built, plans_flat)`` counts."""
     rt = RankRuntime(comm, plan, faults=injector,
                      checkpoints=checkpointer)
     io = IoManager()
@@ -167,7 +171,7 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
             result = {}
         values = _merge_commons(compiled, ctx, plan,
                                 result if isinstance(result, dict) else {})
-        return values, io, (ctx.plans.nests, ctx.plans.built)
+        return values, io, (ctx.plans.nests, ctx.plans.built, ctx.plans.flat)
     finally:
         # runtime and context name each other, and the nest plans on the
         # context pin views and scratch: apart, reference counts free

@@ -731,6 +731,11 @@ class RunResult:
         return self.ctx.plans.built
 
     @property
+    def plans_flat(self) -> int:
+        """Of those, the plans that compute over a flat span."""
+        return self.ctx.plans.flat
+
+    @property
     def plan_nests(self) -> int:
         """Vectorized nests this run executed at least once."""
         return self.ctx.plans.nests

@@ -20,7 +20,7 @@ Emission contract.  A nest is emitted as *look the plan up, execute it*::
         lower bounds), (invariant subscripts))
     *exit values, body = plan
     if body is not None:
-        views, grids, scratch, masks, box shape = body
+        views, grids, scratch, masks, stores, folds, box shape = body
         <one ufunc call per operation, on those names>
     <DO variables> = exit values
 
@@ -46,6 +46,17 @@ a flag the plan carries and run once); and the scratch buffers.  What
 stays in the frame: the key tuple, one dict lookup, one unpack, scalar
 subexpressions (the scalar backend's own text), uniform IF conditions,
 and the ufunc calls.
+
+Also resolved once: the plan's shape.  A ``slice`` nest whose box skips
+part of each row is *flat* when the emitter allows it (no carried level,
+mask, grid or temporary; stores that neither mask nor cast; references
+and slots over all lane axes; folds over slots; ``_FLAT_UFUNCS`` only)
+and :func:`_flat_span` accepts the run's views: each ufunc runs once over
+the spans ``buf.reshape(-1)[a:a+L]`` from each box's first element to its
+last and length-``L`` slots.  An unmasked store writes ``s``, then ``if c
+is not None: c[...] = x`` (box plan: the target view, ``None``; flat: a
+staging span, the target's box view, the span's box lanes); a fold reads
+``y``, its slot or the slot's box lanes.
 
 **The key.**  Bounds made of literals, PARAMETERs and the rank-local
 ``acfd_lo/hi/owns`` queries cannot change during a rank's run and are
@@ -91,6 +102,11 @@ reduction's fold:
   writes that lane and no other.  Otherwise the value lands in scratch
   and one ``view[...] = value`` casts it the way the scalar backend's
   store does (a real expression into an integer array truncates);
+* in a flat plan all views share their strides, so a span lane is one
+  box lane of every reference, with the same operations in the same
+  order.  Gap lanes compute values nobody keeps (a commit copies box
+  lanes only, right after its statement), and no division, root, ``mod``
+  or helper runs on them, so a ghost or boundary value cannot raise;
 * IF arms guarded by iteration-dependent conditions become boolean
   masks, each arm's condition evaluated *after* the preceding arms'
   stores (per lane that matches the scalar order, because arms are
@@ -130,6 +146,7 @@ namespace.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -341,12 +358,14 @@ class NestPlans:
     view.
     """
 
-    __slots__ = ("table", "built", "_keys", "_arena")
+    __slots__ = ("table", "built", "flat", "_keys", "_arena")
 
     def __init__(self) -> None:
         self.table: dict[tuple, tuple] = {}
-        #: plans built so far (a hit never counts)
+        #: plans built so far (a hit never counts), and how many of them
+        #: compute over the flat span of their box (:func:`_flat_span`)
         self.built = 0
+        self.flat = 0
         #: nest -> (key, its buffers) per live plan, oldest first
         self._keys: dict[int, list[tuple]] = {}
         self._arena: dict[tuple, list[np.ndarray]] = {}
@@ -365,20 +384,19 @@ class NestPlans:
         self.built += 1
         return plan
 
-    def scratch(self, slots: tuple, dims: tuple) -> list[np.ndarray]:
-        """One buffer per ``(lane axes, dtype code)`` slot of a nest over
-        the box *dims*.  Buffers come from the rank's arena by (shape,
-        dtype), so every nest with the same box computes in the same
-        few buffers; within one nest two slots never share one."""
+    def scratch(self, classes: list) -> list[np.ndarray]:
+        """One buffer per ``(shape, dtype code)`` class a nest asks for.
+        Buffers come from the rank's arena, so every nest with the same
+        box computes in the same few buffers; within one call two
+        classes never share one."""
         taken: dict[tuple, int] = {}
         out = []
-        for axes, dt in slots:
-            shape = _box_shape(axes, dims)
-            k = taken.get((shape, dt), 0)
-            taken[shape, dt] = k + 1
-            bufs = self._arena.setdefault((shape, dt), [])
+        for cls in classes:
+            k = taken.get(cls, 0)
+            taken[cls] = k + 1
+            bufs = self._arena.setdefault(cls, [])
             if k == len(bufs):
-                bufs.append(np.empty(shape, _DTYPE[dt]))
+                bufs.append(np.empty(cls[0], _DTYPE[cls[1]]))
             out.append(bufs[k])
         return out
 
@@ -448,6 +466,40 @@ def _box_shape(axes: tuple, dims: tuple) -> tuple:
     return tuple(n if a in axes else 1 for a, n in enumerate(dims))
 
 
+def _flat_span(refs: tuple, arrays: tuple, views: list, dyn: tuple,
+               box: list, dims: tuple) -> tuple | None:
+    """``(length, element strides, each reference's first element in its
+    flat buffer)`` of a flat plan over the box *dims*; ``None`` when a view
+    is missing or clipped, a buffer not C-contiguous, the element strides
+    differ or lack a unit one, or the box is contiguous or under half."""
+    if any(v is None or v.shape != dims for v in views):
+        return None
+    found = {tuple(st // v.itemsize for st in v.strides) for v in views}
+    strides = found.pop()
+    if found or min(strides) != 1:
+        return None
+    count = prod(dims)
+    length = 1 + sum((n - 1) * st for n, st in zip(dims, strides))
+    if not count < length <= 2 * count:
+        return None
+    starts = []
+    for a, subs in refs:
+        buf, lower = arrays[a]
+        if not buf.flags.c_contiguous:
+            return None
+        starts.append(sum(
+            ((sub[1] * box[sub[0]][0] + sub[2] if type(sub) is tuple
+              else dyn[sub]) - low) * (st // buf.itemsize)
+            for sub, low, st in zip(subs, lower, buf.strides)))
+    return length, strides, starts
+
+
+def _strided(flat: np.ndarray, dims: tuple, strides: tuple) -> np.ndarray:
+    """The box lanes of a span-length buffer, as a view."""
+    return np.ndarray(dims, flat.dtype, flat, 0,
+                      tuple(st * flat.itemsize for st in strides))
+
+
 def _vplan_box(plans: NestPlans, key: tuple, spec: tuple, bounds: tuple,
                arrays: tuple, dyn: tuple) -> tuple:
     """Build and register the plan of a ``slice`` or ``carried-outer``
@@ -456,15 +508,17 @@ def _vplan_box(plans: NestPlans, key: tuple, spec: tuple, bounds: tuple,
     reference, one index grid per box variable read as a value, the
     scratch buffers, one buffer per mask that reads only such grids
     (behind a leading ``True`` the emitted code clears once it has
-    filled them), and the box shape.
+    filled them), ``(s, c, x)`` per unmasked store and ``y`` per fold
+    (see the module docstring), and the box shape.
 
     *spec* is what the emitter fixed (``_NestEmitter.emit``): the
     references as ``(index into arrays, subscripts)`` (see
     :func:`_box_view`), the levels with a grid, the carried levels, the
-    scratch slots and the masks.  The call brings what the run decides:
-    the DO bounds, ``(buffer, lower bounds)`` per array, and the values
-    of the invariant subscripts."""
-    refs, grids, carried, slots, masks = spec
+    scratch slots, the masks, the stores, the folds, and whether the nest
+    may compute flat.  The call brings what the run decides: the DO
+    bounds, ``(buffer, lower bounds)`` per array, and the values of the
+    invariant subscripts."""
+    refs, grids, carried, slots, masks, stores, folds, flat = spec
     exits, box = _trip_box(bounds)
     body = None
     if box is not None:
@@ -472,17 +526,38 @@ def _vplan_box(plans: NestPlans, key: tuple, spec: tuple, bounds: tuple,
         lane = {lv: a for a, lv in enumerate(
             lv for lv in range(len(box)) if lv not in lead)}
         dims = tuple(box[lv][1] for lv in lane)
+        views = [_box_view(*arrays[a], subs, dyn, box, lead, lane)
+                 for a, subs in refs]
+        span = flat and _flat_span(refs, arrays, views, dyn, box, dims)
         body = [True] if masks else []
         body += [range(s, s + n * d, d)
                  for s, n, d in (box[lv] for lv in carried)]
-        body += [_box_view(*arrays[a], subs, dyn, box, lead, lane)
-                 for a, subs in refs]
-        for lv in grids:
-            start, n, step = box[lv]
-            body.append((start + step * np.arange(n)).reshape(
-                _box_shape((lane[lv],), dims)))
-        body += plans.scratch(slots, dims)
-        body += [np.empty(_box_shape(axes, dims), np.bool_) for axes in masks]
+        if span:
+            length, strides, starts = span
+            body += [arrays[a][0].reshape(-1)[x:x + length]
+                     for (a, _), x in zip(refs, starts)]
+            # a staging span per store, after the slots
+            scratch = plans.scratch([((length,), dt)
+                                     for _, dt in slots + stores])
+            body += scratch[:len(slots)]
+            for (j, _), stage in zip(stores, scratch[len(slots):]):
+                body += (stage, views[j], _strided(stage, dims, strides))
+            body += [_strided(scratch[n], dims, strides) for n in folds]
+            plans.flat += 1
+        else:
+            body += views
+            for lv in grids:
+                start, n, step = box[lv]
+                body.append((start + step * np.arange(n)).reshape(
+                    _box_shape((lane[lv],), dims)))
+            scratch = plans.scratch([(_box_shape(axes, dims), dt)
+                                     for axes, dt in slots])
+            body += scratch
+            body += [np.empty(_box_shape(axes, dims), np.bool_)
+                     for axes in masks]
+            for j, _ in stores:
+                body += (views[j], None, None)
+            body += [scratch[n] for n in folds]
         body.append(dims)
     return plans.add(key, (*exits, body), arrays)
 
@@ -592,6 +667,12 @@ _UFUNCS = {"abs": "absolute", "dabs": "absolute", "iabs": "absolute",
 #: ``fmod`` included, whatever ``INTEGER_RESULT`` says of ``mod``)
 _GENERIC = frozenset({"abs", "max", "min", "mod", "sign"})
 _DT_NAME = {"i": "integer", "r": "real", "l": "logical"}
+#: the ufuncs a flat plan may run: none divides, takes a root or calls a
+#: helper on the gap lanes nobody keeps
+_FLAT_UFUNCS = frozenset({
+    "add", "subtract", "multiply", "negative", "absolute", "maximum",
+    "minimum", "less", "less_equal", "greater", "greater_equal", "equal",
+    "not_equal"})
 
 
 class _NestEmitter:
@@ -644,6 +725,10 @@ class _NestEmitter:
         #: temporaries assigned under one: they may not be assigned at all
         self.flagged: list[str] = []
         self.temp_mask: dict[str, _Val | None] = {}
+        #: per unmasked store its target and type, per fold its slot
+        self.stores: list[tuple] = []
+        self.folds: list[int] = []
+        self.flat = not (self.fronts or facts.carried)
 
     # -- the frame: key, lookup, unpack, execute, exit values ------------------
 
@@ -680,9 +765,13 @@ class _NestEmitter:
             spec = (tuple(self.ref_specs), tuple(self.ref_group),
                     tuple(grids))
         else:
+            # (with every reference over all lane axes, so is every slot)
+            flat = self.flat and bool(self.stores or self.folds) and not (
+                grids or self.masks or self.f.temps)
             spec = (tuple(self.ref_specs), tuple(grids),
                     tuple(self.level_of[v] for v in self.f.carried),
-                    tuple(self.slots), tuple(self.masks))
+                    tuple(self.slots), tuple(self.masks),
+                    tuple(self.stores), tuple(self.folds), flat)
         c.specs[self.number] = spec
         build = (f"{'_vplan_fronts' if self.fronts else '_vplan_box'}("
                  f"ctx.plans, {b}k, _vs[{self.number}], "
@@ -747,6 +836,8 @@ class _NestEmitter:
             *(f"{b}g{k}" for k in grids),
             *(f"{b}t{n}" for n in range(len(self.slots))),
             *(f"{b}m{n}" for n in range(len(self.masks))),
+            *(f"{b}{x}{n}" for n in range(len(self.stores)) for x in "scx"),
+            *(f"{b}y{q}" for q in range(len(self.folds))),
             f"{b}bx"]
 
     def _fronts_frame(self, grids: list) -> list[str]:
@@ -821,6 +912,8 @@ class _NestEmitter:
         texts = ", ".join(v.text for v in args)
         if not axes:
             return _Val(f"_np.{fn}({texts})", _SCALAR, dt)
+        if fn not in _FLAT_UFUNCS:
+            self.flat = False
         if out is not None and (out.axes, out.dt) == (axes, dt):
             dest = out
         else:
@@ -839,6 +932,7 @@ class _NestEmitter:
         axes = frozenset().union(*(v.axes for v in args))
         if not axes:
             return _Val(text, _SCALAR, dt)
+        self.flat = False
         name = self.c.fresh("va")
         self.c.w(f"{name} = {text}")
         for v in args:
@@ -878,11 +972,19 @@ class _NestEmitter:
                 v = cur
             c.w(f"{tgt.text} = {v.text}")
         elif mask is None:
-            # the last operation writes the target; anything else is
-            # stored as the scalar backend stores it, casting
-            v = self._lower(s.value, out=tgt)
-            if v.text != tgt.text:
+            # the last operation writes the target (``slice``: what the
+            # plan binds); anything else is a casting store
+            n, dest = len(self.stores), tgt
+            if not self.f.carried and tgt.axes == self.full:
+                dest = _Val(f"{self.base}s{n}", tgt.axes, tgt.dt)
+            v = self._lower(s.value, out=dest)
+            if v.text != dest.text:
+                self.flat = False
                 c.w(f"{tgt.text}[...] = {v.text}")
+            elif dest is not tgt:
+                self.stores.append((self._plan_ref(s.target), tgt.dt))
+                b = self.base
+                c.w(f"if {b}c{n} is not None: {b}c{n}[...] = {b}x{n}")
         else:
             # the right-hand side is complete in scratch before the
             # first lane is stored, so a masked sweep may read the lanes
@@ -922,7 +1024,15 @@ class _NestEmitter:
         cur = c.var_read(it.name)
         v = self._lower(it.operand)
         if mask is None:
-            self._commit_reduce(it, cur, self._lanes(v))
+            sv = self._lanes(v)
+            if self.f.carried or type(v.own) is not int \
+                    or v.axes != self.full:
+                self.flat = False
+            else:
+                # the slot itself, or its box lanes in a flat plan
+                sv = f"{self.base}y{len(self.folds)}"
+                self.folds.append(v.own)
+            self._commit_reduce(it, cur, sv)
         else:
             sv = c.fresh("vr")
             c.w(f"{sv} = {self._lanes(v)}[{self._lanes(mask)}]")
@@ -961,6 +1071,7 @@ class _NestEmitter:
 
     def _varying_if(self, it: VIf, mask: _Val | None) -> None:
         c = self.c
+        self.flat = False
         rest = mask
         made = []
         for n, (cond, body) in enumerate(it.arms):
@@ -1077,12 +1188,31 @@ class _NestEmitter:
         if not any(info.kind is not SubscriptKind.CONSTANT
                    for info in self.f.subscripts[id(ref)]):
             return _Val(c.array_elem(ref.name, ref.subs), _SCALAR, dt)
+        j = self._plan_ref(ref)
+        if self.fronts:
+            # references that differ only in constant offsets share a key
+            text = f"{b}r{j}[{b}K{self.ref_group[j]}]"
+            if store:
+                return _Val(text, self.full, dt)
+            return self._gather(text, dt)
+        levels = [s[0] for s in self.ref_specs[j][1] if type(s) is tuple]
+        axes = frozenset(self.axis_of[self.f.nest_vars[k]] for k in levels
+                         if self.f.nest_vars[k] in self.axis_of)
+        if axes != self.full:
+            self.flat = False
+        if self.ref_lead[j]:
+            self.bound.add(j)
+            return _Val(f"{b}w{j}", axes, dt)
+        return _Val(f"{b}r{j}", axes, dt)
+
+    def _plan_ref(self, ref: A.ArrayRef) -> int:
+        """The number of *ref*'s planned view, registering it first."""
         #: per dim ``(level, multiplier, offset)``, or for an invariant
         #: subscript its place among the values the build call passes
         subs = tuple(
             (self.level_of[info.var], info.coeff, info.offset)
             if info.kind is not SubscriptKind.CONSTANT
-            else self.dyn.setdefault(c.expr(sub), len(self.dyn))
+            else self.dyn.setdefault(self.c.expr(sub), len(self.dyn))
             for sub, info in zip(ref.subs, self.f.subscripts[id(ref)]))
         levels = [s[0] for s in subs if type(s) is tuple]
         j = self.refs.get((ref.name, subs))
@@ -1100,18 +1230,7 @@ class _NestEmitter:
                                       for s in subs))
             self.ref_group.append(
                 self.groups.setdefault(layout, len(self.groups)))
-        if self.fronts:
-            # references that differ only in constant offsets share a key
-            text = f"{b}r{j}[{b}K{self.ref_group[j]}]"
-            if store:
-                return _Val(text, self.full, dt)
-            return self._gather(text, dt)
-        axes = frozenset(self.axis_of[self.f.nest_vars[k]] for k in levels
-                         if self.f.nest_vars[k] in self.axis_of)
-        if self.ref_lead[j]:
-            self.bound.add(j)
-            return _Val(f"{b}w{j}", axes, dt)
-        return _Val(f"{b}r{j}", axes, dt)
+        return j
 
     def _gather(self, text: str, dt: str) -> _Val:
         """A front's lanes of one reference, as a fresh array."""

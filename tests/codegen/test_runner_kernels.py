@@ -97,6 +97,55 @@ class TestCombiningDoesNotChangeResults:
         assert np.array_equal(a.array("v").data, b.array("v").data)
 
 
+def _strided_update(src: str, loop: str) -> str:
+    """*src* with its last interior i-sweep (the Jacobi copy-back nest)
+    written as *loop*."""
+    head, _, tail = src.rpartition("do i = 2, n - 1")
+    return head + loop + tail
+
+
+class TestStridedSweeps:
+    """A loop with a known step longer than one over a cut dimension
+    starts on its own lattice inside each rank's block."""
+
+    @pytest.mark.parametrize("vectorize", [False, True],
+                             ids=["scalar", "vector"])
+    @pytest.mark.parametrize("partition", [(2, 1), (4, 1), (1, 4)],
+                             ids=["2x1", "4x1", "1x4"])
+    @pytest.mark.parametrize("loop", ["do i = 2, n - 1, 2",
+                                      "do i = n - 1, 2, -2"],
+                             ids=["up", "down"])
+    def test_jacobi_is_bitwise(self, loop, partition, vectorize):
+        acfd = AutoCFD.from_source(
+            _strided_update(K.jacobi_5pt(30, 20, 20), loop))
+        seq = acfd.run_sequential(vectorize=vectorize)
+        par = acfd.compile(partition=partition).run_parallel(
+            vectorize=vectorize)
+        for name in ("v", "vnew"):
+            assert np.array_equal(par.array(name).data, seq.array(name).data)
+
+    def test_start_is_clamped_onto_the_lattice(self):
+        compiled = AutoCFD.from_source(_strided_update(
+            K.jacobi_5pt(30, 20, 20), "do i = n - 1, 2, -2")).compile(
+                partition=(4, 1))
+        assert ("do i = min0(n - 1, n - 1 - 2 * ((n - 1 - acfd_hi(1) + 1) "
+                "/ 2)), max0(2, acfd_lo(1)), -2") \
+            in compiled.parallel_source()
+
+    def test_a_step_only_the_run_knows_keeps_the_edge_clamp(self):
+        src = _strided_update(K.jacobi_5pt(30, 20, 20), "do i = 2, n - 1, k")
+        src = src.replace("integer n, m, i, j, iter",
+                          "integer n, m, i, j, iter, k").replace(
+            "  eps = ", "  k = 1\n  eps = ")
+        acfd = AutoCFD.from_source(src)
+        compiled = acfd.compile(partition=(4, 1))
+        assert "do i = max0(2, acfd_lo(1)), min0(n - 1, acfd_hi(1)), k" \
+            in compiled.parallel_source()
+        par = compiled.run_parallel()
+        assert np.array_equal(par.array("v").data,
+                              acfd.run_sequential().array("v").data)
+
+
 def _descending_i(src: str) -> str:
     """*src* with every interior i-sweep running from n - 1 down to 2."""
     return src.replace("do i = 2, n - 1", "do i = n - 1, 2, -1")

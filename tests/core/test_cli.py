@@ -105,11 +105,14 @@ class TestRun:
         out = capsys.readouterr().out
         assert "identical" in out
         # every nest each rank ran was resolved once: a rebuild storm
-        # would read "plans built" well above "nests"
-        nests, built = re.search(
+        # would read "plans built" well above "nests"; the Jacobi update
+        # nest's box skips the ghost columns, so each rank computes it
+        # over one flat span
+        nests, built, flat = re.search(
             r"backend: vectorized .*; on 2 ranks (\d+) nests, "
-            r"(\d+) plans built\)", out).groups()
+            r"(\d+) plans built, (\d+) flat\)", out).groups()
         assert int(built) == int(nests) > 0
+        assert int(flat) == 2
 
     @pytest.mark.parametrize("command", ["compile", "run", "profile",
                                          "chaos"])
@@ -229,7 +232,8 @@ class TestProfile:
         assert "sync-freshness" in out
         assert "codegen-restructure" in out
         assert "sync 1: v entry-only (fresh from sync 2)" in out
-        assert re.search(r"backend: .* nests, \d+ plans built\)", out)
+        assert re.search(r"backend: .* nests, \d+ plans built, \d+ flat\)",
+                         out)
         # (b) per-rank breakdown with derived health numbers
         assert "parallel run (observed)" in out
         assert "compute" in out and "blocked" in out

@@ -597,3 +597,63 @@ end
         _assert_same_state(compile_unit(cu, vectorize=False).run(), vector)
         # t is allocated per call: both of damp's nests rebuild per frame
         assert (vector.plan_nests, vector.plans_built) == (3, 7)
+
+
+def _gapped(op: str) -> str:
+    """``v = w <op> u`` over a box that skips the first and last column,
+    where ``u`` and ``w`` are zero."""
+    return f"""\
+program gaps
+  implicit none
+  integer i, j, it, n
+  parameter (n = 12)
+  real u(n, n), v(n, n), w(n, n)
+  do i = 1, n
+    do j = 2, n - 1
+      u(i, j) = 0.5 + 0.01 * i * j
+      w(i, j) = 0.1 * i - 0.2 * j
+    end do
+  end do
+  do it = 1, 2
+    do i = 2, n - 1
+      do j = 2, n - 1
+        v(i, j) = w(i, j) {op} u(i, j)
+      end do
+    end do
+  end do
+  write (6, *) v(2, 2), v(n - 1, n - 1)
+end
+"""
+
+
+class TestFlatPlans:
+    """A ``slice`` nest whose box skips part of each row computes over
+    one flat span of its buffers; the box lanes stay bitwise equal."""
+
+    @pytest.mark.parametrize("op,flat", [("*", 1), ("/", 0)],
+                             ids=["multiply", "divide"])
+    def test_division_keeps_the_box_plan(self, op, flat):
+        # computed flat, w / u would divide 0 by 0 in the skipped
+        # columns; the product over the same box goes flat
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scalar, vector = _both(_gapped(op))
+        _assert_same_state(scalar, vector)
+        assert (vector.plans_built, vector.plans_flat) == (2, flat)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_sprayer_ranks_run_their_sweeps_flat(self, executor):
+        from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
+        from repro.core import AutoCFD
+        acfd = AutoCFD.from_source(sprayer_source(40, 60, iters=3, eps=0.0))
+        # the scalar order: a sequential run would take the flat plans too
+        seq = acfd.run_sequential(input_text=SPRAYER_INPUT, vectorize=False)
+        par = acfd.compile(partition=(2, 1)).run_parallel(
+            input_text=SPRAYER_INPUT, executor=executor, timeout=60.0)
+        # per rank, of 38 nests: the 13 sweeps and folds over
+        # j = 2..m-1; the copy-back nests over that box only copy
+        assert par.plan_counts == [(38, 38, 13)] * 2
+        for name in acfd.directives.status_arrays:
+            assert (par.array(name).data.tobytes()
+                    == seq.array(name).data.tobytes()), name

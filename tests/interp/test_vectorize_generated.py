@@ -4,7 +4,11 @@ A first slice of the ROADMAP's generated-program item, scoped to the
 schedules of :mod:`repro.analysis.vecsafety`: random 2-D and 3-D nests
 that update an array in place through random stencils, in a random loop
 order, with negative and non-unit steps, an optional temporary, max fold
-and IF.  Whatever the analysis decides for a nest (slice, carried-outer,
+and IF.  Every box skips part of each row, so a ``slice`` nest may take
+either plan shape (box views, or one flat span per buffer); a second
+statement may read the first one's target at the same and at a shifted
+subscript, and a read of an array with longer rows must keep the box
+plan.  Whatever the analysis decides for a nest (slice, carried-outer,
 fronts, or a fallback), ``vectorize=True`` must leave every array,
 scalar and DO variable bitwise equal to ``vectorize=False``.  The nest
 runs once, or three times inside a frame loop, or as a subroutine the
@@ -61,11 +65,24 @@ def nests(draw):
                                       offsets(ndim)),
                             min_size=1, max_size=4)))
              for _ in range(draw(st.integers(1, 3)))]
-    return {"ndim": ndim, "loops": loops, "stmts": stmts,
+    spec = {"ndim": ndim, "loops": loops, "stmts": stmts,
             "shape": draw(st.sampled_from(["once", "framed", "called"])),
             "temp": draw(st.booleans()), "fold": draw(st.booleans()),
             "guard": draw(st.sampled_from(
-                [None, None, "uniform-on", "uniform-off", "varying"]))}
+                [None, None, "uniform-on", "uniform-off", "varying"])),
+            # b = <first target> at the same and a shifted subscript
+            "chain": draw(st.one_of(st.none(), offsets(ndim))),
+            "other": draw(st.integers(0, 3)) == 0}
+    if draw(st.booleans()):
+        # unit steps in storage order, so the rows of the box are runs of
+        # memory with a gap between them, stores that are not in place,
+        # and nothing else that keeps a nest from computing flat
+        spec.update(loops=[(v, 1, False) for v in VARS[:ndim]],
+                    temp=False,
+                    stmts=[("c", at, reads) for _, at, reads in stmts])
+        if spec["guard"] == "varying":
+            spec["guard"] = None
+    return spec
 
 
 def _ref(array: str, off: tuple) -> str:
@@ -92,7 +109,7 @@ def render(spec: dict) -> str:
         "  implicit none",
         f"  integer n, it, {', '.join(names)}, {steps}",
         "  parameter (n = 8)",
-        f"  real a({ext}), b({ext}), c({ext}), tmp, big, flag",
+        f"  real a({ext}), b({ext}), c({ext}), d({ext} + 2), tmp, big, flag",
     ]
     lines = ["program gen"] + decls + [
         f"  flag = {0.0 if spec['guard'] == 'uniform-off' else 1.0}",
@@ -102,7 +119,8 @@ def render(spec: dict) -> str:
     point = " + ".join(f"0.{d + 1} * {v}" for d, v in enumerate(names))
     lines += [f"    {_ref('a', zero)} = 0.01 * i * j + {point}",
               f"    {_ref('b', zero)} = 1.0 / ({' + '.join(names)})",
-              f"    {_ref('c', zero)} = 0.5 - 0.02 * ({point})"]
+              f"    {_ref('c', zero)} = 0.5 - 0.02 * ({point})",
+              f"    {_ref('d', zero)} = 0.3 + 0.01 * ({point})"]
     lines += ["  end do"] * ndim
     lines += [f"  s{v} = {step}" for v, step, _ in spec["loops"]]
     nest = []
@@ -117,7 +135,13 @@ def render(spec: dict) -> str:
                  for r, (arr, off) in enumerate(reads)]
         if spec["temp"] and k == len(spec["stmts"]) - 1:
             terms.append("0.1 * tmp")
+        if spec["other"] and k == 0:
+            terms.append(f"0.7 * {_ref('d', zero)}")
         body.append(f"{_ref(target, at)} = {' + '.join(terms)}")
+    if spec["chain"] is not None:
+        first = spec["stmts"][0][0]
+        body.append(f"{_ref('b', zero)} = 0.3 * {_ref(first, zero)} "
+                    f"- 0.4 * {_ref(first, spec['chain'])}")
     guard = spec["guard"]
     if guard == "varying":
         body = ([f"if ({_ref('b', zero)} .gt. 0.12) then"]
@@ -135,7 +159,7 @@ def render(spec: dict) -> str:
         # (the CONTINUE keeps the frame loop out of the nest's DO chain)
         lines += ["  do it = 1, 3", "  continue"] + nest + ["  end do"] + tail
     else:
-        rest = f"tmp, big, flag, {', '.join(names)}, {steps}"
+        rest = f"d, tmp, big, flag, {', '.join(names)}, {steps}"
         lines += ["  do it = 1, 3",
                   f"    call sweep(a, b, c, {rest})",
                   f"    call sweep(c, b, a, {rest})",
@@ -178,8 +202,15 @@ def test_generated_nests_match_the_scalar_order():
             assert (vector.plan_nests, vector.plans_built) \
                 == (2, PLANS[spec["shape"]]), src
             seen[spec["shape"]] += 1
+            # only the generated nest can be flat: the init nest reads
+            # its index grids
+            if spec["other"]:
+                # d's rows are longer: its views have other strides
+                assert vector.plans_flat == 0, src
+            elif prog.vector_stats["modes"]["slice"] > 1:
+                seen["flat" if vector.plans_flat else "box"] += 1
 
     check()
     missing = [k for k in MODES + NEW_REASONS + tuple(PLANS)
-               if not seen[k]]
+               + ("flat", "box") if not seen[k]]
     assert not missing, f"generator never reached {missing}: {seen}"
