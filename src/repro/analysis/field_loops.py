@@ -24,9 +24,10 @@ from enum import Enum
 from repro.analysis.loops import LoopForest, LoopInfo, Path, build_loop_forest
 from repro.analysis.stencil import (
     AccessPattern,
+    ArrayAccess,
     SubscriptKind,
-    array_access_patterns,
     enclosed_accesses,
+    int_parameters,
 )
 from repro.fortran import ast as A
 from repro.fortran.directives import AcfdDirectives
@@ -141,39 +142,37 @@ def classify_unit(unit: A.ProgramUnit,
                   directives: AcfdDirectives) -> UnitClassification:
     """Find and classify all field loops of one program unit.
 
-    One walk per loop-forest root finds every loop's swept dimensions: an
-    access sweeps grid dim g for each enclosing loop whose variable is its
-    INDUCTION variable on g.  The root's nest variables serve every loop
-    below it, because whether a subscript is INDUCTION on a variable does
-    not depend on the other loop variables (``_linear_form`` gives up on
-    any subscript naming a second one).  Other subscript kinds do depend
-    on that set, so a field loop below a non-sweeping ancestor (the frame
-    loop) is scanned once more, with its own nest variables, for its
-    uses; a field loop that is its own root reuses the walk.
+    One walk per loop-forest root collects every status-array access
+    with its subscripts' affine forms.  Against the root's nest
+    variables they give every loop's swept dimensions: an access sweeps
+    grid dim g for each enclosing loop whose variable is its INDUCTION
+    variable on g.  A form does not depend on which names are loop
+    variables, so a field loop below a non-sweeping ancestor (the frame
+    loop) takes the accesses its statement holds from the same walk and
+    derives their kinds against its own nest variables.
     """
     forest = build_loop_forest(unit)
     table: SymbolTable = unit.symbols  # type: ignore[assignment]
     status = [a for a in directives.status_arrays
               if table.get(a) is not None and table.get(a).is_array]
     status_set = set(status)
-    invariants = {s.name: int(s.param_value)
-                  for s in table.symbols.values()
-                  if s.is_parameter and isinstance(s.param_value, (int,))}
+    params = int_parameters(table)
 
     # Which loops sweep a status dimension with their own variable?
     sweeping: dict[int, dict[int, str]] = {}
-    root_accesses: dict[int, list[AccessPattern]] = {}
+    root_accesses: dict[int, list[ArrayAccess]] = {}
     for root in forest.roots:
-        found = enclosed_accesses([root.stmt], status_set,
-                                  set(root.nest_vars), invariants)
-        root_accesses[id(root.stmt)] = [access for access, _ in found]
-        for access, loops in found:
-            if not loops:
+        found = enclosed_accesses([root.stmt], status_set, params)
+        root_accesses[id(root.stmt)] = found
+        root_vars = set(root.nest_vars)
+        for access in found:
+            if not access.loops:
                 continue  # in the root's own bounds
             dim_map = directives.status_dims(
                 access.array, table.get(access.array).array.rank)
-            for g, var in _status_dim_vars(access, dim_map).items():
-                for stmt in loops:
+            pattern = access.pattern(root_vars)
+            for g, var in _status_dim_vars(pattern, dim_map).items():
+                for stmt in access.loops:
                     if stmt.var == var:
                         sweeping.setdefault(id(stmt), {}).setdefault(g, var)
 
@@ -193,12 +192,13 @@ def classify_unit(unit: A.ProgramUnit,
         fl.sweeps.update(sweeping[id(loop.stmt)])
         for desc in loop.descendants:
             fl.sweeps.update(sweeping.get(id(desc.stmt), {}))
-        if loop.parent is None:
-            accesses = root_accesses[id(loop.stmt)]
-        else:
-            accesses = array_access_patterns([loop.stmt], status_set,
-                                             set(loop.nest_vars), invariants)
-        _collect_uses(fl, accesses, table, directives)
+        root = loop
+        while root.parent is not None:
+            root = root.parent
+        nest_vars = set(loop.nest_vars)
+        _collect_uses(fl, [access.pattern(nest_vars)
+                           for access in root_accesses[id(root.stmt)]
+                           if access.inside(loop.stmt)], table, directives)
         field_loops.append(fl)
         by_path[loop.path] = fl
     return UnitClassification(unit, forest, field_loops, by_path)

@@ -14,6 +14,11 @@ surrounding loop variables:
 * ``IRREGULAR``: anything else (e.g. ``g1(i)`` indirect accesses of the
   C-type loop in Figure 1) — partitioning-hostile, forces conservative
   treatment.
+
+Every kind is read off one form, :func:`affine_form`: integer
+coefficients per scalar name plus a constant, with integer PARAMETERs
+folded in.  The field-loop classifier, the vectorizer's nest verdict and
+the restructurer's boundary checks all decompose subscripts through it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum, auto
 
 from repro.fortran import ast as A
+from repro.fortran.printer import print_expr
+from repro.fortran.symbols import SymbolTable
 
 
 class SubscriptKind(Enum):
@@ -71,56 +78,99 @@ class AccessPattern:
         return any(s.kind is SubscriptKind.IRREGULAR for s in self.subs)
 
 
-def _linear_form(expr: A.Expr, loop_vars: set[str]
-                 ) -> tuple[str | None, int, int] | None:
-    """Decompose *expr* as ``coeff * var + offset`` over *loop_vars*.
+def int_parameters(table: SymbolTable) -> dict[str, int]:
+    """Name -> value of every integer PARAMETER of *table*'s unit."""
+    return {sym.name: int(sym.param_value)
+            for sym in table.symbols.values()
+            if sym.is_parameter and isinstance(sym.param_value, int)}
 
-    Returns (var, coeff, offset); var None for pure constants; None when
-    the expression is not linear in a single loop variable.
+
+@dataclass(frozen=True)
+class Affine:
+    """A scalar expression as ``sum(coeff * term) + const`` in integers.
+
+    A term is a scalar name, or the printed text of a product, quotient
+    or other operation that is not affine in its operands (``k / 2``,
+    ``i * j``): one opaque value.  Integer PARAMETERs are folded into
+    ``const``.  The form does not depend on which names are loop
+    variables; :func:`subscript_info` decides that against a nest.
     """
-    if isinstance(expr, A.IntLit):
-        return (None, 0, expr.value)
-    if isinstance(expr, A.Var):
-        if expr.name in loop_vars:
-            return (expr.name, 1, 0)
-        return None  # runtime-variant scalar: not analyzable statically
-    if isinstance(expr, A.UnOp):
-        inner = _linear_form(expr.operand, loop_vars)
-        if inner is None:
-            return None
-        var, coeff, off = inner
-        if expr.op == "-":
-            return (var, -coeff, -off)
-        if expr.op == "+":
-            return inner
+
+    coeffs: tuple[tuple[str, int], ...]  # (term, nonzero coeff), sorted
+    const: int
+    names: frozenset[str]  # every scalar name the expression reads
+
+
+class _NoForm(Exception):
+    """A node no scalar expression holds."""
+
+
+def affine_form(expr: A.Expr, params: dict[str, int]) -> Affine | None:
+    """*expr* as an :class:`Affine` over the integer PARAMETERs *params*.
+
+    ``/`` folds only between constants, truncating toward zero as
+    Fortran does.  ``None`` when *expr* holds anything but literals,
+    scalar names and operators (an array reference, a function call).
+    """
+    names: set[str] = set()
+
+    def terms(e: A.Expr) -> tuple[dict[str, int], int]:
+        if isinstance(e, A.IntLit):
+            return {}, e.value
+        if isinstance(e, A.Var):
+            names.add(e.name)
+            if e.name in params:
+                return {}, params[e.name]
+            return {e.name: 1}, 0
+        if isinstance(e, A.UnOp):
+            coeffs, const = terms(e.operand)
+            if e.op in ("+", "-"):
+                sign = -1 if e.op == "-" else 1
+                return {t: sign * c for t, c in coeffs.items()}, sign * const
+        elif isinstance(e, A.BinOp):
+            (lc, lk), (rc, rk) = terms(e.left), terms(e.right)
+            if e.op in ("+", "-"):
+                sign = 1 if e.op == "+" else -1
+                out = dict(lc)
+                for t, c in rc.items():
+                    out[t] = out.get(t, 0) + sign * c
+                return out, lk + sign * rk
+            if e.op == "*" and not (lc and rc):
+                coeffs, scale = (lc, rk) if lc else (rc, lk)
+                return {t: scale * c for t, c in coeffs.items()}, lk * rk
+            if e.op == "/" and not lc and not rc and rk != 0:
+                q = abs(lk) // abs(rk)
+                return {}, q if (lk >= 0) == (rk >= 0) else -q
+        elif not isinstance(e, A.RealLit):
+            raise _NoForm
+        return {print_expr(e): 1}, 0  # an opaque term
+
+    try:
+        coeffs, const = terms(expr)
+    except _NoForm:
         return None
-    if isinstance(expr, A.BinOp):
-        left = _linear_form(expr.left, loop_vars)
-        right = _linear_form(expr.right, loop_vars)
-        if left is None or right is None:
-            return None
-        lv, lc, lo = left
-        rv, rc, ro = right
-        if expr.op == "+":
-            var = lv or rv
-            if lv and rv and lv != rv:
-                return None
-            return (var, lc + rc, lo + ro)
-        if expr.op == "-":
-            var = lv or rv
-            if lv and rv and lv != rv:
-                return None
-            return (var, lc - rc, lo - ro)
-        if expr.op == "*":
-            if lv is None and rv is None:
-                return (None, 0, lo * ro)
-            if lv is None:  # const * (coeff*var + off)
-                return (rv, lo * rc, lo * ro)
-            if rv is None:  # (coeff*var + off) * const
-                return (lv, lc * ro, lo * ro)
-            return None
-        return None
-    return None
+    return Affine(tuple(sorted((t, c) for t, c in coeffs.items() if c)),
+                  const, frozenset(names))
+
+
+def subscript_info(form: Affine | None, loop_vars: set[str]
+                   ) -> SubscriptInfo:
+    """The kind of a subscript of affine *form* inside a nest over
+    *loop_vars*: one loop variable plus a constant is INDUCTION (unit
+    coefficient) or STRIDED, a form reading no loop variable CONSTANT
+    (its value known when no term is left), anything else IRREGULAR."""
+    if form is None:
+        return SubscriptInfo(SubscriptKind.IRREGULAR)
+    if not form.coeffs:
+        return SubscriptInfo(SubscriptKind.CONSTANT, const=form.const)
+    if not form.names & loop_vars:
+        return SubscriptInfo(SubscriptKind.CONSTANT, const=None)
+    if len(form.coeffs) == 1 and form.coeffs[0][0] in loop_vars:
+        (var, coeff), = form.coeffs
+        kind = (SubscriptKind.INDUCTION if coeff == 1
+                else SubscriptKind.STRIDED)
+        return SubscriptInfo(kind, var=var, coeff=coeff, offset=form.const)
+    return SubscriptInfo(SubscriptKind.IRREGULAR)
 
 
 def analyze_subscript(expr: A.Expr, loop_vars: set[str],
@@ -135,40 +185,30 @@ def analyze_subscript(expr: A.Expr, loop_vars: set[str],
             that ``v(n, j)``-style boundary accesses classify as CONSTANT
             with a known value.
     """
-    if isinstance(expr, A.Var) and invariants and expr.name in invariants:
-        return SubscriptInfo(SubscriptKind.CONSTANT,
-                             const=invariants[expr.name])
-    form = _linear_form(expr, loop_vars)
-    if form is None:
-        # loop-invariant scalar variables are CONSTANT-but-unknown;
-        # anything referencing arrays/functions is IRREGULAR
-        if isinstance(expr, A.Var):
-            return SubscriptInfo(SubscriptKind.CONSTANT, const=None)
-        if _is_invariant_arith(expr, loop_vars):
-            return SubscriptInfo(SubscriptKind.CONSTANT, const=None)
-        return SubscriptInfo(SubscriptKind.IRREGULAR)
-    var, coeff, offset = form
-    if var is None or coeff == 0:
-        return SubscriptInfo(SubscriptKind.CONSTANT, const=offset)
-    if coeff == 1:
-        return SubscriptInfo(SubscriptKind.INDUCTION, var=var, coeff=1,
-                             offset=offset)
-    return SubscriptInfo(SubscriptKind.STRIDED, var=var, coeff=coeff,
-                         offset=offset)
+    return subscript_info(affine_form(expr, invariants or {}), loop_vars)
 
 
-def _is_invariant_arith(expr: A.Expr, loop_vars: set[str]) -> bool:
-    """True for arithmetic over scalars none of which is a loop variable."""
-    if isinstance(expr, (A.IntLit, A.RealLit)):
-        return True
-    if isinstance(expr, A.Var):
-        return expr.name not in loop_vars
-    if isinstance(expr, A.UnOp):
-        return _is_invariant_arith(expr.operand, loop_vars)
-    if isinstance(expr, A.BinOp):
-        return (_is_invariant_arith(expr.left, loop_vars)
-                and _is_invariant_arith(expr.right, loop_vars))
-    return False
+@dataclass(eq=False)
+class ArrayAccess:
+    """One reference to a walked array, with each subscript's form."""
+
+    array: str
+    forms: tuple[Affine | None, ...]
+    is_write: bool
+    #: DO loops of the walked statements whose body holds it, outermost
+    #: first, and the one whose bounds hold it (if any)
+    loops: tuple[A.DoLoop, ...]
+    header: A.DoLoop | None
+
+    def pattern(self, loop_vars: set[str]) -> AccessPattern:
+        """The access classified inside a nest over *loop_vars*."""
+        return AccessPattern(self.array, tuple(subscript_info(f, loop_vars)
+                                               for f in self.forms),
+                             self.is_write)
+
+    def inside(self, loop: A.DoLoop) -> bool:
+        """Does *loop*'s statement (body or bounds) hold the access?"""
+        return self.header is loop or any(lp is loop for lp in self.loops)
 
 
 def array_access_patterns(stmts: list[A.Stmt], arrays: set[str],
@@ -179,26 +219,24 @@ def array_access_patterns(stmts: list[A.Stmt], arrays: set[str],
 
     Write accesses are assignment targets; everything else is a read.
     """
-    return [access for access, _loops in
-            enclosed_accesses(stmts, arrays, loop_vars, invariants)]
+    return [access.pattern(loop_vars) for access in
+            enclosed_accesses(stmts, arrays, invariants or {})]
 
 
 def enclosed_accesses(stmts: list[A.Stmt], arrays: set[str],
-                      loop_vars: set[str],
-                      invariants: dict[str, int] | None = None
-                      ) -> list[tuple[AccessPattern, tuple[A.DoLoop, ...]]]:
+                      params: dict[str, int]) -> list[ArrayAccess]:
     """Each access of :func:`array_access_patterns`, in the same order,
-    with the DO loops of *stmts* whose body holds it, outermost first."""
-    out: list[tuple[AccessPattern, tuple[A.DoLoop, ...]]] = []
+    with its subscripts' forms over the integer PARAMETERs *params*."""
+    out: list[ArrayAccess] = []
     loops: list[A.DoLoop] = []
+    header: A.DoLoop | None = None
 
     def scan_expr(expr: A.Expr, is_write: bool) -> None:
         if isinstance(expr, A.ArrayRef):
             if expr.name in arrays:
-                subs = tuple(analyze_subscript(s, loop_vars, invariants)
-                             for s in expr.subs)
-                out.append((AccessPattern(expr.name, subs, is_write),
-                            tuple(loops)))
+                forms = tuple(affine_form(s, params) for s in expr.subs)
+                out.append(ArrayAccess(expr.name, forms, is_write,
+                                       tuple(loops), header))
             for s in expr.subs:
                 scan_expr(s, False)
         elif isinstance(expr, A.BinOp):
@@ -214,14 +252,17 @@ def enclosed_accesses(stmts: list[A.Stmt], arrays: set[str],
                 scan_expr(item, False)
 
     def scan_stmt(stmt: A.Stmt) -> None:
+        nonlocal header
         if isinstance(stmt, A.Assign):
             scan_expr(stmt.target, True)
             scan_expr(stmt.value, False)
         elif isinstance(stmt, A.DoLoop):
+            header = stmt
             scan_expr(stmt.start, False)
             scan_expr(stmt.stop, False)
             if stmt.step is not None:
                 scan_expr(stmt.step, False)
+            header = None
             loops.append(stmt)
             for s in stmt.body:
                 scan_stmt(s)

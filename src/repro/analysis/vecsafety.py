@@ -4,10 +4,11 @@ The Python backend (:mod:`repro.interp.pyback`) can execute a DO nest as
 numpy statements *only* when that is bitwise-indistinguishable from the
 sequential scalar order.  This module decides, one nest at a time, which
 order of the iterations keeps that promise, and returns the facts the
-emitter (:mod:`repro.interp.vectorize`) needs — the same affine-subscript
-machinery that drives the §4.2 dependency analysis
-(:mod:`repro.analysis.stencil`), repackaged per nest.  The nest, not the
-statement, gets the schedule (``NestFacts.mode``):
+emitter (:mod:`repro.interp.vectorize`) needs.  Every subscript, mask and
+step is read through the one affine form the §4.2 dependency analysis
+uses (:func:`repro.analysis.stencil.affine_form`), its kinds derived
+against the nest's variables.  The nest, not the statement, gets the
+schedule (``NestFacts.mode``):
 
 ``slice``
     no pair of accesses is a nonzero distance apart: each body statement
@@ -45,10 +46,10 @@ The provable subset:
 * for every (write, read) and (write, write) pair on the same array the
   accesses are provably identical elements (all-zero offset delta —
   statement order preserves those elementwise), provably disjoint
-  (distinct known-constant subscripts, e.g. ``vx(n, j)`` vs
-  ``vx(n-1, j)``; the same invariant expression plus different integer
-  constants, e.g. ``u(i, ..)`` vs ``u(i-1, ..)`` under a scalar ``i``),
-  separated by a two-color parity mask (``mod(i + j, 2) .eq. c``
+  (invariant subscripts with the same terms and different constants:
+  ``vx(n, j)`` vs ``vx(n-1, j)`` with ``n`` a PARAMETER, ``u(i, ..)`` vs
+  ``u(i-1, ..)`` under a scalar ``i``), separated by a two-color parity
+  mask (``mod(i + j, 2) .eq. c``, PARAMETERs allowed in the argument,
   guarding a red-black sweep whose stencil offsets have odd parity — the
   colliding elements are the other color), or a known nonzero distance
   apart, which the schedule above has to respect; a pair none of this
@@ -86,8 +87,8 @@ from itertools import combinations
 from repro.fortran import ast as A
 from repro.fortran.intrinsics_table import INTEGER_RESULT, is_intrinsic
 from repro.fortran.symbols import SymbolTable
-from repro.analysis.stencil import (SubscriptInfo, SubscriptKind,
-                                    analyze_subscript)
+from repro.analysis.stencil import (SubscriptKind, affine_form,
+                                    int_parameters, subscript_info)
 
 #: intrinsics with a bitwise-identical numpy elementwise equivalent
 #: (IEEE-exact operations only — transcendentals excluded on purpose)
@@ -192,70 +193,15 @@ class _Ref:
 
     name: str
     infos: tuple  # SubscriptInfo per dim
-    exprs: tuple  # original subscript ASTs (for structural equality)
+    forms: tuple  # the Affine form each is read off, per dim
     ctx: tuple  # ((if-node-id, arm-index), ...)
     is_write: bool
 
 
-def _same_expr(a: A.Expr, b: A.Expr) -> bool:
-    """Structural equality of two (invariant) scalar expressions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (A.IntLit, A.RealLit, A.LogicalLit, A.StringLit)):
-        return a.value == b.value
-    if isinstance(a, A.Var):
-        return a.name == b.name
-    if isinstance(a, A.UnOp):
-        return a.op == b.op and _same_expr(a.operand, b.operand)
-    if isinstance(a, A.BinOp):
-        return (a.op == b.op and _same_expr(a.left, b.left)
-                and _same_expr(a.right, b.right))
-    return False
-
-
-def _multilinear(expr: A.Expr, vset: set[str]
-                 ) -> tuple[dict[str, int], int] | None:
-    """Decompose as ``sum(coeff_v * v) + const`` over *vset* (ints only)."""
-    if isinstance(expr, A.IntLit):
-        return {}, expr.value
-    if isinstance(expr, A.Var):
-        if expr.name in vset:
-            return {expr.name: 1}, 0
-        return None
-    if isinstance(expr, A.UnOp):
-        inner = _multilinear(expr.operand, vset)
-        if inner is None:
-            return None
-        if expr.op == "+":
-            return inner
-        if expr.op == "-":
-            coeffs, const = inner
-            return {v: -c for v, c in coeffs.items()}, -const
-        return None
-    if isinstance(expr, A.BinOp):
-        left = _multilinear(expr.left, vset)
-        right = _multilinear(expr.right, vset)
-        if left is None or right is None:
-            return None
-        lc, lk = left
-        rc, rk = right
-        if expr.op in ("+", "-"):
-            sgn = 1 if expr.op == "+" else -1
-            out = dict(lc)
-            for v, c in rc.items():
-                out[v] = out.get(v, 0) + sgn * c
-            return out, lk + sgn * rk
-        if expr.op == "*":
-            if not lc:
-                return {v: lk * c for v, c in rc.items()}, lk * rk
-            if not rc:
-                return {v: rk * c for v, c in lc.items()}, rk * lk
-        return None
-    return None
-
-
-def _parity_mask(cond: A.Expr, vset: set[str]) -> dict[str, int] | None:
-    """Coefficients of a two-color mask ``mod(linear, 2) .eq. 0|1``."""
+def _parity_mask(cond: A.Expr, vset: set[str], params: dict[str, int]
+                 ) -> dict[str, int] | None:
+    """Coefficients of a two-color mask ``mod(linear, 2) .eq. 0|1`` whose
+    argument is affine in the nest variables *vset* alone."""
     if not (isinstance(cond, A.BinOp) and cond.op == ".eq."):
         return None
     for call, color in ((cond.left, cond.right), (cond.right, cond.left)):
@@ -265,9 +211,9 @@ def _parity_mask(cond: A.Expr, vset: set[str]) -> dict[str, int] | None:
                 and call.args[1].value == 2
                 and isinstance(color, A.IntLit)
                 and color.value in (0, 1)):
-            lin = _multilinear(call.args[0], vset)
-            if lin is not None:
-                return lin[0]
+            form = affine_form(call.args[0], params)
+            if form is not None and all(t in vset for t, _ in form.coeffs):
+                return dict(form.coeffs)
     return None
 
 
@@ -293,10 +239,7 @@ class _NestAnalysis:
                 continue
             break
         self.vset = {lv.var for lv in self.levels}
-        self.invariants = {
-            sym.name: int(sym.param_value)
-            for sym in table.symbols.values()
-            if sym.is_parameter and isinstance(sym.param_value, int)}
+        self.params = int_parameters(table)
         self.counter = 0
         self.refs: list[_Ref] = []
         self.subscripts: dict[int, tuple] = {}
@@ -451,54 +394,19 @@ class _NestAnalysis:
             raise Fallback(f"call to function {e.name!r} in nest body")
         raise Fallback(f"{type(e).__name__} in nest body")
 
-    def _const_eval(self, e: A.Expr) -> int | None:
-        """Fold invariant integer arithmetic over PARAMETER constants."""
-        if isinstance(e, A.IntLit):
-            return e.value
-        if isinstance(e, A.Var):
-            return self.invariants.get(e.name)
-        if isinstance(e, A.UnOp):
-            v = self._const_eval(e.operand)
-            if v is None:
-                return None
-            return v if e.op == "+" else (-v if e.op == "-" else None)
-        if isinstance(e, A.BinOp):
-            lv = self._const_eval(e.left)
-            rv = self._const_eval(e.right)
-            if lv is None or rv is None:
-                return None
-            if e.op == "+":
-                return lv + rv
-            if e.op == "-":
-                return lv - rv
-            if e.op == "*":
-                return lv * rv
-            if e.op == "/" and rv != 0:
-                q = abs(lv) // abs(rv)
-                return q if (lv >= 0) == (rv >= 0) else -q
-        return None
-
     def _scan_ref(self, ref: A.ArrayRef, ctx: tuple, c: int,
                   is_write: bool) -> None:
         sym = self.table.get(ref.name)
         if sym is not None and sym.type_name == "character":
             raise Fallback("character array in nest body")
-        infos = []
-        for sub in ref.subs:
-            info = analyze_subscript(sub, self.vset, self.invariants)
+        forms = tuple(affine_form(sub, self.params) for sub in ref.subs)
+        infos = [subscript_info(form, self.vset) for form in forms]
+        for sub, info in zip(ref.subs, infos):
             if info.kind is SubscriptKind.IRREGULAR:
                 raise Fallback(f"non-affine subscript on {ref.name}")
             if info.kind is SubscriptKind.CONSTANT:
                 # invariant subscripts must not hide a per-point scalar
                 self._invariant(sub)
-                if info.const is None:
-                    # fold ``n - 1``-style PARAMETER arithmetic so boundary
-                    # accesses like vx(n,j) / vx(n-1,j) prove disjoint
-                    folded = self._const_eval(sub)
-                    if folded is not None:
-                        info = SubscriptInfo(SubscriptKind.CONSTANT,
-                                             const=folded)
-            infos.append(info)
         moving = [info.var for info in infos
                   if info.kind is not SubscriptKind.CONSTANT]
         if len(moving) != len(set(moving)):
@@ -516,8 +424,7 @@ class _NestAnalysis:
                 raise Fallback(f"write target {ref.name} does not index "
                                f"every nest variable exactly once")
         self.subscripts[id(ref)] = tuple(infos)
-        self.refs.append(_Ref(ref.name, tuple(infos), tuple(ref.subs),
-                              ctx, is_write))
+        self.refs.append(_Ref(ref.name, tuple(infos), forms, ctx, is_write))
 
     # -- statement classification ----------------------------------------------
 
@@ -610,7 +517,7 @@ class _NestAnalysis:
                 classified.append((cond,
                                    self._classify(body, ctx + ((id(s), i),))))
             if len(arms) == 1 and arms[0][0] is not None:
-                parity = _parity_mask(arms[0][0], self.vset)
+                parity = _parity_mask(arms[0][0], self.vset, self.params)
                 if parity is not None:
                     self.parity_of[(id(s), 0)] = parity
         return VIf(s, uniform, classified)
@@ -620,25 +527,14 @@ class _NestAnalysis:
     def _relation(self, a: _Ref, b: _Ref):
         """'disjoint' | list of (var, delta) | None (unprovable)."""
         deltas = []
-        for ia, ea, ib, eb in zip(a.infos, a.exprs, b.infos, b.exprs):
+        for ia, fa, ib, fb in zip(a.infos, a.forms, b.infos, b.forms):
             ka, kb = ia.kind, ib.kind
             if ka is SubscriptKind.CONSTANT and kb is SubscriptKind.CONSTANT:
-                if ia.const is not None and ib.const is not None:
-                    if ia.const != ib.const:
-                        return "disjoint"
-                    continue
-                if _same_expr(ea, eb):
-                    continue
-                # the same invariant expression plus different integer
-                # constants (u(i, ..) vs u(i-1, ..) under a scalar i)
-                names = {n.name for e in (ea, eb) for n in A.walk(e)
-                         if isinstance(n, A.Var)}
-                la, lb = _multilinear(ea, names), _multilinear(eb, names)
-                if la is None or lb is None:
+                # the same invariant terms (none for known constants, a
+                # scalar i in u(i, ..) vs u(i-1, ..)): the constants decide
+                if fa.coeffs != fb.coeffs:
                     return None
-                if any(la[0].get(v, 0) != lb[0].get(v, 0) for v in names):
-                    return None
-                if la[1] != lb[1]:
+                if fa.const != fb.const:
                     return "disjoint"
                 continue
             if ka is SubscriptKind.INDUCTION and kb is SubscriptKind.INDUCTION:
@@ -715,7 +611,9 @@ class _NestAnalysis:
             return carried, "carried-outer"
         signs = {}
         for lv in self.levels:
-            step = 1 if lv.step is None else self._const_eval(lv.step)
+            form = affine_form(A.IntLit(1) if lv.step is None else lv.step,
+                               self.params)
+            step = 0 if form is None or form.coeffs else form.const
             signs[lv.var] = None if not step else (1 if step > 0 else -1)
         for name, nz in self.vectors:
             if len(nz) == 1:

@@ -35,12 +35,12 @@ from __future__ import annotations
 from copy import deepcopy
 
 from repro.analysis.loops import Path, known_step, spliced
-from repro.analysis.stencil import SubscriptKind, analyze_subscript
+from repro.analysis.stencil import (Affine, SubscriptKind, affine_form,
+                                    int_parameters, subscript_info)
 from repro.codegen.plan import ParallelPlan, planned_statements
 from repro.errors import CodegenError
 from repro.fortran import ast as A
-from repro.fortran.printer import print_expr
-from repro.fortran.symbols import SymbolTable, resolve_compilation_unit
+from repro.fortran.symbols import resolve_compilation_unit
 
 
 def _fn(name: str, *args: A.Expr) -> A.FuncCall:
@@ -51,16 +51,22 @@ def _int(v: int) -> A.IntLit:
     return A.IntLit(v)
 
 
-def _lattice_start(start: A.Expr, edge: A.Expr, step: int) -> A.Expr:
+def _lattice_start(start: A.Expr, edge: A.Expr,
+                   step: int | A.Expr) -> A.Expr:
     """The first of ``start, start + step, ...`` inside the block whose
     near *edge* is given: the distance to *edge* rounded up to a multiple
     of the step (truncating division, exact when it is not negative; the
-    ``max0``/``min0`` keeps *start* when it is already inside)."""
-    k, s = abs(step), deepcopy(start)
-    dist = A.BinOp("-", edge, s) if step > 0 else A.BinOp("-", s, edge)
-    moved = A.BinOp("+" if step > 0 else "-", deepcopy(start), A.BinOp(
-        "*", _int(k), A.BinOp("/", A.BinOp("+", dist, _int(k - 1)), _int(k))))
-    return _fn("max0" if step > 0 else "min0", start, moved)
+    ``max0``/``min0`` keeps *start* when it is already inside).  A step
+    only the run knows is an expression, and counts as upward."""
+    known = isinstance(step, int)
+    up = not known or step > 0
+    k, s = _int(abs(step)) if known else step, deepcopy(start)
+    dist = A.BinOp("-", edge, s) if up else A.BinOp("-", s, edge)
+    dist = (A.BinOp("+", dist, _int(abs(step) - 1)) if known
+            else A.BinOp("-", A.BinOp("+", dist, deepcopy(k)), _int(1)))
+    moved = A.BinOp("+" if up else "-", deepcopy(start), A.BinOp(
+        "*", deepcopy(k), A.BinOp("/", dist, deepcopy(k))))
+    return _fn("max0" if up else "min0", start, moved)
 
 
 def _mismatch(unit_name: str) -> CodegenError:
@@ -84,12 +90,11 @@ class Restructurer:
 
     def run(self) -> A.CompilationUnit:
         for unit in self.cu.units:
-            table: SymbolTable = self.plan.cu.unit(unit.name).symbols  # type: ignore[assignment]
-            invariants = {s.name: int(s.param_value)
-                          for s in table.symbols.values()
-                          if s.is_parameter and isinstance(s.param_value, int)}
+            # the unit being written: its symbols and integer PARAMETERs
+            self.table = self.plan.cu.unit(unit.name).symbols
+            self.params = int_parameters(self.table)
             self._rewrite_declarations(unit)
-            self._walk_body(unit.body, unit.name, (), {}, invariants)
+            self._walk_body(unit.body, unit.name, (), {})
             self._transform_io(unit)
         if self._clamp:
             raise _mismatch(next(iter(self._clamp))[0])
@@ -137,7 +142,7 @@ class Restructurer:
     # -- loop bounds, ownership guards, planned statements ---------------------------
 
     def _walk_body(self, body: list[A.Stmt], unit_name: str, prefix: Path,
-                   env: dict[str, int], invariants: dict[str, int]) -> None:
+                   env: dict[str, int]) -> None:
         """Clamp, guard and lay the planned statements into *body*, the
         list at *prefix*; paths are the source program's, so every list
         is rewritten after its statements' own lists."""
@@ -157,32 +162,32 @@ class Restructurer:
                     lo = _fn("acfd_lo", _int(g + 1))
                     hi = _fn("acfd_hi", _int(g + 1))
                     # a downward sweep starts at the top of the block; a
-                    # known step longer than one starts on its lattice,
-                    # a step only the run knows at the block edge
-                    step = known_step(stmt,
-                                      self.plan.cu.unit(unit_name).symbols)
+                    # step longer than one, or one only the run knows,
+                    # starts on its lattice
+                    step = known_step(stmt, self.table)
                     near, far = (hi, lo) if (step or 0) < 0 else (lo, hi)
                     up = near is lo
-                    if abs(step or 1) > 1:
-                        stmt.start = _lattice_start(stmt.start, near, step)
+                    if step is None or abs(step) > 1:
+                        stmt.start = _lattice_start(
+                            stmt.start, near,
+                            stmt.step if step is None else step)
                     else:
                         stmt.start = _fn("max0" if up else "min0",
                                          stmt.start, near)
                     stmt.stop = _fn("min0" if up else "max0", stmt.stop, far)
                     new_env[stmt.var] = g
-                self._walk_body(stmt.body, unit_name, path, new_env,
-                                invariants)
+                self._walk_body(stmt.body, unit_name, path, new_env)
             elif isinstance(stmt, A.DoWhile):
-                self._walk_body(stmt.body, unit_name, path, env, invariants)
+                self._walk_body(stmt.body, unit_name, path, env)
             elif isinstance(stmt, A.IfBlock):
                 for k, (_cond, arm) in enumerate(stmt.arms):
                     self._walk_body(arm, unit_name, path + (("arm", k),),
-                                    env, invariants)
+                                    env)
             elif isinstance(stmt, A.Assign):
-                guard, guarded_dims = self._ownership_guard(
-                    stmt, env, invariants, unit_name)
-                self._check_global_reads(stmt.value, env, invariants,
-                                         unit_name, guarded_dims, stmt.line)
+                guard, guarded_dims = self._ownership_guard(stmt, env,
+                                                            unit_name)
+                self._check_global_reads(stmt.value, env, unit_name,
+                                         guarded_dims, stmt.line)
                 if guard is not None:
                     out[-1] = A.IfBlock(arms=[(guard, [stmt])],
                                         line=stmt.line, label=stmt.label)
@@ -190,12 +195,12 @@ class Restructurer:
         body[:] = out
 
     def _ownership_guard(self, stmt: A.Assign, env: dict[str, int],
-                         invariants: dict[str, int], unit_name: str
-                         ) -> tuple[A.Expr | None, dict[int, A.Expr]]:
+                         unit_name: str
+                         ) -> tuple[A.Expr | None, dict[int, Affine]]:
         """Guard condition for boundary (constant-subscript) writes.
 
-        Returns (guard expression or None, guarded dims with their
-        guarded subscript expressions).
+        Returns (guard expression or None, guarded dims with the affine
+        forms of their guarded subscripts).
         """
         if not isinstance(stmt.target, A.ArrayRef):
             return None, {}
@@ -205,18 +210,19 @@ class Restructurer:
             return None, {}
         loop_vars = set(env)
         conds: list[A.Expr] = []
-        guarded_dims: dict[int, A.Expr] = {}
+        guarded_dims: dict[int, Affine] = {}
         for adim, sub in enumerate(stmt.target.subs):
             g = ap.dim_map[adim]
             if g is None or g not in self.cut:
                 continue
-            info = analyze_subscript(sub, loop_vars, invariants)
+            form = affine_form(sub, self.params)
+            info = subscript_info(form, loop_vars)
             if info.kind is SubscriptKind.INDUCTION and info.var in env \
                     and env[info.var] == g:
                 continue  # covered by the clamped loop bounds
             if info.kind is SubscriptKind.CONSTANT:
                 conds.append(_fn("acfd_owns", _int(g + 1), sub))
-                guarded_dims[g] = sub
+                guarded_dims[g] = form
                 continue
             raise CodegenError(
                 f"unsupported subscript on cut dimension {g} of status "
@@ -231,8 +237,7 @@ class Restructurer:
         return guard, guarded_dims
 
     def _check_global_reads(self, expr: A.Expr, env: dict[str, int],
-                            invariants: dict[str, int], unit_name: str,
-                            guarded_dims: dict[int, A.Expr],
+                            unit_name: str, guarded_dims: dict[int, Affine],
                             line: int) -> None:
         """Reject reads that would need data from a non-neighbor rank.
 
@@ -254,12 +259,15 @@ class Restructurer:
                 g = ap.dim_map[adim]
                 if g is None or g not in self.cut:
                     continue
-                info = analyze_subscript(sub, loop_vars, invariants)
-                if info.kind is not SubscriptKind.CONSTANT:
+                form = affine_form(sub, self.params)
+                if subscript_info(form, loop_vars).kind \
+                        is not SubscriptKind.CONSTANT:
                     continue
+                # the read sits within reach of the guarded coordinate:
+                # the same invariant terms, constants max_dist apart
                 anchor = guarded_dims.get(g)
-                if anchor is not None and _near(anchor, sub, invariants,
-                                                max_dist):
+                if anchor is not None and anchor.coeffs == form.coeffs \
+                        and abs(anchor.const - form.const) <= max_dist:
                     continue
                 raise CodegenError(
                     f"status array {node.name!r} is read at a fixed "
@@ -344,29 +352,6 @@ class Restructurer:
             out.append(A.Assign(target=A.Var(item.name),
                                 value=_fn("acfd_bcast", A.Var(item.name))))
         return out
-
-
-def _near(anchor: A.Expr, read: A.Expr, invariants: dict[str, int],
-          max_dist: int) -> bool:
-    """Is *read* within *max_dist* of the guarded *anchor* subscript?
-
-    Both are constants, or both are one base expression plus or minus a
-    literal (``n`` and ``n - 1``, either way round)."""
-
-    def split(e: A.Expr) -> tuple[str, int]:
-        """(base, literal offset); a base of known value folds into ""."""
-        offset = 0
-        while isinstance(e, A.BinOp) and e.op in ("+", "-") \
-                and isinstance(e.right, A.IntLit):
-            offset += e.right.value if e.op == "+" else -e.right.value
-            e = e.left
-        info = analyze_subscript(e, set(), invariants)
-        if info.kind is SubscriptKind.CONSTANT and info.const is not None:
-            return "", info.const + offset
-        return print_expr(e), offset
-
-    (a_base, a_off), (r_base, r_off) = split(anchor), split(read)
-    return a_base == r_base and abs(a_off - r_off) <= max_dist
 
 
 def restructure(plan: ParallelPlan) -> A.CompilationUnit:

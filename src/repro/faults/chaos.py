@@ -121,7 +121,7 @@ def run_recovered(plan: ParallelPlan, spmd_cu: A.CompilationUnit | None,
                   *, fault_plan: FaultPlan, ckpt_dir: str,
                   input_text: str | None = None, recover: bool = True,
                   max_restarts: int = 3, every: int = 1, keep: int = 4,
-                  timeout: float = 60.0, vectorize: bool = True,
+                  timeout: float = 60.0,
                   executor: str = "thread", telemetry=None,
                   postmortem_dir: str | None = None,
                   ) -> tuple[ParallelResult, list[AttemptLog],
@@ -175,7 +175,6 @@ def run_recovered(plan: ParallelPlan, spmd_cu: A.CompilationUnit | None,
             try:
                 result = run_parallel(plan, input_text=input_text,
                                       timeout=timeout, spmd_cu=spmd_cu,
-                                      vectorize=vectorize,
                                       injector=injector,
                                       checkpointer=ck, executor=executor,
                                       telemetry=telemetry)
@@ -228,7 +227,7 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
               scenarios: tuple[str, ...] = FAULT_KINDS,
               recover: bool = True, max_restarts: int = 3,
               every: int = 1, full: bool = False,
-              timeout: float = 60.0, vectorize: bool = True,
+              timeout: float = 60.0,
               workdir: str | None = None,
               executor: str = "thread",
               postmortem_dir: str | None = None) -> ChaosReport:
@@ -266,8 +265,7 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
 
     t0 = time.perf_counter()
     baseline = compiled.run_parallel(input_text=input_text,
-                                     timeout=timeout, vectorize=vectorize,
-                                     executor=executor)
+                                     timeout=timeout, executor=executor)
     report = ChaosReport(app=app, partition=tuple(partition), seed=seed,
                          baseline_wall_s=time.perf_counter() - t0)
     base_bytes = {name: baseline.array(name).data.tobytes()
@@ -290,8 +288,8 @@ def run_chaos(*, app: str = "sprayer", source: str | None = None,
                     fault_plan=fault_plan, ckpt_dir=ckpt_dir,
                     input_text=input_text, recover=recover,
                     max_restarts=max_restarts, every=every,
-                    timeout=timeout, vectorize=vectorize,
-                    executor=executor, postmortem_dir=postmortem_dir)
+                    timeout=timeout, executor=executor,
+                    postmortem_dir=postmortem_dir)
                 fired = injector.fired()
             except ReproError as exc:
                 error = f"{type(exc).__name__}: {exc}"

@@ -154,7 +154,7 @@ import numpy as np
 from repro.errors import CodegenError, InterpError
 from repro.fortran import ast as A
 from repro.fortran.intrinsics_table import INTEGER_RESULT
-from repro.analysis.stencil import SubscriptKind
+from repro.analysis.stencil import SubscriptKind, int_parameters
 from repro.analysis.vecsafety import (MODES, NestFacts, VArrayAssign, VIf,
                                       VReduce, VSkip, VTempAssign,
                                       analyze_nest)
@@ -696,10 +696,7 @@ class _NestEmitter:
                 v for v in facts.nest_vars if v not in facts.carried)}
         self.L = 1 if self.fronts else len(self.axis_of)
         self.full = frozenset(range(self.L))
-        self.invariants = {
-            sym.name: int(sym.param_value)
-            for sym in comp.table.symbols.values()
-            if sym.is_parameter and isinstance(sym.param_value, int)}
+        self.params = int_parameters(comp.table)
         #: planned references: (array, subs) -> number, and per number
         #: the build-call text, the carried loops it is indexed by
         #: (box modes) and its key group (fronts)
@@ -1123,7 +1120,7 @@ class _NestEmitter:
                 isinstance(n, (A.IntLit, A.RealLit, A.LogicalLit, A.UnOp,
                                A.BinOp))
                 or isinstance(n, A.Var) and (n.name in self.axis_of
-                                             or n.name in self.invariants)
+                                             or n.name in self.params)
                 or isinstance(n, A.FuncCall)
                 and not n.name.startswith("acfd_")
                 for n in A.walk(cond)):

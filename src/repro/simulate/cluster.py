@@ -39,6 +39,10 @@ from repro.partition.partitioner import Partition
 from repro.simulate.machine import MachineModel
 from repro.simulate.network import NetworkModel
 
+#: frames simulated explicitly before the rest are extrapolated from the
+#: last one's steady-state delta
+WARMUP_FRAMES = 24
+
 
 @dataclass
 class SimResult:
@@ -348,7 +352,7 @@ class ClusterSim:
 
     # -- main loop --------------------------------------------------------------------
 
-    def run(self, frames: int, warmup: int = 24) -> SimResult:
+    def run(self, frames: int) -> SimResult:
         """Simulate *frames* frame iterations (steady-state extrapolated)."""
         if frames < 1:
             raise SimulationError(f"frames must be >= 1, got {frames}")
@@ -363,7 +367,7 @@ class ClusterSim:
         pipe_wait = [0.0] * self.size
         overlap = [0.0] * self.size
 
-        simulated = min(frames, max(warmup, 2))
+        simulated = min(frames, WARMUP_FRAMES)
         deltas: list[float] = []
         prev_max = 0.0
         for _f in range(simulated):

@@ -128,6 +128,31 @@ end
 """)
         assert len(cls.field_loops) == 2
 
+    def test_nested_field_loop_keeps_the_reads_in_its_bounds(self):
+        # the field loop sits below the frame loop: its uses come from
+        # the frame loop's walk, its own bounds' reads included
+        cls = classify("""\
+!$acfd status v
+!$acfd grid 6 6
+program p
+  integer it, i, j
+  integer v(6, 6)
+  do it = 1, 3
+    do i = v(1, 1), 6
+      do j = 1, 6
+        v(i, j) = v(i, j) + v(1, j)
+      end do
+    end do
+  end do
+end
+""")
+        (fl,) = cls.field_loops
+        assert fl.loop.var == "i"
+        use = fl.uses["v"]
+        assert [tuple(sub.const for sub in access.subs)
+                for access in use.reads] == [(1, 1), (None, None), (1, None)]
+        assert use.fixed_dims == {0: 1, 1: 1}
+
 
 class TestOffsets:
     def test_read_offsets_recorded(self):

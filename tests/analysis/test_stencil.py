@@ -169,3 +169,109 @@ end
 """)
         acc = array_access_patterns(list(cu.main.body), {"v"}, set())
         assert acc[0].is_write
+
+
+# -- the affine form against evaluation --------------------------------------
+
+#: loop variables, other integer scalars and PARAMETERs of the generated
+#: subscripts
+LOOP_VARS, SCALARS, PARAMS = ("i", "j"), ("k", "l"), ("n", "m")
+
+
+def _tree(text: str) -> A.Expr:
+    return parse_expression(_TokenStream(tokenize(text), "<t>", 1))
+
+
+def _evaluate(expr: A.Expr, env: dict) -> int:
+    """*expr* in Fortran integer arithmetic (``/`` truncates toward
+    zero); ZeroDivisionError on a zero divisor."""
+    if isinstance(expr, A.IntLit):
+        return expr.value
+    if isinstance(expr, A.Var):
+        return env[expr.name]
+    if isinstance(expr, A.UnOp):
+        value = _evaluate(expr.operand, env)
+        return -value if expr.op == "-" else value
+    left, right = _evaluate(expr.left, env), _evaluate(expr.right, env)
+    if expr.op == "/":
+        q = abs(left) // abs(right)
+        return q if (left >= 0) == (right >= 0) else -q
+    return {"+": left + right, "-": left - right,
+            "*": left * right}[expr.op]
+
+
+def _subscripts():
+    leaves = st.one_of(st.integers(0, 9).map(str),
+                       st.sampled_from(LOOP_VARS + SCALARS + PARAMS))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from("+-"), inner).map(
+            lambda t: f"({t[0]}{t[1]})")), max_leaves=8)
+
+
+def _points():
+    value = st.integers(-40, 40)
+    return st.fixed_dictionaries(
+        {name: value for name in LOOP_VARS + SCALARS + PARAMS})
+
+
+@given(text=_subscripts(), point=_points(), moved=_points())
+@settings(deadline=None)
+def test_property_form_evaluates_as_the_expression(text, point, moved):
+    from hypothesis import assume
+
+    from repro.analysis.stencil import affine_form
+    expr = _tree(text)
+    params = {name: point[name] for name in PARAMS}
+    try:
+        want = _evaluate(expr, point)
+    except ZeroDivisionError:
+        assume(False)
+    form = affine_form(expr, params)
+    assert form is not None
+    # a term is a scalar name or the printed text of an opaque value
+    got = form.const + sum(
+        c * (point[t] if t in point else _evaluate(_tree(t), point))
+        for t, c in form.coeffs)
+    assert got == want, (text, form)
+    # every kind read off the form holds at the point, and a CONSTANT
+    # one whatever values the loop variables take
+    info = analyze_subscript(expr, set(LOOP_VARS), params)
+    if info.kind is SubscriptKind.CONSTANT:
+        if info.const is not None:
+            assert want == info.const
+        elsewhere = {**point, **{v: moved[v] for v in LOOP_VARS}}
+        try:
+            assert _evaluate(expr, elsewhere) == want
+        except ZeroDivisionError:
+            pass
+    elif info.kind is not SubscriptKind.IRREGULAR:
+        assert want == info.coeff * point[info.var] + info.offset
+
+
+class TestFormFolds:
+    """What the one affine form proves beyond a literal offset."""
+
+    def test_parameter_offset_is_an_induction(self):
+        info = sub("i - nh", invariants={"nh": 2})
+        assert info.kind is SubscriptKind.INDUCTION
+        assert info.offset == -2
+
+    def test_parameter_coefficient_is_a_stride(self):
+        info = sub("ns * i + 1", invariants={"ns": 3})
+        assert (info.kind, info.coeff, info.offset) \
+            == (SubscriptKind.STRIDED, 3, 1)
+
+    def test_division_folds_between_constants_only(self):
+        assert sub("n / 2", invariants={"n": -7}).const == -3
+        assert sub("7 / (-2)").const == -3
+        assert sub("(n + 1) / 2", invariants={"n": 8}).const == 4
+        assert sub("i / 2").kind is SubscriptKind.IRREGULAR
+        info = sub("k0 / 2")
+        assert (info.kind, info.const) == (SubscriptKind.CONSTANT, None)
+
+    def test_cancelled_variable_leaves_an_induction(self):
+        info = sub("i + j - j")
+        assert (info.kind, info.var, info.offset) \
+            == (SubscriptKind.INDUCTION, "i", 0)

@@ -190,10 +190,13 @@ end
 """
 
     @pytest.mark.parametrize("copy", ["v(k - 1, j) = v(k, j)",
-                                      "v(k, j) = v(k - 1, j)"])
+                                      "v(k, j) = v(k - 1, j)",
+                                      "v(k, j) = v(-1 + k, j)",
+                                      "v(k / 2, j) = v(k / 2 - 1, j)"])
     def test_guarded_read_beside_a_symbolic_row(self, copy):
         # the read is one row from the guarded write, whichever side
-        # carries the literal
+        # carries the literal and wherever it stands in the sum, also
+        # beside a row that is no affine form of k
         from repro.core import AutoCFD, verify_equivalence
         acfd = AutoCFD.from_source(self.SHIFT_SRC.format(copy=copy))
         report = verify_equivalence(acfd, [(2, 1)])

@@ -132,15 +132,18 @@ class TestStridedSweeps:
                 "/ 2)), max0(2, acfd_lo(1)), -2") \
             in compiled.parallel_source()
 
-    def test_a_step_only_the_run_knows_keeps_the_edge_clamp(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_step_only_the_run_knows_keeps_the_edge_clamp(self, k):
+        # the step is counted as upward; the start is clamped onto its
+        # lattice with the step expression
         src = _strided_update(K.jacobi_5pt(30, 20, 20), "do i = 2, n - 1, k")
         src = src.replace("integer n, m, i, j, iter",
                           "integer n, m, i, j, iter, k").replace(
-            "  eps = ", "  k = 1\n  eps = ")
+            "  eps = ", f"  k = {k}\n  eps = ")
         acfd = AutoCFD.from_source(src)
         compiled = acfd.compile(partition=(4, 1))
-        assert "do i = max0(2, acfd_lo(1)), min0(n - 1, acfd_hi(1)), k" \
-            in compiled.parallel_source()
+        assert ("do i = max0(2, 2 + k * ((acfd_lo(1) - 2 + k - 1) / k)), "
+                "min0(n - 1, acfd_hi(1)), k") in compiled.parallel_source()
         par = compiled.run_parallel()
         assert np.array_equal(par.array("v").data,
                               acfd.run_sequential().array("v").data)

@@ -24,14 +24,6 @@ class TestSprayerMatrix:
         # a crash always costs at least one restart
         assert by_name["crash"].restarts >= 1
 
-    def test_scalar_backend_subset(self, tmp_path):
-        # the interpreter executor must honor the same recovery contract
-        report = run_chaos(app="sprayer", seed=7,
-                           scenarios=("drop", "crash"),
-                           vectorize=False, workdir=str(tmp_path))
-        assert report.ok, report.table()
-        assert all(s.identical for s in report.scenarios)
-
     def test_process_executor_matrix(self, tmp_path):
         # same matrix, one OS process per rank: a crash here is a real
         # SIGKILLed worker, not a simulated exception — recovery and

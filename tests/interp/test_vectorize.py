@@ -242,6 +242,54 @@ end
         _assert_same_state(*_both(src))
 
 
+class TestAffineForm:
+    """Verdicts the one affine subscript form proves where a literal
+    offset test could not: each nest was a scalar fallback or a front
+    schedule before, and each runs bitwise equal to the scalar order."""
+
+    def test_parameter_offsets_are_stencil_offsets(self):
+        src = _nest("      v(i, j) = 0.25 * (w(i - nh, j) + w(nh + i, j))",
+                    decls="  integer nh\n  parameter (nh = 1)")
+        stats = survey(parse_source(src))
+        assert stats["modes"] == {"slice": 2, "carried-outer": 0,
+                                  "fronts": 0}, stats
+        assert not stats["reasons"]
+        _assert_same_state(*_both(src))
+
+    def test_parameter_inside_a_parity_mask(self):
+        # mod(i + j + n, 2) two-colours the lanes as mod(i + j, 2) does
+        src = _nest("      if (mod(i + j + n, 2) .eq. 0) then\n"
+                    "        v(i, j) = 0.25 * (v(i-1, j) + v(i+1, j)"
+                    " + v(i, j-1) + v(i, j+1))\n"
+                    "      end if", n=10)
+        assert survey(parse_source(src))["modes"] == {
+            "slice": 2, "carried-outer": 0, "fronts": 0}
+        _assert_same_state(*_both(src))
+
+    def test_invariant_quotient_plus_constants_are_disjoint(self):
+        # k / 2 is one opaque invariant value: rows k/2 and k/2 - 1 differ
+        src = """\
+program rows
+  implicit none
+  integer j, k, m
+  parameter (m = 6)
+  real v(8, m)
+  k = 9
+  do j = 1, m
+    v(k / 2 - 1, j) = 0.5 * j
+    v(k / 2, j) = 1.5
+  end do
+  do j = 1, m
+    v(k / 2, j) = v(k / 2 - 1, j) + 0.25 * v(k / 2, j)
+  end do
+  write (6, *) v(3, 2), v(4, 2)
+end
+"""
+        stats = survey(parse_source(src))
+        assert (stats["vectorized"], stats["fallback"]) == (2, 0), stats
+        _assert_same_state(*_both(src))
+
+
 class TestRefuses:
     @pytest.mark.parametrize("body,decls,reason", [
         # trip-space signs differ: the front i+j=c holds both ends

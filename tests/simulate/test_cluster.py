@@ -5,6 +5,7 @@ import pytest
 from repro.core import AutoCFD
 from repro.errors import SimulationError
 from repro.simulate import ClusterSim, MachineModel, NodeModel, NetworkModel
+from repro.simulate.cluster import WARMUP_FRAMES
 
 from tests.conftest import JACOBI_SRC, SEIDEL_SRC
 
@@ -100,16 +101,18 @@ class TestResultHelpers:
 
 class TestSimHealthSamples:
     def test_traffic_counters_scale_with_frames(self):
-        short = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(4, warmup=4)
-        long = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(8, warmup=8)
+        # both runs simulate every frame
+        assert WARMUP_FRAMES >= 8
+        short = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(4)
+        long = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(8)
         assert sum(long.sent_bytes) == 2 * sum(short.sent_bytes)
         assert sum(long.recv_bytes) == sum(long.sent_bytes)
         assert all(n > 0 for n in long.sent_msgs)
 
     def test_extrapolated_frames_scale_traffic_exactly(self):
-        explicit = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(40,
-                                                             warmup=40)
-        extrap = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(40, warmup=4)
-        assert extrap.sent_bytes == explicit.sent_bytes
-        assert extrap.recv_msgs == explicit.recv_msgs
+        # the second half of run(48) is extrapolated from the first
+        explicit = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(WARMUP_FRAMES)
+        extrap = sim_for(JACOBI_SRC, (2, 1), chunks=1).run(2 * WARMUP_FRAMES)
+        assert extrap.sent_bytes == [2 * b for b in explicit.sent_bytes]
+        assert extrap.recv_msgs == [2 * n for n in explicit.recv_msgs]
 
