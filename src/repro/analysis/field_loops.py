@@ -160,17 +160,20 @@ def classify_unit(unit: A.ProgramUnit,
 
     # Which loops sweep a status dimension with their own variable?
     sweeping: dict[int, dict[int, str]] = {}
-    root_accesses: dict[int, list[ArrayAccess]] = {}
+    #: per DO loop: its root walk's accesses, the slice its statement
+    #: holds, and the root walk's patterns
+    walks: dict[int, tuple[list[ArrayAccess], slice, list]] = {}
     for root in forest.roots:
-        found = enclosed_accesses([root.stmt], status_set, params)
-        root_accesses[id(root.stmt)] = found
+        found, held = enclosed_accesses([root.stmt], status_set, params)
         root_vars = set(root.nest_vars)
-        for access in found:
+        patterns = [access.pattern(root_vars) for access in found]
+        for key, span in held.items():
+            walks[key] = (found, span, patterns)
+        for access, pattern in zip(found, patterns):
             if not access.loops:
                 continue  # in the root's own bounds
             dim_map = directives.status_dims(
                 access.array, table.get(access.array).array.rank)
-            pattern = access.pattern(root_vars)
             for g, var in _status_dim_vars(pattern, dim_map).items():
                 for stmt in access.loops:
                     if stmt.var == var:
@@ -192,13 +195,13 @@ def classify_unit(unit: A.ProgramUnit,
         fl.sweeps.update(sweeping[id(loop.stmt)])
         for desc in loop.descendants:
             fl.sweeps.update(sweeping.get(id(desc.stmt), {}))
-        root = loop
-        while root.parent is not None:
-            root = root.parent
-        nest_vars = set(loop.nest_vars)
-        _collect_uses(fl, [access.pattern(nest_vars)
-                           for access in root_accesses[id(root.stmt)]
-                           if access.inside(loop.stmt)], table, directives)
+        found, span, patterns = walks[id(loop.stmt)]
+        if loop.parent is None:
+            accesses = patterns
+        else:
+            nest_vars = set(loop.nest_vars)
+            accesses = [access.pattern(nest_vars) for access in found[span]]
+        _collect_uses(fl, accesses, table, directives)
         field_loops.append(fl)
         by_path[loop.path] = fl
     return UnitClassification(unit, forest, field_loops, by_path)

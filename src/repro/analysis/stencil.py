@@ -16,15 +16,17 @@ surrounding loop variables:
   treatment.
 
 Every kind is read off one form, :func:`affine_form`: integer
-coefficients per scalar name plus a constant, with integer PARAMETERs
-folded in.  The field-loop classifier, the vectorizer's nest verdict and
-the restructurer's boundary checks all decompose subscripts through it.
+coefficients per scalar name (or per opaque non-affine value) plus a
+constant, with integer PARAMETERs folded in.  The field-loop classifier,
+the vectorizer's nest verdict and the restructurer's boundary checks all
+decompose subscripts through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.fortran import ast as A
 from repro.fortran.printer import print_expr
@@ -38,8 +40,7 @@ class SubscriptKind(Enum):
     IRREGULAR = auto()
 
 
-@dataclass(frozen=True)
-class SubscriptInfo:
+class SubscriptInfo(NamedTuple):
     """Analysis of a single subscript expression."""
 
     kind: SubscriptKind
@@ -85,8 +86,7 @@ def int_parameters(table: SymbolTable) -> dict[str, int]:
             if sym.is_parameter and isinstance(sym.param_value, int)}
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(NamedTuple):
     """A scalar expression as ``sum(coeff * term) + const`` in integers.
 
     A term is a scalar name, or the printed text of a product, quotient
@@ -98,7 +98,8 @@ class Affine:
 
     coeffs: tuple[tuple[str, int], ...]  # (term, nonzero coeff), sorted
     const: int
-    names: frozenset[str]  # every scalar name the expression reads
+    #: the scalar names the opaque terms read
+    opaque_names: frozenset[str] = frozenset()
 
 
 class _NoForm(Exception):
@@ -112,64 +113,76 @@ def affine_form(expr: A.Expr, params: dict[str, int]) -> Affine | None:
     Fortran does.  ``None`` when *expr* holds anything but literals,
     scalar names and operators (an array reference, a function call).
     """
-    names: set[str] = set()
-
-    def terms(e: A.Expr) -> tuple[dict[str, int], int]:
-        if isinstance(e, A.IntLit):
-            return {}, e.value
-        if isinstance(e, A.Var):
-            names.add(e.name)
-            if e.name in params:
-                return {}, params[e.name]
-            return {e.name: 1}, 0
-        if isinstance(e, A.UnOp):
-            coeffs, const = terms(e.operand)
-            if e.op in ("+", "-"):
-                sign = -1 if e.op == "-" else 1
-                return {t: sign * c for t, c in coeffs.items()}, sign * const
-        elif isinstance(e, A.BinOp):
-            (lc, lk), (rc, rk) = terms(e.left), terms(e.right)
-            if e.op in ("+", "-"):
-                sign = 1 if e.op == "+" else -1
-                out = dict(lc)
-                for t, c in rc.items():
-                    out[t] = out.get(t, 0) + sign * c
-                return out, lk + sign * rk
-            if e.op == "*" and not (lc and rc):
-                coeffs, scale = (lc, rk) if lc else (rc, lk)
-                return {t: scale * c for t, c in coeffs.items()}, lk * rk
-            if e.op == "/" and not lc and not rc and rk != 0:
-                q = abs(lk) // abs(rk)
-                return {}, q if (lk >= 0) == (rk >= 0) else -q
-        elif not isinstance(e, A.RealLit):
-            raise _NoForm
-        return {print_expr(e): 1}, 0  # an opaque term
-
+    if isinstance(expr, A.Var) and expr.name not in params:
+        return Affine(((expr.name, 1),), 0)  # most subscripts are a name
+    opaque: list[str] = []
     try:
-        coeffs, const = terms(expr)
+        coeffs, const = _terms(expr, params, opaque)
     except _NoForm:
         return None
-    return Affine(tuple(sorted((t, c) for t, c in coeffs.items() if c)),
-                  const, frozenset(names))
+    terms = [(t, c) for t, c in coeffs.items() if c]
+    if len(terms) > 1:
+        terms.sort()
+    if opaque:
+        return Affine(tuple(terms), const, frozenset(opaque))
+    return Affine(tuple(terms), const)
+
+
+def _terms(e: A.Expr, params: dict[str, int], opaque: list[str]
+           ) -> tuple[dict[str, int], int]:
+    """(term -> coefficient, constant) of *e*; the names an opaque term
+    reads go to *opaque*."""
+    if isinstance(e, A.IntLit):
+        return {}, e.value
+    if isinstance(e, A.Var):
+        if e.name in params:
+            return {}, params[e.name]
+        return {e.name: 1}, 0
+    if isinstance(e, A.UnOp):
+        coeffs, const = _terms(e.operand, params, opaque)
+        if e.op in ("+", "-"):
+            sign = -1 if e.op == "-" else 1
+            return {t: sign * c for t, c in coeffs.items()}, sign * const
+    elif isinstance(e, A.BinOp):
+        lc, lk = _terms(e.left, params, opaque)
+        rc, rk = _terms(e.right, params, opaque)
+        if e.op in ("+", "-"):
+            sign = 1 if e.op == "+" else -1
+            out = dict(lc)
+            for t, c in rc.items():
+                out[t] = out.get(t, 0) + sign * c
+            return out, lk + sign * rk
+        if e.op == "*" and not (lc and rc):
+            coeffs, scale = (lc, rk) if lc else (rc, lk)
+            return {t: scale * c for t, c in coeffs.items()}, lk * rk
+        if e.op == "/" and not lc and not rc and rk != 0:
+            q = abs(lk) // abs(rk)
+            return {}, q if (lk >= 0) == (rk >= 0) else -q
+    elif not isinstance(e, A.RealLit):
+        raise _NoForm
+    opaque += [n.name for n in A.walk(e) if isinstance(n, A.Var)]
+    return {print_expr(e): 1}, 0
 
 
 def subscript_info(form: Affine | None, loop_vars: set[str]
                    ) -> SubscriptInfo:
     """The kind of a subscript of affine *form* inside a nest over
     *loop_vars*: one loop variable plus a constant is INDUCTION (unit
-    coefficient) or STRIDED, a form reading no loop variable CONSTANT
-    (its value known when no term is left), anything else IRREGULAR."""
+    coefficient) or STRIDED, a form whose value no loop variable moves
+    CONSTANT (its value known when no term is left), anything else
+    IRREGULAR."""
     if form is None:
         return SubscriptInfo(SubscriptKind.IRREGULAR)
     if not form.coeffs:
         return SubscriptInfo(SubscriptKind.CONSTANT, const=form.const)
-    if not form.names & loop_vars:
-        return SubscriptInfo(SubscriptKind.CONSTANT, const=None)
     if len(form.coeffs) == 1 and form.coeffs[0][0] in loop_vars:
         (var, coeff), = form.coeffs
         kind = (SubscriptKind.INDUCTION if coeff == 1
                 else SubscriptKind.STRIDED)
-        return SubscriptInfo(kind, var=var, coeff=coeff, offset=form.const)
+        return SubscriptInfo(kind, var, coeff, form.const)
+    if form.opaque_names.isdisjoint(loop_vars) \
+            and loop_vars.isdisjoint(t for t, _ in form.coeffs):
+        return SubscriptInfo(SubscriptKind.CONSTANT, const=None)
     return SubscriptInfo(SubscriptKind.IRREGULAR)
 
 
@@ -196,19 +209,14 @@ class ArrayAccess:
     forms: tuple[Affine | None, ...]
     is_write: bool
     #: DO loops of the walked statements whose body holds it, outermost
-    #: first, and the one whose bounds hold it (if any)
+    #: first
     loops: tuple[A.DoLoop, ...]
-    header: A.DoLoop | None
 
     def pattern(self, loop_vars: set[str]) -> AccessPattern:
         """The access classified inside a nest over *loop_vars*."""
         return AccessPattern(self.array, tuple(subscript_info(f, loop_vars)
                                                for f in self.forms),
                              self.is_write)
-
-    def inside(self, loop: A.DoLoop) -> bool:
-        """Does *loop*'s statement (body or bounds) hold the access?"""
-        return self.header is loop or any(lp is loop for lp in self.loops)
 
 
 def array_access_patterns(stmts: list[A.Stmt], arrays: set[str],
@@ -219,24 +227,27 @@ def array_access_patterns(stmts: list[A.Stmt], arrays: set[str],
 
     Write accesses are assignment targets; everything else is a read.
     """
-    return [access.pattern(loop_vars) for access in
-            enclosed_accesses(stmts, arrays, invariants or {})]
+    accesses, _held = enclosed_accesses(stmts, arrays, invariants or {})
+    return [access.pattern(loop_vars) for access in accesses]
 
 
 def enclosed_accesses(stmts: list[A.Stmt], arrays: set[str],
-                      params: dict[str, int]) -> list[ArrayAccess]:
+                      params: dict[str, int]
+                      ) -> tuple[list[ArrayAccess], dict[int, slice]]:
     """Each access of :func:`array_access_patterns`, in the same order,
-    with its subscripts' forms over the integer PARAMETERs *params*."""
+    with its subscripts' forms over the integer PARAMETERs *params*; and,
+    by ``id`` of each DO loop statement, the slice of that list its
+    statement (bounds and body) holds."""
     out: list[ArrayAccess] = []
+    held: dict[int, slice] = {}
     loops: list[A.DoLoop] = []
-    header: A.DoLoop | None = None
 
     def scan_expr(expr: A.Expr, is_write: bool) -> None:
         if isinstance(expr, A.ArrayRef):
             if expr.name in arrays:
                 forms = tuple(affine_form(s, params) for s in expr.subs)
                 out.append(ArrayAccess(expr.name, forms, is_write,
-                                       tuple(loops), header))
+                                       tuple(loops)))
             for s in expr.subs:
                 scan_expr(s, False)
         elif isinstance(expr, A.BinOp):
@@ -252,21 +263,20 @@ def enclosed_accesses(stmts: list[A.Stmt], arrays: set[str],
                 scan_expr(item, False)
 
     def scan_stmt(stmt: A.Stmt) -> None:
-        nonlocal header
         if isinstance(stmt, A.Assign):
             scan_expr(stmt.target, True)
             scan_expr(stmt.value, False)
         elif isinstance(stmt, A.DoLoop):
-            header = stmt
+            first = len(out)
             scan_expr(stmt.start, False)
             scan_expr(stmt.stop, False)
             if stmt.step is not None:
                 scan_expr(stmt.step, False)
-            header = None
             loops.append(stmt)
             for s in stmt.body:
                 scan_stmt(s)
             loops.pop()
+            held[id(stmt)] = slice(first, len(out))
         elif isinstance(stmt, A.DoWhile):
             scan_expr(stmt.cond, False)
             for s in stmt.body:
@@ -292,4 +302,4 @@ def enclosed_accesses(stmts: list[A.Stmt], arrays: set[str],
 
     for stmt in stmts:
         scan_stmt(stmt)
-    return out
+    return out, held
