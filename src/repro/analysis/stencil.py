@@ -74,10 +74,6 @@ class AccessPattern:
             return info.offset
         return None
 
-    @property
-    def irregular(self) -> bool:
-        return any(s.kind is SubscriptKind.IRREGULAR for s in self.subs)
-
 
 def int_parameters(table: SymbolTable) -> dict[str, int]:
     """Name -> value of every integer PARAMETER of *table*'s unit."""

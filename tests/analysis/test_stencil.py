@@ -275,3 +275,5 @@ class TestFormFolds:
         info = sub("i + j - j")
         assert (info.kind, info.var, info.offset) \
             == (SubscriptKind.INDUCTION, "i", 0)
+        info = sub("k0 + i - i")
+        assert (info.kind, info.const) == (SubscriptKind.CONSTANT, None)
