@@ -11,7 +11,10 @@ Measures the three things the comm-core rewrite bought:
 * copy traffic the one-copy halo send saves on a real generated
   program;
 * the cost of recording, measured as enabled-vs-disabled trace on the
-  backlogged ping-pong (guarded at a per-event budget).
+  backlogged ping-pong (guarded at a per-event budget);
+* a halo face's way over one process-executor channel through its wire
+  (slot views and shape words built once) against the generic payload
+  path (guarded at a minimum speedup).
 
 Results accumulate into ``benchmarks/results/micro_runtime.txt``; the
 one-copy halo benchmark also writes its full Chrome-trace profile to
@@ -25,6 +28,7 @@ import threading
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 
 from machine import emit
@@ -33,6 +37,10 @@ from repro.core import AutoCFD
 from repro.errors import RuntimeDeadlockError
 from repro.obs import build_export
 from repro.runtime import Trace, spmd_run
+from repro.runtime.comm import fill_ghosts
+from repro.runtime.halo import _Face
+from repro.runtime.procexec import (_CHANNEL_BYTES, _Channel,
+                                    _ChannelMailbox, _RemoteMailbox)
 
 #: the pre-overhaul polling tick (50 ms)
 _TICK = 0.05
@@ -255,3 +263,63 @@ def test_bench_instrumentation_overhead():
         (f"a trace record costs {per_event * 1e9:.0f} ns over the "
          f"record-nothing floor ({off * 1e6:.2f} -> {on * 1e6:.2f} "
          f"us/roundtrip), budget {_EVENT_BUDGET * 1e9:.0f} ns")
+
+
+#: the wire's speedup over the generic path that the guard demands;
+#: measured 2.5x (one array) and 3.5x (four) on the 2-core VM
+_WIRE_MIN_SPEEDUP = 1.8
+
+
+def _face_trips(narrays: int, wired: bool, rounds: int) -> tuple:
+    """Seconds per face send + take over one in-process channel pair,
+    and whether every ghost ended bitwise equal to what was sent."""
+    buf = memoryview(bytearray(_CHANNEL_BYTES))
+    doorbell = threading.Semaphore(0)
+    sender = _RemoteMailbox(1, _Channel(buf, 0, True), threading.Lock(),
+                            doorbell, threading.Event())
+    receiver = _ChannelMailbox(1, {0: _Channel(buf, 0, False)}, doorbell)
+    failed = threading.Event()
+    rng = np.random.default_rng(narrays)
+    sent = [rng.random(100) for _ in range(narrays)]
+    out = _Face(1, 3, sent)
+    into = _Face(0, 3, [np.zeros(100) for _ in range(narrays)])
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        if wired:
+            sender.write_face(out)
+            receiver.take_head(0, 3, failed, into)
+        else:
+            sender.write(3, out.views)
+            payload, _waited = receiver.take_head(0, 3, failed)
+            fill_ghosts(into.views, payload)
+    per_trip = (time.perf_counter() - t0) / rounds
+    return per_trip, all(a.tobytes() == b.tobytes()
+                         for a, b in zip(sent, into.views))
+
+
+@pytest.mark.benchsmoke
+def test_bench_face_wire():
+    """A face through its wire — copies into and out of slot views built
+    once — against the generic ``write`` + ``take_head`` +
+    ``fill_ghosts`` path, faces of 1 and of 4 arrays of 100 doubles,
+    best of 7, no second process (so no waiting is timed)."""
+    ROUNDS, REPS = 2000, 7
+    lines = ["", f"halo face over one channel pair (arrays of 100 doubles, "
+             f"best of {REPS}):"]
+    for narrays in (1, 4):
+        best = {}
+        for wired in (False, True):
+            times = []
+            for _ in range(REPS):
+                per_trip, equal = _face_trips(narrays, wired, ROUNDS)
+                assert equal, f"ghosts differ (wired={wired})"
+                times.append(per_trip)
+            best[wired] = min(times)
+        speedup = best[False] / best[True]
+        lines.append(f"  {narrays} array(s): generic {best[False] * 1e6:6.2f}"
+                     f" us, wire {best[True] * 1e6:6.2f} us  "
+                     f"({speedup:.1f}x)")
+        assert speedup >= _WIRE_MIN_SPEEDUP, \
+            (f"the wire is only {speedup:.1f}x the generic path for "
+             f"{narrays} array(s), {_WIRE_MIN_SPEEDUP}x demanded")
+    _emit_accumulated(lines)

@@ -13,11 +13,13 @@ Layout (all ``int64``, single segment)::
     header[rank] = (cursor, epoch_ns)          # 2 words per rank
     ring[rank][slot] = (kind, peer, nbytes, tag, extra, t0_ns, t1_ns)
 
-A ring row holds the fields of a trace record (``kind`` as its
+A ring row is a trace record less its rank, in the record encoding of
+:mod:`repro.runtime.trace` (``kind`` as its
 :data:`~repro.runtime.trace.KIND_CODES` code, ``None`` as -1), and it is
-written by the same call that appends the record to the log — the
+written by the same call that extends the log with the record — the
 rank's :meth:`repro.runtime.trace.Trace.writer`; this module only
-allocates the rings and reads them back.  ``cursor`` counts writes
+allocates the rings and reads them back, handing its rows to the one
+record decoder, :func:`~repro.runtime.trace.decode`.  ``cursor`` counts writes
 forever; ``cursor % slots`` is the write position, so readers recover
 both order and drop count.  The stamps are the writer's
 ``perf_counter_ns`` — :meth:`FlightRecorder.tail` rebases them against
@@ -135,18 +137,13 @@ class FlightRecorder:
         seconds since the ring's ``epoch_ns`` plus *shift_s*."""
         cur = int(self.hdr[rank, 0])
         epoch = int(self.hdr[rank, 1])
-        n = min(cur, self.slots)
-        out: list[TraceEvent] = []
-        for i in range(cur - n, cur):
-            kind, peer, nbytes, tag, extra, t0_ns, t1_ns = \
-                (int(v) for v in self.ring[rank, i % self.slots])
-            if kind <= 0 or kind >= len(KIND_NAMES):
-                continue  # empty or torn slot
-            out.append(decode(
-                (rank, KIND_NAMES[kind], None if peer < 0 else peer,
-                 nbytes, None if tag < 0 else tag, extra, t0_ns, t1_ns),
-                epoch, shift_s))
-        return out
+        rows = self.ring[rank, np.arange(max(0, cur - self.slots), cur)
+                         % self.slots]
+        table = np.insert(rows, 0, rank, axis=1)  # a record: rank first
+        kind = table[:, 1]
+        # an empty or torn slot holds no kind
+        return decode(table[(kind > 0) & (kind < len(KIND_NAMES))], epoch,
+                      shift_s)
 
     def close(self, unlink: bool = False) -> None:
         # drop array views first: SharedMemory.close() refuses while

@@ -148,7 +148,7 @@ class _Face:
     spec the live view the transfer reads (a send face) or writes (a
     ghost face; None where that array keeps no ghosts on this side)."""
 
-    __slots__ = ("peer", "tag", "views", "nbytes")
+    __slots__ = ("peer", "tag", "views", "nbytes", "wire")
 
     def __init__(self, peer: int, tag: int,
                  views: list[np.ndarray | None]) -> None:
@@ -157,6 +157,9 @@ class _Face:
         self.views = views
         #: what the halo_pack / halo_unpack event of this face reports
         self.nbytes = sum(int(v.nbytes) for v in views if v is not None)
+        #: the process executor's fixed part of this face's messages
+        #: (``repro.runtime.procexec._Wire``), set at the first crossing
+        self.wire = None
 
 
 class _FacePlan:

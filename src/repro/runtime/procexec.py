@@ -34,6 +34,15 @@ deadlock-diagnosis / bounded-join guarantees — behind
   wait sleeps on the doorbell and moves what was published into the
   ``(source, tag)`` buckets itself; matching, collectives and duplicate
   suppression are inherited;
+* **face wires**: what a halo face's messages share — the shape words
+  and the sections' offsets in every slot — is built once per face and
+  channel end (:class:`_Wire`, kept on the face).  The sender copies
+  each array into the next slot's views and writes the words and the
+  header in front of them; the receiver checks its first message against the
+  ghost face (``fill_ghosts``) and afterwards copies straight from the
+  slot's views whenever a message's words are the ones it checked.  The
+  slot format is the one every other payload uses, and a full ring, a
+  backlog or a face too big for a slot send it the generic way;
 * the world barrier is a ``multiprocessing.Barrier`` shared by all
   workers, abortable by any worker *and* by the launcher;
 * **deadlock detection runs in the launcher**: every worker publishes
@@ -52,7 +61,10 @@ deadlock-diagnosis / bounded-join guarantees — behind
 * **trace merging**: workers stamp events on their own clock; an epoch
   handshake at run start (:class:`repro.runtime.trace.EpochProbe`) lets
   the launcher rebase worker events onto the caller's trace, so
-  ``acfd profile`` output is executor-agnostic.  Each worker also counts
+  ``acfd profile`` output is executor-agnostic.  A worker's log crosses
+  as one int64 buffer (``Trace.pack``) in its ``done``, ``error`` or
+  ``dying`` report, and the launcher keeps it as one table, rebased by
+  one vectorized add (``Trace.absorb``).  Each worker also counts
   its messages by route and its waits by kind (``World.transport``).
 """
 
@@ -155,6 +167,10 @@ class _Channel:
                 return None
         return self._slots + self.pos % _SLOTS * _STRIDE
 
+    def body(self, index: int) -> int:
+        """Offset of the payload of slot *index*, behind its header."""
+        return self._slots + index * _STRIDE + _HEAD
+
     def advance(self) -> None:
         """Publish (writer) or free (reader) the slot :meth:`slot` gave."""
         self.pos += 1
@@ -175,6 +191,20 @@ def _word_dtype(word: int) -> np.dtype:
     return np.dtype(word.to_bytes(8, "little").rstrip(b"\0").decode())
 
 
+def _words(arrays) -> list[int] | None:
+    """The shape words a slot carries for *arrays* (dtype, ndim, shape
+    each), or None if they are not all numeric ndarrays a slot holds."""
+    if not arrays or not all(a.__class__ is np.ndarray
+                             and a.dtype.kind in "biufc" for a in arrays):
+        return None
+    words: list[int] = []
+    size = 0
+    for a in arrays:
+        words += (_dtype_word(a.dtype), a.ndim, *a.shape)
+        size += (a.nbytes + 7) & ~7
+    return words if 8 * len(words) + size <= _SLOT_BYTES else None
+
+
 def _encode(buf: memoryview, body: int, payload
             ) -> tuple[int, int, float] | None:
     """Write a float or ndarray(s) *payload* at *body*, behind a slot's
@@ -184,38 +214,53 @@ def _encode(buf: memoryview, body: int, payload
     if cls is float:
         return _FLOAT, 0, payload
     arrays = ((payload,) if cls is np.ndarray
-              else payload if cls is list and payload else ())
-    if arrays and all(a.__class__ is np.ndarray and a.dtype.kind in "biufc"
-                      for a in arrays):
-        words: list[int] = []
-        size = 0
-        for a in arrays:
-            words += (_dtype_word(a.dtype), a.ndim, *a.shape)
-            size += (a.nbytes + 7) & ~7
-        at = body + 8 * len(words)
-        if at + size > body + _SLOT_BYTES:
-            return None
-        struct.pack_into(f"{len(words)}q", buf, body, *words)
-        for a in arrays:
-            # strided or not, one copy: the buffered-send copy
-            np.ndarray(a.shape, a.dtype, buf, at)[...] = a
-            at += (a.nbytes + 7) & ~7
-        return _ARRAY if cls is np.ndarray else _LIST, len(words), 0.0
-    return None
+              else payload if cls is list else ())
+    words = _words(arrays)
+    if words is None:
+        return None
+    struct.pack_into(f"{len(words)}q", buf, body, *words)
+    for a, section in zip(arrays, _views(buf, body, words)):
+        # strided or not, one copy: the buffered-send copy
+        section[...] = a
+    return _ARRAY if cls is np.ndarray else _LIST, len(words), 0.0
 
 
-def _sections(buf: memoryview, body: int, n: int) -> list[np.ndarray]:
-    """The arrays :func:`_encode` wrote at *body*, as views of the slot."""
-    words = struct.unpack_from(f"{n}q", buf, body)
-    at = body + 8 * n
+def _views(buf: memoryview, body: int, words) -> list[np.ndarray]:
+    """Views of the arrays *words* describe, laid out behind them at
+    *body*: each at an 8-byte-aligned offset."""
+    at = body + 8 * len(words)
     out = []
     i = 0
-    while i < n:
+    while i < len(words):
         shape = words[i + 2:i + 2 + words[i + 1]]
         out.append(np.ndarray(shape, _word_dtype(words[i]), buf, at))
         at += (out[-1].nbytes + 7) & ~7
         i += 2 + len(shape)
     return out
+
+
+def _sections(buf: memoryview, body: int, n: int) -> list[np.ndarray]:
+    """The arrays :func:`_encode` wrote at *body*, as views of the slot."""
+    return _views(buf, body, struct.unpack_from(f"{n}q", buf, body))
+
+
+class _Wire:
+    """What one halo face's messages on one channel have in common: the
+    shape words packed as a slot carries them, and the face's sections
+    as views of every slot of the ring.  A face's shapes and dtypes are
+    fixed, so the sender builds its wire at the first send and the
+    receiver at the first message it has checked; afterwards a message
+    is one copy per array between the face's views and the slot's."""
+
+    __slots__ = ("words", "n", "slots", "nbytes")
+
+    def __init__(self, chan: _Channel, words) -> None:
+        self.words = struct.pack(f"{len(words)}q", *words)
+        self.n = len(words)
+        #: slot index -> the sections' views in that slot
+        self.slots = [_views(chan.buf, chan.body(index), words)
+                      for index in range(_SLOTS)]
+        self.nbytes = sum(section.nbytes for section in self.slots[0])
 
 
 def _decode(buf: memoryview, body: int, kind: int, n: int, value: float):
@@ -296,7 +341,11 @@ class _ChannelMailbox(_Mailbox):
         head, awaited for ``_SPIN`` at most, is a whole message carrying
         this run's id, *tag*, the sequence number due and no msg id.
         With a *face* (a halo ghost face) the sections go straight into
-        its ghost views and the payload is their byte count.  Otherwise
+        its ghost views and the payload is their byte count: checked
+        against the face (:func:`fill_ghosts`) the first time, which
+        leaves the face its :class:`_Wire`, and copied from the slot's
+        views without a check whenever the message's shape words are the
+        wire's (any other message is checked again).  Otherwise
         nothing is touched and the answer is ``(_MISS, seconds spent)``:
         the caller goes through :meth:`get`, whose drain, reassembly,
         duplicate suppression, detector and timeout apply.  Body thread
@@ -326,12 +375,23 @@ class _ChannelMailbox(_Mailbox):
                 or seq != self._next[source] or kind == _CHUNK
                 or (face is not None and kind != _LIST)):
             return _MISS, waited
+        body = off + _HEAD
         if face is None:
-            payload = _decode(buf, off + _HEAD, kind, n, value)
+            payload = _decode(buf, body, kind, n, value)
+        elif (wire := face.wire) is not None and n == wire.n \
+                and buf[body:body + 8 * n] == wire.words:
+            for ghost, section in zip(face.views,
+                                      wire.slots[chan.pos % _SLOTS]):
+                if ghost is not None:
+                    ghost[...] = section
+            payload = wire.nbytes
         else:
-            sections = _sections(buf, off + _HEAD, n)
+            sections = _sections(buf, body, n)
             fill_ghosts(face.views, sections)
             payload = sum(section.nbytes for section in sections)
+            if wire is None:
+                face.wire = _Wire(chan, struct.unpack_from(f"{n}q", buf,
+                                                           body))
         chan.advance()
         self._next[source] = seq + 1
         self.head_takes += 1
@@ -451,6 +511,37 @@ class _RemoteMailbox:
             self._doorbell.release()
         elif self.flush():
             self._backlogged.set()
+
+    def write_face(self, face) -> None:
+        """Write a halo send *face*'s views as :meth:`write` would, through
+        the face's :class:`_Wire` (built at its first send): the shape
+        words and one copy per array into the slot's views.  A face a
+        slot cannot hold, and a face that finds the ring full or a
+        backlog waiting, go through :meth:`write`."""
+        wire = face.wire
+        if wire is None:
+            words = _words(face.views)
+            if words is None:
+                return self.write(face.tag, face.views)
+            wire = face.wire = _Wire(self._chan, words)
+        chan = self._chan
+        with self._lock:
+            off = None if self._backlog else chan.slot()
+            if off is not None:
+                seq = self.sent
+                self.sent = seq + 1  # before publishing, as in write
+                for section, view in zip(wire.slots[chan.pos % _SLOTS],
+                                         face.views):
+                    section[...] = view
+                body = off + _HEAD
+                chan.buf[body:body + 8 * wire.n] = wire.words
+                _HDR.pack_into(chan.buf, off, self._run_id, face.tag, -1,
+                               seq, _LIST, wire.n, 0.0)
+                chan.advance()
+        if off is None:
+            self.write(face.tag, face.views)
+        else:
+            self._doorbell.release()
 
     def flush(self, drop: bool = False) -> bool:
         """Write the backlog into free slots, oldest first (or *drop*
@@ -591,7 +682,7 @@ class ProcCommunicator(Communicator):
     def send_face(self, face) -> None:
         record = self.record
         t0 = perf_counter_ns() if record is not None else 0
-        self._mailboxes[face.peer].write(face.tag, face.views)
+        self._mailboxes[face.peer].write_face(face)
         if record is not None:
             # the write was the pack and the send, and no defensive copy
             # was made of what it packed
@@ -726,7 +817,7 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
     def on_crash(reason: str) -> None:
         worker.publish(("dying", run.rank, run.run_id,
                         "InjectedFaultError", reason,
-                        run.trace.events))
+                        run.trace.pack()))
         if run.tele is not None:
             run.tele.finish(False)  # last heartbeat: state=failed
         barrier.abort()  # wake peers stuck in a barrier right away
@@ -765,7 +856,7 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
                         t0, time.perf_counter_ns())
         if run.tele is not None:
             run.tele.finish(err is None)
-    tail = (run.trace.events, run.counters(), run.transport())
+    tail = (run.trace.pack(), run.counters(), run.transport())
     if err is not None:
         report = ("error", run.rank, run.run_id, _exc_kind(err),
                   type(err).__name__, str(err), *tail)
@@ -942,9 +1033,9 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
     launch = _Launch(timeout, DeadlockDetector(size), broadcast)
     detector = launch.detector
 
-    def finish(rank: int, status: str, events, counters,
+    def finish(rank: int, status: str, log: bytes, counters,
                transport: dict) -> None:
-        world.trace.absorb(events, *clocks[rank])
+        world.trace.absorb(log, *clocks[rank])
         finished.add(rank)
         detector.finish(rank, status, counters)
         for key, count in transport.items():
@@ -966,18 +1057,18 @@ def proc_run(size: int, fn, *, timeout: float = 60.0,
         elif kind == "wait":
             detector.note(rank, msg[3], msg[4])
         elif kind == "done":
-            _, _, _, result, events, counters, transport = msg
+            _, _, _, result, log, counters, transport = msg
             world.results[rank] = result
-            finish(rank, "finished", events, counters, transport)
+            finish(rank, "finished", log, counters, transport)
         elif kind == "error":
-            _, _, _, ekind, tname, text, events, counters, transport = msg
+            _, _, _, ekind, tname, text, log, counters, transport = msg
             launch.error(rank, ekind, tname, text)
-            finish(rank, "failed", events, counters, transport)
+            finish(rank, "failed", log, counters, transport)
         elif kind == "dying":
             # a kill-mode fault flushed telemetry before SIGKILLing
             # itself; the sentinel below will confirm the death
-            _, _, _, tname, text, events = msg
-            world.trace.absorb(events, *clocks[rank])
+            _, _, _, tname, text, log = msg
+            world.trace.absorb(log, *clocks[rank])
             launch.error(rank, "other", tname, text)
         elif kind == "fired":
             _, _, _, index, record = msg

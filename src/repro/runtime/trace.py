@@ -1,54 +1,67 @@
 """Event tracing for the message-passing runtime.
 
 Every send, receive, barrier, collective, halo copy, exchange, pipeline
-transfer, frame mark, checkpoint and injected fault is one *record*: the
-flat tuple ``(rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns)``.
-``extra`` is the payload bytes a halo face's send did not copy a
-second time for a ``send`` and the nanoseconds the rank spent blocked
-for every other kind; both stamps are ``time.perf_counter_ns()``
-readings of the recording process (the cheapest clock CPython offers,
-and the only one an event is ever stamped with).  The test suite uses
-traces to assert that the number of synchronizations the *runtime
-actually performs* per frame equals the number the *pre-compiler
-predicted* after optimization (Table 1's "after" column); the benchmark
-harness feeds traces — including the wait-time and copy-savings
-accounting — to the cluster simulator, and
-:class:`repro.obs.timeline.Timeline` rolls the spans up into per-rank
-compute / blocked / halo / collective breakdowns.
+transfer, frame mark, checkpoint and injected fault is one *record*:
+eight integers ``(rank, code, peer, nbytes, tag, extra, t0_ns, t1_ns)``.
+``code`` is the kind's index in :data:`KIND_NAMES`, a ``None`` peer or
+tag is stored as -1, ``extra`` is the payload bytes a halo face's send
+did not copy a second time for a ``send`` and the nanoseconds the rank
+spent blocked for every other kind; both stamps are
+``time.perf_counter_ns()`` readings of the recording process (the
+cheapest clock CPython offers, and the only one an event is ever stamped
+with).  The flight ring (:mod:`repro.obs.flight`) stores the same
+integers less the rank.  The test suite uses traces to assert that the
+number of synchronizations the *runtime actually performs* per frame
+equals the number the *pre-compiler predicted* after optimization
+(Table 1's "after" column); the benchmark harness feeds traces —
+including the wait-time and copy-savings accounting — to the cluster
+simulator, and :class:`repro.obs.timeline.Timeline` rolls the spans up
+into per-rank compute / blocked / halo / collective breakdowns.
 
 Recording discipline: :meth:`Trace.writer` hands each rank one function
 ``write(kind, peer, nbytes, tag, extra, t0_ns, t1_ns)`` and nothing else
-in the package records an event.  One call appends the record to the
-trace log and, when the world carries live telemetry
-(:class:`repro.obs.health.RankTelemetry`), stores the same fields in
-that rank's crash-surviving flight-ring row and keeps the health board's
-traffic counters, frame and checkpoint cells current — so the log and
-the ring hold the same events and differ only in how many they keep.
-A world that records nothing (``Trace(enabled=False)`` and no
-telemetry) gets no writer at all: call sites test ``comm.record`` for
+in the package records an event.  One call extends the trace's live log,
+one flat list of ints, by the record's eight and, when the world carries
+live telemetry (:class:`repro.obs.health.RankTelemetry`), stores the
+same fields in that rank's crash-surviving flight-ring row and keeps the
+health board's traffic counters, frame and checkpoint cells current — so
+the log and the ring hold the same events and differ only in how many
+they keep.  A world that records nothing (``Trace(enabled=False)`` and
+no telemetry) gets no writer at all: call sites test ``comm.record`` for
 ``None`` and skip their clock reads.
 
-The collector takes no lock: every mutation of the log is a single list
-operation (``append``, ``extend``, ``clear``) and every query starts from
-one ``list(events)`` copy, each atomic under the GIL, so queries are safe
-to call while ranks are still recording.  :class:`TraceEvent` is the
-reader-side view: :meth:`Trace.snapshot` (and the flight ring's
-``tail``) decode records into events whose ``t0``/``t1`` are seconds
-since the trace ``epoch_ns``.
+Across processes a log travels as one buffer: :meth:`Trace.pack` is the
+live log as int64 bytes, and :meth:`Trace.absorb` keeps such a buffer as
+an ``(n, 8)`` int64 table with its stamps rebased onto this trace's
+clock.  The live log and the absorbed tables read as one table, in the
+order the records arrived.
+
+The collector takes no lock: every mutation is a single list operation
+(``extend``, ``append``, ``clear``) and every query starts from one
+``list()`` copy of each list, atomic under the GIL, so queries are safe
+to call while ranks are still recording.  The counting queries
+(:meth:`Trace.count`, :meth:`Trace.comm_stats`, ...) work on the integer
+columns; :class:`TraceEvent` is the reader-side view:
+:meth:`Trace.snapshot` (and the flight ring's ``tail``) decode records
+into events whose ``t0``/``t1`` are seconds since the trace
+``epoch_ns``.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 #: every event kind that is a synchronization in the Table-1 sense:
 #: the rank cannot proceed until (some) other ranks participate.
 SYNC_KINDS = ("exchange", "barrier", "allreduce", "reduce", "bcast",
               "gather", "scatter", "allgather")
 
-#: every kind the runtime writes, indexed by its flight-ring code
-#: (0 marks an empty ring slot)
+#: every kind the runtime writes, indexed by its record code
+#: (0 marks an empty flight-ring slot)
 KIND_NAMES = (
     "", "send", "recv", "barrier", "bcast", "reduce", "allreduce",
     "gather", "allgather", "scatter", "exchange", "halo_pack",
@@ -57,6 +70,14 @@ KIND_NAMES = (
     "fault_drop", "fault_delay", "fault_dup", "overlap", "rank",
 )
 KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
+
+#: the columns of a record
+RANK, CODE, PEER, NBYTES, TAG, EXTRA, T0, T1 = range(8)
+_SEND = KIND_CODES["send"]
+#: code -> whether that kind is a synchronization
+_IS_SYNC = np.isin(np.arange(len(KIND_NAMES)),
+                   [KIND_CODES[kind] for kind in SYNC_KINDS])
+_KIND_OBJECTS = np.array(KIND_NAMES, dtype=object)
 
 
 @dataclass(slots=True)
@@ -81,14 +102,28 @@ class TraceEvent:
         return self.t1 - self.t0
 
 
-def decode(record: tuple, epoch_ns: int, shift_s: float = 0.0) -> TraceEvent:
-    """The :class:`TraceEvent` for one record, its stamps as seconds
-    since *epoch_ns* plus *shift_s*."""
-    rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns = record
-    wait_s, saved = (0.0, extra) if kind == "send" else (extra / 1e9, 0)
-    return TraceEvent(rank, kind, peer, nbytes, tag, wait_s, saved,
-                      (t0_ns - epoch_ns) / 1e9 + shift_s,
-                      (t1_ns - epoch_ns) / 1e9 + shift_s)
+def decode(table: np.ndarray, epoch_ns: int,
+           shift_s: float = 0.0) -> list[TraceEvent]:
+    """The :class:`TraceEvent` of each record of *table* (an ``(n, 8)``
+    int64 array), its stamps as seconds since *epoch_ns* plus
+    *shift_s*."""
+    send = table[:, CODE] == _SEND
+    extra = table[:, EXTRA]
+    return list(map(
+        TraceEvent, table[:, RANK].tolist(),
+        _KIND_OBJECTS[table[:, CODE]].tolist(), _or_none(table[:, PEER]),
+        table[:, NBYTES].tolist(), _or_none(table[:, TAG]),
+        np.where(send, 0.0, extra / 1e9).tolist(),
+        np.where(send, extra, 0).tolist(),
+        ((table[:, T0] - epoch_ns) / 1e9 + shift_s).tolist(),
+        ((table[:, T1] - epoch_ns) / 1e9 + shift_s).tolist()))
+
+
+def _or_none(column: np.ndarray) -> list:
+    """*column* as ints, -1 as None."""
+    out = column.astype(object)
+    out[column < 0] = None
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -138,13 +173,16 @@ class Trace:
     """Event collector shared by all ranks of a world (safe to record
     into and query from several threads, see the module docstring)."""
 
-    #: the log: one record tuple per event, stamps absolute on this
-    #: process's clock — read via snapshot()
+    #: the live log: eight ints per record, stamps absolute on this
+    #: process's clock — read via snapshot() or table()
     events: list = field(default_factory=list)
     #: ``perf_counter_ns()`` base all decoded timestamps are relative to
     epoch_ns: int = field(default_factory=time.perf_counter_ns)
     #: False drops all records (overhead-measurement baseline)
     enabled: bool = True
+    #: absorbed logs: (length of the live log when absorbed, (n, 8)
+    #: int64 table on this trace's clock)
+    absorbed: list = field(default_factory=list, init=False, repr=False)
 
     def now(self) -> float:
         """Seconds since this trace's epoch."""
@@ -159,13 +197,16 @@ class Trace:
         single writer of that rank's flight-ring row and of the board
         cells that are derived from events.
         """
-        log = self.events.append if self.enabled else None
+        log = self.events.extend if self.enabled else None
+        codes = KIND_CODES
         if telemetry is None:
             if log is None:
                 return None
 
             def write(kind, peer, nbytes, tag, extra, t0_ns, t1_ns):
-                log((rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns))
+                log((rank, codes[kind], -1 if peer is None else peer,
+                     nbytes, -1 if tag is None else tag, extra, t0_ns,
+                     t1_ns))
             return write
 
         from repro.obs.health import (_BEAT, _CKPT, _FRAME, _RECV_B,
@@ -174,12 +215,13 @@ class Trace:
         slots = len(ring)
 
         def write(kind, peer, nbytes, tag, extra, t0_ns, t1_ns):
+            record = (rank, codes[kind], -1 if peer is None else peer,
+                      nbytes, -1 if tag is None else tag, extra, t0_ns,
+                      t1_ns)
             if log is not None:
-                log((rank, kind, peer, nbytes, tag, extra, t0_ns, t1_ns))
+                log(record)
             cursor = int(hdr[0])
-            ring[cursor % slots] = (
-                KIND_CODES[kind], -1 if peer is None else peer, nbytes,
-                -1 if tag is None else tag, extra, t0_ns, t1_ns)
+            ring[cursor % slots] = record[1:]
             hdr[0] = cursor + 1
             row[_T_NS] = t1_ns
             if kind == "send":
@@ -195,78 +237,97 @@ class Trace:
                 row[_CKPT] = tag
         return write
 
-    def absorb(self, events: list[tuple], epoch_ns: int,
-               shift: float = 0.0) -> None:
-        """Bulk-append the log of another trace whose epoch is
-        *epoch_ns*, rebasing its stamps so they decode *shift* seconds
-        (see :func:`epoch_shift`) later against this trace's epoch than
-        they did against their own."""
-        if not self.enabled:
+    def pack(self) -> bytes:
+        """The live log as one int64 buffer, what :meth:`absorb` takes."""
+        return array("q", self.events).tobytes()
+
+    def absorb(self, log: bytes, epoch_ns: int, shift: float = 0.0) -> None:
+        """Keep another trace's :meth:`pack`-ed log, whose epoch is
+        *epoch_ns*, as one table, its stamps rebased so they decode
+        *shift* seconds (see :func:`epoch_shift`) later against this
+        trace's epoch than they did against their own."""
+        if not self.enabled or not log:
             return
-        delta = self.epoch_ns - epoch_ns + round(shift * 1e9)
-        self.events.extend([e[:6] + (e[6] + delta, e[7] + delta)
-                            for e in events])
+        table = np.frombuffer(log, np.int64).reshape(-1, 8).copy()
+        table[:, T0:] += self.epoch_ns - epoch_ns + round(shift * 1e9)
+        self.absorbed.append((len(self.events), table))
 
     # -- queries ---------------------------------------------------------------
 
+    def table(self) -> np.ndarray:
+        """Every record so far as one ``(n, 8)`` int64 array, in the
+        order they arrived (safe while recording)."""
+        absorbed = list(self.absorbed)  # before the live log: every
+        live = np.array(list(self.events), np.int64).reshape(-1, 8)
+        if not absorbed:                # position is inside the copy
+            return live
+        parts = []
+        at = 0
+        for until, table in absorbed:
+            parts += [live[at // 8:until // 8], table]
+            at = until
+        parts.append(live[at // 8:])
+        return np.concatenate(parts)
+
     def snapshot(self) -> list[TraceEvent]:
         """Consistent decoded copy of the log (safe while recording)."""
-        epoch_ns = self.epoch_ns
-        return [decode(e, epoch_ns) for e in list(self.events)]
+        return decode(self.table(), self.epoch_ns)
+
+    def _rows(self, rank: int | None) -> np.ndarray:
+        table = self.table()
+        return table if rank is None else table[table[:, RANK] == rank]
 
     def count(self, kind: str, rank: int | None = None) -> int:
         """Number of events of *kind* (optionally for one rank)."""
-        return sum(1 for e in self.snapshot()
-                   if e.kind == kind and (rank is None or e.rank == rank))
+        code = KIND_CODES.get(kind, -1)
+        return int(np.count_nonzero(self._rows(rank)[:, CODE] == code))
 
     def bytes_sent(self, rank: int | None = None) -> int:
         """Total payload bytes sent (point-to-point sends only)."""
-        return sum(e.nbytes for e in self.snapshot()
-                   if e.kind == "send"
-                   and (rank is None or e.rank == rank))
+        rows = self._rows(rank)
+        return int(rows[rows[:, CODE] == _SEND, NBYTES].sum())
 
     def sync_count(self, rank: int | None = None) -> int:
         """Synchronization operations: exchanges, barriers, collectives
         (including gathers, scatters, and allgathers)."""
-        return sum(1 for e in self.snapshot()
-                   if e.kind in SYNC_KINDS
-                   and (rank is None or e.rank == rank))
+        return int(np.count_nonzero(_IS_SYNC[self._rows(rank)[:, CODE]]))
 
     def messages(self, rank: int | None = None) -> list[TraceEvent]:
-        return [e for e in self.snapshot()
-                if e.kind == "send"
-                and (rank is None or e.rank == rank)]
+        rows = self._rows(rank)
+        return decode(rows[rows[:, CODE] == _SEND], self.epoch_ns)
 
     def wait_time(self, rank: int | None = None) -> float:
         """Total wall-clock seconds ranks spent blocked in receives,
         barriers, and collectives."""
-        return sum(e.wait_s for e in self.snapshot()
-                   if rank is None or e.rank == rank)
+        return _wait_s(self._rows(rank))
 
     def saved_bytes(self, rank: int | None = None) -> int:
         """Payload bytes halo face sends did not copy a second time."""
-        return sum(e.saved_bytes for e in self.snapshot()
-                   if rank is None or e.rank == rank)
+        rows = self._rows(rank)
+        return int(rows[rows[:, CODE] == _SEND, EXTRA].sum())
 
     def comm_stats(self) -> dict:
         """Aggregate communication accounting for benchmarks/simulation."""
-        events = self.snapshot()
-        sends = [e for e in events if e.kind == "send"]
-        syncs_by_kind: dict[str, int] = {}
-        for e in events:
-            if e.kind in SYNC_KINDS:
-                syncs_by_kind[e.kind] = syncs_by_kind.get(e.kind, 0) + 1
+        rows = self.table()
+        codes = rows[:, CODE]
+        sends = rows[codes == _SEND]
+        syncs = rows[_IS_SYNC[codes]]
+        # counted, not sorted: a numpy sort lets go of the GIL, and ranks
+        # recording while a query runs then wait behind every other thread
+        counts = np.bincount(syncs[:, CODE], minlength=len(KIND_NAMES))
+        syncs_by_kind = {KIND_NAMES[code]: count
+                         for code, count in enumerate(counts.tolist())
+                         if count}
         return {
             "sends": len(sends),
-            "bytes_sent": sum(e.nbytes for e in sends),
-            "saved_bytes": sum(e.saved_bytes for e in events),
-            "wait_s": sum(e.wait_s for e in events),
-            "syncs": sum(syncs_by_kind.values()),
+            "bytes_sent": int(sends[:, NBYTES].sum()),
+            "saved_bytes": int(sends[:, EXTRA].sum()),
+            "wait_s": _wait_s(rows),
+            "syncs": len(syncs),
             "syncs_by_kind": syncs_by_kind,
             # per-rank sent+received bytes summed over collective events;
             # every tree hop is counted once at each endpoint
-            "collective_bytes": sum(e.nbytes for e in events
-                                    if e.kind in SYNC_KINDS),
+            "collective_bytes": int(syncs[:, NBYTES].sum()),
         }
 
     def timeline(self):
@@ -276,3 +337,11 @@ class Trace:
 
     def clear(self) -> None:
         self.events.clear()
+        self.absorbed.clear()
+
+
+def _wait_s(rows: np.ndarray) -> float:
+    """Seconds blocked over *rows*, summed one event at a time as a sum
+    over the decoded events' ``wait_s`` would."""
+    waits = rows[rows[:, CODE] != _SEND, EXTRA] / 1e9
+    return sum(waits.tolist(), 0.0)

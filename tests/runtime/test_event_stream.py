@@ -197,6 +197,6 @@ class TestOneWriter:
         assert _hits(gone) == {}
 
     def test_the_log_is_appended_to_in_one_place(self):
-        hits = _hits(r"\.events\.append")
+        hits = _hits(r"\.events\.(append|extend)")
         assert list(hits) == ["runtime/trace.py"]
         assert len(hits["runtime/trace.py"]) == 1

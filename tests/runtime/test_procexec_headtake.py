@@ -9,6 +9,12 @@ already in its bucket, a chunked message at the head, a dead
 run's leftover, an attached injector — has to come out of the inherited
 ``get`` exactly as before.  ``transport["head_takes"]`` says which way
 the messages of a run went.
+
+A halo face builds its wire (``procexec._Wire``) at its first crossing:
+after that a face is sent by copying into the next slot's views and
+taken by copying out of them, as long as each message's shape words are
+the ones the first message was checked with.  A worker's event log
+crosses as one int64 buffer that the launcher keeps as one table.
 """
 
 import functools
@@ -21,13 +27,16 @@ import pytest
 
 from repro.apps.kernels import jacobi_5pt
 from repro.core import AutoCFD
-from repro.errors import RuntimeCommError
+from repro.errors import ReproError, RuntimeCommError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.interp.values import OffsetArray
 from repro.obs.health import _STATE, Telemetry
-from repro.runtime import CartComm, HaloExchanger, HaloSpec
-from repro.runtime.halo import halo_tag
-from repro.runtime.procexec import _SLOT_BYTES, proc_run
+from repro.runtime import CartComm, HaloExchanger, HaloSpec, Trace
+from repro.runtime.comm import fill_ghosts
+from repro.runtime.halo import _Face, halo_tag
+from repro.runtime.procexec import (_CHANNEL_BYTES, _MISS, _SLOT_BYTES,
+                                    _SLOTS, _Channel, _ChannelMailbox,
+                                    _RemoteMailbox, proc_run)
 from repro.runtime.world import spmd_run
 
 
@@ -97,13 +106,15 @@ def _two_tags_crossed(comm):
 def _probed_then_received(comm):
     """probe() and Request.test() move what is published into the
     buckets; the receives that follow must find it there, and the one
-    after them is a head take again."""
+    after them is a head take again: its message is published before
+    the barrier its receiver leaves to take it."""
     if comm.rank == 0:
         for tag in (5, 6):
             comm.send(1, float(tag), tag=tag)
         comm.barrier()
         comm.barrier()
         comm.send(1, 7.0, tag=7)
+        comm.barrier()
         return None
     comm.barrier()
     assert comm.probe(0, 5)
@@ -111,6 +122,7 @@ def _probed_then_received(comm):
     req = comm.irecv(0, 6)
     assert req.test()
     got.append(req.wait())
+    comm.barrier()
     comm.barrier()
     got.append(comm.recv(0, 7))
     return got
@@ -185,6 +197,19 @@ def _bad_face(flaw, comm):
     that does not fit rank 1's face plan; the first section always
     does."""
     ex, arrays = _exchanger(comm, narrays=2)
+    return _answer_badly(flaw, comm, ex, arrays)
+
+
+def _bad_face_after_good(flaw, comm):
+    """:func:`_bad_face` after two good exchanges: rank 1's ghost face
+    has its wire when the message that does not fit comes."""
+    ex, arrays = _exchanger(comm, narrays=2)
+    ex.exchange()
+    ex.exchange()
+    return _answer_badly(flaw, comm, ex, arrays)
+
+
+def _answer_badly(flaw, comm, ex, arrays):
     if comm.rank == 0:
         good = np.full(1, 7.0)
         comm.send(1, {"count": [good],
@@ -202,6 +227,81 @@ def _bad_face(flaw, comm):
         return str(exc), all(np.array_equal(a.data, b)
                              for a, b in zip(arrays, before))
     return "no error", False
+
+
+def _values(trip, rank, k):
+    """What array *k* of *rank* holds on *trip*: fresh every trip."""
+    return np.random.default_rng([trip, rank, k]).random(9)
+
+
+def _many_trips(comm):
+    """A face of two arrays crosses 3 * _SLOTS + 1 times, fresh values
+    each time: every ghost is bitwise what the peer held."""
+    peer = 1 - comm.rank
+    ex, arrays = _exchanger(comm, narrays=2)
+    at = 1 if comm.rank == 0 else 7  # the peer's index of my ghost cell
+    for trip in range(3 * _SLOTS + 1):
+        for k, a in enumerate(arrays):
+            a.data[:] = _values(trip, comm.rank, k)
+        ex.exchange()
+        for k, a in enumerate(arrays):
+            ghost = a.data[-1 if comm.rank == 0 else 0]
+            assert ghost.tobytes() == _values(trip, peer, k)[at].tobytes()
+    plan = ex._faces()
+    return [face.wire is not None for face in plan.sends + plan.ghosts]
+
+
+def _backlogged_faces(comm):
+    """Rank 1 sends a face _SLOTS + 4 times before rank 0 takes any."""
+    ex, (a,) = _exchanger(comm)
+    plan = ex._faces()
+    if comm.rank == 1:
+        face, = plan.sends
+        for trip in range(_SLOTS + 4):
+            a.data[:] = trip
+            comm.send_face(face)
+        comm.barrier()
+        return None
+    face, = plan.ghosts
+    comm.barrier()
+    got = []
+    for _trip in range(_SLOTS + 4):
+        comm.recv_face(face)
+        got.append(_ghost(comm, a))
+    return got
+
+
+def _big_face(comm):
+    """A face of one row of more doubles than a slot holds."""
+    peer = 1 - comm.rank
+    cols = _SLOT_BYTES // 8 + 1
+    rows = (1, 9) if comm.rank == 0 else (8, 16)
+    a = OffsetArray.from_bounds([rows, (1, cols)], name="big")
+
+    def fill(rank):
+        return 100 * rank + np.arange(9 * cols,
+                                      dtype=np.float64).reshape(9, cols)
+
+    a.data[:] = fill(comm.rank)
+    owned = ((1, 8),) if comm.rank == 0 else ((9, 16),)
+    ex = HaloExchanger(CartComm(comm, (2,)),
+                       [HaloSpec(a, (0, None), owned, ((1, 1),))])
+    ex.exchange()
+    ghost = a.data[-1 if comm.rank == 0 else 0]
+    sent = fill(peer)[1 if comm.rank == 0 else 7]
+    plan = ex._faces()
+    return (ghost.tobytes() == sent.tobytes(),
+            [face.wire for face in plan.sends + plan.ghosts])
+
+
+def _channel_pair():
+    """Both ends of one channel in this process, no flusher."""
+    buf = memoryview(bytearray(_CHANNEL_BYTES))
+    doorbell = threading.Semaphore(0)
+    sender = _RemoteMailbox(1, _Channel(buf, 0, True), threading.Lock(),
+                            doorbell, threading.Event())
+    return sender, _ChannelMailbox(1, {0: _Channel(buf, 0, False)},
+                                   doorbell)
 
 
 def _slow_peer_in_halo(comm):
@@ -337,6 +437,131 @@ class TestFaceCheckedBeforeGhostsAreWritten:
         message, untouched = w.results[1]
         assert re.search(says, message), message
         assert untouched
+
+
+class TestFaceWires:
+    def test_a_face_crosses_more_times_than_there_are_slots(self):
+        w = proc_run(2, _many_trips, timeout=30.0)
+        # each rank: its send face and its ghost face have their wires
+        assert w.results == [[True, True], [True, True]]
+        assert w.transport["overflow"] == 0
+
+    def test_faces_sent_into_a_full_ring_arrive_in_send_order(self):
+        w = proc_run(2, _backlogged_faces, timeout=30.0)
+        assert w.results[0] == [float(trip) for trip in range(_SLOTS + 4)]
+        assert (w.transport["ring"], w.transport["overflow"]) == (_SLOTS, 4)
+
+    def test_a_freed_slot_does_not_let_a_face_past_the_backlog(self):
+        sender, receiver = _channel_pair()
+        data, ghost = np.zeros(4), np.zeros(4)
+        out, into = _Face(1, 3, [data]), _Face(0, 3, [ghost])
+        failed = threading.Event()
+        got = []
+
+        def take():
+            # a backlogged face was pickled: it goes the bucket way
+            nbytes, _waited = receiver.take_head(0, 3, failed, into)
+            if nbytes is _MISS:
+                msg, _waited = receiver.get(0, 3, 5.0, failed)
+                fill_ghosts(into.views, msg.payload)
+            got.append(float(ghost[0]))
+
+        for trip in range(_SLOTS + 4):
+            data[:] = trip
+            sender.write_face(out)
+        assert sender.overflow == 4
+        take()
+        take()  # two slots free, four messages still in the backlog
+        data[:] = _SLOTS + 4
+        sender.write_face(out)
+        assert sender.overflow == 5
+        while len(got) < _SLOTS + 5:
+            sender.flush()
+            take()
+        assert got == [float(trip) for trip in range(_SLOTS + 5)]
+        assert out.wire is not None and into.wire is not None
+
+    def test_a_face_bigger_than_a_slot_crosses_without_a_wire(self):
+        w = proc_run(2, _big_face, timeout=30.0)
+        assert w.results == [(True, [None, None])] * 2
+        assert w.transport["overflow"] == 2
+
+    @pytest.mark.parametrize("flaw,says", [
+        ("count", "carries 1 sections for 2 arrays"),
+        ("shape", r"section is float64 \(2,\), its ghost face float64 "
+                  r"\(1,\)"),
+        ("dtype", r"section is int64 \(1,\), its ghost face float64"),
+    ])
+    def test_a_mismatch_after_the_wire_is_built_is_checked(self, flaw,
+                                                           says):
+        w = proc_run(2, functools.partial(_bad_face_after_good, flaw),
+                     timeout=15.0)
+        message, untouched = w.results[1]
+        assert re.search(says, message), message
+        assert untouched
+
+
+class TestEventLogCrossesAsOneBuffer:
+    def test_jacobi_records_the_same_events_on_both_executors(self):
+        compiled = AutoCFD.from_source(
+            jacobi_5pt(n=24, m=16, iters=12, eps=0.0)).compile(
+                partition=(2, 1))
+        runs = [compiled.run_parallel(timeout=60.0, executor=executor)
+                for executor in ("thread", "process")]
+        events = [run.trace.snapshot() for run in runs]
+        for rank in (0, 1):
+            on_threads, on_processes = (
+                [(e.kind, e.peer, e.nbytes, e.tag) for e in got
+                 if e.rank == rank] for got in events)
+            assert on_processes == on_threads
+        stats = [run.trace.comm_stats() for run in runs]
+        for s in stats:
+            del s["wait_s"]
+        assert stats[0] == stats[1]
+        assert stats[1]["sends"] > 0
+        got = events[1]
+        kinds = {e.kind for e in got}
+        assert {"halo_pack", "exchange", "allreduce", "frame"} <= kinds
+        assert all(e.peer is None for e in got
+                   if e.kind in ("halo_pack", "exchange", "frame", "rank"))
+        assert all(e.tag is None for e in got
+                   if e.kind in ("allreduce", "rank"))
+        assert all((e.peer is None or e.peer >= 0)
+                   and (e.tag is None or e.tag >= 0) for e in got)
+
+    def test_an_absorbed_log_is_rebased_and_decodes_as_written(self):
+        parent = Trace()
+        worker = Trace(epoch_ns=parent.epoch_ns - 7_000)
+        write = worker.writer(1)
+        write("send", 0, 32, 5, 32, worker.epoch_ns + 10,
+              worker.epoch_ns + 10)
+        write("allreduce", None, 8, None, 4_000, worker.epoch_ns + 20,
+              worker.epoch_ns + 30)
+        parent.absorb(worker.pack(), worker.epoch_ns, shift=2.5)
+        send, allreduce = parent.snapshot()
+        assert (send.rank, send.kind, send.peer, send.nbytes, send.tag,
+                send.saved_bytes) == (1, "send", 0, 32, 5, 32)
+        assert (allreduce.kind, allreduce.peer, allreduce.tag,
+                allreduce.wait_s) == ("allreduce", None, None, 4e-6)
+        # each stamp lands `shift` after where it decodes on its own epoch
+        assert send.t0 == send.t1 == 2.5 + 10e-9
+        assert (allreduce.t0, allreduce.t1) == (2.5 + 20e-9, 2.5 + 30e-9)
+        assert parent.comm_stats()["syncs_by_kind"] == {"allreduce": 1}
+
+    def test_the_events_of_a_killed_worker_reach_the_launcher(self):
+        compiled = AutoCFD.from_source(
+            jacobi_5pt(n=24, m=16, iters=8, eps=0.0)).compile(
+                partition=(2, 1))
+        injector = FaultInjector(
+            FaultPlan(events=[FaultEvent("crash", 1, frame=4)], seed=0))
+        trace = Trace()
+        with pytest.raises(ReproError, match="injected crash on rank 1"):
+            compiled.run_parallel(executor="process", trace=trace,
+                                  injector=injector, timeout=30.0)
+        killed = [e for e in trace.snapshot() if e.rank == 1]
+        assert killed[-1].kind == "fault_crash"
+        assert "rank" not in {e.kind for e in killed}
+        assert [e.tag for e in killed if e.kind == "frame"][-1] == 4
 
 
 @pytest.mark.livesmoke

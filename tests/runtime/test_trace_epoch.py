@@ -64,7 +64,7 @@ class TestHandshake:
         write("recv", 0, 8, 0, 0, _stamp(worker, 0.0), _stamp(worker, 0.003))
         write("rank", None, 0, None, 0,
               _stamp(worker, 0.0), _stamp(worker, 0.010))
-        parent.absorb(worker.events, worker.epoch_ns, shift)
+        parent.absorb(worker.pack(), worker.epoch_ns, shift)
         merged = parent.snapshot()
         assert len(merged) == 3
         for e in merged:
@@ -83,7 +83,7 @@ class TestHandshake:
         worker = Trace(epoch_ns=parent.epoch_ns - 7)
         worker.writer(0)("pipeline_send", 1, 0, 3, 0,
                          worker.epoch_ns, worker.epoch_ns)
-        parent.absorb(worker.events, worker.epoch_ns, shift=5.0)
+        parent.absorb(worker.pack(), worker.epoch_ns, shift=5.0)
         (event,) = parent.snapshot()
         assert event.t0 == event.t1 == 5.0
 
@@ -91,5 +91,5 @@ class TestHandshake:
         parent = Trace(enabled=False)
         worker = Trace()
         worker.writer(0)("send", 1, 8, 0, 0, 1, 2)
-        parent.absorb(worker.events, worker.epoch_ns, 0.0)
+        parent.absorb(worker.pack(), worker.epoch_ns, 0.0)
         assert parent.events == []
