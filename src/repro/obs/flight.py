@@ -37,7 +37,8 @@ import time
 
 import numpy as np
 
-from repro.runtime.trace import KIND_CODES, KIND_NAMES, TraceEvent, decode
+from repro.runtime.trace import (CODE, KIND_CODES, KIND_NAMES, RANK,
+                                 TraceEvent, decode)
 
 __all__ = ["FlightRecorder", "KIND_CODES", "KIND_NAMES"]
 
@@ -139,8 +140,8 @@ class FlightRecorder:
         epoch = int(self.hdr[rank, 1])
         rows = self.ring[rank, np.arange(max(0, cur - self.slots), cur)
                          % self.slots]
-        table = np.insert(rows, 0, rank, axis=1)  # a record: rank first
-        kind = table[:, 1]
+        table = np.insert(rows, RANK, rank, axis=1)  # rows as records
+        kind = table[:, CODE]
         # an empty or torn slot holds no kind
         return decode(table[(kind > 0) & (kind < len(KIND_NAMES))], epoch,
                       shift_s)

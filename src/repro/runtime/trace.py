@@ -50,7 +50,6 @@ into events whose ``t0``/``t1`` are seconds since the trace
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +74,7 @@ KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 RANK, CODE, PEER, NBYTES, TAG, EXTRA, T0, T1 = range(8)
 _SEND = KIND_CODES["send"]
 #: code -> whether that kind is a synchronization
-_IS_SYNC = np.isin(np.arange(len(KIND_NAMES)),
-                   [KIND_CODES[kind] for kind in SYNC_KINDS])
+_IS_SYNC = np.array([name in SYNC_KINDS for name in KIND_NAMES])
 _KIND_OBJECTS = np.array(KIND_NAMES, dtype=object)
 
 
@@ -239,7 +237,7 @@ class Trace:
 
     def pack(self) -> bytes:
         """The live log as one int64 buffer, what :meth:`absorb` takes."""
-        return array("q", self.events).tobytes()
+        return np.array(list(self.events), np.int64).tobytes()
 
     def absorb(self, log: bytes, epoch_ns: int, shift: float = 0.0) -> None:
         """Keep another trace's :meth:`pack`-ed log, whose epoch is
@@ -257,9 +255,11 @@ class Trace:
     def table(self) -> np.ndarray:
         """Every record so far as one ``(n, 8)`` int64 array, in the
         order they arrived (safe while recording)."""
-        absorbed = list(self.absorbed)  # before the live log: every
+        # the absorbed tables first: every position they name is then
+        # inside the copy of the live log
+        absorbed = list(self.absorbed)
         live = np.array(list(self.events), np.int64).reshape(-1, 8)
-        if not absorbed:                # position is inside the copy
+        if not absorbed:
             return live
         parts = []
         at = 0
@@ -274,6 +274,7 @@ class Trace:
         return decode(self.table(), self.epoch_ns)
 
     def _rows(self, rank: int | None) -> np.ndarray:
+        """:meth:`table`, or its records of *rank*."""
         table = self.table()
         return table if rank is None else table[table[:, RANK] == rank]
 
