@@ -19,9 +19,9 @@ A ring row is a trace record less its rank, in the record encoding of
 written by the same call that extends the log with the record — the
 rank's :meth:`repro.runtime.trace.Trace.writer`; this module only
 allocates the rings and reads them back, handing its rows to the one
-record decoder, :func:`~repro.runtime.trace.decode`.  ``cursor`` counts writes
-forever; ``cursor % slots`` is the write position, so readers recover
-both order and drop count.  The stamps are the writer's
+record decoder, :func:`~repro.runtime.trace.decode`.  ``cursor`` counts
+writes forever; ``cursor % slots`` is the write position, so readers
+recover both order and drop count.  The stamps are the writer's
 ``perf_counter_ns`` — :meth:`FlightRecorder.tail` rebases them against
 ``epoch_ns`` plus the launcher-recorded epoch shift to land every rank
 on one clock (the same handshake the trace merge uses) and returns the
