@@ -23,6 +23,7 @@ uploads it as an artifact).
 """
 
 import json
+import multiprocessing
 import pathlib
 import threading
 import time
@@ -266,7 +267,8 @@ def test_bench_instrumentation_overhead():
 
 
 #: the wire's speedup over the generic path that the guard demands;
-#: measured 2.5x (one array) and 3.5x (four) on the 2-core VM
+#: measured 2.1-2.7x (one array) and 3.3-3.7x (four) in six runs on a
+#: shared 2-core VM, so one array clears it by 15-50%
 _WIRE_MIN_SPEEDUP = 1.8
 
 
@@ -274,7 +276,9 @@ def _face_trips(narrays: int, wired: bool, rounds: int) -> tuple:
     """Seconds per face send + take over one in-process channel pair,
     and whether every ghost ended bitwise equal to what was sent."""
     buf = memoryview(bytearray(_CHANNEL_BYTES))
-    doorbell = threading.Semaphore(0)
+    # the doorbell the executor uses: threading.Semaphore's Python-level
+    # release and acquire would cost more than the wire's copies
+    doorbell = multiprocessing.Semaphore(0)
     sender = _RemoteMailbox(1, _Channel(buf, 0, True), threading.Lock(),
                             doorbell, threading.Event())
     receiver = _ChannelMailbox(1, {0: _Channel(buf, 0, False)}, doorbell)
@@ -307,14 +311,14 @@ def test_bench_face_wire():
     lines = ["", f"halo face over one channel pair (arrays of 100 doubles, "
              f"best of {REPS}):"]
     for narrays in (1, 4):
-        best = {}
-        for wired in (False, True):
-            times = []
-            for _ in range(REPS):
+        best = {False: float("inf"), True: float("inf")}
+        for _ in range(REPS):
+            # interleaved, so that a burst of load on the host lands on
+            # both paths rather than on all of one path's repetitions
+            for wired in (False, True):
                 per_trip, equal = _face_trips(narrays, wired, ROUNDS)
                 assert equal, f"ghosts differ (wired={wired})"
-                times.append(per_trip)
-            best[wired] = min(times)
+                best[wired] = min(best[wired], per_trip)
         speedup = best[False] / best[True]
         lines.append(f"  {narrays} array(s): generic {best[False] * 1e6:6.2f}"
                      f" us, wire {best[True] * 1e6:6.2f} us  "

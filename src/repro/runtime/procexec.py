@@ -262,6 +262,16 @@ class _Wire:
                       for index in range(_SLOTS)]
         self.nbytes = sum(section.nbytes for section in self.slots[0])
 
+    def encode(self, chan: _Channel, off: int, arrays
+               ) -> tuple[int, int, float]:
+        """:func:`_encode` of the face's *arrays* into the slot at *off*,
+        the channel's next: the packed words, one copy per array."""
+        for section, a in zip(self.slots[chan.pos % _SLOTS], arrays):
+            section[...] = a
+        body = off + _HEAD
+        chan.buf[body:body + 8 * self.n] = self.words
+        return _LIST, self.n, 0.0
+
 
 def _decode(buf: memoryview, body: int, kind: int, n: int, value: float):
     """The payload :func:`_encode` wrote at *body*, copied out."""
@@ -482,7 +492,11 @@ class _RemoteMailbox:
     def put(self, message: _Message) -> None:
         self.write(message.tag, message.payload, message.msg_id)
 
-    def write(self, tag: int, payload, msg_id: int | None = None) -> None:
+    def write(self, tag: int, payload, msg_id: int | None = None,
+              wire: _Wire | None = None) -> None:
+        """Publish *payload* in the next slot, or backlog it pickled.  A
+        list of arrays with its *wire* (a halo face's) is written through
+        the wire's views instead of :func:`_encode`."""
         chan = self._chan
         msg_id = -1 if msg_id is None else msg_id
         with self._lock:
@@ -491,8 +505,9 @@ class _RemoteMailbox:
             # detector reads, a message on its way keeps sent > delivered
             self.sent = seq + 1
             off = None if self._backlog else chan.slot()
-            head = off is not None and _encode(chan.buf, off + _HEAD,
-                                               payload)
+            head = off is not None and (
+                _encode(chan.buf, off + _HEAD, payload) if wire is None
+                else wire.encode(chan, off, payload))
             if head:
                 _HDR.pack_into(chan.buf, off, self._run_id, tag, msg_id,
                                seq, *head)
@@ -513,35 +528,15 @@ class _RemoteMailbox:
             self._backlogged.set()
 
     def write_face(self, face) -> None:
-        """Write a halo send *face*'s views as :meth:`write` would, through
-        the face's :class:`_Wire` (built at its first send): the shape
-        words and one copy per array into the slot's views.  A face a
-        slot cannot hold, and a face that finds the ring full or a
-        backlog waiting, go through :meth:`write`."""
+        """:meth:`write` a halo send *face*'s views through its
+        :class:`_Wire`, built at its first send (none for a face a slot
+        cannot hold)."""
         wire = face.wire
         if wire is None:
             words = _words(face.views)
-            if words is None:
-                return self.write(face.tag, face.views)
-            wire = face.wire = _Wire(self._chan, words)
-        chan = self._chan
-        with self._lock:
-            off = None if self._backlog else chan.slot()
-            if off is not None:
-                seq = self.sent
-                self.sent = seq + 1  # before publishing, as in write
-                for section, view in zip(wire.slots[chan.pos % _SLOTS],
-                                         face.views):
-                    section[...] = view
-                body = off + _HEAD
-                chan.buf[body:body + 8 * wire.n] = wire.words
-                _HDR.pack_into(chan.buf, off, self._run_id, face.tag, -1,
-                               seq, _LIST, wire.n, 0.0)
-                chan.advance()
-        if off is None:
-            self.write(face.tag, face.views)
-        else:
-            self._doorbell.release()
+            if words is not None:
+                wire = face.wire = _Wire(self._chan, words)
+        self.write(face.tag, face.views, wire=wire)
 
     def flush(self, drop: bool = False) -> bool:
         """Write the backlog into free slots, oldest first (or *drop*

@@ -4,13 +4,14 @@ Every send, receive, barrier, collective, halo copy, exchange, pipeline
 transfer, frame mark, checkpoint and injected fault is one *record*:
 eight integers ``(rank, code, peer, nbytes, tag, extra, t0_ns, t1_ns)``.
 ``code`` is the kind's index in :data:`KIND_NAMES`, a ``None`` peer or
-tag is stored as -1, ``extra`` is the payload bytes a halo face's send
-did not copy a second time for a ``send`` and the nanoseconds the rank
-spent blocked for every other kind; both stamps are
-``time.perf_counter_ns()`` readings of the recording process (the
-cheapest clock CPython offers, and the only one an event is ever stamped
-with).  The flight ring (:mod:`repro.obs.flight`) stores the same
-integers less the rank.  The test suite uses traces to assert that the
+tag is stored as -1 (and -1 reads back as ``None``), ``extra`` is the
+payload bytes a halo face's send did not copy a second time for a
+``send`` and the nanoseconds the rank spent blocked for every other
+kind; both stamps are ``time.perf_counter_ns()`` readings of the
+recording process (the cheapest clock CPython offers, and the only one
+an event is ever stamped with).  The flight ring
+(:mod:`repro.obs.flight`) stores the same integers less the rank.  The
+test suite uses traces to assert that the
 number of synchronizations the *runtime actually performs* per frame
 equals the number the *pre-compiler predicted* after optimization
 (Table 1's "after" column); the benchmark harness feeds traces —
@@ -118,9 +119,9 @@ def decode(table: np.ndarray, epoch_ns: int,
 
 
 def _or_none(column: np.ndarray) -> list:
-    """*column* as ints, -1 as None."""
+    """*column* as ints, the -1 that stands for None as None."""
     out = column.astype(object)
-    out[column < 0] = None
+    out[column == -1] = None
     return out.tolist()
 
 

@@ -548,6 +548,16 @@ class TestEventLogCrossesAsOneBuffer:
         assert (allreduce.t0, allreduce.t1) == (2.5 + 20e-9, 2.5 + 30e-9)
         assert parent.comm_stats()["syncs_by_kind"] == {"allreduce": 1}
 
+    def test_only_the_none_marker_decodes_as_none(self):
+        # a negative user tag is legal; only -1 stands for None
+        parent, worker = Trace(), Trace()
+        for trace in (parent, worker):
+            write = trace.writer(0)
+            write("send", 1, 8, -5, 0, 1, 2)
+            write("send", 1, 8, None, 0, 1, 2)
+        parent.absorb(worker.pack(), worker.epoch_ns)
+        assert [e.tag for e in parent.snapshot()] == [-5, None, -5, None]
+
     def test_the_events_of_a_killed_worker_reach_the_launcher(self):
         compiled = AutoCFD.from_source(
             jacobi_5pt(n=24, m=16, iters=8, eps=0.0)).compile(

@@ -92,4 +92,4 @@ class TestHandshake:
         worker = Trace()
         worker.writer(0)("send", 1, 8, 0, 0, 1, 2)
         parent.absorb(worker.pack(), worker.epoch_ns, 0.0)
-        assert parent.events == []
+        assert parent.absorbed == [] and parent.snapshot() == []
