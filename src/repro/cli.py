@@ -97,7 +97,7 @@ def cmd_compile(args) -> int:
     else:
         print(text)
     # beside the program text, not in it
-    for line in result.report.freshness_lines():
+    for line in result.report.sync_lines():
         print(line, file=sys.stdout if args.output else sys.stderr)
     return 0
 
@@ -121,7 +121,7 @@ def cmd_report(args) -> int:
         for sid, reason in result.report.overlap_refusals:
             print(f"  {result.report.program} {part} sync {sid} "
                   f"stays blocking: {reason}")
-        for line in result.report.freshness_lines():
+        for line in result.report.sync_lines():
             print(f"  {result.report.program} {part} {line}")
         for unit, line, reason in result.report.fallback_reasons:
             print(f"  {result.report.program} {part} loop at {unit}:{line} "
@@ -281,7 +281,7 @@ def cmd_profile(args) -> int:
     par = result.run_parallel(input_text=input_text, vectorize=vec,
                               executor=args.executor)
     print(_backend_line(vec, result.report, par))
-    for line in result.report.freshness_lines():
+    for line in result.report.sync_lines():
         print(line)
 
     print("\n== parallel run (observed) ==")

@@ -6,12 +6,14 @@ prints the same artifact: the transformed SPMD program plus a generated
 ``acfd`` runtime library in Fortran whose wrappers contain the actual
 ``mpi_*`` calls — per-sync aggregated ``mpi_sendrecv`` exchanges, the
 pipeline sends/receives, and the reduction/broadcast wrappers, all
-specialized with the plan's geometry.
+specialized with the plan's geometry.  A reduction riding a combined
+sync travels in that sync's face messages: its partial is packed behind
+the arrays and folded as each face arrives.
 """
 
 from __future__ import annotations
 
-from repro.codegen.plan import ParallelPlan, PlannedSync
+from repro.codegen.plan import ParallelPlan, PlannedSync, folds_in_one_round
 from repro.fortran import ast as A
 from repro.fortran.printer import print_compilation_unit
 
@@ -24,10 +26,28 @@ c ==================================================================
 """
 
 
+#: how a fold of two partials is written, per reduction op
+_FOLD = {"max": "max({a}, {b})", "min": "min({a}, {b})", "sum": "{a} + {b}"}
+
+#: the MPI operation of each reduction op
+_MPI_OP = {"max": "mpi_max", "min": "mpi_min", "sum": "mpi_sum"}
+
+
+def _allreduces(sync: PlannedSync, pad: str = "  ") -> list[str]:
+    """An ``mpi_allreduce`` per reduction riding *sync*."""
+    lines = []
+    for var, op in sync.reductions:
+        lines += [f"{pad}call mpi_allreduce({var}, acfd_red, 1, mpi_real, "
+                  f"{_MPI_OP[op]}, mpi_comm_world, ierr)",
+                  f"{pad}{var} = acfd_red"]
+    return lines
+
+
 def _first_frame_guard(sync: PlannedSync) -> list[str]:
     """Which members travel when: the entry-only ones are still fresh
     after the first frame (``acfd_frame`` counts ``acfd_trip``), so the
-    pack, unpack and face-length routines consult ``acfd_members``."""
+    pack, unpack and face-length routines consult ``acfd_members``.  A
+    sync left with nothing to send still reduces what rides it."""
     if not sync.entry_only:
         return []
     lines = [f"c  entry-only: {name} (still fresh from sync "
@@ -40,39 +60,73 @@ def _first_frame_guard(sync: PlannedSync) -> list[str]:
                   f"  acfd_members({sync.sync_id}) = 1",
                   f"  if (acfd_trip .le. 1) acfd_members({sync.sync_id}) "
                   f"= 0"]
+    elif sync.reductions:
+        lines += ["  if (acfd_trip .gt. 1) then"] + _allreduces(sync, "    ") \
+            + ["    return", "  end if"]
     else:
         lines.append("  if (acfd_trip .gt. 1) return")
     return lines
 
 
 def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
-    """One aggregated exchange wrapper with mpi_sendrecv per neighbor."""
+    """One aggregated exchange wrapper with mpi_sendrecv per neighbor.
+
+    Reductions riding the sync are passed after its arrays.  Where every
+    cut dimension has two ranks their partials are packed into each face
+    message behind the arrays and folded, lower coordinate on the left,
+    as each face arrives; elsewhere an ``mpi_allreduce`` follows the
+    faces."""
+    fold = bool(sync.reductions) and folds_in_one_round(plan.partition.dims)
     lines = []
-    args = ", ".join(name for name, _d in sync.arrays)
+    args = ", ".join([name for name, _d in sync.arrays]
+                     + [var for var, _op in sync.reductions])
     lines.append(f"subroutine acfd_exchange_{sync.sync_id}({args})")
     lines.append("  include 'mpif.h'")
     lines.append("  include 'acfd_geom.h'")
     lines.extend(_array_decls(plan, sync))
     lines.append("  integer ierr, status(mpi_status_size)")
+    if sync.reductions:
+        table = plan.cu.unit(sync.insertion[0]).symbols
+        lines += [f"  {table.require(var).type_name} {var}"
+                  for var, _op in sync.reductions]
+        lines.append("  integer acfd_len" if fold else "  real acfd_red")
     lines.extend(_first_frame_guard(sync))
     for g in plan.partition.cut_dims:
         for direction, side in ((-1, "minus"), (1, "plus")):
+            length = f"acfd_facelen({sync.sync_id}, {g + 1})"
             lines.append(f"c  face exchange, grid dim {g + 1}, "
                          f"{side} neighbor (aggregated: "
-                         f"{len(sync.arrays)} arrays, one message)")
+                         f"{len(sync.arrays)} arrays"
+                         + (f" and {len(sync.reductions)} partials"
+                            if fold else "") + ", one message)")
             lines.append(f"  if (acfd_nbr({g + 1}, {direction}) .ge. 0) then")
             lines.append(f"    call acfd_pack_faces({sync.sync_id}, "
                          f"{g + 1}, {direction}, acfd_sendbuf)")
-            lines.append(f"    call mpi_sendrecv(acfd_sendbuf, "
-                         f"acfd_facelen({sync.sync_id}, {g + 1}), "
+            if fold:
+                lines.append(f"    acfd_len = {length}")
+                for k, (var, _op) in enumerate(sync.reductions, 1):
+                    lines.append(f"    acfd_sendbuf(acfd_len + {k}) = {var}")
+                length = f"acfd_len + {len(sync.reductions)}"
+            lines.append(f"    call mpi_sendrecv(acfd_sendbuf, {length}, "
                          f"mpi_real, acfd_nbr({g + 1}, {direction}), "
-                         f"{sync.sync_id}, acfd_recvbuf, "
-                         f"acfd_facelen({sync.sync_id}, {g + 1}), "
+                         f"{sync.sync_id}, acfd_recvbuf, {length}, "
                          f"mpi_real, acfd_nbr({g + 1}, {direction}), "
                          f"{sync.sync_id}, mpi_comm_world, status, ierr)")
             lines.append(f"    call acfd_unpack_faces({sync.sync_id}, "
                          f"{g + 1}, {direction}, acfd_recvbuf)")
+            if fold:
+                lines.append("c    fold the neighbor's partials, lower "
+                             "coordinate on the left")
+                for k, (var, op) in enumerate(sync.reductions, 1):
+                    theirs = f"acfd_recvbuf(acfd_len + {k})"
+                    a, b = (theirs, var) if direction < 0 else (var, theirs)
+                    lines.append(f"    {var} = "
+                                 + _FOLD[op].format(a=a, b=b))
             lines.append("  end if")
+    if sync.reductions and not fold:
+        lines.append("c  a cut dimension has more than two ranks: the "
+                     "reductions fold in an allreduce")
+        lines += _allreduces(sync)
     lines.append(f"end subroutine acfd_exchange_{sync.sync_id}")
     return "\n".join(lines)
 

@@ -8,7 +8,9 @@ combining, self-dependence, reductions — and packages the result:
 * per combined synchronization: an AST insertion location and the arrays
   (with distances) whose halos it exchanges in one aggregated message;
 * per self-dependent loop: the mirror decomposition and its pipeline dims;
-* per reduction loop: the variables and operations to allreduce;
+* per reduction loop: the variables and operations to reduce, each
+  either riding a combined synchronization that shares its slot (the
+  partials travel with the faces) or kept on its own allreduce;
 * the Table-1 numbers (synchronizations before/after optimization).
 """
 
@@ -32,9 +34,10 @@ from repro.partition.grid import GridGeometry
 from repro.partition.halo import GhostSpec
 from repro.partition.partitioner import Partition
 from repro.sync.combine import (CombinedSync, combine_regions,
-                                merge_dim_distances)
+                                join_reductions, merge_dim_distances)
 from repro.sync.freshness import analyze_freshness
-from repro.sync.regions import SyncRegion, upper_bound_region
+from repro.sync.regions import (SyncRegion, reduction_region,
+                                upper_bound_region)
 
 #: where a planned statement goes: (unit, path, mode), mode one of
 #: "before" / "after" the statement at the path, "append_body" /
@@ -80,6 +83,9 @@ class PlannedSync:
     steady: list[tuple[str, dict[int, tuple[int, int]]]] = None  # type: ignore[assignment]
     entry_only: dict[str, list[int]] = field(default_factory=dict)
     refusals: dict[str, str] = field(default_factory=dict)
+    #: (scalar, op) of every reduction riding this sync: the call passes
+    #: the scalars after the arrays and gets their global values back
+    reductions: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.steady is None:
@@ -102,11 +108,28 @@ class PipeLoopPlan:
 
 @dataclass
 class ReductionPlan:
-    """Reductions of one field loop needing a global allreduce."""
+    """Reductions of one field loop needing a global value."""
 
     unit: str
     path: tuple
     reductions: list[Reduction]
+    #: scalar -> the combined sync it rides; the others keep an
+    #: allreduce right after the loop
+    rides: dict[str, int] = field(default_factory=dict)
+    #: sum scalars that may enter the loop holding a global value (the
+    #: statement before the loop does not set them to zero): every rank
+    #: but rank 0 starts its partial from zero, so that value is counted
+    #: once, not once per rank
+    carried_in: list[str] = field(default_factory=list)
+
+
+def folds_in_one_round(dims: tuple[int, ...]) -> bool:
+    """Can a halo round fold the partials it carries into global values?
+    Yes when every cut dimension has two ranks: each rank then has one
+    neighbor per dimension, and folding dimension by dimension is
+    recursive doubling.  Otherwise the round is followed by an
+    allreduce."""
+    return all(p <= 2 for p in dims)
 
 
 @dataclass
@@ -199,6 +222,77 @@ def _slot_unit(frame: FrameProgram, slot: int) -> str:
     if node is None:
         raise CodegenError(f"slot {slot} maps to no instance node")
     return node.unit_name
+
+
+def _scalar_home(cu: A.CompilationUnit, unit_name: str,
+                 name: str) -> tuple | None:
+    """Where scalar *name* of unit *unit_name* lives: its COMMON block and
+    place, or the unit itself; None for an array or an unknown name."""
+    sym = cu.unit(unit_name).symbols.get(name)  # type: ignore[union-attr]
+    if sym is None or sym.is_array:
+        return None
+    if sym.common_block is not None:
+        members = cu.unit(unit_name).symbols.common_blocks[  # type: ignore[union-attr]
+            sym.common_block]
+        return (sym.common_block, members.index(sym.name))
+    return (unit_name, sym.name)
+
+
+def _reduction_slots(cu: A.CompilationUnit, frame: FrameProgram,
+                     inst: InstanceNode, var: str) -> list[int]:
+    """Slots where reduction scalar *var* of field loop instance *inst*
+    can take its global value inside a combined sync's call: after the
+    loop, before anything else touches it, where the unit at the slot
+    knows it by that name and runs once per execution of the frame
+    program (so does the loop's unit)."""
+    home = _scalar_home(cu, inst.unit_name, var)
+    if home is None or frame.call_counts.get(inst.unit_name, 1) != 1:
+        return []
+    units = {u.name for u in cu.units}
+
+    def touches(node: InstanceNode, exprs) -> bool:
+        for expr in exprs:
+            for x in A.walk(expr):
+                if isinstance(x, A.FuncCall) and x.name in units:
+                    return True
+                if isinstance(x, A.Var) and _scalar_home(
+                        cu, node.unit_name, x.name) == home:
+                    return True
+        return False
+
+    slots = reduction_region(frame, inst, touches,
+                             leaves_calls=home[0] != inst.unit_name)
+    out = []
+    for slot in slots:
+        unit = _slot_unit(frame, slot)
+        if (frame.call_counts.get(unit, 1) == 1
+                and _scalar_home(cu, unit, var) == home):
+            out.append(slot)
+    return out
+
+
+def _carried_in(inst: InstanceNode, reds: list[Reduction]) -> list[str]:
+    """The sum scalars of field loop *inst* that the statement right
+    before it does not set to zero."""
+    siblings = inst.parent.children  # type: ignore[union-attr]
+    at = siblings.index(inst)
+    before = siblings[at - 1].stmt if at else None
+    zeroed = (before.target.name
+              if isinstance(before, A.Assign)
+              and isinstance(before.target, A.Var)
+              and isinstance(before.value, (A.IntLit, A.RealLit))
+              and before.value.value == 0 else None)
+    return [r.var for r in reds if r.op == "sum" and r.var != zeroed]
+
+
+def _slot_loop(frame: FrameProgram, slot: int) -> InstanceNode | None:
+    """The innermost loop a sync placed at *slot* runs inside."""
+    inner = None
+    for node in frame.nodes:
+        if (node.kind == "loop" and node.open < slot <= node.close
+                and (inner is None or node.open > inner.open)):
+            inner = node
+    return inner
 
 
 def _refuse_downward_sweep(fl: FieldLoop, sp: SelfDepPlan, unit_name: str,
@@ -319,10 +413,34 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
         if combine:
             groups = combine_regions(regions)
         else:
-            groups = [CombinedSync(placement=r.allowed[-1], regions=[r])
+            groups = [CombinedSync(placement=r.allowed[-1], regions=[r],
+                                   feasible=list(r.allowed))
                       for r in regions]
+        # each reduction rides the sync its slots meet, if any
+        reductions: list[ReductionPlan] = []
+        loops: list[InstanceNode] = []
+        for inst in frame.field_loop_instances:
+            fl = inst.field_loop
+            assert fl is not None
+            reds = find_reductions(fl)
+            if reds and (inst.unit_name, fl.loop.path) not in {
+                    (red.unit, red.path) for red in reductions}:
+                reductions.append(
+                    ReductionPlan(inst.unit_name, fl.loop.path, reds))
+                loops.append(inst)
+        rides = iter(join_reductions(groups, [
+            _reduction_slots(cu, frame, inst, r.var)
+            for inst, red in zip(loops, reductions) for r in red.reductions],
+            lambda slot: _slot_loop(frame, slot)))
+        for red in reductions:
+            for r in red.reductions:
+                k = next(rides)
+                if k is not None:
+                    red.rides[r.var] = k + 1
         cbspan.args["syncs_before"] = len(regions)
         cbspan.args["syncs_after"] = len(groups)
+        cbspan.args["reductions_riding"] = sum(len(red.rides)
+                                               for red in reductions)
         obs.counter("compile.syncs_before").inc(len(regions))
         obs.counter("compile.syncs_after").inc(len(groups))
 
@@ -346,7 +464,10 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
             arrays=merged,
             member_pairs=len(group.regions),
             placement_slot=group.placement,
-            dim_distances=merge_dim_distances(merged)))
+            dim_distances=merge_dim_distances(merged),
+            reductions=[(r.var, r.op) for red in reductions
+                        for r in red.reductions
+                        if red.rides.get(r.var) == k + 1]))
     with obs.span("sync-freshness", cat="compile") as frspan:
         analyze_freshness(frame, syncs, partition.cut_dims,
                           frame.frame_loop(), cu)
@@ -419,22 +540,10 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
                         f"width {width} that array {name!r} needs — use "
                         f"fewer processors along that dimension")
 
-    # --- reductions -----------------------------------------------------------
-    reductions: list[ReductionPlan] = []
+    # --- reductions (found, and joined to the syncs, while combining) ---------
     with obs.span("reductions", cat="compile") as redspan:
-        seen_red: set[tuple[str, tuple]] = set()
-        for inst in frame.field_loop_instances:
-            fl = inst.field_loop
-            assert fl is not None
-            reds = find_reductions(fl)
-            if not reds:
-                continue
-            key = (inst.unit_name, fl.loop.path)
-            if key in seen_red:
-                continue
-            seen_red.add(key)
-            reductions.append(
-                ReductionPlan(inst.unit_name, fl.loop.path, reds))
+        for inst, red in zip(loops, reductions):
+            red.carried_in = _carried_in(inst, red.reductions)
         redspan.args["reduction_loops"] = len(reductions)
 
     # --- Table 1 accounting -----------------------------------------------------
@@ -462,8 +571,9 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
 def planned_statements(plan: ParallelPlan) -> Placed:
     """Every statement restructuring inserts into the source program.
 
-    The frame hook, the halo exchanges, the pipeline receives and sends
-    and the reduction allreduces, laid out by anchor.  At one anchor a
+    The frame hook, the halo exchanges, the pipeline receives and sends,
+    the reduction allreduces and the zeroing of carried-in sum partials,
+    laid out by anchor.  At one anchor a
     lower priority sits nearer the anchor (the statement, or the start or
     end of the list): pipe calls hug their loop, exchanges and allreduces
     sit outside them, and the frame hook above every exchange.  Of equal
@@ -496,18 +606,32 @@ def planned_statements(plan: ParallelPlan) -> Placed:
                     10, [hook]))
     for sync in plan.syncs:
         ops.append((sync.insertion, 2, [call(
-            "acfd_exchange", sync.sync_id, [n for n, _d in sync.arrays])]))
+            "acfd_exchange", sync.sync_id, [n for n, _d in sync.arrays]
+            + [var for var, _op in sync.reductions])]))
     for pipe in plan.pipes:
         for mode, name in (("before", "acfd_pipe_recv"),
                            ("after", "acfd_pipe_send")):
             ops.append(((pipe.unit, pipe.path, mode), 0,
                         [call(name, pipe.pipe_id, pipe.arrays)]))
     for red in plan.reductions:
-        ops.append(((red.unit, red.path, "after"), 1, [
-            A.Assign(target=A.Var(r.var),
-                     value=A.FuncCall(f"acfd_allreduce_{r.op}",
-                                      [A.Var(r.var)]))
-            for r in red.reductions]))
+        if red.carried_in:
+            table = plan.cu.unit(red.unit).symbols  # type: ignore[union-attr]
+            ops.append(((red.unit, red.path, "before"), 1, [
+                A.IfBlock(arms=[(A.BinOp(".ne.", A.FuncCall("acfd_rank", []),
+                                         A.IntLit(0)),
+                                 [A.Assign(target=A.Var(var), value=(
+                                     A.IntLit(0)
+                                     if table.require(var).type_name
+                                     == "integer" else A.RealLit(0.0, "0.0")))
+                                  ])])
+                for var in red.carried_in]))
+        kept = [r for r in red.reductions if r.var not in red.rides]
+        if kept:
+            ops.append(((red.unit, red.path, "after"), 1, [
+                A.Assign(target=A.Var(r.var),
+                         value=A.FuncCall(f"acfd_allreduce_{r.op}",
+                                          [A.Var(r.var)]))
+                for r in kept]))
 
     def document_order(item) -> tuple[int, int]:
         index, ((_unit, _path, mode), priority, _stmts) = item

@@ -5,8 +5,9 @@ and produces the parallel SPMD program:
 
 1. **communication statements** — ``call acfd_exchange(k, arrays...)`` at
    every combined synchronization point; ``call acfd_pipe_recv/send``
-   around pipelined self-dependent loops; ``x = acfd_allreduce_max(x)``
-   after reduction loops;
+   around pipelined self-dependent loops (a reduction riding a sync is
+   passed after its arrays, ``call acfd_exchange(2, v, err)``);
+   ``x = acfd_allreduce_max(x)`` after the other reduction loops;
 2. **loop indices** — field-loop bounds clamped to the rank's owned range
    (``do i = max0(2, acfd_lo(1)), min0(n-1, acfd_hi(1))``);
 3. **array sizes** — status arrays re-declared over the local owned block
@@ -51,22 +52,47 @@ def _int(v: int) -> A.IntLit:
     return A.IntLit(v)
 
 
-def _lattice_start(start: A.Expr, edge: A.Expr,
-                   step: int | A.Expr) -> A.Expr:
+def _lattice_start(start: A.Expr, edge: A.Expr, step: int) -> A.Expr:
     """The first of ``start, start + step, ...`` inside the block whose
     near *edge* is given: the distance to *edge* rounded up to a multiple
     of the step (truncating division, exact when it is not negative; the
-    ``max0``/``min0`` keeps *start* when it is already inside).  A step
-    only the run knows is an expression, and counts as upward."""
-    known = isinstance(step, int)
-    up = not known or step > 0
-    k, s = _int(abs(step)) if known else step, deepcopy(start)
+    ``max0``/``min0`` keeps *start* when it is already inside)."""
+    up = step > 0
+    k, s = _int(abs(step)), deepcopy(start)
     dist = A.BinOp("-", edge, s) if up else A.BinOp("-", s, edge)
-    dist = (A.BinOp("+", dist, _int(abs(step) - 1)) if known
-            else A.BinOp("-", A.BinOp("+", dist, deepcopy(k)), _int(1)))
+    dist = A.BinOp("+", dist, _int(abs(step) - 1))
     moved = A.BinOp("+" if up else "-", deepcopy(start), A.BinOp(
         "*", deepcopy(k), A.BinOp("/", dist, deepcopy(k))))
     return _fn("max0" if up else "min0", start, moved)
+
+
+def _clamp_either_way(start: A.Expr, stop: A.Expr, step: A.Expr,
+                      lo: A.Expr, hi: A.Expr) -> tuple[A.Expr, A.Expr]:
+    """Bounds for a loop whose step only the run knows, clamped to the
+    block ``[lo, hi]`` on the step's run-time sign ``sg = isign(1, k)``.
+    The start moves ``max0(0, min0(a, b))`` steps on, where ``a`` and
+    ``b`` are the steps to *lo* and to *hi* rounded away from the start
+    (``(d + k - sg) / k`` with truncating division is the ceiling of
+    ``d / k`` whenever that is positive): going up the fewer steps are
+    the ones to *lo*, going down the ones to *hi*.  The stop is the
+    nearer of *stop* and the far edge in the step's direction:
+    ``sg * min0(sg * stop, max0(sg * lo, sg * hi))``."""
+    def sg() -> A.Expr:
+        return _fn("isign", _int(1), deepcopy(step))
+
+    def steps_to(edge: A.Expr) -> A.Expr:
+        dist = A.BinOp("-", deepcopy(edge), deepcopy(start))
+        return A.BinOp("/", A.BinOp("-", A.BinOp("+", dist, deepcopy(step)),
+                                    sg()), deepcopy(step))
+
+    moved = _fn("max0", _int(0), _fn("min0", steps_to(lo), steps_to(hi)))
+    new_start = A.BinOp("+", deepcopy(start),
+                        A.BinOp("*", deepcopy(step), moved))
+    far = _fn("max0", A.BinOp("*", sg(), deepcopy(lo)),
+              A.BinOp("*", sg(), deepcopy(hi)))
+    new_stop = A.BinOp("*", sg(), _fn("min0", A.BinOp("*", sg(), stop),
+                                      far))
+    return new_start, new_stop
 
 
 def _mismatch(unit_name: str) -> CodegenError:
@@ -162,19 +188,21 @@ class Restructurer:
                     lo = _fn("acfd_lo", _int(g + 1))
                     hi = _fn("acfd_hi", _int(g + 1))
                     # a downward sweep starts at the top of the block; a
-                    # step longer than one, or one only the run knows,
-                    # starts on its lattice
+                    # step longer than one starts on its lattice; a step
+                    # only the run knows is clamped on its sign
                     step = known_step(stmt, self.table)
-                    near, far = (hi, lo) if (step or 0) < 0 else (lo, hi)
-                    up = near is lo
-                    if step is None or abs(step) > 1:
-                        stmt.start = _lattice_start(
-                            stmt.start, near,
-                            stmt.step if step is None else step)
+                    if step is None:
+                        stmt.start, stmt.stop = _clamp_either_way(
+                            stmt.start, stmt.stop, stmt.step, lo, hi)
                     else:
-                        stmt.start = _fn("max0" if up else "min0",
-                                         stmt.start, near)
-                    stmt.stop = _fn("min0" if up else "max0", stmt.stop, far)
+                        near, far = (hi, lo) if step < 0 else (lo, hi)
+                        up = near is lo
+                        stmt.start = (
+                            _lattice_start(stmt.start, near, step)
+                            if abs(step) > 1 else
+                            _fn("max0" if up else "min0", stmt.start, near))
+                        stmt.stop = _fn("min0" if up else "max0",
+                                        stmt.stop, far)
                     new_env[stmt.var] = g
                 self._walk_body(stmt.body, unit_name, path, new_env)
             elif isinstance(stmt, A.DoWhile):

@@ -12,7 +12,9 @@ flows through one of these methods (the generated Python maps a call
 ``acfd_owns(g, c)``      does this rank own grid coordinate *c* on dim *g*
 ``acfd_lb(name, k)``     local declaration lower bound of array dim *k*
 ``acfd_ub(name, k)``     local declaration upper bound (ghosts included)
-``acfd_exchange(k, …)``  aggregated halo exchange for combined sync *k*
+``acfd_exchange(k, …)``  aggregated halo exchange for combined sync *k*;
+                         the scalars after its arrays are reductions
+                         riding the round: their global values return
 ``acfd_pipe_recv(p, …)`` pipeline receive before a self-dependent sweep
 ``acfd_pipe_send(p, …)`` pipeline send after a self-dependent sweep
 ``acfd_allreduce_*``     global max/min/sum of a scalar
@@ -28,7 +30,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from repro.codegen.plan import ParallelPlan
+from repro.codegen.plan import ParallelPlan, folds_in_one_round
 from repro.errors import CheckpointError, RuntimeCommError
 from repro.interp.values import OffsetArray
 from repro.partition.grid import split_extent
@@ -161,27 +163,50 @@ class RankRuntime:
             ex = self._syncs[sync_id] = HaloExchanger(
                 self.cart,
                 self._specs(f"sync {sync_id}", named_dists, arrays),
-                point_id=sync_id)
+                point_id=sync_id, partials=self._partials(sync))
         return ex
 
-    def _in_halo(self, step) -> None:
+    def _partials(self, sync) -> np.ndarray | None:
+        """The section that carries *sync*'s reductions on its faces;
+        None when nothing rides it or the round cannot fold them (then
+        an allreduce follows)."""
+        if not sync.reductions or not folds_in_one_round(
+                self.partition.dims):
+            return None
+        return np.zeros(len(sync.reductions), np.int64)
+
+    def _in_halo(self, step, *args):
         """Run exchange step *step* with live telemetry (if any) showing
-        the rank in the halo state."""
+        the rank in the halo state; its result."""
         tele = self.comm.telemetry
         if tele is None:
-            step()
-            return
+            return step(*args)
         prev = tele.enter(3)  # S_HALO
         try:
-            step()
+            return step(*args)
         finally:
             tele.enter(prev)
 
-    def exchange(self, sync_id: int, *arrays: OffsetArray) -> None:
-        """Aggregated halo exchange for combined sync point *sync_id*."""
-        ex = self._sync_exchanger(int(sync_id), arrays)
+    def exchange(self, sync_id: int, *args):
+        """Aggregated halo exchange for combined sync point *sync_id*:
+        its arrays, then the local values of the reductions riding it,
+        whose global values come back as a tuple.  They fold on the
+        round's faces (:class:`HaloExchanger`), or, where the round
+        cannot fold them or sends nothing, in an allreduce after it."""
+        sync_id = int(sync_id)
+        sync = self.plan.syncs[sync_id - 1]
+        split = len(args) - len(sync.reductions)
+        arrays, values = args[:split], args[split:]
+        ex = self._sync_exchanger(sync_id, arrays)
+        ops = [op for _var, op in sync.reductions]
+        if ex is not None and ex.partials is not None:
+            return tuple(self._in_halo(ex.exchange, values, ops))
         if ex is not None:
             self._in_halo(ex.exchange)
+        if values:
+            return tuple(self.comm.allreduce(value, op)
+                         for value, op in zip(values, ops))
+        return None
 
     def _pipe_exchanger(self, pipe_id: int, arrays) -> PipeExchanger:
         """The transfer plan kept for pipe *pipe_id* (see

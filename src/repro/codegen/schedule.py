@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.frame import InstanceNode
-from repro.codegen.plan import ParallelPlan, PipeLoopPlan, PlannedSync
+from repro.codegen.plan import (ParallelPlan, PipeLoopPlan, PlannedSync,
+                                folds_in_one_round)
 from repro.fortran import ast as A
 
 
@@ -44,6 +45,9 @@ class CommPhase:
     #: serializes only the residual wait.  The emitted program itself
     #: always exchanges blocking.
     overlap: bool = False
+    #: reductions folded on this round's faces: each face message
+    #: carries one more scalar per reduction, and no allreduce runs
+    reductions: int = 0
 
 
 @dataclass
@@ -131,30 +135,38 @@ def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
         events.append((inst.open, 1, phase))
         seen_compute.add(inst.open)
 
+    folds = folds_in_one_round(plan.partition.dims)
     for sync in plan.syncs:
-        # the schedule is frame-periodic: it carries what travels on
-        # every frame, so entry-only members are not in it and a sync
-        # with no other member is no phase at all
-        if not sync.steady:
-            continue
         slot = sync.placement_slot
         if frame_node is not None:
             # a placement at the frame loop's close slot sits just before
             # its END DO — inside the frame, once per iteration
             if not (frame_node.open < slot <= frame_node.close):
                 continue
-        events.append((slot, 0, CommPhase(sync.sync_id, list(sync.steady),
-                                          overlap=plan.overlap_enabled(
-                                              sync.sync_id))))
+        # the schedule is frame-periodic: it carries what travels on
+        # every frame, so entry-only members are not in it and a sync
+        # with no other member is no exchange at all
+        carried = len(sync.reductions) if folds and sync.steady else 0
+        if sync.steady:
+            events.append((slot, 0, CommPhase(
+                sync.sync_id, list(sync.steady),
+                overlap=plan.overlap_enabled(sync.sync_id),
+                reductions=carried)))
+        if len(sync.reductions) > carried:
+            # riding reductions the round cannot fold: an allreduce
+            # right after it
+            events.append((slot, 0, ReducePhase(count=len(sync.reductions))))
 
     for red in plan.reductions:
         # reductions attach to their loop instances inside the frame
+        kept = len(red.reductions) - len(red.rides)
+        if not kept:
+            continue
         for inst in plan.frame.field_loop_instances:
             fl = inst.field_loop
             if fl is not None and (inst.unit_name, fl.loop.path) \
                     == (red.unit, red.path) and inside_frame(inst):
-                events.append((inst.close, 2,
-                               ReducePhase(count=len(red.reductions))))
+                events.append((inst.close, 2, ReducePhase(count=kept)))
                 break
 
     events.sort(key=lambda e: e[:2])

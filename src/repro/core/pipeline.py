@@ -214,6 +214,9 @@ class AutoCFD:
                         "entry_only": dict(s.entry_only),
                         "refusals": dict(s.refusals)}
                        for s in plan.syncs],
+            reductions=[{"var": r.var, "op": r.op, "unit": red.unit,
+                         "sync_id": red.rides.get(r.var)}
+                        for red in plan.reductions for r in red.reductions],
             phases=[s for s in self.obs.spans() if s.cat == "compile"],
             metrics=self.obs.metrics.snapshot())
         return CompileResult(plan=plan, spmd_cu=spmd, report=report)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.vecsafety import MODES
+from repro.codegen.plan import folds_in_one_round
 from repro.obs import Span
 from repro.obs.spans import phase_table
 
@@ -50,6 +51,10 @@ class CompilationReport:
     #: from: sent on the first frame only) and ``refusals`` (array -> why
     #: the pass would not look further: sent every frame)
     freshness: list[dict] = field(default_factory=list)
+    #: every reduction as a dict with ``var``, ``op``, ``unit`` and
+    #: ``sync_id`` (the combined sync it rides, or None: it keeps its own
+    #: allreduce)
+    reductions: list[dict] = field(default_factory=list)
     #: timed pre-compiler phases (``cat == "compile"`` spans, in order)
     phases: list[Span] = field(default_factory=list)
     #: phase-counter snapshot (loops scanned, syncs before/after, ...)
@@ -100,6 +105,27 @@ class CompilationReport:
                              f"frame: {reason}")
         return lines
 
+    def sync_lines(self) -> list[str]:
+        """The freshness and the reduction lines: what each combined sync
+        carries beyond the Table 1 count."""
+        return self.freshness_lines() + self.reduction_lines()
+
+    def reduction_lines(self) -> list[str]:
+        """``reduction err (max) rides sync 2`` per reduction."""
+        lines = []
+        for d in self.reductions:
+            head = f"reduction {d['var']} ({d['op']})"
+            if d["sync_id"] is None:
+                lines.append(f"{head} keeps its allreduce: no sync shares "
+                             f"its slots")
+            elif folds_in_one_round(self.partition):
+                lines.append(f"{head} rides sync {d['sync_id']}")
+            else:
+                lines.append(f"{head} rides sync {d['sync_id']}, then an "
+                             f"allreduce: a cut dimension has more than "
+                             f"two ranks")
+        return lines
+
     def phase_table(self) -> str:
         """Per-phase compiler timing table (empty string if unprofiled)."""
         return phase_table(self.phases) if self.phases else ""
@@ -128,6 +154,7 @@ class CompilationReport:
                 for sid, reason in self.overlap_refusals],
             "overlap_decisions": [dict(d) for d in self.overlap_decisions],
             "freshness": [dict(d) for d in self.freshness],
+            "reductions": [dict(d) for d in self.reductions],
             "phases": [{"name": s.name, "dur_s": s.dur, "args": s.args}
                        for s in self.phases],
             "metrics": self.metrics,

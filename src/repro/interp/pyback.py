@@ -427,19 +427,24 @@ class _UnitCompiler:
         self.depth -= 1
 
     def call(self, s: A.CallStmt) -> None:
-        if s.name.startswith("acfd_"):
-            args = ", ".join(self.expr_for_call(a) for a in s.args)
-            self.w(f"ctx.rt.{s.name[5:]}({args})")
-            return
-        target = self.all_units.get(s.name)
-        if target is None:
-            raise CodegenError(f"call to unknown subroutine {s.name!r} "
-                               f"(line {s.line})")
         arg_texts = [self.expr_for_call(a) for a in s.args]
-        call_text = (f"u_{s.name}(ctx, {', '.join(arg_texts)})"
-                     if arg_texts else f"u_{s.name}(ctx)")
-        # copy-out: scalar dummies come back as a tuple in dummy order
-        scalar_slots = _scalar_dummy_indices(target)
+        if s.name.startswith("acfd_"):
+            # a runtime primitive returns the new values of the scalar
+            # variables it was passed (a halo round's reductions)
+            call_text = f"ctx.rt.{s.name[5:]}({', '.join(arg_texts)})"
+            scalar_slots = [k for k, a in enumerate(s.args)
+                            if isinstance(a, A.Var) and not (
+                                (sym := self.table.get(a.name)) is not None
+                                and sym.is_array)]
+        else:
+            target = self.all_units.get(s.name)
+            if target is None:
+                raise CodegenError(f"call to unknown subroutine {s.name!r} "
+                                   f"(line {s.line})")
+            call_text = (f"u_{s.name}(ctx, {', '.join(arg_texts)})"
+                         if arg_texts else f"u_{s.name}(ctx)")
+            # copy-out: scalar dummies come back as a tuple in dummy order
+            scalar_slots = _scalar_dummy_indices(target)
         if not scalar_slots:
             self.w(call_text)
             return

@@ -25,10 +25,14 @@ Semantics follow MPI closely enough for generated SPMD programs:
   watchdog expire;
 * collectives are built from point-to-point messages on a reserved tag
   space (user tags must stay below ``2**20``); every rank must call them
-  in the same order (as in MPI).  ``bcast``, ``reduce``, and both phases
-  of ``allreduce``/``allgather`` run on a *binomial tree* (log₂ P
-  rounds, as in MPICH), not a linear root fan-out/fan-in.  The up
-  (fan-in) and down (fan-out) phases of two-phase collectives use
+  in the same order (as in MPI).  ``bcast``, ``reduce``, ``allgather``
+  and ``allreduce`` at a world size that is not a power of two run on a
+  *binomial tree* (log₂ P rounds, as in MPICH), not a linear root
+  fan-out/fan-in; ``allreduce`` at a power-of-two size runs *recursive
+  doubling* instead (log₂ P rounds in which every rank swaps its
+  accumulator with one partner, highest rank bit first: one dependent
+  message per round rather than a reduce up and a broadcast down).  The
+  up (fan-in) and down (fan-out) phases of two-phase collectives use
   *disjoint* tags — ``2*seq`` and ``2*seq + 1`` above the base — so the
   tag space never self-collides no matter how many collectives a program
   issues.
@@ -748,16 +752,51 @@ class Communicator:
         return acc, waited, nbytes
 
     def allreduce(self, value, op: str = "sum"):
-        """Reduce + broadcast; all ranks return the reduced value."""
+        """All ranks return the reduced value: recursive doubling when
+        the world size is a power of two, else reduce + broadcast."""
         reducer = self._op(op)
         up_tag, down_tag = self._next_collective_tags()
         t0 = perf_counter_ns()
+        if self.size & (self.size - 1) == 0:
+            result, waited, nbytes = self._doubling_impl(value, reducer,
+                                                         up_tag)
+            self._record_op("allreduce", None, nbytes, t0, waited)
+            return result
         acc, waited_up, up_bytes = self._reduce_impl(value, reducer, 0,
                                                      up_tag, "allreduce")
         result, waited_down, down_bytes = self._bcast_impl(acc, 0, down_tag)
         self._record_op("allreduce", None, up_bytes + down_bytes, t0,
                         waited_up + waited_down)
         return result
+
+    def _doubling_impl(self, value, reducer, tag: int):
+        """Recursive-doubling allreduce on *tag* at a power-of-two size;
+        (acc, waited, wire bytes).
+
+        One round per rank bit, from the highest down: swap accumulators
+        with ``rank ^ bit`` and fold, the lower rank's on the left.  Every
+        rank folds the same operands in the same order, so all return the
+        same value, and a halo round folding cut dimension by cut
+        dimension (:class:`repro.runtime.halo.HaloExchanger`) folds in
+        this order too.  Each round's peer is another rank, so one tag
+        serves them all.  The accumulator is handed over uncopied: no
+        rank writes into one after it is sent.
+        """
+        acc = _copy_payload(value)
+        waited = 0.0
+        nbytes = 0
+        bit = self.size >> 1
+        while bit:
+            peer = self.rank ^ bit
+            nbytes += _payload_bytes(acc)
+            self._mailboxes[peer].put(_Message(self.rank, tag, acc))
+            msg, w = self._get(peer, tag, "allreduce")
+            waited += w
+            nbytes += _payload_bytes(msg.payload)
+            acc = (reducer(acc, msg.payload) if self.rank < peer
+                   else reducer(msg.payload, acc))
+            bit >>= 1
+        return acc, waited, nbytes
 
     def gather(self, value, root: int = 0):
         """Gather to *root* (list indexed by rank); others return None."""

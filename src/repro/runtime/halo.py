@@ -42,6 +42,7 @@ import numpy as np
 from repro.errors import RuntimeCommError
 from repro.interp.values import OffsetArray
 from repro.runtime.cart import CartComm
+from repro.runtime.comm import REDUCE_OPS
 
 #: Tag space for halo messages: tag = base + point_id * 64 + dim * 4
 #: + (direction + 1).
@@ -177,6 +178,26 @@ class _FacePlan:
         self.data = data
 
 
+def _pack(section: np.ndarray, values) -> None:
+    """Write *values* into int64 *section*: integers as they are, any
+    other number as its float64 bits."""
+    floats = section.view(np.float64)
+    for k, value in enumerate(values):
+        if isinstance(value, (int, np.integer)):
+            section[k] = value
+        else:
+            floats[k] = value
+
+
+def _unpack(section: np.ndarray, kinds) -> list:
+    """The values :func:`_pack` wrote into *section*, each converted to
+    its place's type in *kinds*."""
+    return [kind(word) if issubclass(kind, (int, np.integer))
+            else kind(bits)
+            for kind, word, bits in zip(kinds, section.tolist(),
+                                        section.view(np.float64).tolist())]
+
+
 class _FaceTransfers:
     """A set of arrays' face transfers over a Cartesian comm: the plan is
     built on first use, every call executes it.
@@ -186,6 +207,10 @@ class _FaceTransfers:
     face, with its copies and trace events, is the communicator's
     (:meth:`Communicator.send_face` / :meth:`Communicator.recv_face`).
     """
+
+    #: a 1-d section every send face carries after the arrays (and every
+    #: ghost face receives into a buffer of its own); None: no extra
+    partials: np.ndarray | None = None
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec]) -> None:
         self.cart = cart
@@ -208,27 +233,44 @@ class _FaceTransfers:
             else:
                 return plan
         by_dim: dict[int, tuple[list[_Face], list[_Face]]] = {}
+        extra = self.partials
         for dim, direction, send_tag, recv_tag in self._layout():
             sends, ghosts = by_dim.setdefault(dim, ([], []))
             peer = self.cart.neighbor(dim, direction)
             if peer is None:
                 continue
             if send_tag is not None:
-                sends.append(_Face(peer, send_tag, [
-                    s.send_section(dim, direction) for s in self.specs]))
+                views = [s.send_section(dim, direction) for s in self.specs]
+                if extra is not None:
+                    views.append(extra)
+                sends.append(_Face(peer, send_tag, views))
             if recv_tag is not None:
-                ghosts.append(_Face(peer, recv_tag, [
-                    s.ghost_section(dim, direction) for s in self.specs]))
+                views = [s.ghost_section(dim, direction) for s in self.specs]
+                if extra is not None:
+                    views.append(np.empty_like(extra))
+                ghosts.append(_Face(peer, recv_tag, views))
         plan = self._plan = _FacePlan(list(by_dim.values()),
                                       [s.array.data for s in self.specs])
         return plan
 
 
 class HaloExchanger(_FaceTransfers):
-    """Exchanges ghost layers for a set of arrays over a Cartesian comm."""
+    """Exchanges ghost layers for a set of arrays over a Cartesian comm.
+
+    With *partials* (a 1-d int64 array, one element per reduction) the
+    round also folds reductions: every face carries the rank's running
+    values as one more section (an integer as it is, a float as its
+    float64 bits, so either crosses exactly), and each dimension's
+    received values fold into them, so that after the last dimension
+    every rank holds the global values.  That takes one neighbor per dimension (two ranks on every
+    cut dimension): folding dimension by dimension is then recursive
+    doubling from the highest rank bit down, the order ``allreduce``
+    folds in.
+    """
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec],
-                 point_id: int = 0) -> None:
+                 point_id: int = 0,
+                 partials: np.ndarray | None = None) -> None:
         if not 0 <= point_id < MAX_HALO_POINTS:
             raise RuntimeCommError(
                 f"combined sync point id {point_id} exceeds the halo tag "
@@ -236,6 +278,7 @@ class HaloExchanger(_FaceTransfers):
                 f"with pipeline transfers")
         super().__init__(cart, specs)
         self.point_id = point_id
+        self.partials = partials
         #: between begin() and finish()?
         self.in_flight = False
         self._t_begin0 = 0
@@ -251,13 +294,19 @@ class HaloExchanger(_FaceTransfers):
                        halo_tag(self.point_id, dim, direction),
                        halo_tag(self.point_id, dim, -direction))
 
-    def exchange(self) -> None:
+    def exchange(self, values=(), ops=()) -> list:
         """One aggregated exchange: one message per neighbor, all arrays.
 
         Dimensions are exchanged in order; each later dimension's sections
         include the ghost layers already received for earlier dimensions,
         which transports the diagonal (corner) values nine-point stencils
         need without dedicated corner messages.
+
+        *values* are this rank's partials of reductions *ops* (names in
+        :data:`REDUCE_OPS`), carried when the exchanger was built with
+        ``partials``; each dimension's neighbor value folds in with the
+        lower coordinate on the left, converted to the type of this
+        rank's own value.  Returns the folded values.
 
         Tracing: besides the per-message send/recv events, each pack and
         unpack copy is recorded as a ``halo_pack`` / ``halo_unpack`` span
@@ -271,14 +320,26 @@ class HaloExchanger(_FaceTransfers):
         comm = self.cart.comm
         record = comm.record
         tx0 = perf_counter_ns() if record is not None else 0
+        acc = list(values)
+        folds = [REDUCE_OPS[op] for op in ops]
+        kinds = [type(value) for value in acc]
         for sends, ghosts in self._faces().by_dim:
+            if acc and sends:
+                _pack(self.partials, acc)
             for face in sends:
                 comm.send_face(face)
             for face in ghosts:
                 comm.recv_face(face)
+                if acc:
+                    lower = face.peer < comm.rank
+                    acc = [fold(theirs, mine) if lower
+                           else fold(mine, theirs)
+                           for fold, mine, theirs in zip(
+                               folds, acc, _unpack(face.views[-1], kinds))]
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    tx0, perf_counter_ns())
+        return acc
 
     def begin(self) -> None:
         """Start the whole aggregated exchange without completing it.

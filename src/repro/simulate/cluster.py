@@ -16,7 +16,10 @@ Timing rules:
 * pipelined (mirror-image) sweeps: ranks advance in wavefront order along
   the cut dimensions with ``chunks``-way chunking — rank ``c`` may start
   chunk ``k`` only after its minus neighbors finish chunk ``k``;
-* reductions: a latency-dominated allreduce that synchronizes all ranks.
+* reductions: a latency-dominated allreduce that synchronizes all ranks,
+  modelled as recursive doubling (one 8-byte value each way per round);
+  a reduction riding a combined synchronization instead adds its 8 bytes
+  to each of that synchronization's face messages.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from repro.simulate.network import NetworkModel
 #: frames simulated explicitly before the rest are extrapolated from the
 #: last one's steady-state delta
 WARMUP_FRAMES = 24
+
+#: bytes one reduced scalar puts on the wire (the runtime's float64)
+SCALAR_BYTES = 8
 
 
 @dataclass
@@ -228,6 +234,7 @@ class ClusterSim:
         #    consumer loop can hide
         injection_end: dict[tuple[int, int], float] = {}
         send_done = list(t)
+        carried = SCALAR_BYTES * phase.reductions
         total_bytes = 0
         for r in range(self.size):
             clock = t[r]
@@ -237,7 +244,7 @@ class ClusterSim:
                     if n is None:
                         continue
                     nbytes = self._face_bytes(r, dim, phase.arrays,
-                                              direction)
+                                              direction) + carried
                     if nbytes == 0:
                         continue
                     total_bytes += nbytes
@@ -261,7 +268,7 @@ class ClusterSim:
                     if n is None:
                         continue
                     nbytes = self._face_bytes(n, dim, phase.arrays,
-                                              -direction)
+                                              -direction) + carried
                     if nbytes == 0:
                         continue
                     received_any = True
@@ -337,14 +344,15 @@ class ClusterSim:
         if self.size == 1:
             return
         rounds = max(1, math.ceil(math.log2(self.size)))
-        cost = 2 * rounds * self.network.message_time(8) * phase.count
+        cost = 2 * rounds * self.network.message_time(SCALAR_BYTES) \
+            * phase.count
         done = max(t) + cost
         for r in range(self.size):
             self._mark(r, "allreduce", "collective", t[r], done,
                        count=phase.count)
             # recursive-doubling model: one 8-byte value each way per round
-            self._sent_b[r] += rounds * 8 * phase.count
-            self._recv_b[r] += rounds * 8 * phase.count
+            self._sent_b[r] += rounds * SCALAR_BYTES * phase.count
+            self._recv_b[r] += rounds * SCALAR_BYTES * phase.count
             self._sent_n[r] += rounds * phase.count
             self._recv_n[r] += rounds * phase.count
             comm[r] += done - t[r]

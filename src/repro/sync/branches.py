@@ -14,7 +14,13 @@ Three rules shape a region around control flow:
    not pin the region.
 
 Rule 3 lives in :mod:`repro.sync.regions` (it is a hoisting rule); this
-module implements the forward truncation of rules 1-2.
+module implements the forward truncation of rules 1-2, and the
+counterpart of rule 1 for the jumps that stay structured: an ``exit`` or
+``cycle`` inside a region that reaches the end of the loop it jumps in
+skips every slot from its IF to that end, so those slots are no
+placement for the pair (:func:`jump_gaps`): an ``exit`` that leaves the
+loop for a reader past it, or a ``cycle`` taken on a trip after the
+write, would bypass the sync.
 """
 
 from __future__ import annotations
@@ -41,6 +47,37 @@ def _if_nodes(frame: FrameProgram, start: int, end: int):
             yield node
 
 
+def _outermost_if(node: InstanceNode, start: int) -> InstanceNode:
+    """*node*, or the outermost IF (or arm) around it that opens at or
+    after *start*."""
+    for anc in node.ancestors():
+        if anc.kind not in ("if", "arm") or anc.open < start:
+            break
+        node = anc
+    return node
+
+
+def jump_gaps(frame: FrameProgram, start: int,
+              end: int) -> list[tuple[int, int]]:
+    """Per ``exit`` in ``[start, end]`` of a loop that closes before
+    *end*, and per ``cycle`` there of one that closes at or before it:
+    the slots ``(open, close]`` it jumps over, from its IF to the loop's
+    end.  (A region that ends at the loop's end serves the loop's next
+    trip, which an ``exit`` never takes.)"""
+    gaps = []
+    for node in frame.nodes:
+        if (node.kind == "stmt"
+                and isinstance(node.stmt, (A.ExitStmt, A.CycleStmt))
+                and start <= node.open <= end):
+            loops = node.enclosing_loops()
+            if loops and (loops[0].close < end
+                          or (loops[0].close == end
+                              and isinstance(node.stmt, A.CycleStmt))):
+                gaps.append((_outermost_if(node, start).open,
+                             loops[0].close))
+    return gaps
+
+
 def truncate_for_branches(frame: FrameProgram, start: int, end: int,
                           array: str) -> int:
     """Apply rules 1-2: return the truncated region end."""
@@ -49,10 +86,7 @@ def truncate_for_branches(frame: FrameProgram, start: int, end: int,
         # ``if (c) goto 10``: a sync just before the goto would sit in
         # the IF's arm and run only when the jump is taken, so the
         # region closes before the outermost IF that opens inside it
-        for anc in node.ancestors():
-            if anc.kind not in ("if", "arm") or anc.open < start:
-                break
-            node = anc
+        node = _outermost_if(node, start)
         if node.open < new_end:
             new_end = node.open
     for node in _if_nodes(frame, start, new_end):

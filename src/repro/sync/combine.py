@@ -27,6 +27,9 @@ class CombinedSync:
 
     placement: int  # slot
     regions: list[SyncRegion] = field(default_factory=list)
+    #: every slot all member regions allow (the running intersection);
+    #: ``placement`` is its last
+    feasible: list[int] = field(default_factory=list)
 
     @property
     def arrays(self) -> list[str]:
@@ -94,7 +97,8 @@ def combine_regions(regions: list[SyncRegion]) -> list[CombinedSync]:
         if members:
             assert current
             groups.append(CombinedSync(placement=max(current),
-                                       regions=members))
+                                       regions=members,
+                                       feasible=sorted(current)))
         current = None
         members = []
 
@@ -114,6 +118,32 @@ def combine_regions(regions: list[SyncRegion]) -> list[CombinedSync]:
             members = [region]
     flush()
     return groups
+
+
+def join_reductions(groups: list[CombinedSync], regions: list[list[int]],
+                    loop_of) -> list[int | None]:
+    """Let each reduction ride the first combined sync whose feasible
+    slots meet its *region* (the slots where its global value can be
+    formed) inside the loop the sync sits in (``loop_of(slot)``: a sync
+    moved into a loop would run more often): the sync's feasible set
+    narrows to the meet and the sync moves to the meet's last slot, so
+    one round carries the faces and the partials.  Per region, the index
+    of the group it rides, or None (it keeps its own allreduce)."""
+    rides: list[int | None] = []
+    for region in regions:
+        slots = set(region)
+        for k, group in enumerate(groups):
+            loop = loop_of(group.placement)
+            meet = {s for s in slots.intersection(group.feasible)
+                    if loop_of(s) is loop}
+            if meet:
+                group.feasible = sorted(meet)
+                group.placement = group.feasible[-1]
+                rides.append(k)
+                break
+        else:
+            rides.append(None)
+    return rides
 
 
 def combining_stats(regions: list[SyncRegion]) -> tuple[int, int, float]:

@@ -13,8 +13,9 @@ For a dependent pair ``L^A → L^R`` the legal region spans from right after
 * for loop-carried pairs (reader textually at or before the writer inside
   a common loop — Fig. 5(b) case 2) the region runs to the end of the
   carrier loop's body, synchronizing once per carried iteration;
-* truncates at ``goto`` statements and reader-containing IF blocks
-  (:mod:`repro.sync.branches`);
+* truncates at ``goto`` statements and reader-containing IF blocks, and
+  leaves out the slots an ``exit`` or ``cycle`` jumps over on the way to
+  the reader (:mod:`repro.sync.branches`);
 * excludes the interiors of all nested structures from *placement*
   (unrelated loops and IF blocks: a sync point placed inside them would
   execute redundantly) — the slot model's interior exclusions.
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 from repro.analysis.dependency import DependencePair
 from repro.analysis.frame import FrameProgram, InstanceNode
 from repro.errors import AnalysisError
-from repro.sync.branches import truncate_for_branches
+from repro.fortran import ast as A
+from repro.sync.branches import jump_gaps, truncate_for_branches
 from repro.sync.interproc import subtree_has_rtype, subtree_has_rtype_after
 
 
@@ -117,7 +119,9 @@ def upper_bound_region(frame: FrameProgram,
         # the writer loop.
         start = pair.writer.close + 1
         end = start
-    allowed = frame.allowed_slots(start, end)
+    gaps = jump_gaps(frame, start, end)
+    allowed = [p for p in frame.allowed_slots(start, end)
+               if not any(lo < p <= hi for lo, hi in gaps)]
     if not allowed:
         # Interior exclusions removed everything (start lies inside a
         # structure whose interior is banned for *other* regions but is
@@ -125,3 +129,59 @@ def upper_bound_region(frame: FrameProgram,
         allowed = [pair.writer.close + 1]
         start = end = allowed[0]
     return SyncRegion(pair=pair, start=start, end=end, allowed=allowed)
+
+
+#: statements a reduction's global value may not be formed behind: a
+#: path through them leaves the stretch without passing the point
+_JUMPS = (A.Goto, A.ComputedGoto, A.ExitStmt, A.CycleStmt, A.ReturnStmt,
+          A.StopStmt)
+
+
+def _own_exprs(node: InstanceNode) -> list:
+    """What *node* itself evaluates, apart from its children."""
+    stmt = node.stmt
+    if node.kind == "stmt" or node.kind == "call":
+        return [stmt]
+    if node.kind == "if":
+        if isinstance(stmt, A.LogicalIf):
+            return [stmt.cond]
+        return [cond for cond, _body in stmt.arms if cond is not None]
+    if node.kind == "loop":
+        if isinstance(stmt, A.DoWhile):
+            return [stmt.cond]
+        return [e for e in (stmt.start, stmt.stop, stmt.step) if e is not None]
+    return []
+
+
+def reduction_region(frame: FrameProgram, loop: InstanceNode, touches,
+                     leaves_calls: bool) -> list[int]:
+    """The slots where a scalar reduced in field loop *loop* can take its
+    global value: from right after the loop to the first statement that
+    *touches* the scalar (``touches(node, exprs)``, *exprs* what the node
+    itself evaluates), a jump or a labeled statement.  The stretch stays
+    inside the loop or IF arm around *loop*: a reduction formed outside a
+    loop would fold one partial per trip, and one formed outside an arm
+    would run on the paths that never reduced.  It leaves a subroutine
+    for its caller only when *leaves_calls* (the scalar lives on after
+    the call).  Slots inside a structure of the stretch are left out, as
+    for every region."""
+    container = loop.parent
+    while leaves_calls and container.kind == "call":
+        container = container.parent
+    end = container.close
+    for node in frame.nodes:  # in slot order
+        if node.open <= loop.close:
+            continue
+        if node.open > end:
+            break
+        stmt = node.stmt
+        if ((node.kind == "stmt" and isinstance(stmt, _JUMPS))
+                or (stmt is not None and stmt.label is not None
+                    and node.kind != "arm")
+                or touches(node, _own_exprs(node))):
+            top = node
+            while top.parent is not None and top.parent.open > loop.close:
+                top = top.parent
+            end = min(end, top.open)
+            break
+    return frame.allowed_slots(loop.close + 1, end)

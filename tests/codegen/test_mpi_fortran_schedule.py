@@ -49,7 +49,7 @@ class TestMpiFortran:
         # the guard sits ahead of every face transfer
         assert one.index("if (acfd_trip .gt. 1) return") \
             < one.index("mpi_sendrecv")
-        two = text.split("subroutine acfd_exchange_2(v)")[1] \
+        two = text.split("subroutine acfd_exchange_2(v, err)")[1] \
             .split("end subroutine")[0]
         assert "acfd_trip" not in two and "entry-only" not in two
         # the frame hook counts the trips the guard reads
@@ -70,6 +70,38 @@ class TestMpiFortran:
         assert one.index("if (acfd_trip .le. 1) acfd_members(1) = 0") \
             < one.index("mpi_sendrecv")
 
+    def test_a_riding_reduction_is_packed_sent_and_folded(self):
+        text = compile_src(JACOBI_SRC, (2, 1)).mpi_source()
+        assert "call acfd_exchange(2, v, err)" in text
+        two = text.split("subroutine acfd_exchange_2(v, err)")[1] \
+            .split("end subroutine")[0]
+        assert "  real err\n" in two
+        # per neighbor: the partial goes behind the packed faces, travels
+        # in the same mpi_sendrecv and folds, lower coordinate on the left
+        for direction, fold in (
+                (-1, "err = max(acfd_recvbuf(acfd_len + 1), err)"),
+                (1, "err = max(err, acfd_recvbuf(acfd_len + 1))")):
+            face = two.split(f"if (acfd_nbr(1, {direction}) .ge. 0)")[1] \
+                .split("end if")[0]
+            steps = [f"call acfd_pack_faces(2, 1, {direction}, acfd_sendbuf)",
+                     "acfd_sendbuf(acfd_len + 1) = err",
+                     "call mpi_sendrecv(acfd_sendbuf, acfd_len + 1, ",
+                     f"call acfd_unpack_faces(2, 1, {direction}, "
+                     "acfd_recvbuf)", fold]
+            at = [face.index(step) for step in steps]
+            assert at == sorted(at)
+        assert "mpi_allreduce" not in two
+
+    def test_more_than_two_ranks_on_a_cut_dim_fold_in_an_allreduce(self):
+        text = compile_src(JACOBI_SRC, (4, 1)).mpi_source()
+        assert "call acfd_exchange(2, v, err)" in text
+        two = text.split("subroutine acfd_exchange_2(v, err)")[1] \
+            .split("end subroutine")[0]
+        assert "acfd_len" not in two
+        assert two.index("call acfd_unpack_faces(2, 1, 1, acfd_recvbuf)") \
+            < two.index("call mpi_allreduce(err, acfd_red, 1, mpi_real, "
+                        "mpi_max, mpi_comm_world, ierr)")
+
     def test_nothing_demoted_prints_no_guard(self):
         text = compile_src(JACOBI_BC_SRC, (2, 1)).mpi_source()
         assert "entry-only" not in text
@@ -87,7 +119,14 @@ class TestScheduleExtraction:
         kinds = [type(p).__name__ for p in sched.phases]
         assert "ComputePhase" in kinds
         assert "CommPhase" in kinds
-        assert "ReducePhase" in kinds
+        # at 2x1 the residual folds on the faces; at 4x1 an allreduce
+        # follows the same round
+        assert "ReducePhase" not in kinds
+        assert [p.reductions for p in sched.comm_phases] == [1]
+        sched = extract_schedule(compile_src(JACOBI_SRC, (4, 1)).plan)
+        assert [type(p).__name__ for p in sched.phases][-2:] \
+            == ["CommPhase", "ReducePhase"]
+        assert [p.reductions for p in sched.comm_phases] == [0]
 
     def test_only_frame_phases(self):
         res = compile_src(JACOBI_SRC, (2, 1))

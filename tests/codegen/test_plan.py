@@ -34,6 +34,37 @@ class TestJacobiPlan:
         assert plan.reductions[0].reductions[0].var == "err"
         assert plan.reductions[0].reductions[0].op == "max"
 
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("name,feasible,slot", [
+        ("jacobi_5pt", [38, 44], 38), ("sprayer", [266, 278, 284], 278)])
+    def test_residual_rides_the_last_sync_above_the_exit_test(
+            self, name, feasible, slot, dims):
+        from repro.apps.kernels import jacobi_5pt
+        from repro.apps.sprayer import sprayer_source
+        from repro.sync.combine import combine_regions
+        src = {"jacobi_5pt": lambda: jacobi_5pt(n=24, m=16, iters=10),
+               "sprayer": lambda: sprayer_source(n=48, m=20, iters=4)}[name]
+        plan = plan_for(src(), dims)
+        last = plan.syncs[-1]
+        # the combiner's feasible slots are those of the parent; the
+        # residual's region meets them at the exit IF only
+        assert combine_regions(plan.regions)[-1].feasible == feasible
+        assert last.placement_slot == slot
+        assert plan.frame.node_at_open(slot).kind == "if"
+        assert last.reductions == [("err", "max")]
+        assert plan.reductions[0].rides == {"err": last.sync_id}
+
+    def test_a_reduction_read_before_any_sync_keeps_its_allreduce(self):
+        src = JACOBI_SRC.replace("    if (err .lt. eps) exit\n", "") \
+            .replace("    do i = 2, n - 1\n      do j = 2, m - 1\n"
+                     "        v(i, j) = vnew(i, j)",
+                     "    if (err .lt. eps) exit\n"
+                     "    do i = 2, n - 1\n      do j = 2, m - 1\n"
+                     "        v(i, j) = vnew(i, j)")
+        plan = plan_for(src, (2, 1))
+        assert plan.reductions[0].rides == {}
+        assert all(s.reductions == [] for s in plan.syncs)
+
     def test_ghosts_cover_stencil(self):
         plan = plan_for(JACOBI_SRC, (2, 2))
         assert plan.arrays["v"].ghosts.width(0) == (1, 1)

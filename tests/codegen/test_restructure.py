@@ -82,8 +82,19 @@ class TestCommunicationInsertion:
         assert lines[recv_at + 1].strip().startswith("do i")
 
     def test_allreduce_after_reduction_loop(self):
-        _, _, text = spmd_for(JACOBI_SRC, (2, 1))
+        # read before any sync can carry it: the allreduce stays
+        src = JACOBI_SRC.replace("    if (err .lt. eps) exit\n", "") \
+            .replace("    do i = 2, n - 1\n      do j = 2, m - 1\n"
+                     "        v(i, j) = vnew(i, j)",
+                     "    if (err .lt. eps) exit\n"
+                     "    do i = 2, n - 1\n      do j = 2, m - 1\n"
+                     "        v(i, j) = vnew(i, j)")
+        _, _, text = spmd_for(src, (2, 1))
         assert "err = acfd_allreduce_max(err)" in text
+        # read after the copy-back: it rides the sync that shares its slot
+        _, _, text = spmd_for(JACOBI_SRC, (2, 1))
+        assert "acfd_allreduce" not in text
+        assert "call acfd_exchange(2, v, err)\n    if (err .lt. eps)" in text
 
 
 class TestIoTransforms:

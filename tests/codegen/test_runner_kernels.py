@@ -134,16 +134,19 @@ class TestStridedSweeps:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_a_step_only_the_run_knows_keeps_the_edge_clamp(self, k):
-        # the step is counted as upward; the start is clamped onto its
-        # lattice with the step expression
+        # the start moves onto its lattice inside the block and the stop
+        # to the block's far edge, both on the step's run-time sign
         src = _strided_update(K.jacobi_5pt(30, 20, 20), "do i = 2, n - 1, k")
         src = src.replace("integer n, m, i, j, iter",
                           "integer n, m, i, j, iter, k").replace(
             "  eps = ", f"  k = {k}\n  eps = ")
         acfd = AutoCFD.from_source(src)
         compiled = acfd.compile(partition=(4, 1))
-        assert ("do i = max0(2, 2 + k * ((acfd_lo(1) - 2 + k - 1) / k)), "
-                "min0(n - 1, acfd_hi(1)), k") in compiled.parallel_source()
+        assert ("do i = 2 + k * max0(0, min0((acfd_lo(1) - 2 + k - "
+                "isign(1, k)) / k, (acfd_hi(1) - 2 + k - isign(1, k)) / k)), "
+                "isign(1, k) * min0(isign(1, k) * (n - 1), "
+                "max0(isign(1, k) * acfd_lo(1), isign(1, k) * acfd_hi(1))), "
+                "k") in compiled.parallel_source()
         par = compiled.run_parallel()
         assert np.array_equal(par.array("v").data,
                               acfd.run_sequential().array("v").data)
@@ -184,6 +187,29 @@ class TestDescendingSweeps:
         par = acfd.compile(partition=(1, 2)).run_parallel(
             vectorize=vectorize)
         assert np.array_equal(par.array("v").data, seq.array("v").data)
+
+    @pytest.mark.parametrize("vectorize", [False, True],
+                             ids=["scalar", "vector"])
+    @pytest.mark.parametrize("partition", [(2, 1), (4, 1)],
+                             ids=["2x1", "4x1"])
+    def test_a_negative_step_only_the_run_knows_is_bitwise(self, partition,
+                                                           vectorize):
+        # k = -1 comes from the deck: the clamp follows the step's sign
+        # at run time (an upward clamp ran past the block)
+        src = K.jacobi_5pt(16, 8, 20).replace(
+            "do i = 2, n - 1", "do i = n - 1, 2, k", 1).replace(
+            "integer n, m, i, j, iter", "integer n, m, i, j, iter, k") \
+            .replace("  eps = ", "  read (5, *) k\n  eps = ")
+        acfd = AutoCFD.from_source(src)
+        compiled = acfd.compile(partition=partition)
+        assert "isign(1, k)" in compiled.parallel_source()
+        for deck in ("-1\n", "-3\n", "2\n"):
+            seq = acfd.run_sequential(input_text=deck, vectorize=vectorize)
+            par = compiled.run_parallel(input_text=deck, vectorize=vectorize)
+            assert par.output() == seq.io.output()
+            for name in ("v", "vnew"):
+                assert np.array_equal(par.array(name).data,
+                                      seq.array(name).data), (deck, name)
 
     def test_gauss_seidel_across_the_descending_dim_is_refused(self):
         acfd = AutoCFD.from_source(

@@ -62,6 +62,17 @@ class TestCompile:
         assert ("sync 1: v sent every frame: ghost width on two or more "
                 "cut dimensions") in capsys.readouterr().err
 
+    def test_each_reduction_names_the_sync_it_rides(self, src_file,
+                                                    capsys):
+        assert main(["compile", src_file, "-p", "2x1"]) == 0
+        got = capsys.readouterr()
+        assert "call acfd_exchange(2, v, err)" in got.out
+        assert "reduction err (max) rides sync 2\n" in got.err
+        assert main(["report", src_file, "-p", "4x1"]) == 0
+        assert ("reduction err (max) rides sync 2, then an allreduce: a cut "
+                "dimension has more than two ranks") \
+            in capsys.readouterr().out
+
 
 class TestReport:
     def test_multiple_partitions(self, src_file, capsys):

@@ -7,11 +7,13 @@ number of exchanges the real runtime performs per frame, and the message
 sizes the simulator charges must match the bytes actually shipped.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps.kernels import jacobi_5pt
 from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
-from repro.codegen.schedule import extract_schedule
+from repro.codegen.schedule import ReducePhase, extract_schedule
 from repro.core import AutoCFD
 from repro.simulate import ClusterSim, MachineModel, NetworkModel
 
@@ -45,10 +47,50 @@ class TestExchangeCounts:
     def test_reduce_count_matches(self):
         frames = 4
         acfd = AutoCFD.from_source(fixed_frames_src(frames))
-        compiled = acfd.compile(partition=(2, 1))
+        # err rides sync 2: at 2x1 its round folds it, at 4x1 one
+        # allreduce per frame follows the round
+        for dims, per_frame in (((2, 1), 0), ((4, 1), 1)):
+            compiled = acfd.compile(partition=dims)
+            reduces = [p for p in extract_schedule(compiled.plan).phases
+                       if isinstance(p, ReducePhase)]
+            assert sum(p.count for p in reduces) == per_frame
+            par = compiled.run_parallel()
+            assert par.trace.count("allreduce", rank=0) == frames * per_frame
+
+
+def residual_read_early(frames: int) -> str:
+    """Jacobi whose residual is tested before the copy-back, where no
+    sync can carry it: it keeps its allreduce (eps 0: every frame runs)."""
+    return fixed_frames_src(frames).replace(
+        "    do i = 2, n - 1\n      do j = 2, m - 1\n"
+        "        v(i, j) = vnew(i, j)",
+        "    if (err .lt. 0.0) exit\n"
+        "    do i = 2, n - 1\n      do j = 2, m - 1\n"
+        "        v(i, j) = vnew(i, j)")
+
+
+class TestAllreduceTraffic:
+    """An allreduce puts on the wire what the model charges it: one
+    8-byte value each way per recursive-doubling round, on every rank."""
+
+    @pytest.mark.parametrize("dims", [(2, 1), (2, 2)], ids=["2x1", "2x2"])
+    def test_traced_bytes_and_messages_equal_the_model(self, dims):
+        frames = 3
+        compiled = AutoCFD.from_source(residual_read_early(frames)).compile(
+            partition=dims)
+        assert compiled.plan.reductions[0].rides == {}
         par = compiled.run_parallel()
-        # one allreduce per frame (err), all ranks participate
-        assert par.trace.count("allreduce", rank=0) == frames
+        sim = ClusterSim(compiled.plan, MachineModel(), NetworkModel())
+        sim.schedule.phases = [p for p in sim.schedule.phases
+                               if isinstance(p, ReducePhase)]
+        model = sim.run(frames)
+        for rank in range(len(model.sent_bytes)):
+            traced = sum(e.nbytes for e in par.trace.snapshot()
+                         if e.kind == "allreduce" and e.rank == rank)
+            assert traced == model.sent_bytes[rank] + model.recv_bytes[rank]
+            # each message is one 8-byte scalar
+            assert traced // 8 == (model.sent_msgs[rank]
+                                   + model.recv_msgs[rank])
 
 
 def _schedule_msgs_per_frame(plan) -> int:
@@ -73,14 +115,24 @@ class TestMessagesPerFrame:
     def test_traced_sends_match_the_schedule(self, name, source, deck,
                                              per_frame, once):
         sends = {}
+        sent_bytes = {}
+        # the model charged in the runtime's float64 values
+        machine = dataclasses.replace(MachineModel(), value_bytes=8)
         for frames in (3, 5):
             compiled = AutoCFD.from_source(source(frames)).compile(
                 partition=(2, 1))
             assert _schedule_msgs_per_frame(compiled.plan) == per_frame
             par = compiled.run_parallel(input_text=deck)
             sends[frames] = par.comm_stats["sends"]
+            sent_bytes[frames] = par.comm_stats["bytes_sent"]
+            # the residual rides a halo round: no allreduce anywhere
+            assert par.trace.count("allreduce") == 0
         # *once*: what the entry-only syncs send on the first trip
         assert sends == {3: 3 * per_frame + once, 5: 5 * per_frame + once}
+        # bytes per frame, the carried residual included
+        model = ClusterSim(compiled.plan, machine, NetworkModel()).run(1)
+        assert (sent_bytes[5] - sent_bytes[3]) // 2 \
+            == sum(model.sent_bytes) == sum(model.recv_bytes)
 
 
 class TestCountablesAcrossExecutors:
@@ -141,8 +193,12 @@ class TestMessageBytes:
         sim_values = per_frame_sim / MachineModel().value_bytes
         # the schedule covers what travels every frame; the trace also
         # has the entry-only exchange of the first trip, one more
-        # message of the same size
-        assert traced_values == (frames + 1) * sim_values
+        # message of the same size; every frame's message also carries
+        # the residual (err rides sync 2), one value the comm phase
+        # records
+        carried = sum(p.reductions for p in schedule.comm_phases)
+        assert carried == 1
+        assert traced_values == (frames + 1) * sim_values + frames * carried
 
 
 class TestOpsEstimate:

@@ -61,3 +61,26 @@ def test_first_trip_after_restore_sends_every_member(compiled, executor,
     for rank in (0, 1):
         assert _exchanges(result, 1, rank) == 1
         assert _exchanges(result, 2, rank) == FRAMES - restored + 1
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_residual_riding_the_halo_round_recovers(executor, tmp_path):
+    # err folds on sync 2's faces at 2x1 (no allreduce anywhere); a crash
+    # of rank 1 at frame 5 restarts from a checkpoint and the run still
+    # stops on the sequential frame with the sequential residual
+    acfd = AutoCFD.from_source(jacobi_5pt(n=24, m=16, iters=60, eps=0.03))
+    seq = acfd.run_sequential()
+    par = acfd.compile(partition=(2, 1))
+    assert par.plan.syncs[1].reductions == [("err", "max")]
+    plan = FaultPlan(events=[FaultEvent("crash", 1, frame=CRASH_FRAME)],
+                     seed=0)
+    result, attempts, injector = run_recovered(
+        par.plan, par.spmd_cu, fault_plan=plan, ckpt_dir=str(tmp_path),
+        timeout=60.0, max_restarts=5, executor=executor)
+    assert [f["kind"] for f in injector.fired()] == ["crash"]
+    assert len(attempts) >= 2 and attempts[-1].error is None
+    assert result.trace.count("allreduce") == 0
+    assert result.output() == seq.io.output() == "iters 22 err 0.0292606"
+    for name in par.plan.arrays:
+        assert result.array(name).data.tobytes() \
+            == seq.array(name).data.tobytes(), name

@@ -103,8 +103,9 @@ def _assert_two_readers_agree(source: str, executor: str, tmp_path,
         tele.close()
 
 
+#: at 2x2 the residual rides the halo round: no allreduce
 JACOBI_KINDS = {"send", "recv", "halo_pack", "halo_unpack", "exchange",
-                "allreduce", "frame", "checkpoint", "rank"}
+                "frame", "checkpoint", "rank"}
 PIPE_KINDS = {"pipeline_send", "pipeline_recv", "frame", "checkpoint"}
 
 

@@ -1,7 +1,11 @@
 """Branch-structure rules for regions (§5.2, Figure 7)."""
 
+import numpy as np
+import pytest
+
 from repro.analysis.dependency import build_sldp
 from repro.analysis.frame import build_frame_program
+from repro.core import AutoCFD
 from repro.fortran import ast as A
 from repro.fortran.parser import parse_source
 from repro.sync.regions import upper_bound_region
@@ -231,3 +235,79 @@ end
         # start stays inside the arm
         assert region.start <= if_node.close
         assert region.start == pairs[0].writer.close + 1
+
+
+JUMPS = pytest.mark.parametrize("jump", [
+    "    if (r .lt. 0.05) exit\n", "    if (it .eq. 3) cycle\n"],
+    ids=["exit", "cycle"])
+
+
+class TestJumpPastTheLoop:
+    """An EXIT from the frame loop, or a CYCLE on its last trip, skips
+    the rest of its body: a sync the reader after the loop needs may sit
+    before the jump's IF or after the loop, never between them."""
+
+    SRC = """\
+!$acfd status a, c
+!$acfd grid 12 10
+!$acfd frame it
+program gen
+  implicit none
+  integer n, m, i, j, it
+  parameter (n = 12, m = 10)
+  real a(n, m), c(n, m), r
+  do i = 1, n
+    do j = 1, m
+      a(i, j) = 0.01 * i * j + 0.1 * i
+      c(i, j) = 0.5 - 0.02 * (i + 2 * j)
+    end do
+  end do
+  do it = 1, 3
+    r = 100.0
+    do i = 3, n - 2
+      do j = 3, m - 2
+        a(i, j) = 0.1 * a(i, j) + 0.2 * c(i-1, j) + 0.2 * c(i+1, j)
+        r = amin1(r, a(i, j))
+      end do
+    end do
+    do i = 3, n - 2
+      do j = 3, m - 2
+        c(i, j) = 0.1 * c(i, j) + 0.2 * a(i-1, j) + 0.2 * a(i+1, j)
+      end do
+    end do
+    if (r .lt. 0.05) exit
+  end do
+  do i = 3, n - 2
+    do j = 3, m - 2
+      a(i, j) = 0.1 * a(i, j) + 0.2 * c(i-1, j) + 0.2 * c(i+1, j)
+    end do
+  end do
+  write (6, *) 'it', it
+end
+"""
+
+    @JUMPS
+    def test_the_jumped_over_slots_are_left_out(self, jump):
+        frame = build_frame_program(parse_source(
+            self.SRC.replace("    if (r .lt. 0.05) exit\n", jump)))
+        loop = frame.frame_loop()
+        exit_if = next(n for n in frame.nodes if n.kind == "if")
+        for pair in build_sldp(frame):
+            region = upper_bound_region(frame, pair)
+            if pair.array == "c" and pair.reader.open > loop.close:
+                assert region.allowed
+                assert not [s for s in region.allowed
+                            if exit_if.open < s <= loop.close]
+
+    @JUMPS
+    def test_the_jumping_run_is_bitwise(self, jump):
+        acfd = AutoCFD.from_source(
+            self.SRC.replace("    if (r .lt. 0.05) exit\n", jump))
+        seq = acfd.run_sequential()
+        assert seq.io.output() == ("it 2" if "exit" in jump else "it 4")
+        for dims in ((2, 1), (4, 1)):
+            par = acfd.compile(partition=dims).run_parallel()
+            assert par.output() == seq.io.output()
+            for name in ("a", "c"):
+                assert np.array_equal(par.array(name).data,
+                                      seq.array(name).data), (dims, name)

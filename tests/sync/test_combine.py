@@ -11,7 +11,8 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sync.combine import combine_regions, combining_stats
+from repro.sync.combine import (combine_regions, combining_stats,
+                                join_reductions)
 from repro.sync.regions import SyncRegion
 
 
@@ -103,6 +104,34 @@ class TestAggregation:
         r.pair.irregular = True
         groups = combine_regions([r, make_region(1, 4, "w")])
         assert groups[0].irregular_arrays() == {"v"}
+
+
+class TestJoinReductions:
+    """Fig. 6's two groups: slots 4-6 and 16-18 are feasible."""
+
+    def groups(self):
+        return combine_regions([make_region(a, b)
+                                for a, b in TestFigure6.FIG6])
+
+    def test_the_meet_narrows_the_sync_and_moves_it_to_its_end(self):
+        groups = self.groups()
+        assert [g.feasible for g in groups] == [[4, 5, 6], [16, 17, 18]]
+        rides = join_reductions(groups, [[7, 8], [2, 3, 4, 5], [17, 30]],
+                                lambda slot: None)
+        assert rides == [None, 0, 1]
+        assert [g.feasible for g in groups] == [[4, 5], [17]]
+        assert [g.placement for g in groups] == [5, 17]
+        # a later reduction meets what the earlier ones left
+        assert join_reductions(groups, [[6]], lambda slot: None) == [None]
+
+    def test_a_sync_does_not_move_into_another_loop(self):
+        groups = self.groups()
+        # slots 16 and 17 sit inside a loop that 18, the placement, is not
+        inner = object()
+        rides = join_reductions(groups, [[16, 17]],
+                                lambda slot: inner if slot < 18 else None)
+        assert rides == [None]
+        assert groups[1].placement == 18
 
 
 def brute_force_min_piercing(intervals) -> int:
