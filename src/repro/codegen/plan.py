@@ -228,13 +228,13 @@ def _scalar_home(cu: A.CompilationUnit, unit_name: str,
                  name: str) -> tuple | None:
     """Where scalar *name* of unit *unit_name* lives: its COMMON block and
     place, or the unit itself; None for an array or an unknown name."""
-    sym = cu.unit(unit_name).symbols.get(name)  # type: ignore[union-attr]
+    table: SymbolTable = cu.unit(unit_name).symbols  # type: ignore[assignment]
+    sym = table.get(name)
     if sym is None or sym.is_array:
         return None
     if sym.common_block is not None:
-        members = cu.unit(unit_name).symbols.common_blocks[  # type: ignore[union-attr]
-            sym.common_block]
-        return (sym.common_block, members.index(sym.name))
+        return (sym.common_block,
+                table.common_blocks[sym.common_block].index(sym.name))
     return (unit_name, sym.name)
 
 
@@ -540,7 +540,7 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
                         f"width {width} that array {name!r} needs — use "
                         f"fewer processors along that dimension")
 
-    # --- reductions (found, and joined to the syncs, while combining) ---------
+    # --- reductions (found, and joined to the syncs, while combining) --------
     with obs.span("reductions", cat="compile") as redspan:
         for inst, red in zip(loops, reductions):
             red.carried_in = _carried_in(inst, red.reductions)

@@ -163,17 +163,10 @@ class RankRuntime:
             ex = self._syncs[sync_id] = HaloExchanger(
                 self.cart,
                 self._specs(f"sync {sync_id}", named_dists, arrays),
-                point_id=sync_id, partials=self._partials(sync))
+                point_id=sync_id, ops=[
+                    op for _var, op in sync.reductions
+                    if folds_in_one_round(self.partition.dims)])
         return ex
-
-    def _partials(self, sync) -> np.ndarray | None:
-        """The section that carries *sync*'s reductions on its faces;
-        None when nothing rides it or the round cannot fold them (then
-        an allreduce follows)."""
-        if not sync.reductions or not folds_in_one_round(
-                self.partition.dims):
-            return None
-        return np.zeros(len(sync.reductions), np.int64)
 
     def _in_halo(self, step, *args):
         """Run exchange step *step* with live telemetry (if any) showing
@@ -198,14 +191,13 @@ class RankRuntime:
         split = len(args) - len(sync.reductions)
         arrays, values = args[:split], args[split:]
         ex = self._sync_exchanger(sync_id, arrays)
-        ops = [op for _var, op in sync.reductions]
         if ex is not None and ex.partials is not None:
-            return tuple(self._in_halo(ex.exchange, values, ops))
+            return tuple(self._in_halo(ex.exchange, values))
         if ex is not None:
             self._in_halo(ex.exchange)
         if values:
-            return tuple(self.comm.allreduce(value, op)
-                         for value, op in zip(values, ops))
+            return tuple(self.comm.allreduce(value, op) for value, (_var, op)
+                         in zip(values, sync.reductions))
         return None
 
     def _pipe_exchanger(self, pipe_id: int, arrays) -> PipeExchanger:

@@ -149,10 +149,11 @@ class _Face:
     spec the live view the transfer reads (a send face) or writes (a
     ghost face; None where that array keeps no ghosts on this side)."""
 
-    __slots__ = ("peer", "tag", "views", "nbytes", "wire")
+    __slots__ = ("peer", "tag", "views", "nbytes", "wire", "floats")
 
     def __init__(self, peer: int, tag: int,
-                 views: list[np.ndarray | None]) -> None:
+                 views: list[np.ndarray | None],
+                 floats: np.ndarray | None = None) -> None:
         self.peer = peer
         self.tag = tag
         self.views = views
@@ -161,6 +162,17 @@ class _Face:
         #: the process executor's fixed part of this face's messages
         #: (``repro.runtime.procexec._Wire``), set at the first crossing
         self.wire = None
+        #: the float64 view of the partials section that ends *views*
+        #: (:class:`HaloExchanger` with reductions), else None
+        self.floats = floats
+
+
+def _carrying(peer: int, tag: int, views: list,
+              partials: np.ndarray | None) -> _Face:
+    """A face of *views*, and of the *partials* section if there is one."""
+    if partials is None:
+        return _Face(peer, tag, views)
+    return _Face(peer, tag, views + [partials], partials.view(np.float64))
 
 
 class _FacePlan:
@@ -178,24 +190,32 @@ class _FacePlan:
         self.data = data
 
 
-def _pack(section: np.ndarray, values) -> None:
-    """Write *values* into int64 *section*: integers as they are, any
-    other number as its float64 bits."""
-    floats = section.view(np.float64)
+_INTS = (int, np.integer)
+
+
+def _pack(face: _Face, values) -> None:
+    """Write *values* into the partials section of send *face*: an
+    integer as it is, any other number as its float64 bits."""
+    words, floats = face.views[-1], face.floats
     for k, value in enumerate(values):
-        if isinstance(value, (int, np.integer)):
-            section[k] = value
+        if value.__class__ is not float and isinstance(value, _INTS):
+            words[k] = value
         else:
             floats[k] = value
 
 
-def _unpack(section: np.ndarray, kinds) -> list:
-    """The values :func:`_pack` wrote into *section*, each converted to
-    its place's type in *kinds*."""
-    return [kind(word) if issubclass(kind, (int, np.integer))
-            else kind(bits)
-            for kind, word, bits in zip(kinds, section.tolist(),
-                                        section.view(np.float64).tolist())]
+def _fold(folds, values, face: _Face, lower: bool) -> list:
+    """*values* with the neighbor's partials in ghost *face* folded in
+    (*lower*: the neighbor's coordinate is the lower, so its value goes
+    on the left), each read back as the type of this rank's value."""
+    words, bits = face.views[-1].tolist(), face.floats.tolist()
+    out = []
+    for k, (fold, mine) in enumerate(zip(folds, values)):
+        kind = mine.__class__
+        theirs = (bits[k] if kind is float
+                  else kind(words[k] if isinstance(mine, _INTS) else bits[k]))
+        out.append(fold(theirs, mine) if lower else fold(mine, theirs))
+    return out
 
 
 class _FaceTransfers:
@@ -241,14 +261,12 @@ class _FaceTransfers:
                 continue
             if send_tag is not None:
                 views = [s.send_section(dim, direction) for s in self.specs]
-                if extra is not None:
-                    views.append(extra)
-                sends.append(_Face(peer, send_tag, views))
+                sends.append(_carrying(peer, send_tag, views, extra))
             if recv_tag is not None:
                 views = [s.ghost_section(dim, direction) for s in self.specs]
-                if extra is not None:
-                    views.append(np.empty_like(extra))
-                ghosts.append(_Face(peer, recv_tag, views))
+                ghosts.append(_carrying(
+                    peer, recv_tag, views,
+                    None if extra is None else np.empty_like(extra)))
         plan = self._plan = _FacePlan(list(by_dim.values()),
                                       [s.array.data for s in self.specs])
         return plan
@@ -257,20 +275,19 @@ class _FaceTransfers:
 class HaloExchanger(_FaceTransfers):
     """Exchanges ghost layers for a set of arrays over a Cartesian comm.
 
-    With *partials* (a 1-d int64 array, one element per reduction) the
-    round also folds reductions: every face carries the rank's running
-    values as one more section (an integer as it is, a float as its
+    With reduction *ops* (names in :data:`REDUCE_OPS`) the round also
+    folds reductions: every face carries the rank's running values as
+    one more section, ``partials`` (an integer as it is, a float as its
     float64 bits, so either crosses exactly), and each dimension's
     received values fold into them, so that after the last dimension
-    every rank holds the global values.  That takes one neighbor per dimension (two ranks on every
-    cut dimension): folding dimension by dimension is then recursive
-    doubling from the highest rank bit down, the order ``allreduce``
-    folds in.
+    every rank holds the global values.  That takes one neighbor per
+    dimension (two ranks on every cut dimension): folding dimension by
+    dimension is then recursive doubling from the highest rank bit
+    down, the order ``allreduce`` folds in.
     """
 
     def __init__(self, cart: CartComm, specs: list[HaloSpec],
-                 point_id: int = 0,
-                 partials: np.ndarray | None = None) -> None:
+                 point_id: int = 0, ops=()) -> None:
         if not 0 <= point_id < MAX_HALO_POINTS:
             raise RuntimeCommError(
                 f"combined sync point id {point_id} exceeds the halo tag "
@@ -278,7 +295,9 @@ class HaloExchanger(_FaceTransfers):
                 f"with pipeline transfers")
         super().__init__(cart, specs)
         self.point_id = point_id
-        self.partials = partials
+        self._folds = [REDUCE_OPS[op] for op in ops]
+        if ops:
+            self.partials = np.zeros(len(ops), np.int64)
         #: between begin() and finish()?
         self.in_flight = False
         self._t_begin0 = 0
@@ -294,7 +313,7 @@ class HaloExchanger(_FaceTransfers):
                        halo_tag(self.point_id, dim, direction),
                        halo_tag(self.point_id, dim, -direction))
 
-    def exchange(self, values=(), ops=()) -> list:
+    def exchange(self, values=()) -> list:
         """One aggregated exchange: one message per neighbor, all arrays.
 
         Dimensions are exchanged in order; each later dimension's sections
@@ -302,11 +321,10 @@ class HaloExchanger(_FaceTransfers):
         which transports the diagonal (corner) values nine-point stencils
         need without dedicated corner messages.
 
-        *values* are this rank's partials of reductions *ops* (names in
-        :data:`REDUCE_OPS`), carried when the exchanger was built with
-        ``partials``; each dimension's neighbor value folds in with the
-        lower coordinate on the left, converted to the type of this
-        rank's own value.  Returns the folded values.
+        *values* are this rank's partials of the exchanger's reduction
+        ops; each dimension's neighbor value folds in with the lower
+        coordinate on the left, converted to the type of this rank's own
+        value.  Returns the folded values.
 
         Tracing: besides the per-message send/recv events, each pack and
         unpack copy is recorded as a ``halo_pack`` / ``halo_unpack`` span
@@ -321,21 +339,17 @@ class HaloExchanger(_FaceTransfers):
         record = comm.record
         tx0 = perf_counter_ns() if record is not None else 0
         acc = list(values)
-        folds = [REDUCE_OPS[op] for op in ops]
-        kinds = [type(value) for value in acc]
         for sends, ghosts in self._faces().by_dim:
             if acc and sends:
-                _pack(self.partials, acc)
+                # every send face holds the one partials array
+                _pack(sends[0], acc)
             for face in sends:
                 comm.send_face(face)
             for face in ghosts:
                 comm.recv_face(face)
                 if acc:
-                    lower = face.peer < comm.rank
-                    acc = [fold(theirs, mine) if lower
-                           else fold(mine, theirs)
-                           for fold, mine, theirs in zip(
-                               folds, acc, _unpack(face.views[-1], kinds))]
+                    acc = _fold(self._folds, acc, face,
+                                face.peer < comm.rank)
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    tx0, perf_counter_ns())

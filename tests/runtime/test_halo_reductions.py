@@ -1,6 +1,6 @@
 """Reductions folded on a halo round's faces.
 
-A :class:`HaloExchanger` built with ``partials`` carries each rank's
+A :class:`HaloExchanger` built with reduction ``ops`` carries each rank's
 running reduction values as one more section of every face and folds the
 neighbor's in, dimension by dimension, lower coordinate on the left.
 With two ranks on every cut dimension that is recursive doubling from
@@ -59,8 +59,8 @@ def _fold_and_allreduce(dims, comm):
         a.set(field(coord), *coord)
     ex = HaloExchanger(CartComm(comm, dims),
                        [HaloSpec(a, dim_map, sub.owned, width)],
-                       point_id=3, partials=np.zeros(len(OPS), np.int64))
-    folded = ex.exchange(_values(comm.rank), OPS)
+                       point_id=3, ops=OPS)
+    folded = ex.exchange(_values(comm.rank))
     reduced = [comm.allreduce(v, op) for v, op in zip(_values(comm.rank),
                                                       OPS)]
     # ghost layers, corners included (later dimensions ship the ghosts
@@ -102,9 +102,8 @@ def _partials_ride_every_face(comm):
                                 name="v")
     ex = HaloExchanger(CartComm(comm, (2,)),
                        [HaloSpec(a, (0,), owned, ((1, 1),))], point_id=1,
-                       partials=np.zeros(2, np.int64))
-    return [ex.exchange([comm.rank + 1, 5 * comm.rank], ("sum", "max"))
-            for _trip in range(3)]
+                       ops=("sum", "max"))
+    return [ex.exchange([comm.rank + 1, 5 * comm.rank]) for _trip in range(3)]
 
 
 def test_each_face_message_carries_the_partials():
