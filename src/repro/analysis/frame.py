@@ -88,6 +88,9 @@ class FrameProgram:
     directives: AcfdDirectives
     #: call multiplicity: how many times each unit is inlined
     call_counts: dict[str, int]
+    #: the statement instances that jump (GOTO, computed GOTO, EXIT,
+    #: CYCLE), in slot order: every region scans them
+    jumps: list[InstanceNode] = field(default_factory=list)
 
     def node_at_open(self, slot: int) -> InstanceNode | None:
         for n in self.nodes:
@@ -249,7 +252,10 @@ def build_frame_program(cu: A.CompilationUnit,
     visit_body(main.body, main, (), (), root, 0)
     close(root)
 
+    jumps = [n for n in nodes if n.kind == "stmt" and isinstance(
+        n.stmt, (A.Goto, A.ComputedGoto, A.ExitStmt, A.CycleStmt))]
     return FrameProgram(root=root, slot_count=counter, nodes=nodes,
                         field_loop_instances=field_instances,
                         classifications=classifications,
-                        directives=directives, call_counts=call_counts)
+                        directives=directives, call_counts=call_counts,
+                        jumps=jumps)

@@ -16,6 +16,7 @@ combining, self-dependence, reductions — and packages the result:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.analysis.dependency import DependencePair, build_sldp
@@ -431,7 +432,7 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
         rides = iter(join_reductions(groups, [
             _reduction_slots(cu, frame, inst, r.var)
             for inst, red in zip(loops, reductions) for r in red.reductions],
-            lambda slot: _slot_loop(frame, slot)))
+            functools.cache(lambda slot: _slot_loop(frame, slot))))
         for red in reductions:
             for r in red.reductions:
                 k = next(rides)

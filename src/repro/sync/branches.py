@@ -31,11 +31,10 @@ from repro.sync.interproc import subtree_has_rtype
 
 
 def _goto_nodes(frame: FrameProgram, start: int, end: int):
-    for node in frame.nodes:
-        if node.kind == "stmt" and isinstance(node.stmt, (A.Goto,
-                                                          A.ComputedGoto)):
-            if start <= node.open <= end:
-                yield node
+    for node in frame.jumps:
+        if isinstance(node.stmt, (A.Goto, A.ComputedGoto)) \
+                and start <= node.open <= end:
+            yield node
 
 
 def _if_nodes(frame: FrameProgram, start: int, end: int):
@@ -65,9 +64,8 @@ def jump_gaps(frame: FrameProgram, start: int,
     end.  (A region that ends at the loop's end serves the loop's next
     trip, which an ``exit`` never takes.)"""
     gaps = []
-    for node in frame.nodes:
-        if (node.kind == "stmt"
-                and isinstance(node.stmt, (A.ExitStmt, A.CycleStmt))
+    for node in frame.jumps:
+        if (isinstance(node.stmt, (A.ExitStmt, A.CycleStmt))
                 and start <= node.open <= end):
             loops = node.enclosing_loops()
             if loops and (loops[0].close < end
