@@ -123,7 +123,7 @@ class LoopForest:
 def known_step(loop: A.DoLoop, table: SymbolTable) -> int | None:
     """*loop*'s step when it is a known constant (1 when absent, else a
     literal or a PARAMETER expression of *table*'s unit); ``None`` when
-    only the run can tell, and such a step counts as upward."""
+    only the run can tell."""
     if loop.step is None:
         return 1
     try:

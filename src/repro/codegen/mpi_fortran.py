@@ -29,18 +29,11 @@ c ==================================================================
 #: how a fold of two partials is written, per reduction op
 _FOLD = {"max": "max({a}, {b})", "min": "min({a}, {b})", "sum": "{a} + {b}"}
 
-#: the MPI operation of each reduction op
-_MPI_OP = {"max": "mpi_max", "min": "mpi_min", "sum": "mpi_sum"}
-
 
 def _allreduces(sync: PlannedSync, pad: str = "  ") -> list[str]:
-    """An ``mpi_allreduce`` per reduction riding *sync*."""
-    lines = []
-    for var, op in sync.reductions:
-        lines += [f"{pad}call mpi_allreduce({var}, acfd_red, 1, mpi_real, "
-                  f"{_MPI_OP[op]}, mpi_comm_world, ierr)",
-                  f"{pad}{var} = acfd_red"]
-    return lines
+    """The library's allreduce of each reduction riding *sync*."""
+    return [f"{pad}{var} = acfd_allreduce_{op}({var})"
+            for var, op in sync.reductions]
 
 
 def _first_frame_guard(sync: PlannedSync) -> list[str]:
@@ -74,8 +67,8 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
     Reductions riding the sync are passed after its arrays.  Where every
     cut dimension has two ranks their partials are packed into each face
     message behind the arrays and folded, lower coordinate on the left,
-    as each face arrives; elsewhere an ``mpi_allreduce`` follows the
-    faces."""
+    as each face arrives; elsewhere the library's ``acfd_allreduce_<op>``
+    follows the faces."""
     fold = bool(sync.reductions) and folds_in_one_round(plan.partition.dims)
     lines = []
     args = ", ".join([name for name, _d in sync.arrays]
@@ -89,7 +82,8 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
         table = plan.cu.unit(sync.insertion[0]).symbols
         lines += [f"  {table.require(var).type_name} {var}"
                   for var, _op in sync.reductions]
-        lines.append("  integer acfd_len" if fold else "  real acfd_red")
+        if fold:
+            lines.append("  integer acfd_len")
     lines.extend(_first_frame_guard(sync))
     for g in plan.partition.cut_dims:
         for direction, side in ((-1, "minus"), (1, "plus")):
@@ -183,15 +177,18 @@ subroutine acfd_pipe_send_{pipe.pipe_id}({args})
      &          acfd_nbr({dims}, 1), {1000 + pipe.pipe_id},
      &          mpi_comm_world, ierr)
 end subroutine acfd_pipe_send_{pipe.pipe_id}""")
-    parts.append("""\
-real function acfd_allreduce_max(x)
+    # max always; min and sum only when a reduction uses them
+    used = {"max"} | {r.op for rp in plan.reductions for r in rp.reductions}
+    for op in (op for op in _FOLD if op in used):
+        parts.append(f"""\
+real function acfd_allreduce_{op}(x)
   include 'mpif.h'
   real x, y
   integer ierr
-  call mpi_allreduce(x, y, 1, mpi_real, mpi_max, mpi_comm_world, ierr)
-  acfd_allreduce_max = y
-end function acfd_allreduce_max
-
+  call mpi_allreduce(x, y, 1, mpi_real, mpi_{op}, mpi_comm_world, ierr)
+  acfd_allreduce_{op} = y
+end function acfd_allreduce_{op}""")
+    parts.append("""\
 real function acfd_bcast(x)
   include 'mpif.h'
   real x

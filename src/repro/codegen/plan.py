@@ -29,6 +29,7 @@ from repro.analysis.selfdep import SelfDepClass, SelfDepPlan, analyze_self_depen
 from repro.errors import CodegenError
 from repro.fortran import ast as A
 from repro.fortran.directives import AcfdDirectives
+from repro.fortran.printer import print_expr
 from repro.obs import spans as obs
 from repro.fortran.symbols import SymbolTable
 from repro.partition.grid import GridGeometry
@@ -301,18 +302,26 @@ def _refuse_downward_sweep(fl: FieldLoop, sp: SelfDepPlan, unit_name: str,
     """A pipeline flows from the minus neighbor to the plus one, and the
     self-dependence classes assume the sweep runs upward: a self-dependent
     loop swept downward along a cut dimension it depends along cannot be
-    split across that dimension."""
+    split across that dimension, nor one whose step only the run knows."""
     dec = sp.decomposition
     for g in sorted({*dec.pipeline_dims, *dec.halo_dims} & set(cut_dims)):
         var = fl.sweeps.get(g)
-        if var is not None and any(
-                loop.var == var
-                and (known_step(loop.stmt, loop.unit.symbols) or 0) < 0
-                for loop in [fl.loop, *fl.loop.descendants]):
-            raise CodegenError(
-                f"self-dependent loop on {sp.array!r} in {unit_name!r} "
-                f"sweeps cut dimension {g} downward, against the "
-                f"pipeline's upward flow")
+        for loop in [fl.loop, *fl.loop.descendants]:
+            if var is None or loop.var != var:
+                continue
+            step = known_step(loop.stmt, loop.unit.symbols)
+            if step is None:
+                raise CodegenError(
+                    f"self-dependent loop on {sp.array!r} in "
+                    f"{unit_name!r} sweeps cut dimension {g} with 'do "
+                    f"{loop.var}' by step {print_expr(loop.stmt.step)!r}, "
+                    f"whose sign only the run knows: the pipeline flows "
+                    f"upward")
+            if step < 0:
+                raise CodegenError(
+                    f"self-dependent loop on {sp.array!r} in "
+                    f"{unit_name!r} sweeps cut dimension {g} downward, "
+                    f"against the pipeline's upward flow")
 
 
 def build_plan(cu: A.CompilationUnit, partition: Partition,

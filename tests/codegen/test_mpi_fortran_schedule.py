@@ -99,8 +99,38 @@ class TestMpiFortran:
             .split("end subroutine")[0]
         assert "acfd_len" not in two
         assert two.index("call acfd_unpack_faces(2, 1, 1, acfd_recvbuf)") \
-            < two.index("call mpi_allreduce(err, acfd_red, 1, mpi_real, "
-                        "mpi_max, mpi_comm_world, ierr)")
+            < two.index("  err = acfd_allreduce_max(err)\n")
+
+    def test_the_library_prints_the_allreduce_of_each_op_used(self):
+        def ops(text):
+            return [op for op in ("max", "min", "sum")
+                    if f"real function acfd_allreduce_{op}(x)" in text]
+        assert ops(compile_src(JACOBI_SRC, (4, 1)).mpi_source()) == ["max"]
+        src = JACOBI_SRC.replace("err = amax1(", "err = amin1(")
+        res = compile_src(src, (4, 1))
+        assert [r.op for r in res.plan.reductions[0].reductions] == ["min"]
+        text = res.mpi_source()
+        assert ops(text) == ["max", "min"]
+        assert ("call mpi_allreduce(x, y, 1, mpi_real, mpi_min, "
+                "mpi_comm_world, ierr)") in text
+        assert "  err = acfd_allreduce_min(err)\n" in text
+
+    def test_an_entry_only_sync_still_reduces_what_rides_it(self):
+        import dataclasses
+
+        from repro.codegen.mpi_fortran import _exchange_subroutine
+        res = compile_src(JACOBI_SRC, (2, 1))
+        # sync 1 sends v on the first frame only; give it err to carry
+        sync = dataclasses.replace(res.plan.syncs[0],
+                                   reductions=[("err", "max")])
+        assert sync.steady == []
+        one = _exchange_subroutine(res.plan, sync)
+        assert ("  if (acfd_trip .gt. 1) then\n"
+                "    err = acfd_allreduce_max(err)\n"
+                "    return\n"
+                "  end if\n") in one
+        assert "  real err\n" in one
+        assert one.index("end if") < one.index("mpi_sendrecv")
 
     def test_nothing_demoted_prints_no_guard(self):
         text = compile_src(JACOBI_BC_SRC, (2, 1)).mpi_source()

@@ -219,6 +219,24 @@ class TestDescendingSweeps:
                                  "sweeps cut dimension 0 downward"):
             acfd.compile(partition=(2, 1))
 
+    def test_a_self_dependent_step_only_the_run_knows_is_refused(self):
+        # with k = -1 from the deck the pipeline would flow against the
+        # sweep; across the other dimension the loop runs as written
+        src = K.gauss_seidel_2d(16, 12, 5).replace(
+            "do i = 2, n - 1", "do i = n - 1, 2, k", 1).replace(
+            "integer n, m, i, j, iter", "integer n, m, i, j, iter, k") \
+            .replace("  eps = ", "  read (5, *) k\n  eps = ")
+        acfd = AutoCFD.from_source(src)
+        with pytest.raises(CodegenError,
+                           match="self-dependent loop on 'v' in 'seidel' "
+                                 "sweeps cut dimension 0 with 'do i' by "
+                                 "step 'k', whose sign only the run knows"):
+            acfd.compile(partition=(2, 1))
+        seq = acfd.run_sequential(input_text="-1\n")
+        par = acfd.compile(partition=(1, 2)).run_parallel(input_text="-1\n")
+        assert par.output() == seq.io.output()
+        assert np.array_equal(par.array("v").data, seq.array("v").data)
+
     def test_forward_reads_of_a_descending_sweep_are_refused(self):
         # v(i+1, j) is already updated when a downward sweep reads it: a
         # flow dependence no upward halo or pipe can carry

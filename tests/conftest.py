@@ -79,6 +79,16 @@ def with_boundary_refresh(src: str) -> str:
 
 JACOBI_BC_SRC = with_boundary_refresh(JACOBI_SRC)
 
+
+def residual_tested_early(src: str) -> str:
+    """Jacobi *src* (``apps.kernels.jacobi_5pt`` shape) also testing its
+    residual before the copy-back, where no sync can carry it: the
+    reduction keeps its allreduce.  ``err .lt. 0.0`` never exits."""
+    copy_back = ("    do i = 2, n - 1\n      do j = 2, m - 1\n"
+                 "        v(i, j) = vnew(i, j)")
+    assert src.count(copy_back) == 1
+    return src.replace(copy_back, "    if (err .lt. 0.0) exit\n" + copy_back)
+
 SEIDEL_SRC = """\
 !$acfd status v
 !$acfd grid 20 14

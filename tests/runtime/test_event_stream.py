@@ -24,6 +24,8 @@ from repro.obs.health import Telemetry
 from repro.obs.timeline import Timeline
 from repro.runtime import Trace
 
+from tests.conftest import residual_tested_early
+
 SLOTS = 64
 
 
@@ -106,6 +108,9 @@ def _assert_two_readers_agree(source: str, executor: str, tmp_path,
 #: at 2x2 the residual rides the halo round: no allreduce
 JACOBI_KINDS = {"send", "recv", "halo_pack", "halo_unpack", "exchange",
                 "frame", "checkpoint", "rank"}
+#: tested before the copy-back, the residual keeps its allreduce
+#: (recursive doubling at 4 ranks)
+EARLY_KINDS = JACOBI_KINDS | {"allreduce"}
 PIPE_KINDS = {"pipeline_send", "pipeline_recv", "frame", "checkpoint"}
 
 
@@ -113,6 +118,11 @@ class TestTwoReadersThread:
     def test_halo_jacobi(self, tmp_path):
         _assert_two_readers_agree(jacobi_5pt(24, 16, iters=8, eps=0.0),
                                   "thread", tmp_path, JACOBI_KINDS)
+
+    def test_halo_jacobi_with_an_allreduce(self, tmp_path):
+        _assert_two_readers_agree(
+            residual_tested_early(jacobi_5pt(24, 16, iters=8, eps=0.0)),
+            "thread", tmp_path, EARLY_KINDS)
 
     def test_pipelined_gauss_seidel(self, tmp_path):
         _assert_two_readers_agree(gauss_seidel_2d(24, 16, iters=8, eps=0.0),
@@ -124,6 +134,11 @@ class TestTwoReadersProcess:
     def test_halo_jacobi(self, tmp_path):
         _assert_two_readers_agree(jacobi_5pt(24, 16, iters=8, eps=0.0),
                                   "process", tmp_path, JACOBI_KINDS)
+
+    def test_halo_jacobi_with_an_allreduce(self, tmp_path):
+        _assert_two_readers_agree(
+            residual_tested_early(jacobi_5pt(24, 16, iters=8, eps=0.0)),
+            "process", tmp_path, EARLY_KINDS)
 
     def test_pipelined_gauss_seidel(self, tmp_path):
         _assert_two_readers_agree(gauss_seidel_2d(24, 16, iters=8, eps=0.0),

@@ -39,6 +39,8 @@ from repro.runtime.procexec import (_CHANNEL_BYTES, _MISS, _SLOT_BYTES,
                                     _RemoteMailbox, proc_run)
 from repro.runtime.world import spmd_run
 
+from tests.conftest import residual_tested_early
+
 
 # -- module-level rank bodies (the process executor pickles them) ------------
 
@@ -501,35 +503,47 @@ class TestFaceWires:
         assert untouched
 
 
+def _same_events_on_both_executors(source: str, kinds: set) -> None:
+    """*source* at 2x1 logs the same events on both executors, with at
+    least the event *kinds*."""
+    compiled = AutoCFD.from_source(source).compile(partition=(2, 1))
+    runs = [compiled.run_parallel(timeout=60.0, executor=executor)
+            for executor in ("thread", "process")]
+    events = [run.trace.snapshot() for run in runs]
+    for rank in (0, 1):
+        on_threads, on_processes = (
+            [(e.kind, e.peer, e.nbytes, e.tag) for e in got
+             if e.rank == rank] for got in events)
+        assert on_processes == on_threads
+    stats = [run.trace.comm_stats() for run in runs]
+    for s in stats:
+        del s["wait_s"]
+    assert stats[0] == stats[1]
+    assert stats[1]["sends"] > 0
+    got = events[1]
+    assert kinds <= {e.kind for e in got}
+    assert all(e.peer is None for e in got
+               if e.kind in ("halo_pack", "exchange", "frame", "rank"))
+    assert all(e.tag is None for e in got
+               if e.kind in ("allreduce", "rank"))
+    assert all((e.peer is None or e.peer >= 0)
+               and (e.tag is None or e.tag >= 0) for e in got)
+
+
 class TestEventLogCrossesAsOneBuffer:
     def test_jacobi_records_the_same_events_on_both_executors(self):
-        compiled = AutoCFD.from_source(
-            jacobi_5pt(n=24, m=16, iters=12, eps=0.0)).compile(
-                partition=(2, 1))
-        runs = [compiled.run_parallel(timeout=60.0, executor=executor)
-                for executor in ("thread", "process")]
-        events = [run.trace.snapshot() for run in runs]
-        for rank in (0, 1):
-            on_threads, on_processes = (
-                [(e.kind, e.peer, e.nbytes, e.tag) for e in got
-                 if e.rank == rank] for got in events)
-            assert on_processes == on_threads
-        stats = [run.trace.comm_stats() for run in runs]
-        for s in stats:
-            del s["wait_s"]
-        assert stats[0] == stats[1]
-        assert stats[1]["sends"] > 0
-        got = events[1]
-        kinds = {e.kind for e in got}
-        # err rides sync 2 at 2x1: no allreduce; "rank" is the kind
-        # with a None tag
-        assert {"halo_pack", "exchange", "frame", "rank"} <= kinds
-        assert all(e.peer is None for e in got
-                   if e.kind in ("halo_pack", "exchange", "frame", "rank"))
-        assert all(e.tag is None for e in got
-                   if e.kind in ("allreduce", "rank"))
-        assert all((e.peer is None or e.peer >= 0)
-                   and (e.tag is None or e.tag >= 0) for e in got)
+        # err rides sync 2 at 2x1: no allreduce; "rank" is the kind with
+        # a None tag
+        _same_events_on_both_executors(
+            jacobi_5pt(n=24, m=16, iters=12, eps=0.0),
+            {"halo_pack", "exchange", "frame", "rank"})
+
+    def test_an_allreduce_records_the_same_events_on_both_executors(self):
+        # tested before the copy-back, err keeps its allreduce
+        _same_events_on_both_executors(
+            residual_tested_early(jacobi_5pt(n=24, m=16, iters=12,
+                                             eps=0.0)),
+            {"halo_pack", "exchange", "allreduce", "frame", "rank"})
 
     def test_an_absorbed_log_is_rebased_and_decodes_as_written(self):
         parent = Trace()
