@@ -19,11 +19,17 @@ whole-array slice translation, with four guards:
   152x100 buffer) must run at least 1.2x faster on the flat plan than on
   the box plan, and store the same grid bitwise.
 
+One probe records without a guard: the sprayer's momentum x-sweep at
+2x1 with every buffer on a cache line (as the backend allocates them),
+and with every buffer 8 or 16 bytes off one; the grids must be equal
+bitwise, the time ratios are only written down.
+
 Results land in ``benchmarks/results/micro_pyback.txt`` (uploaded as a
 CI artifact alongside the runtime micro-benchmark profile).
 """
 
 import time
+from math import prod
 
 import numpy as np
 import pytest
@@ -229,3 +235,74 @@ def test_gapped_box_computes_faster_flat():
         f"box plan, {times['flat'] / frames * 1e6:6.1f} us flat plan: "
         f"{ratio:.2f}x"])
     assert ratio >= 1.2, f"flat plan only {ratio:.2f}x the box plan"
+
+
+def _x_sweep(frames: int) -> str:
+    """The sprayer's momentum x-sweep on one rank of its 2x1 run: five
+    ufuncs over 150 whole rows of 152x100 buffers."""
+    return f"""\
+program xsweep
+  implicit none
+  integer n, m, i, j, it
+  parameter (n = 152, m = 100)
+  real vx(n, m), vxn(n, m), pr(n, m)
+  do i = 1, n
+    do j = 1, m
+      vx(i, j) = 0.01 * i + 0.02 * j
+      pr(i, j) = 0.5 - 0.001 * i * j
+    end do
+  end do
+  do it = 1, {frames}
+    do i = 2, n - 1
+      do j = 1, m
+        vxn(i, j) = 0.46 * (vx(i - 1, j) + vx(i + 1, j)) &
+          + 0.02 * (pr(i - 1, j) - pr(i + 1, j))
+      end do
+    end do
+  end do
+end
+"""
+
+
+def _shifted(aligned_buffer, off: int):
+    """An allocator like *aligned_buffer* whose arrays start *off* bytes
+    past a cache line."""
+
+    def alloc(shape, dtype, *, zero=False):
+        dtype = np.dtype(dtype)
+        raw = aligned_buffer((prod(shape) * dtype.itemsize + off,),
+                             np.uint8, zero=zero)
+        return raw[off:].view(dtype).reshape(shape)
+    return alloc
+
+
+@pytest.mark.benchsmoke
+def test_misaligned_buffers_probe(monkeypatch):
+    """The alignment probe: the same compiled x-sweep with its arrays and
+    scratch on a cache line, then 8 and 16 bytes off one.  Only where the
+    buffers start changes, so the grids are equal bitwise; the ratios
+    are recorded, not asserted."""
+    from repro.interp import values, vectorize
+    from repro.interp.pyback import compile_unit
+    frames = 400
+    prog = compile_unit(parse_source(_x_sweep(frames)))
+    times, grids = {}, {}
+    aligned = values.aligned_buffer
+    for off in (0, 8, 16):
+        for module in (values, vectorize):
+            monkeypatch.setattr(module, "aligned_buffer",
+                                _shifted(aligned, off))
+        best = float("inf")
+        for _ in range(7):
+            t0 = time.perf_counter()
+            run = prog.run()
+            best = min(best, time.perf_counter() - t0)
+        vxn = run.array("vxn").data
+        assert vxn.ctypes.data % values.CACHE_LINE == off
+        times[off] = best
+        grids[off] = vxn.tobytes()
+    assert grids[8] == grids[0] == grids[16]
+    _emit_accumulated([
+        f"{'x-sweep 2x1':<14s} frame {times[0] / frames * 1e6:6.1f} us "
+        f"on cache lines; 8 bytes off {times[8] / times[0]:.2f}x, "
+        f"16 bytes off {times[16] / times[0]:.2f}x"])

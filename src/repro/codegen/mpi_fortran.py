@@ -8,7 +8,11 @@ prints the same artifact: the transformed SPMD program plus a generated
 pipeline sends/receives, and the reduction/broadcast wrappers, all
 specialized with the plan's geometry.  A reduction riding a combined
 sync travels in that sync's face messages: its partial is packed behind
-the arrays and folded as each face arrives.
+the arrays and folded as each face arrives.  Broadcasts and allreduces
+call one library function per Fortran type they carry (an integer
+broadcast is ``acfd_bcast_int`` over ``mpi_integer``); the program text
+printed here names that function, the SPMD program keeps the generic
+call.
 """
 
 from __future__ import annotations
@@ -28,15 +32,53 @@ c ==================================================================
 
 #: how a fold of two partials is written, per reduction op
 _FOLD = {"max": "max({a}, {b})", "min": "min({a}, {b})", "sum": "{a} + {b}"}
+#: per Fortran type a library call carries: the suffix of its function
+#: name and its MPI datatype (``real`` keeps the untyped names)
+_TYPED = {"real": ("", "mpi_real"), "integer": ("_int", "mpi_integer"),
+          "doubleprecision": ("_dble", "mpi_double_precision"),
+          "logical": ("_log", "mpi_logical")}
+#: the library calls the restructurer emits as ``x = <call>(x)``
+_LIBRARY = tuple(f"acfd_allreduce_{op}" for op in _FOLD) + ("acfd_bcast",)
 
 
-def _allreduces(sync: PlannedSync, pad: str = "  ") -> list[str]:
+def _typed(name: str, type_name: str) -> str:
+    return name + _TYPED[type_name][0]
+
+
+def _allreduces(plan: ParallelPlan, sync: PlannedSync,
+                pad: str = "  ") -> list[str]:
     """The library's allreduce of each reduction riding *sync*."""
-    return [f"{pad}{var} = acfd_allreduce_{op}({var})"
-            for var, op in sync.reductions]
+    table = plan.cu.unit(sync.insertion[0]).symbols
+    return [f"{pad}{var} = "
+            + _typed(f"acfd_allreduce_{op}", table.require(var).type_name)
+            + f"({var})" for var, op in sync.reductions]
 
 
-def _first_frame_guard(sync: PlannedSync) -> list[str]:
+def _partial_slots(reductions: list[tuple[str, str]], types: list[str]
+                   ) -> tuple[list[tuple[str, str, str, str]], int]:
+    """Where each riding partial travels behind the packed faces:
+    ``(var, op, pack statement, the neighbour's value)`` per partial and
+    the real elements they take.  A real partial is stored as it is;
+    any other type's bits are copied with ``transfer`` into as many
+    numeric storage units as it fills (one for an integer, two for a
+    double precision), so it arrives exact."""
+    out, end = [], 0
+    for (var, op), type_name in zip(reductions, types):
+        units = 2 if type_name == "doubleprecision" else 1
+        span = f"acfd_len + {end + 1}" + (
+            f":acfd_len + {end + units}" if units > 1 else "")
+        end += units
+        if type_name == "real":
+            pack, theirs = var, f"acfd_recvbuf({span})"
+        else:
+            mold = f"acfd_sendbuf(1{':' + str(units) if units > 1 else ''})"
+            pack = f"transfer({var}, {mold})"
+            theirs = f"transfer(acfd_recvbuf({span}), {var})"
+        out.append((var, op, f"acfd_sendbuf({span}) = {pack}", theirs))
+    return out, end
+
+
+def _first_frame_guard(plan: ParallelPlan, sync: PlannedSync) -> list[str]:
     """Which members travel when: the entry-only ones are still fresh
     after the first frame (``acfd_frame`` counts ``acfd_trip``), so the
     pack, unpack and face-length routines consult ``acfd_members``.  A
@@ -54,8 +96,8 @@ def _first_frame_guard(sync: PlannedSync) -> list[str]:
                   f"  if (acfd_trip .le. 1) acfd_members({sync.sync_id}) "
                   f"= 0"]
     elif sync.reductions:
-        lines += ["  if (acfd_trip .gt. 1) then"] + _allreduces(sync, "    ") \
-            + ["    return", "  end if"]
+        lines += ["  if (acfd_trip .gt. 1) then"] \
+            + _allreduces(plan, sync, "    ") + ["    return", "  end if"]
     else:
         lines.append("  if (acfd_trip .gt. 1) return")
     return lines
@@ -78,13 +120,13 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
     lines.append("  include 'acfd_geom.h'")
     lines.extend(_array_decls(plan, sync))
     lines.append("  integer ierr, status(mpi_status_size)")
-    if sync.reductions:
-        table = plan.cu.unit(sync.insertion[0]).symbols
-        lines += [f"  {table.require(var).type_name} {var}"
-                  for var, _op in sync.reductions]
-        if fold:
-            lines.append("  integer acfd_len")
-    lines.extend(_first_frame_guard(sync))
+    table = plan.cu.unit(sync.insertion[0]).symbols
+    types = [table.require(var).type_name for var, _op in sync.reductions]
+    lines += [f"  {t} {var}" for (var, _op), t in zip(sync.reductions, types)]
+    partials, units = _partial_slots(sync.reductions, types)
+    if fold:
+        lines.append("  integer acfd_len")
+    lines.extend(_first_frame_guard(plan, sync))
     for g in plan.partition.cut_dims:
         for direction, side in ((-1, "minus"), (1, "plus")):
             length = f"acfd_facelen({sync.sync_id}, {g + 1})"
@@ -98,9 +140,8 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
                          f"{g + 1}, {direction}, acfd_sendbuf)")
             if fold:
                 lines.append(f"    acfd_len = {length}")
-                for k, (var, _op) in enumerate(sync.reductions, 1):
-                    lines.append(f"    acfd_sendbuf(acfd_len + {k}) = {var}")
-                length = f"acfd_len + {len(sync.reductions)}"
+                lines += [f"    {pack}" for _v, _o, pack, _t in partials]
+                length = f"acfd_len + {units}"
             lines.append(f"    call mpi_sendrecv(acfd_sendbuf, {length}, "
                          f"mpi_real, acfd_nbr({g + 1}, {direction}), "
                          f"{sync.sync_id}, acfd_recvbuf, {length}, "
@@ -111,8 +152,7 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
             if fold:
                 lines.append("c    fold the neighbor's partials, lower "
                              "coordinate on the left")
-                for k, (var, op) in enumerate(sync.reductions, 1):
-                    theirs = f"acfd_recvbuf(acfd_len + {k})"
+                for var, op, _pack, theirs in partials:
                     a, b = (theirs, var) if direction < 0 else (var, theirs)
                     lines.append(f"    {var} = "
                                  + _FOLD[op].format(a=a, b=b))
@@ -120,7 +160,7 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
     if sync.reductions and not fold:
         lines.append("c  a cut dimension has more than two ranks: the "
                      "reductions fold in an allreduce")
-        lines += _allreduces(sync)
+        lines += _allreduces(plan, sync)
     lines.append(f"end subroutine acfd_exchange_{sync.sync_id}")
     return "\n".join(lines)
 
@@ -138,7 +178,27 @@ def _array_decls(plan: ParallelPlan, sync: PlannedSync) -> list[str]:
     return lines
 
 
-def _runtime_library(plan: ParallelPlan) -> str:
+def _typed_calls(spmd_cu: A.CompilationUnit
+                 ) -> tuple[A.CompilationUnit, set[tuple[str, str]]]:
+    """A copy of the program in which each ``x = acfd_bcast(x)`` or ``x =
+    acfd_allreduce_<op>(x)`` calls the function of *x*'s type, and the
+    ``(library function, type)`` pairs it calls."""
+    out = A.copy_node(spmd_cu)
+    used = set()
+    for unit, twin in zip(spmd_cu.units, out.units):
+        for node, copy in zip(A.walk(unit), A.walk(twin)):
+            if isinstance(node, A.Assign) \
+                    and isinstance(node.value, A.FuncCall) \
+                    and node.value.name in _LIBRARY:
+                type_name = unit.symbols.require(node.target.name).type_name
+                used.add((node.value.name, type_name))
+                copy.value.name = _typed(node.value.name, type_name)
+    return out, used
+
+
+def _runtime_library(plan: ParallelPlan, calls: set[tuple[str, str]]) -> str:
+    """The library: setup, one exchange wrapper per sync, the pipeline
+    wrappers, and the reduction and broadcast functions of *calls*."""
     parts = []
     parts.append("""\
 subroutine acfd_init()
@@ -177,29 +237,37 @@ subroutine acfd_pipe_send_{pipe.pipe_id}({args})
      &          acfd_nbr({dims}, 1), {1000 + pipe.pipe_id},
      &          mpi_comm_world, ierr)
 end subroutine acfd_pipe_send_{pipe.pipe_id}""")
-    # max always; min and sum only when a reduction uses them
-    used = {"max"} | {r.op for rp in plan.reductions for r in rp.reductions}
-    for op in (op for op in _FOLD if op in used):
-        parts.append(f"""\
-real function acfd_allreduce_{op}(x)
-  include 'mpif.h'
-  real x, y
-  integer ierr
-  call mpi_allreduce(x, y, 1, mpi_real, mpi_{op}, mpi_comm_world, ierr)
-  acfd_allreduce_{op} = y
-end function acfd_allreduce_{op}""")
-    parts.append("""\
-real function acfd_bcast(x)
-  include 'mpif.h'
-  real x
-  integer ierr
-  call mpi_bcast(x, 1, mpi_real, 0, mpi_comm_world, ierr)
-  acfd_bcast = x
-end function acfd_bcast""")
+    # the real max and broadcast always, the allreduce of each op a
+    # reduction uses in the reduced scalar's type, and every call's
+    needed = calls | {("acfd_allreduce_max", "real"), ("acfd_bcast", "real")}
+    needed |= {(f"acfd_allreduce_{r.op}",
+                plan.cu.unit(rp.unit).symbols.require(r.var).type_name)
+               for rp in plan.reductions for r in rp.reductions}
+    parts += [_library_function(name, type_name) for name in _LIBRARY
+              for type_name in _TYPED if (name, type_name) in needed]
     frame_stub = _frame_stub(plan)
     if frame_stub:
         parts.append(frame_stub)
     return "\n\n".join(parts)
+
+
+def _library_function(name: str, type_name: str) -> str:
+    """The broadcast or allreduce function *name* over *type_name*."""
+    fn, mpi_type = _typed(name, type_name), _TYPED[type_name][1]
+    if name == "acfd_bcast":
+        decl, result = f"{type_name} x", "x"
+        call = f"mpi_bcast(x, 1, {mpi_type}, 0, mpi_comm_world, ierr)"
+    else:
+        decl, result = f"{type_name} x, y", "y"
+        call = (f"mpi_allreduce(x, y, 1, {mpi_type}, "
+                f"mpi_{name.rsplit('_', 1)[1]}, mpi_comm_world, ierr)")
+    return (f"{type_name} function {fn}(x)\n"
+            f"  include 'mpif.h'\n"
+            f"  {decl}\n"
+            f"  integer ierr\n"
+            f"  call {call}\n"
+            f"  {fn} = {result}\n"
+            f"end function {fn}")
 
 
 def _frame_stub(plan: ParallelPlan) -> str:
@@ -240,8 +308,9 @@ def print_mpi_fortran(plan: ParallelPlan, spmd_cu: A.CompilationUnit) -> str:
         grid="x".join(str(n) for n in plan.directives.grid_shape),
         nsyncs=len(plan.syncs),
         npipes=len(plan.pipes))
-    program = print_compilation_unit(spmd_cu)
-    library = _runtime_library(plan)
+    program_cu, calls = _typed_calls(spmd_cu)
+    program = print_compilation_unit(program_cu)
+    library = _runtime_library(plan, calls)
     return (f"{header}\n{program}\n"
             f"c ------------------- generated MPI runtime "
             f"-------------------\n{library}\n")

@@ -6,9 +6,15 @@ index space in *local* arrays (a subgrid owning ``i = 34..66`` is declared
 ``v(33:67)`` — halo included — so loop bodies keep their original
 subscripts).  :class:`OffsetArray` implements those semantics over a numpy
 buffer.
+
+Every numeric buffer a rank computes in comes from :func:`aligned_buffer`:
+array storage here, and the scratch, masks and index grids of
+:mod:`repro.interp.vectorize`.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -22,6 +28,26 @@ DTYPES = {
     "logical": np.bool_,
     "character": object,
 }
+
+
+#: bytes in a cache line.  numpy guarantees 16-byte alignment only; its
+#: AVX-512 loops (numpy 2.4, x86-64) ran a 14,800-double add in 5.5 us
+#: with every operand on a line and in 14 us with all 8 or 16 bytes off
+CACHE_LINE = 64
+
+
+def aligned_buffer(shape, dtype, *, zero: bool = False) -> np.ndarray:
+    """A C-contiguous array whose first element starts on a
+    :data:`CACHE_LINE` boundary, uninitialised or zero-filled: a view
+    into a byte buffer one line longer.  Object arrays, which hold
+    references, come from ``np.zeros`` / ``np.empty`` as they are."""
+    dtype = np.dtype(dtype)
+    if dtype.hasobject:
+        return (np.zeros if zero else np.empty)(shape, dtype)
+    nbytes = prod(shape) * dtype.itemsize
+    raw = (np.zeros if zero else np.empty)(nbytes + CACHE_LINE, np.uint8)
+    skip = -raw.ctypes.data % CACHE_LINE
+    return raw[skip:skip + nbytes].view(dtype).reshape(shape)
 
 
 class OffsetArray:
@@ -46,7 +72,7 @@ class OffsetArray:
                               f"{len(lower)} lower bounds")
         if any(n < 0 for n in shape):
             raise InterpError(f"array {name!r}: negative extent in {shape}")
-        self.data = np.zeros(shape, dtype=dtype)
+        self.data = aligned_buffer(shape, dtype, zero=True)
         self.lower = tuple(lower)
         self.name = name
 
@@ -150,8 +176,9 @@ class OffsetArray:
         self.data[...] = value
 
     def copy(self) -> "OffsetArray":
-        out = OffsetArray.wrap(self.data.copy(), self.lower, self.name)
-        return out
+        data = aligned_buffer(self.data.shape, self.data.dtype)
+        np.copyto(data, self.data)
+        return OffsetArray.wrap(data, self.lower, self.name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OffsetArray):

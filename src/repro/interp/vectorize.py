@@ -158,7 +158,7 @@ from repro.analysis.stencil import SubscriptKind, int_parameters
 from repro.analysis.vecsafety import (MODES, NestFacts, VArrayAssign, VIf,
                                       VReduce, VSkip, VTempAssign,
                                       analyze_nest)
-from repro.interp.values import do_trips
+from repro.interp.values import aligned_buffer, do_trips
 
 _I8 = np.int64
 _F8 = np.float64
@@ -396,7 +396,7 @@ class NestPlans:
             taken[cls] = k + 1
             bufs = self._arena.setdefault(cls, [])
             if k == len(bufs):
-                bufs.append(np.empty(cls[0], _DTYPE[cls[1]]))
+                bufs.append(aligned_buffer(cls[0], _DTYPE[cls[1]]))
             out.append(bufs[k])
         return out
 
@@ -494,6 +494,15 @@ def _flat_span(refs: tuple, arrays: tuple, views: list, dyn: tuple,
     return length, strides, starts
 
 
+def _aligned_values(start: int, step: int, trips: np.ndarray) -> np.ndarray:
+    """``start + step * trips`` in a buffer of its own that starts on a
+    cache line (the index grid of a DO variable read as a value)."""
+    out = aligned_buffer(trips.shape, np.int64)
+    np.multiply(trips, step, out=out)
+    out += start
+    return out
+
+
 def _strided(flat: np.ndarray, dims: tuple, strides: tuple) -> np.ndarray:
     """The box lanes of a span-length buffer, as a view."""
     return np.ndarray(dims, flat.dtype, flat, 0,
@@ -548,12 +557,12 @@ def _vplan_box(plans: NestPlans, key: tuple, spec: tuple, bounds: tuple,
             body += views
             for lv in grids:
                 start, n, step = box[lv]
-                body.append((start + step * np.arange(n)).reshape(
-                    _box_shape((lane[lv],), dims)))
+                body.append(_aligned_values(start, step, np.arange(n))
+                            .reshape(_box_shape((lane[lv],), dims)))
             scratch = plans.scratch([(_box_shape(axes, dims), dt)
                                      for axes, dt in slots])
             body += scratch
-            body += [np.empty(_box_shape(axes, dims), np.bool_)
+            body += [aligned_buffer(_box_shape(axes, dims), np.bool_)
                      for axes in masks]
             for j, _ in stores:
                 body += (views[j], None, None)
@@ -567,16 +576,18 @@ def _vplan_fronts(plans: NestPlans, key: tuple, spec: tuple, bounds: tuple,
     """Build and register the plan of a ``fronts`` nest: ``(*exits,
     body)``, *body* ``None`` when the nest is empty, else the per-front
     rows ``(lane shape, one key per reference group, one value array per
-    nest variable read as a value)`` and one shifted view per reference.
+    nest variable read as a value)``, one shifted view per reference and
+    one scratch buffer, as wide as the widest front, per slot.
     Arguments as for :func:`_vplan_box`; *spec* holds the references,
-    per reference the group whose key it gathers through, and the levels
-    read as values."""
-    refs, groups, grids = spec
+    per reference the group whose key it gathers through, the levels
+    read as values, and the type of each slot."""
+    refs, groups, grids, slots = spec
     exits, box = _trip_box(bounds)
     body = None
     if box is not None:
         ns = tuple(n for _, n, _ in box)
-        columns = [[(w,) for w in _vfront_sizes(ns)]]
+        widths = _vfront_sizes(ns)
+        columns = [[(w,) for w in widths]]
         views: list = [None] * len(refs)
         for g in range(max(groups, default=-1) + 1):
             members = [r for r, gr in enumerate(groups) if gr == g]
@@ -594,9 +605,10 @@ def _vplan_fronts(plans: NestPlans, key: tuple, spec: tuple, bounds: tuple,
                 views[r] = view
         for lv in grids:
             start, _, step = box[lv]
-            columns.append([start + step * q
+            columns.append([_aligned_values(start, step, q)
                             for q in _vfront_trips(ns, lv)])
-        body = [list(zip(*columns)), *views]
+        body = [list(zip(*columns)), *views, *plans.scratch(
+            [((max(widths),), dt) for dt in slots])]
     return plans.add(key, (*exits, body), arrays)
 
 
@@ -666,7 +678,6 @@ _UFUNCS = {"abs": "absolute", "dabs": "absolute", "iabs": "absolute",
 #: intrinsics whose result has the type of their arguments (numpy's
 #: ``fmod`` included, whatever ``INTEGER_RESULT`` says of ``mod``)
 _GENERIC = frozenset({"abs", "max", "min", "mod", "sign"})
-_DT_NAME = {"i": "integer", "r": "real", "l": "logical"}
 #: the ufuncs a flat plan may run: none divides, takes a root or calls a
 #: helper on the gap lanes nobody keeps
 _FLAT_UFUNCS = frozenset({
@@ -760,7 +771,7 @@ class _NestEmitter:
         # as text; the call evaluates only what the run decides
         if self.fronts:
             spec = (tuple(self.ref_specs), tuple(self.ref_group),
-                    tuple(grids))
+                    tuple(grids), tuple(dt for _, dt in self.slots))
         else:
             # (with every reference over all lane axes, so is every slot)
             flat = self.flat and bool(self.stores or self.folds) and not (
@@ -852,19 +863,23 @@ class _NestEmitter:
         row += [f"{b}g{k}" for k in grids]
         c.lines.insert(0, "    " * c.depth
                        + f"for {', '.join(row)}, in {b}fr:")
-        return [f"{b}fr"] + [f"{b}r{j}" for j in range(len(self.ref_specs))]
+        return [f"{b}fr", *(f"{b}r{j}" for j in range(len(self.ref_specs))),
+                *(f"{b}t{n}" for n in range(len(self.slots)))]
 
     # -- scratch ---------------------------------------------------------------
 
     def _take(self, axes: frozenset, dt: str) -> _Val:
         """A buffer of this lane shape and type the caller may write."""
         c, b = self.c, self.base
-        if self.fronts:
-            # a front's width changes from front to front
-            name = c.fresh("va")
-            c.w(f"{name} = _np.empty({b}bx, _DT[{_DT_NAME[dt]!r}])")
-            return _Val(name, axes, dt, "fresh")
         cls = (tuple(sorted(axes)), dt)
+        if self.fronts:
+            # a front's width changes from front to front: each call
+            # takes the leading lanes of a slot of its own, so what it
+            # returns is as fresh as a new array
+            self.slots.append(cls)
+            name = c.fresh("va")
+            c.w(f"{name} = {b}t{len(self.slots) - 1}[:{b}bx[0]]")
+            return _Val(name, axes, dt, "fresh")
         for n, slot in enumerate(self.slots):
             if slot == cls and not self.busy[n]:
                 break

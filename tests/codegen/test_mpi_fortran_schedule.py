@@ -12,6 +12,17 @@ from repro.core import AutoCFD
 from tests.conftest import JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC
 
 
+#: Jacobi whose exit test reads an integer max of the scaled change
+INTEGER_MAX_SRC = JACOBI_SRC.replace(
+    "real v(n, m), vnew(n, m), err, eps",
+    "real v(n, m), vnew(n, m), err, eps\n  integer kmax").replace(
+    "    err = 0.0\n", "    err = 0.0\n    kmax = 0\n").replace(
+    "        err = amax1(err, abs(vnew(i, j) - v(i, j)))\n",
+    "        err = amax1(err, abs(vnew(i, j) - v(i, j)))\n"
+    "        kmax = max0(kmax, int(1.0e6 * abs(vnew(i, j) - v(i, j))))\n"
+    ).replace("if (err .lt. eps) exit", "if (kmax .lt. 100) exit")
+
+
 def compile_src(src, partition, overlap="auto"):
     return AutoCFD.from_source(src).compile(partition=partition,
                                             overlap=overlap)
@@ -131,6 +142,71 @@ class TestMpiFortran:
                 "  end if\n") in one
         assert "  real err\n" in one
         assert one.index("end if") < one.index("mpi_sendrecv")
+
+    def test_the_sprayer_broadcasts_its_fan_position_as_an_integer(self):
+        from repro.apps.sprayer import sprayer_source
+        res = compile_src(sprayer_source(n=48, m=20, iters=4), (2, 1))
+        text = res.mpi_source()
+        assert "  integer fanpos\n" in text
+        assert "  fanspd = acfd_bcast(fanspd)\n" in text
+        assert "  fanpos = acfd_bcast_int(fanpos)\n" in text
+        fn = text.split("integer function acfd_bcast_int(x)\n")[1] \
+            .split("end function")[0]
+        assert "  integer x\n" in fn
+        assert ("call mpi_bcast(x, 1, mpi_integer, 0, mpi_comm_world, "
+                "ierr)") in fn
+        # the real broadcast stays, over mpi_real
+        assert "real function acfd_bcast(x)" in text
+        # only the printed artifact names the typed function
+        assert "fanpos = acfd_bcast(fanpos)" in res.parallel_source()
+
+    def test_an_integer_max_rides_the_faces_exactly(self):
+        src = INTEGER_MAX_SRC
+        res = compile_src(src, (2, 1))
+        assert [(r.var, r.op) for r in res.plan.reductions[0].reductions] \
+            == [("err", "max"), ("kmax", "max")]
+        two = res.mpi_source().split(
+            "subroutine acfd_exchange_2(v, err, kmax)")[1] \
+            .split("end subroutine")[0]
+        assert "  integer kmax\n" in two
+        # the integer's bits travel in the real buffer, behind err
+        assert ("    acfd_sendbuf(acfd_len + 2) = transfer(kmax, "
+                "acfd_sendbuf(1))\n") in two
+        assert "call mpi_sendrecv(acfd_sendbuf, acfd_len + 2, " in two
+        assert ("    kmax = max(transfer(acfd_recvbuf(acfd_len + 2), kmax), "
+                "kmax)\n") in two
+        assert ("    kmax = max(kmax, transfer(acfd_recvbuf(acfd_len + 2), "
+                "kmax))\n") in two
+        # and the Python runtime folds it exactly as well
+        par = res.run_parallel(timeout=30.0)
+        seq = AutoCFD.from_source(src).run_sequential()
+        assert par.scalar("kmax") == seq.scalar("kmax") > 0
+
+    def test_a_double_precision_partial_rides_in_two_slots(self):
+        src = JACOBI_SRC.replace(
+            "real v(n, m), vnew(n, m), err, eps",
+            "real v(n, m), vnew(n, m), eps\n  double precision err").replace(
+            "err = amax1(", "err = dmax1(")
+        two = compile_src(src, (2, 1)).mpi_source()
+        assert "doubleprecision function acfd_allreduce_max_dble(x)" in two
+        two = two.split("subroutine acfd_exchange_2(v, err)")[1] \
+            .split("end subroutine")[0]
+        assert ("    acfd_sendbuf(acfd_len + 1:acfd_len + 2) = transfer(err, "
+                "acfd_sendbuf(1:2))\n") in two
+        assert "call mpi_sendrecv(acfd_sendbuf, acfd_len + 2, " in two
+        assert ("    err = max(transfer(acfd_recvbuf(acfd_len + 1:acfd_len + "
+                "2), err), err)\n") in two
+
+    def test_an_integer_max_after_a_round_calls_the_integer_allreduce(self):
+        text = compile_src(INTEGER_MAX_SRC, (4, 1)).mpi_source()
+        two = text.split("subroutine acfd_exchange_2(v, err, kmax)")[1] \
+            .split("end subroutine")[0]
+        assert "  err = acfd_allreduce_max(err)\n" in two
+        assert "  kmax = acfd_allreduce_max_int(kmax)\n" in two
+        fn = text.split("integer function acfd_allreduce_max_int(x)\n")[1] \
+            .split("end function")[0]
+        assert ("call mpi_allreduce(x, y, 1, mpi_integer, mpi_max, "
+                "mpi_comm_world, ierr)") in fn
 
     def test_nothing_demoted_prints_no_guard(self):
         text = compile_src(JACOBI_BC_SRC, (2, 1)).mpi_source()
