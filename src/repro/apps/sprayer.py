@@ -17,7 +17,9 @@ This generator reproduces its *computational* character:
   for an X cut and a Y cut are nearly disjoint and the 4x4 count is
   close to their sum, exactly as in the paper (72 + 69 vs 141);
 * fan speed and fan position are *read from input* (the restructurer
-  turns this into a rank-0 read + broadcast).
+  turns this into a rank-0 read + broadcast); the fan spans the rows
+  ``fanpos - 5 .. fanpos + 5``, cut off where the wall ends, so every
+  grid takes every deck.
 
 ``stages`` scales the number of relaxation passes per frame and thereby
 the loop/pair counts; the default is tuned so the Table 1 synchronization
@@ -112,8 +114,8 @@ program sprayer
       sw(i, j) = 0.0
     end do
   end do
-  fanlo = fanpos - 5
-  fanhi = fanpos + 5
+  fanlo = max0(1, fanpos - 5)
+  fanhi = min0(m, fanpos + 5)
   do iter = 1, {iters}
     call savestate()
     call fans(fanspd, fanlo, fanhi)
