@@ -8,8 +8,9 @@ footprint (``PlannedSync.dim_distances``), so no interior iteration reads
 a ghost still in flight.  This pass only decides whether a sync could be
 split; the emitted program always keeps the blocking exchange, and
 ``plan.overlap_decisions`` marks the syncs ``ClusterSim`` models as
-overlapped.  Safety follows the vectorizer's ``Fallback`` discipline: any
-nest outside the provable subset is refused with a recorded reason.
+overlapped.  Safety follows the ``Fallback`` discipline of
+:mod:`repro.analysis.vecsafety`: any nest outside the provable subset
+is refused with a recorded reason.
 Mode ``on`` marks every safe split; ``auto`` marks none and records each
 safe one as :data:`NOT_MARKED`, because both of this repo's executors
 deliver a face with the sender's own copy before ``begin()`` returns, so
@@ -62,7 +63,7 @@ class OverlapDecision:
     exchange.  ``ClusterSim`` models a marked sync as overlapped with
     that nest's interior; the emitted program keeps every exchange
     blocking.  ``reason`` explains a refusal in the same spirit as the
-    vectorizer's ``Fallback`` discipline, or is :data:`NOT_MARKED` for a
+    ``vecsafety`` ``Fallback`` discipline, or is :data:`NOT_MARKED` for a
     safe split under mode ``auto``.  ``callee`` names the subroutine when
     the verdict crossed a ``call`` boundary (interprocedural split or
     in-callee refusal), else "".

@@ -18,7 +18,7 @@ surrounding loop variables:
 Every kind is read off one form, :func:`affine_form`: integer
 coefficients per scalar name (or per opaque non-affine value) plus a
 constant, with integer PARAMETERs folded in.  The field-loop classifier,
-the vectorizer's nest verdict and the restructurer's boundary checks all
+the overlap verdict's nest facts and the restructurer's boundary checks all
 decompose subscripts through it.
 """
 

@@ -1,10 +1,11 @@
 """Per-nest vectorization facts: a schedule, or the reason there is none.
 
-The Python backend (:mod:`repro.interp.pyback`) can execute a DO nest as
-numpy statements *only* when that is bitwise-indistinguishable from the
-sequential scalar order.  This module decides, one nest at a time, which
-order of the iterations keeps that promise, and returns the facts the
-emitter (:mod:`repro.interp.vectorize`) needs.  Every subscript, mask and
+Only the overlap verdict (:mod:`repro.analysis.overlap`) reads these
+facts now; no execution path does (the rank kernels are native nests,
+:mod:`repro.interp.native`).  A DO nest could run as numpy statements
+*only* when that is bitwise-indistinguishable from the sequential scalar
+order.  This module decides, one nest at a time, which order of the
+iterations keeps that promise.  Every subscript, mask and
 step is read through the one affine form the §4.2 dependency analysis
 uses (:func:`repro.analysis.stencil.affine_form`), its kinds derived
 against the nest's variables.  The nest, not the statement, gets the

@@ -37,6 +37,7 @@ import numpy as np
 from repro.core import AutoCFD
 from repro.core.report import CompilationReport
 from repro.errors import ReproError
+from repro.interp.values import OffsetArray
 from repro.obs import (
     build_export,
     observe_trace_histograms,
@@ -129,17 +130,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _backend_line(vec: bool, report, par) -> str:
-    """How the nests were scheduled and, after the run, how many of them
-    the ranks executed and how many nest plans (flat ones among them)
-    that took: built well above nests is a rebuild storm."""
-    line = (f"backend: {'vectorized' if vec else 'scalar'} numpy "
-            f"({report.vector_summary()}")
-    if vec:
-        line += (f"; on {len(par.plan_counts)} ranks {par.plan_nests} "
-                 f"nests, {par.plans_built} plans built, "
-                 f"{par.plans_flat} flat")
-    return line + ")"
+def _backend_line(native: bool, report, par) -> str:
+    """How the nests ran and, after the run, how many native nests the
+    ranks executed and how many argument tuples that took: binds well
+    above nests means some nest meets new arrays every time."""
+    if not native:
+        return "backend: scalar (every nest in the scalar translation)"
+    return (f"backend: native ({report.nest_summary()}; on "
+            f"{len(par.nest_counts)} ranks {par.nests_run} nests ran, "
+            f"{par.binds} binds)")
 
 
 def _histogram_table(snapshot: dict) -> str:
@@ -171,9 +170,9 @@ def _write_metrics(args, acfd, trace=None) -> None:
 def cmd_run(args) -> int:
     acfd = _load(args.source)
     input_text = _read_input(args)
-    vec = args.backend != "scalar"
+    native = args.backend != "scalar"
     result = _compile_args(acfd, args)[0]
-    seq = acfd.run_sequential(input_text=input_text, vectorize=vec)
+    seq = acfd.run_sequential(input_text=input_text, native=native)
 
     size = math.prod(result.plan.partition.dims)
     telemetry = renderer = server = live_path = None
@@ -196,7 +195,7 @@ def cmd_run(args) -> int:
     try:
         try:
             par = result.run_parallel(input_text=input_text,
-                                      vectorize=vec,
+                                      native=native,
                                       executor=args.executor,
                                       telemetry=telemetry)
         except ReproError as exc:
@@ -222,14 +221,22 @@ def cmd_run(args) -> int:
             unpublish_live(live_path)
         if telemetry is not None:
             telemetry.close()
-    print(_backend_line(vec, result.report, par))
+    print(_backend_line(native, result.report, par))
     print(f"sequential output: {seq.io.output()}")
     print(f"parallel output:   {par.output()}")
     ok = True
-    for name in result.plan.arrays:
+    # a subroutine's local array is distributed but is not part of the
+    # sequential run's final state: there is nothing to compare it with
+    held = [name for name in result.plan.arrays
+            if isinstance(seq.values.get(name), OffsetArray)]
+    for name in held:
         same = np.array_equal(par.array(name).data, seq.array(name).data)
         print(f"  array {name!r}: {'identical' if same else 'DIFFERS'}")
         ok = ok and same
+    skipped = sorted(set(result.plan.arrays) - set(held))
+    if skipped:
+        print(f"  not compared (not in the sequential final state): "
+              f"{', '.join(skipped)}")
     if args.trace_out:
         data = build_export(compiler=acfd.obs, trace=par.trace)
         print(f"wrote {write_chrome_trace(args.trace_out, data)}")
@@ -277,10 +284,10 @@ def cmd_profile(args) -> int:
         counters = " ".join(f"{k}={v}"
                             for k, v in result.report.metrics.items())
         print(f"counters: {counters}")
-    vec = args.backend != "scalar"
-    par = result.run_parallel(input_text=input_text, vectorize=vec,
+    native = args.backend != "scalar"
+    par = result.run_parallel(input_text=input_text, native=native,
                               executor=args.executor)
-    print(_backend_line(vec, result.report, par))
+    print(_backend_line(native, result.report, par))
     for line in result.report.sync_lines():
         print(line)
 
@@ -423,10 +430,10 @@ _SHARED_OPTIONS = {
     "input": (("--input", "-i"), dict(
         help="list-directed input deck file")),
     "backend": (("--backend",), dict(
-        choices=("vector", "scalar"), default="vector",
-        help="numpy executor: whole-array slices for provably-parallel "
-             "loops (vector, default) or the scalar reference "
-             "translation")),
+        choices=("native", "scalar"), default="native",
+        help="loop nests: compiled to C with the host's C compiler "
+             "(native, default; cached under ~/.cache/acfd/native) or "
+             "the scalar reference translation")),
     "trace-out": (("--trace-out",), dict(
         metavar="FILE",
         help="write a Chrome-trace/Perfetto JSON of the run (simulate: "

@@ -41,22 +41,18 @@ class ParallelResult:
     rank_values: list[dict] = field(default_factory=list)
     #: rank 0's I/O manager (holds program output)
     io: IoManager | None = None
-    #: per rank, ``(plan_nests, plans_built, plans_flat)``: the nests it
-    #: vectorized, the plans it built (hits do not count: built well
-    #: above nests is a rebuild storm), and how many of those are flat
-    plan_counts: list[tuple[int, int, int]] = field(default_factory=list)
+    #: per rank, ``(nests_run, binds)``: the native nests it ran, and
+    #: the argument tuples it built for them (hits do not count: binds
+    #: well above nests means some nest meets new arrays every time)
+    nest_counts: list[tuple[int, int]] = field(default_factory=list)
 
     @property
-    def plan_nests(self) -> int:
-        return sum(counts[0] for counts in self.plan_counts)
+    def nests_run(self) -> int:
+        return sum(counts[0] for counts in self.nest_counts)
 
     @property
-    def plans_built(self) -> int:
-        return sum(counts[1] for counts in self.plan_counts)
-
-    @property
-    def plans_flat(self) -> int:
-        return sum(counts[2] for counts in self.plan_counts)
+    def binds(self) -> int:
+        return sum(counts[1] for counts in self.nest_counts)
 
     @property
     def trace(self) -> Trace:
@@ -154,7 +150,7 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
                input_text: str | None, injector, checkpointer, comm):
     """One rank's program execution (shared by both executors): its
     final values with the COMMON status arrays merged in, its I/O, and
-    its ``(plan_nests, plans_built, plans_flat)`` counts."""
+    its ``(nests_run, binds)`` counts."""
     rt = RankRuntime(comm, plan, faults=injector,
                      checkpoints=checkpointer)
     io = IoManager()
@@ -171,11 +167,11 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
             result = {}
         values = _merge_commons(compiled, ctx, plan,
                                 result if isinstance(result, dict) else {})
-        return values, io, (ctx.plans.nests, ctx.plans.built, ctx.plans.flat)
+        return values, io, (ctx.natives.nests, ctx.natives.built)
     finally:
-        # runtime and context name each other, and the nest plans on the
-        # context pin views and scratch: apart, reference counts free
-        # them at once and no worker has to run the cycle collector
+        # runtime and context name each other, and the bound nests on
+        # the context pin arrays: apart, reference counts free them at
+        # once and no worker has to run the cycle collector
         rt.bind_ctx(None)
         ctx.rt = None
 
@@ -195,9 +191,8 @@ def _proc_rank_body(blob: bytes, comm):
     key = hashlib.sha1(cu_blob).hexdigest()
     compiled = cache.get(key)
     if compiled is None:
-        spmd_cu, vectorize = pickle.loads(cu_blob)
-        compiled = cache[key] = compile_unit(spmd_cu,
-                                             vectorize=vectorize)
+        spmd_cu, native = pickle.loads(cu_blob)
+        compiled = cache[key] = compile_unit(spmd_cu, native=native)
     checkpointer = None
     if ckpt is not None:
         from repro.faults.checkpoint import Checkpointer, CheckpointStore
@@ -213,7 +208,7 @@ def _proc_rank_body(blob: bytes, comm):
 def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
                  timeout: float = 120.0,
                  spmd_cu: A.CompilationUnit | None = None,
-                 vectorize: bool = True,
+                 native: bool = True,
                  injector=None, checkpointer=None,
                  trace: Trace | None = None,
                  executor: str = "thread",
@@ -227,10 +222,10 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
             READs).
         timeout: per-receive watchdog (seconds).
         spmd_cu: a pre-restructured program (to avoid re-generating).
-        vectorize: numpy slice translation for provably-parallel nests
-            (``False``: scalar order everywhere); halo regions stay
-            outside the slices because the restructured loop bounds
-            already exclude them.
+        native: run each nest :mod:`repro.interp.native` accepts as a
+            compiled C function (``False``: the scalar translation
+            everywhere); halo regions stay outside the nests because
+            the restructured loop bounds already exclude them.
         injector: optional :class:`repro.faults.FaultInjector` wired into
             every rank's sends and frame boundaries.
         checkpointer: optional :class:`repro.faults.Checkpointer`; frames
@@ -255,11 +250,11 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
                     "every": checkpointer.every,
                     "keep": checkpointer.keep,
                     "restore_frame": checkpointer.restore_frame}
-        cu_blob = pickle.dumps((spmd_cu, vectorize))
+        cu_blob = pickle.dumps((spmd_cu, native))
         blob = pickle.dumps((cu_blob, plan, input_text, ckpt))
         body = functools.partial(_proc_rank_body, blob)
     else:
-        compiled = compile_unit(spmd_cu, vectorize=vectorize)
+        compiled = compile_unit(spmd_cu, native=native)
         body = functools.partial(_exec_rank, compiled, plan, input_text,
                                  injector, checkpointer)
 
@@ -271,5 +266,5 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
                           arrays=_stitch(plan, rank_values),
                           rank_values=rank_values,
                           io=world.results[0][1],
-                          plan_counts=[counts for _values, _io, counts
+                          nest_counts=[counts for _values, _io, counts
                                        in world.results])

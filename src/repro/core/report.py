@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.vecsafety import MODES
 from repro.codegen.plan import folds_in_one_round
 from repro.obs import Span
 from repro.obs.spans import phase_table
@@ -29,13 +28,11 @@ class CompilationReport:
     pipes: int
     combined_points: int
     arrays: list[str] = field(default_factory=list)
-    #: DO nests of the generated SPMD program the numpy backend executes
-    #: as whole-array slice statements / keeps in scalar order
+    #: DO nests of the generated SPMD program that run as native C
+    #: functions / stay on the scalar path, and one ``(unit, line,
+    #: reason)`` per scalar nest
     vector_loops: int = 0
     fallback_loops: int = 0
-    #: ``vector_loops`` split by schedule (slice / carried-outer / fronts)
-    #: and one ``(unit, line, reason)`` per fallback
-    vector_modes: dict[str, int] = field(default_factory=dict)
     fallback_reasons: list[tuple[str, int, str]] = field(
         default_factory=list)
     #: combined syncs restructured to nonblocking interior/boundary
@@ -70,28 +67,24 @@ class CompilationReport:
     def row(self) -> str:
         """One formatted row in the style of the paper's Table 1."""
         part = "x".join(str(p) for p in self.partition)
-        modes = "/".join(str(self.vector_modes.get(m, 0)) for m in MODES)
         return (f"{self.program:<28s} {part:>9s} "
                 f"{self.syncs_before:>6d} {self.syncs_after:>6d} "
                 f"{self.reduction_percent:>7.1f} "
-                f"{self.vector_loops:>5d} {modes:>8s} "
-                f"{self.fallback_loops:>6d} "
+                f"{self.vector_loops:>6d} {self.fallback_loops:>6d} "
                 f"{self.overlap_syncs:>4d}")
 
     @staticmethod
     def header() -> str:
         return (f"{'program':<28s} {'partition':>9s} "
                 f"{'before':>6s} {'after':>6s} {'%opt':>7s} "
-                f"{'vec':>5s} {'sl/co/fr':>8s} {'scalar':>6s} "
+                f"{'native':>6s} {'scalar':>6s} "
                 f"{'ovl':>4s}")
 
-    def vector_summary(self) -> str:
-        """``N vectorized (a slice, b carried-outer, c fronts), M scalar
-        fallbacks`` — the backend line of ``acfd run`` / ``acfd profile``."""
-        modes = ", ".join(f"{self.vector_modes.get(m, 0)} {m}"
-                          for m in MODES)
-        return (f"{self.vector_loops} vectorized ({modes}), "
-                f"{self.fallback_loops} scalar fallbacks")
+    def nest_summary(self) -> str:
+        """``N native nests, M scalar`` — the backend line of ``acfd
+        run`` / ``acfd profile``."""
+        return (f"{self.vector_loops} native nests, "
+                f"{self.fallback_loops} scalar")
 
     def freshness_lines(self) -> list[str]:
         """``sync 1: v entry-only (fresh from sync 2)`` per decided member."""
@@ -144,7 +137,6 @@ class CompilationReport:
             "arrays": list(self.arrays),
             "vector_loops": self.vector_loops,
             "fallback_loops": self.fallback_loops,
-            "vector_modes": dict(self.vector_modes),
             "fallback_reasons": [
                 {"unit": unit, "line": line, "reason": reason}
                 for unit, line, reason in self.fallback_reasons],

@@ -459,9 +459,9 @@ def walk_statements(stmts: list[Stmt]) -> Iterator[Stmt]:
 def goto_targets(unit: ProgramUnit) -> set[int]:
     """Labels any GOTO in *unit* may jump to.
 
-    The vectorizer refuses nests whose labels are jump targets, since
-    re-emitting such a nest as slice statements would break the unit's
-    control flow; the scalar backend emits GOTO dispatch only around a
+    A native nest (:mod:`repro.interp.native`) may hold no label a GOTO
+    names, since a C function cannot be entered in its middle; the
+    scalar backend emits GOTO dispatch only around a
     statement list that holds a target.  The plan's overlap verdict
     refuses the same nests: the interior/boundary split it judges
     (modelled by ``ClusterSim``, never emitted) would cut them into

@@ -17,6 +17,21 @@ def _sign(a, b):
     return abs(a) if b >= 0 else -abs(a)
 
 
+def _nint(a):
+    """Fortran NINT: the nearest integer, halves away from zero.  The
+    distance to the truncated value is exact, so 0.49999999999999994
+    stays 0 (``floor(a + 0.5)`` would make it 1)."""
+    t = math.trunc(a)
+    d = a - t
+    return t + 1 if d >= 0.5 else t - 1 if d <= -0.5 else t
+
+
+def _anint(a):
+    """Fortran ANINT: NINT as a real, with the sign of *a* (as C's
+    ``round``: -0.3 gives -0.0)."""
+    return math.copysign(float(_nint(a)), a)
+
+
 def _mod(a, b):
     # Fortran MOD has the sign of the first argument (unlike Python %).
     if isinstance(a, int) and isinstance(b, int):
@@ -45,8 +60,8 @@ INTRINSIC_IMPLS = {
     "sign": _sign, "dsign": _sign,
     "isign": lambda a, b: int(_sign(a, b)),
     "int": int, "ifix": int, "idint": int,
-    "nint": lambda a: int(round(a)),
-    "anint": lambda a: float(round(a)),
+    "nint": _nint,
+    "anint": _anint,
     "real": float, "float": float, "sngl": float,
     "dble": float, "dfloat": float,
     "aint": lambda a: float(int(a)), "dint": lambda a: float(int(a)),

@@ -40,7 +40,7 @@ from repro.fortran.symbols import SymbolTable, resolve_compilation_unit
 from repro.interp.intrinsics import INTRINSIC_IMPLS
 from repro.interp.io_runtime import IoManager
 from repro.interp.values import DTYPES, OffsetArray, do_trips, fortran_div
-from repro.interp import vectorize as _vec
+from repro.interp import native as _native
 
 
 class _Goto(Exception):
@@ -72,25 +72,25 @@ class Ctx:
     io: IoManager
     commons: dict[str, list] = field(default_factory=dict)
     rt: object = None  # SPMD runtime adapter (rank-local), if any
-    #: the vectorized nests this context has resolved, and their scratch
-    plans: _vec.NestPlans = field(default_factory=_vec.NestPlans)
+    #: the native nests this context has bound to its arrays
+    natives: _native.NativeNests = field(
+        default_factory=lambda: _native.NativeNests(None))
 
 
 class _UnitCompiler:
     """Compiles one program unit into Python source."""
 
     def __init__(self, unit: A.ProgramUnit, all_units: dict[str, A.ProgramUnit],
-                 vectorize: bool = False,
+                 native: bool = False,
                  stats: dict | None = None,
-                 specs: dict | None = None) -> None:
+                 nests: list | None = None) -> None:
         self.unit = unit
         self.table: SymbolTable = unit.symbols  # type: ignore[assignment]
         self.all_units = all_units
-        self.vectorize = vectorize
-        self.stats = stats if stats is not None else _vec.new_stats()
-        #: nest number -> what its build call needs that is fixed at
-        #: compile time (the emitted code reads it as ``_vs[number]``)
-        self.specs = specs if specs is not None else {}
+        self.native = native
+        self.stats = stats if stats is not None else _native.new_stats()
+        #: the native nests of the whole program, in call-number order
+        self.nests = nests if nests is not None else []
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
@@ -393,7 +393,7 @@ class _UnitCompiler:
             raise CodegenError(f"bad assignment target (line {s.line})")
 
     def do_loop(self, s: A.DoLoop) -> None:
-        if self.vectorize and _vec.try_emit_nest(self, s):
+        if self.native and _native.try_emit_nest(self, s):
             return
         var = f"f_{s.var}"
         start = self.expr(s.start)
@@ -527,8 +527,8 @@ class _UnitCompiler:
         self.lines.append(f"def u_{unit.name}({', '.join(params)}):")
 
         dummies = set(unit.args)
-        if self.vectorize:
-            self.w("_pl = ctx.plans.table")
+        if self.native:
+            self.w("_nc = ctx.natives")
 
         # parameters
         for sym in table.symbols.values():
@@ -658,16 +658,18 @@ class CompiledProgram:
     cu: A.CompilationUnit
     source: str
     namespace: dict
-    #: {"vectorized": n, "fallback": n, "reasons": [(unit, line, why)],
-    #: "modes": {"slice": n, "carried-outer": n, "fronts": n}}
-    vector_stats: dict = field(default_factory=dict)
+    #: {"native": n, "scalar": n, "reasons": [(unit, line, why)]}
+    nest_stats: dict = field(default_factory=dict)
+    #: the loaded native nests (None: every nest runs scalar)
+    library: _native.NativeLibrary | None = None
 
     def function(self, name: str):
         return self.namespace[f"u_{name}"]
 
     def make_ctx(self, io: IoManager | None = None, rt: object = None) -> Ctx:
         """Create an execution context with COMMON storage allocated."""
-        ctx = Ctx(io=io if io is not None else IoManager(), rt=rt)
+        ctx = Ctx(io=io if io is not None else IoManager(), rt=rt,
+                  natives=_native.NativeNests(self.library))
         self._allocate_commons(ctx)
         return ctx
 
@@ -730,20 +732,15 @@ class RunResult:
     values: dict
 
     @property
-    def plans_built(self) -> int:
-        """Nest plans this run built (hits do not count): one per
-        vectorized nest it executed, unless a key kept changing."""
-        return self.ctx.plans.built
+    def binds(self) -> int:
+        """Argument tuples this run built for its native nests (hits do
+        not count): one per nest it ran and set of arrays it ran on."""
+        return self.ctx.natives.built
 
     @property
-    def plans_flat(self) -> int:
-        """Of those, the plans that compute over a flat span."""
-        return self.ctx.plans.flat
-
-    @property
-    def plan_nests(self) -> int:
-        """Vectorized nests this run executed at least once."""
-        return self.ctx.plans.nests
+    def nests_run(self) -> int:
+        """Native nests this run executed at least once."""
+        return self.ctx.natives.nests
 
     def array(self, name: str) -> OffsetArray:
         value = self.values.get(name)
@@ -762,44 +759,52 @@ class RunResult:
         return self.ctx.io
 
 
-def compile_unit(cu: A.CompilationUnit, *,
-                 vectorize: bool = True) -> CompiledProgram:
-    """Translate a compilation unit to Python and return the compiled form.
+def translate(cu: A.CompilationUnit, *, native: bool = True
+              ) -> tuple[str, list, dict]:
+    """The Python source of *cu*, its native nests and their tally;
+    builds nothing.
 
     Args:
-        cu: resolved compilation unit.
-        vectorize: emit numpy slice statements for provably-parallel DO
-            nests (:mod:`repro.interp.vectorize`); ``False`` keeps every
-            nest in scalar order (the reference the vector form is
-            checked against).
+        cu: resolved compilation unit (resolved here if it is not).
+        native: call a compiled C function for every nest
+            :mod:`repro.interp.native` accepts; ``False`` keeps every
+            nest in the scalar translation (the reference the native
+            nests are checked against).
     """
-    from repro.obs import spans as obs
-    for unit in cu.units:
-        if unit.symbols is None:
-            resolve_compilation_unit(cu)
-            break
-    stats = _vec.new_stats()
-    specs: dict = {}
+    if any(unit.symbols is None for unit in cu.units):
+        resolve_compilation_unit(cu)
+    stats = _native.new_stats()
+    nests: list = []
     units = {u.name: u for u in cu.units}
+    source = "\n\n".join(
+        _UnitCompiler(unit, units, native=native, stats=stats,
+                      nests=nests).compile() for unit in cu.units)
+    return source, nests, stats
+
+
+def compile_unit(cu: A.CompilationUnit, *,
+                 native: bool = True) -> CompiledProgram:
+    """Translate a compilation unit to Python, build or load its native
+    nests (:func:`repro.interp.native.load`), and return the compiled
+    form.  With no C compiler on the host every nest runs scalar."""
+    from repro.obs import spans as obs
     with obs.span("pyback-compile", cat="compile") as sp:
-        pieces = []
-        for unit in cu.units:
-            pieces.append(_UnitCompiler(unit, units, vectorize=vectorize,
-                                        stats=stats, specs=specs).compile())
-        source = "\n\n".join(pieces)
+        source, nests, stats = translate(cu, native=native)
+        library = _native.load(nests) if nests else None
+        if nests and library is None:
+            source, nests, stats = translate(cu, native=False)
         sp.args["units"] = len(cu.units)
         sp.args["source_lines"] = source.count("\n") + 1
-        if vectorize:
-            sp.args["vectorized_loops"] = stats["vectorized"]
-            sp.args["fallback_loops"] = stats["fallback"]
-    if vectorize:
-        obs.counter("pyback.loops.vectorized").inc(stats["vectorized"])
-        obs.counter("pyback.loops.fallback").inc(stats["fallback"])
+        sp.args["native_nests"] = stats["native"]
+        sp.args["scalar_nests"] = stats["scalar"]
+    obs.counter("pyback.nests.native").inc(stats["native"])
+    obs.counter("pyback.nests.scalar").inc(stats["scalar"])
     namespace: dict = {
         "OffsetArray": OffsetArray,
         "_np": np,
         "_DT": DTYPES,
-        "_vs": specs,
+        "_f64": np.float64,
+        "_i64": np.int64,
         "_do_trips": do_trips,
         "_do_iter": lambda a, b, s: range(a, b + (1 if s > 0 else -1), s),
         "_idiv": lambda a, b: fortran_div(int(a), int(b)),
@@ -812,10 +817,6 @@ def compile_unit(cu: A.CompilationUnit, *,
     }
     for name, impl in INTRINSIC_IMPLS.items():
         namespace[f"_in_{name}"] = impl
-    for helper in (_vec._vidiv, _vec._vplan_box, _vec._vplan_fronts):
-        namespace[helper.__name__] = helper
-    for name, impl in _vec.VECTOR_INTRINSIC_IMPLS.items():
-        namespace[f"_vin_{name}"] = impl
     try:
         code = compile(source, f"<pyback:{cu.filename}>", "exec")
     except SyntaxError as exc:  # pragma: no cover - codegen bug guard
@@ -823,13 +824,13 @@ def compile_unit(cu: A.CompilationUnit, *,
                            f"{source}") from exc
     exec(code, namespace)
     return CompiledProgram(cu=cu, source=source, namespace=namespace,
-                           vector_stats=stats)
+                           nest_stats=stats, library=library)
 
 
 def run_compiled(cu: A.CompilationUnit, io: IoManager | None = None, *,
-                 vectorize: bool = True) -> RunResult:
+                 native: bool = True) -> RunResult:
     """Compile and run a program in one call."""
     from repro.obs import spans as obs
-    prog = compile_unit(cu, vectorize=vectorize)
+    prog = compile_unit(cu, native=native)
     with obs.span("execute-sequential", cat="execute"):
         return prog.run(io=io)

@@ -7,9 +7,9 @@ index space in *local* arrays (a subgrid owning ``i = 34..66`` is declared
 subscripts).  :class:`OffsetArray` implements those semantics over a numpy
 buffer.
 
-Every numeric buffer a rank computes in comes from :func:`aligned_buffer`:
-array storage here, and the scratch, masks and index grids of
-:mod:`repro.interp.vectorize`.
+Every array a rank computes in comes from :func:`aligned_buffer`, so the
+native nests of :mod:`repro.interp.native` start every buffer on a cache
+line.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ the twelve gallery kernels (subroutine-bodied variants included), the
 sprayer at 300x100 and the aerofoil at 99x41x13, each at 2x1, 1x2, 2x2
 and 4x1 (a 3-D grid is left uncut in k).  An entry records the sha256 of
 ``parallel_source()``, of ``mpi_source()`` and of the pyback translation
-of the SPMD and of the sequential program, the nest verdicts
-(``vector_modes``, ``fallback_reasons``), the Table 1 counts and the
+of the SPMD and of the sequential program (its Python source and the C
+text of its native nests), the nest verdicts (the native nest count
+and each scalar nest's ``fallback_reasons``), the Table 1 counts and the
 reduction lines; a compile the restructurer refuses records the
 ``CodegenError`` text instead.  A change that moves any of these shows
 here, entry by entry.
@@ -25,7 +26,8 @@ import pytest
 
 from repro.core import AutoCFD
 from repro.errors import CodegenError
-from repro.interp.pyback import compile_unit
+from repro.interp.native import program_text
+from repro.interp.pyback import translate
 
 from tests.analysis.test_classification_pins import _programs
 
@@ -39,8 +41,10 @@ def _sha(text: str) -> str:
 
 
 def _pyback_sha(cu) -> str:
-    """Digest of the pyback translation of *cu*."""
-    return _sha(compile_unit(cu).source)
+    """Digest of the pyback translation of *cu*: its Python source, a
+    NUL byte and the C text of its native nests (nothing is built)."""
+    source, nests, _stats = translate(cu)
+    return _sha(source + "\0" + program_text(nests))
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,7 +70,7 @@ def entry(name: str, cuts: tuple) -> dict:
             "mpi_sha256": _sha(result.mpi_source()),
             "spmd_pyback_sha256": _pyback_sha(result.spmd_cu),
             "sequential_pyback_sha256": _sequential_sha(name),
-            "vector_modes": dict(report.vector_modes),
+            "native_nests": report.vector_loops,
             "fallback_reasons": [list(r) for r in report.fallback_reasons],
             "table1": [report.syncs_before, report.syncs_after],
             "reduction_lines": report.reduction_lines()}

@@ -108,19 +108,19 @@ class TestStridedSweeps:
     """A loop with a known step longer than one over a cut dimension
     starts on its own lattice inside each rank's block."""
 
-    @pytest.mark.parametrize("vectorize", [False, True],
+    @pytest.mark.parametrize("native", [False, True],
                              ids=["scalar", "vector"])
     @pytest.mark.parametrize("partition", [(2, 1), (4, 1), (1, 4)],
                              ids=["2x1", "4x1", "1x4"])
     @pytest.mark.parametrize("loop", ["do i = 2, n - 1, 2",
                                       "do i = n - 1, 2, -2"],
                              ids=["up", "down"])
-    def test_jacobi_is_bitwise(self, loop, partition, vectorize):
+    def test_jacobi_is_bitwise(self, loop, partition, native):
         acfd = AutoCFD.from_source(
             _strided_update(K.jacobi_5pt(30, 20, 20), loop))
-        seq = acfd.run_sequential(vectorize=vectorize)
+        seq = acfd.run_sequential(native=native)
         par = acfd.compile(partition=partition).run_parallel(
-            vectorize=vectorize)
+            native=native)
         for name in ("v", "vnew"):
             assert np.array_equal(par.array(name).data, seq.array(name).data)
 
@@ -162,38 +162,38 @@ class TestDescendingSweeps:
     clamped from the top of the rank's block down, and a self-dependent
     one is refused where its pipeline would have to flow downward."""
 
-    @pytest.mark.parametrize("vectorize", [False, True],
+    @pytest.mark.parametrize("native", [False, True],
                              ids=["scalar", "vector"])
     @pytest.mark.parametrize("partition", [(2, 1), (1, 2)],
                              ids=["2x1", "1x2"])
-    def test_jacobi_is_bitwise(self, partition, vectorize):
+    def test_jacobi_is_bitwise(self, partition, native):
         acfd = AutoCFD.from_source(_descending_i(K.jacobi_5pt(30, 20, 20)))
         compiled = acfd.compile(partition=partition)
         if partition == (2, 1):
             assert "do i = min0(n - 1, acfd_hi(1)), max0(2, acfd_lo(1)), -1" \
                 in compiled.parallel_source()
-        seq = acfd.run_sequential(vectorize=vectorize)
-        par = compiled.run_parallel(vectorize=vectorize)
+        seq = acfd.run_sequential(native=native)
+        par = compiled.run_parallel(native=native)
         for name in ("v", "vnew"):
             assert np.array_equal(par.array(name).data, seq.array(name).data)
 
-    @pytest.mark.parametrize("vectorize", [False, True],
+    @pytest.mark.parametrize("native", [False, True],
                              ids=["scalar", "vector"])
     def test_gauss_seidel_across_the_ascending_dim_is_bitwise(self,
-                                                               vectorize):
+                                                               native):
         acfd = AutoCFD.from_source(
             _descending_i(K.gauss_seidel_2d(30, 20, 20)))
-        seq = acfd.run_sequential(vectorize=vectorize)
+        seq = acfd.run_sequential(native=native)
         par = acfd.compile(partition=(1, 2)).run_parallel(
-            vectorize=vectorize)
+            native=native)
         assert np.array_equal(par.array("v").data, seq.array("v").data)
 
-    @pytest.mark.parametrize("vectorize", [False, True],
+    @pytest.mark.parametrize("native", [False, True],
                              ids=["scalar", "vector"])
     @pytest.mark.parametrize("partition", [(2, 1), (4, 1)],
                              ids=["2x1", "4x1"])
     def test_a_negative_step_only_the_run_knows_is_bitwise(self, partition,
-                                                           vectorize):
+                                                           native):
         # k = -1 comes from the deck: the clamp follows the step's sign
         # at run time (an upward clamp ran past the block)
         src = K.jacobi_5pt(16, 8, 20).replace(
@@ -204,8 +204,8 @@ class TestDescendingSweeps:
         compiled = acfd.compile(partition=partition)
         assert "isign(1, k)" in compiled.parallel_source()
         for deck in ("-1\n", "-3\n", "2\n"):
-            seq = acfd.run_sequential(input_text=deck, vectorize=vectorize)
-            par = compiled.run_parallel(input_text=deck, vectorize=vectorize)
+            seq = acfd.run_sequential(input_text=deck, native=native)
+            par = compiled.run_parallel(input_text=deck, native=native)
             assert par.output() == seq.io.output()
             for name in ("v", "vnew"):
                 assert np.array_equal(par.array(name).data,

@@ -115,15 +115,28 @@ class TestRun:
         assert main(["run", src_file, "-p", "2x1"]) == 0
         out = capsys.readouterr().out
         assert "identical" in out
-        # every nest each rank ran was resolved once: a rebuild storm
-        # would read "plans built" well above "nests"; the Jacobi update
-        # nest's box skips the ghost columns, so each rank computes it
-        # over one flat span
-        nests, built, flat = re.search(
-            r"backend: vectorized .*; on 2 ranks (\d+) nests, "
-            r"(\d+) plans built, (\d+) flat\)", out).groups()
-        assert int(built) == int(nests) > 0
-        assert int(flat) == 2
+        # every native nest each rank ran was bound to its arrays once:
+        # a nest meeting new arrays every frame would read "binds" well
+        # above "nests ran"
+        nests, binds = re.search(
+            r"backend: native \(\d+ native nests, \d+ scalar; on 2 ranks "
+            r"(\d+) nests ran, (\d+) binds\)", out).groups()
+        assert int(binds) == int(nests) > 0
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_run_skips_a_subroutine_local_array(self, executor, tmp_path,
+                                                capsys):
+        # relax's w is distributed but lives only while relax runs: the
+        # sequential final state has no w to compare the stitched one to
+        from tests.interp.test_alignment import LOCAL_SRC
+        src = tmp_path / "local.f90"
+        src.write_text(LOCAL_SRC)
+        assert main(["run", str(src), "-p", "2x1",
+                     "--executor", executor]) == 0
+        out = capsys.readouterr().out
+        assert "array 'v': identical" in out
+        assert "array 'vnew': identical" in out
+        assert "not compared (not in the sequential final state): w" in out
 
     @pytest.mark.parametrize("command", ["compile", "run", "profile",
                                          "chaos"])
@@ -243,8 +256,7 @@ class TestProfile:
         assert "sync-freshness" in out
         assert "codegen-restructure" in out
         assert "sync 1: v entry-only (fresh from sync 2)" in out
-        assert re.search(r"backend: .* nests, \d+ plans built, \d+ flat\)",
-                         out)
+        assert re.search(r"backend: native .* nests ran, \d+ binds\)", out)
         # (b) per-rank breakdown with derived health numbers
         assert "parallel run (observed)" in out
         assert "compute" in out and "blocked" in out

@@ -1,12 +1,12 @@
 """The aerofoil's carried nests, small, through every way of running them.
 
-The aerofoil is the program the carried schedules exist for: sixteen
-direction-split sweeps (carried in i, j or k: ``carried-outer``) and the
-boundary-layer Gauss-Seidel pass (carried in all three: ``fronts``).
-The scalar sequential run is the reference; the vectorized sequential
-run and the stitched grids of every cut direction, every overlap mode
-(each on its own input deck) and both executors must equal it bitwise.  The programs whose nests carry
-nothing must not get a carried frame at all.
+The aerofoil is made of carried nests: sixteen direction-split sweeps
+(carried in i, j or k) and the boundary-layer Gauss-Seidel pass (carried
+in all three), each a native nest that runs in source order.  The scalar
+sequential run is the reference; the native sequential run and the
+stitched grids of every cut direction, every overlap mode (each on its
+own input deck) and both executors must equal it bitwise.  The programs
+whose nests carry nothing run no Python loop but their frame loop.
 """
 
 import functools
@@ -28,7 +28,7 @@ DECKS = {"on": AEROFOIL_INPUT, "auto": "0.7312\n", "off": "0.8655\n"}
 @functools.lru_cache(maxsize=None)
 def _scalar_run(deck: str):
     acfd = AutoCFD.from_source(aerofoil_source(14, 9, 7, iters=2, eps=0.0))
-    scalar = acfd.run_sequential(input_text=deck, vectorize=False)
+    scalar = acfd.run_sequential(input_text=deck, native=False)
     return acfd, {a: scalar.array(a).data.tobytes() for a in ARRAYS}, scalar
 
 
@@ -39,7 +39,7 @@ def aerofoil():
 
 def test_sequential_vectorized_equals_scalar(aerofoil):
     acfd, want, scalar = aerofoil
-    vector = acfd.run_sequential(input_text=AEROFOIL_INPUT, vectorize=True)
+    vector = acfd.run_sequential(input_text=AEROFOIL_INPUT, native=True)
     for a in ARRAYS:
         assert vector.array(a).data.tobytes() == want[a], a
     assert vector.scalar("resid") == scalar.scalar("resid")
@@ -54,9 +54,8 @@ def test_sequential_vectorized_equals_scalar(aerofoil):
 def test_stitched_grids_equal_sequential_scalar(dims, executor, overlap):
     acfd, want, _ = _scalar_run(DECKS[overlap])
     compiled = acfd.compile(partition=dims, overlap=overlap)
-    modes = compiled.report.vector_modes
-    # the cut turns no sweep into a fallback: only the frame loop is one
-    assert modes["carried-outer"] == 16 and modes["fronts"] == 1, modes
+    # the cut turns no sweep scalar: only the frame loop is
+    assert compiled.report.vector_loops == 23, compiled.report.nest_summary()
     assert [unit for unit, _, _ in compiled.report.fallback_reasons] \
         == ["aerofoil"]
     # "on" marks at least the sync before presscor on every cut
@@ -68,17 +67,17 @@ def test_stitched_grids_equal_sequential_scalar(dims, executor, overlap):
 
 
 def test_pipeline_calls_stay_outside_the_carried_nests(aerofoil):
-    # acfd_pipe_recv/send bracket the nest: the plan lookup (which
-    # builds on the first frame), the front loop and the DO variables'
-    # exit values all go between them
+    # acfd_pipe_recv/send bracket the nest: the lookup of its call
+    # (bound on the first frame), the call and the DO variables' exit
+    # values all go between them
     acfd, _, _ = aerofoil
     src = compile_unit(acfd.compile(partition=(2, 1, 1)).spmd_cu).source
     blayer = src[src.index("def u_blayer("):src.index("def u_convergence(")]
     marks = [blayer.index(s) for s in (
-        "ctx.rt.pipe_recv(5", "_pl.get(", "_vplan_fronts(", " in _vz1fr:",
-        "f_k = _vz1e2", "ctx.rt.pipe_send(5")]
+        "ctx.rt.pipe_recv(5", "_nc.get(", "_nc.bind(", "f_i, f_j, f_k, = ",
+        "ctx.rt.pipe_send(5")]
     assert marks == sorted(marks)
-    assert blayer.count("_pl.get(") == blayer.count("for ") == 1
+    assert blayer.count("_nc.get(") == 1 and "for " not in blayer
 
 
 @pytest.mark.parametrize("source,dims", [
@@ -88,9 +87,9 @@ def test_pipeline_calls_stay_outside_the_carried_nests(aerofoil):
 def test_programs_without_carried_nests_get_no_carried_frame(source, dims):
     compiled = AutoCFD.from_source(source).compile(partition=dims)
     report = compiled.report
-    assert report.vector_modes == {
-        "slice": report.vector_loops, "carried-outer": 0, "fronts": 0}
-    # their only fallback is the frame loop
+    # their only scalar nest is the frame loop, and it is the only
+    # Python loop the rank runs: every other nest is one native call
     assert report.fallback_loops == 1, report.fallback_reasons
     emitted = compile_unit(compiled.spmd_cu).source
-    assert "for _vz" not in emitted and "_vplan_fronts" not in emitted
+    assert emitted.count("for ") == 1
+    assert emitted.count("_nc.get(") == report.vector_loops

@@ -1,9 +1,9 @@
 """Every buffer a rank computes in starts on a cache line.
 
 ``values.aligned_buffer`` places COMMON blocks, local arrays, stitched
-arrays, array copies and the scratch, masks and index grids of the nest
-plans on a 64-byte boundary.  These tests run one program per kind of
-buffer (the sprayer, a red-black sweep's masks, Gauss-Seidel's fronts, a
+arrays and array copies on a 64-byte boundary, and the native nests
+compute in them.  These tests run one program per kind of buffer (the
+sprayer's COMMON blocks, a red-black sweep, a Gauss-Seidel sweep, a
 subroutine's local array) sequentially and on both rank executors, and
 look at every array the rank holds once it has finished: on processes
 the check runs inside the rank and only the verdict comes back.  A run
@@ -14,7 +14,6 @@ live buffers and never rebinds them.
 import functools
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.apps import kernels
@@ -22,13 +21,11 @@ from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
 from repro.codegen.runner import _exec_rank, _stitch
 from repro.core import AutoCFD
 from repro.faults.checkpoint import Checkpointer, CheckpointStore
-from repro.fortran.parser import parse_source
 from repro.interp.pyback import CompiledProgram, compile_unit
 from repro.interp.values import CACHE_LINE, OffsetArray
-from repro.interp.vectorize import survey
 from repro.runtime.world import spmd_run
 
-#: a subroutine whose vectorized nests read and write a local array
+#: a subroutine whose native nests read and write a local array
 LOCAL_SRC = """\
 !$acfd status v, vnew
 !$acfd grid 24 16
@@ -75,45 +72,28 @@ subroutine relax()
 end subroutine relax
 """
 
-#: (name, source, input deck, the mode one of its nests takes, the kinds
-#: of buffer (see :func:`_misaligned`) every run must hold).  The sweep
-#: of Gauss-Seidel reads ``j`` as a value, so its fronts plan holds index
-#: arrays and the product lands in a front slot.
+#: (name, source, input deck, the kinds of buffer (see
+#: :func:`_misaligned`) every run must hold)
 CASES = [
     ("sprayer", sprayer_source(n=48, m=20, iters=4, eps=0.0),
-     SPRAYER_INPUT, "slice", {"common", "cut from", "scratch"}),
+     SPRAYER_INPUT, {"common", "bound"}),
     ("redblack_2d", kernels.redblack_2d(n=16, m=12, iters=4, eps=0.0),
-     None, "slice", {"final", "cut from", "plan"}),
+     None, {"final", "bound"}),
     ("gauss_seidel_2d", kernels.gauss_seidel_2d(
         n=16, m=12, iters=4, eps=0.0).replace(
         "v(i, j+1))\n", "v(i, j+1)) + 1.0e-3 * j\n"),
-     None, "fronts", {"final", "cut from", "scratch", "plan"}),
-    ("local_array", LOCAL_SRC, None, "slice",
-     {"common", "cut from", "local"}),
+     None, {"final", "bound"}),
+    ("local_array", LOCAL_SRC, None, {"common", "bound", "local"}),
 ]
 IDS = [name for name, *_ in CASES]
-
-
-def _ndarrays(obj):
-    """Every ndarray in a plan tuple, however deeply nested."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _ndarrays(item)
 
 
 def _misaligned(ctx, values: dict) -> dict:
     """What does not start on a cache line in a finished rank, and how
     many buffers of each kind were looked at: every COMMON array, every
-    array of the main unit's final state, every buffer a nest plan is
-    cut from (subroutine locals included), every arena scratch buffer,
-    and every other writable array a plan holds (masks, index grids,
-    staging views).  Views of program arrays are where the subscripts
-    put them, and the shared front keys are read-only index arrays:
-    neither is a buffer of its own."""
-    bad, seen = [], dict.fromkeys(
-        ("common", "final", "cut from", "scratch", "plan"), 0)
+    array of the main unit's final state, and every array a native nest
+    was bound to (subroutine locals included)."""
+    bad, seen = [], dict.fromkeys(("common", "final", "bound"), 0)
 
     def check(kind, what, arr):
         seen[kind] += 1
@@ -129,24 +109,15 @@ def _misaligned(ctx, values: dict) -> dict:
     for name, value in values.items():
         if isinstance(value, OffsetArray):
             check("final", name, value.data)
-    plans = ctx.plans
-    cut = [buf for keys in plans._keys.values()
-           for _key, bufs in keys for buf in bufs]
-    for buf in cut:
-        check("cut from", buf.shape, buf)
-    for cls, bufs in plans._arena.items():
-        for buf in bufs:
-            check("scratch", cls, buf)
-    for key, plan in plans.table.items():
-        for arr in _ndarrays(plan):
-            if arr.flags.writeable and not any(
-                    np.may_share_memory(arr, buf) for buf in cut):
-                check("plan", f"of nest {key[0]} {arr.shape}", arr)
-    # buffers cut from that are neither COMMON nor the main unit's: the
+    bound = {id(arr.data): arr.data for call in ctx.natives.values()
+             for arr in call.held[2]}
+    for buf in bound.values():
+        check("bound", buf.shape, buf)
+    # buffers bound that are neither COMMON nor the main unit's: the
     # local arrays of subroutines
     finals = [v.data for v in values.values() if isinstance(v, OffsetArray)]
     seen["local"] = sum(not any(buf is a for a in commons + finals)
-                        for buf in cut)
+                        for buf in bound.values())
     return {"bad": bad, "seen": seen}
 
 
@@ -189,8 +160,7 @@ def _aligned_rank(blob: bytes, comm):
 
 @pytest.fixture(scope="module", params=CASES, ids=IDS)
 def case(request):
-    name, src, deck, mode, kinds = request.param
-    assert survey(parse_source(src))["modes"][mode], (name, mode)
+    name, src, deck, kinds = request.param
     acfd = AutoCFD.from_source(src)
     seq = acfd.run_sequential(input_text=deck)
     return acfd.compile(partition=(2, 1)), deck, kinds, seq

@@ -1,10 +1,11 @@
 """Every gallery kernel through all the executors, compared bitwise.
 
-The reference interpreter, the scalar numpy backend, and the vectorizing
-backend are three independent executions of the same Fortran semantics;
-any divergence in final field arrays or program output is a bug in one
-of them.  Grids are compared by raw bytes — not approximate equality —
-because the vectorizer's contract is bitwise identity.
+The reference interpreter, the scalar numpy backend, and the native
+nests (compiled to C) are three independent executions of the same
+Fortran semantics; any divergence in final field arrays or program
+output is a bug in one of them.  Grids are compared by raw bytes — not
+approximate equality — because the native nests' contract is bitwise
+identity.
 
 The same contract extends across *rank executors*: the parallel run on
 in-process threads and on one-OS-process-per-rank workers must produce
@@ -49,8 +50,8 @@ def test_three_executors_agree(name, gen):
 
     interp = Interpreter(parse_source(src), io=IoManager())
     scope = interp.run()
-    scalar = run_compiled(parse_source(src), io=IoManager(), vectorize=False)
-    vector = run_compiled(parse_source(src), io=IoManager(), vectorize=True)
+    scalar = run_compiled(parse_source(src), io=IoManager(), native=False)
+    vector = run_compiled(parse_source(src), io=IoManager(), native=True)
 
     assert interp.io.output() == scalar.io.output() == vector.io.output()
 
@@ -63,7 +64,7 @@ def test_three_executors_agree(name, gen):
         assert ref.data.tobytes() == s_arrays[aname].data.tobytes(), \
             f"{name}: interpreter vs scalar backend differ on {aname!r}"
         assert ref.data.tobytes() == v_arrays[aname].data.tobytes(), \
-            f"{name}: interpreter vs vectorized backend differ on {aname!r}"
+            f"{name}: interpreter vs native nests differ on {aname!r}"
 
 
 @pytest.mark.parametrize("name,gen", CASES, ids=[n for n, _ in CASES])

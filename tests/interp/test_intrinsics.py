@@ -52,6 +52,16 @@ class TestNumeric:
         assert call_intrinsic("dble", [2]) == 2.0
         assert call_intrinsic("aint", [2.7]) == 2.0
 
+    @pytest.mark.parametrize("x,want", [
+        (0.5, 1), (-0.5, -1), (1.5, 2), (-1.5, -2), (2.5, 3), (-2.5, -3),
+        (0.49999999999999994, 0), (-0.49999999999999994, 0), (2.4, 2),
+        (-2.6, -3)])
+    def test_nint_rounds_half_away_from_zero(self, x, want):
+        assert call_intrinsic("nint", [x]) == want
+        got = call_intrinsic("anint", [x])
+        assert got == float(want) and math.copysign(1.0, got) \
+            == math.copysign(1.0, x)
+
     def test_char_functions(self):
         assert call_intrinsic("len", ["abc"]) == 3
         assert call_intrinsic("index", ["hello", "ll"]) == 3
@@ -66,3 +76,36 @@ class TestErrors:
     def test_domain_error_wrapped(self):
         with pytest.raises(InterpError):
             call_intrinsic("sqrt", [-1.0])
+
+
+#: the NINT / ANINT pins, through a program: the scalar translation calls
+#: the intrinsics above, a native nest calls libm's llround / round
+HALVES = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, -2.6]
+
+
+def test_nint_and_anint_agree_on_both_paths():
+    from repro.fortran.parser import parse_source
+    from repro.interp.pyback import compile_unit
+    data = ", ".join(repr(x) for x in HALVES)
+    src = f"""\
+program halves
+  implicit none
+  integer i, k({len(HALVES)})
+  real x({len(HALVES)}), r({len(HALVES)})
+  data x /{data}/
+  do i = 1, {len(HALVES)}
+    k(i) = nint(x(i))
+    r(i) = anint(x(i))
+  end do
+end
+"""
+    runs = {}
+    for native in (False, True):
+        prog = compile_unit(parse_source(src), native=native)
+        assert prog.nest_stats["native"] == int(native)
+        runs[native] = prog.run()
+    for native, run in runs.items():
+        assert list(run.array("k").data) == [1, -1, 2, -2, 3, -3, 0, -3]
+        assert run.array("r").data.tobytes() \
+            == runs[False].array("r").data.tobytes()
+    assert math.copysign(1.0, runs[True].array("r").data[6]) == 1.0

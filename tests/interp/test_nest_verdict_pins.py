@@ -3,8 +3,8 @@
 ``fixtures/nest_verdict_pins.json`` records, for every program the
 classification pins cover (the kernel gallery, its subroutine-bodied
 variants and both paper apps at their full grids) at 2x1, 1x2 and 2x2,
-the report's schedule counts (``vector_modes``) and each scalar
-fallback with its unit, line and reason (``fallback_reasons``).  It was
+the report's native nest count (``native_nests``) and each scalar
+nest with its unit, line and reason (``fallback_reasons``).  It was
 written by ``build_pins()``; a change to the subscript analysis, the
 nest verdict or the restructurer that moves any nest between schedules,
 or changes why one falls back, shows here.
@@ -36,7 +36,7 @@ def verdicts(name: str, cuts: tuple) -> dict:
     acfd = _acfd(name)
     dims = cuts + (1,) * (len(acfd.grid.shape) - 2)
     report = acfd.compile(partition=dims).report
-    return {"vector_modes": dict(report.vector_modes),
+    return {"native_nests": report.vector_loops,
             "fallback_reasons": [list(entry)
                                  for entry in report.fallback_reasons]}
 

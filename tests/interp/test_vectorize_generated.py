@@ -1,22 +1,20 @@
-"""Generated in-place nests: the vectorizing backend against the scalar one.
+"""Generated in-place nests: the native nests against the scalar order.
 
-A first slice of the ROADMAP's generated-program item, scoped to the
-schedules of :mod:`repro.analysis.vecsafety`: random 2-D and 3-D nests
-that update an array in place through random stencils, in a random loop
-order, with negative and non-unit steps, an optional temporary, max fold
-and IF.  Every box skips part of each row, so a ``slice`` nest may take
-either plan shape (box views, or one flat span per buffer); a second
-statement may read the first one's target at the same and at a shifted
-subscript, and a read of an array with longer rows must keep the box
-plan.  Whatever the analysis decides for a nest (slice, carried-outer,
-fronts, or a fallback), ``vectorize=True`` must leave every array,
-scalar and DO variable bitwise equal to ``vectorize=False``.  The nest
+Random 2-D and 3-D nests that update an array in place through random
+stencils (carried in any variable, Gauss-Seidel style), in a random
+loop order, with negative, non-unit and variable steps, an optional
+temporary, a max fold, a float sum, a red-black parity mask, a
+triangular inner bound, and IF guards.  A second statement may read the
+first one's target at the same and at a shifted subscript, and a read of
+an array with longer rows lands at other strides.  The native nests
+(``native=True``) must leave every array, scalar and DO variable
+bitwise equal to the scalar translation (``native=False``).  The nest
 runs once, or three times inside a frame loop, or as a subroutine the
-frame loop calls from two sites with different actuals, so the plan a
-nest builds on its first execution is also the plan later ones hit.
+frame loop calls from two sites with different actuals, so the call a
+nest binds on its first execution is also the call later ones hit.
 
 The example count comes from the active hypothesis profile: 100 in
-tier-1 (about 3 s), more under ``--hypothesis-profile=deep`` (CI).
+tier-1, more under ``--hypothesis-profile=deep`` (CI).
 """
 
 from collections import Counter
@@ -25,17 +23,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.vecsafety import MODES
 from repro.fortran.parser import parse_source
 from repro.interp.pyback import compile_unit
 from repro.interp.values import OffsetArray
 
 VARS = "ijk"
-#: the refusals the carried schedules added; the generator must reach
-#: each of them as well as every mode
-NEW_REASONS = ("mixed-sign dependence vector",
-               "under a non-literal step",
-               "assigned under a varying mask in a carried nest")
+#: what the generator must reach: nests carried in their first (outer)
+#: variable, in a later one, in no variable at all, and each feature
+FEATURES = ("carried-outer", "carried-inner", "uncarried", "sum",
+            "redblack", "triangular", "held-step", "varying")
 
 
 @st.composite
@@ -69,19 +65,14 @@ def nests(draw):
             "shape": draw(st.sampled_from(["once", "framed", "called"])),
             "temp": draw(st.booleans()), "fold": draw(st.booleans()),
             "guard": draw(st.sampled_from(
-                [None, None, "uniform-on", "uniform-off", "varying"])),
+                [None, None, "uniform-on", "uniform-off", "varying",
+                 "redblack"])),
+            "sum": draw(st.booleans()),
+            # the innermost loop stops at the outermost variable
+            "triangular": draw(st.integers(0, 4)) == 0,
             # b = <first target> at the same and a shifted subscript
             "chain": draw(st.one_of(st.none(), offsets(ndim))),
             "other": draw(st.integers(0, 3)) == 0}
-    if draw(st.booleans()):
-        # unit steps in storage order, so the rows of the box are runs of
-        # memory with a gap between them, stores that are not in place,
-        # and nothing else that keeps a nest from computing flat
-        spec.update(loops=[(v, 1, False) for v in VARS[:ndim]],
-                    temp=False,
-                    stmts=[("c", at, reads) for _, at, reads in stmts])
-        if spec["guard"] == "varying":
-            spec["guard"] = None
     return spec
 
 
@@ -89,14 +80,6 @@ def _ref(array: str, off: tuple) -> str:
     subs = ", ".join(v if o == 0 else f"{v}{o:+d}"
                      for v, o in zip(VARS, off))
     return f"{array}({subs})"
-
-
-#: plans a run builds when the generated nest got a schedule: one for
-#: the init nest, one per actual set the generated nest is reached with
-PLANS = {"once": 2, "framed": 2, "called": 3}
-#: and the refusal its frame loop adds to the nest's own
-FRAME_REASON = {"once": [], "framed": ["DoLoop in nest body"],
-                "called": ["CallStmt in nest body"]}
 
 
 def render(spec: dict) -> str:
@@ -109,11 +92,13 @@ def render(spec: dict) -> str:
         "  implicit none",
         f"  integer n, it, {', '.join(names)}, {steps}",
         "  parameter (n = 8)",
-        f"  real a({ext}), b({ext}), c({ext}), d({ext} + 2), tmp, big, flag",
+        f"  real a({ext}), b({ext}), c({ext}), d({ext} + 2), tmp, big, flag,"
+        " total",
     ]
     lines = ["program gen"] + decls + [
         f"  flag = {0.0 if spec['guard'] == 'uniform-off' else 1.0}",
         "  big = 0.0",
+        "  total = 0.0",
     ]
     lines += [f"  do {v} = 1, n" for v in names]
     point = " + ".join(f"0.{d + 1} * {v}" for d, v in enumerate(names))
@@ -124,8 +109,12 @@ def render(spec: dict) -> str:
     lines += ["  end do"] * ndim
     lines += [f"  s{v} = {step}" for v, step, _ in spec["loops"]]
     nest = []
-    for v, step, held in spec["loops"]:
+    first = spec["loops"][0][0]
+    for depth, (v, step, held) in enumerate(spec["loops"]):
         lo, hi = (3, 6) if step > 0 else (6, 3)  # offsets reach 1..n
+        if spec["triangular"] and depth == len(spec["loops"]) - 1 > 0:
+            # 3..first or 6..first: never past 3..6
+            hi = first
         nest.append(f"  do {v} = {lo}, {hi}, {f's{v}' if held else step}")
     body = []
     if spec["temp"]:
@@ -146,20 +135,25 @@ def render(spec: dict) -> str:
     if guard == "varying":
         body = ([f"if ({_ref('b', zero)} .gt. 0.12) then"]
                 + ["  " + s for s in body] + ["end if"])
+    elif guard == "redblack":
+        body = ([f"if (mod({' + '.join(names)}, 2) .eq. 0) then"]
+                + ["  " + s for s in body] + ["end if"])
     elif guard is not None:
         body[-1:] = ["if (flag .gt. 0.5) then", "  " + body[-1], "end if"]
     if spec["fold"]:
         body.append(f"big = amax1(big, abs({_ref('a', zero)}))")
+    if spec["sum"]:
+        body.append(f"total = total + {_ref('a', zero)}")
     nest += ["    " + s for s in body]
     nest += ["  end do"] * ndim
-    tail = ["  write (6, *) big", "end"]
+    tail = ["  write (6, *) big, total", "end"]
     if spec["shape"] == "once":
         lines += nest + tail
     elif spec["shape"] == "framed":
         # (the CONTINUE keeps the frame loop out of the nest's DO chain)
         lines += ["  do it = 1, 3", "  continue"] + nest + ["  end do"] + tail
     else:
-        rest = f"d, tmp, big, flag, {', '.join(names)}, {steps}"
+        rest = f"d, tmp, big, flag, total, {', '.join(names)}, {steps}"
         lines += ["  do it = 1, 3",
                   f"    call sweep(a, b, c, {rest})",
                   f"    call sweep(c, b, a, {rest})",
@@ -177,6 +171,29 @@ def _same(x, y) -> bool:
     return x == y
 
 
+def _features(spec: dict) -> set:
+    """What a spec exercises, for the coverage check."""
+    out = {name for name in ("sum", "triangular") if spec[name]}
+    if spec["guard"] in ("varying", "redblack"):
+        out.add(spec["guard"])
+    if any(held for _, _, held in spec["loops"]):
+        out.add("held-step")
+    order = [v for v, _, _ in spec["loops"]]
+    carried = set()
+    for target, at, reads in spec["stmts"]:
+        for arr, off in reads:
+            if arr == target and off != at:
+                carried |= {VARS[d] for d in range(spec["ndim"])
+                            if off[d] != at[d]}
+    if not carried:
+        out.add("uncarried")
+    elif order[0] in carried:
+        out.add("carried-outer")
+    else:
+        out.add("carried-inner")
+    return out
+
+
 def test_generated_nests_match_the_scalar_order():
     seen: Counter = Counter()
 
@@ -184,33 +201,24 @@ def test_generated_nests_match_the_scalar_order():
     @given(nests())
     def check(spec):
         src = render(spec)
-        scalar = compile_unit(parse_source(src), vectorize=False).run()
-        prog = compile_unit(parse_source(src), vectorize=True)
-        vector = prog.run()
-        assert scalar.io.output() == vector.io.output(), src
-        assert set(scalar.values) == set(vector.values)
+        scalar = compile_unit(parse_source(src), native=False).run()
+        prog = compile_unit(parse_source(src), native=True)
+        native = prog.run()
+        assert scalar.io.output() == native.io.output(), src
+        assert set(scalar.values) == set(native.values)
         for name, want in scalar.values.items():
-            assert _same(want, vector.values[name]), \
-                f"{name} differs ({prog.vector_stats}):\n{src}"
-        # the init nest is always one slice
-        seen.update(m for m, n in prog.vector_stats["modes"].items()
-                    if n > (m == "slice"))
-        reasons = [why for _, _, why in prog.vector_stats["reasons"]]
-        seen.update(r for why in reasons for r in NEW_REASONS if r in why)
-        if reasons == FRAME_REASON[spec["shape"]]:
-            # the nest got a schedule: later executions hit its plan
-            assert (vector.plan_nests, vector.plans_built) \
-                == (2, PLANS[spec["shape"]]), src
-            seen[spec["shape"]] += 1
-            # only the generated nest can be flat: the init nest reads
-            # its index grids
-            if spec["other"]:
-                # d's rows are longer: its views have other strides
-                assert vector.plans_flat == 0, src
-            elif prog.vector_stats["modes"]["slice"] > 1:
-                seen["flat" if vector.plans_flat else "box"] += 1
+            assert _same(want, native.values[name]), \
+                f"{name} differs ({prog.nest_stats}):\n{src}"
+        # the generated nest runs native: only a frame loop that calls
+        # the nest's subroutine stays scalar
+        assert [why for _, _, why in prog.nest_stats["reasons"]] \
+            == (["CallStmt in nest body"] if spec["shape"] == "called"
+                else []), src
+        assert native.nests_run == prog.nest_stats["native"], src
+        seen.update(_features(spec))
+        seen[spec["shape"]] += 1
 
     check()
-    missing = [k for k in MODES + NEW_REASONS + tuple(PLANS)
-               + ("flat", "box") if not seen[k]]
+    missing = [k for k in FEATURES + ("once", "framed", "called")
+               if not seen[k]]
     assert not missing, f"generator never reached {missing}: {seen}"
