@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.errors import CodegenError, InterpError
 from repro.fortran import ast as A
+from repro.interp.values import type_code
 
 #: what every library is built with (part of its cache key).  No
 #: contraction, no -ffast-math, no builtin libm; the cheap vector cost
@@ -245,11 +246,6 @@ def _join(a: str, b: str) -> str:
     return f"({a} | {b})"
 
 
-def _type_code(type_name: str) -> str:
-    return {"integer": "i", "real": "r", "doubleprecision": "r",
-            "logical": "l", "character": "s"}.get(type_name, "r")
-
-
 #: intrinsic -> (libm function, can_overflow) for CPython's math_1 family
 _MATH1 = {"sqrt": ("sqrt", 0), "dsqrt": ("sqrt", 0),
           "exp": ("exp", 1), "dexp": ("exp", 1),
@@ -273,12 +269,12 @@ _POW_ERR = {K_ZERO: "0.0 cannot be raised to a negative power",
 
 
 @dataclass
-class NestSpec:
-    """What the call of one compiled nest needs beyond its C text."""
+class Nest:
+    """One compiled nest: its C function and what calling it needs."""
 
     number: int
     unit: str
-    #: DO-bound constants, the descriptor words after the arrays'
+    #: DO stop constants, the descriptor words after the arrays'
     consts: list = field(default_factory=list)
     #: (name, type code, rank, written) per array, in descriptor order
     arrays: list = field(default_factory=list)
@@ -289,14 +285,7 @@ class NestSpec:
     outputs: list = field(default_factory=list)
     #: per error site: (line, {kind: message}, (array slot, dim) or None)
     sites: list = field(default_factory=list)
-
-
-@dataclass
-class Nest:
-    """One compiled nest: its C function and what calling it needs."""
-
-    spec: NestSpec
-    c_text: str
+    c_text: str = ""
 
 
 #: the statements a native nest may hold
@@ -317,12 +306,14 @@ class _Writer:
         self.c = comp
         self.table = comp.table
         self.loop = loop
-        self.spec = NestSpec(number, comp.unit.name)
+        self.nest = Nest(number, comp.unit.name)
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
         self.line = loop.line
         self.slots: dict[str, int] = {}
+        #: name -> its checked symbol
+        self.syms: dict = {}
         #: descriptor word of each array slot (then one past the last)
         self.words = [0]
         self.scalars: dict[str, str] = {}  # name -> type, first use order
@@ -350,20 +341,25 @@ class _Writer:
 
     def temp(self, t: str, text: str) -> str:
         name = self.fresh()
-        self.w(f"{_CTYPE[t]} {name} = {text};")
+        if not self.dry:
+            self.w(f"{_CTYPE[t]} {name} = {text};")
         return name
 
     def site(self, texts: dict, where: tuple | None = None) -> int:
-        self.spec.sites.append((self.line, texts, where))
-        return len(self.spec.sites) - 1
+        self.nest.sites.append((self.line, texts, where))
+        return len(self.nest.sites) - 1
 
     def fail_if(self, cond: str, kind: int, text: str) -> None:
         """``return`` the error *kind* when *cond* holds."""
+        if self.dry:
+            return
         site = self.site({kind: text})
         self.w(f"if (__builtin_expect({cond}, 0)) return {site << 3 | kind};")
 
     def checked(self, call: str, texts: dict) -> None:
         """Run a helper that returns 0 or an error kind."""
+        if self.dry:
+            return
         site = self.site(texts)
         self.w(f"if (__builtin_expect((e = {call}) != 0, 0)) "
                f"return {site << 3} | e;")
@@ -393,6 +389,8 @@ class _Writer:
         return out
 
     def int_op(self, op: str, a: str, b: str) -> str:
+        if self.dry:
+            return self.fresh()
         if self.wrap:
             sign = {"add": "+", "sub": "-", "mul": "*"}[op]
             return self.temp("i", f"(i64)((u64){a} {sign} (u64){b})")
@@ -405,24 +403,29 @@ class _Writer:
     # -- names --------------------------------------------------------------
 
     def symbol(self, name: str):
-        sym = self.table.get(name)
+        sym = self.syms.get(name)
         if sym is None:
-            raise Refused(f"unresolved name {name}")
-        if sym.is_external or (name in self.c.all_units
-                               and name != self.c.unit.name):
-            raise Refused(f"{name} names a procedure")
+            sym = self.table.get(name)
+            if sym is None:
+                raise Refused(f"unresolved name {name}")
+            if sym.is_external or (name in self.c.all_units
+                                   and name != self.c.unit.name):
+                raise Refused(f"{name} names a procedure")
+            self.syms[name] = sym
         return sym
 
     def scalar(self, name: str, write: bool = False) -> tuple[str, str]:
-        sym = self.symbol(name)
-        if sym.is_array:
-            raise Refused(f"whole array {name} in an expression")
-        t = _type_code(sym.type_name)
-        if t == "s":
-            raise Refused(f"character variable {name}")
-        if sym.is_parameter and write:
-            raise Refused(f"assignment to PARAMETER {name}")
-        self.scalars.setdefault(name, t)
+        t = self.scalars.get(name)
+        if t is None:
+            sym = self.symbol(name)
+            if sym.is_array:
+                raise Refused(f"whole array {name} in an expression")
+            t = type_code(sym.type_name)
+            if t == "s":
+                raise Refused(f"character variable {name}")
+            if sym.is_parameter:
+                raise Refused(f"assignment to PARAMETER {name}")
+            self.scalars[name] = t
         if write:
             self.assigned.setdefault(name)
         elif name not in self.assigned:
@@ -430,7 +433,7 @@ class _Writer:
         return f"v_{name}", t
 
     def parameter(self, sym) -> _V:
-        value, t = sym.param_value, _type_code(sym.type_name)
+        value, t = sym.param_value, type_code(sym.type_name)
         if t == "l" and isinstance(value, bool):
             return _V("1" if value else "0", "l", "0")
         if t == "i" and isinstance(value, int) and not isinstance(value,
@@ -445,8 +448,8 @@ class _Writer:
             raise Refused(f"integer literal {value} out of range")
         if self.in_bounds:
             # a frame count is not part of the C text
-            self.spec.consts.append(value)
-            return _V(f"c{len(self.spec.consts) - 1}", "i", "0")
+            self.nest.consts.append(value)
+            return _V(f"c{len(self.nest.consts) - 1}", "i", "0")
         return _V(f"{value}LL", "i", "0")
 
     def real_lit(self, value: float) -> _V:
@@ -455,19 +458,19 @@ class _Writer:
         return _V(float(value).hex(), "r", "0")
 
     def array_slot(self, name: str, write: bool) -> tuple[int, str, int]:
-        sym = self.symbol(name)
-        t = _type_code(sym.type_name)
-        if t == "s":
-            raise Refused(f"character array {name}")
-        rank = sym.array.rank
         slot = self.slots.get(name)
         if slot is None:
-            slot = self.slots[name] = len(self.spec.arrays)
-            self.words.append(self.words[-1] + 1 + 3 * rank)
-            self.spec.arrays.append([name, t, rank, False])
+            sym = self.symbol(name)
+            t = type_code(sym.type_name)
+            if t == "s":
+                raise Refused(f"character array {name}")
+            slot = self.slots[name] = len(self.nest.arrays)
+            self.words.append(self.words[-1] + 1 + 3 * sym.array.rank)
+            self.nest.arrays.append([name, t, sym.array.rank, False])
+        entry = self.nest.arrays[slot]
         if write:
-            self.spec.arrays[slot][3] = True
-        return slot, t, rank
+            entry[3] = True
+        return slot, entry[1], entry[2]
 
     def element(self, ref: A.ArrayRef, write: bool = False) -> tuple[str, str]:
         """``A<slot>[offset]`` of *ref*, its subscripts bounds-checked in
@@ -495,7 +498,9 @@ class _Writer:
         self.wrap = wrap
         if any(v.t != "i" for v in subs):
             raise Refused(f"non-integer subscript of {ref.name}")
-        site = len(self.spec.sites)
+        if self.dry:
+            return "", t
+        site = len(self.nest.sites)
         for d in range(rank):
             self.site({K_INDEX: ""}, (slot, d))
         off = self.fresh()
@@ -508,28 +513,30 @@ class _Writer:
     # -- expressions ----------------------------------------------------------
 
     def ex(self, e: A.Expr) -> _V:
-        if isinstance(e, A.IntLit):
-            return self.int_lit(e.value)
-        if isinstance(e, A.RealLit):
-            return self.real_lit(e.value)
-        if isinstance(e, A.LogicalLit):
-            return _V("1" if e.value else "0", "l", "0")
-        if isinstance(e, A.Var):
-            sym = self.symbol(e.name)
-            if sym.is_parameter:
-                return self.parameter(sym)
+        kind = type(e)
+        if kind is A.Var:
+            if e.name not in self.scalars:
+                sym = self.symbol(e.name)
+                if sym.is_parameter:
+                    return self.parameter(sym)
             name, t = self.scalar(e.name)
             return _V(name, t, "0" if t == "l" else f"k_{e.name}")
-        if isinstance(e, A.ArrayRef):
+        if kind is A.ArrayRef:
             elem, t = self.element(e)
             return _V(self.temp(t, elem), t, "1")
-        if isinstance(e, A.UnOp):
-            return self.unop(e)
-        if isinstance(e, A.BinOp):
+        if kind is A.BinOp:
             return self.binop(e)
-        if isinstance(e, (A.FuncCall, A.Apply)):
+        if kind is A.IntLit:
+            return self.int_lit(e.value)
+        if kind is A.RealLit:
+            return self.real_lit(e.value)
+        if kind is A.UnOp:
+            return self.unop(e)
+        if kind in (A.FuncCall, A.Apply):
             return self.call(e.name, e.args, e)
-        raise Refused(f"{type(e).__name__} expression")
+        if kind is A.LogicalLit:
+            return _V("1" if e.value else "0", "l", "0")
+        raise Refused(f"{kind.__name__} expression")
 
     def truth(self, v: _V) -> str:
         return v.text if v.t == "l" else f"({v.text} != 0)"
@@ -878,7 +885,7 @@ class _Writer:
         fixed = {s.var} | {
             name for name, sym in self.table.symbols.items()
             if not sym.is_array and not sym.is_parameter
-            and _type_code(sym.type_name) == "i"} - assigned
+            and type_code(sym.type_name) == "i"} - assigned
         refs = [r for x in s.body for r in A.walk(x)
                 if isinstance(r, A.ArrayRef)]
         conds, strides, small = [], set(), {}
@@ -973,33 +980,33 @@ class _Writer:
 
     def write(self) -> tuple[Nest, list[str], list[str]]:
         """The nest, the scalar path's texts of its arguments (then the
-        kind word, if ``spec.kinds_in``) and its names of the exit
+        kind word, if ``nest.kinds_in``) and its names of the exit
         values."""
         self.lower()
-        spec = self.spec
+        nest = self.nest
         root = self.loop.var
         inputs = [n for n in self.scalars
                   if n in self.reads or n != root]
         body = "\n".join(self.lines)
         flagged = [n for n in inputs if self.scalars[n] != "l"
                    and re.search(rf"\bk_{n}\b", body)]
-        spec.kinds_in = bool(flagged)
-        spec.inputs = [self.scalars[n] for n in inputs] \
+        nest.kinds_in = bool(flagged)
+        nest.inputs = [self.scalars[n] for n in inputs] \
             + ["i"] * len(self.queries)
         outputs = list(self.assigned)
-        spec.outputs = [self.scalars[n] for n in outputs]
-        params = [f"{_CTYPE[spec.inputs[j]]} p_{n}"
+        nest.outputs = [self.scalars[n] for n in outputs]
+        params = [f"{_CTYPE[nest.inputs[j]]} p_{n}"
                   for j, n in enumerate(inputs)]
         params += [f"const i64 q{j}" for j in range(len(self.queries))]
-        if spec.kinds_in:
+        if nest.kinds_in:
             params.append("i64 kin")
-        head = [f"int acfd_nest_{spec.number}(const i64 *restrict D, "
+        head = [f"int acfd_nest_{nest.number}(const i64 *restrict D, "
                 f"i64 *restrict O{''.join(', ' + p for p in params)}) {{",
                 "    int e = 0; (void)e;"]
         head += [f"    const i64 c{j} = D[{self.words[-1] + j}];"
-                 for j in range(len(spec.consts))]
+                 for j in range(len(nest.consts))]
         word = 0
-        for slot, (_name, t, rank, _w) in enumerate(spec.arrays):
+        for slot, (_name, t, rank, _w) in enumerate(nest.arrays):
             head.append(f"    {_ELEM[t]} *const A{slot} = "
                         f"({_ELEM[t]} *)(intptr_t)D[{word}];")
             for d in range(rank):
@@ -1027,23 +1034,16 @@ class _Writer:
             if t != "l":
                 tail.append(f"    kout |= (i64)k_{n} << {j};")
         tail += ["    O[1] = kout;", "    return 0;", "}"]
-        text = "\n".join(head + self.lines + tail)
+        nest.c_text = "\n".join(head + self.lines + tail)
         args = [self.c.var_read(n) for n in inputs] + self.queries
-        if spec.kinds_in:
-            args.append(_kin_text(inputs, spec.inputs, self.c))
-        return Nest(spec, text), args, outputs
-
-
-def _kin_text(names: list[str], types: list[str], comp) -> str:
-    """The kind word of a call: bit j set when argument j is a numpy
-    scalar in the scalar path's variables."""
-    terms = []
-    for j, (name, t) in enumerate(zip(names, types)):
-        if t == "l":
-            continue
-        term = f"({comp.var_read(name)}.__class__ is {'_f64' if t == 'r' else '_i64'})"
-        terms.append(term if j == 0 else f"{term} << {j}")
-    return " | ".join(terms)
+        if nest.kinds_in:
+            # bit j: argument j is a numpy scalar in the scalar path
+            args.append(" | ".join(
+                f"({self.c.var_read(n)}.__class__ is "
+                f"{'_f64' if self.scalars[n] == 'r' else '_i64'})"
+                + (f" << {j}" if j else "")
+                for j, n in enumerate(inputs) if self.scalars[n] != "l"))
+        return nest, args, outputs
 
 
 def try_emit_nest(comp, loop: A.DoLoop) -> bool:
@@ -1059,7 +1059,7 @@ def try_emit_nest(comp, loop: A.DoLoop) -> bool:
         return False
     _tally(comp.stats, comp.unit, loop, None)
     comp.nests.append(nest)
-    arrays = [name for name, *_ in nest.spec.arrays]
+    arrays = [name for name, *_ in nest.arrays]
     key = ", ".join([str(number)] + [f"id(f_{a})" for a in arrays])
     comp.w(f"_nf = _nc.get(({key}{',' if not arrays else ''}))")
     comp.w("if _nf is None:")
@@ -1208,7 +1208,7 @@ def load(nests: list[Nest]) -> "NativeLibrary | None":
         if not os.path.exists(path):
             _build(path, text, cc)
         lib = _LIBS[sha] = (ctypes.CDLL(path), ctypes.PyDLL(path))
-    return NativeLibrary(sha, [_Callable(lib, n.spec) for n in nests])
+    return NativeLibrary(sha, [_Callable(lib, n) for n in nests])
 
 
 @dataclass
@@ -1223,31 +1223,31 @@ class _Callable:
     """One nest of a loaded library: its C function with argument
     types, and what its calls need to bind and to read back."""
 
-    def __init__(self, lib: tuple, spec: NestSpec) -> None:
-        self.spec = spec
+    def __init__(self, lib: tuple, nest: Nest) -> None:
+        self.nest = nest
         #: the function through a handle that releases the GIL for the
         #: call and through one that keeps it
-        self.release, self.hold = (getattr(handle, f"acfd_nest_{spec.number}")
+        self.release, self.hold = (getattr(handle, f"acfd_nest_{nest.number}")
                                    for handle in lib)
         for fn in (self.release, self.hold):
             fn.restype = ctypes.c_int
             fn.argtypes = ([ctypes.c_void_p, ctypes.c_void_p]
-                           + [_ARG[t] for t in spec.inputs]
-                           + [ctypes.c_longlong] * spec.kinds_in)
+                           + [_ARG[t] for t in nest.inputs]
+                           + [ctypes.c_longlong] * nest.kinds_in)
         self.unpack = struct.Struct(
-            "<qq" + "".join(_OUT[t] for t in spec.outputs)).unpack_from
+            "<qq" + "".join(_OUT[t] for t in nest.outputs)).unpack_from
         #: (position, numpy type) of the exit values a kind bit applies to
-        self.kinds = [(j, _NUMPY[t]) for j, t in enumerate(spec.outputs)
+        self.kinds = [(j, _NUMPY[t]) for j, t in enumerate(nest.outputs)
                       if t != "l"]
 
     def bind(self, arrays: tuple):
         """The call of this nest over *arrays* (``OffsetArray``)."""
-        spec = self.spec
+        nest = self.nest
         words = []
-        for arr, (name, t, rank, written) in zip(arrays, spec.arrays):
+        for arr, (name, t, rank, written) in zip(arrays, nest.arrays):
             data = arr.data
             if data.dtype != _DTYPE[t] or data.ndim != rank:
-                raise TypeError(f"array {name!r} of unit {spec.unit}: "
+                raise TypeError(f"array {name!r} of unit {nest.unit}: "
                                 f"{data.ndim}-D {data.dtype} where the nest "
                                 f"reads {rank}-D {_DTYPE[t]}")
             if written and not data.flags.writeable:
@@ -1260,9 +1260,9 @@ class _Callable:
             for d in range(rank):
                 words += [arr.lower[d], data.shape[d],
                           data.strides[d] // data.itemsize]
-        words += spec.consts
+        words += nest.consts
         desc = (ctypes.c_longlong * max(1, len(words)))(*words)
-        out = (ctypes.c_longlong * (2 + len(spec.outputs)))()
+        out = (ctypes.c_longlong * (2 + len(nest.outputs)))()
         head = (ctypes.addressof(desc), ctypes.addressof(out))
         fn = (self.release if sum(a.data.size for a in arrays) >= RELEASE_AT
               else self.hold)
@@ -1284,7 +1284,7 @@ class _Callable:
         return call
 
     def fail(self, err: int, out, arrays: tuple):
-        line, texts, where = self.spec.sites[err >> 3]
+        line, texts, where = self.nest.sites[err >> 3]
         kind = err & 7
         if kind == K_INDEX:
             slot, d = where
@@ -1292,10 +1292,10 @@ class _Callable:
             lo = arr.lower[d]
             text = (f"index {out[0]} is out of bounds {lo}:"
                     f"{lo + arr.data.shape[d] - 1} for dimension {d + 1} "
-                    f"of {self.spec.arrays[slot][0]!r}")
+                    f"of {self.nest.arrays[slot][0]!r}")
         else:
             text = texts[kind]
-        raise _RAISES[kind](f"{text} (unit {self.spec.unit}, line {line})")
+        raise _RAISES[kind](f"{text} (unit {self.nest.unit}, line {line})")
 
 
 class NativeNests(dict):

@@ -24,6 +24,10 @@ Translation notes:
   (``acfd_*``); every such call binds by its prefix to the same-named
   method of ``ctx.rt``, so the same backend executes generated parallel
   programs.
+* A DO nest :mod:`repro.interp.native` accepts becomes a C function:
+  the emitted code looks its call up on ``ctx.natives`` (binding it to
+  the nest's arrays on a miss), passes the scalars it reads and assigns
+  the exit values it returns.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from repro.fortran.intrinsics_table import INTEGER_RESULT, is_intrinsic
 from repro.fortran.symbols import SymbolTable, resolve_compilation_unit
 from repro.interp.intrinsics import INTRINSIC_IMPLS
 from repro.interp.io_runtime import IoManager
-from repro.interp.values import DTYPES, OffsetArray, do_trips, fortran_div
+from repro.interp.values import (DTYPES, OffsetArray, do_trips, fortran_div,
+                                 type_code)
 from repro.interp import native as _native
 
 
@@ -123,10 +128,10 @@ class _UnitCompiler:
             return "s"
         if isinstance(e, A.Var):
             sym = self.table.get(e.name)
-            return _type_code(sym.type_name if sym else "real")
+            return type_code(sym.type_name if sym else "real")
         if isinstance(e, A.ArrayRef):
             sym = self.table.get(e.name)
-            return _type_code(sym.type_name if sym else "real")
+            return type_code(sym.type_name if sym else "real")
         if isinstance(e, A.UnOp):
             if e.op == ".not.":
                 return "l"
@@ -157,7 +162,7 @@ class _UnitCompiler:
                 rtype = target.result_type
                 if rtype is None:
                     rtype = ("integer" if e.name[:1] in "ijklmn" else "real")
-                return _type_code(rtype)
+                return type_code(rtype)
             return "?"
         return "?"
 
@@ -375,7 +380,7 @@ class _UnitCompiler:
         if isinstance(target, A.Var):
             name = target.name
             sym = self.table.get(name)
-            ttype = _type_code(sym.type_name if sym else "real")
+            ttype = type_code(sym.type_name if sym else "real")
             vtype = self.expr_type(s.value)
             if ttype == "i" and vtype != "i":
                 value = f"int({value})"
@@ -570,7 +575,7 @@ class _UnitCompiler:
                 if sym.name != unit.name:
                     continue  # references to other units are not scalars
             init = {"i": "0", "r": "0.0", "l": "False", "s": "''"}[
-                _type_code(sym.type_name)]
+                type_code(sym.type_name)]
             self.w(f"f_{sym.name} = {init}")
 
         # DATA initialization
@@ -631,11 +636,6 @@ class _UnitCompiler:
                 pos += 1
 
 
-def _type_code(type_name: str) -> str:
-    return {"integer": "i", "real": "r", "doubleprecision": "r",
-            "logical": "l", "character": "s"}.get(type_name, "r")
-
-
 def _mangle_block(block: str) -> str:
     return block if block else "blank"
 
@@ -690,7 +690,7 @@ class CompiledProgram:
                             bounds, DTYPES.get(sym.type_name, np.float64),
                             member))
                     else:
-                        slots.append(0.0 if _type_code(sym.type_name) == "r"
+                        slots.append(0.0 if type_code(sym.type_name) == "r"
                                      else 0)
 
     @staticmethod

@@ -30,6 +30,13 @@ DTYPES = {
 }
 
 
+def type_code(type_name: str) -> str:
+    """The translations' type letter of a Fortran type name: integer,
+    real, logical or character (``s``); real when unknown."""
+    return {"integer": "i", "real": "r", "doubleprecision": "r",
+            "logical": "l", "character": "s"}.get(type_name, "r")
+
+
 #: bytes in a cache line.  numpy guarantees 16-byte alignment only; its
 #: AVX-512 loops (numpy 2.4, x86-64) ran a 14,800-double add in 5.5 us
 #: with every operand on a line and in 14 us with all 8 or 16 bytes off
