@@ -22,24 +22,29 @@ out-buffer.  What the scalar path would type differently from C
 (``max`` of mixed integer and real arguments, an integer ``**`` with a
 non-literal exponent, character data) refuses the nest with a reason.
 
-**Errors stay errors.**  Every subscript is bounds-checked, and every
-operation the scalar path raises on is guarded: a zero integer divisor,
-a real division by zero or ``0.0 ** -1`` between Python floats (a numpy
-scalar gives ``inf`` instead, so each value carries its *kind*: Python
-or numpy, as the scalar path would hold it), a math domain or range
-error, a NaN or infinity converted to an integer, and integer overflow
-(which the scalar path's arbitrary-precision integers never reach).  The
-C function returns an error code; the call raises the scalar path's
-exception type with the unit and the source line.
+**Errors stay errors.**  Every subscript is bounds-checked (an innermost
+loop whose subscripts are a variable plus a constant gets a second,
+unchecked copy that runs when a check on entry proves both ends of every
+such subscript in range; subscript arithmetic wraps, since a wrapped
+subscript is out of bounds anyway), and every operation the scalar path
+raises on is guarded: a zero integer divisor, a real division by zero or
+``0.0 ** -1`` between Python floats (a numpy scalar gives ``inf``
+instead, so each value carries its *kind*: Python or numpy, as the
+scalar path would hold it), a math domain or range error, a NaN or
+infinity converted to an integer, and integer overflow (which the scalar
+path's arbitrary-precision integers never reach).  The C function
+returns an error code; the call raises the scalar path's exception type
+with the unit and the source line.
 
 **Cache.**  The library is ``<sha256 of C text, flags, compiler
 version>.so`` under ``$XDG_CACHE_HOME/acfd/native`` (default
 ``~/.cache/acfd/native``), built under an ``flock`` and moved into place
 with ``os.replace``, so process workers load what the launcher (or the
-first of them) built.  The C text holds no DO-bound constant (they reach
-the function in its descriptor), so runs that differ only in their frame
-count share a library.  Compiling a program (``AutoCFD.compile``) builds
-nothing; :func:`repro.interp.pyback.compile_unit` builds or loads.
+first of them) built.  The C text holds no constant of a DO stop bound
+(they reach the function in its descriptor), so runs that differ only in
+their frame count share a library.  Compiling a program
+(``AutoCFD.compile``) builds nothing;
+:func:`repro.interp.pyback.compile_unit` builds or loads.
 
 **Calls.**  Each rank's ``Ctx`` holds a :class:`NativeNests`: per nest
 and identity of the arrays it is reached with, the ``ctypes`` arguments
