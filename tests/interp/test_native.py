@@ -178,3 +178,15 @@ def test_a_cold_build_raced_from_two_processes_runs_the_compiler_once(
     assert log.read_text() == "build\n"
     assert len(list((tmp_path / "cache" / "acfd" / "native")
                     .glob("*.so"))) == 1
+
+
+@pytest.mark.parametrize("expr,x,error", [
+    ("sqrt(x)", -1.0, ValueError), ("log(x)", 0.0, ValueError),
+    ("exp(x)", 1000.0, OverflowError), ("x ** 400", 10.0, OverflowError),
+    ("0.0 ** (-x)", 1.0, ZeroDivisionError)],
+    ids=["sqrt", "log", "exp", "pow-range", "pow-zero"])
+def test_a_math_error_raises_on_both_paths(expr, x, error):
+    src = NEST.format(off=0, d=1, x=x).replace("y = y / x", f"y = {expr}")
+    for native_ in (False, True):
+        with pytest.raises(error):
+            _run(src, native_)
