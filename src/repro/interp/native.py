@@ -22,28 +22,29 @@ out-buffer.  What the scalar path would type differently from C
 (``max`` of mixed integer and real arguments, an integer ``**`` with a
 non-literal exponent, character data) refuses the nest with a reason.
 
-**Errors stay errors.**  Every subscript is bounds-checked (an innermost
-loop whose subscripts are a variable plus a constant gets a second,
-unchecked copy that runs when a check on entry proves both ends of every
-such subscript in range; subscript arithmetic wraps, since a wrapped
-subscript is out of bounds anyway), and every operation the scalar path
-raises on is guarded: a zero integer divisor, a real division by zero or
-``0.0 ** -1`` between Python floats (a numpy scalar gives ``inf``
-instead, so each value carries its *kind*: Python or numpy, as the
-scalar path would hold it), a math domain or range error, a NaN or
-infinity converted to an integer, and integer overflow (which the scalar
-path's arbitrary-precision integers never reach).  The C function
-returns an error code; the call raises the scalar path's exception type
-with the unit and the source line.
+**Errors stay errors.**  Every subscript is bounds-checked, and every
+operation the scalar path raises on is guarded: a zero integer divisor,
+a real division by zero or ``0.0 ** -1`` between Python floats (a numpy
+scalar gives ``inf`` instead, so each value carries its *kind*: Python
+or numpy, as the scalar path would hold it), a math domain or range
+error, a NaN or infinity converted to an integer, and integer overflow
+(``IndexError`` in a subscript).  An innermost loop some of whose
+subscripts are a variable plus a constant is written twice: checking
+each subscript where it is used, and, when a check on entry proves both
+ends of each such subscript in range, checking only the others (the
+sprayer's nests ran three times longer with one checked copy).  The C
+function returns an error code; the call raises the scalar path's
+exception type with the unit and the source line.
 
 **Cache.**  The library is ``<sha256 of C text, flags, compiler
 version>.so`` under ``$XDG_CACHE_HOME/acfd/native`` (default
 ``~/.cache/acfd/native``), built under an ``flock`` and moved into place
 with ``os.replace``, so process workers load what the launcher (or the
-first of them) built.  The C text holds no constant of a DO stop bound
-(they reach the function in its descriptor), so runs that differ only in
-their frame count share a library.  Compiling a program
-(``AutoCFD.compile``) builds nothing;
+first of them) built; each build trims the directory to the
+:data:`CACHE_KEEP` most recently used libraries.  The C text holds no
+constant of a DO stop bound (they reach the function in its
+descriptor), so runs that differ only in their frame count share a
+library.  Compiling a program (``AutoCFD.compile``) builds nothing;
 :func:`repro.interp.pyback.compile_unit` builds or loads.
 
 **Calls.**  Each rank's ``Ctx`` holds a :class:`NativeNests`: per nest
@@ -55,6 +56,7 @@ reads.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import fcntl
 import hashlib
@@ -86,6 +88,10 @@ FLAGS = ("-O2", "-fvect-cost-model=cheap", "-fPIC", "-shared",
 #: call sites with different actual arrays need two; a subroutine's local
 #: arrays are new on every call, and this bounds what dead ones pin
 BIND_CAP = 8
+
+#: libraries the cache directory keeps, the most recently used (a load
+#: refreshes a library's mtime); tier-1's programs use about 2,400
+CACHE_KEEP = 4096
 
 #: a nest bound to fewer array elements keeps the GIL for its call: it
 #: takes microseconds, less than handing the GIL to another rank thread
@@ -326,8 +332,8 @@ class _Writer:
         self.assigned: dict[str, None] = {}
         #: an integer literal becomes a descriptor word (in a DO stop)
         self.in_bounds = False
-        #: integer + - * wrap instead of raising (inside a subscript)
-        self.wrap = False
+        #: what an integer overflow raises: IndexError in a subscript
+        self.overflow = (K_OVERFLOW, "integer overflow")
         #: Python texts of the runtime queries passed in (``q<j>``)
         self.queries: list[str] = []
         #: id of an array reference -> its subscripts' ``(variable,
@@ -396,13 +402,10 @@ class _Writer:
     def int_op(self, op: str, a: str, b: str) -> str:
         if self.dry:
             return self.fresh()
-        if self.wrap:
-            sign = {"add": "+", "sub": "-", "mul": "*"}[op]
-            return self.temp("i", f"(i64)((u64){a} {sign} (u64){b})")
         out = self.fresh()
         self.w(f"i64 {out};")
         self.fail_if(f"__builtin_{op}_overflow({a}, {b}, &{out})",
-                     K_OVERFLOW, "integer overflow")
+                     *self.overflow)
         return out
 
     # -- names --------------------------------------------------------------
@@ -496,11 +499,10 @@ class _Writer:
                              + ("" if d == rank - 1 else
                                 f" * (u64)S{slot}_{d}"))
             return f"A{slot}[(i64)({' + '.join(terms)})]", t
-        # subscript arithmetic wraps: a subscript that overflowed is out
-        # of bounds, and IndexError is what the scalar path raises too
-        wrap, self.wrap = self.wrap, True
+        outer, self.overflow = self.overflow, (
+            K_INDEX, f"subscript of {ref.name!r} overflows a 64-bit integer")
         subs = [self.ex(s) for s in ref.subs]
-        self.wrap = wrap
+        self.overflow = outer
         if any(v.t != "i" for v in subs):
             raise Refused(f"non-integer subscript of {ref.name}")
         if self.dry:
@@ -1191,6 +1193,12 @@ def _build(path: str, text: str, cc: str) -> None:
             for leftover in (source, tmp):
                 if os.path.exists(leftover):
                     os.unlink(leftover)
+        # keep the most recently used: one about to load is the newest
+        libs = sorted((e for e in os.scandir(directory)
+                       if e.name.endswith(".so")),
+                      key=lambda e: e.stat().st_mtime, reverse=True)
+        for entry in libs[CACHE_KEEP:]:
+            os.unlink(entry.path)
 
 
 def load(nests: list[Nest]) -> "NativeLibrary | None":
@@ -1210,7 +1218,10 @@ def load(nests: list[Nest]) -> "NativeLibrary | None":
     lib = _LIBS.get(sha)
     if lib is None:
         path = os.path.join(cache_dir(), sha + ".so")
-        if not os.path.exists(path):
+        if os.path.exists(path):
+            with contextlib.suppress(OSError):  # most recently used
+                os.utime(path)
+        else:
             _build(path, text, cc)
         lib = _LIBS[sha] = (ctypes.CDLL(path), ctypes.PyDLL(path))
     return NativeLibrary(sha, [_Callable(lib, n) for n in nests])
@@ -1291,7 +1302,7 @@ class _Callable:
     def fail(self, err: int, out, arrays: tuple):
         line, texts, where = self.nest.sites[err >> 3]
         kind = err & 7
-        if kind == K_INDEX:
+        if kind == K_INDEX and where is not None:
             slot, d = where
             arr = arrays[slot]
             lo = arr.lower[d]

@@ -7,9 +7,8 @@ index space in *local* arrays (a subgrid owning ``i = 34..66`` is declared
 subscripts).  :class:`OffsetArray` implements those semantics over a numpy
 buffer.
 
-Every array a rank computes in comes from :func:`aligned_buffer`, so the
-native nests of :mod:`repro.interp.native` start every buffer on a cache
-line.
+Every array a rank computes in comes from :func:`aligned_buffer`, which
+starts it on a cache line.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ def type_code(type_name: str) -> str:
             "logical": "l", "character": "s"}.get(type_name, "r")
 
 
-#: bytes in a cache line.  numpy guarantees 16-byte alignment only; its
-#: AVX-512 loops (numpy 2.4, x86-64) ran a 14,800-double add in 5.5 us
-#: with every operand on a line and in 14 us with all 8 or 16 bytes off
+#: bytes in a cache line (numpy guarantees 16).  It paid for numpy's
+#: AVX-512 ufunc loops; the native nests run as fast on plain buffers
+#: (sprayer, aerofoil, Jacobi, alternated runs; ROADMAP)
 CACHE_LINE = 64
 
 

@@ -1,11 +1,12 @@
 """Native nests: errors, the numpy-scalar kind, the compiler and the cache.
 
 A native nest raises what the scalar translation raises, with the unit
-and the source line: a subscript outside its array, a zero integer
-divisor, a real division by zero between Python floats.  Without a C
-compiler every nest runs scalar, bitwise equal, after one warning line.
-Libraries are built at run time only, once per program text, and two
-processes racing for the same cold build run the compiler once.
+and the source line: a subscript outside its array or one that
+overflows 64 bits, a zero integer divisor, a real division by zero
+between Python floats.  Without a C compiler every nest runs scalar,
+bitwise equal, after one warning line.  Libraries are built at run time
+only, once per program text, the cache keeps the most recently used,
+and two processes racing for the same cold build run the compiler once.
 """
 
 import os
@@ -17,7 +18,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.apps.kernels import jacobi_5pt
+from repro.apps.kernels import gauss_seidel_2d, jacobi_5pt, sor_2d
 from repro.core import AutoCFD
 from repro.errors import InterpError
 from repro.fortran.parser import parse_source
@@ -65,6 +66,27 @@ def test_a_subscript_outside_its_array_raises(off, bad):
         # below the lower bound to the last element; the native nest
         # diagnoses it
         assert _run(src, False).array("a").data[-1] == 2.0
+
+
+def test_a_subscript_that_overflows_into_range_raises_on_both_paths():
+    # k * k is 2**64: wrapped to 64 bits it would be a(0), in bounds
+    src = textwrap.dedent("""\
+        program wraps
+          implicit none
+          integer i, k
+          real a(0:8)
+          k = 2**32
+          do i = 1, 2
+            a(k * k) = 1.0
+          end do
+        end
+        """)
+    for native_ in (False, True):
+        with pytest.raises(IndexError):
+            _run(src, native_)
+    with pytest.raises(IndexError, match=r"subscript of 'a' overflows a "
+                       r"64-bit integer \(unit wraps, line 7\)"):
+        _run(src, True)
 
 
 def test_a_zero_integer_divisor_raises_on_both_paths():
@@ -141,6 +163,26 @@ def test_a_quick_and_a_full_run_share_one_library():
                                                  eps=0.0))).library.sha
             for iters in (3, 60)}
     assert len(shas) == 1
+
+
+def test_a_build_keeps_the_most_recently_used_libraries(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_LIBS", {})
+    monkeypatch.setattr(native, "CACHE_KEEP", 2)
+    cache = tmp_path / "acfd" / "native"
+
+    def load(kernel):
+        native._LIBS.clear()  # a load in a new process
+        return compile_unit(parse_source(kernel(n=12, m=8, iters=2))
+                            ).library.sha
+
+    first, second = load(jacobi_5pt), load(gauss_seidel_2d)
+    for age, sha in enumerate((first, second)):
+        os.utime(cache / f"{sha}.so", (1000 + age, 1000 + age))
+    assert load(jacobi_5pt) == first  # a hit: now the newest
+    third = load(sor_2d)
+    assert {p.stem for p in cache.glob("*.so")} == {first, third}
 
 
 RACER = textwrap.dedent("""\
