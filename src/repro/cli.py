@@ -131,14 +131,17 @@ def cmd_report(args) -> int:
 
 
 def _backend_line(native: bool, report, par) -> str:
-    """How the nests ran and, after the run, how many native nests the
-    ranks executed and how many argument tuples that took: binds well
-    above nests means some nest meets new arrays every time."""
+    """How the nests ran: native and scalar nests, the regions (runs of
+    adjacent native nests, one C call each) with the nests fused into an
+    earlier one, and, after the run, how many regions the ranks executed
+    and how many argument tuples that took: binds well above regions
+    means some region meets new arrays every time."""
     if not native:
         return "backend: scalar (every nest in the scalar translation)"
-    return (f"backend: native ({report.nest_summary()}; on "
-            f"{len(par.nest_counts)} ranks {par.nests_run} nests ran, "
-            f"{par.binds} binds)")
+    return (f"backend: native ({report.nest_summary()}; {par.regions} "
+            f"regions ({par.fused} fused pairs); on "
+            f"{len(par.region_counts)} ranks {par.regions_run} regions "
+            f"ran, {par.binds} binds)")
 
 
 def _histogram_table(snapshot: dict) -> str:

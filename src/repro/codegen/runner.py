@@ -41,18 +41,23 @@ class ParallelResult:
     rank_values: list[dict] = field(default_factory=list)
     #: rank 0's I/O manager (holds program output)
     io: IoManager | None = None
-    #: per rank, ``(nests_run, binds)``: the native nests it ran, and
-    #: the argument tuples it built for them (hits do not count: binds
-    #: well above nests means some nest meets new arrays every time)
-    nest_counts: list[tuple[int, int]] = field(default_factory=list)
+    #: per rank, ``(regions_run, binds)``: the native regions it ran,
+    #: and the argument tuples it built for them (hits do not count:
+    #: binds well above regions means some region meets new arrays
+    #: every time)
+    region_counts: list[tuple[int, int]] = field(default_factory=list)
+    #: the SPMD program's native regions and the nests fused into an
+    #: earlier one, as the ranks translated it
+    regions: int = 0
+    fused: int = 0
 
     @property
-    def nests_run(self) -> int:
-        return sum(counts[0] for counts in self.nest_counts)
+    def regions_run(self) -> int:
+        return sum(counts[0] for counts in self.region_counts)
 
     @property
     def binds(self) -> int:
-        return sum(counts[1] for counts in self.nest_counts)
+        return sum(counts[1] for counts in self.region_counts)
 
     @property
     def trace(self) -> Trace:
@@ -149,8 +154,9 @@ def _merge_commons(compiled: CompiledProgram, ctx, plan: ParallelPlan,
 def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
                input_text: str | None, injector, checkpointer, comm):
     """One rank's program execution (shared by both executors): its
-    final values with the COMMON status arrays merged in, its I/O, and
-    its ``(nests_run, binds)`` counts."""
+    final values with the COMMON status arrays merged in, its I/O, its
+    ``(regions_run, binds)`` counts and the program's ``(regions,
+    fused)``."""
     rt = RankRuntime(comm, plan, faults=injector,
                      checkpoints=checkpointer)
     io = IoManager()
@@ -167,9 +173,10 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
             result = {}
         values = _merge_commons(compiled, ctx, plan,
                                 result if isinstance(result, dict) else {})
-        return values, io, (ctx.natives.nests, ctx.natives.built)
+        return values, io, (ctx.natives.ran, ctx.natives.built), (
+            compiled.nest_stats["regions"], compiled.nest_stats["fused"])
     finally:
-        # runtime and context name each other, and the bound nests on
+        # runtime and context name each other, and the bound regions on
         # the context pin arrays: apart, reference counts free them at
         # once and no worker has to run the cycle collector
         rt.bind_ctx(None)
@@ -261,10 +268,12 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
     world = spmd_run(nprocs, body, timeout=timeout, trace=trace,
                      injector=injector, executor=executor,
                      telemetry=telemetry)
-    rank_values = [values for values, _io, _counts in world.results]
+    rank_values = [values for values, *_ in world.results]
+    regions, fused = world.results[0][3]
     return ParallelResult(plan=plan, world=world, spmd_cu=spmd_cu,
                           arrays=_stitch(plan, rank_values),
                           rank_values=rank_values,
                           io=world.results[0][1],
-                          nest_counts=[counts for _values, _io, counts
-                                       in world.results])
+                          region_counts=[counts for _values, _io, counts, _
+                                         in world.results],
+                          regions=regions, fused=fused)

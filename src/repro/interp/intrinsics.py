@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import InterpError
 
 
@@ -33,8 +35,9 @@ def _anint(a):
 
 
 def _mod(a, b):
-    # Fortran MOD has the sign of the first argument (unlike Python %).
-    if isinstance(a, int) and isinstance(b, int):
+    # Fortran MOD has the sign of the first argument (unlike Python %);
+    # an integer array element is a numpy integer, and its MOD an integer
+    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
         return int(math.fmod(a, b))
     return math.fmod(a, b)
 

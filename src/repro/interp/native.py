@@ -2,12 +2,13 @@
 
 Each DO nest the scalar translation of :mod:`repro.interp.pyback` would
 run with no CALL (intrinsics excepted), no I/O and no jump (GOTO, EXIT,
-CYCLE, RETURN, STOP, or a label some GOTO names) becomes one C function
-that runs the nest in Fortran source order over the ``OffsetArray``
-buffers.  All of one program's nests build into one shared library with
-the host's C compiler (``cc``, else ``gcc``), loaded with ``ctypes``.
-Every other nest, and every nest on a host with no C compiler, stays on
-the scalar path.
+CYCLE, RETURN, STOP, or a label some GOTO names) runs as C, in Fortran
+source order over the ``OffsetArray`` buffers.  Each maximal run of such
+nests with no statement between them is one *region*: one C function.
+All of one program's regions build into one shared library with the
+host's C compiler (``cc``, else ``gcc``), loaded with ``ctypes``.  Every
+other nest, and every nest on a host with no C compiler, stays on the
+scalar path.
 
 **Bitwise equal to the scalar path.**  The C code runs the scalar path's
 operations in its order: IEEE double ``+ - * /`` with no contraction
@@ -47,11 +48,29 @@ descriptor), so runs that differ only in their frame count share a
 library.  Compiling a program (``AutoCFD.compile``) builds nothing;
 :func:`repro.interp.pyback.compile_unit` builds or loads.
 
-**Calls.**  Each rank's ``Ctx`` holds a :class:`NativeNests`: per nest
-and identity of the arrays it is reached with, the ``ctypes`` arguments
-that do not change (the buffers' addresses, bounds and strides, the
-out-buffer), so a steady-state call passes only the scalars the nest
-reads.
+**Fusion.**  Two nests of a region with identical loop headers (the
+same variables in the same order, the same start, stop and step) run as
+one pass when every array or scalar one writes and the other references
+is referenced only at the identical subscript, each dimension a loop
+variable plus 0; neither body can raise; and one check on the region's
+entry proves every subscript of both over the whole iteration space.
+Nests between them move past when independent of them.  The pass runs
+the bodies one after the other in each iteration, every load and store
+the scalar order has, so each element gets the same operations in the
+same order.  Otherwise (:data:`APART` says why) the nests run one after
+the other.  A region with fused passes runs the span from its first to
+its last fused nest in source order, each subscript checked, when its
+arrays are not distinct buffers or a check fails.
+
+**Calls.**  A region is one call.  Its arguments are the scalars it
+reads before writing them and the rank queries it makes, each evaluated
+once on entry; queries take literal arguments, so no argument reads a
+scalar an earlier nest of the region writes, and scalars flow between
+the nests inside C.  Each rank's ``Ctx`` holds a :class:`NativeRegions`:
+per region and identity of the arrays it is reached with, the
+``ctypes`` arguments that do not change (the buffers' addresses, bounds
+and strides, the out-buffer), so a steady-state call passes only the
+scalars the region reads.
 """
 
 from __future__ import annotations
@@ -84,7 +103,7 @@ from repro.interp.values import type_code
 FLAGS = ("-O2", "-fvect-cost-model=cheap", "-fPIC", "-shared",
          "-ffp-contract=off", "-fno-builtin")
 
-#: argument tuples one nest keeps per rank; the oldest goes first.  Two
+#: argument tuples one region keeps per rank; the oldest goes first.  Two
 #: call sites with different actual arrays need two; a subroutine's local
 #: arrays are new on every call, and this bounds what dead ones pin
 BIND_CAP = 8
@@ -93,11 +112,12 @@ BIND_CAP = 8
 #: refreshes a library's mtime); tier-1's programs use about 2,400
 CACHE_KEEP = 4096
 
-#: a nest bound to fewer array elements keeps the GIL for its call: it
+#: a region bound to fewer array elements keeps the GIL for its call: it
 #: takes microseconds, less than handing the GIL to another rank thread
-#: and taking it back costs (64x32 Jacobi at 2x1 on threads: 0.25 s
-#: holding, 0.36 s releasing; the 300x100 sprayer: 0.85 s releasing,
-#: 1.0 s holding)
+#: and taking it back costs (regions, 2x1 on threads, median of 5 runs,
+#: two rounds: 64x32 Jacobi for 1000 frames 0.20-0.22 s holding, 0.22 s
+#: releasing; the 300x100 sprayer for 200 frames 0.42-0.43 s releasing,
+#: 0.61-0.84 s holding)
 RELEASE_AT = 16384
 
 # error kinds: the low three bits of a nonzero return code
@@ -210,8 +230,7 @@ static inline int ipow(i64 b, i64 e, i64 *r) {
 /* the offset of element s[0..rank) of the array whose descriptor words d
    are its address, then lower bound, extent and stride per dimension; or
    -1 - the dimension out of bounds, with its subscript in O[0] */
-static i64 __attribute__((noinline)) ix(const i64 *d, int rank,
-                                        const i64 *s, i64 *O) {
+static inline i64 ixn(const i64 *d, int rank, const i64 *s, i64 *O) {
     i64 off = 0;
     for (int k = 0; k < rank; k++) {
         const u64 o = (u64)s[k] - (u64)d[1 + 3 * k];
@@ -221,8 +240,31 @@ static i64 __attribute__((noinline)) ix(const i64 *d, int rank,
     return off;
 }
 
-/* do_trips: max(0, floor((stop - start + step) / step)) */
-static inline int trips(i64 start, i64 stop, i64 step, i64 *n) {
+/* out of line, and one per rank up to 3: a call site passes its
+   subscripts in registers (gcc takes longer over a stack array each) */
+static i64 __attribute__((noinline)) ix(const i64 *d, int rank,
+                                        const i64 *s, i64 *O) {
+    return ixn(d, rank, s, O);
+}
+static i64 __attribute__((noinline)) ix1(const i64 *d, i64 a, i64 *O) {
+    const i64 s[] = {a};
+    return ixn(d, 1, s, O);
+}
+static i64 __attribute__((noinline)) ix2(const i64 *d, i64 a, i64 b,
+                                         i64 *O) {
+    const i64 s[] = {a, b};
+    return ixn(d, 2, s, O);
+}
+static i64 __attribute__((noinline)) ix3(const i64 *d, i64 a, i64 b, i64 c,
+                                         i64 *O) {
+    const i64 s[] = {a, b, c};
+    return ixn(d, 3, s, O);
+}
+
+/* do_trips: max(0, floor((stop - start + step) / step)); out of line
+   (once per loop entry), which keeps the build short */
+static int __attribute__((noinline)) trips(i64 start, i64 stop, i64 step,
+                                           i64 *n) {
     __int128 num = (__int128)stop - start + step, q = num / step;
     if (num % step != 0 && (num < 0) != (step < 0)) q--;
     if (q > INT64_MAX) return K_OVERFLOW;
@@ -280,8 +322,9 @@ _POW_ERR = {K_ZERO: "0.0 cannot be raised to a negative power",
 
 
 @dataclass
-class Nest:
-    """One compiled nest: its C function and what calling it needs."""
+class Region:
+    """One compiled region: a run of adjacent nests as one C function,
+    and what calling it needs."""
 
     number: int
     unit: str
@@ -297,31 +340,171 @@ class Nest:
     #: per error site: (line, {kind: message}, (array slot, dim) or None)
     sites: list = field(default_factory=list)
     c_text: str = ""
+    #: how many of its nests run fused into an earlier one (a descriptor
+    #: word then says whether the arrays are distinct buffers)
+    fused: int = 0
+    #: per pair of nests the planner weighed: (line of the earlier, line
+    #: of the later, why they stay apart or None when they fused)
+    pairs: list = field(default_factory=list)
 
 
 #: the statements a native nest may hold
 _BODY = (A.Assign, A.DoLoop, A.DoWhile, A.IfBlock, A.LogicalIf, A.Continue,
          A.FormatStmt, A.DirectiveStmt)
+_NOOP = (A.Continue, A.FormatStmt, A.DirectiveStmt)
+
+#: why two nests of a region run one after the other
+APART = {
+    "headers": "loop headers differ",
+    "header-reads": "a loop header reads an array or a scalar the region "
+                    "writes before it",
+    "distance": "one writes what the other references at a nonzero "
+                "distance",
+    "subscript": "a subscript the entry check cannot prove",
+    "raises": "a body can raise",
+    "between": "a nest between them depends on one of them",
+}
+
+
+@dataclass
+class _Shape:
+    """What the fusion planner reads of one nest of a region: its
+    perfectly nested DO chain, the innermost body, and the names it
+    writes and references."""
+
+    loop: A.DoLoop
+    #: the perfectly nested DO loops, outermost first
+    chain: list
+    body: list
+    #: (variable, start, stop, step) per chain loop
+    heads: tuple
+    arrays_w: set
+    #: array name -> every reference of it (reads and writes)
+    refs: dict
+    scalars_w: set
+    scalars_r: set
+    #: scalars read outside the loops of their own name (a DO variable
+    #: read in its loop's body reads the nest's own value)
+    exposed: set
+    header_reads: set
+    header_arrays: bool
+    #: whether the body lowers to an operation that can raise (probed
+    #: when a candidate pair first needs it)
+    raises: bool | None = None
+
+    @classmethod
+    def of(cls, loop: A.DoLoop) -> "_Shape":
+        chain = [loop]
+        while True:
+            inner = [s for s in chain[-1].body if not isinstance(s, _NOOP)]
+            if len(inner) != 1 or not isinstance(inner[0], A.DoLoop):
+                break
+            chain.append(inner[0])
+        heads = tuple((x.var, x.start, x.stop,
+                       x.step if x.step is not None else A.IntLit(1))
+                      for x in chain)
+        shape = cls(loop, chain, chain[-1].body, heads, set(), {}, set(),
+                    set(), set(), set(), False)
+        for x in chain:
+            for e in (x.start, x.stop, x.step):
+                for node in A.walk(e) if e is not None else ():
+                    if isinstance(node, A.Var):
+                        shape.header_reads.add(node.name)
+                    elif isinstance(node, A.ArrayRef):
+                        shape.header_arrays = True
+        shape.visit([loop], frozenset())
+        return shape
+
+    def expr(self, e: A.Expr, bound: frozenset) -> None:
+        for node in A.walk(e):
+            if isinstance(node, A.Var):
+                self.scalars_r.add(node.name)
+                if node.name not in bound:
+                    self.exposed.add(node.name)
+            elif isinstance(node, A.ArrayRef):
+                self.refs.setdefault(node.name, []).append(node)
+
+    def visit(self, stmts: list, bound: frozenset) -> None:
+        for s in stmts:
+            if isinstance(s, A.Assign):
+                self.expr(s.value, bound)
+                if isinstance(s.target, A.ArrayRef):
+                    self.arrays_w.add(s.target.name)
+                    self.expr(s.target, bound)
+                else:
+                    self.scalars_w.add(s.target.name)
+            elif isinstance(s, A.DoLoop):
+                for e in (s.start, s.stop, s.step):
+                    if e is not None:
+                        self.expr(e, bound)
+                self.scalars_w.add(s.var)
+                self.visit(s.body, bound | {s.var})
+            elif isinstance(s, A.DoWhile):
+                self.expr(s.cond, bound)
+                self.visit(s.body, bound)
+            elif isinstance(s, A.IfBlock):
+                for cond, body in s.arms:
+                    if cond is not None:
+                        self.expr(cond, bound)
+                    self.visit(body, bound)
+            elif isinstance(s, A.LogicalIf):
+                self.expr(s.cond, bound)
+                self.visit([s.stmt], bound)
+
+    def body_refs(self) -> list:
+        return [r for s in self.body for r in A.walk(s)
+                if isinstance(r, A.ArrayRef)]
+
+
+def _distance_zero(a: _Shape, b: _Shape, chain: set) -> bool:
+    """Whether every array one of *a*, *b* writes and the other
+    references is referenced only at the identical subscript, each
+    dimension a variable of the shared chain plus 0, and no scalar but
+    the chain's variables is written by one and referenced by the
+    other."""
+    for name in (a.arrays_w & b.refs.keys()) | (b.arrays_w & a.refs.keys()):
+        subs = [r.subs for r in a.refs[name] + b.refs[name]]
+        first = subs[0]
+        if any(s != first for s in subs) \
+                or not all(isinstance(e, A.Var) for e in first) \
+                or sorted(e.name for e in first) != sorted(chain):
+            return False
+    shared = (a.scalars_w & (b.scalars_r | b.scalars_w)) \
+        | (b.scalars_w & a.scalars_r)
+    return not shared - chain
+
+
+def _independent(a: _Shape, b: _Shape, chain: set) -> bool:
+    """Whether *a* (of a fused pass over *chain*) may move past *b*:
+    neither writes an array the other references or a scalar the other
+    reads before writing it, and both write no scalar but the chain's
+    variables, whose last values the fused pass writes again."""
+    if a.arrays_w & b.refs.keys() or b.arrays_w & a.refs.keys():
+        return False
+    if a.scalars_w & b.exposed or b.scalars_w & a.exposed:
+        return False
+    return not (a.scalars_w & b.scalars_w) - chain
 
 
 class _Writer:
-    """Lowers one DO nest of a unit to a C function, or raises
+    """Lowers a region of a unit, a run of adjacent DO nests, to one C
+    function; with ``dry``, only finds one nest's verdict.  Raises
     :class:`Refused`.  ``comp`` is the unit's
     :class:`~repro.interp.pyback._UnitCompiler` (symbols, jump targets,
     and the scalar path's own expression typing)."""
 
-    def __init__(self, comp, loop: A.DoLoop, number: int,
+    def __init__(self, comp, loops: list[A.DoLoop], number: int,
                  dry: bool = False) -> None:
         #: only find the verdict: write no C
         self.dry = dry
         self.c = comp
         self.table = comp.table
-        self.loop = loop
-        self.nest = Nest(number, comp.unit.name)
+        self.loops = loops
+        self.region = Region(number, comp.unit.name)
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
-        self.line = loop.line
+        self.line = loops[0].line
         self.slots: dict[str, int] = {}
         #: name -> its checked symbol
         self.syms: dict = {}
@@ -330,6 +513,9 @@ class _Writer:
         self.scalars: dict[str, str] = {}  # name -> type, first use order
         self.reads: set[str] = set()
         self.assigned: dict[str, None] = {}
+        #: scalars first written as a nest's outer DO variable: always
+        #: assigned, so not an argument
+        self.sure: set[str] = set()
         #: an integer literal becomes a descriptor word (in a DO stop)
         self.in_bounds = False
         #: what an integer overflow raises: IndexError in a subscript
@@ -337,8 +523,14 @@ class _Writer:
         #: Python texts of the runtime queries passed in (``q<j>``)
         self.queries: list[str] = []
         #: id of an array reference -> its subscripts' ``(variable,
-        #: constant)`` forms, while a loop's unchecked version is written
+        #: constant)`` forms, while an unchecked loop is written
         self.proven: dict[int, list] = {}
+        #: write every loop checking each subscript (the source-order
+        #: path of a region with fused nests)
+        self.checked_only = False
+        #: a label errors jump to instead of returning (the fused
+        #: passes' headers, evaluated on entry)
+        self.bail: str | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -357,12 +549,16 @@ class _Writer:
         return name
 
     def site(self, texts: dict, where: tuple | None = None) -> int:
-        self.nest.sites.append((self.line, texts, where))
-        return len(self.nest.sites) - 1
+        self.region.sites.append((self.line, texts, where))
+        return len(self.region.sites) - 1
 
     def fail_if(self, cond: str, kind: int, text: str) -> None:
-        """``return`` the error *kind* when *cond* holds."""
+        """``return`` the error *kind* when *cond* holds (or jump to
+        :attr:`bail`)."""
         if self.dry:
+            return
+        if self.bail:
+            self.w(f"if (__builtin_expect({cond}, 0)) goto {self.bail};")
             return
         site = self.site({kind: text})
         self.w(f"if (__builtin_expect({cond}, 0)) return {site << 3 | kind};")
@@ -370,6 +566,9 @@ class _Writer:
     def checked(self, call: str, texts: dict) -> None:
         """Run a helper that returns 0 or an error kind."""
         if self.dry:
+            return
+        if self.bail:
+            self.w(f"if (__builtin_expect({call} != 0, 0)) goto {self.bail};")
             return
         site = self.site(texts)
         self.w(f"if (__builtin_expect((e = {call}) != 0, 0)) "
@@ -456,8 +655,8 @@ class _Writer:
             raise Refused(f"integer literal {value} out of range")
         if self.in_bounds:
             # a frame count is not part of the C text
-            self.nest.consts.append(value)
-            return _V(f"c{len(self.nest.consts) - 1}", "i", "0")
+            self.region.consts.append(value)
+            return _V(f"c{len(self.region.consts) - 1}", "i", "0")
         return _V(f"{value}LL", "i", "0")
 
     def real_lit(self, value: float) -> _V:
@@ -472,10 +671,10 @@ class _Writer:
             t = type_code(sym.type_name)
             if t == "s":
                 raise Refused(f"character array {name}")
-            slot = self.slots[name] = len(self.nest.arrays)
+            slot = self.slots[name] = len(self.region.arrays)
             self.words.append(self.words[-1] + 1 + 3 * sym.array.rank)
-            self.nest.arrays.append([name, t, sym.array.rank, False])
-        entry = self.nest.arrays[slot]
+            self.region.arrays.append([name, t, sym.array.rank, False])
+        entry = self.region.arrays[slot]
         if write:
             entry[3] = True
         return slot, entry[1], entry[2]
@@ -507,12 +706,15 @@ class _Writer:
             raise Refused(f"non-integer subscript of {ref.name}")
         if self.dry:
             return "", t
-        site = len(self.nest.sites)
+        site = len(self.region.sites)
         for d in range(rank):
             self.site({K_INDEX: ""}, (slot, d))
         off = self.fresh()
-        self.w(f"const i64 {off} = ix(D + {self.words[slot]}, {rank}, "
-               f"(const i64[]){{{', '.join(v.text for v in subs)}}}, O);")
+        texts = ", ".join(v.text for v in subs)
+        self.w(f"const i64 {off} = "
+               + (f"ix{rank}(D + {self.words[slot]}, {texts}, O);"
+                  if rank <= 3 else f"ix(D + {self.words[slot]}, {rank}, "
+                                    f"(const i64[]){{{texts}}}, O);"))
         self.w(f"if (__builtin_expect({off} < 0, 0)) "
                f"return ({site} - 1 - {off}) << 3 | {K_INDEX};")
         return f"A{slot}[{off}]", t
@@ -753,11 +955,8 @@ class _Writer:
             self.checked(f"trunc64({x}, &{out})", _TO_INT)
             self.w(f"{out} = llround({x});")
             return _V(out, "i", "0")
-        site = self.site(_TO_INT)
-        self.w(f"if (__builtin_expect(isnan({x}), 0)) "
-               f"return {site << 3 | K_VALUE};")
-        self.w(f"if (__builtin_expect(isinf({x}), 0)) "
-               f"return {site << 3 | K_OVERFLOW};")
+        self.fail_if(f"isnan({x})", K_VALUE, _TO_INT[K_VALUE])
+        self.fail_if(f"isinf({x})", K_OVERFLOW, _TO_INT[K_OVERFLOW])
         if name == "anint":
             return _V(self.temp("r", f"round({x})"), "r", "0")
         # float(int(x)): a whole float as it is; -0.3 becomes +0.0
@@ -773,7 +972,7 @@ class _Writer:
     def stmt(self, s: A.Stmt) -> None:
         self.line = s.line
         if s.label is not None and s.label in self.c.targeted_labels \
-                and s is not self.loop:
+                and not any(s is x for x in self.loops):
             raise Refused("GOTO-targeted label in nest body")
         if isinstance(s, A.Assign):
             self.assign(s)
@@ -876,6 +1075,58 @@ class _Writer:
                 return right[0], left[1] + right[1]
         return None
 
+    def form(self, ref: A.ArrayRef, fixed: set) -> list | None:
+        """The :meth:`affine` forms of *ref*'s subscripts, or None when
+        one has none (or a constant too large for the entry check)."""
+        sym = self.table.get(ref.name)
+        if sym is None or not sym.is_array or len(ref.subs) != sym.array.rank:
+            return None
+        form = [self.affine(x, fixed) for x in ref.subs]
+        if None in form or any(abs(c) >= 2 ** 40 for _, c in form):
+            return None
+        return form
+
+    def integers(self, written: set) -> set:
+        """The integer scalars of the unit that *written* leaves alone:
+        constant over a loop, so a subscript may lean on their value."""
+        return {name for name, sym in self.table.symbols.items()
+                if not sym.is_array and not sym.is_parameter
+                and type_code(sym.type_name) == "i"} - written
+
+    def check(self, refs: list, ends: dict, fixed: set) -> list[str]:
+        """The entry check under which no reference of *refs* with
+        :meth:`form` leaves its array, each loop variable between the
+        two C expressions *ends* maps it to; those references go in
+        ``self.proven``.  Empty when none qualifies."""
+        conds, strides, small = [], set(), {}
+        for ref in refs:
+            form = self.form(ref, fixed)
+            if form is None:
+                continue
+            slot = self.array_slot(ref.name, False)[0]
+            for d, (var, c) in enumerate(form):
+                for end in ends.get(var) or ((f"v_{var}",) if var else ("0",)):
+                    # |end|, |L| < 2**62 and |c| < 2**40: no wrap
+                    if end != "0":
+                        small[end] = None
+                    conds.append(f"(u64){end} + (u64){c}LL - (u64)L{slot}_{d}"
+                                 f" < (u64)N{slot}_{d}")
+            strides.add(f"S{slot}_{len(form) - 1} == 1")
+            self.proven[id(ref)] = form
+        if not conds:
+            return []
+        return (sorted(strides)
+                + [f"(u64){v} + (1ULL << 62) < (1ULL << 63)" for v in small]
+                + list(dict.fromkeys(conds)))
+
+    def span(self, st: str, sp: str, n: str, lo: str, hi: str) -> None:
+        """Declare *lo* and *hi*, the least and the greatest value a DO
+        variable takes (unsigned arithmetic: no trips gives garbage, not
+        an overflow)."""
+        last = f"(i64)((u64){st} + (u64)({n} - 1) * (u64){sp})"
+        self.w(f"const i64 {lo} = {sp} > 0 ? {st} : {last}, "
+               f"{hi} = {sp} > 0 ? {last} : {st};")
+
     def versions(self, s: A.DoLoop, st: str, sp: str, n: str) -> str | None:
         """For an innermost loop, the entry check under which no
         subscript of the forms :meth:`affine` reads can leave its array
@@ -889,45 +1140,19 @@ class _Writer:
                     and isinstance(x.target, A.Var)}
         if s.var in assigned:
             return None
-        fixed = {s.var} | {
-            name for name, sym in self.table.symbols.items()
-            if not sym.is_array and not sym.is_parameter
-            and type_code(sym.type_name) == "i"} - assigned
+        lo, hi = self.fresh(), self.fresh()
         refs = [r for x in s.body for r in A.walk(x)
                 if isinstance(r, A.ArrayRef)]
-        conds, strides, small = [], set(), {}
-        lo, hi = self.fresh(), self.fresh()
-        for ref in refs:
-            sym = self.table.get(ref.name)
-            if sym is None or not sym.is_array \
-                    or len(ref.subs) != sym.array.rank:
-                continue
-            form = [self.affine(x, fixed) for x in ref.subs]
-            if None in form or any(abs(c) >= 2 ** 40 for _, c in form):
-                continue
-            slot = self.array_slot(ref.name, False)[0]
-            for d, (var, c) in enumerate(form):
-                ends = ((lo, hi) if var == s.var else
-                        (f"v_{var}",) if var else ("0",))
-                # |end|, |L| < 2**62 and |c| < 2**40: no wrap
-                small.update(dict.fromkeys(ends))
-                for end in ends:
-                    conds.append(f"(u64){end} + (u64){c}LL - (u64)L{slot}_{d}"
-                                 f" < (u64)N{slot}_{d}")
-            strides.add(f"S{slot}_{len(form) - 1} == 1")
-            self.proven[id(ref)] = form
+        conds = self.check(refs, {s.var: (lo, hi)},
+                           self.integers(assigned) | {s.var})
         if not conds:
             return None
-        self.w(f"const i64 {lo} = {sp} > 0 ? {st} : {st} + ({n} - 1) * {sp}, "
-               f"{hi} = {sp} > 0 ? {st} + ({n} - 1) * {sp} : {st};")
-        small.pop("0", None)
-        return " && ".join(
-            [f"{n} > 0"] + sorted(strides)
-            + [f"(u64){v} + (1ULL << 62) < (1ULL << 63)" for v in small]
-            + list(dict.fromkeys(conds)))
+        self.span(st, sp, n, lo, hi)
+        return " && ".join([f"{n} > 0"] + conds)
 
-    def do_loop(self, s: A.DoLoop) -> None:
-        # int(start), int(step), then int(stop), as the scalar path
+    def header(self, s: A.DoLoop) -> tuple[str, str, str]:
+        """Evaluate *s*'s header as the scalar path does, int(start),
+        int(step), then int(stop): the start, the step and the trips."""
         start = self.to_int(self.ex(s.start))
         step = (self.to_int(self.ex(s.step)) if s.step is not None
                 else self.int_lit(1).text)
@@ -937,14 +1162,32 @@ class _Writer:
         self.in_bounds = True
         stop = self.to_int(self.ex(s.stop))
         self.in_bounds = False
-        st, sp, n, k = (self.fresh() for _ in range(4))
+        st, sp, n = (self.fresh() for _ in range(3))
         self.w(f"const i64 {st} = {start}, {sp} = {step};")
         self.fail_if(f"{sp} == 0", K_INTERP, "zero DO step")
         self.w(f"i64 {n};")
         self.checked(f"trips({st}, {stop}, {sp}, &{n})", _OVERFLOW)
+        return st, sp, n
+
+    def do_var(self, s: A.DoLoop) -> str:
+        if any(s is x for x in self.loops) and s.var not in self.assigned \
+                and s.var not in self.reads:
+            self.sure.add(s.var)
         var, t = self.scalar(s.var, write=True)
         if t != "i":
             raise Refused(f"DO variable {s.var} is not an integer")
+        return var
+
+    def exit_value(self, s: A.DoLoop, var: str, st: str, sp: str,
+                   n: str) -> None:
+        self.line = s.line
+        self.w(f"{var} = {self.int_op('mul', n, sp)};")
+        self.w(f"{var} = {self.int_op('add', st, var)}; k_{s.var} = 0;")
+
+    def do_loop(self, s: A.DoLoop) -> None:
+        st, sp, n = self.header(s)
+        var = self.do_var(s)
+        k = self.fresh()
         head = f"for (i64 {k} = 0; {k} < {n}; {k}++) {{"
         step = f"{var} = {st} + {k} * {sp}; k_{s.var} = 0;"
         outer, self.lines = self.lines, []
@@ -955,7 +1198,8 @@ class _Writer:
         self.depth -= 1
         self.w("}")
         checked, self.lines = self.lines, outer
-        fast = None if self.dry else self.versions(s, st, sp, n)
+        fast = None if self.dry or self.checked_only \
+            else self.versions(s, st, sp, n)
         if fast is None:
             self.lines += checked
         else:
@@ -972,48 +1216,200 @@ class _Writer:
             self.w("} else {")
             self.lines += checked
             self.w("}")
-        self.line = s.line
-        self.w(f"{var} = {self.int_op('mul', n, sp)};")
-        self.w(f"{var} = {self.int_op('add', st, var)}; k_{s.var} = 0;")
+        self.exit_value(s, var, st, sp, n)
+
+    # -- fusion ---------------------------------------------------------------
+
+    def raises(self, shape: _Shape) -> bool:
+        """Whether *shape*'s body, its subscripts taken as proven, lowers
+        to an operation that can raise (a scratch writer tries it)."""
+        if shape.raises is None:
+            if any(isinstance(x, (A.DoLoop, A.DoWhile))
+                   for x in A.walk_statements(shape.body)):
+                shape.raises = True  # a trip count can overflow
+            else:
+                probe = _Writer(self.c, [shape.loop], 0)
+                probe.proven = {id(r): [(None, 0)] * len(r.subs)
+                                for r in shape.body_refs()}
+                probe.block(shape.body)
+                shape.raises = bool(probe.region.sites)
+        return shape.raises
+
+    def apart(self, group: list, x: _Shape, between: list,
+              before: set) -> str | None:
+        """Why nest *x* cannot join the fused pass *group* (moving
+        *group* past the nests *between*), or None.  *before* holds the
+        scalars the region writes up to and including *x*: the pass's
+        headers and proven subscripts read them on the region's entry."""
+        lead = group[0]
+        if x.heads != lead.heads:
+            return APART["headers"]
+        if x.header_arrays or x.header_reads & before:
+            return APART["header-reads"]
+        chain = {var for var, *_ in x.heads}
+        if not all(_distance_zero(a, x, chain) for a in group):
+            return APART["distance"]
+        fixed = self.integers(before) | chain
+        if any(self.form(r, fixed) is None
+               for shape in group + [x] for r in shape.body_refs()):
+            return APART["subscript"]
+        if not all(_independent(a, b, chain) for a in group for b in between):
+            return APART["between"]
+        if any(self.raises(shape) for shape in group + [x]):
+            return APART["raises"]
+        return None
+
+    def plan(self) -> list[list[_Shape]]:
+        """The region's nests as passes, in run order: each nest joins
+        the latest earlier pass it can fuse into (that pass moving down
+        to it), else starts its own."""
+        shapes = [_Shape.of(loop) for loop in self.loops]
+        passes: list[list[_Shape]] = []
+        before: set = set()
+        for x in shapes:
+            before |= x.scalars_w
+            for pos in range(len(passes) - 1, -1, -1):
+                between = [b for p in passes[pos + 1:] for b in p]
+                why = self.apart(passes[pos], x, between, before)
+                self.region.pairs.append((passes[pos][0].loop.line,
+                                          x.loop.line, why))
+                if why is None:
+                    passes.append(passes.pop(pos) + [x])
+                    break
+            else:
+                passes.append([x])
+        return passes
+
+    def entry(self, group: list[_Shape]) -> tuple[list, dict, str]:
+        """On the region's entry: a fused pass's headers, and the check
+        that every subscript of its bodies stays in its array over the
+        whole iteration space (or that the pass runs no trip).  Returns
+        the (start, step, trips) per chain loop, the proven subscript
+        forms and the check."""
+        chain = group[0].chain
+        heads = []
+        for loop in chain:
+            self.line = loop.line
+            heads.append(self.header(loop))
+        ends = {}
+        for loop, (st, sp, n) in zip(chain, heads):
+            ends[loop.var] = (self.fresh(), self.fresh())
+            self.span(st, sp, n, *ends[loop.var])
+        written = set().union(*(shape.scalars_w for shape in group))
+        held, self.proven = self.proven, {}
+        conds = self.check([r for shape in group for r in shape.body_refs()],
+                           ends, self.integers(written) | set(ends))
+        forms, self.proven = self.proven, held
+        idle = " || ".join(f"!{n}" for _, _, n in heads)
+        return heads, forms, f"({idle} || ({' && '.join(conds) or '1'}))"
+
+    def fused(self, group: list[_Shape], heads: list, forms: dict) -> None:
+        """One pass over the shared chain: each iteration runs the
+        bodies in source order, every subscript proven on entry."""
+        chain = group[0].chain
+        for loop, (st, sp, n) in zip(chain, heads):
+            var = self.do_var(loop)
+            k = self.fresh()
+            self.w(f"for (i64 {k} = 0; {k} < {n}; {k}++) {{")
+            self.depth += 1
+            self.w(f"{var} = {st} + {k} * {sp}; k_{loop.var} = 0;")
+        self.proven, sites = forms, len(self.region.sites)
+        for shape in group:
+            self.block(shape.body)
+        assert len(self.region.sites) == sites, "a fused body can raise"
+        self.proven = {}
+        for loop, (st, sp, n) in reversed(list(zip(chain, heads))):
+            self.depth -= 1
+            self.w("}")
+            self.exit_value(loop, f"v_{loop.var}", st, sp, n)
 
     # -- the function -------------------------------------------------------------
 
     def lower(self) -> None:
-        """Lower the nest, or raise :class:`Refused`."""
-        for s in A.walk_statements(self.loop.body):  # refuse before lowering
-            if not isinstance(s, _BODY):
-                raise Refused(f"{type(s).__name__} in nest body")
-        self.do_loop(self.loop)
+        """Lower the region, or raise :class:`Refused`."""
+        for loop in self.loops:  # refuse before lowering
+            for s in A.walk_statements(loop.body):
+                if not isinstance(s, _BODY):
+                    raise Refused(f"{type(s).__name__} in nest body")
+        passes = self.plan() if len(self.loops) > 1 else []
+        self.region.fused = len(self.loops) - len(passes) if passes else 0
+        if not self.region.fused:
+            for loop in self.loops:
+                self.do_loop(loop)
+            return
+        # the span from the first to the last fused nest is all that
+        # runs in another order; before and after it, one copy serves
+        where = {id(loop): k for k, loop in enumerate(self.loops)}
+        moved = [where[id(shape.loop)] for group in passes if len(group) > 1
+                 for shape in group]
+        lo, hi = min(moved), max(moved)
+        for loop in self.loops[:lo]:
+            self.do_loop(loop)
+        # the span in source order, each subscript checked: where the
+        # arrays are not distinct buffers or a fused pass's check fails.
+        # It is lowered first, so the arguments are what the source
+        # order reads
+        head, self.lines = self.lines, ["slow:;"]
+        self.checked_only = True
+        for loop in self.loops[lo:hi + 1]:
+            self.do_loop(loop)
+        self.checked_only = False
+        slow, self.lines = self.lines, head
+        span = [group for group in passes
+                if lo <= where[id(group[0].loop)] <= hi]
+        self.bail = "slow"
+        entries, conds = {}, ["distinct"]
+        for group in span:
+            if len(group) > 1:
+                heads, forms, cond = self.entry(group)
+                entries[id(group)] = heads, forms
+                conds.append(cond)
+        self.bail = None
+        self.w(f"if ({' && '.join(conds)}) {{")
+        self.depth += 1
+        for group in span:
+            if len(group) == 1:
+                self.do_loop(group[0].loop)
+            else:
+                self.fused(group, *entries[id(group)])
+        self.w("goto done;")
+        self.depth -= 1
+        self.w("}")
+        self.lines += slow + ["done:;"]
+        for loop in self.loops[hi + 1:]:
+            self.do_loop(loop)
 
-    def write(self) -> tuple[Nest, list[str], list[str]]:
-        """The nest, the scalar path's texts of its arguments (then the
-        kind word, if ``nest.kinds_in``) and its names of the exit
+    def write(self) -> tuple[Region, list[str], list[str]]:
+        """The region, the scalar path's texts of its arguments (then
+        the kind word, if ``region.kinds_in``) and its names of the exit
         values."""
         self.lower()
-        nest = self.nest
-        root = self.loop.var
+        region = self.region
         inputs = [n for n in self.scalars
-                  if n in self.reads or n != root]
+                  if n in self.reads or n not in self.sure]
         body = "\n".join(self.lines)
         flagged = [n for n in inputs if self.scalars[n] != "l"
                    and re.search(rf"\bk_{n}\b", body)]
-        nest.kinds_in = bool(flagged)
-        nest.inputs = [self.scalars[n] for n in inputs] \
+        region.kinds_in = bool(flagged)
+        region.inputs = [self.scalars[n] for n in inputs] \
             + ["i"] * len(self.queries)
         outputs = list(self.assigned)
-        nest.outputs = [self.scalars[n] for n in outputs]
-        params = [f"{_CTYPE[nest.inputs[j]]} p_{n}"
+        region.outputs = [self.scalars[n] for n in outputs]
+        params = [f"{_CTYPE[region.inputs[j]]} p_{n}"
                   for j, n in enumerate(inputs)]
         params += [f"const i64 q{j}" for j in range(len(self.queries))]
-        if nest.kinds_in:
+        if region.kinds_in:
             params.append("i64 kin")
-        head = [f"int acfd_nest_{nest.number}(const i64 *restrict D, "
+        head = [f"int acfd_region_{region.number}(const i64 *restrict D, "
                 f"i64 *restrict O{''.join(', ' + p for p in params)}) {{",
                 "    int e = 0; (void)e;"]
         head += [f"    const i64 c{j} = D[{self.words[-1] + j}];"
-                 for j in range(len(nest.consts))]
+                 for j in range(len(region.consts))]
+        if region.fused:
+            head.append(f"    const i64 distinct = "
+                        f"D[{self.words[-1] + len(region.consts)}];")
         word = 0
-        for slot, (_name, t, rank, _w) in enumerate(nest.arrays):
+        for slot, (_name, t, rank, _w) in enumerate(region.arrays):
             head.append(f"    {_ELEM[t]} *const A{slot} = "
                         f"({_ELEM[t]} *)(intptr_t)D[{word}];")
             for d in range(rank):
@@ -1041,32 +1437,42 @@ class _Writer:
             if t != "l":
                 tail.append(f"    kout |= (i64)k_{n} << {j};")
         tail += ["    O[1] = kout;", "    return 0;", "}"]
-        nest.c_text = "\n".join(head + self.lines + tail)
+        region.c_text = "\n".join(head + self.lines + tail)
         args = [self.c.var_read(n) for n in inputs] + self.queries
-        if nest.kinds_in:
+        if region.kinds_in:
             # bit j: argument j is a numpy scalar in the scalar path
             args.append(" | ".join(
                 f"({self.c.var_read(n)}.__class__ is "
                 f"{'_f64' if self.scalars[n] == 'r' else '_i64'})"
                 + (f" << {j}" if j else "")
                 for j, n in enumerate(inputs) if self.scalars[n] != "l"))
-        return nest, args, outputs
+        return region, args, outputs
 
 
-def try_emit_nest(comp, loop: A.DoLoop) -> bool:
-    """Emit *loop* as a call of its native nest into *comp*'s Python
-    lines, or return False (the caller emits the scalar loop, whose
-    recursion tries the inner nests on their own).  Updates
-    ``comp.stats`` either way."""
-    number = len(comp.nests)
+def accept(comp, loop: A.DoLoop) -> bool:
+    """Whether *loop* runs as a native nest; tallies the verdict in
+    ``comp.stats`` (a refused loop's body is then translated on its own,
+    and its inner nests are tried there)."""
     try:
-        nest, args, outputs = _Writer(comp, loop, number).write()
+        _Writer(comp, [loop], 0, dry=True).lower()
     except Refused as why:
         _tally(comp.stats, comp.unit, loop, str(why))
         return False
     _tally(comp.stats, comp.unit, loop, None)
-    comp.nests.append(nest)
-    arrays = [name for name, *_ in nest.arrays]
+    return True
+
+
+def emit_region(comp, loops: list[A.DoLoop]) -> None:
+    """Emit *loops*, adjacent nests :func:`accept` took, as one call of
+    their region into *comp*'s Python lines."""
+    number = len(comp.regions)
+    region, args, outputs = _Writer(comp, loops, number).write()
+    comp.regions.append(region)
+    stats = comp.stats
+    stats["regions"] += 1
+    stats["fused"] += region.fused
+    stats["pairs"] += [(comp.unit.name, *pair) for pair in region.pairs]
+    arrays = [name for name, *_ in region.arrays]
     key = ", ".join([str(number)] + [f"id(f_{a})" for a in arrays])
     comp.w(f"_nf = _nc.get(({key}{',' if not arrays else ''}))")
     comp.w("if _nf is None:")
@@ -1075,7 +1481,6 @@ def try_emit_nest(comp, loop: A.DoLoop) -> bool:
     comp.depth -= 1
     targets = ", ".join(comp.var_read(n) for n in outputs)
     comp.w(f"{targets}, = _nf({', '.join(args)})")
-    return True
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -1083,7 +1488,8 @@ def try_emit_nest(comp, loop: A.DoLoop) -> bool:
 
 def new_stats() -> dict:
     """The tally ``compile_unit`` and :func:`survey` both fill: native
-    and scalar nests, and one ``(unit, line, reason)`` per refusal."""
+    and scalar nests, and one ``(unit, line, reason)`` per refusal
+    (:func:`repro.interp.pyback.translate` adds its regions)."""
     return {"native": 0, "scalar": 0, "reasons": []}
 
 
@@ -1097,8 +1503,9 @@ def _tally(stats: dict, unit: A.ProgramUnit, loop: A.DoLoop,
 
 
 def survey(cu: A.CompilationUnit) -> dict:
-    """Count native and scalar nests, with reasons, in the shape of
-    ``CompiledProgram.nest_stats``, without building anything.
+    """Count native and scalar nests, with reasons, as
+    ``CompiledProgram.nest_stats`` does, without building anything or
+    planning regions.
 
     Walks the statements as the translation does: an accepted nest is
     one native nest (its inner loops go with it); a refused loop counts
@@ -1115,13 +1522,8 @@ def survey(cu: A.CompilationUnit) -> dict:
     def visit(comp, stmts: list[A.Stmt]) -> None:
         for s in stmts:
             if isinstance(s, A.DoLoop):
-                try:
-                    _Writer(comp, s, 0, dry=True).lower()
-                except Refused as why:
-                    _tally(stats, comp.unit, s, str(why))
+                if not accept(comp, s):
                     visit(comp, s.body)
-                else:
-                    _tally(stats, comp.unit, s, None)
             elif isinstance(s, A.DoWhile):
                 visit(comp, s.body)
             elif isinstance(s, A.IfBlock):
@@ -1131,16 +1533,16 @@ def survey(cu: A.CompilationUnit) -> dict:
                 visit(comp, [s.stmt])
 
     for unit in cu.units:
-        visit(_UnitCompiler(unit, units), unit.body)
+        visit(_UnitCompiler(unit, units, stats=stats), unit.body)
     return stats
 
 
 # -- building and loading -------------------------------------------------------
 
 
-def program_text(nests: list[Nest]) -> str:
-    """The C translation unit of one program's nests."""
-    return "\n\n".join([_PRELUDE] + [n.c_text for n in nests]) + "\n"
+def program_text(regions: list[Region]) -> str:
+    """The C translation unit of one program's regions."""
+    return "\n\n".join([_PRELUDE] + [r.c_text for r in regions]) + "\n"
 
 
 def compiler() -> str | None:
@@ -1201,8 +1603,8 @@ def _build(path: str, text: str, cc: str) -> None:
             os.unlink(entry.path)
 
 
-def load(nests: list[Nest]) -> "NativeLibrary | None":
-    """The loaded library of *nests*, built on first use; None (after
+def load(regions: list[Region]) -> "NativeLibrary | None":
+    """The loaded library of *regions*, built on first use; None (after
     one warning line per process) when the host has no C compiler."""
     global _warned
     cc = compiler()
@@ -1212,7 +1614,7 @@ def load(nests: list[Nest]) -> "NativeLibrary | None":
             print("acfd: no C compiler (cc or gcc) found: loop nests run "
                   "on the scalar path", file=sys.stderr)
         return None
-    text = program_text(nests)
+    text = program_text(regions)
     sha = hashlib.sha256("\0".join(
         (text, " ".join(FLAGS), _version(cc))).encode()).hexdigest()
     lib = _LIBS.get(sha)
@@ -1224,46 +1626,46 @@ def load(nests: list[Nest]) -> "NativeLibrary | None":
         else:
             _build(path, text, cc)
         lib = _LIBS[sha] = (ctypes.CDLL(path), ctypes.PyDLL(path))
-    return NativeLibrary(sha, [_Callable(lib, n) for n in nests])
+    return NativeLibrary(sha, [_Callable(lib, r) for r in regions])
 
 
 @dataclass
 class NativeLibrary:
-    """One program's loaded nests."""
+    """One program's loaded regions."""
 
     sha: str
-    nests: list
+    regions: list
 
 
 class _Callable:
-    """One nest of a loaded library: its C function with argument
+    """One region of a loaded library: its C function with argument
     types, and what its calls need to bind and to read back."""
 
-    def __init__(self, lib: tuple, nest: Nest) -> None:
-        self.nest = nest
+    def __init__(self, lib: tuple, region: Region) -> None:
+        self.region = region
         #: the function through a handle that releases the GIL for the
         #: call and through one that keeps it
-        self.release, self.hold = (getattr(handle, f"acfd_nest_{nest.number}")
-                                   for handle in lib)
+        self.release, self.hold = (
+            getattr(handle, f"acfd_region_{region.number}") for handle in lib)
         for fn in (self.release, self.hold):
             fn.restype = ctypes.c_int
             fn.argtypes = ([ctypes.c_void_p, ctypes.c_void_p]
-                           + [_ARG[t] for t in nest.inputs]
-                           + [ctypes.c_longlong] * nest.kinds_in)
+                           + [_ARG[t] for t in region.inputs]
+                           + [ctypes.c_longlong] * region.kinds_in)
         self.unpack = struct.Struct(
-            "<qq" + "".join(_OUT[t] for t in nest.outputs)).unpack_from
+            "<qq" + "".join(_OUT[t] for t in region.outputs)).unpack_from
         #: (position, numpy type) of the exit values a kind bit applies to
-        self.kinds = [(j, _NUMPY[t]) for j, t in enumerate(nest.outputs)
+        self.kinds = [(j, _NUMPY[t]) for j, t in enumerate(region.outputs)
                       if t != "l"]
 
     def bind(self, arrays: tuple):
-        """The call of this nest over *arrays* (``OffsetArray``)."""
-        nest = self.nest
+        """The call of this region over *arrays* (``OffsetArray``)."""
+        region = self.region
         words = []
-        for arr, (name, t, rank, written) in zip(arrays, nest.arrays):
+        for arr, (name, t, rank, written) in zip(arrays, region.arrays):
             data = arr.data
             if data.dtype != _DTYPE[t] or data.ndim != rank:
-                raise TypeError(f"array {name!r} of unit {nest.unit}: "
+                raise TypeError(f"array {name!r} of unit {region.unit}: "
                                 f"{data.ndim}-D {data.dtype} where the nest "
                                 f"reads {rank}-D {_DTYPE[t]}")
             if written and not data.flags.writeable:
@@ -1276,9 +1678,15 @@ class _Callable:
             for d in range(rank):
                 words += [arr.lower[d], data.shape[d],
                           data.strides[d] // data.itemsize]
-        words += nest.consts
+        words += region.consts
+        if region.fused:
+            # fusing and moving nests reads distinct names as distinct
+            # memory; buffers that overlap take the source order
+            words.append(int(not any(
+                np.may_share_memory(a.data, b.data)
+                for k, a in enumerate(arrays) for b in arrays[k + 1:])))
         desc = (ctypes.c_longlong * max(1, len(words)))(*words)
-        out = (ctypes.c_longlong * (2 + len(nest.outputs)))()
+        out = (ctypes.c_longlong * (2 + len(region.outputs)))()
         head = (ctypes.addressof(desc), ctypes.addressof(out))
         fn = (self.release if sum(a.data.size for a in arrays) >= RELEASE_AT
               else self.hold)
@@ -1300,7 +1708,7 @@ class _Callable:
         return call
 
     def fail(self, err: int, out, arrays: tuple):
-        line, texts, where = self.nest.sites[err >> 3]
+        line, texts, where = self.region.sites[err >> 3]
         kind = err & 7
         if kind == K_INDEX and where is not None:
             slot, d = where
@@ -1308,14 +1716,15 @@ class _Callable:
             lo = arr.lower[d]
             text = (f"index {out[0]} is out of bounds {lo}:"
                     f"{lo + arr.data.shape[d] - 1} for dimension {d + 1} "
-                    f"of {self.nest.arrays[slot][0]!r}")
+                    f"of {self.region.arrays[slot][0]!r}")
         else:
             text = texts[kind]
-        raise _RAISES[kind](f"{text} (unit {self.nest.unit}, line {line})")
+        raise _RAISES[kind](f"{text} (unit {self.region.unit}, line {line})")
 
 
-class NativeNests(dict):
-    """One rank's bound nests: ``(nest, id of each array)`` -> its call.
+class NativeRegions(dict):
+    """One rank's bound regions: ``(region, id of each array)`` -> its
+    call.
 
     The call holds the arrays, so an ``id`` in a live key cannot be
     recycled.  Lives on the rank's ``Ctx``: thread ranks share the unit
@@ -1332,8 +1741,8 @@ class NativeNests(dict):
         self._keys: dict[int, list[tuple]] = {}
 
     @property
-    def nests(self) -> int:
-        """Nests that ran at least once."""
+    def ran(self) -> int:
+        """Regions that ran at least once."""
         return len(self._keys)
 
     def bind(self, number: int, *arrays):
@@ -1342,6 +1751,6 @@ class NativeNests(dict):
         if len(keys) == BIND_CAP:
             del self[keys.pop(0)]
         keys.append(key)
-        call = self[key] = self.library.nests[number].bind(arrays)
+        call = self[key] = self.library.regions[number].bind(arrays)
         self.built += 1
         return call

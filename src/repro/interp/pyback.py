@@ -10,7 +10,9 @@ Translation notes:
 
 * Fortran identifiers are mangled with an ``f_`` prefix so keywords can't
   collide; array element access compiles to direct numpy indexing with the
-  lower bounds unpacked into locals at entry (``f_v_d[f_i - f_v_l0, ...]``).
+  lower bounds unpacked into locals at entry (``f_v_d[f_i - f_v_l0, ...]``,
+  each offset tested for a negative value, which numpy would wrap to the
+  far end of the dimension).
 * GOTO compiles to a resumable dispatch loop per labeled statement list:
   the generated code raises ``_Goto(label)`` and the owning list catches it
   and re-enters at the target index.
@@ -24,10 +26,10 @@ Translation notes:
   (``acfd_*``); every such call binds by its prefix to the same-named
   method of ``ctx.rt``, so the same backend executes generated parallel
   programs.
-* A DO nest :mod:`repro.interp.native` accepts becomes a C function:
-  the emitted code looks its call up on ``ctx.natives`` (binding it to
-  the nest's arrays on a miss), passes the scalars it reads and assigns
-  the exit values it returns.
+* Each run of adjacent DO nests :mod:`repro.interp.native` accepts
+  becomes one C function, a *region*: the emitted code looks its call up
+  on ``ctx.natives`` (binding it to the region's arrays on a miss),
+  passes the scalars it reads and assigns the exit values it returns.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ class Ctx:
     io: IoManager
     commons: dict[str, list] = field(default_factory=dict)
     rt: object = None  # SPMD runtime adapter (rank-local), if any
-    #: the native nests this context has bound to its arrays
-    natives: _native.NativeNests = field(
-        default_factory=lambda: _native.NativeNests(None))
+    #: the native regions this context has bound to its arrays
+    natives: _native.NativeRegions = field(
+        default_factory=lambda: _native.NativeRegions(None))
 
 
 class _UnitCompiler:
@@ -88,14 +90,16 @@ class _UnitCompiler:
     def __init__(self, unit: A.ProgramUnit, all_units: dict[str, A.ProgramUnit],
                  native: bool = False,
                  stats: dict | None = None,
-                 nests: list | None = None) -> None:
+                 regions: list | None = None) -> None:
         self.unit = unit
         self.table: SymbolTable = unit.symbols  # type: ignore[assignment]
         self.all_units = all_units
         self.native = native
         self.stats = stats if stats is not None else _native.new_stats()
-        #: the native nests of the whole program, in call-number order
-        self.nests = nests if nests is not None else []
+        #: the native regions of the whole program, in call-number order
+        self.regions = regions if regions is not None else []
+        #: arrays whose elements the unit's Python code indexes
+        self.indexed: set[str] = set()
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
@@ -205,9 +209,13 @@ class _UnitCompiler:
         return f"f_{name}"
 
     def array_elem(self, name: str, subs: list[A.Expr]) -> str:
-        idx = ", ".join(f"{self.expr(s)} - f_{name}_l{d}"
-                        for d, s in enumerate(subs))
-        return f"f_{name}_d[{idx}]"
+        self.indexed.add(name)
+        idx = []
+        for d, s in enumerate(subs):
+            x = self.fresh("x")
+            idx.append(f"({x} if ({x} := {self.expr(s)} - f_{name}_l{d}) "
+                       f">= 0 else _below({x}, f_{name}, {d}, {name!r}))")
+        return f"f_{name}_d[{', '.join(idx)}]"
 
     def binop(self, e: A.BinOp) -> str:
         op_map = {
@@ -265,8 +273,18 @@ class _UnitCompiler:
         if not owned:
             if not stmts:
                 self.w("pass")
+            run: list[A.DoLoop] = []  # adjacent native nests: one region
             for s in stmts:
+                if self.native and isinstance(s, A.DoLoop) \
+                        and _native.accept(self, s):
+                    run.append(s)
+                    continue
+                if run:
+                    _native.emit_region(self, run)
+                    run = []
                 self.stmt(s)
+            if run:
+                _native.emit_region(self, run)
             return
         pc = self.fresh("pc")
         label_index = {s.label: i for i, s in enumerate(stmts)
@@ -279,7 +297,12 @@ class _UnitCompiler:
         for i, s in enumerate(stmts):
             self.w(f"if {pc} <= {i}:")
             self.depth += 1
-            self.stmt(s)
+            # a jump may enter between two nests: each is its own region
+            if self.native and isinstance(s, A.DoLoop) \
+                    and _native.accept(self, s):
+                _native.emit_region(self, [s])
+            else:
+                self.stmt(s)
             self.depth -= 1
         self.w(f"{pc} = None")
         self.depth -= 1
@@ -398,8 +421,6 @@ class _UnitCompiler:
             raise CodegenError(f"bad assignment target (line {s.line})")
 
     def do_loop(self, s: A.DoLoop) -> None:
-        if self.native and _native.try_emit_nest(self, s):
-            return
         var = f"f_{s.var}"
         start = self.expr(s.start)
         stop = self.expr(s.stop)
@@ -559,12 +580,9 @@ class _UnitCompiler:
                 self.w(f"f_{sym.name} = OffsetArray.from_bounds([{bounds}], "
                        f"{dtype}, {sym.name!r})")
 
-        # unpack array data and lower bounds
-        for sym in sorted(table.symbols.values(), key=lambda s: s.name):
-            if sym.is_array:
-                self.w(f"f_{sym.name}_d = f_{sym.name}.data")
-                for d in range(sym.array.rank):
-                    self.w(f"f_{sym.name}_l{d} = f_{sym.name}.lower[{d}]")
+        # array data and lower bounds go here, once the body has shown
+        # which arrays the Python code indexes
+        unpack = len(self.lines)
 
         # zero-initialize scalars (except dummies/parameters)
         for sym in sorted(table.symbols.values(), key=lambda s: s.name):
@@ -591,6 +609,11 @@ class _UnitCompiler:
         self.depth += 1
         self.w("pass")
         self.depth -= 1
+        self.lines[unpack:unpack] = [
+            line for name in sorted(self.indexed)
+            for line in [f"    f_{name}_d = f_{name}.data"] + [
+                f"    f_{name}_l{d} = f_{name}.lower[{d}]"
+                for d in range(table.require(name).array.rank)]]
 
         # returns: function result first, then scalar dummies (copy-out)
         ret_parts: list[str] = []
@@ -636,6 +659,15 @@ class _UnitCompiler:
                 pos += 1
 
 
+def _below(offset: int, arr: OffsetArray, d: int, name: str):
+    """Raise for a subscript below its dimension's lower bound (the
+    scalar path's numpy index would wrap it to the far end)."""
+    lo = arr.lower[d]
+    raise IndexError(f"index {offset + lo} is out of bounds {lo}:"
+                     f"{lo + arr.data.shape[d] - 1} for dimension {d + 1} "
+                     f"of {name!r}")
+
+
 def _mangle_block(block: str) -> str:
     return block if block else "blank"
 
@@ -658,9 +690,9 @@ class CompiledProgram:
     cu: A.CompilationUnit
     source: str
     namespace: dict
-    #: {"native": n, "scalar": n, "reasons": [(unit, line, why)]}
+    #: the nest verdicts and regions :func:`translate` tallied
     nest_stats: dict = field(default_factory=dict)
-    #: the loaded native nests (None: every nest runs scalar)
+    #: the loaded native regions (None: every nest runs scalar)
     library: _native.NativeLibrary | None = None
 
     def function(self, name: str):
@@ -669,7 +701,7 @@ class CompiledProgram:
     def make_ctx(self, io: IoManager | None = None, rt: object = None) -> Ctx:
         """Create an execution context with COMMON storage allocated."""
         ctx = Ctx(io=io if io is not None else IoManager(), rt=rt,
-                  natives=_native.NativeNests(self.library))
+                  natives=_native.NativeRegions(self.library))
         self._allocate_commons(ctx)
         return ctx
 
@@ -733,14 +765,14 @@ class RunResult:
 
     @property
     def binds(self) -> int:
-        """Argument tuples this run built for its native nests (hits do
-        not count): one per nest it ran and set of arrays it ran on."""
+        """Argument tuples this run built for its native regions (hits do
+        not count): one per region it ran and set of arrays it ran on."""
         return self.ctx.natives.built
 
     @property
-    def nests_run(self) -> int:
-        """Native nests this run executed at least once."""
-        return self.ctx.natives.nests
+    def regions_run(self) -> int:
+        """Native regions this run executed at least once."""
+        return self.ctx.natives.ran
 
     def array(self, name: str) -> OffsetArray:
         value = self.values.get(name)
@@ -761,44 +793,51 @@ class RunResult:
 
 def translate(cu: A.CompilationUnit, *, native: bool = True
               ) -> tuple[str, list, dict]:
-    """The Python source of *cu*, its native nests and their tally;
-    builds nothing.
+    """The Python source of *cu*, its native regions and their tally
+    (:func:`repro.interp.native.new_stats`, plus the native regions, the
+    nests fused into an earlier one and one ``(unit, line, line, reason
+    or None)`` per pair of nests the fusion planner weighed); builds
+    nothing.
 
     Args:
         cu: resolved compilation unit (resolved here if it is not).
-        native: call a compiled C function for every nest
-            :mod:`repro.interp.native` accepts; ``False`` keeps every
-            nest in the scalar translation (the reference the native
-            nests are checked against).
+        native: call a compiled C function for every run of adjacent
+            nests :mod:`repro.interp.native` accepts; ``False`` keeps
+            every nest in the scalar translation (the reference the
+            native regions are checked against).
     """
     if any(unit.symbols is None for unit in cu.units):
         resolve_compilation_unit(cu)
-    stats = _native.new_stats()
-    nests: list = []
+    stats = dict(_native.new_stats(), regions=0, fused=0, pairs=[])
+    regions: list = []
     units = {u.name: u for u in cu.units}
     source = "\n\n".join(
         _UnitCompiler(unit, units, native=native, stats=stats,
-                      nests=nests).compile() for unit in cu.units)
-    return source, nests, stats
+                      regions=regions).compile() for unit in cu.units)
+    return source, regions, stats
 
 
 def compile_unit(cu: A.CompilationUnit, *,
                  native: bool = True) -> CompiledProgram:
     """Translate a compilation unit to Python, build or load its native
-    nests (:func:`repro.interp.native.load`), and return the compiled
+    regions (:func:`repro.interp.native.load`), and return the compiled
     form.  With no C compiler on the host every nest runs scalar."""
     from repro.obs import spans as obs
     with obs.span("pyback-compile", cat="compile") as sp:
-        source, nests, stats = translate(cu, native=native)
-        library = _native.load(nests) if nests else None
-        if nests and library is None:
-            source, nests, stats = translate(cu, native=False)
+        source, regions, stats = translate(cu, native=native)
+        library = _native.load(regions) if regions else None
+        if regions and library is None:
+            source, regions, stats = translate(cu, native=False)
         sp.args["units"] = len(cu.units)
         sp.args["source_lines"] = source.count("\n") + 1
         sp.args["native_nests"] = stats["native"]
         sp.args["scalar_nests"] = stats["scalar"]
+        sp.args["regions"] = stats["regions"]
+        sp.args["fused"] = stats["fused"]
     obs.counter("pyback.nests.native").inc(stats["native"])
     obs.counter("pyback.nests.scalar").inc(stats["scalar"])
+    obs.counter("pyback.regions").inc(stats["regions"])
+    obs.counter("pyback.fused").inc(stats["fused"])
     namespace: dict = {
         "OffsetArray": OffsetArray,
         "_np": np,
@@ -809,6 +848,7 @@ def compile_unit(cu: A.CompilationUnit, *,
         "_do_iter": lambda a, b, s: range(a, b + (1 if s > 0 else -1), s),
         "_idiv": lambda a, b: fortran_div(int(a), int(b)),
         "_fdiv": fortran_div,
+        "_below": _below,
         "_Goto": _Goto,
         "_Return": _Return,
         "_Stop": _Stop,

@@ -6,8 +6,9 @@ sprayer at 300x100 and the aerofoil at 99x41x13, each at 2x1, 1x2, 2x2
 and 4x1 (a 3-D grid is left uncut in k).  An entry records the sha256 of
 ``parallel_source()``, of ``mpi_source()`` and of the pyback translation
 of the SPMD and of the sequential program (its Python source and the C
-text of its native nests), the nest verdicts (the native nest count
-and each scalar nest's ``fallback_reasons``), the Table 1 counts and the
+text of its native regions), the nest verdicts (the native nest count
+and each scalar nest's ``fallback_reasons``), the SPMD translation's
+native regions and fused nest pairs, the Table 1 counts and the
 reduction lines; a compile the restructurer refuses records the
 ``CodegenError`` text instead.  A change that moves any of these shows
 here, entry by entry.
@@ -40,11 +41,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _pyback_sha(cu) -> str:
-    """Digest of the pyback translation of *cu*: its Python source, a
-    NUL byte and the C text of its native nests (nothing is built)."""
-    source, nests, _stats = translate(cu)
-    return _sha(source + "\0" + program_text(nests))
+def _pyback(cu) -> tuple[str, dict]:
+    """Digest of the pyback translation of *cu* (its Python source, a
+    NUL byte and the C text of its native regions; nothing is built)
+    and the translation's stats."""
+    source, regions, stats = translate(cu)
+    return _sha(source + "\0" + program_text(regions)), stats
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,7 +56,7 @@ def _acfd(name: str) -> AutoCFD:
 
 @functools.lru_cache(maxsize=None)
 def _sequential_sha(name: str) -> str:
-    return _pyback_sha(_acfd(name).cu)
+    return _pyback(_acfd(name).cu)[0]
 
 
 def entry(name: str, cuts: tuple) -> dict:
@@ -66,11 +68,14 @@ def entry(name: str, cuts: tuple) -> dict:
     except CodegenError as exc:
         return {"codegen_error": str(exc)}
     report = result.report
+    spmd_sha, stats = _pyback(result.spmd_cu)
     return {"parallel_sha256": _sha(result.parallel_source()),
             "mpi_sha256": _sha(result.mpi_source()),
-            "spmd_pyback_sha256": _pyback_sha(result.spmd_cu),
+            "spmd_pyback_sha256": spmd_sha,
             "sequential_pyback_sha256": _sequential_sha(name),
             "native_nests": report.vector_loops,
+            "regions": stats["regions"],
+            "fused": stats["fused"],
             "fallback_reasons": [list(r) for r in report.fallback_reasons],
             "table1": [report.syncs_before, report.syncs_after],
             "reduction_lines": report.reduction_lines()}

@@ -115,13 +115,14 @@ class TestRun:
         assert main(["run", src_file, "-p", "2x1"]) == 0
         out = capsys.readouterr().out
         assert "identical" in out
-        # every native nest each rank ran was bound to its arrays once:
-        # a nest meeting new arrays every frame would read "binds" well
-        # above "nests ran"
-        nests, binds = re.search(
-            r"backend: native \(\d+ native nests, \d+ scalar; on 2 ranks "
-            r"(\d+) nests ran, (\d+) binds\)", out).groups()
-        assert int(binds) == int(nests) > 0
+        # every native region each rank ran was bound to its arrays
+        # once: a region meeting new arrays every frame would read
+        # "binds" well above "regions ran"
+        regions, ran, binds = re.search(
+            r"backend: native \(\d+ native nests, \d+ scalar; (\d+) regions "
+            r"\(\d+ fused pairs\); on 2 ranks (\d+) regions ran, (\d+) "
+            r"binds\)", out).groups()
+        assert int(binds) == int(ran) > 0 and int(regions) > 0
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_run_skips_a_subroutine_local_array(self, executor, tmp_path,
@@ -256,7 +257,8 @@ class TestProfile:
         assert "sync-freshness" in out
         assert "codegen-restructure" in out
         assert "sync 1: v entry-only (fresh from sync 2)" in out
-        assert re.search(r"backend: native .* nests ran, \d+ binds\)", out)
+        assert re.search(r"backend: native .* regions \(\d+ fused pairs\); "
+                         r".* regions ran, \d+ binds\)", out)
         # (b) per-rank breakdown with derived health numbers
         assert "parallel run (observed)" in out
         assert "compute" in out and "blocked" in out

@@ -145,8 +145,7 @@ def _aligned_rank(blob: bytes, comm):
         store = CheckpointStore(ckpt["dir"], sweep_rank=comm.rank)
         checkpointer = Checkpointer(store, every=1, keep=8,
                                     restore_frame=ckpt["restore"])
-    values, _io, _counts = _exec_rank(watched, plan, deck, None,
-                                      checkpointer, comm)
+    values, *_ = _exec_rank(watched, plan, deck, None, checkpointer, comm)
     ctx, rt, addresses = watched.ranks[comm.rank]
     verdict = _misaligned(ctx, values)
     verdict["restored"] = rt._restored

@@ -149,9 +149,9 @@ class TestSchedules:
         compiled = compile_unit(parse_source(src), native=True)
         assert (compiled.nest_stats["native"],
                 compiled.nest_stats["scalar"]) == (2, 0)
-        # no Python loop is left: each nest is one call
+        # no Python loop is left: the two adjacent nests are one call
         assert "for " not in compiled.source
-        assert compiled.source.count("_nc.get(") == 2
+        assert compiled.source.count("_nc.get(") == 1
         _assert_same_state(*_both(src))
 
     def test_negative_and_strided_steps_keep_the_sweep_order(self):
@@ -385,7 +385,8 @@ end
     def test_report_counts_flow_to_compiled_program(self):
         cu = parse_source(kernels.jacobi_5pt(n=10, m=8, iters=3))
         stats = compile_unit(cu, native=True).nest_stats
-        assert stats == survey(cu)
+        verdicts = survey(cu)
+        assert {key: stats[key] for key in verdicts} == verdicts
 
     def test_integer_target_truncates_a_real_expression(self):
         # the store truncates as numpy's int() of the value does
@@ -482,7 +483,7 @@ end
 
 
 class TestPlans:
-    """A native nest is bound to the arrays it meets when it first
+    """A native region is bound to the arrays it meets when it first
     executes with them and looked up after that; ``binds`` counts the
     argument tuples built, never the hits."""
 
@@ -490,20 +491,22 @@ class TestPlans:
         cu = parse_source(kernels.jacobi_5pt(n=12, m=8, iters=4, eps=0.0))
         compiled = compile_unit(cu, native=True)
         run = compiled.run()
-        # every nest ran, the two in the frame loop four times each
-        assert run.nests_run == compiled.nest_stats["native"] == 5
-        assert run.binds == 5
+        # five nests, two regions: the three init nests, and the frame
+        # loop's two, which ran four times
+        assert compiled.nest_stats["native"] == 5
+        assert run.regions_run == compiled.nest_stats["regions"] == 2
+        assert run.binds == 2
         scalar = compile_unit(cu, native=False).run()
-        assert (scalar.nests_run, scalar.binds) == (0, 0)
+        assert (scalar.regions_run, scalar.binds) == (0, 0)
         _assert_same_state(scalar, run)
         # a second run starts from a new context, and binds its own
-        assert compiled.run().binds == 5
+        assert compiled.run().binds == 2
 
     def test_emitted_frame_only_looks_up_and_executes(self):
         cu = parse_source(kernels.jacobi_5pt(n=12, m=8, iters=4, eps=0.0))
         source = compile_unit(cu, native=True).source
         frame = source[source.index("for _k"):source.index("ctx.io.write")]
-        assert frame.count("_nc.get(") == 2
+        assert frame.count("_nc.get(") == 1
         # bounds and subscripts are the C function's business: the frame
         # passes no more than the scalars a nest reads
         assert frame.count("for ") == 1
@@ -533,7 +536,7 @@ end
         scalar, vector = _both(src)
         _assert_same_state(scalar, vector)
         # the init nest once, fill's nest once
-        assert (vector.nests_run, vector.binds) == (2, 2)
+        assert (vector.regions_run, vector.binds) == (2, 2)
 
     def test_two_call_sites_keep_one_plan_each(self):
         src = _framed("""\
@@ -554,7 +557,7 @@ end
         scalar, vector = _both(src)
         _assert_same_state(scalar, vector)
         # three frames, two actuals: two binds, not six
-        assert (vector.nests_run, vector.binds) == (2, 3)
+        assert (vector.regions_run, vector.binds) == (2, 3)
 
     def test_zero_trip_plan_leaves_inner_variables_alone(self):
         # j keeps the value the init nest left and i takes its start
@@ -568,7 +571,8 @@ end
         scalar, vector = _both(src)
         _assert_same_state(scalar, vector)
         assert (vector.scalar("i"), vector.scalar("j")) == (5, 13)
-        assert (vector.nests_run, vector.binds) == (2, 2)
+        # the init nest and this one, adjacent: one region
+        assert (vector.regions_run, vector.binds) == (1, 1)
 
     def test_a_rebound_buffer_gets_its_own_plan(self):
         # the key holds the arrays the call was bound to
@@ -589,8 +593,9 @@ end
 """))
         vector = compile_unit(cu, native=True).run()
         _assert_same_state(compile_unit(cu, native=False).run(), vector)
-        # t is allocated per call: both of damp's nests rebind per frame
-        assert (vector.nests_run, vector.binds) == (3, 7)
+        # t is allocated per call: damp's region (its two nests)
+        # rebinds per frame
+        assert (vector.regions_run, vector.binds) == (2, 4)
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -601,8 +606,10 @@ def test_sprayer_ranks_bind_each_nest_once(executor):
     seq = acfd.run_sequential(input_text=SPRAYER_INPUT, native=False)
     par = acfd.compile(partition=(2, 1)).run_parallel(
         input_text=SPRAYER_INPUT, executor=executor, timeout=60.0)
-    # per rank, each of its 38 nests bound once for all three frames
-    assert par.nest_counts == [(38, 38)] * 2
+    # per rank, its 38 nests are 11 regions (the init nest's, and one
+    # per unit the frame calls), each bound once for all three frames
+    assert par.region_counts == [(11, 11)] * 2
+    assert (par.regions, par.fused) == (11, 10)
     for name in acfd.directives.status_arrays:
         assert (par.array(name).data.tobytes()
                 == seq.array(name).data.tobytes()), name

@@ -214,7 +214,7 @@ def test_generated_nests_match_the_scalar_order():
         assert [why for _, _, why in prog.nest_stats["reasons"]] \
             == (["CallStmt in nest body"] if spec["shape"] == "called"
                 else []), src
-        assert native.nests_run == prog.nest_stats["native"], src
+        assert native.regions_run == prog.nest_stats["regions"], src
         seen.update(_features(spec))
         seen[spec["shape"]] += 1
 
