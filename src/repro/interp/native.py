@@ -1340,9 +1340,9 @@ class _Writer:
         # the span from the first to the last fused nest is all that
         # runs in another order; before and after it, one copy serves
         where = {id(loop): k for k, loop in enumerate(self.loops)}
-        moved = [where[id(shape.loop)] for group in passes if len(group) > 1
-                 for shape in group]
-        lo, hi = min(moved), max(moved)
+        joined = [where[id(shape.loop)] for group in passes
+                  if len(group) > 1 for shape in group]
+        lo, hi = min(joined), max(joined)
         for loop in self.loops[:lo]:
             self.do_loop(loop)
         # the span in source order, each subscript checked: where the
