@@ -39,6 +39,7 @@ from repro.core.report import CompilationReport
 from repro.errors import ReproError
 from repro.interp.values import OffsetArray
 from repro.obs import (
+    activate,
     build_export,
     observe_trace_histograms,
     write_chrome_trace,
@@ -135,13 +136,15 @@ def _backend_line(native: bool, report, par) -> str:
     adjacent native nests, one C call each) with the nests fused into an
     earlier one, and, after the run, how many regions the ranks executed
     and how many argument tuples that took: binds well above regions
-    means some region meets new arrays every time."""
+    means some region meets new arrays every time.  It ends with whether
+    the run translated the program or reused one the process had kept."""
+    how = "translated" if par.translations else "translation reused"
     if not native:
-        return "backend: scalar (every nest in the scalar translation)"
+        return f"backend: scalar (every nest in the scalar translation; {how})"
     return (f"backend: native ({report.nest_summary()}; {par.regions} "
             f"regions ({par.fused} fused pairs); on "
             f"{len(par.region_counts)} ranks {par.regions_run} regions "
-            f"ran, {par.binds} binds)")
+            f"ran, {par.binds} binds; {how})")
 
 
 def _histogram_table(snapshot: dict) -> str:
@@ -288,8 +291,11 @@ def cmd_profile(args) -> int:
                             for k, v in result.report.metrics.items())
         print(f"counters: {counters}")
     native = args.backend != "scalar"
-    par = result.run_parallel(input_text=input_text, native=native,
-                              executor=args.executor)
+    # under the compiler's profiler: the translation's span and counters
+    # (or ``pyback.reused``) reach --trace-out and --metrics-out
+    with activate(acfd.obs):
+        par = result.run_parallel(input_text=input_text, native=native,
+                                  executor=args.executor)
     print(_backend_line(native, result.report, par))
     for line in result.report.sync_lines():
         print(line)

@@ -10,9 +10,11 @@ specialized with the plan's geometry.  A reduction riding a combined
 sync travels in that sync's face messages: its partial is packed behind
 the arrays and folded as each face arrives.  Broadcasts and allreduces
 call one library function per Fortran type they carry (an integer
-broadcast is ``acfd_bcast_int`` over ``mpi_integer``); the program text
-printed here names that function, the SPMD program keeps the generic
-call.
+broadcast is ``acfd_bcast_int`` over ``mpi_integer``, and so is a probe's
+``acfd_get`` of an integer array); the program text printed here names
+that function, the SPMD program keeps the generic call.  Each printed
+unit declares the type of every library function it calls, so the
+program compiles under ``implicit none``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ _TYPED = {"real": ("", "mpi_real"), "integer": ("_int", "mpi_integer"),
           "logical": ("_log", "mpi_logical")}
 #: the library calls the restructurer emits as ``x = <call>(x)``
 _LIBRARY = tuple(f"acfd_allreduce_{op}" for op in _FOLD) + ("acfd_bcast",)
+#: the type of each library function whose name does not say it (the
+#: others are typed by what they carry)
+_RESULT = {"acfd_rank": "integer", "acfd_nprocs": "integer",
+           "acfd_lo": "integer", "acfd_hi": "integer",
+           "acfd_lb": "integer", "acfd_ub": "integer",
+           "acfd_frame": "integer", "acfd_owns": "logical"}
 
 
 def _typed(name: str, type_name: str) -> str:
@@ -181,18 +189,34 @@ def _array_decls(plan: ParallelPlan, sync: PlannedSync) -> list[str]:
 def _typed_calls(spmd_cu: A.CompilationUnit
                  ) -> tuple[A.CompilationUnit, set[tuple[str, str]]]:
     """A copy of the program in which each ``x = acfd_bcast(x)`` or ``x =
-    acfd_allreduce_<op>(x)`` calls the function of *x*'s type, and the
-    ``(library function, type)`` pairs it calls."""
+    acfd_allreduce_<op>(x)`` calls the function of *x*'s type, each
+    ``acfd_get(a, ...)`` the function of *a*'s type, and each unit
+    declares the type of every library function it calls; and the
+    ``(library function, type)`` pairs of the assignments."""
     out = A.copy_node(spmd_cu)
     used = set()
     for unit, twin in zip(spmd_cu.units, out.units):
+        table = unit.symbols
+        calls: dict[str, str] = {}
         for node, copy in zip(A.walk(unit), A.walk(twin)):
-            if isinstance(node, A.Assign) \
-                    and isinstance(node.value, A.FuncCall) \
-                    and node.value.name in _LIBRARY:
-                type_name = unit.symbols.require(node.target.name).type_name
-                used.add((node.value.name, type_name))
-                copy.value.name = _typed(node.value.name, type_name)
+            if not isinstance(node, A.FuncCall):
+                continue
+            if node.name in _RESULT:
+                calls[node.name] = _RESULT[node.name]
+            elif node.name in _LIBRARY or node.name == "acfd_get":
+                # typed by what it carries: x, or the array a
+                type_name = table.require(node.args[0].name).type_name
+                if node.name in _LIBRARY:
+                    used.add((node.name, type_name))
+                copy.name = _typed(node.name, type_name)
+                calls[copy.name] = type_name
+        # after IMPLICIT NONE, before any declaration a bound calls from
+        at = max((i + 1 for i, d in enumerate(twin.decls)
+                  if isinstance(d, A.ImplicitStmt)), default=0)
+        twin.decls[at:at] = [
+            A.Declaration(type_name=t, entities=[
+                (name, []) for name in sorted(calls) if calls[name] == t])
+            for t in _TYPED if t in calls.values()]
     return out, used
 
 

@@ -3,7 +3,9 @@
 ``run_parallel`` compiles the restructured program once (all ranks run the
 same code — SPMD), launches it on the in-process runtime with one thread
 per rank, and reassembles every status array from the ranks' owned blocks
-so tests can compare against the sequential run bitwise.
+so tests can compare against the sequential run bitwise.  A process keeps
+the programs it has compiled (:func:`compiled_program`): a repeat run of
+the same program, on either executor, translates nothing.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import pickle
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,7 @@ from repro.codegen.rtadapter import RankRuntime
 from repro.errors import InterpError
 from repro.fortran import ast as A
 from repro.interp.io_runtime import IoManager
+from repro.interp.native import compiler
 from repro.interp.pyback import CompiledProgram, compile_unit
 from repro.interp.values import DTYPES, OffsetArray
 from repro.partition.halo import GhostSpec, ghost_bounds
@@ -50,6 +55,10 @@ class ParallelResult:
     #: earlier one, as the ranks translated it
     regions: int = 0
     fused: int = 0
+    #: how many translations of the program this run made: 0 when every
+    #: rank ran a program this process (a worker, on processes) had
+    #: kept, at most 1 on threads (the ranks share one)
+    translations: int = 0
 
     @property
     def regions_run(self) -> int:
@@ -126,14 +135,10 @@ def _stitch(plan: ParallelPlan, rank_values: list[dict]
 
 
 def _find_common_array(compiled: CompiledProgram, ctx, name: str):
-    for unit in compiled.cu.units:
-        table = unit.symbols
-        for block, members in table.common_blocks.items():
-            for pos, member in enumerate(members):
-                if member == name:
-                    slot = ctx.commons[block][pos]
-                    if isinstance(slot, OffsetArray):
-                        return slot
+    for block, pos in compiled.common_names.get(name, ()):
+        slot = ctx.commons[block][pos]
+        if isinstance(slot, OffsetArray):
+            return slot
     return None
 
 
@@ -164,7 +169,7 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
         io.provide_input(5, input_text)
     ctx = compiled.make_ctx(io, rt)
     rt.bind_ctx(ctx)
-    fn = compiled.function(compiled.cu.main.name)
+    fn = compiled.function(compiled.main)
     from repro.interp.pyback import _Stop
     try:
         try:
@@ -183,23 +188,64 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
         ctx.rt = None
 
 
-def _proc_rank_body(blob: bytes, comm):
-    """Module-level (picklable) rank body for the process executor.
+#: the programs a process keeps, least recently used first, by
+#: :func:`_program_key`
+_PROGRAMS: OrderedDict[str, CompiledProgram] = OrderedDict()
+_PROGRAMS_LOCK = threading.Lock()
+#: how many: a solve re-runs one program (recovery attempts, repeat
+#: runs, the benchmark's timed solves) and a sweep over partitions or
+#: over Table 1's programs runs a few, while an entry of the sprayer or
+#: the aerofoil holds about 0.3 MiB (Python code and loaded regions,
+#: no AST), so eight bound the cache near 2.5 MiB per process and per
+#: pool worker, which lives as long as the pool
+PROGRAMS_KEEP = 8
 
-    Compilation happens inside the worker, cached on the communicator's
-    worker-persistent ``compiled_cache`` keyed by the program blob's
-    digest — recovery attempts and repeat runs of the same deck skip
-    recompilation.
+
+def _program_key(cu_blob: bytes) -> str:
+    """The key of ``cu_blob = pickle.dumps((spmd_cu, native))``: the
+    program with its symbol tables, ``native``, and whether this host has
+    a C compiler (without one :func:`compile_unit` translates every nest
+    scalar).  What else the translation reads is fixed for the process:
+    the intrinsics and the native build flags."""
+    digest = hashlib.sha1(cu_blob)
+    digest.update(b"cc" if compiler() else b"")
+    return digest.hexdigest()
+
+
+def compiled_program(cu_blob: bytes, program: tuple | None = None
+                     ) -> tuple[CompiledProgram, bool]:
+    """The compiled form of *cu_blob* (``pickle.dumps((spmd_cu,
+    native))``) and whether it was translated now: a program this process
+    compiled before is taken from the cache (keeping the
+    ``PROGRAMS_KEEP`` most recently used), else it is compiled from
+    *program*, the ``(spmd_cu, native)`` the blob holds, when the caller
+    has it at hand, from the blob otherwise."""
+    key = _program_key(cu_blob)
+    with _PROGRAMS_LOCK:
+        compiled = _PROGRAMS.get(key)
+        if compiled is not None:
+            _PROGRAMS.move_to_end(key)
+            return compiled, False
+    spmd_cu, native = program or pickle.loads(cu_blob)
+    compiled = compile_unit(spmd_cu, native=native)
+    with _PROGRAMS_LOCK:
+        _PROGRAMS[key] = compiled
+        while len(_PROGRAMS) > PROGRAMS_KEEP:
+            _PROGRAMS.popitem(last=False)
+    return compiled, True
+
+
+def _proc_rank_body(blob: bytes, comm):
+    """Module-level (picklable) rank body for the process executor: the
+    rank's result (see :func:`_exec_rank`) and whether the worker
+    translated the program for this run.
+
+    The program is compiled inside the worker and kept in the worker's
+    :func:`compiled_program` cache, so recovery attempts and repeat
+    runs of the same deck skip the translation.
     """
     cu_blob, plan, input_text, ckpt = pickle.loads(blob)
-    cache = getattr(comm, "compiled_cache", None)
-    if cache is None:
-        cache = comm.compiled_cache = {}
-    key = hashlib.sha1(cu_blob).hexdigest()
-    compiled = cache.get(key)
-    if compiled is None:
-        spmd_cu, native = pickle.loads(cu_blob)
-        compiled = cache[key] = compile_unit(spmd_cu, native=native)
+    compiled, translated = compiled_program(cu_blob)
     checkpointer = None
     if ckpt is not None:
         from repro.faults.checkpoint import Checkpointer, CheckpointStore
@@ -208,8 +254,8 @@ def _proc_rank_body(blob: bytes, comm):
         checkpointer = Checkpointer(store, every=ckpt["every"],
                                     keep=ckpt["keep"],
                                     restore_frame=ckpt["restore_frame"])
-    return _exec_rank(compiled, plan, input_text, comm._injector,
-                      checkpointer, comm)
+    return (*_exec_rank(compiled, plan, input_text, comm._injector,
+                        checkpointer, comm), translated)
 
 
 def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
@@ -240,15 +286,20 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
         trace: optional pre-built trace (shared across recovery attempts).
         executor: ``"thread"`` (default, in-process) or ``"process"``
             (one OS process per rank — true parallelism; the program,
-            plan, and I/O are pickled to the workers and compiled there,
-            cached per worker across runs).
+            plan, and I/O are pickled to the workers and compiled
+            there).  On either executor the compiled program is cached
+            across runs (per worker on processes; see
+            :func:`compiled_program`).
         telemetry: optional :class:`repro.obs.health.Telemetry` — every
             rank publishes live heartbeats/flight events into it (must
             be shared-memory backed on the process executor).
     """
+    from repro.obs import spans as obs
     if spmd_cu is None:
         spmd_cu = restructure(plan)
     nprocs = plan.partition.size
+    program = (spmd_cu, native)
+    cu_blob = pickle.dumps(program)
 
     if executor == "process":
         ckpt = None
@@ -257,23 +308,29 @@ def run_parallel(plan: ParallelPlan, *, input_text: str | None = None,
                     "every": checkpointer.every,
                     "keep": checkpointer.keep,
                     "restore_frame": checkpointer.restore_frame}
-        cu_blob = pickle.dumps((spmd_cu, native))
         blob = pickle.dumps((cu_blob, plan, input_text, ckpt))
         body = functools.partial(_proc_rank_body, blob)
     else:
-        compiled = compile_unit(spmd_cu, native=native)
+        compiled, translated = compiled_program(cu_blob, program)
         body = functools.partial(_exec_rank, compiled, plan, input_text,
                                  injector, checkpointer)
 
     world = spmd_run(nprocs, body, timeout=timeout, trace=trace,
                      injector=injector, executor=executor,
                      telemetry=telemetry)
-    rank_values = [values for values, *_ in world.results]
+    if executor == "process":  # each worker looked the program up
+        lookups = nprocs
+        translations = sum(result[4] for result in world.results)
+    else:  # the launcher did, for every rank
+        lookups, translations = 1, int(translated)
+    obs.counter("pyback.reused").inc(lookups - translations)
+    rank_values = [result[0] for result in world.results]
     regions, fused = world.results[0][3]
     return ParallelResult(plan=plan, world=world, spmd_cu=spmd_cu,
                           arrays=_stitch(plan, rank_values),
                           rank_values=rank_values,
                           io=world.results[0][1],
-                          region_counts=[counts for _values, _io, counts, _
-                                         in world.results],
-                          regions=regions, fused=fused)
+                          region_counts=[result[2]
+                                         for result in world.results],
+                          regions=regions, fused=fused,
+                          translations=translations)

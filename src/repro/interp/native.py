@@ -86,7 +86,7 @@ import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -1642,7 +1642,9 @@ class _Callable:
     types, and what its calls need to bind and to read back."""
 
     def __init__(self, lib: tuple, region: Region) -> None:
-        self.region = region
+        #: what the calls read: a loaded program may be kept for many
+        #: runs, its C text and fusion notes need not be
+        self.region = replace(region, c_text="", pairs=[])
         #: the function through a handle that releases the GIL for the
         #: call and through one that keeps it
         self.release, self.hold = (

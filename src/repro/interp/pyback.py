@@ -683,13 +683,74 @@ def _scalar_dummy_indices(unit: A.ProgramUnit) -> list[int]:
     return out
 
 
+def _common_layout(cu: A.CompilationUnit) -> tuple[dict, dict]:
+    """The ``commons`` and ``common_names`` of :class:`CompiledProgram`.
+
+    A bound is an int, or an ``(acfd query, args)`` pair the rank runtime
+    answers when a context is made (the SPMD program's ghosted COMMON
+    declarations call ``acfd_lb`` / ``acfd_ub``)."""
+    commons: dict[str, list] = {}
+    names: dict[str, list] = {}
+    for unit in cu.units:
+        table: SymbolTable = unit.symbols  # type: ignore[assignment]
+        for block, members in table.common_blocks.items():
+            layout = commons.setdefault(block, [])
+            for pos, member in enumerate(members):
+                names.setdefault(member, []).append((block, pos))
+                sym = table.require(member)
+                if pos < len(layout):
+                    continue
+                bounds = None
+                if sym.is_array:
+                    bounds = [(_layout_bound(table, lo),
+                               _layout_bound(table, hi))
+                              for lo, hi in sym.array.bounds]
+                layout.append((member, sym.type_name, bounds))
+    return commons, names
+
+
+def _layout_bound(table: SymbolTable, expr: A.Expr):
+    if isinstance(expr, (A.FuncCall, A.Apply)) \
+            and expr.name.startswith("acfd_"):
+        return expr.name[5:], tuple(
+            a.value if isinstance(a, (A.StringLit, A.IntLit))
+            else int(table.eval_const(a)) for a in expr.args)
+    return int(table.eval_const(expr))
+
+
+def _common_slot(member: str, type_name: str, bounds, rt: object):
+    if bounds is None:
+        return 0.0 if type_code(type_name) == "r" else 0
+    return OffsetArray.from_bounds(
+        [(_bound(lo, rt), _bound(hi, rt)) for lo, hi in bounds],
+        DTYPES.get(type_name, np.float64), member)
+
+
+def _bound(bound, rt: object) -> int:
+    if isinstance(bound, int):
+        return bound
+    if rt is None:
+        raise InterpError(f"COMMON bound acfd_{bound[0]}{bound[1]!r} needs "
+                          f"a rank runtime")
+    return int(getattr(rt, bound[0])(*bound[1]))
+
+
 @dataclass
 class CompiledProgram:
-    """A compiled compilation unit: one Python callable per program unit."""
+    """A compiled compilation unit: one Python callable per program unit,
+    and of the tree only what a run reads (the main unit's name and the
+    COMMON layout), so a kept program does not keep its AST alive."""
 
-    cu: A.CompilationUnit
+    main: str
     source: str
     namespace: dict
+    #: per COMMON block, its slots in order: ``(member, type name,
+    #: bounds)``, ``bounds`` None for a scalar (the first unit to declare
+    #: a position names its slot; see :func:`_common_layout`)
+    commons: dict = field(default_factory=dict)
+    #: per COMMON member name, the ``(block, position)`` each unit that
+    #: names it gives it, in unit order
+    common_names: dict = field(default_factory=dict)
     #: the nest verdicts and regions :func:`translate` tallied
     nest_stats: dict = field(default_factory=dict)
     #: the loaded native regions (None: every nest runs scalar)
@@ -702,51 +763,15 @@ class CompiledProgram:
         """Create an execution context with COMMON storage allocated."""
         ctx = Ctx(io=io if io is not None else IoManager(), rt=rt,
                   natives=_native.NativeRegions(self.library))
-        self._allocate_commons(ctx)
+        for block, layout in self.commons.items():
+            ctx.commons[block] = [_common_slot(*slot, rt) for slot in layout]
         return ctx
-
-    def _allocate_commons(self, ctx: Ctx) -> None:
-        for unit in self.cu.units:
-            table: SymbolTable = unit.symbols  # type: ignore[assignment]
-            for block, members in table.common_blocks.items():
-                slots = ctx.commons.setdefault(block, [])
-                for pos, member in enumerate(members):
-                    sym = table.require(member)
-                    if pos < len(slots):
-                        continue
-                    if sym.is_array:
-                        bounds = [(self._eval_bound(table, lo, ctx.rt),
-                                   self._eval_bound(table, hi, ctx.rt))
-                                  for lo, hi in sym.array.bounds]
-                        slots.append(OffsetArray.from_bounds(
-                            bounds, DTYPES.get(sym.type_name, np.float64),
-                            member))
-                    else:
-                        slots.append(0.0 if type_code(sym.type_name) == "r"
-                                     else 0)
-
-    @staticmethod
-    def _eval_bound(table: SymbolTable, expr: A.Expr, rt: object) -> int:
-        """COMMON bound: compile-time constant, or an acfd_lb/acfd_ub call
-        resolved through the rank runtime (SPMD ghosted declarations)."""
-        if isinstance(expr, (A.FuncCall, A.Apply)) \
-                and expr.name.startswith("acfd_") and rt is not None:
-            args = []
-            for a in expr.args:
-                if isinstance(a, A.StringLit):
-                    args.append(a.value)
-                elif isinstance(a, A.IntLit):
-                    args.append(a.value)
-                else:
-                    args.append(int(table.eval_const(a)))
-            return int(getattr(rt, expr.name[5:])(*args))
-        return int(table.eval_const(expr))
 
     def run(self, io: IoManager | None = None, rt: object = None,
             unit: str | None = None, args: tuple = ()) -> "RunResult":
         """Execute the main program (or a named unit)."""
         ctx = self.make_ctx(io, rt)
-        name = unit if unit is not None else self.cu.main.name
+        name = unit if unit is not None else self.main
         fn = self.function(name)
         try:
             result = fn(ctx, *args)
@@ -863,8 +888,11 @@ def compile_unit(cu: A.CompilationUnit, *,
         raise CodegenError(f"generated Python does not compile: {exc}\n"
                            f"{source}") from exc
     exec(code, namespace)
-    return CompiledProgram(cu=cu, source=source, namespace=namespace,
-                           nest_stats=stats, library=library)
+    commons, common_names = _common_layout(cu)
+    return CompiledProgram(main=cu.main.name, source=source,
+                           namespace=namespace, commons=commons,
+                           common_names=common_names, nest_stats=stats,
+                           library=library)
 
 
 def run_compiled(cu: A.CompilationUnit, io: IoManager | None = None, *,

@@ -751,7 +751,6 @@ def _worker_main(rank: int, size: int, cmd, ctrl, barrier, shm,
     worker = _WorkerState(rank, size, ctrl, shm.buf, doorbells)
     threading.Thread(target=_flush_loop, args=(worker,),
                      daemon=True, name=f"proc-flush-{rank}").start()
-    compiled_cache: dict = {}
 
     while True:
         if not cmd.poll(_HEARTBEAT):
@@ -789,8 +788,7 @@ def _worker_main(rank: int, size: int, cmd, ctrl, barrier, shm,
         threading.Thread(
             target=_run_body, daemon=True,
             name=f"proc-body-{rank}",
-            args=(worker, run, fn, timeout, barrier,
-                  compiled_cache)).start()
+            args=(worker, run, fn, timeout, barrier)).start()
 
 
 def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
@@ -824,8 +822,8 @@ def _build_worker_injector(worker: _WorkerState, run: _Run, spec: dict,
                          on_crash=on_crash)
 
 
-def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
-              compiled_cache) -> None:
+def _run_body(worker: _WorkerState, run: _Run, fn, timeout,
+              barrier) -> None:
     """Execute the rank body for one run and report the outcome."""
     if run.tele is not None:
         run.tele.bind(run.mailbox)
@@ -835,8 +833,6 @@ def _run_body(worker: _WorkerState, run: _Run, fn, timeout, barrier,
     cls = ProcCommunicator if run.injector is None else Communicator
     comm = cls(run.rank, worker.size, run.mailboxes, barrier, run.trace,
                run.failed, timeout, run, run.injector, run.tele)
-    #: worker-persistent compile cache (see repro.codegen.runner)
-    comm.compiled_cache = compiled_cache
     err: BaseException | None = None
     result = None
     t0 = time.perf_counter_ns()

@@ -1,5 +1,9 @@
 """Generated MPI-Fortran artifact and schedule extraction."""
 
+import re
+
+import pytest
+
 from repro.codegen.mpi_fortran import print_mpi_fortran
 from repro.codegen.schedule import (
     CommPhase,
@@ -216,6 +220,80 @@ class TestMpiFortran:
     def test_header_mentions_partition(self):
         res = compile_src(JACOBI_SRC, (2, 2))
         assert "partition: 2x2" in res.mpi_source()
+
+
+#: a probe WRITE of a real and an integer array: two acfd_get types
+PROBE_SRC = """\
+!$acfd status v
+!$acfd grid 8 6
+!$acfd frame it
+program probe
+  implicit none
+  integer i, j, n, m, it
+  parameter (n = 8, m = 6)
+  real v(n, m)
+  integer k(n, m)
+  do it = 1, 2
+    do i = 1, n
+      do j = 1, m
+        v(i, j) = 0.5 * i
+        k(i, j) = i + j
+      end do
+    end do
+  end do
+  write (6, *) v(n, 1), k(n, m)
+end
+"""
+
+
+def _printed_units(text: str) -> list[list[str]]:
+    """The lines of each program unit of the artifact's program part."""
+    program = text.split("generated MPI runtime")[0]
+    return [unit.splitlines() for unit in re.split(r"\nend \w+ \w+\n",
+                                                   program)[:-1]]
+
+
+def _declared(line: str) -> set[str]:
+    """The names a type declaration line declares (empty: not one)."""
+    m = re.match(r"\s*(?:integer|real|double precision|logical) (.*)$",
+                 line)
+    if m is None or " function " in line:
+        return set()
+    entities = m.group(1)
+    while "(" in entities:  # drop array bounds, innermost first
+        entities = re.sub(r"\([^()]*\)", "", entities)
+    return {name.strip() for name in entities.split(",")}
+
+
+class TestLibraryDeclarations:
+    @pytest.mark.parametrize("name", ["sprayer", "jacobi_5pt_sub", "probe"])
+    def test_each_unit_declares_the_library_functions_it_calls(self, name):
+        from repro.apps import kernels
+        from repro.apps.sprayer import sprayer_source
+        src = {"sprayer": lambda: sprayer_source(n=60, m=40, iters=4),
+               "jacobi_5pt_sub": lambda: kernels.jacobi_5pt_sub(
+                   n=16, m=8, iters=2),
+               "probe": lambda: PROBE_SRC}[name]()
+        text = compile_src(src, (2, 2)).mpi_source()
+        seen = set()
+        for lines in _printed_units(text):
+            calls = {m.group(1) for line in lines[1:]
+                     for m in re.finditer(r"(?<!call )\b(acfd_\w+)\(",
+                                          line)}
+            declared = set().union(*map(_declared, lines))
+            assert calls <= declared, (lines[0], calls - declared)
+            seen |= calls
+        # the functions each program is known to call, typed
+        assert {"acfd_rank", "acfd_lo", "acfd_lb", "acfd_frame"} <= seen
+        if name == "sprayer":
+            assert "  integer acfd_bcast_int, acfd_frame, acfd_hi, " \
+                "acfd_lb, acfd_lo, acfd_rank, acfd_ub\n" in text
+            assert "  real acfd_bcast\n" in text
+        elif name == "jacobi_5pt_sub":
+            assert "  logical acfd_owns\n" in text
+        else:
+            assert "  real acfd_get\n" in text
+            assert "acfd_get_int(k, n, m)" in text
 
 
 class TestScheduleExtraction:

@@ -121,7 +121,7 @@ class TestRun:
         regions, ran, binds = re.search(
             r"backend: native \(\d+ native nests, \d+ scalar; (\d+) regions "
             r"\(\d+ fused pairs\); on 2 ranks (\d+) regions ran, (\d+) "
-            r"binds\)", out).groups()
+            r"binds; (?:translated|translation reused)\)", out).groups()
         assert int(binds) == int(ran) > 0 and int(regions) > 0
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -258,7 +258,8 @@ class TestProfile:
         assert "codegen-restructure" in out
         assert "sync 1: v entry-only (fresh from sync 2)" in out
         assert re.search(r"backend: native .* regions \(\d+ fused pairs\); "
-                         r".* regions ran, \d+ binds\)", out)
+                         r".* regions ran, \d+ binds; "
+                         r"(?:translated|translation reused)\)", out)
         # (b) per-rank breakdown with derived health numbers
         assert "parallel run (observed)" in out
         assert "compute" in out and "blocked" in out
