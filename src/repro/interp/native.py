@@ -501,6 +501,8 @@ class _Writer:
         self.table = comp.table
         self.loops = loops
         self.region = Region(number, comp.unit.name)
+        #: the error sites' texts and places, each kept once
+        self.shared: dict = {}
         self.lines: list[str] = []
         self.depth = 1
         self.tmp = 0
@@ -549,6 +551,11 @@ class _Writer:
         return name
 
     def site(self, texts: dict, where: tuple | None = None) -> int:
+        # a region's sites live as long as its loaded program, which a
+        # process keeps across runs: equal texts and places (a few per
+        # region, against hundreds of sites) share one object
+        texts = self.shared.setdefault(tuple(texts.items()), texts)
+        where = self.shared.setdefault(where, where)
         self.region.sites.append((self.line, texts, where))
         return len(self.region.sites) - 1
 
