@@ -210,7 +210,8 @@ def _typed_calls(spmd_cu: A.CompilationUnit
                     used.add((node.name, type_name))
                 copy.name = _typed(node.name, type_name)
                 calls[copy.name] = type_name
-        # after IMPLICIT NONE, before any declaration a bound calls from
+        # after IMPLICIT NONE, ahead of the declarations whose bounds
+        # call acfd_lb / acfd_ub
         at = max((i + 1 for i, d in enumerate(twin.decls)
                   if isinstance(d, A.ImplicitStmt)), default=0)
         twin.decls[at:at] = [

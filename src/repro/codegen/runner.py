@@ -188,28 +188,17 @@ def _exec_rank(compiled: CompiledProgram, plan: ParallelPlan,
         ctx.rt = None
 
 
-#: the programs a process keeps, least recently used first, by
-#: :func:`_program_key`
+#: the programs a process keeps, least recently used first, by key (see
+#: :func:`compiled_program`)
 _PROGRAMS: OrderedDict[str, CompiledProgram] = OrderedDict()
 _PROGRAMS_LOCK = threading.Lock()
 #: how many: a solve re-runs one program (recovery attempts, repeat
 #: runs, the benchmark's timed solves) and a sweep over partitions or
 #: over Table 1's programs runs a few, while an entry of the sprayer or
-#: the aerofoil holds about 0.3 MiB (Python code and loaded regions,
-#: no AST), so eight bound the cache near 2.5 MiB per process and per
+#: the aerofoil holds about 0.2 MiB (Python code and loaded regions,
+#: no AST), so eight bound the cache near 1.7 MiB per process and per
 #: pool worker, which lives as long as the pool
 PROGRAMS_KEEP = 8
-
-
-def _program_key(cu_blob: bytes) -> str:
-    """The key of ``cu_blob = pickle.dumps((spmd_cu, native))``: the
-    program with its symbol tables, ``native``, and whether this host has
-    a C compiler (without one :func:`compile_unit` translates every nest
-    scalar).  What else the translation reads is fixed for the process:
-    the intrinsics and the native build flags."""
-    digest = hashlib.sha1(cu_blob)
-    digest.update(b"cc" if compiler() else b"")
-    return digest.hexdigest()
 
 
 def compiled_program(cu_blob: bytes, program: tuple | None = None
@@ -219,8 +208,16 @@ def compiled_program(cu_blob: bytes, program: tuple | None = None
     compiled before is taken from the cache (keeping the
     ``PROGRAMS_KEEP`` most recently used), else it is compiled from
     *program*, the ``(spmd_cu, native)`` the blob holds, when the caller
-    has it at hand, from the blob otherwise."""
-    key = _program_key(cu_blob)
+    has it at hand, from the blob otherwise.
+
+    The key is the sha1 of the blob (the program with its symbol tables,
+    and ``native``) and of whether this host has a C compiler (without
+    one :func:`compile_unit` translates every nest scalar).  What else
+    the translation reads is fixed for the process: the intrinsics and
+    the native build flags."""
+    digest = hashlib.sha1(cu_blob)
+    digest.update(b"cc" if compiler() else b"")
+    key = digest.hexdigest()
     with _PROGRAMS_LOCK:
         compiled = _PROGRAMS.get(key)
         if compiled is not None:
