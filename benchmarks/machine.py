@@ -17,15 +17,10 @@ on the cluster model (``ClusterSim``) with this calibration:
   loops, matching this repo's actual runtime implementation (and the
   paper's observation that "computation and communication could not be
   fully overlapped");
-* PVM blocking exchanges (the model's only kind): pipeline skew cannot
-  flow across synchronization points;
-* ``overlap = "on"`` — every provably safe interior/boundary split is
-  modelled: the plan marks the sync and the simulator overlaps its
-  exchange with the consumer nest's interior.  On this Ethernet a
-  message is in flight for milliseconds, so each split has something to
-  hide (``"auto"`` marks none: on the host's executors nothing is in
-  flight).  The compiled program is the same in
-  every mode: the split is modelled, not emitted.
+* PVM blocking exchanges (the model's only kind, as in the paper's
+  generated code and this repo's): every exchange finishes before the
+  nest that reads its ghosts starts, and pipeline skew cannot flow
+  across synchronization points.
 
 Frame counts per experiment are chosen so the *sequential* simulated time
 matches the paper's reported sequential seconds; speedups and efficiencies
@@ -43,9 +38,11 @@ from repro.simulate import ClusterSim, MachineModel, NetworkModel, NodeModel
 MACHINE = MachineModel(NodeModel(flop_time=5e-8))
 NETWORK = NetworkModel(latency=1.0e-3, bandwidth=0.4e6, shared_medium=True)
 CHUNKS = 1
-OVERLAP = "on"
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: where the host-timed micro-benchmarks write (git-ignored: their
+#: numbers belong to the machine that ran them)
+HOST_RESULTS_DIR = RESULTS_DIR / "host"
 
 
 def simulate(plan, frames: int, machine=MACHINE, network=NETWORK,
@@ -56,8 +53,8 @@ def simulate(plan, frames: int, machine=MACHINE, network=NETWORK,
 
 
 def plan_for(acfd, partition):
-    """The plan a table simulates for *partition* (``OVERLAP`` mode)."""
-    return acfd.compile(partition=partition, overlap=OVERLAP).plan
+    """The plan a table simulates for *partition*."""
+    return acfd.compile(partition=partition).plan
 
 
 def frames_for_seq_seconds(acfd, seconds: float, seq_partition) -> int:
@@ -67,12 +64,13 @@ def frames_for_seq_seconds(acfd, seconds: float, seq_partition) -> int:
     return max(1, round(seconds / per_frame))
 
 
-def emit(name: str, lines: list[str]) -> str:
-    """Print a result table and persist it under benchmarks/results/."""
+def emit(name: str, lines: list[str],
+         directory: pathlib.Path = RESULTS_DIR) -> str:
+    """Print a result table and persist it as *directory*/<name>.txt."""
     text = "\n".join(lines)
     print(f"\n{text}\n")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
     return text
 
 

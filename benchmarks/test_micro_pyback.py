@@ -14,9 +14,9 @@ the native nests (each DO nest compiled to C, see
   persistent-view, ``out=`` numpy frame timed in the same process.
 
 Programs are compiled (and their libraries built or loaded) before the
-clock starts.  Results land in ``benchmarks/results/micro_pyback.txt``
-(uploaded as a CI artifact alongside the runtime micro-benchmark
-profile).
+clock starts.  Results land in
+``benchmarks/results/host/micro_pyback.txt`` (git-ignored; uploaded as a
+CI artifact alongside the runtime micro-benchmark profile).
 """
 
 import time
@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from machine import emit
+from machine import HOST_RESULTS_DIR, emit
 from repro.apps.kernels import gauss_seidel_2d, jacobi_5pt, sor_2d
 from repro.apps.sprayer import SPRAYER_INPUT, sprayer_source
 from repro.fortran.parser import parse_source
@@ -43,7 +43,7 @@ _LINES: list[str] = [
 
 def _emit_accumulated(lines: list[str]) -> None:
     _LINES.extend(lines)
-    emit("micro_pyback", _LINES)
+    emit("micro_pyback", _LINES, HOST_RESULTS_DIR)
 
 
 def _timed_run(src: str, native: bool, inputs: str | None):

@@ -16,15 +16,14 @@ Measures the three things the comm-core rewrite bought:
   (slot views and shape words built once) against the generic payload
   path (guarded at a minimum speedup).
 
-Results accumulate into ``benchmarks/results/micro_runtime.txt``; the
-one-copy halo benchmark also writes its full Chrome-trace profile to
-``benchmarks/results/micro_runtime_profile.json`` (the CI workflow
-uploads it as an artifact).
+Results accumulate into ``benchmarks/results/host/micro_runtime.txt``;
+the one-copy halo benchmark also writes its full Chrome-trace profile to
+``benchmarks/results/host/micro_runtime_profile.json``.  Both are
+git-ignored (host timings); the CI workflow uploads them as artifacts.
 """
 
 import json
 import multiprocessing
-import pathlib
 import threading
 import time
 from collections import deque
@@ -32,7 +31,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from machine import emit
+from machine import HOST_RESULTS_DIR, emit
 from repro.apps.kernels import jacobi_5pt
 from repro.core import AutoCFD
 from repro.errors import RuntimeDeadlockError
@@ -54,7 +53,7 @@ _LINES: list[str] = ["runtime micro-benchmarks (ping-pong: 8-byte payload):"]
 
 def _emit_accumulated(section: list[str]) -> None:
     _LINES.extend(section)
-    emit("micro_runtime", _LINES)
+    emit("micro_runtime", _LINES, HOST_RESULTS_DIR)
 
 
 class _TickMailbox:
@@ -214,9 +213,8 @@ def test_bench_halo_zero_copy():
         f"{roll.critical_path_rank}",
     ])
     profile = build_export(compiler=acfd.obs, trace=result.trace)
-    out = pathlib.Path(__file__).parent / "results" \
-        / "micro_runtime_profile.json"
-    out.parent.mkdir(exist_ok=True)
+    out = HOST_RESULTS_DIR / "micro_runtime_profile.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(profile, indent=1) + "\n")
     assert any(e.get("ph") == "X" for e in profile["traceEvents"])
 

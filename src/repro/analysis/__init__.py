@@ -16,11 +16,7 @@ This package implements §2 and §4 of the paper:
   (§4.2, cases 1-5);
 * :mod:`repro.analysis.selfdep` — self-dependent loop detection and
   mirror-image decomposition (Figures 3-4);
-* :mod:`repro.analysis.reductions` — convergence-reduction recognition;
-* :mod:`repro.analysis.callgraph` — call graph, R-type-loop presence per
-  subroutine (§5.3);
-* :mod:`repro.analysis.overlap` — the per-sync halo-overlap verdict
-  ``build_plan`` records on the plan.
+* :mod:`repro.analysis.reductions` — convergence-reduction recognition.
 """
 
 from repro.analysis.loops import LoopInfo, LoopForest, build_loop_forest
@@ -43,7 +39,6 @@ from repro.analysis.selfdep import (
     analyze_self_dependence,
 )
 from repro.analysis.reductions import Reduction, find_reductions
-from repro.analysis.callgraph import CallGraph, build_call_graph
 
 __all__ = [
     "LoopInfo", "LoopForest", "build_loop_forest",
@@ -54,5 +49,4 @@ __all__ = [
     "DependencePair", "build_sldp",
     "MirrorDecomposition", "SelfDepClass", "analyze_self_dependence",
     "Reduction", "find_reductions",
-    "CallGraph", "build_call_graph",
 ]

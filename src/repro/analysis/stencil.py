@@ -17,9 +17,9 @@ surrounding loop variables:
 
 Every kind is read off one form, :func:`affine_form`: integer
 coefficients per scalar name (or per opaque non-affine value) plus a
-constant, with integer PARAMETERs folded in.  The field-loop classifier,
-the overlap verdict's nest facts and the restructurer's boundary checks all
-decompose subscripts through it.
+constant, with integer PARAMETERs folded in.  The field-loop classifier
+and the restructurer's boundary checks both decompose subscripts through
+it.
 """
 
 from __future__ import annotations

@@ -426,8 +426,7 @@ def jacobi_5pt_sub(n: int = 40, m: int = 24, iters: int = 200,
     (x-pass with the convergence reduction, then y-pass), plus a
     copy-back subroutine.  Because ``v``'s ghosts are consumed by *two*
     callees, the combined sync stays in the main program before
-    ``call relaxx()`` — only the interprocedural verdict can mark it
-    split.
+    ``call relaxx()``.
     """
     return f"""\
 !$acfd status v, vnew
@@ -511,10 +510,9 @@ def jacobi_9pt_sub(n: int = 40, m: int = 24, iters: int = 150,
                    eps: float = 1.0e-5) -> str:
     """Direction-split nine-point Jacobi behind ``call`` boundaries.
 
-    The x-pass reads the corner neighbors, so on a two-cut partition
-    the interprocedural verdict must refuse (stale-corner hazard)
-    through the callee summary; on a single-cut partition the corner
-    reads are covered by the one exchanged face.
+    The x-pass reads the corner neighbors behind a call: on a two-cut
+    partition the exchange must refresh the corner ghosts; on a
+    single-cut partition the one exchanged face covers them.
     """
     return f"""\
 !$acfd status v, vnew

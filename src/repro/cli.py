@@ -73,16 +73,15 @@ def _read_input(args) -> str | None:
         return fh.read()
 
 
-def _compile_args(acfd: AutoCFD, args, overlap: str = "auto") -> list:
+def _compile_args(acfd: AutoCFD, args) -> list:
     results = []
     partitions = args.partition or []
     if args.processors is not None:
-        results.append(acfd.compile(processors=args.processors,
-                                    overlap=overlap))
+        results.append(acfd.compile(processors=args.processors))
     for dims in partitions:
-        results.append(acfd.compile(partition=dims, overlap=overlap))
+        results.append(acfd.compile(partition=dims))
     if not results:
-        results.append(acfd.compile(overlap=overlap))
+        results.append(acfd.compile())
     return results
 
 
@@ -106,7 +105,7 @@ def cmd_compile(args) -> int:
 
 def cmd_report(args) -> int:
     acfd = _load(args.source)
-    results = _compile_args(acfd, args, args.overlap)
+    results = _compile_args(acfd, args)
     if args.json:
         print(json.dumps([r.report.to_dict() for r in results], indent=1))
         return 0
@@ -115,14 +114,6 @@ def cmd_report(args) -> int:
         print(result.report.row())
     for result in results:
         part = "x".join(str(p) for p in result.plan.partition.dims)
-        for dec in result.report.overlap_decisions:
-            if dec["enabled"] and dec["callee"]:
-                print(f"  {result.report.program} {part} "
-                      f"sync {dec['sync_id']} split across "
-                      f"call to {dec['callee']!r}")
-        for sid, reason in result.report.overlap_refusals:
-            print(f"  {result.report.program} {part} sync {sid} "
-                  f"stays blocking: {reason}")
         for line in result.report.sync_lines():
             print(f"  {result.report.program} {part} {line}")
         for unit, line, reason in result.report.fallback_reasons:
@@ -261,7 +252,7 @@ def cmd_simulate(args) -> int:
     print(f"{'x'.join(map(str, seq_dims)):>10s} {t_seq:>10.2f} "
           f"{'-':>8s} {'-':>10s}")
     sim_spans = None
-    for result in _compile_args(acfd, args, args.overlap):
+    for result in _compile_args(acfd, args):
         sim = ClusterSim(result.plan, chunks=args.chunks,
                          record_timeline=bool(args.trace_out))
         out = sim.run(args.frames)
@@ -426,16 +417,6 @@ def cmd_postmortem(args) -> int:
 #: the options more than one subcommand takes, each declared once:
 #: name -> (flags, ``add_argument`` keywords)
 _SHARED_OPTIONS = {
-    "overlap": (("--overlap",), dict(
-        choices=("on", "off", "auto"), default="auto",
-        help="communication/computation overlap, modelled: which syncs "
-             "the plan marks as split into interior+boundary around a "
-             "nonblocking exchange (on: wherever provably safe; auto: "
-             "none, each safe one reported as not marked because the "
-             "thread and process executors leave no wire time in "
-             "flight; off: none).  report lists the verdicts, simulate "
-             "models them; the generated program is the same in every "
-             "mode")),
     "input": (("--input", "-i"), dict(
         help="list-directed input deck file")),
     "backend": (("--backend",), dict(
@@ -489,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="synchronization accounting")
     common(p)
-    shared(p, "overlap")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (includes phase timings)")
     p.set_defaults(fn=cmd_report)
@@ -516,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame iterations to simulate")
     p.add_argument("--chunks", type=int, default=1,
                    help="pipeline chunking for self-dependent loops")
-    shared(p, "overlap", "trace-out")
+    shared(p, "trace-out")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser(

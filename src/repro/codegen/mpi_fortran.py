@@ -13,13 +13,15 @@ call one library function per Fortran type they carry (an integer
 broadcast is ``acfd_bcast_int`` over ``mpi_integer``, and so is a probe's
 ``acfd_get`` of an integer array); the program text printed here names
 that function, the SPMD program keeps the generic call.  Each printed
-unit declares the type of every library function it calls, so the
-program compiles under ``implicit none``.
+unit declares the type of every library function it calls and of the
+temporary each probe fetches into, so the program compiles under
+``implicit none``.
 """
 
 from __future__ import annotations
 
 from repro.codegen.plan import ParallelPlan, PlannedSync, folds_in_one_round
+from repro.errors import CodegenError
 from repro.fortran import ast as A
 from repro.fortran.printer import print_compilation_unit
 
@@ -174,31 +176,43 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
 
 
 def _array_decls(plan: ParallelPlan, sync: PlannedSync) -> list[str]:
-    lines = []
-    for name, _d in sync.arrays:
-        ap = plan.arrays[name]
-        dims = ", ".join(
-            f"acfd_lb{adim + 1}:acfd_ub{adim + 1}"
-            if ap.dim_map[adim] is not None else
-            f"{lo}:{hi}"
-            for adim, (lo, hi) in enumerate(ap.original_bounds))
-        lines.append(f"  real {name}({dims})")
-    return lines
+    return [f"  real {name}({_local_dims(plan, name)})"
+            for name, _d in sync.arrays]
+
+
+def _local_dims(plan: ParallelPlan, name: str) -> str:
+    """The bounds of a rank's piece of array *name*, as declared."""
+    ap = plan.arrays[name]
+    return ", ".join(
+        f"acfd_lb{adim + 1}:acfd_ub{adim + 1}"
+        if ap.dim_map[adim] is not None else
+        f"{lo}:{hi}"
+        for adim, (lo, hi) in enumerate(ap.original_bounds))
 
 
 def _typed_calls(spmd_cu: A.CompilationUnit
-                 ) -> tuple[A.CompilationUnit, set[tuple[str, str]]]:
+                 ) -> tuple[A.CompilationUnit, set[tuple[str, str]],
+                            dict[str, tuple[str, list[str]]]]:
     """A copy of the program in which each ``x = acfd_bcast(x)`` or ``x =
     acfd_allreduce_<op>(x)`` calls the function of *x*'s type, each
-    ``acfd_get(a, ...)`` the function of *a*'s type, and each unit
-    declares the type of every library function it calls; and the
-    ``(library function, type)`` pairs of the assignments."""
+    ``t = acfd_get(a, ...)`` the function of *a*'s type, and each unit
+    declares the type of every library function it calls and of every
+    probe temporary *t*; the ``(library function, type)`` pairs of the
+    assignments; and per ``acfd_get`` function its type and the arrays
+    it fetches from."""
     out = A.copy_node(spmd_cu)
     used = set()
+    gets: dict[str, tuple[str, list[str]]] = {}
     for unit, twin in zip(spmd_cu.units, out.units):
         table = unit.symbols
         calls: dict[str, str] = {}
+        temps: dict[str, str] = {}
         for node, copy in zip(A.walk(unit), A.walk(twin)):
+            if isinstance(node, A.Assign) \
+                    and isinstance(node.value, A.FuncCall) \
+                    and node.value.name == "acfd_get":
+                temps[node.target.name] = table.require(
+                    node.value.args[0].name).type_name
             if not isinstance(node, A.FuncCall):
                 continue
             if node.name in _RESULT:
@@ -206,9 +220,13 @@ def _typed_calls(spmd_cu: A.CompilationUnit
             elif node.name in _LIBRARY or node.name == "acfd_get":
                 # typed by what it carries: x, or the array a
                 type_name = table.require(node.args[0].name).type_name
+                copy.name = _typed(node.name, type_name)
                 if node.name in _LIBRARY:
                     used.add((node.name, type_name))
-                copy.name = _typed(node.name, type_name)
+                else:
+                    arrays = gets.setdefault(copy.name, (type_name, []))[1]
+                    if node.args[0].name not in arrays:
+                        arrays.append(node.args[0].name)
                 calls[copy.name] = type_name
         # after IMPLICIT NONE, ahead of the declarations whose bounds
         # call acfd_lb / acfd_ub
@@ -216,14 +234,17 @@ def _typed_calls(spmd_cu: A.CompilationUnit
                   if isinstance(d, A.ImplicitStmt)), default=0)
         twin.decls[at:at] = [
             A.Declaration(type_name=t, entities=[
-                (name, []) for name in sorted(calls) if calls[name] == t])
-            for t in _TYPED if t in calls.values()]
-    return out, used
+                (name, []) for name in sorted(names) if names[name] == t])
+            for names in (calls, temps)
+            for t in _TYPED if t in names.values()]
+    return out, used, gets
 
 
-def _runtime_library(plan: ParallelPlan, calls: set[tuple[str, str]]) -> str:
+def _runtime_library(plan: ParallelPlan, calls: set[tuple[str, str]],
+                     gets: dict[str, tuple[str, list[str]]]) -> str:
     """The library: setup, one exchange wrapper per sync, the pipeline
-    wrappers, and the reduction and broadcast functions of *calls*."""
+    wrappers, the reduction and broadcast functions of *calls* and the
+    probe fetches of *gets*."""
     parts = []
     parts.append("""\
 subroutine acfd_init()
@@ -270,6 +291,8 @@ end subroutine acfd_pipe_send_{pipe.pipe_id}""")
                for rp in plan.reductions for r in rp.reductions}
     parts += [_library_function(name, type_name) for name in _LIBRARY
               for type_name in _TYPED if (name, type_name) in needed]
+    parts += [_get_function(plan, fn, type_name, arrays)
+              for fn, (type_name, arrays) in sorted(gets.items())]
     frame_stub = _frame_stub(plan)
     if frame_stub:
         parts.append(frame_stub)
@@ -292,6 +315,40 @@ def _library_function(name: str, type_name: str) -> str:
             f"  integer ierr\n"
             f"  call {call}\n"
             f"  {fn} = {result}\n"
+            f"end function {fn}")
+
+
+def _get_function(plan: ParallelPlan, fn: str, type_name: str,
+                  arrays: list[str]) -> str:
+    """The probe fetch *fn*: every rank calls it, the rank that owns the
+    element (found by a max over the ranks' claims) broadcasts it.  Its
+    dummy array takes the shape of the *arrays* it fetches from, which
+    must share one shape: Fortran 77 has no generic functions."""
+    shapes = {name: _local_dims(plan, name) for name in arrays}
+    if len(set(shapes.values())) > 1:
+        raise CodegenError(
+            f"probes of {', '.join(arrays)} share {fn} but the arrays "
+            f"differ in shape ({'; '.join(shapes.values())})")
+    ap = plan.arrays[arrays[0]]
+    subs = [f"i{k + 1}" for k in range(len(ap.original_bounds))]
+    owns = " .and. ".join(
+        f"acfd_owns({g + 1}, {sub})"
+        for g, sub in zip(ap.dim_map, subs) if g is not None) or ".true."
+    mpi_type = _TYPED[type_name][1]
+    return (f"{type_name} function {fn}(a, {', '.join(subs)})\n"
+            f"  include 'mpif.h'\n"
+            f"  include 'acfd_geom.h'\n"
+            f"  {type_name} a({shapes[arrays[0]]})\n"
+            f"  integer {', '.join(subs)}\n"
+            f"  integer ierr, mine, owner\n"
+            f"  logical acfd_owns\n"
+            f"  mine = -1\n"
+            f"  if ({owns}) mine = acfd_myrank\n"
+            f"  call mpi_allreduce(mine, owner, 1, mpi_integer, mpi_max, "
+            f"mpi_comm_world, ierr)\n"
+            f"  if (acfd_myrank .eq. owner) {fn} = a({', '.join(subs)})\n"
+            f"  call mpi_bcast({fn}, 1, {mpi_type}, owner, mpi_comm_world, "
+            f"ierr)\n"
             f"end function {fn}")
 
 
@@ -333,9 +390,9 @@ def print_mpi_fortran(plan: ParallelPlan, spmd_cu: A.CompilationUnit) -> str:
         grid="x".join(str(n) for n in plan.directives.grid_shape),
         nsyncs=len(plan.syncs),
         npipes=len(plan.pipes))
-    program_cu, calls = _typed_calls(spmd_cu)
+    program_cu, calls, gets = _typed_calls(spmd_cu)
     program = print_compilation_unit(program_cu)
-    library = _runtime_library(plan, calls)
+    library = _runtime_library(plan, calls, gets)
     return (f"{header}\n{program}\n"
             f"c ------------------- generated MPI runtime "
             f"-------------------\n{library}\n")

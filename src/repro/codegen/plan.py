@@ -23,7 +23,6 @@ from repro.analysis.dependency import DependencePair, build_sldp
 from repro.analysis.field_loops import FieldLoop
 from repro.analysis.frame import FrameProgram, InstanceNode, build_frame_program
 from repro.analysis.loops import Placed, known_step
-from repro.analysis.overlap import OverlapDecision, decide_overlap
 from repro.analysis.reductions import Reduction, find_reductions
 from repro.analysis.selfdep import SelfDepClass, SelfDepPlan, analyze_self_dependence
 from repro.errors import CodegenError
@@ -35,8 +34,7 @@ from repro.fortran.symbols import SymbolTable
 from repro.partition.grid import GridGeometry
 from repro.partition.halo import GhostSpec
 from repro.partition.partitioner import Partition
-from repro.sync.combine import (CombinedSync, combine_regions,
-                                join_reductions, merge_dim_distances)
+from repro.sync.combine import CombinedSync, combine_regions, join_reductions
 from repro.sync.freshness import analyze_freshness
 from repro.sync.regions import (SyncRegion, reduction_region,
                                 upper_bound_region)
@@ -73,10 +71,6 @@ class PlannedSync:
     arrays: list[tuple[str, dict[int, tuple[int, int]]]]
     member_pairs: int
     placement_slot: int
-    #: per grid dim, (minus, plus) widths merged over all arrays — the
-    #: whole aggregated message's ghost footprint (strip widths for the
-    #: overlap verdict)
-    dim_distances: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: the members of ``arrays`` that travel on every frame; the rest are
     #: *entry-only* (``entry_only``: array -> the syncs it is still fresh
     #: from) and travel on the first executed trip alone.  ``refusals``:
@@ -152,19 +146,6 @@ class ParallelPlan:
     #: pairs that actually need synchronization under the partition
     active_pairs: list[DependencePair]
     regions: list[SyncRegion]
-    #: requested overlap mode: "auto" | "on" | "off" — which syncs the
-    #: plan marks as split for the cluster model.  "on" marks every split
-    #: the safety gate allows; "auto" marks none, recording each safe one
-    #: as not marked (``repro.analysis.overlap.NOT_MARKED``: the host's
-    #: executors leave no wire time in flight to hide); "off" marks none.
-    #: The emitted program is the same in every mode.
-    overlap: str = "auto"
-    #: per combined sync, the overlap verdict, filled in by ``build_plan``
-    overlap_decisions: list[OverlapDecision] = field(default_factory=list)
-
-    def overlap_enabled(self, sync_id: int) -> bool:
-        return any(d.sync_id == sync_id and d.enabled
-                   for d in self.overlap_decisions)
 
     @property
     def reduction_percent(self) -> float:
@@ -327,8 +308,7 @@ def _refuse_downward_sweep(fl: FieldLoop, sp: SelfDepPlan, unit_name: str,
 def build_plan(cu: A.CompilationUnit, partition: Partition,
                directives: AcfdDirectives | None = None, *,
                combine: bool = True,
-               eliminate_redundant: bool = True,
-               overlap: str = "auto") -> ParallelPlan:
+               eliminate_redundant: bool = True) -> ParallelPlan:
     """Run the analysis stack and produce the parallelization plan.
 
     Args:
@@ -339,12 +319,7 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
         combine: apply the combining optimization (ablation hook).
         eliminate_redundant: apply redundant-pair elimination (ablation
             hook).
-        overlap: halo-overlap mode ("auto" | "on" | "off"); the
-            per-sync verdict is recorded on the plan.
     """
-    if overlap not in ("auto", "on", "off"):
-        raise CodegenError(f"overlap mode {overlap!r} not in "
-                           f"('auto', 'on', 'off')")
     if directives is None:
         directives = cu.directives  # type: ignore[assignment]
     with obs.span("frame-program", cat="compile") as sp:
@@ -474,7 +449,6 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
             arrays=merged,
             member_pairs=len(group.regions),
             placement_slot=group.placement,
-            dim_distances=merge_dim_distances(merged),
             reductions=[(r.var, r.op) for red in reductions
                         for r in red.reductions
                         if red.rides.get(r.var) == k + 1]))
@@ -564,18 +538,12 @@ def build_plan(cu: A.CompilationUnit, partition: Partition,
     syncs_before = len(active) + pipe_syncs
     syncs_after = len(syncs) + pipe_syncs
 
-    plan = ParallelPlan(
+    return ParallelPlan(
         cu=cu, directives=directives, partition=partition,
         arrays=arrays, syncs=syncs, pipes=pipe_plans,
         reductions=reductions, frame=frame,
         syncs_before=syncs_before, syncs_after=syncs_after,
-        active_pairs=active, regions=regions, overlap=overlap)
-    with obs.span("overlap-verdict", cat="compile") as ovspan:
-        plan.overlap_decisions = decide_overlap(plan,
-                                                planned_statements(plan))
-        ovspan.args["marked"] = sum(d.enabled
-                                    for d in plan.overlap_decisions)
-    return plan
+        active_pairs=active, regions=regions)
 
 
 def planned_statements(plan: ParallelPlan) -> Placed:
@@ -588,9 +556,8 @@ def planned_statements(plan: ParallelPlan) -> Placed:
     end of the list): pipe calls hug their loop, exchanges and allreduces
     sit outside them, and the frame hook above every exchange.  Of equal
     priorities, a later one goes above the earlier ones, except at the
-    end of a list, where it goes below them.  The overlap verdict reads
-    the emitted program through this layout, and the restructurer writes
-    it.
+    end of a list, where it goes below them.  The restructurer writes
+    this layout.
     """
     ops: list[tuple[Insertion, int, list[A.Stmt]]] = []
 

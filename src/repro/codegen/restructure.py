@@ -22,8 +22,7 @@ All rank-dependent values flow through ``acfd_*`` runtime calls, so one
 transformed program serves every rank (SPMD), exactly like the paper's
 generated PVM/MPI Fortran.
 
-Every decision is the plan's (``build_plan`` also records the overlap
-verdict); this pass only writes.  It copies the source program and walks
+Every decision is the plan's; this pass only writes.  It copies the source program and walks
 the copy once by the source program's paths: loop bounds are clamped
 through the plan's field-loop classification, the statements
 :func:`repro.codegen.plan.planned_statements` lists are laid in, and

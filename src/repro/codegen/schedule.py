@@ -40,11 +40,6 @@ class CommPhase:
     #: dim (minus, plus) ghost widths
     arrays: list[tuple[str, dict[int, tuple[int, int]]]] = field(
         default_factory=list)
-    #: the plan marks this sync split (``plan.overlap_enabled``): the model
-    #: lets transfers fly during the consumer nest's interior compute and
-    #: serializes only the residual wait.  The emitted program itself
-    #: always exchanges blocking.
-    overlap: bool = False
     #: reductions folded on this round's faces: each face message
     #: carries one more scalar per reduction, and no allreduce runs
     reductions: int = 0
@@ -115,9 +110,7 @@ def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
 
     # (slot, order, phase): an exchange placed at slot s is inserted
     # *before* the statement opening at s, so CommPhase (order 0) must
-    # precede a ComputePhase (order 1) at the same slot — the simulator's
-    # overlap model fuses an overlapped exchange with the compute phase
-    # that follows it
+    # precede a ComputePhase (order 1) at the same slot
     events: list[tuple[int, int, object]] = []
 
     seen_compute: set[int] = set()
@@ -149,9 +142,7 @@ def extract_schedule(plan: ParallelPlan) -> FrameSchedule:
         carried = len(sync.reductions) if folds and sync.steady else 0
         if sync.steady:
             events.append((slot, 0, CommPhase(
-                sync.sync_id, list(sync.steady),
-                overlap=plan.overlap_enabled(sync.sync_id),
-                reductions=carried)))
+                sync.sync_id, list(sync.steady), reductions=carried)))
         if len(sync.reductions) > carried:
             # riding reductions the round cannot fold: an allreduce
             # right after it

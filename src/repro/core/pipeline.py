@@ -19,7 +19,7 @@ from repro.codegen.plan import ParallelPlan, build_plan
 from repro.codegen.restructure import restructure
 from repro.codegen.runner import ParallelResult, run_parallel
 from repro.core.report import CompilationReport
-from repro.errors import DirectiveError, PartitionError
+from repro.errors import CodegenError, DirectiveError, PartitionError
 from repro.fortran import ast as A
 from repro.fortran.directives import AcfdDirectives
 from repro.fortran.parser import parse_source
@@ -152,15 +152,14 @@ class AutoCFD:
                 partitioner picks the shape.
             combine: apply the combining optimization (ablation hook).
             eliminate_redundant: apply redundant-pair elimination.
-            overlap: which syncs the plan marks as split into a
-                nonblocking exchange around the consumer nest's interior,
-                for the cluster model (``ClusterSim``) and the report.
-                ``"on"`` marks every provably safe split; ``"auto"``
-                marks none and reports each safe one as not marked
-                (this repo's executors leave no wire time in flight to
-                hide); ``"off"`` marks none.  The emitted program does
-                not depend on it: every exchange is blocking.
+            overlap: ``"auto"``, ``"on"`` or ``"off"``; any other value
+                raises :class:`CodegenError`.  It changes nothing: every
+                exchange is blocking, as in the paper's generated code.
+                It stays because the benchmark harness passes it.
         """
+        if overlap not in ("auto", "on", "off"):
+            raise CodegenError(f"overlap mode {overlap!r} not in "
+                               f"('auto', 'on', 'off')")
         with activate(self.obs):
             with obs.span("partitioning", cat="compile") as psp:
                 if isinstance(partition, Partition):
@@ -178,8 +177,7 @@ class AutoCFD:
                 psp.args["dims"] = "x".join(str(p) for p in part.dims)
             plan = build_plan(self.cu, part, self.directives,
                               combine=combine,
-                              eliminate_redundant=eliminate_redundant,
-                              overlap=overlap)
+                              eliminate_redundant=eliminate_redundant)
             with obs.span("codegen-restructure", cat="compile"):
                 spmd = restructure(plan)
             # (the span keeps the name the benchmark's traced pass reads)
@@ -200,16 +198,6 @@ class AutoCFD:
             vector_loops=nests["native"],
             fallback_loops=nests["scalar"],
             fallback_reasons=nests["reasons"],
-            overlap_syncs=sum(1 for d in plan.overlap_decisions
-                              if d.enabled),
-            overlap_refusals=[(d.sync_id, d.reason)
-                              for d in plan.overlap_decisions
-                              if not d.enabled],
-            overlap_decisions=[{"sync_id": d.sync_id,
-                                "enabled": d.enabled,
-                                "reason": d.reason,
-                                "callee": d.callee}
-                               for d in plan.overlap_decisions],
             freshness=[{"sync_id": s.sync_id,
                         "entry_only": dict(s.entry_only),
                         "refusals": dict(s.refusals)}

@@ -35,14 +35,11 @@ class CompilationReport:
     fallback_loops: int = 0
     fallback_reasons: list[tuple[str, int, str]] = field(
         default_factory=list)
-    #: combined syncs restructured to nonblocking interior/boundary
-    #: overlap, and the per-sync refusal reasons for the rest
+    #: always 0 and empty: every exchange the program makes is blocking.
+    #: Kept because the benchmark's traced pass reads them
+    #: (``codegen.overlap_accepted`` / ``codegen.overlap_refused``)
     overlap_syncs: int = 0
     overlap_refusals: list[tuple[int, str]] = field(default_factory=list)
-    #: full per-sync verdict (accepted and refused), as dicts with
-    #: ``sync_id``/``enabled``/``reason``/``callee`` — ``callee`` names
-    #: the subroutine when the verdict crossed a call boundary
-    overlap_decisions: list[dict] = field(default_factory=list)
     #: per combined sync, the ghost-freshness verdicts as dicts with
     #: ``sync_id``, ``entry_only`` (array -> the syncs it is still fresh
     #: from: sent on the first frame only) and ``refusals`` (array -> why
@@ -70,15 +67,13 @@ class CompilationReport:
         return (f"{self.program:<28s} {part:>9s} "
                 f"{self.syncs_before:>6d} {self.syncs_after:>6d} "
                 f"{self.reduction_percent:>7.1f} "
-                f"{self.vector_loops:>6d} {self.fallback_loops:>6d} "
-                f"{self.overlap_syncs:>4d}")
+                f"{self.vector_loops:>6d} {self.fallback_loops:>6d}")
 
     @staticmethod
     def header() -> str:
         return (f"{'program':<28s} {'partition':>9s} "
                 f"{'before':>6s} {'after':>6s} {'%opt':>7s} "
-                f"{'native':>6s} {'scalar':>6s} "
-                f"{'ovl':>4s}")
+                f"{'native':>6s} {'scalar':>6s}")
 
     def nest_summary(self) -> str:
         """``N native nests, M scalar`` — the backend line of ``acfd
@@ -140,11 +135,6 @@ class CompilationReport:
             "fallback_reasons": [
                 {"unit": unit, "line": line, "reason": reason}
                 for unit, line, reason in self.fallback_reasons],
-            "overlap_syncs": self.overlap_syncs,
-            "overlap_refusals": [
-                {"sync_id": sid, "reason": reason}
-                for sid, reason in self.overlap_refusals],
-            "overlap_decisions": [dict(d) for d in self.overlap_decisions],
             "freshness": [dict(d) for d in self.freshness],
             "reductions": [dict(d) for d in self.reductions],
             "phases": [{"name": s.name, "dur_s": s.dur, "args": s.args}

@@ -462,10 +462,7 @@ def goto_targets(unit: ProgramUnit) -> set[int]:
     A native nest (:mod:`repro.interp.native`) may hold no label a GOTO
     names, since a C function cannot be entered in its middle; the
     scalar backend emits GOTO dispatch only around a
-    statement list that holds a target.  The plan's overlap verdict
-    refuses the same nests: the interior/boundary split it judges
-    (modelled by ``ClusterSim``, never emitted) would cut them into
-    strips a jump could enter.
+    statement list that holds a target.
     """
     targets: set[int] = set()
     for stmt in walk_statements(unit.body):

@@ -289,10 +289,6 @@ class Timeline:
         windows.append((cuts[-1], w1))
         return windows
 
-    def per_frame(self) -> list[RunRollup]:
-        """One roll-up per inferred frame window."""
-        return [self.rollup(t0, t1) for t0, t1 in self.frames()]
-
 
 def observe_trace_histograms(registry, trace,
                              prefix: str = "runtime") -> None:

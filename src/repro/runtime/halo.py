@@ -374,9 +374,10 @@ class HaloExchanger(_FaceTransfers):
         would have refreshed first (the two-phase corner propagation in
         :meth:`exchange`).  Callers that need diagonal/corner ghost
         values must use the blocking path.  No generated program calls
-        this pair (it always runs :meth:`exchange`); the plan's overlap
-        verdict refuses such syncs for the cluster model, and the
-        benchmark's exchange probes time the pair directly.
+        this pair: every exchange the compiler emits is blocking
+        (:meth:`exchange`), as the paper's PVM exchanges were.  The
+        benchmark's exchange probes time the pair directly, and the
+        timeline keeps its ``overlap`` category for them.
         """
         if self.in_flight:
             raise RuntimeCommError(

@@ -12,7 +12,9 @@ Timing rules:
 * plain field loops: ``points(rank) × ops × op_time(working_set)``;
 * combined synchronizations: per neighbor one aggregated message whose
   size is the union of the member arrays' faces; sends serialize through
-  the sender's NIC, receives complete at message arrival;
+  the sender's NIC, receives complete at message arrival, and every
+  exchange blocks until all ranks have gone through it (PVM's blocking
+  exchanges, the paper's and the runtime's only kind);
 * pipelined (mirror-image) sweeps: ranks advance in wavefront order along
   the cut dimensions with ``chunks``-way chunking — rank ``c`` may start
   chunk ``k`` only after its minus neighbors finish chunk ``k``;
@@ -60,10 +62,6 @@ class SimResult:
     comm_time: list[float]
     pipe_wait: list[float]
     frames: int
-    #: per-rank wait that interior compute absorbed (overlapped exchanges
-    #: only): the difference between what a blocking exchange would have
-    #: stalled and what the residual wait actually cost
-    overlap_time: list[float] = field(default_factory=list)
     oom_ranks: list[int] = field(default_factory=list)
     working_set: list[int] = field(default_factory=list)
     #: per-phase simulated spans (populated with ``record_timeline=True``)
@@ -92,12 +90,10 @@ class SimResult:
         exchanges land in ``halo``, pipeline stalls in ``blocked``;
         the simulator does not split out pack/send/collective time.
         """
-        hidden = self.overlap_time or [0.0] * len(self.per_rank)
         ranks = [RankBreakdown(rank=r, total=self.per_rank[r],
                                compute=self.compute_time[r],
                                blocked=self.pipe_wait[r],
-                               halo=self.comm_time[r],
-                               overlap=hidden[r])
+                               halo=self.comm_time[r])
                  for r in range(len(self.per_rank))]
         return RunRollup(source="simulated", ranks=ranks)
 
@@ -219,21 +215,20 @@ class ClusterSim:
             pipe_wait[r] += waited
             t[r] = end
 
-    def _comm_times(self, t: list[float],
-                    phase: CommPhase) -> tuple[list[float], list[float]]:
-        """Per-rank (send injection done, last expected arrival) times.
+    def _do_comm(self, t: list[float], comm: list[float],
+                 phase: CommPhase) -> None:
+        """One combined synchronization: aggregated neighbor exchange.
 
-        Shared between the blocking and the overlapped exchange models;
-        also charges the run's traffic counters.
+        Also charges the run's traffic counters.
         """
         net = self.network
+        start = list(t)
         # 1. sends serialize through each NIC starting at the local clock;
         #    the wire latency rides each message *after* injection (LogP's
-        #    o then L), so a sender's clock only pays NIC time — flight
-        #    time lands on the receiving side and is what a split
-        #    consumer loop can hide
+        #    o then L), so a sender's clock only pays NIC time and flight
+        #    time lands on the receiving side
         injection_end: dict[tuple[int, int], float] = {}
-        send_done = list(t)
+        arrival = list(t)
         carried = SCALAR_BYTES * phase.reductions
         total_bytes = 0
         for r in range(self.size):
@@ -252,14 +247,13 @@ class ClusterSim:
                     self._sent_n[r] += 1
                     clock += net.injection_time(nbytes)
                     injection_end[(r, n)] = clock + net.latency
-            send_done[r] = clock
+            arrival[r] = clock
         # shared medium (hub Ethernet): the whole exchange's traffic
         # serializes on one wire, so nobody finishes before the wire drains
         wire_done = 0.0
         if net.shared_medium and total_bytes:
             wire_done = min(t) + net.wire_time(total_bytes) + net.latency
         # 2. receives complete when every expected message has arrived
-        arrival = list(send_done)
         for r in range(self.size):
             received_any = False
             for dim in self.partition.cut_dims:
@@ -279,13 +273,6 @@ class ClusterSim:
                         arrival[r] = max(arrival[r], end)
             if received_any:
                 arrival[r] = max(arrival[r], wire_done)
-        return send_done, arrival
-
-    def _do_comm(self, t: list[float], comm: list[float],
-                 phase: CommPhase) -> None:
-        """One combined synchronization: aggregated neighbor exchange."""
-        start = list(t)
-        _send_done, arrival = self._comm_times(t, phase)
         for r in range(self.size):
             comm[r] += arrival[r] - t[r]
             t[r] = arrival[r]
@@ -301,43 +288,6 @@ class ClusterSim:
         for r in range(self.size):
             self._mark(r, f"exchange#{phase.sync_id}", "halo",
                        start[r], t[r], sync_id=phase.sync_id)
-
-    def _do_comm_overlap(self, t: list[float], comm: list[float],
-                         compute: list[float], overlap: list[float],
-                         phase: CommPhase, cphase: ComputePhase) -> None:
-        """Overlapped exchange fused with its split consumer loop.
-
-        The nonblocking path posts the same messages at the same program
-        point as the blocking exchange (injection still serializes through
-        the NIC), but the consumer's interior runs while they fly: only
-        the residual wait — arrival time minus injection minus interior
-        work — still stalls the rank.  The stall a blocking exchange
-        would have paid minus that residual is accounted as hidden
-        (``overlap``) time.  No barrier: each rank proceeds as soon as
-        its own faces have landed.
-        """
-        send_done, arrival = self._comm_times(t, phase)
-        for r in range(self.size):
-            work = self._phase_points(r, cphase) * cphase.ops_per_point \
-                * self.op_time[r]
-            wait_blocking = max(0.0, arrival[r] - send_done[r])
-            wait_actual = max(0.0, arrival[r] - send_done[r] - work)
-            hidden = wait_blocking - wait_actual
-            self._mark(r, f"exchange#{phase.sync_id}", "halo",
-                       t[r], send_done[r], sync_id=phase.sync_id)
-            self._mark(r, cphase.name, "compute",
-                       send_done[r], send_done[r] + work, overlapped=1)
-            self._mark(r, f"overlap#{phase.sync_id}", "overlap",
-                       send_done[r], send_done[r] + hidden,
-                       sync_id=phase.sync_id)
-            self._mark(r, f"wait#{phase.sync_id}", "blocked",
-                       send_done[r] + work,
-                       send_done[r] + work + wait_actual,
-                       sync_id=phase.sync_id)
-            comm[r] += (send_done[r] - t[r]) + wait_actual
-            compute[r] += work
-            overlap[r] += hidden
-            t[r] = send_done[r] + work + wait_actual
 
     def _do_reduce(self, t: list[float], comm: list[float],
                    phase: ReducePhase) -> None:
@@ -373,30 +323,18 @@ class ClusterSim:
         compute = [0.0] * self.size
         comm = [0.0] * self.size
         pipe_wait = [0.0] * self.size
-        overlap = [0.0] * self.size
 
         simulated = min(frames, WARMUP_FRAMES)
         deltas: list[float] = []
         prev_max = 0.0
         for _f in range(simulated):
-            phases = self.schedule.phases
-            i = 0
-            while i < len(phases):
-                phase = phases[i]
-                nxt = phases[i + 1] if i + 1 < len(phases) else None
+            for phase in self.schedule.phases:
                 if isinstance(phase, ComputePhase):
                     self._do_compute(t, compute, pipe_wait, phase)
                 elif isinstance(phase, CommPhase):
-                    if phase.overlap and isinstance(nxt, ComputePhase) \
-                            and not nxt.pipeline_dims:
-                        self._do_comm_overlap(t, comm, compute, overlap,
-                                              phase, nxt)
-                        i += 2
-                        continue
                     self._do_comm(t, comm, phase)
                 elif isinstance(phase, ReducePhase):
                     self._do_reduce(t, comm, phase)
-                i += 1
             deltas.append(max(t) - prev_max)
             prev_max = max(t)
 
@@ -406,9 +344,7 @@ class ClusterSim:
             scale = remaining * steady
             for r in range(self.size):
                 t[r] += scale
-            # attribute extrapolated time proportionally (overlap is
-            # hidden time, not wall time, so it scales by the same frame
-            # ratio but stays out of the wall-clock split)
+            # attribute extrapolated time proportionally
             for r in range(self.size):
                 known = compute[r] + comm[r] + pipe_wait[r]
                 if known <= 0:
@@ -420,7 +356,6 @@ class ClusterSim:
                 compute[r] += scale * f_c
                 comm[r] += scale * f_m
                 pipe_wait[r] += scale * f_p
-            overlap = [v * frames / simulated for v in overlap]
 
         oom = [r for r in range(self.size)
                if self.machine.node.is_oom(self.working_set[r])]
@@ -436,7 +371,6 @@ class ClusterSim:
         return SimResult(total_time=max(t), per_rank=t,
                          compute_time=compute, comm_time=comm,
                          pipe_wait=pipe_wait, frames=frames,
-                         overlap_time=overlap,
                          oom_ranks=oom, working_set=list(self.working_set),
                          spans=list(self._spans),
                          **traffic)

@@ -48,34 +48,9 @@ class CombinedSync:
     def irregular_arrays(self) -> set[str]:
         return {r.array for r in self.regions if r.pair.irregular}
 
-    def dim_distances(self) -> dict[int, tuple[int, int]]:
-        """Per grid dim: (minus, plus) widths merged over *all* arrays.
-
-        This is the footprint of the whole aggregated message — the
-        widest ghost reach any member array has along each dimension.
-        The overlap verdict sizes its boundary strips exactly this
-        wide: interior iterations closer than these widths to an owned
-        edge could read ghosts still in flight.
-        """
-        return merge_dim_distances(self.distances().items())
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"CombinedSync(@{self.placement}, {len(self.regions)} "
                 f"pairs, arrays={self.arrays})")
-
-
-def merge_dim_distances(arrays) -> dict[int, tuple[int, int]]:
-    """Merge per-array ``{grid_dim: (minus, plus)}`` maps into one.
-
-    *arrays* iterates ``(name, distances)`` pairs; the result takes the
-    per-dim maximum of each side across all arrays.
-    """
-    out: dict[int, tuple[int, int]] = {}
-    for _name, dists in arrays:
-        for g, (minus, plus) in dists.items():
-            old_minus, old_plus = out.get(g, (0, 0))
-            out[g] = (max(old_minus, minus), max(old_plus, plus))
-    return out
 
 
 def combine_regions(regions: list[SyncRegion]) -> list[CombinedSync]:
@@ -83,7 +58,7 @@ def combine_regions(regions: list[SyncRegion]) -> list[CombinedSync]:
 
     The placement chosen for each group is the **last** slot of the final
     intersection: synchronizing as late as legality allows keeps freshly
-    produced data flowing and leaves the most room for overlap.
+    produced data flowing.
     """
     if not regions:
         return []

@@ -16,13 +16,10 @@ leaves a narrow delivery ahead of a wide member), run on the thread
 executor, and every status array must come out bitwise equal to
 ``run_sequential``, the printed lines identical: a member demoted to
 entry-only that was in fact stale shows up as a wrong grid, a reduction
-folded wrong as another frame count or another printed value.  Overlap
-mode ``on`` records the split verdicts; the emitted program is the same
-in every mode.
+folded wrong as another frame count or another printed value.
 
 The generator must reach entry-only members, members needed on every
-frame, each reason the pass refuses with, at least one sync marked
-split, a reduction folded on a halo round's faces (at 2x1, 1x2 or 2x2),
+frame, each reason the pass refuses with, a reduction folded on a halo round's faces (at 2x1, 1x2 or 2x2),
 one riding a round an allreduce then completes (4x1) and one kept on
 its own allreduce.  The example count is twice the active hypothesis
 profile's: 200 in tier-1, more under ``--hypothesis-profile=deep`` (CI).
@@ -41,14 +38,12 @@ PARTITIONS = ((2, 1), (1, 2), (2, 2))
 #: where a riding reduction is folded by an allreduce after the round
 FALLBACK = (4, 1)
 #: what the generator has to reach: verdicts, refusal reasons (as the
-#: pass words them), the placements a demoted member sat under, and a
-#: sync the overlap verdict marks split
+#: pass words them) and the placements a demoted member sat under
 VERDICTS = ("entry-only", "needed")
 REASONS = ("two or more cut dimensions", "leaves only widths",
            "holds a GOTO", "holds a computed GOTO", "holds a CYCLE",
            "outside the frame loop")
 PLACEMENTS = ("arm", "inner", "call")
-SPLIT = ("split",)
 #: how a reduction's global value was formed: on a round's faces, by an
 #: allreduce after the round it rides, or by its own allreduce
 FOLDS = ("faces", "after the round", "own allreduce")
@@ -188,7 +183,6 @@ def render(spec: dict) -> str:
 def _note(seen: Counter, spec: dict, plan) -> None:
     """Count the verdicts, reasons, placements and reduction folds this
     plan reached."""
-    seen["split"] += sum(d.enabled for d in plan.overlap_decisions)
     for red in plan.reductions:
         for r in red.reductions:
             if r.var not in red.rides:
@@ -224,8 +218,7 @@ def test_generated_frame_programs_match_the_sequential_run():
         seq = acfd.run_sequential()
         want = {name: seq.array(name).data.tobytes() for name in ARRAYS}
         for dims in PARTITIONS + (FALLBACK,) * (spec["red"] is not None):
-            result = acfd.compile(partition=dims, overlap="on",
-                                  combine=spec["combine"])
+            result = acfd.compile(partition=dims, combine=spec["combine"])
             plan = result.plan
             for sync in plan.syncs:
                 assert [m for m in sync.arrays
@@ -241,6 +234,6 @@ def test_generated_frame_programs_match_the_sequential_run():
                      f"{result.report.freshness_lines()}:\n{src}")
 
     check()
-    missing = [k for k in VERDICTS + REASONS + PLACEMENTS + SPLIT + FOLDS
+    missing = [k for k in VERDICTS + REASONS + PLACEMENTS + FOLDS
                if not seen[k]]
     assert not missing, f"generator never reached {missing}: {seen}"

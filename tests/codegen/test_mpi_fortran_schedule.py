@@ -12,6 +12,10 @@ from repro.codegen.schedule import (
     extract_schedule,
 )
 from repro.core import AutoCFD
+from repro.errors import CodegenError
+from repro.fortran import ast as A
+from repro.fortran.intrinsics_table import is_intrinsic
+from repro.fortran.parser import parse_source
 
 from tests.conftest import JACOBI_BC_SRC, JACOBI_SRC, SEIDEL_SRC
 
@@ -27,9 +31,8 @@ INTEGER_MAX_SRC = JACOBI_SRC.replace(
     ).replace("if (err .lt. eps) exit", "if (kmax .lt. 100) exit")
 
 
-def compile_src(src, partition, overlap="auto"):
-    return AutoCFD.from_source(src).compile(partition=partition,
-                                            overlap=overlap)
+def compile_src(src, partition):
+    return AutoCFD.from_source(src).compile(partition=partition)
 
 
 class TestMpiFortran:
@@ -294,6 +297,48 @@ class TestLibraryDeclarations:
         else:
             assert "  real acfd_get\n" in text
             assert "acfd_get_int(k, n, m)" in text
+
+    @pytest.mark.parametrize("name", ["sprayer", "jacobi_5pt_sub", "probe"])
+    @pytest.mark.parametrize("dims", [(2, 1), (2, 2)])
+    def test_each_unit_declares_every_name_it_uses(self, name, dims):
+        from repro.apps import kernels
+        from repro.apps.sprayer import sprayer_source
+        src = {"sprayer": lambda: sprayer_source(n=60, m=40, iters=4),
+               "jacobi_5pt_sub": lambda: kernels.jacobi_5pt_sub(
+                   n=16, m=8, iters=2),
+               "probe": lambda: PROBE_SRC}[name]()
+        text = compile_src(src, dims).mpi_source()
+        program = "\n".join(
+            line for line in text.split("generated MPI runtime")[0]
+            .splitlines() if not re.match(r"c( |$)", line))
+        for unit in parse_source(program, form="free",
+                                 resolve=False).units:
+            used = {node.name for node in A.walk(unit)
+                    if isinstance(node, (A.Var, A.Apply))}
+            declared = {entity for decl in unit.decls
+                        if isinstance(decl, A.Declaration)
+                        for entity, _dims in decl.entities}
+            undeclared = {n for n in used - declared - set(unit.args)
+                          if not is_intrinsic(n)}
+            assert not undeclared, (unit.name, sorted(undeclared))
+        if name == "probe":
+            # the library prints each probe fetch the program calls
+            assert "  real acfd_probe1\n  integer acfd_probe2\n" in text
+            assert "real function acfd_get(a, i1, i2)\n" in text
+            assert "integer function acfd_get_int(a, i1, i2)\n" in text
+
+    def test_probes_of_two_shapes_cannot_share_one_fetch(self):
+        # Fortran 77 has no generic functions: one acfd_get takes one
+        # dummy shape, and a packed array's third dimension is another
+        src = PROBE_SRC.replace("  real v(n, m)\n",
+                                "  real v(n, m), q(n, m, 2)\n").replace(
+            "        k(i, j) = i + j\n",
+            "        k(i, j) = i + j\n        q(i, j, 2) = 1.0\n").replace(
+            "write (6, *) v(n, 1), k(n, m)", "write (6, *) v(n, 1), q(n, 1, 2)")
+        result = compile_src(src, (2, 1))
+        assert "q" in result.plan.arrays
+        with pytest.raises(CodegenError, match="share acfd_get"):
+            result.mpi_source()
 
 
 class TestScheduleExtraction:

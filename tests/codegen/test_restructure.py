@@ -1,13 +1,16 @@
 """SPMD restructuring: the transformed AST and its printed form."""
 
+import functools
 import sys
 from collections import Counter
 
 import pytest
 
+from repro.apps import kernels
 from repro.codegen.normalize import normalize_compilation_unit
 from repro.codegen.plan import build_plan
-from repro.codegen.restructure import restructure
+from repro.codegen.restructure import Restructurer, restructure
+from repro.core import AutoCFD
 from repro.errors import CodegenError
 from repro.fortran import ast as A
 from repro.fortran.parser import parse_source
@@ -286,11 +289,133 @@ class TestPure:
                "sprayer": lambda: sprayer_source(iters=2)}[app]()
         acfd = AutoCFD.from_source(src)
         plan = build_plan(acfd.cu, Partition(acfd.grid, dims),
-                          acfd.directives, overlap="on")
-        assert [d.sync_id for d in plan.overlap_decisions] \
-            == [s.sync_id for s in plan.syncs]
-        assert any(d.enabled for d in plan.overlap_decisions)
+                          acfd.directives)
+        assert plan.syncs
         before = pickle.dumps(plan)
         first = print_compilation_unit(restructure(plan))
         assert pickle.dumps(plan) == before
         assert print_compilation_unit(restructure(plan)) == first
+
+
+def _programs() -> dict:
+    """name -> source generator: the gallery, its subroutine-bodied
+    variants, and both paper apps at full grid size (few frames)."""
+    from repro.apps.aerofoil import aerofoil_source
+    from repro.apps.sprayer import sprayer_source
+    from tests.interp.test_executor_equivalence import CASES
+    return {**dict(CASES),
+            "jacobi_5pt_sub": kernels.jacobi_5pt_sub,
+            "jacobi_9pt_sub": kernels.jacobi_9pt_sub,
+            "heat_3d_sub": kernels.heat_3d_sub,
+            "sprayer": lambda: sprayer_source(iters=2),
+            "aerofoil": lambda: aerofoil_source(iters=1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _program(name: str) -> AutoCFD:
+    return AutoCFD.from_source(_programs()[name]())
+
+
+def _dims(acfd: AutoCFD, cuts: tuple[int, ...]) -> tuple[int, ...]:
+    return cuts + (1,) * (len(acfd.grid.shape) - 2)
+
+
+class TestRestructureKeepsTheUnitList:
+    """restructure() rewrites units in place and never adds one."""
+
+    @pytest.mark.parametrize("cuts", [(2, 1), (1, 2), (2, 2)],
+                             ids=["2x1", "1x2", "2x2"])
+    @pytest.mark.parametrize("name", sorted(_programs()))
+    def test_spmd_program_has_the_source_units(self, name, cuts):
+        acfd = _program(name)
+        result = acfd.compile(partition=_dims(acfd, cuts))
+        assert [u.name for u in result.spmd_cu.units] \
+            == [u.name for u in acfd.cu.units]
+
+
+class TestOverlapKeyword:
+    """``compile(overlap=...)`` is accepted and changes nothing: every
+    exchange is blocking in each mode."""
+
+    @pytest.mark.parametrize("cuts", [(2, 1), (2, 2)], ids=["2x1", "2x2"])
+    @pytest.mark.parametrize("name", sorted(_programs()))
+    def test_every_mode_emits_one_program(self, name, cuts):
+        acfd = _program(name)
+        outputs = set()
+        for mode in ("auto", "on", "off"):
+            result = acfd.compile(partition=_dims(acfd, cuts), overlap=mode)
+            report = result.report
+            outputs.add((result.parallel_source(), result.mpi_source(),
+                         report.syncs_before, report.syncs_after,
+                         report.overlap_syncs, tuple(report.overlap_refusals)))
+        assert len(outputs) == 1
+        (_par, mpi, _before, _after, marked, refusals), = outputs
+        assert (marked, refusals) == (0, ())
+        assert "mpi_isend" not in mpi and "mpi_waitall" not in mpi
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(CodegenError, match="overlap mode 'maybe'"):
+            _program("jacobi_5pt").compile(partition=(2, 1),
+                                           overlap="maybe")
+
+
+class TestSharedClassification:
+    def test_pre_clamp_classification_matches_the_clamped_program(self):
+        # the restructurer clamps through the plan's classification of
+        # the source program, keyed by path; re-classifying the emitted
+        # units must find the same nests, in the same order, with the
+        # same sweeps and subscript uses
+        from repro.analysis.field_loops import classify_unit
+        plan, _, _ = spmd_for(kernels.jacobi_5pt_sub(n=12, m=8, iters=6),
+                              (2, 2))
+        rs = Restructurer(plan)
+        clamp = [(unit, var_to_dim)
+                 for (unit, _path), (_var, var_to_dim) in rs._clamp.items()]
+        spmd = rs.run()
+        assert "max0(2, acfd_lo(1))" in print_compilation_unit(spmd)
+        cut = plan.partition.cut_dims
+        fresh = [(unit.name, fl) for unit in spmd.units
+                 for fl in classify_unit(unit, plan.cu.directives).field_loops]
+        assert clamp == [
+            (name, {var: g for g, var in fl.sweeps.items() if g in cut})
+            for name, fl in fresh
+            for _loop in [fl.loop, *fl.loop.descendants]]
+        kept = [(name, fl) for name, cls in
+                plan.frame.classifications.items() for fl in cls.field_loops]
+        assert [name for name, _fl in kept] == [name for name, _fl in fresh]
+        for (_n, mine), (_m, again) in zip(kept, fresh):
+            assert mine.sweeps == again.sweeps
+            assert mine.uses == again.uses
+
+
+def impure_actual_src():
+    """jacobi_5pt_sub whose call to relaxx passes ``bump(iter)``, a
+    function that counts its calls in COMMON /cnt/."""
+    src = kernels.jacobi_5pt_sub(n=12, m=8, iters=6)
+    src = src.replace("  real v, vnew, err, eps\n",
+                      "  real v, vnew, err, eps\n"
+                      "  integer bump, ncalls\n"
+                      "  common /cnt/ ncalls\n"
+                      "  ncalls = 0\n", 1)
+    src = src.replace("    call relaxx()", "    call relaxx(bump(iter))")
+    src = src.replace("  write (6, *) 'iters', iter, 'err', err\n",
+                      "  write (6, *) 'iters', iter, 'err', err\n"
+                      "  write (6, *) 'ncalls', ncalls\n")
+    src = src.replace("subroutine relaxx()\n  implicit none\n",
+                      "subroutine relaxx(k)\n  implicit none\n"
+                      "  integer k\n")
+    return src + ("\ninteger function bump(k)\n  implicit none\n"
+                  "  integer k, ncalls\n  common /cnt/ ncalls\n"
+                  "  ncalls = ncalls + 1\n  bump = k\nend\n")
+
+
+class TestImpureActual:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_impure_actual_is_evaluated_once_per_call(self, executor):
+        # the exchange before the call stays before it: the actual runs
+        # once per call on every rank, as in the sequential program
+        acfd = AutoCFD.from_source(impure_actual_src())
+        want = acfd.run_sequential().io.output()
+        assert "ncalls 6" in want
+        result = acfd.compile(partition=(2, 2))
+        assert result.run_parallel(executor=executor).output() == want

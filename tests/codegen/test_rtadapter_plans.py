@@ -24,7 +24,7 @@ GRID = (16, 12)
 def jacobi_plan():
     return AutoCFD.from_source(
         jacobi_5pt(*GRID, iters=2, eps=0.0)).compile(
-            partition=(2, 2), overlap="off").plan
+            partition=(2, 2)).plan
 
 
 def _field(scale: float) -> np.ndarray:

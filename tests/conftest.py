@@ -66,8 +66,7 @@ def with_boundary_refresh(src: str) -> str:
 
     The write makes ``v``'s ghosts stale there, so the top-of-frame
     exchange is needed on every trip; without it the freshness pass
-    demotes that exchange to entry-only and its consumer nest is no
-    longer split, which the overlap tests are about.
+    demotes that exchange to entry-only.
     """
     assert src.count("    err = 0.0\n") == 1
     return src.replace("    err = 0.0\n",

@@ -139,11 +139,10 @@ class TestRun:
         assert "array 'vnew': identical" in out
         assert "not compared (not in the sequential final state): w" in out
 
-    @pytest.mark.parametrize("command", ["compile", "run", "profile",
-                                         "chaos"])
+    @pytest.mark.parametrize("command", ["compile", "report", "run",
+                                         "simulate", "profile", "chaos"])
     def test_overlap_is_not_an_option(self, command, src_file, capsys):
-        # the emitted program is the same in every overlap mode: only
-        # report and simulate, which show the verdicts, take the flag
+        # every exchange is blocking: no command takes the flag
         with pytest.raises(SystemExit) as exc:
             main([command, src_file, "--overlap", "on"])
         assert exc.value.code == 2
@@ -207,19 +206,6 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "2x2" in out
-
-    def test_overlap_changes_the_model_only(self, tmp_path, capsys):
-        # the 2x2 stencil sync is safe to split: "on" models it hidden
-        path = tmp_path / "jacobi.f90"
-        path.write_text(JACOBI_SRC)
-        times = {}
-        for mode in ("on", "off"):
-            assert main(["simulate", str(path), "-p", "2x2", "--frames",
-                         "30", "--overlap", mode]) == 0
-            row = capsys.readouterr().out.splitlines()[-1].split()
-            assert row[0] == "2x2"
-            times[mode] = float(row[1])
-        assert times["on"] <= times["off"]
 
     def test_simulate_trace_out(self, src_file, tmp_path, capsys):
         trace_path = tmp_path / "sim.trace.json"

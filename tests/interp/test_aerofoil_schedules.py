@@ -4,8 +4,8 @@ The aerofoil is made of carried nests: sixteen direction-split sweeps
 (carried in i, j or k) and the boundary-layer Gauss-Seidel pass (carried
 in all three), each a native nest that runs in source order.  The scalar
 sequential run is the reference; the native sequential run and the
-stitched grids of every cut direction, every overlap mode (each on its
-own input deck) and both executors must equal it bitwise.  The programs
+stitched grids of every cut direction, three input decks and both
+executors must equal it bitwise.  The programs
 whose nests carry nothing run no Python loop but their frame loop.
 """
 
@@ -20,9 +20,10 @@ from repro.core.pipeline import AutoCFD
 from repro.interp.pyback import compile_unit
 
 ARRAYS = "uvwpt"
-#: overlap mode -> input deck: the usual deck and two drawn from the
-#: benchmark's range (0.7-0.9); every mode emits the same program
-DECKS = {"on": AEROFOIL_INPUT, "auto": "0.7312\n", "off": "0.8655\n"}
+#: input decks: the usual deck and two drawn from the benchmark's range
+#: (0.7-0.9)
+DECKS = {"usual": AEROFOIL_INPUT, "0.7312": "0.7312\n",
+         "0.8655": "0.8655\n"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -46,24 +47,22 @@ def test_sequential_vectorized_equals_scalar(aerofoil):
     assert vector.io.output() == scalar.io.output()
 
 
-@pytest.mark.parametrize("overlap", ["on", "auto", "off"])
+@pytest.mark.parametrize("deck", sorted(DECKS))
 @pytest.mark.parametrize("dims,executor", [
     ((2, 1, 1), "thread"), ((1, 2, 1), "thread"), ((1, 1, 2), "thread"),
     ((2, 2, 1), "thread"), ((2, 1, 1), "process")],
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
-def test_stitched_grids_equal_sequential_scalar(dims, executor, overlap):
-    acfd, want, _ = _scalar_run(DECKS[overlap])
-    compiled = acfd.compile(partition=dims, overlap=overlap)
+def test_stitched_grids_equal_sequential_scalar(dims, executor, deck):
+    acfd, want, _ = _scalar_run(DECKS[deck])
+    compiled = acfd.compile(partition=dims)
     # the cut turns no sweep scalar: only the frame loop is
     assert compiled.report.vector_loops == 23, compiled.report.nest_summary()
     assert [unit for unit, _, _ in compiled.report.fallback_reasons] \
         == ["aerofoil"]
-    # "on" marks at least the sync before presscor on every cut
-    assert (compiled.report.overlap_syncs > 0) == (overlap == "on")
-    par = compiled.run_parallel(input_text=DECKS[overlap], timeout=60.0,
+    par = compiled.run_parallel(input_text=DECKS[deck], timeout=60.0,
                                 executor=executor)
     for a in ARRAYS:
-        assert par.array(a).data.tobytes() == want[a], (a, dims, overlap)
+        assert par.array(a).data.tobytes() == want[a], (a, dims, deck)
 
 
 def test_pipeline_calls_stay_outside_the_carried_nests(aerofoil):

@@ -132,25 +132,13 @@ class TestFrames:
         _ev(tr, 0, "exchange", 1.0, 2.0, tag=1)
         assert Timeline.from_trace(tr).frames() == [(0.0, 5.0)]
 
-    def test_per_frame_rollups(self):
-        tr = synthetic_trace()
-        _ev(tr, 0, "rank", 0.0, 6.0)
-        _ev(tr, 0, "exchange", 0.0, 1.0, tag=1)
-        _ev(tr, 0, "recv", 0.0, 1.0, peer=1)
-        _ev(tr, 0, "exchange", 3.0, 4.0, tag=1)
-        _ev(tr, 0, "recv", 3.0, 4.0, peer=1)
-        rolls = Timeline.from_trace(tr).per_frame()
-        assert len(rolls) == 2
-        assert rolls[0].ranks[0].blocked == pytest.approx(1.0)
-
 
 class TestRollupEdgeCases:
     def test_zero_recorded_frames(self):
-        """A trace with no events: no frames, no per-frame roll-ups,
-        and the whole-run roll-up is empty but well-formed."""
+        """A trace with no events: no frames, and the whole-run roll-up
+        is empty but well-formed."""
         tl = Timeline.from_trace(synthetic_trace())
         assert tl.frames() == []
-        assert tl.per_frame() == []
         assert tl.span() == (0.0, 0.0)
         roll = tl.rollup()
         assert roll.ranks == []

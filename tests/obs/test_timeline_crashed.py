@@ -81,13 +81,6 @@ class TestCrashedRankFrames:
         assert tl.frames() == []
         assert tl.rollup().ranks == []
 
-    def test_per_frame_rollups_on_crashed_trace_partition_time(self):
-        tl = Timeline.from_trace(_crashed_trace())
-        per = tl.per_frame()
-        assert len(per) == 3
-        total0 = sum(r.ranks[0].total for r in per)
-        assert total0 == pytest.approx(10.0)
-
 
 class TestTopCapping:
     def test_table_top_keeps_worst_blocked_ranks(self):

@@ -72,12 +72,8 @@ class TestDriftReport:
 class TestOverlapAgreement:
     def test_hidden_halo_fraction_is_zero_on_both_sides(self, compiled,
                                                         par):
-        # overlap "auto" declines every split on the thread executor
-        # (nothing is in flight once begin() returns) and the model
-        # simulates the plan's own decisions, so neither side hides any
-        # exchange
-        assert compiled.plan.overlap == "auto"
-        assert not any(d.enabled for d in compiled.plan.overlap_decisions)
+        # the program exchanges blocking and the model simulates
+        # blocking exchanges, so neither side hides any exchange
         observed = par.timeline().rollup().hidden_halo_fraction
         predicted = simulate(compiled.plan).rollup().hidden_halo_fraction
         assert observed == predicted == 0.0
