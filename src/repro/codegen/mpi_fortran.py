@@ -176,8 +176,8 @@ def _exchange_subroutine(plan: ParallelPlan, sync: PlannedSync) -> str:
 
 
 def _array_decls(plan: ParallelPlan, sync: PlannedSync) -> list[str]:
-    return [f"  real {name}({_local_dims(plan, name)})"
-            for name, _d in sync.arrays]
+    return [f"  {plan.arrays[name].type_name} {name}"
+            f"({_local_dims(plan, name)})" for name, _d in sync.arrays]
 
 
 def _local_dims(plan: ParallelPlan, name: str) -> str:

@@ -26,28 +26,20 @@ flows through one of these methods (the generated Python maps a call
 
 from __future__ import annotations
 
+import functools
 from time import perf_counter_ns
 
 import numpy as np
 
 from repro.codegen.plan import ParallelPlan, folds_in_one_round
 from repro.errors import CheckpointError, RuntimeCommError
+from repro.interp.native import BIND_CAP
 from repro.interp.values import OffsetArray
 from repro.partition.grid import split_extent
 from repro.partition.halo import ghost_bounds
 from repro.runtime.cart import CartComm
 from repro.runtime.comm import Communicator
 from repro.runtime.halo import HaloExchanger, HaloSpec, PipeExchanger
-
-
-def _same_arrays(specs: list[HaloSpec], arrays) -> bool:
-    """Were *specs* built for exactly these array objects?"""
-    if len(specs) != len(arrays):
-        return False
-    for spec, arr in zip(specs, arrays):
-        if spec.array is not arr:
-            return False
-    return True
 
 
 class RankRuntime:
@@ -64,10 +56,15 @@ class RankRuntime:
                 f"{comm.size}")
         self.cart = CartComm(comm, self.partition.dims)
         self.subgrid = self.partition.subgrid(comm.rank)
-        #: kept for the life of the run: one exchanger per combined sync
-        #: id, one per pipe id (their face plans are frame-invariant)
-        self._syncs: dict[int, HaloExchanger] = {}
-        self._pipes: dict[int, PipeExchanger] = {}
+        #: kept for the life of the run, per sync or pipe id and identity
+        #: of the arrays passed (see :meth:`_keep`): a sync's binding
+        #: (see :meth:`exchange`), a pipe's exchanger
+        self._bound: dict[tuple, tuple] = {}
+        self._pipes: dict[tuple, PipeExchanger] = {}
+        #: id -> the keys kept for it, oldest first
+        self._keys: dict[tuple[str, int], list[tuple]] = {}
+        #: per combined sync, how many reductions ride it
+        self._nreductions = [len(sync.reductions) for sync in plan.syncs]
         #: local declaration bounds per array name, filled on first use
         self._bounds: dict[str, list[tuple[int, int]]] = {}
         #: per grid dim, the owned (lo, hi) range of every slice
@@ -136,44 +133,80 @@ class RankRuntime:
                          owned=self.subgrid.owned, dist=dist)
                 for (name, dist), arr in zip(named_dists, arrays)]
 
-    def _sync_exchanger(self, sync_id: int, arrays) -> HaloExchanger | None:
-        """The exchanger kept for combined sync *sync_id*; built on first
-        use, and again whenever the call passes other array objects (a
-        subroutine-local array re-created per call), since its face plan
-        holds views of the arrays it was built for.
+    def _keep(self, kept: dict, what: tuple[str, int], key: tuple, value):
+        """Keep *value* under *key* in *kept*, dropping the oldest key of
+        sync or pipe *what* past ``BIND_CAP`` (a subroutine-local array
+        is new on every call, and this bounds what dead ones pin)."""
+        if key not in kept:
+            keys = self._keys.setdefault(what, [])
+            if len(keys) == BIND_CAP:
+                del kept[keys.pop(0)]
+            keys.append(key)
+        kept[key] = value
+        return value
 
-        From the second trip on only the sync's ``steady`` members travel
-        (the entry-only ones are still fresh, see
-        :mod:`repro.sync.freshness`): the exchanger is rebuilt once for
-        the shorter list, and None stands for "nothing left to send"."""
+    def _bind_sync(self, key: tuple, sync_id: int, arrays) -> tuple:
+        """Combined sync *sync_id*'s binding for *arrays*: ``(held, entry,
+        steady)``.  *held* pairs each array with the ``.data`` its face
+        plans alias.  *entry* runs the round of every member, *steady*
+        the round of the ``steady`` members only, which is all that
+        travels from the second trip on (the entry-only ones are still
+        fresh, see :mod:`repro.sync.freshness`).  Each is one closure of
+        the reductions' local values that returns their global values."""
         sync = self.plan.syncs[sync_id - 1]
-        members = sync.arrays
-        if self._trips > 1 and len(sync.steady) < len(members):
-            arrays = [arr for arr, (name, _d) in zip(arrays, members)
-                      if name not in sync.entry_only]
-            members = sync.steady
-            if not members:
-                return None
-        ex = self._syncs.get(sync_id)
-        if ex is None or not _same_arrays(ex.specs, arrays):
+        entry = self._bound_round(sync_id, sync, sync.arrays, arrays)
+        steady = entry
+        if len(sync.steady) < len(sync.arrays):
+            steady = self._bound_round(
+                sync_id, sync, sync.steady,
+                [arr for arr, (name, _d) in zip(arrays, sync.arrays)
+                 if name not in sync.entry_only])
+        held = tuple((arr, arr.data) for arr in arrays)
+        return self._keep(self._bound, ("sync", sync_id), key,
+                          (held, entry, steady))
+
+    def _bound_round(self, sync_id: int, sync, members, arrays):
+        """One closure of the reductions' local values: the round of
+        *members* (passed as *arrays*; none: nothing to send), with the
+        reductions folded on its faces or, where it cannot fold them or
+        sends nothing, in allreduces after it."""
+        reductions = sync.reductions
+        run = None
+        if members:
             dims = range(self.plan.directives.ndims)
             named_dists = [
                 (name, tuple(dists.get(g, (0, 0)) for g in dims))
                 for name, dists in members]
-            ex = self._syncs[sync_id] = HaloExchanger(
+            folds = folds_in_one_round(self.partition.dims)
+            ex = HaloExchanger(
                 self.cart,
                 self._specs(f"sync {sync_id}", named_dists, arrays),
-                point_id=sync_id, ops=[
-                    op for _var, op in sync.reductions
-                    if folds_in_one_round(self.partition.dims)])
-        return ex
+                point_id=sync_id,
+                ops=[op for _var, op in reductions] if folds else [])
+            run = ex._faces().round
+            if self.comm.telemetry is not None:
+                run = functools.partial(self._in_halo, run)
+            if ex.partials is not None:
+                return lambda values: tuple(run(values))
+        if not reductions:
+            def exchanged(values) -> None:
+                if run is not None:
+                    run(values)
+            return exchanged
+        allreduce = self.comm.allreduce
+        ops = [op for _var, op in reductions]
+
+        def reduced(values) -> tuple:
+            if run is not None:
+                run(())
+            return tuple(allreduce(value, op)
+                         for value, op in zip(values, ops))
+        return reduced
 
     def _in_halo(self, step, *args):
-        """Run exchange step *step* with live telemetry (if any) showing
-        the rank in the halo state; its result."""
+        """Run exchange step *step* with live telemetry showing the rank
+        in the halo state; its result."""
         tele = self.comm.telemetry
-        if tele is None:
-            return step(*args)
         prev = tele.enter(3)  # S_HALO
         try:
             return step(*args)
@@ -185,26 +218,33 @@ class RankRuntime:
         its arrays, then the local values of the reductions riding it,
         whose global values come back as a tuple.  They fold on the
         round's faces (:class:`HaloExchanger`), or, where the round
-        cannot fold them or sends nothing, in an allreduce after it."""
+        cannot fold them or sends nothing, in an allreduce after it.
+
+        The sync is bound once per identity of the arrays passed (a
+        subroutine-local array re-created per call binds per call): a
+        steady-state call checks that every array still holds the
+        buffer its face plans alias, which a rebound ``.data`` fails and
+        rebinds, and runs one prebuilt closure."""
         sync_id = int(sync_id)
-        sync = self.plan.syncs[sync_id - 1]
-        split = len(args) - len(sync.reductions)
-        arrays, values = args[:split], args[split:]
-        ex = self._sync_exchanger(sync_id, arrays)
-        if ex is not None and ex.partials is not None:
-            return tuple(self._in_halo(ex.exchange, values))
-        if ex is not None:
-            self._in_halo(ex.exchange)
-        if values:
-            return tuple(self.comm.allreduce(value, op) for value, (_var, op)
-                         in zip(values, sync.reductions))
-        return None
+        split = len(args) - self._nreductions[sync_id - 1]
+        arrays = args[:split]
+        key = (sync_id, *map(id, arrays))
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bind_sync(key, sync_id, arrays)
+        else:
+            for arr, data in bound[0]:
+                if arr.data is not data:
+                    bound = self._bind_sync(key, sync_id, arrays)
+                    break
+        return bound[2 if self._trips > 1 else 1](args[split:])
 
     def _pipe_exchanger(self, pipe_id: int, arrays) -> PipeExchanger:
-        """The transfer plan kept for pipe *pipe_id* (see
-        :meth:`_sync_exchanger` for when it is rebuilt)."""
-        ex = self._pipes.get(pipe_id)
-        if ex is None or not _same_arrays(ex.specs, arrays):
+        """The transfer plan kept for pipe *pipe_id* and the identity of
+        *arrays* (its face plan is rebuilt if a ``.data`` is rebound)."""
+        key = (pipe_id, *map(id, arrays))
+        ex = self._pipes.get(key)
+        if ex is None:
             pipe = self.plan.pipes[pipe_id - 1]
             uses = pipe.field_loop.uses
             dims = range(self.plan.directives.ndims)
@@ -212,10 +252,12 @@ class RankRuntime:
                 (name, tuple(uses[name].max_read_distance(g)
                              if name in uses else (0, 0) for g in dims))
                 for name in pipe.arrays]
-            ex = self._pipes[pipe_id] = PipeExchanger(
-                self.cart,
-                self._specs(f"pipe {pipe_id}", named_dists, arrays),
-                pipe_id, pipe.pipeline_dims)
+            ex = self._keep(self._pipes, ("pipe", pipe_id), key,
+                            PipeExchanger(
+                                self.cart,
+                                self._specs(f"pipe {pipe_id}", named_dists,
+                                            arrays),
+                                pipe_id, pipe.pipeline_dims))
         return ex
 
     def pipe_recv(self, pipe_id: int, *arrays: OffsetArray) -> None:

@@ -6,15 +6,25 @@ Semantics follow MPI closely enough for generated SPMD programs:
   sender can reuse its buffer — exactly the guarantee MPI's buffered mode
   gives and what halo-exchange codes assume).  One rule owns every
   message buffer: a payload is copied once at the send and from then on
-  belongs to the receiver.  A halo face (``send_face``) is that copy
-  too: its sections are copied out of the live views and handed to the
-  mailbox as they are, with no second defensive copy;
+  belongs to the receiver.  A halo face is that copy too: its sections
+  are copied out of the live views and filed in the peer's mailbox as
+  they are, with no second defensive copy;
 * ``recv`` blocks until a matching ``(source, tag)`` message arrives.
   Matching is indexed per ``(source, tag)`` — O(1) for exact receives,
-  O(#distinct pending keys) for wildcards — and receivers sleep on a
-  condition variable until a matching ``put`` wakes them (no polling
-  tick).  Delivery is FIFO per (source, tag) pair and globally ordered
-  for wildcard receives (lowest arrival sequence wins);
+  O(#distinct pending keys) for wildcards.  A mailbox has one receiver,
+  its rank, and it sleeps on a *doorbell*, a second raw lock, until a
+  ``put`` or a ``wake`` releases it (no polling tick).  Both release it
+  only while a flag under the mailbox lock says the receiver sleeps and
+  clear the flag as they do, so a release never happens twice, and one
+  that comes after the receiver's wait timed out is taken back by the
+  receiver before it leaves the wait.  Delivery is FIFO per (source,
+  tag) pair and globally ordered for wildcard receives (lowest arrival
+  sequence wins);
+* a halo face is bound once (:meth:`Communicator.bind_send`,
+  :meth:`Communicator.bind_recv`): its peer's mailbox, its tag, its
+  bucket key and its sizes are resolved then, and every later transfer
+  is one call.  A bound receive takes the head of its bucket under the
+  lock; only a miss goes through :meth:`_Mailbox.get`;
 * a receive that waits past a short grace, or a barrier, notes its rank
   as blocked with the world's :class:`DeadlockDetector` (directly on
   threads, over the control pipe from a worker process).  The detector
@@ -50,6 +60,7 @@ rank ``bytes(value)`` regardless of what actually moved — receivers of a
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -304,10 +315,20 @@ class DeadlockDetector:
 
 
 class _Mailbox:
-    """Per-rank incoming message store, indexed by (source, tag)."""
+    """Per-rank incoming message store, indexed by (source, tag).
+
+    The buckets are guarded by ``_lock``.  The one receiver sleeps on
+    ``_doorbell``, a lock held while nobody rings it: :meth:`_wait` sets
+    ``_sleeping`` and blocks on the doorbell, and :meth:`put` and
+    :meth:`wake` release it only while that flag is set, clearing it as
+    they do."""
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._doorbell = threading.Lock()
+        self._doorbell.acquire()
+        #: the receiver sleeps on the doorbell (read and set under _lock)
+        self._sleeping = False
         #: (source, tag) -> deque of (arrival seq, message); empty deques
         #: are removed so wildcard matching scans only pending keys.
         self._buckets: dict[tuple[int, int], deque] = {}
@@ -330,9 +351,11 @@ class _Mailbox:
         return self._seq
 
     def put(self, message: _Message) -> None:
-        with self._cond:
+        with self._lock:
             self._enqueue(message)
-            self._cond.notify_all()
+            if self._sleeping:
+                self._sleeping = False
+                self._doorbell.release()
 
     def _enqueue(self, message: _Message) -> None:
         """File *message* under its (source, tag); caller holds the lock."""
@@ -349,15 +372,29 @@ class _Mailbox:
         bucket.append((self._seq, message))
 
     def _wait(self, timeout: float | None) -> None:
-        """Sleep (lock held, released while asleep) until a ``put`` or
-        ``wake``, at most *timeout* seconds (None: no limit).  The process executor's
-        mailbox waits on its doorbell and takes its own messages here."""
-        self._cond.wait(timeout)
+        """Sleep (lock held, released while asleep) on the doorbell until
+        a ``put`` or ``wake`` rings it, at most *timeout* seconds (None:
+        no limit).  The process executor's mailbox sleeps on its own
+        doorbell and takes its own messages here."""
+        self._sleeping = True
+        self._lock.release()
+        try:
+            rung = self._doorbell.acquire(True,
+                                          -1 if timeout is None else timeout)
+        finally:
+            self._lock.acquire()
+        if not rung and not self._sleeping:
+            # rung after the timeout, before this thread had the lock
+            # back: take the release, so that the next wait sleeps
+            self._doorbell.acquire(False)
+        self._sleeping = False
 
     def wake(self) -> None:
-        """Wake blocked receivers to re-check failure / deadlock state."""
-        with self._cond:
-            self._cond.notify_all()
+        """Wake the blocked receiver to re-check failure / deadlock state."""
+        with self._lock:
+            if self._sleeping:
+                self._sleeping = False
+                self._doorbell.release()
 
     def _take(self, source: int | None, tag: int | None) -> _Message | None:
         buckets = self._buckets
@@ -397,7 +434,7 @@ class _Mailbox:
         deadline = None if timeout is None else t0 + timeout
         # fast path + grace period: if the message is already queued or
         # arrives within the grace window, never touch the detector
-        with self._cond:
+        with self._lock:
             msg = self._take(source, tag)
             if msg is not None:
                 return msg, 0.0
@@ -418,7 +455,7 @@ class _Mailbox:
             detector, rank, op = waiter
             detector.block(rank, op, source, tag)
         try:
-            with self._cond:
+            with self._lock:
                 while True:
                     msg = self._take(source, tag)
                     if msg is not None:
@@ -443,7 +480,7 @@ class _Mailbox:
                 detector.unblock(rank)
 
     def probe(self, source: int | None, tag: int | None) -> bool:
-        with self._cond:
+        with self._lock:
             if source is not None and tag is not None:
                 return bool(self._buckets.get((source, tag)))
             return any((source is None or k[0] == source)
@@ -527,12 +564,11 @@ class Communicator:
                 else _payload_bytes(obj)
             now = perf_counter_ns()
             record("send", dest, nbytes, tag, 0, now, now)
-        self._deliver(dest, obj, tag, move=False)
+        self._deliver(dest, obj, tag)
 
-    def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
-        """Put *obj* into *dest*'s mailbox (copied unless moved)."""
-        message = _Message(self.rank, tag,
-                           obj if move else _copy_payload(obj))
+    def _deliver(self, dest: int, obj, tag: int) -> None:
+        """Put a copy of *obj* into *dest*'s mailbox."""
+        message = _Message(self.rank, tag, _copy_payload(obj))
         if self._injector is not None and self._injector.on_send(
                 self.rank, dest, tag, message, self._mailboxes[dest]):
             return  # the injector took over delivery (drop/delay/dup)
@@ -544,11 +580,7 @@ class Communicator:
             self._check_rank(source)
         if tag is not None:
             self._check_tag(tag)
-        return self._received(*self._get(source, tag, "recv"))
-
-    def _received(self, msg: _Message, waited: float):
-        """Record the receive of *msg* after *waited* seconds; its
-        payload."""
+        msg, waited = self._get(source, tag, "recv")
         record = self.record
         if record is not None:
             payload = msg.payload
@@ -589,51 +621,119 @@ class Communicator:
 
     # -- halo faces ---------------------------------------------------------------
 
-    def send_face(self, face) -> None:
-        """Ship the live send views of *face* (one neighbor's share of a
-        :mod:`repro.runtime.halo` face plan) to its peer: each view is
-        copied once, in C order — the one copy a halo payload gets — and
-        the copies go to the peer's mailbox as they are, so the receiver
-        owns them."""
-        record = self.record
-        t0 = perf_counter_ns() if record is not None else 0
-        payload = [view.copy() for view in face.views]
-        if record is not None:
-            now = perf_counter_ns()
-            record("halo_pack", None, face.nbytes, face.tag, 0, t0, now)
-            # the pack was the buffered-send copy: none other is made
-            record("send", face.peer, face.nbytes, face.tag, face.nbytes,
-                   now, now)
-        self._deliver(face.peer, payload, face.tag, move=True)
+    def bind_send(self, face):
+        """The transfer of send *face* (one neighbor's share of a
+        :mod:`repro.runtime.halo` face plan), bound once: each call
+        copies the live send views once, in C order — the one copy a
+        halo payload gets — and files the copies in the peer's mailbox
+        as they are, so the receiver owns them.  With an injector every
+        delivery goes through its ``on_send``."""
+        self._check_rank(face.peer)
+        self._check_tag(face.tag)
+        rank, peer, tag, views, nbytes = (self.rank, face.peer, face.tag,
+                                          face.views, face.nbytes)
+        box = self._mailboxes[peer]
+        injector = self._injector
+        if injector is None:
+            deliver = box.put
+        else:
+            put = box.put
 
-    def recv_face(self, face) -> None:
-        """Receive *face*'s message from its peer into the ghost views."""
-        self._unpack_face(face, self.recv(face.peer, face.tag))
-
-    def _unpack_face(self, face, payload: list[np.ndarray]) -> None:
-        """Fill *face*'s ghost views from the received sections."""
+            def deliver(message: _Message) -> None:
+                if not injector.on_send(rank, peer, tag, message, box):
+                    put(message)
         record = self.record
-        t0 = perf_counter_ns() if record is not None else 0
-        fill_ghosts(face.views, payload)
-        if record is not None:
-            record("halo_unpack", None, face.nbytes, face.tag, 0,
-                   t0, perf_counter_ns())
+        copy = np.ndarray.copy
+
+        def ship() -> None:
+            t0 = perf_counter_ns() if record is not None else 0
+            payload = list(map(copy, views))
+            if record is not None:
+                now = perf_counter_ns()
+                record("halo_pack", None, nbytes, tag, 0, t0, now)
+                # the pack was the buffered-send copy: none other is made
+                record("send", peer, nbytes, tag, nbytes, now, now)
+            deliver(_Message(rank, tag, payload))
+        return ship
+
+    def bind_recv(self, face):
+        """The transfer of ghost *face*, bound once: each call takes the
+        head of the face's bucket under the mailbox lock, or, when
+        nothing is there yet, waits in :meth:`_Mailbox.get` (the grace
+        period, the detector notes and the timeout), and fills the ghost
+        views from the sections."""
+        self._check_rank(face.peer)
+        self._check_tag(face.tag)
+        box = self._mailboxes[self.rank]
+        lock, buckets, key = box._lock, box._buckets, (face.peer, face.tag)
+        wait = self._waiter(face.peer, face.tag, "recv")
+        arrived = self._arrival(face)
+
+        def fill() -> None:
+            with lock:
+                bucket = buckets.get(key)
+                if bucket:
+                    msg = bucket.popleft()[1]
+                    if not bucket:
+                        del buckets[key]
+                    box._queued -= 1
+                else:
+                    msg = None
+            if msg is None:
+                msg, waited = wait()
+                arrived(msg.payload, waited)
+            else:
+                arrived(msg.payload, 0.0)
+        return fill
+
+    def _arrival(self, face):
+        """What ghost *face* does with the *sections* of a message that
+        arrived after *waited* seconds: record the receive, fill the
+        ghost views (:func:`fill_ghosts` checks them first) and record
+        the copy."""
+        peer, tag, views, nbytes = face.peer, face.tag, face.views, \
+            face.nbytes
+        record = self.record
+
+        def arrived(sections, waited: float) -> None:
+            if record is None:
+                fill_ghosts(views, sections)
+                return
+            size = 0
+            for section in sections:
+                size += section.nbytes
+            wait_ns = int(waited * 1e9)
+            t0 = perf_counter_ns()
+            record("recv", peer, size, tag, wait_ns, t0 - wait_ns, t0)
+            fill_ghosts(views, sections)
+            record("halo_unpack", None, nbytes, tag, 0, t0,
+                   perf_counter_ns())
+        return arrived
 
     def _get(self, source: int | None, tag: int | None,
              op: str) -> tuple[_Message, float]:
+        return self._waiter(source, tag, op)()
+
+    def _waiter(self, source: int | None, tag: int | None, op: str):
+        """The blocking matched receive of (*source*, *tag*) in *op* as a
+        call of no arguments: ``_Mailbox.get`` with this rank's timeout,
+        failure flag and detector note, with live telemetry (if any)
+        showing the rank blocked while it runs."""
         waiter = (None if self._detector is None
                   else (self._detector, self.rank, op))
-        box = self._mailboxes[self.rank]
+        get = functools.partial(self._mailboxes[self.rank].get, source,
+                                tag, self._timeout, self._failed, waiter)
         tele = self.telemetry
         if tele is None:
-            return box.get(source, tag, self._timeout, self._failed,
-                           waiter)
-        prev = tele.enter(2)  # S_BLOCKED
-        try:
-            return box.get(source, tag, self._timeout, self._failed,
-                           waiter)
-        finally:
-            tele.enter(prev)
+            return get
+
+        def blocked() -> tuple[_Message, float]:
+            prev = tele.enter(2)  # S_BLOCKED
+            try:
+                return get()
+            finally:
+                tele.enter(prev)
+        return blocked
 
     # -- collectives --------------------------------------------------------------
 

@@ -10,21 +10,26 @@ fixed by the partition and the dependency distances, so it is resolved
 once.  On first use an exchanger builds its *face plan*: per grid
 dimension and direction the neighbor rank, the tag, the live numpy
 **views** of every array's send face and ghost face, and the byte counts
-the trace reports.  Every later call only executes the plan: it asks
-the communicator to send each face at the moment it is due (so later
-dimensions still see the ghosts earlier ones delivered) and to receive
-each ghost face.  How a face travels is the communicator's business,
-under one ownership rule: a payload is copied once at the send and then
-belongs to the receiver.  In-process each send view is copied into a
-fresh contiguous array that the receiver assigns into its ghost view
-and drops; across processes the views are written straight into the
-channel slot and read straight out into the ghost views
-(:mod:`repro.runtime.procexec`).  Identity rule: the views
-alias the ``.data`` buffers the arrays had when the plan was built, so a
-plan is reused only while every spec's array still holds that same
-buffer (checked on each call, against held references); an array whose
-``.data`` was rebound gets a fresh plan.  Writing *into* a buffer
-(``np.copyto(arr.data, ...)``, as checkpoint restore does) keeps the plan.
+the trace reports.  Each face of the plan is bound to the communicator
+then (``Communicator.bind_send`` / ``bind_recv``): the peer's mailbox or
+channel, the bucket key and the sizes are looked up once, and the face
+keeps the bound transfer.  A :class:`HaloExchanger` plan also keeps its
+*round*, one closure that runs every face in order (so later dimensions
+still see the ghosts earlier ones delivered) and folds the reductions;
+a call of :meth:`HaloExchanger.exchange` is that closure, and the rank
+runtime (``repro.codegen.rtadapter``) calls it directly.  How a face
+travels is the communicator's business, under one ownership rule: a
+payload is copied once at the send and then belongs to the receiver.
+In-process each send view is copied into a fresh contiguous array that
+the receiver assigns into its ghost view and drops; across processes
+the views are written straight into the channel slot and read straight
+out into the ghost views (:mod:`repro.runtime.procexec`).  Identity
+rule: the views alias the ``.data`` buffers the arrays had when the plan
+was built, so a plan is reused only while every spec's array still holds
+that same buffer (checked on each call, against held references); an
+array whose ``.data`` was rebound gets a fresh plan, with freshly bound
+faces.  Writing *into* a buffer (``np.copyto(arr.data, ...)``, as
+checkpoint restore does) keeps the plan.
 
 Geometry convention: each rank owns an inclusive global index range per
 grid dimension; its local arrays are declared with ghost layers around the
@@ -149,7 +154,8 @@ class _Face:
     spec the live view the transfer reads (a send face) or writes (a
     ghost face; None where that array keeps no ghosts on this side)."""
 
-    __slots__ = ("peer", "tag", "views", "nbytes", "wire", "floats")
+    __slots__ = ("peer", "tag", "views", "nbytes", "wire", "floats",
+                 "transfer")
 
     def __init__(self, peer: int, tag: int,
                  views: list[np.ndarray | None],
@@ -165,6 +171,9 @@ class _Face:
         #: the float64 view of the partials section that ends *views*
         #: (:class:`HaloExchanger` with reductions), else None
         self.floats = floats
+        #: the communicator's bound transfer: ship this send face, or
+        #: fill this ghost face (set when the plan is built)
+        self.transfer = None
 
 
 def _carrying(peer: int, tag: int, views: list,
@@ -177,10 +186,11 @@ def _carrying(peer: int, tag: int, views: list,
 
 class _FacePlan:
     """Every face of one set of specs: per grid dimension a (send faces,
-    ghost faces) pair in execution order, the same faces flat, and the
-    ``.data`` buffer of every spec the views alias."""
+    ghost faces) pair in execution order, the same faces flat, the
+    ``.data`` buffer of every spec the views alias, and the round
+    (:class:`HaloExchanger` only)."""
 
-    __slots__ = ("by_dim", "sends", "ghosts", "data")
+    __slots__ = ("by_dim", "sends", "ghosts", "data", "round")
 
     def __init__(self, by_dim: list[tuple[list[_Face], list[_Face]]],
                  data: list[np.ndarray]) -> None:
@@ -188,6 +198,7 @@ class _FacePlan:
         self.sends = [face for sends, _ghosts in by_dim for face in sends]
         self.ghosts = [face for _sends, ghosts in by_dim for face in ghosts]
         self.data = data
+        self.round = None
 
 
 _INTS = (int, np.integer)
@@ -224,8 +235,8 @@ class _FaceTransfers:
 
     Subclasses say which faces exist and under which tags
     (:meth:`_layout`) and in which order they run; the transfer of one
-    face, with its copies and trace events, is the communicator's
-    (:meth:`Communicator.send_face` / :meth:`Communicator.recv_face`).
+    face, with its copies and trace events, is the communicator's,
+    bound to the face when the plan is built.
     """
 
     #: a 1-d section every send face carries after the arrays (and every
@@ -252,6 +263,12 @@ class _FaceTransfers:
                     break
             else:
                 return plan
+        plan = self._plan = self._build()
+        return plan
+
+    def _build(self) -> _FacePlan:
+        """A fresh plan of the specs' current buffers, each face bound."""
+        comm = self.cart.comm
         by_dim: dict[int, tuple[list[_Face], list[_Face]]] = {}
         extra = self.partials
         for dim, direction, send_tag, recv_tag in self._layout():
@@ -261,15 +278,18 @@ class _FaceTransfers:
                 continue
             if send_tag is not None:
                 views = [s.send_section(dim, direction) for s in self.specs]
-                sends.append(_carrying(peer, send_tag, views, extra))
+                face = _carrying(peer, send_tag, views, extra)
+                face.transfer = comm.bind_send(face)
+                sends.append(face)
             if recv_tag is not None:
                 views = [s.ghost_section(dim, direction) for s in self.specs]
-                ghosts.append(_carrying(
+                face = _carrying(
                     peer, recv_tag, views,
-                    None if extra is None else np.empty_like(extra)))
-        plan = self._plan = _FacePlan(list(by_dim.values()),
-                                      [s.array.data for s in self.specs])
-        return plan
+                    None if extra is None else np.empty_like(extra))
+                face.transfer = comm.bind_recv(face)
+                ghosts.append(face)
+        return _FacePlan(list(by_dim.values()),
+                         [s.array.data for s in self.specs])
 
 
 class HaloExchanger(_FaceTransfers):
@@ -331,29 +351,50 @@ class HaloExchanger(_FaceTransfers):
         and the whole exchange as an enveloping ``exchange`` span, so the
         timeline can separate halo copying from blocked waiting.
         """
-        if self.in_flight:
-            raise RuntimeCommError(
-                f"halo exchange {self.point_id} run blocking while a "
-                f"begun one is unfinished")
-        comm = self.cart.comm
-        record = comm.record
-        tx0 = perf_counter_ns() if record is not None else 0
-        acc = list(values)
-        for sends, ghosts in self._faces().by_dim:
-            if acc and sends:
-                # every send face holds the one partials array
-                _pack(sends[0], acc)
-            for face in sends:
-                comm.send_face(face)
-            for face in ghosts:
-                comm.recv_face(face)
-                if acc:
-                    acc = _fold(self._folds, acc, face,
-                                face.peer < comm.rank)
-        if record is not None:
-            record("exchange", None, 0, self.point_id, 0,
-                   tx0, perf_counter_ns())
-        return acc
+        return self._faces().round(values)
+
+    def _build(self) -> _FacePlan:
+        plan = super()._build()
+        plan.round = self._round(plan)
+        return plan
+
+    def _round(self, plan: _FacePlan):
+        """The blocking exchange over *plan*, as one closure of
+        *values*: per dimension the partials packed into the first send
+        face, every send face shipped, every ghost face filled and its
+        partials folded in (the side of the fold fixed per face)."""
+        record = self.cart.comm.record
+        rank = self.cart.comm.rank
+        point_id = self.point_id
+        folds = self._folds
+        steps = [(sends[0] if sends else None,
+                  [face.transfer for face in sends],
+                  [(face.transfer, face, face.peer < rank)
+                   for face in ghosts])
+                 for sends, ghosts in plan.by_dim]
+
+        def run(values=()) -> list:
+            if self.in_flight:
+                raise RuntimeCommError(
+                    f"halo exchange {point_id} run blocking while a "
+                    f"begun one is unfinished")
+            tx0 = perf_counter_ns() if record is not None else 0
+            acc = list(values)
+            for first, ships, fills in steps:
+                if acc and first is not None:
+                    # every send face holds the one partials array
+                    _pack(first, acc)
+                for ship in ships:
+                    ship()
+                for fill, face, lower in fills:
+                    fill()
+                    if acc:
+                        acc = _fold(folds, acc, face, lower)
+            if record is not None:
+                record("exchange", None, 0, point_id, 0,
+                       tx0, perf_counter_ns())
+            return acc
+        return run
 
     def begin(self) -> None:
         """Start the whole aggregated exchange without completing it.
@@ -386,7 +427,7 @@ class HaloExchanger(_FaceTransfers):
         timed = comm.record is not None
         self._t_begin0 = perf_counter_ns() if timed else 0
         for face in self._faces().sends:
-            comm.send_face(face)
+            face.transfer()
         self.in_flight = True
         self._t_begin1 = perf_counter_ns() if timed else 0
 
@@ -404,13 +445,12 @@ class HaloExchanger(_FaceTransfers):
             raise RuntimeCommError(
                 f"halo exchange {self.point_id} finished without begin")
         self.in_flight = False
-        comm = self.cart.comm
-        record = comm.record
+        record = self.cart.comm.record
         if record is not None:
             record("overlap", None, 0, self.point_id, 0,
                    self._t_begin1, perf_counter_ns())
         for face in self._faces().ghosts:
-            comm.recv_face(face)
+            face.transfer()
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    self._t_begin0, perf_counter_ns())
@@ -436,23 +476,21 @@ class PipeExchanger(_FaceTransfers):
 
     def recv(self) -> None:
         """Blocking receive of pipelined new values from minus neighbors."""
-        comm = self.cart.comm
-        record = comm.record
+        record = self.cart.comm.record
         t0 = perf_counter_ns() if record is not None else 0
         for face in self._faces().ghosts:
-            comm.recv_face(face)
+            face.transfer()
         if record is not None:
             record("pipeline_recv", None, 0, self.pipe_id, 0,
                    t0, perf_counter_ns())
 
     def send(self) -> None:
         """Ship freshly computed plus-edge layers down the pipeline."""
-        comm = self.cart.comm
-        record = comm.record
+        record = self.cart.comm.record
         for face in self._faces().sends:
             if record is not None:
-                # marker only: send_face records the message itself
+                # marker only: the face's transfer records the message
                 now = perf_counter_ns()
                 record("pipeline_send", face.peer, 0, face.tag, 0,
                        now, now)
-            comm.send_face(face)
+            face.transfer()

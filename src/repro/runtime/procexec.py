@@ -294,9 +294,10 @@ class _ChannelMailbox(_Mailbox):
     """This rank's mailbox: the body thread fills it from its channels.
 
     ``get`` is inherited; only its wait differs.  Where the in-process
-    mailbox sleeps on its condition until a ``put``, this one sleeps on
-    the rank's doorbell, and on the way out moves every published
-    message into the buckets (:meth:`_drain`).  :meth:`take_head` is the
+    mailbox sleeps on a lock that a ``put`` releases, this one sleeps on
+    the rank's doorbell semaphore, which every sender posts, and on the
+    way out moves every published message into the buckets
+    (:meth:`_drain`).  :meth:`take_head` is the
     way round the buckets.  Only the body thread takes from channels, so
     ``delivered`` — what the launcher's detector balances against the
     senders' counts — moves exactly when a message becomes receivable.
@@ -331,14 +332,15 @@ class _ChannelMailbox(_Mailbox):
 
     def put(self, message: _Message) -> None:
         # a self-send, possibly from a fault-injection timer thread
-        super().put(message)
+        with self._lock:
+            self._enqueue(message)
         self.wake()
 
     def wake(self) -> None:
         self._doorbell.release()
 
     def probe(self, source: int | None, tag: int | None) -> bool:
-        with self._cond:
+        with self._lock:
             self._drain()
         return super().probe(source, tag)
 
@@ -414,12 +416,12 @@ class _ChannelMailbox(_Mailbox):
         # no polling here: a receive that knows its channel has polled
         # it in take_head, any other sleeps at once
         if not self._doorbell.acquire(False):
-            self._cond.release()
+            self._lock.release()
             try:
                 self.doorbell_sleeps += 1
                 self._doorbell.acquire(True, timeout)
             finally:
-                self._cond.acquire()
+                self._lock.acquire()
         # Forget the posts so far: each was made after what it announces
         # (a published message, the failure flag) became visible, and
         # both are looked at after this, here and in get().
@@ -660,9 +662,9 @@ class ProcCommunicator(Communicator):
     matching.  Fault-free runs only: see :func:`_run_body`.
     """
 
-    def _deliver(self, dest: int, obj, tag: int, move: bool) -> None:
+    def _deliver(self, dest: int, obj, tag: int) -> None:
         if dest == self.rank:  # self-sends use the local mailbox
-            return super()._deliver(dest, obj, tag, move)
+            return super()._deliver(dest, obj, tag)
         self._mailboxes[dest].write(tag, obj)
 
     def _get(self, source: int | None, tag: int | None,
@@ -674,32 +676,51 @@ class ProcCommunicator(Communicator):
             return msg, waited + more
         return _Message(source, tag, payload), waited
 
-    def send_face(self, face) -> None:
+    def bind_send(self, face):
+        """A face's transfer is a write into the pair's channel through
+        the face's :class:`_Wire`, which was the pack and the send: no
+        defensive copy is made of what it packed."""
+        self._check_rank(face.peer)
+        self._check_tag(face.tag)
+        peer, tag, nbytes = face.peer, face.tag, face.nbytes
+        write_face = self._mailboxes[peer].write_face
         record = self.record
-        t0 = perf_counter_ns() if record is not None else 0
-        self._mailboxes[face.peer].write_face(face)
-        if record is not None:
-            # the write was the pack and the send, and no defensive copy
-            # was made of what it packed
-            now = perf_counter_ns()
-            record("halo_pack", None, face.nbytes, face.tag, 0, t0, now)
-            record("send", face.peer, face.nbytes, face.tag, face.nbytes,
-                   now, now)
 
-    def recv_face(self, face) -> None:
+        def ship() -> None:
+            t0 = perf_counter_ns() if record is not None else 0
+            write_face(face)
+            if record is not None:
+                now = perf_counter_ns()
+                record("halo_pack", None, nbytes, tag, 0, t0, now)
+                record("send", peer, nbytes, tag, nbytes, now, now)
+        return ship
+
+    def bind_recv(self, face):
+        """A face's transfer takes the head of its peer's channel where
+        it lies (:meth:`_ChannelMailbox.take_head`), straight into the
+        ghost views; a miss waits in the inherited ``_Mailbox.get``."""
+        self._check_rank(face.peer)
+        self._check_tag(face.tag)
+        peer, tag, nbytes = face.peer, face.tag, face.nbytes
+        take_head = self._mailboxes[self.rank].take_head
+        failed = self._failed
+        wait = self._waiter(peer, tag, "recv")
+        arrived = self._arrival(face)
         record = self.record
-        t0 = perf_counter_ns() if record is not None else 0
-        nbytes, waited = self._mailboxes[self.rank].take_head(
-            face.peer, face.tag, self._failed, face)
-        if nbytes is _MISS:
-            msg, more = super()._get(face.peer, face.tag, "recv")
-            self._unpack_face(face, self._received(msg, waited + more))
-        elif record is not None:
-            # the wait for the message, then the copy out of its slot
-            t1 = t0 + int(waited * 1e9)
-            record("recv", face.peer, nbytes, face.tag, t1 - t0, t0, t1)
-            record("halo_unpack", None, face.nbytes, face.tag, 0,
-                   t1, perf_counter_ns())
+
+        def fill() -> None:
+            t0 = perf_counter_ns() if record is not None else 0
+            size, waited = take_head(peer, tag, failed, face)
+            if size is _MISS:
+                msg, more = wait()
+                arrived(msg.payload, waited + more)
+            elif record is not None:
+                # the wait for the message, then the copy out of its slot
+                t1 = t0 + int(waited * 1e9)
+                record("recv", peer, size, tag, t1 - t0, t0, t1)
+                record("halo_unpack", None, nbytes, tag, 0,
+                       t1, perf_counter_ns())
+        return fill
 
 
 class _WorkerState:

@@ -249,6 +249,40 @@ end
 """
 
 
+#: an integer status array riding both syncs beside a real one
+INT_SYNC_SRC = """\
+!$acfd status v, k
+!$acfd grid 8 6
+!$acfd frame it
+program intsync
+  implicit none
+  integer i, j, n, m, it
+  parameter (n = 8, m = 6)
+  real v(n, m)
+  integer k(n, m)
+  do i = 1, n
+    do j = 1, m
+      v(i, j) = 0.0
+      k(i, j) = i + j
+    end do
+  end do
+  do it = 1, 3
+    do i = 2, n - 1
+      do j = 2, m - 1
+        v(i, j) = v(i - 1, j) + v(i + 1, j) + k(i - 1, j) + k(i + 1, j)
+      end do
+    end do
+    do i = 2, n - 1
+      do j = 2, m - 1
+        k(i, j) = k(i, j) + 1
+      end do
+    end do
+  end do
+  write (6, *) v(2, 2)
+end
+"""
+
+
 def _printed_units(text: str) -> list[list[str]]:
     """The lines of each program unit of the artifact's program part."""
     program = text.split("generated MPI runtime")[0]
@@ -326,6 +360,17 @@ class TestLibraryDeclarations:
             assert "  real acfd_probe1\n  integer acfd_probe2\n" in text
             assert "real function acfd_get(a, i1, i2)\n" in text
             assert "integer function acfd_get_int(a, i1, i2)\n" in text
+
+    def test_exchange_wrappers_declare_each_array_with_its_type(self):
+        compiled = compile_src(INT_SYNC_SRC, (2, 1))
+        assert all("k" in dict(sync.arrays) for sync in compiled.plan.syncs)
+        text = compiled.mpi_source()
+        wrappers = text.split("subroutine acfd_exchange_")[1:]
+        assert len(wrappers) == 2 * len(compiled.plan.syncs)  # start, end
+        for body in wrappers[::2]:
+            assert "\n  integer k(acfd_lb1:acfd_ub1, acfd_lb2:acfd_ub2)\n" \
+                in body
+            assert "\n  real v(acfd_lb1:acfd_ub1, acfd_lb2:acfd_ub2)\n" in body
 
     def test_probes_of_two_shapes_cannot_share_one_fetch(self):
         # Fortran 77 has no generic functions: one acfd_get takes one

@@ -1,9 +1,10 @@
-"""RankRuntime keeps one exchanger per sync id and one per pipe id.
+"""RankRuntime binds each sync and each pipe once per identity of the
+arrays passed.
 
-The kept exchangers hold face plans — live views of the arrays they were
-built for — so reuse is only correct while a call passes those same
-array objects with those same buffers; anything else must rebuild and
-move the ghosts of the array actually passed.
+A binding holds face plans — live views of the arrays it was built
+for — so reuse is only correct while a call passes those same array
+objects with those same buffers; anything else must bind again and move
+the ghosts of the array actually passed.
 """
 
 import numpy as np
@@ -60,16 +61,21 @@ def _ghosts_hold(rt: RankRuntime, arr: OffsetArray, scale: float) -> bool:
         want[tuple(slice(lo - 1, hi) for lo, hi in f)]) for f in faces)
 
 
+def _binding(rt: RankRuntime, sync_id: int, *arrays):
+    """The binding *rt* keeps for *sync_id* and these array objects."""
+    return rt._bound.get((sync_id, *map(id, arrays)))
+
+
 class TestKeptSyncExchanger:
     def test_repeat_call_reuses_exchanger_and_plan(self, jacobi_plan):
         def body(comm):
             rt = RankRuntime(comm, jacobi_plan)
             v = _local(rt, 1.0)
             rt.exchange(1, v)
-            kept, plan = rt._syncs[1], rt._syncs[1]._plan
+            kept = _binding(rt, 1, v)
             v.data[...] = _local(rt, 3.0).data  # new values, same buffer
             rt.exchange(1, v)
-            return (rt._syncs[1] is kept and kept._plan is plan
+            return (kept is not None and _binding(rt, 1, v) is kept
                     and _ghosts_hold(rt, v, 3.0))
 
         assert all(spmd_run(4, body).results)
@@ -79,10 +85,10 @@ class TestKeptSyncExchanger:
             rt = RankRuntime(comm, jacobi_plan)
             a, b = _local(rt, 1.0), _local(rt, 2.0)
             rt.exchange(1, a)
-            kept = rt._syncs[1]
+            kept = _binding(rt, 1, a)
             a_before = a.data.copy()
             rt.exchange(1, b)
-            return (rt._syncs[1] is not kept
+            return (_binding(rt, 1, b) not in (None, kept)
                     and _ghosts_hold(rt, b, 2.0)
                     and np.array_equal(a.data, a_before))
 

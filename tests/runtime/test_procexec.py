@@ -186,13 +186,13 @@ def _face_then_overwrite(comm):
                          [HaloSpec(local, (0,), owned, ((1, 1),))])._faces()
     if comm.rank == 0:
         (face,) = plan.sends
-        comm.send_face(face)
+        face.transfer()
         face.views[0][...] = -1.0  # the send view, live in the array
     comm.barrier()
     if comm.rank == 0:
         return local.data.tolist()
     (ghost,) = plan.ghosts
-    comm.recv_face(ghost)
+    ghost.transfer()
     return ghost.views[0].tolist()
 
 
