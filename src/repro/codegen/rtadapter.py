@@ -42,6 +42,16 @@ from repro.runtime.comm import Communicator
 from repro.runtime.halo import HaloExchanger, HaloSpec, PipeExchanger
 
 
+def _in_halo(tele, step, *args):
+    """Run exchange step *step* with live telemetry *tele* showing the
+    rank in the halo state; its result."""
+    prev = tele.enter(3)  # S_HALO
+    try:
+        return step(*args)
+    finally:
+        tele.enter(prev)
+
+
 class RankRuntime:
     """One rank's view of the parallel execution (the ``ctx.rt`` object)."""
 
@@ -185,7 +195,7 @@ class RankRuntime:
                 ops=[op for _var, op in reductions] if folds else [])
             run = ex._faces().round
             if self.comm.telemetry is not None:
-                run = functools.partial(self._in_halo, run)
+                run = functools.partial(_in_halo, self.comm.telemetry, run)
             if ex.partials is not None:
                 return lambda values: tuple(run(values))
         if not reductions:
@@ -202,16 +212,6 @@ class RankRuntime:
             return tuple(allreduce(value, op)
                          for value, op in zip(values, ops))
         return reduced
-
-    def _in_halo(self, step, *args):
-        """Run exchange step *step* with live telemetry showing the rank
-        in the halo state; its result."""
-        tele = self.comm.telemetry
-        prev = tele.enter(3)  # S_HALO
-        try:
-            return step(*args)
-        finally:
-            tele.enter(prev)
 
     def exchange(self, sync_id: int, *args):
         """Aggregated halo exchange for combined sync point *sync_id*:

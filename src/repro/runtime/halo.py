@@ -12,8 +12,8 @@ dimension and direction the neighbor rank, the tag, the live numpy
 **views** of every array's send face and ghost face, and the byte counts
 the trace reports.  Each face of the plan is bound to the communicator
 then (``Communicator.bind_send`` / ``bind_recv``): the peer's mailbox or
-channel, the bucket key and the sizes are looked up once, and the face
-keeps the bound transfer.  A :class:`HaloExchanger` plan also keeps its
+channel, the bucket key and the sizes are looked up once, and the plan
+keeps the bound transfers.  A :class:`HaloExchanger` plan also keeps its
 *round*, one closure that runs every face in order (so later dimensions
 still see the ghosts earlier ones delivered) and folds the reductions;
 a call of :meth:`HaloExchanger.exchange` is that closure, and the rank
@@ -154,8 +154,7 @@ class _Face:
     spec the live view the transfer reads (a send face) or writes (a
     ghost face; None where that array keeps no ghosts on this side)."""
 
-    __slots__ = ("peer", "tag", "views", "nbytes", "wire", "floats",
-                 "transfer")
+    __slots__ = ("peer", "tag", "views", "nbytes", "wire", "floats")
 
     def __init__(self, peer: int, tag: int,
                  views: list[np.ndarray | None],
@@ -171,9 +170,6 @@ class _Face:
         #: the float64 view of the partials section that ends *views*
         #: (:class:`HaloExchanger` with reductions), else None
         self.floats = floats
-        #: the communicator's bound transfer: ship this send face, or
-        #: fill this ghost face (set when the plan is built)
-        self.transfer = None
 
 
 def _carrying(peer: int, tag: int, views: list,
@@ -186,17 +182,24 @@ def _carrying(peer: int, tag: int, views: list,
 
 class _FacePlan:
     """Every face of one set of specs: per grid dimension a (send faces,
-    ghost faces) pair in execution order, the same faces flat, the
-    ``.data`` buffer of every spec the views alias, and the round
-    (:class:`HaloExchanger` only)."""
+    ghost faces) pair in execution order, the same faces flat, each
+    face's transfer bound by *comm*, the ``.data`` buffer of every spec
+    the views alias, and the round (:class:`HaloExchanger` only).  A
+    face does not hold its transfer, which holds the face: the plan is
+    freed as soon as nothing refers to it."""
 
-    __slots__ = ("by_dim", "sends", "ghosts", "data", "round")
+    __slots__ = ("by_dim", "sends", "ghosts", "ships", "fills", "data",
+                 "round")
 
     def __init__(self, by_dim: list[tuple[list[_Face], list[_Face]]],
-                 data: list[np.ndarray]) -> None:
+                 data: list[np.ndarray], comm) -> None:
         self.by_dim = by_dim
         self.sends = [face for sends, _ghosts in by_dim for face in sends]
         self.ghosts = [face for _sends, ghosts in by_dim for face in ghosts]
+        #: per send face, the call that ships it; per ghost face, the
+        #: call that fills it
+        self.ships = [comm.bind_send(face) for face in self.sends]
+        self.fills = [comm.bind_recv(face) for face in self.ghosts]
         self.data = data
         self.round = None
 
@@ -236,7 +239,7 @@ class _FaceTransfers:
     Subclasses say which faces exist and under which tags
     (:meth:`_layout`) and in which order they run; the transfer of one
     face, with its copies and trace events, is the communicator's,
-    bound to the face when the plan is built.
+    bound when the plan is built.
     """
 
     #: a 1-d section every send face carries after the arrays (and every
@@ -268,7 +271,6 @@ class _FaceTransfers:
 
     def _build(self) -> _FacePlan:
         """A fresh plan of the specs' current buffers, each face bound."""
-        comm = self.cart.comm
         by_dim: dict[int, tuple[list[_Face], list[_Face]]] = {}
         extra = self.partials
         for dim, direction, send_tag, recv_tag in self._layout():
@@ -278,18 +280,14 @@ class _FaceTransfers:
                 continue
             if send_tag is not None:
                 views = [s.send_section(dim, direction) for s in self.specs]
-                face = _carrying(peer, send_tag, views, extra)
-                face.transfer = comm.bind_send(face)
-                sends.append(face)
+                sends.append(_carrying(peer, send_tag, views, extra))
             if recv_tag is not None:
                 views = [s.ghost_section(dim, direction) for s in self.specs]
-                face = _carrying(
+                ghosts.append(_carrying(
                     peer, recv_tag, views,
-                    None if extra is None else np.empty_like(extra))
-                face.transfer = comm.bind_recv(face)
-                ghosts.append(face)
+                    None if extra is None else np.empty_like(extra)))
         return _FacePlan(list(by_dim.values()),
-                         [s.array.data for s in self.specs])
+                         [s.array.data for s in self.specs], self.cart.comm)
 
 
 class HaloExchanger(_FaceTransfers):
@@ -351,6 +349,10 @@ class HaloExchanger(_FaceTransfers):
         and the whole exchange as an enveloping ``exchange`` span, so the
         timeline can separate halo copying from blocked waiting.
         """
+        if self.in_flight:
+            raise RuntimeCommError(
+                f"halo exchange {self.point_id} run blocking while a "
+                f"begun one is unfinished")
         return self._faces().round(values)
 
     def _build(self) -> _FacePlan:
@@ -362,22 +364,20 @@ class HaloExchanger(_FaceTransfers):
         """The blocking exchange over *plan*, as one closure of
         *values*: per dimension the partials packed into the first send
         face, every send face shipped, every ghost face filled and its
-        partials folded in (the side of the fold fixed per face)."""
+        partials folded in (the side of the fold fixed per face).  It
+        holds neither the exchanger nor the plan, only what it runs."""
         record = self.cart.comm.record
         rank = self.cart.comm.rank
         point_id = self.point_id
         folds = self._folds
+        bound_ships, bound_fills = iter(plan.ships), iter(plan.fills)
         steps = [(sends[0] if sends else None,
-                  [face.transfer for face in sends],
-                  [(face.transfer, face, face.peer < rank)
+                  [next(bound_ships) for _face in sends],
+                  [(next(bound_fills), face, face.peer < rank)
                    for face in ghosts])
                  for sends, ghosts in plan.by_dim]
 
         def run(values=()) -> list:
-            if self.in_flight:
-                raise RuntimeCommError(
-                    f"halo exchange {point_id} run blocking while a "
-                    f"begun one is unfinished")
             tx0 = perf_counter_ns() if record is not None else 0
             acc = list(values)
             for first, ships, fills in steps:
@@ -426,8 +426,8 @@ class HaloExchanger(_FaceTransfers):
         comm = self.cart.comm
         timed = comm.record is not None
         self._t_begin0 = perf_counter_ns() if timed else 0
-        for face in self._faces().sends:
-            face.transfer()
+        for ship in self._faces().ships:
+            ship()
         self.in_flight = True
         self._t_begin1 = perf_counter_ns() if timed else 0
 
@@ -449,8 +449,8 @@ class HaloExchanger(_FaceTransfers):
         if record is not None:
             record("overlap", None, 0, self.point_id, 0,
                    self._t_begin1, perf_counter_ns())
-        for face in self._faces().ghosts:
-            face.transfer()
+        for fill in self._faces().fills:
+            fill()
         if record is not None:
             record("exchange", None, 0, self.point_id, 0,
                    self._t_begin0, perf_counter_ns())
@@ -478,8 +478,8 @@ class PipeExchanger(_FaceTransfers):
         """Blocking receive of pipelined new values from minus neighbors."""
         record = self.cart.comm.record
         t0 = perf_counter_ns() if record is not None else 0
-        for face in self._faces().ghosts:
-            face.transfer()
+        for fill in self._faces().fills:
+            fill()
         if record is not None:
             record("pipeline_recv", None, 0, self.pipe_id, 0,
                    t0, perf_counter_ns())
@@ -487,10 +487,11 @@ class PipeExchanger(_FaceTransfers):
     def send(self) -> None:
         """Ship freshly computed plus-edge layers down the pipeline."""
         record = self.cart.comm.record
-        for face in self._faces().sends:
+        plan = self._faces()
+        for face, ship in zip(plan.sends, plan.ships):
             if record is not None:
                 # marker only: the face's transfer records the message
                 now = perf_counter_ns()
                 record("pipeline_send", face.peer, 0, face.tag, 0,
                        now, now)
-            face.transfer()
+            ship()

@@ -185,14 +185,14 @@ def _face_then_overwrite(comm):
     plan = HaloExchanger(CartComm(comm, (2,)),
                          [HaloSpec(local, (0,), owned, ((1, 1),))])._faces()
     if comm.rank == 0:
-        (face,) = plan.sends
-        face.transfer()
+        (face,), (ship,) = plan.sends, plan.ships
+        ship()
         face.views[0][...] = -1.0  # the send view, live in the array
     comm.barrier()
     if comm.rank == 0:
         return local.data.tolist()
-    (ghost,) = plan.ghosts
-    ghost.transfer()
+    (ghost,), (fill,) = plan.ghosts, plan.fills
+    fill()
     return ghost.views[0].tolist()
 
 

@@ -258,17 +258,17 @@ def _backlogged_faces(comm):
     ex, (a,) = _exchanger(comm)
     plan = ex._faces()
     if comm.rank == 1:
-        face, = plan.sends
+        ship, = plan.ships
         for trip in range(_SLOTS + 4):
             a.data[:] = trip
-            face.transfer()
+            ship()
         comm.barrier()
         return None
-    face, = plan.ghosts
+    fill, = plan.fills
     comm.barrier()
     got = []
     for _trip in range(_SLOTS + 4):
-        face.transfer()
+        fill()
         got.append(_ghost(comm, a))
     return got
 
@@ -322,11 +322,11 @@ def _published_first(frames, comm):
     plan = ex._faces()
     for frame in range(frames):
         v.data[:] = _values(frame, comm.rank, 0)[0]
-        for face in plan.sends:
-            face.transfer()
+        for ship in plan.ships:
+            ship()
         comm.barrier()
-        for face in plan.ghosts:
-            face.transfer()
+        for fill in plan.fills:
+            fill()
         ghost = v.data[-1 if comm.rank == 0 else 0]
         assert ghost.tobytes() == np.full(
             32, _values(frame, peer, 0)[0]).tobytes(), frame
